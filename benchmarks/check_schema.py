@@ -10,8 +10,8 @@ Validates
     structure recorded in ``tests/obs/golden_bench_schema.json``
     (full-mode docs additionally carry the golden's
     ``benches_full_extra`` keys — the wider E4 payload sweep; the E16
-    block's determinism flags and full-mode speedup are additionally
-    value-checked, see ``check_e16_contract``, and the E17 block's
+    block's determinism flags are additionally value-checked, see
+    ``check_e16_contract``, and the E17 block's
     exactly-once flag and full-mode client floor likewise, see
     ``check_e17_contract``);
   - ``benchmarks/out/*.json``: schema "repro.table" version 1, the
@@ -110,9 +110,9 @@ def check_bench_doc(path: str, golden: dict, errors: List[str]) -> None:
 
 def check_e16_contract(name: str, doc: dict, errors: List[str]) -> None:
     """E16 carries machine-checked claims, not just rates: a committed
-    baseline whose determinism flags are not exactly 1.0, or whose
-    full-mode 8-shard speedup is below the gated 2x, is invalid even if
-    its key structure matches the golden file."""
+    baseline whose determinism flags are not exactly 1.0 is invalid
+    even if its key structure matches the golden file.  (The 8-shard
+    speedup is an informational wall ratio, not a claim.)"""
     e16 = doc.get("benches", {}).get("E16")
     if not e16:
         return  # pre-E16 baselines carry no block; post-E16 nulls are fine
@@ -122,11 +122,6 @@ def check_e16_contract(name: str, doc: dict, errors: List[str]) -> None:
         if value is not None and value != 1.0:
             errors.append(f"{name}: E16.{flag} = {value!r}; a baseline "
                           f"may only record a passing (1.0) flag")
-    speedup = e16.get("scale_parallel_s8_speedup")
-    if speedup is not None and not doc.get("quick") and speedup < 2.0:
-        errors.append(f"{name}: E16.scale_parallel_s8_speedup = "
-                      f"{speedup} < 2.0 — full-mode baselines must "
-                      f"clear the gated speedup")
 
 
 def check_e17_contract(name: str, doc: dict, errors: List[str]) -> None:

@@ -460,7 +460,7 @@ class CharlotteKernel:
                 Completion(CompletionKind.RECV_DONE, receiver.ref, msg=msg),
             )
 
-        self.engine.schedule(delay, complete)
+        self.engine.defer(delay, complete)
 
     def _on_enclosure_lost(self, enc: EndRef) -> None:
         klink = self.links.get(enc.link)

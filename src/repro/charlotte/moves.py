@@ -90,7 +90,7 @@ class MoveCoordinator:
                 # trip plus backoff, then try again (fig. 1 serialiser)
                 k.metrics.count("charlotte.move_retries")
                 extra_acc += self._msg_cost() + self._msg_cost()
-                k.engine.schedule(MOVE_RETRY_BACKOFF_MS, attempt)
+                k.engine.defer(MOVE_RETRY_BACKOFF_MS, attempt)
                 return
             klink.move_locked = True
             # FREEZE to F's kernel and its ACK, on the critical path

@@ -408,7 +408,7 @@ class LynxRuntimeBase:
             t.pending_value = None
         elif isinstance(op, _ops.DelayOp):
             t.block("delay")
-            self.engine.schedule(op.ms, self._resume, t, None)
+            self.engine.defer(op.ms, self._resume, t, None)
         elif isinstance(op, _ops.ComputeOp):
             yield sleep(self.engine, op.ms)
             t.pending_value = None

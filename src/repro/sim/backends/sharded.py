@@ -1,20 +1,17 @@
 """Per-shard event queues: the serial oracle and the parallel windows.
 
-Both engines here hold one binary heap **per shard** whose entries are
-plain tuples ``(time, seq, fn, args, handle)`` — comparison is decided
-entirely by ``(time, seq)`` (sequence numbers are unique per heap), so
-heap pushes and pops compare C-level floats and ints instead of calling
-``Event.__lt__``.  ``handle`` is an `Event` when the caller needs a
-cancellation handle and ``None`` on the fire-and-forget paths
-(``defer`` / ``defer_on`` / ``post``), which skip the allocation
-altogether.
+Both engines here hold one binary heap **per shard**, in the reference
+engine's representation: ``(time, seq, fn, args, handle)`` entries
+ordered by ``(time, seq)`` alone, ``handle`` an `Event` or — on the
+fire-and-forget paths — ``None`` (see `repro.sim.engine.Event`; the
+layout and its tombstone skipping are imported from there, not
+redefined).
 
 `ShardedSerialEngine` — the determinism oracle.  One global sequence
 counter, one clock; every step scans the k heap heads and fires the
 globally minimal ``(time, seq)`` entry.  That is *exactly* the global
-engine's order for every workload, so digests must match bit for bit —
-and the tuple-keyed heaps make it faster than the single global heap
-despite the head scan.
+engine's order for every workload, so digests must match bit for bit;
+per event it costs what the global heap costs plus the head scan.
 
 `ShardedParallelEngine` — conservative synchronization
 (Chandy–Misra–Bryant lookahead).  Per-shard clocks and sequence
@@ -49,12 +46,9 @@ from time import perf_counter  # repro: allow[DET001]
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.sim.backends import DEFAULT_LOOKAHEAD_MS
-from repro.sim.engine import Engine, EngineError, Event, _callback_key
-
-
-def _skip_cancelled(h: list, pop=heapq.heappop) -> None:
-    while h and h[0][4] is not None and h[0][4].cancelled:
-        pop(h)
+from repro.sim.engine import (
+    Engine, EngineError, Event, _callback_key, _skip_cancelled,
+)
 
 
 class ShardedSerialEngine(Engine):
@@ -62,7 +56,7 @@ class ShardedSerialEngine(Engine):
 
     Bit-identical to the ``global`` backend for every workload (the
     registry marks it ``oracle=True``); used to validate the parallel
-    backend and as a faster drop-in for single-host runs.
+    backend.
     """
 
     def __init__(
@@ -87,7 +81,7 @@ class ShardedSerialEngine(Engine):
 
     # -- scheduling ----------------------------------------------------
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
-        if delay < 0:
+        if not delay >= 0:
             raise EngineError(f"cannot schedule {delay} ms in the past")
         t = self.now + delay
         seq = self._seq
@@ -97,7 +91,7 @@ class ShardedSerialEngine(Engine):
         return ev
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
-        if time < self.now:
+        if not time >= self.now:
             raise EngineError(
                 f"cannot schedule at t={time} before current t={self.now}"
             )
@@ -108,7 +102,7 @@ class ShardedSerialEngine(Engine):
         return ev
 
     def defer(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
-        if delay < 0:
+        if not delay >= 0:
             raise EngineError(f"cannot schedule {delay} ms in the past")
         seq = self._seq
         self._seq = seq + 1
@@ -120,7 +114,7 @@ class ShardedSerialEngine(Engine):
         self, shard: int, delay: float, fn: Callable[..., Any], *args: Any
     ) -> Event:
         self._check_shard(shard)
-        if delay < 0:
+        if not delay >= 0:
             raise EngineError(f"cannot schedule {delay} ms in the past")
         t = self.now + delay
         seq = self._seq
@@ -133,7 +127,7 @@ class ShardedSerialEngine(Engine):
         self, shard: int, delay: float, fn: Callable[..., Any], *args: Any
     ) -> None:
         self._check_shard(shard)
-        if delay < 0:
+        if not delay >= 0:
             raise EngineError(f"cannot schedule {delay} ms in the past")
         seq = self._seq
         self._seq = seq + 1
@@ -143,7 +137,7 @@ class ShardedSerialEngine(Engine):
 
     def post(self, shard: int, delay: float, key: str, *args: Any) -> None:
         self._check_shard(shard)
-        if delay < self.lookahead_ms:
+        if not delay >= self.lookahead_ms:
             raise EngineError(
                 f"cross-shard post delay {delay} ms is below the "
                 f"lookahead bound {self.lookahead_ms} ms"
@@ -174,18 +168,12 @@ class ShardedSerialEngine(Engine):
         t, seq, fn, args, ev = best
         self.now = t
         self._cur = bi
-        if self.trace_hook is not None:
-            self.trace_hook(self, ev if ev is not None else Event(t, seq, fn, args))
-        self._events_fired += 1
-        if self.profile is None:
-            fn(*args)
-        else:
-            t0 = perf_counter()
-            fn(*args)
-            self.profile.record(_callback_key(fn), perf_counter() - t0)
+        self._dispatch(t, seq, fn, args, ev)
         return True
 
-    def _run_fast(self) -> int:
+    def _drain(self, until: Optional[float], max_events: Optional[int]) -> int:
+        if until is not None or max_events is not None:
+            return self._run_stepped(until, max_events)
         heaps = self._heaps
         pop = heapq.heappop
         fired = 0
@@ -221,23 +209,6 @@ class ShardedSerialEngine(Engine):
             self._running = False
             self._events_fired += fired
         return fired
-
-    def _peek_time(self) -> Optional[float]:
-        nxt = None
-        for h in self._heaps:
-            _skip_cancelled(h)
-            if h and (nxt is None or h[0][0] < nxt):
-                nxt = h[0][0]
-        return nxt
-
-    @property
-    def pending(self) -> int:
-        return sum(
-            1
-            for h in self._heaps
-            for entry in h
-            if entry[4] is None or not entry[4].cancelled
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -300,7 +271,7 @@ class ShardedParallelEngine(Engine):
 
     # -- scheduling ----------------------------------------------------
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
-        if delay < 0:
+        if not delay >= 0:
             raise EngineError(f"cannot schedule {delay} ms in the past")
         si = self._cur
         t = self._nows[si] + delay
@@ -312,7 +283,7 @@ class ShardedParallelEngine(Engine):
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         si = self._cur
-        if time < self._nows[si]:
+        if not time >= self._nows[si]:
             raise EngineError(
                 f"cannot schedule at t={time} before current t={self._nows[si]}"
             )
@@ -323,7 +294,7 @@ class ShardedParallelEngine(Engine):
         return ev
 
     def defer(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
-        if delay < 0:
+        if not delay >= 0:
             raise EngineError(f"cannot schedule {delay} ms in the past")
         si = self._cur
         seq = self._seqs[si]
@@ -345,7 +316,7 @@ class ShardedParallelEngine(Engine):
     ) -> Event:
         self._check_shard(shard)
         self._guard_cross_shard(shard)
-        if delay < 0:
+        if not delay >= 0:
             raise EngineError(f"cannot schedule {delay} ms in the past")
         t = self._nows[shard] + delay
         seq = self._seqs[shard]
@@ -359,7 +330,7 @@ class ShardedParallelEngine(Engine):
     ) -> None:
         self._check_shard(shard)
         self._guard_cross_shard(shard)
-        if delay < 0:
+        if not delay >= 0:
             raise EngineError(f"cannot schedule {delay} ms in the past")
         seq = self._seqs[shard]
         self._seqs[shard] = seq + 1
@@ -374,7 +345,7 @@ class ShardedParallelEngine(Engine):
 
     def post(self, shard: int, delay: float, key: str, *args: Any) -> None:
         self._check_shard(shard)
-        if delay < self.lookahead_ms:
+        if not delay >= self.lookahead_ms:
             raise EngineError(
                 f"cross-shard post delay {delay} ms is below the "
                 f"lookahead bound {self.lookahead_ms} ms"
@@ -497,7 +468,7 @@ class ShardedParallelEngine(Engine):
         pop = heapq.heappop
         la = self.lookahead_ms if k > 1 else math.inf
         fired = 0
-        stop = False
+        stop = max_events is not None and max_events <= 0
         self._running = True
         try:
             while not stop:
@@ -664,23 +635,6 @@ class ShardedParallelEngine(Engine):
                 for s in sorted(self._worker_payloads)
             ]
         return super().harvest()
-
-    def _peek_time(self) -> Optional[float]:
-        nxt = None
-        for h in self._heaps:
-            _skip_cancelled(h)
-            if h and (nxt is None or h[0][0] < nxt):
-                nxt = h[0][0]
-        return nxt
-
-    @property
-    def pending(self) -> int:
-        return sum(
-            1
-            for h in self._heaps
-            for entry in h
-            if entry[4] is None or not entry[4].cancelled
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -17,7 +17,8 @@ units of the paper's tables (57 ms, 2.4 ms, ...).
 
 from __future__ import annotations
 
-import heapq
+import math
+from heapq import heappop, heappush
 # dispatch profiling prices callbacks in real host time on purpose;
 # it never feeds back into simulated state (see DispatchProfile)
 from time import perf_counter  # repro: allow[DET001]
@@ -83,11 +84,15 @@ class DispatchProfile:
 
 
 class Event:
-    """A scheduled callback; returned by `Engine.schedule` so it can be
-    cancelled before it fires.
+    """The cancellation handle `Engine.schedule` returns.
 
-    Cancellation is O(1): the heap entry is tombstoned rather than
-    removed, and skipped when popped.
+    The heap itself holds ``(time, seq, fn, args, handle)`` tuples —
+    ordered by ``(time, seq)`` alone, sequence numbers being unique, so
+    pushes and pops compare floats and ints in C — with ``handle`` an
+    `Event`, or ``None`` on the fire-and-forget paths (`Engine.defer`,
+    ``defer_on``, ``post``), which allocate nothing beyond the entry.
+    Cancellation is O(1): the entry is tombstoned through its handle
+    rather than removed, and skipped when it reaches the heap head.
     """
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled")
@@ -103,12 +108,15 @@ class Event:
         """Prevent the event from firing.  Idempotent."""
         self.cancelled = True
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"<Event t={self.time:.6f} seq={self.seq} {state} {self.fn!r}>"
+
+
+def _skip_cancelled(h: list, pop=heappop) -> None:
+    """Pop tombstoned entries off the head of heap ``h``."""
+    while h and h[0][4] is not None and h[0][4].cancelled:
+        pop(h)
 
 
 class Engine:
@@ -145,7 +153,11 @@ class Engine:
 
     def __init__(self, profile: bool = False) -> None:
         self.now: float = 0.0
-        self._heap: list[Event] = []
+        #: ``(time, seq, fn, args, handle)`` entries; see `Event`
+        self._heap: List[tuple] = []
+        #: every queue of this engine — the sharded backends install
+        #: one heap per shard here; the introspection below reads it
+        self._heaps: List[list] = [self._heap]
         self._seq: int = 0
         self._events_fired: int = 0
         self._running: bool = False
@@ -153,7 +165,8 @@ class Engine:
         self._receivers: Dict[int, Callable[..., Any]] = {}
         #: per-shard result extractors (`bind_harvest`)
         self._harvest: Dict[int, Callable[[], Any]] = {}
-        #: optional hook called as trace(engine, event) before each event
+        #: optional hook called as trace(engine, event) before each
+        #: event; entries pushed without a handle get a fresh `Event`
         self.trace_hook: Optional[Callable[["Engine", Event], None]] = None
         #: per-callback dispatch statistics; None unless ``profile=True``
         self.profile: Optional[DispatchProfile] = (
@@ -166,28 +179,31 @@ class Engine:
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` ms from now.
 
-        ``delay`` must be >= 0; a zero delay runs after all events already
+        ``delay`` must be >= 0 (NaN is rejected: it would poison the
+        heap order); a zero delay runs after all events already
         scheduled for the current instant (FIFO at equal timestamps).
         """
-        if delay < 0:
+        if not delay >= 0:
             raise EngineError(f"cannot schedule {delay} ms in the past")
-        # Inlined schedule_at: delay >= 0 already guarantees the
-        # absolute-time bound, and this is the hottest call in the
-        # simulator (every message hop schedules at least one event).
-        ev = Event(self.now + delay, self._seq, fn, args)
-        self._seq += 1
-        heapq.heappush(self._heap, ev)
+        # the hottest call in the simulator (every message hop
+        # schedules at least one event): nothing is delegated
+        t = self.now + delay
+        seq = self._seq
+        self._seq = seq + 1
+        ev = Event(t, seq, fn, args)
+        heappush(self._heap, (t, seq, fn, args, ev))
         return ev
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at an absolute simulated time."""
-        if time < self.now:
+        if not time >= self.now:
             raise EngineError(
                 f"cannot schedule at t={time} before current t={self.now}"
             )
-        ev = Event(time, self._seq, fn, args)
-        self._seq += 1
-        heapq.heappush(self._heap, ev)
+        seq = self._seq
+        self._seq = seq + 1
+        ev = Event(time, seq, fn, args)
+        heappush(self._heap, (time, seq, fn, args, ev))
         return ev
 
     def call_soon(self, fn: Callable[..., Any], *args: Any) -> Event:
@@ -196,11 +212,15 @@ class Engine:
         return self.schedule(0.0, fn, *args)
 
     def defer(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
-        """Fire-and-forget `schedule`: no cancellation handle is
-        returned.  The sharded backends skip allocating one entirely;
-        here it only drops the return value, but workloads that use
-        ``defer`` run unchanged — and faster — on every backend."""
-        self.schedule(delay, fn, *args)
+        """Fire-and-forget `schedule`: same sequence number, same
+        firing order, but no cancellation handle is allocated or
+        returned — on every backend.  Use it wherever `schedule`'s
+        return value would be discarded."""
+        if not delay >= 0:
+            raise EngineError(f"cannot schedule {delay} ms in the past")
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._heap, (self.now + delay, seq, fn, args, None))
 
     # ------------------------------------------------------------------
     # shard-tagged scheduling
@@ -229,7 +249,7 @@ class Engine:
     ) -> None:
         """`defer` onto an explicit shard's queue."""
         self._check_shard(shard)
-        self.schedule(delay, fn, *args)
+        self.defer(delay, fn, *args)
 
     def shard_now(self, shard: int) -> float:
         """The shard-local clock — on the global engine, `now`."""
@@ -253,7 +273,7 @@ class Engine:
         0.0) so a workload cannot pass here and fail there.
         """
         self._check_shard(shard)
-        if delay < self.lookahead_ms:
+        if not delay >= self.lookahead_ms:
             raise EngineError(
                 f"cross-shard post delay {delay} ms is below the "
                 f"lookahead bound {self.lookahead_ms} ms"
@@ -261,7 +281,9 @@ class Engine:
         fn = self._receivers.get(shard)
         if fn is None:
             raise EngineError(f"no receiver bound on shard {shard}")
-        self.schedule(delay, fn, key, *args)
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._heap, (self.now + delay, seq, fn, (key, *args), None))
 
     def note_link_floor(self, floor_ms: float) -> None:
         """A `repro.sim.network` model reports its guaranteed minimum
@@ -294,26 +316,31 @@ class Engine:
     def step(self) -> bool:
         """Fire the single next non-cancelled event.
 
-        Returns False when the heap is exhausted.
+        Returns False when the heap is exhausted.  `run` steps only
+        when a `trace_hook` or dispatch profile is installed.
         """
-        while self._heap:
-            ev = heapq.heappop(self._heap)
-            if ev.cancelled:
-                continue
-            if ev.time < self.now:  # pragma: no cover - defensive
-                raise EngineError("event heap corrupted: time went backwards")
-            self.now = ev.time
-            if self.trace_hook is not None:
-                self.trace_hook(self, ev)
-            self._events_fired += 1
-            if self.profile is None:
-                ev.fn(*ev.args)
-            else:
-                t0 = perf_counter()
-                ev.fn(*ev.args)
-                self.profile.record(_callback_key(ev.fn), perf_counter() - t0)
-            return True
-        return False
+        heap = self._heap
+        _skip_cancelled(heap)
+        if not heap:
+            return False
+        t, seq, fn, args, ev = heappop(heap)
+        if t < self.now:  # pragma: no cover - defensive
+            raise EngineError("event heap corrupted: time went backwards")
+        self.now = t
+        self._dispatch(t, seq, fn, args, ev)
+        return True
+
+    def _dispatch(self, t, seq, fn, args, ev: Optional[Event]) -> None:
+        """Trace, count and (optionally) profile one popped entry."""
+        if self.trace_hook is not None:
+            self.trace_hook(self, ev if ev is not None else Event(t, seq, fn, args))
+        self._events_fired += 1
+        if self.profile is None:
+            fn(*args)
+        else:
+            t0 = perf_counter()
+            fn(*args)
+            self.profile.record(_callback_key(fn), perf_counter() - t0)
 
     def run(
         self,
@@ -330,67 +357,76 @@ class Engine:
         empties, the clock stays at the last event fired (so it reads as
         the workload's true duration).
         """
-        if (
-            until is None
-            and max_events is None
-            and self.trace_hook is None
-            and self.profile is None
-        ):
-            return self._run_fast()
+        if self.trace_hook is not None or self.profile is not None:
+            return self._run_stepped(until, max_events)
+        return self._drain(until, max_events)
+
+    def _drain(self, until: Optional[float], max_events: Optional[int]) -> int:
+        """`run` with no hook installed — every cluster run
+        (`run_until_quiet` passes both bounds) and every bare `run()`:
+        the heap and `heappop` live in locals and nothing is called
+        per event but the callback."""
+        heap = self._heap
+        pop = heappop
+        limit = math.inf if until is None else until
+        # ints only: `fired != budget` stays an int comparison
+        budget = -1 if max_events is None else max(max_events, 0)
         fired = 0
         self._running = True
         try:
-            # driven through `_peek_time`/`step` (not `self._heap`
-            # directly) so backends with their own queue layout — the
-            # sharded-serial oracle — inherit this loop unchanged
-            while True:
-                if max_events is not None and fired >= max_events:
+            while heap and fired != budget:
+                entry = heap[0]
+                ev = entry[4]
+                if ev is not None and ev.cancelled:
+                    pop(heap)
+                    continue
+                t = entry[0]
+                if t > limit:
+                    self.now = max(self.now, limit)
                     break
+                if t < self.now:  # pragma: no cover - defensive
+                    raise EngineError("event heap corrupted: time went backwards")
+                pop(heap)
+                self.now = t
+                # count first: an event counts even when its callback
+                # raises, and the finally below flushes the total
+                fired += 1
+                entry[2](*entry[3])
+        finally:
+            self._running = False
+            self._events_fired += fired
+        return fired
+
+    def _run_stepped(
+        self, until: Optional[float], max_events: Optional[int]
+    ) -> int:
+        """`run` through `_peek_time` / `step`: the traced / profiled
+        path, and the bounded path of backends with their own queue
+        layout (the sharded-serial oracle)."""
+        fired = 0
+        self._running = True
+        try:
+            while max_events is None or fired < max_events:
                 nxt = self._peek_time()
                 if nxt is None:
                     break
                 if until is not None and nxt > until:
                     self.now = max(self.now, until)
                     break
-                if not self.step():
-                    break
+                self.step()
                 fired += 1
         finally:
             self._running = False
-        return fired
-
-    def _run_fast(self) -> int:
-        """Drain the heap with no stop condition, tracing or profiling.
-
-        This is `run()` with the per-event bookkeeping hoisted out of
-        the loop: no `_peek_time`, no per-event `until`/`max_events`
-        tests, locals for the heap and `heappop`.  Benchmarked in S1
-        (docs/PERFORMANCE.md); semantics are identical to the general
-        loop for this argument combination.
-        """
-        heap = self._heap
-        pop = heapq.heappop
-        fired = 0
-        self._running = True
-        try:
-            while heap:
-                ev = pop(heap)
-                if ev.cancelled:
-                    continue
-                self.now = ev.time
-                # count first: `step` counts an event even when its
-                # callback raises, and the finally below flushes
-                fired += 1
-                ev.fn(*ev.args)
-        finally:
-            self._running = False
-            self._events_fired += fired
         return fired
 
     def _peek_time(self) -> Optional[float]:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        """The earliest live entry's time, dropping tombstoned heads."""
+        nxt = None
+        for h in self._heaps:
+            _skip_cancelled(h)
+            if h and (nxt is None or h[0][0] < nxt):
+                nxt = h[0][0]
+        return nxt
 
     # ------------------------------------------------------------------
     # introspection
@@ -398,7 +434,12 @@ class Engine:
     @property
     def pending(self) -> int:
         """Number of non-cancelled events still scheduled."""
-        return sum(1 for ev in self._heap if not ev.cancelled)
+        return sum(
+            1
+            for h in self._heaps
+            for entry in h
+            if entry[4] is None or not entry[4].cancelled
+        )
 
     @property
     def events_fired(self) -> int:

@@ -100,7 +100,7 @@ class NetworkModel:
             self._inflight -= 1
             callback()
 
-        self.engine.schedule(dt, arrive)
+        self.engine.defer(dt, arrive)
         return dt
 
     @property
@@ -204,7 +204,7 @@ class CSMABus(NetworkModel):
                 self.metrics.count("wire.broadcast_lost")
                 continue
             reached += 1
-            self.engine.schedule(dt, cb)
+            self.engine.defer(dt, cb)
         return reached
 
 

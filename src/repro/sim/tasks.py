@@ -63,7 +63,7 @@ class Task:
         self._waiting_on: Optional[Future] = None
         self._kill_pending: Optional[TaskKilled] = None
         # start on the next tick so construction order does not matter
-        engine.call_soon(self._step, None, None)
+        engine.defer(0.0, self._step, None, None)
 
     # ------------------------------------------------------------------
     @property
@@ -80,7 +80,7 @@ class Task:
         self._kill_pending = TaskKilled(reason)
         # Detach from whatever it was waiting on and resume with the kill.
         self._waiting_on = None
-        self.engine.call_soon(self._step, None, None)
+        self.engine.defer(0.0, self._step, None, None)
 
     # ------------------------------------------------------------------
     def _step(self, value: Any, error: Optional[BaseException]) -> None:
@@ -105,7 +105,7 @@ class Task:
             return
 
         if yielded is None:
-            self.engine.call_soon(self._step, None, None)
+            self.engine.defer(0.0, self._step, None, None)
         elif isinstance(yielded, Future):
             self._wait_on(yielded)
         else:
@@ -113,7 +113,7 @@ class Task:
                 f"task {self.name!r} yielded {type(yielded).__name__}; "
                 "only Future or None may be yielded"
             )
-            self.engine.call_soon(self._step, None, err)
+            self.engine.defer(0.0, self._step, None, err)
 
     def _wait_on(self, fut: Future) -> None:
         self._waiting_on = fut
@@ -122,9 +122,9 @@ class Task:
             if self._waiting_on is not f:
                 return  # task was killed or redirected meanwhile
             if f.state is FutureState.DONE:
-                self.engine.call_soon(self._step, f.value, None)
+                self.engine.defer(0.0, self._step, f.value, None)
             else:
-                self.engine.call_soon(self._step, None, f.error)
+                self.engine.defer(0.0, self._step, None, f.error)
 
         fut.add_done_callback(on_settle)
 

@@ -228,7 +228,7 @@ class SodaKernel:
             else:
                 fut.resolve(None)
 
-        self.engine.schedule(
+        self.engine.defer(
             self.costs.discover_cost_ms + self.costs.discover_timeout_ms, conclude
         )
         return fut
@@ -304,7 +304,7 @@ class SodaKernel:
                             now, now + net)
             self.spans.emit(span, "kernel", "interrupt", req.to,
                             now + net, now + delay)
-        self.engine.schedule(delay, self._interrupt_now, req.to, intr)
+        self.engine.defer(delay, self._interrupt_now, req.to, intr)
 
     def _release_pair(self, req: _Request) -> None:
         pair = (req.frm, req.to)
@@ -385,7 +385,7 @@ class SodaKernel:
                 ),
             )
 
-        self.engine.schedule(delay, finish)
+        self.engine.defer(delay, finish)
         return fut
 
     def withdraw(self, caller: str, rid: int) -> bool:
@@ -422,7 +422,7 @@ class SodaKernel:
                             now, now + net)
             self.spans.emit(span, "kernel", "interrupt", to,
                             now + net, now + delay)
-        self.engine.schedule(delay, self._interrupt_now, to, intr)
+        self.engine.defer(delay, self._interrupt_now, to, intr)
 
     def _interrupt_now(self, to: str, intr: Interrupt) -> None:
         proc = self._procs.get(to)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sim.backends import make_engine, registered_sim_backends
 from repro.sim.engine import Engine, EngineError
 
 
@@ -208,12 +209,13 @@ def test_cluster_threads_profile_flag_through():
 
 
 # ----------------------------------------------------------------------
-# the no-argument fast path (PR 6; docs/PERFORMANCE.md)
+# bare `run()` against bounded `run(...)`: two loops in PR 6, one
+# (`Engine._drain`) since PR 12 (docs/PERFORMANCE.md §2.1)
 # ----------------------------------------------------------------------
 def test_fast_path_matches_general_loop_exactly():
-    """`run()` with no stop condition takes a hoisted loop; it must be
-    observationally identical to `run(max_events=huge)` (which takes
-    the general loop): same firing order, clock, events_fired."""
+    """`run()` with no stop condition must be observationally
+    identical to `run(max_events=huge)`: same firing order, clock,
+    events_fired."""
 
     def drive(run_kwargs):
         eng = Engine()
@@ -269,6 +271,209 @@ def test_trace_hook_and_profile_divert_to_the_general_loop():
     eng.trace_hook = lambda e, ev: seen.append(ev.time)
     eng.schedule(1.0, lambda: None)
     eng.schedule(2.0, lambda: None)
-    assert eng.run() == 2  # no args, but hooks force the general loop
+    assert eng.run() == 2  # no args, but hooks force the stepped loop
     assert seen == [1.0, 2.0]
     assert sum(eng.profile.counts.values()) == 2
+
+
+# ----------------------------------------------------------------------
+# engine semantics, on every registered backend at one shard: the three
+# engines share one heap-entry layout (`(time, seq, fn, args, handle)`)
+# and must agree on everything a caller can observe
+# ----------------------------------------------------------------------
+backends = pytest.mark.parametrize("backend", registered_sim_backends())
+
+
+def _engine(backend):
+    eng = make_engine(backend, shards=1)
+    eng.bind_receiver(0, lambda key, *args: None)
+    return eng
+
+
+@backends
+def test_schedule_and_defer_interleave_fifo(backend):
+    eng = _engine(backend)
+    order = []
+    for i in range(0, 12, 3):
+        eng.schedule(0.0, order.append, i)
+        eng.defer(0.0, order.append, i + 1)
+        eng.call_soon(order.append, i + 2)
+    eng.schedule_at(0.0, order.append, 12)
+    eng.defer_on(0, 0.0, order.append, 13)
+    eng.schedule_on(0, 0.0, order.append, 14)
+    assert eng.run() == 15
+    assert order == list(range(15))
+
+
+@backends
+def test_cancel_at_the_heap_head(backend):
+    eng = _engine(backend)
+    fired = []
+    head = eng.schedule(1.0, fired.append, "head")
+    also = eng.schedule(1.0, fired.append, "also")
+    eng.defer(2.0, fired.append, "tail")
+    assert eng.pending == 3
+    head.cancel()
+    head.cancel()  # idempotent
+    also.cancel()
+    assert eng.pending == 1
+    assert eng._peek_time() == 2.0  # tombstones at the head are skipped
+    assert eng.pending == 1
+    assert eng.run() == 1
+    assert fired == ["tail"]
+    assert eng.events_fired == 1
+    head.cancel()  # after the fact: still harmless
+    assert eng.pending == 0 and eng._peek_time() is None
+
+
+@backends
+def test_run_until_clock_advance_cases(backend):
+    eng = _engine(backend)
+    fired = []
+    for t in (1.0, 2.0, 5.0):
+        eng.defer(t, fired.append, t)
+    # inclusive, and a pending event beyond the bound: clock -> until
+    assert eng.run(until=2.0) == 2
+    assert fired == [1.0, 2.0] and eng.now == 2.0
+    assert eng.run(until=3.5) == 0
+    assert eng.now == 3.5
+    # a bound behind the clock never moves it backwards
+    assert eng.run(until=3.0) == 0
+    assert eng.now == 3.5
+    # the heap empties inside the bound: clock stays at the last event
+    assert eng.run(until=100.0) == 1
+    assert eng.now == 5.0
+
+
+@backends
+def test_max_events_is_exact_past_cancelled_heads(backend):
+    eng = _engine(backend)
+    fired = []
+    handles = [eng.schedule(float(i), fired.append, i) for i in range(8)]
+    for i in (0, 1, 4):
+        handles[i].cancel()
+    assert eng.run(max_events=0) == 0
+    assert eng.run(max_events=2) == 2
+    assert fired == [2, 3]
+    assert eng.run(max_events=2) == 2
+    assert fired == [2, 3, 5, 6]
+    assert eng.run(until=100.0, max_events=5) == 1
+    assert fired == [2, 3, 5, 6, 7]
+    assert eng.events_fired == 5
+    # the heap emptied inside the bound: the clock stays put
+    assert eng.now == 7.0
+
+
+@backends
+@pytest.mark.parametrize("run_kwargs", ({}, {"until": 10.0, "max_events": 10}))
+def test_raising_callback_still_counts(backend, run_kwargs):
+    eng = _engine(backend)
+
+    def boom():
+        raise RuntimeError("boom")
+
+    eng.defer(1.0, lambda: None)
+    eng.defer(2.0, boom)
+    eng.defer(3.0, lambda: None)
+    with pytest.raises(RuntimeError):
+        eng.run(**run_kwargs)
+    assert eng.events_fired == 2
+    assert eng.now == 2.0
+    assert eng.run(**run_kwargs) == 1
+    assert eng.events_fired == 3
+
+
+@backends
+def test_trace_hook_sees_deferred_entries_as_events(backend):
+    eng = _engine(backend)
+    seen = []
+    eng.trace_hook = lambda e, ev: seen.append((ev.time, ev.seq, ev.fn, ev.args))
+    out = []
+    eng.schedule(1.0, out.append, "s")
+    eng.defer(1.0, out.append, "d")
+    eng.post(0, 2.0, "p", 7)
+    assert eng.run() == 3
+    assert [s[:2] for s in seen] == [(1.0, 0), (1.0, 1), (2.0, 2)]
+    assert [s[2:] for s in seen[:2]] == [(out.append, ("s",)), (out.append, ("d",))]
+    assert seen[2][3] == ("p", 7)
+    assert out == ["s", "d"]
+
+
+@backends
+def test_nan_delay_or_time_is_rejected(backend):
+    """`delay < 0` is False for NaN: an accepted NaN timestamp breaks
+    the heap order of everything scheduled after it."""
+    eng = _engine(backend)
+    nan = float("nan")
+    for call in (
+        lambda: eng.schedule(nan, print),
+        lambda: eng.defer(nan, print),
+        lambda: eng.schedule_on(0, nan, print),
+        lambda: eng.defer_on(0, nan, print),
+        lambda: eng.post(0, nan, "k"),
+        lambda: eng.schedule_at(nan, print),
+        lambda: eng.defer(-0.5, print),
+        lambda: eng.defer_on(0, -0.5, print),
+    ):
+        with pytest.raises(EngineError):
+            call()
+    assert eng.pending == 0
+    order = []
+    for t in (2.0, 1.0, 0.5):
+        eng.schedule(t, order.append, t)
+    eng.run()
+    assert order == [0.5, 1.0, 2.0]
+
+
+def _chatter(eng, log):
+    """Chains, a cancellation, zero delays, `schedule`/`defer` mixed."""
+
+    def tick(label, depth):
+        log.append((eng.now, label, depth))
+        if depth:
+            eng.defer(0.75 * depth, tick, label, depth - 1)
+            eng.schedule(0.0, log.append, (eng.now, label, "soon"))
+
+    doomed = eng.schedule(0.5, log.append, "never")
+    for i, label in enumerate("abc"):
+        eng.schedule(1.0 + i % 2, tick, label, 3)
+    eng.defer(0.25, doomed.cancel)
+
+
+def _drive(backend, advance):
+    eng = _engine(backend)
+    log = []
+    _chatter(eng, log)
+    advance(eng)
+    return log, eng.now, eng.events_fired, eng.pending
+
+
+def _stepping(eng):
+    while eng.step():
+        pass
+
+
+@backends
+def test_every_run_form_fires_the_stepping_sequence(backend):
+    ref = _drive("global", _stepping)
+    assert ref[2] == 22 and ref[3] == 0
+    if backend == "sharded-parallel":
+        # advances in windows and refuses step(): a one-event run is
+        # its single step
+        def single(eng):
+            while eng.run(max_events=1):
+                pass
+    else:
+        single = _stepping
+    assert _drive(backend, single) == ref
+    assert _drive(backend, lambda eng: eng.run()) == ref
+    assert _drive(
+        backend, lambda eng: eng.run(until=1e7, max_events=5_000_000)
+    ) == ref
+    assert _drive(
+        backend, lambda eng: [eng.run(max_events=4) for _ in range(6)]
+    ) == ref
+    bounded = _drive(
+        backend, lambda eng: [eng.run(until=t) for t in (1.0, 2.5, 1e7)]
+    )
+    assert bounded == ref
