@@ -14,9 +14,9 @@ tolerances or half-open windows.
 
 SIM002 guards the `SimBackend` port: engines are obtained through the
 `repro.sim.backends` registry (``make_engine`` / ``sim_backend=``),
-never constructed directly.  A direct ``Engine(...)`` pins the code to
-the single global heap, so it silently cannot run on the sharded
-backends — the exact coupling the registry exists to prevent.
+never constructed directly.  A direct ``Engine(...)`` picks a queue
+count and drain policy on the spot, so the code silently cannot run on
+the other backends — the exact coupling the registry exists to prevent.
 """
 
 from __future__ import annotations
@@ -111,10 +111,8 @@ def sim001(module: ModuleInfo) -> Iterator[Violation]:
                 )
 
 
-#: engine classes only the backend registry may construct
-ENGINE_CLASS_NAMES = frozenset(
-    {"Engine", "ShardedSerialEngine", "ShardedParallelEngine"}
-)
+#: the engine class only the backend registry may construct
+ENGINE_CLASS_NAMES = frozenset({"Engine"})
 
 
 @rule(
@@ -133,8 +131,8 @@ def sim002(module: ModuleInfo) -> Iterator[Violation]:
             continue
         if name.rsplit(".", 1)[-1] in ENGINE_CLASS_NAMES:
             yield node, (
-                f"{name}(...) pins this code to one engine "
-                "implementation; obtain engines through the "
+                f"{name}(...) pins this code to one drain "
+                "policy; obtain engines through the "
                 "repro.sim.backends registry (make_engine / "
                 "sim_backend=) so the workload runs on every backend"
             )

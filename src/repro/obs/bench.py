@@ -555,11 +555,13 @@ def bench_e16(
       baseline violating the determinism contract cannot be written.
     * **Scaling**: ``scale_parallel_s8_speedup`` is the wall ratio of
       ``sharded-parallel`` to ``global`` at 8 shards on the identical
-      workload, reported and not gated.  All three engines hold the
-      same tuple-keyed heap entries, so in-process it measures window
-      topology (eight small heaps against one large one, ~1.3×), not
-      representation; forked workers (``workers=``) add real
-      parallelism on multi-core hosts.
+      workload, reported and not gated.  All three backends are one
+      `Engine` class over the same tuple-keyed heap entries, so
+      in-process it measures window topology (eight small heaps
+      against one large one, ~1.3×), not representation; forked
+      workers add real parallelism on top — ``workers=2`` runs the
+      50k-client, 8-shard population ≈1.5–1.6× faster than in-process
+      on a two-core host (docs/PERFORMANCE.md §3.2).
 
     ``sim_backend`` restricts the sweep to one registered backend
     (unknown names raise the registry's ValueError, which the CLI

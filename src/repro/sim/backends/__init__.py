@@ -2,24 +2,32 @@
 
 PR 3 reified the kernel/runtime interface behind `repro.core.ports`;
 this package does the same for the simulation core.  A *backend* is a
-way of executing one logical discrete-event simulation:
+way of executing one logical discrete-event simulation.  There is one
+engine class, `repro.sim.engine.Engine`, holding every scheduling
+method and one ``(time, seq, fn, args, handle)`` entry layout; a
+backend name selects only how many queues it has and how `Engine.run`
+drains them — the distributed forms are conservative extensions of the
+one-queue machine, not siblings of it:
 
-* ``global`` — the original single event heap (`repro.sim.engine.Engine`).
-  The reference semantics; everything else is measured against it.
-* ``sharded-serial`` — per-shard event queues advanced by one thread
-  that always fires the globally minimal ``(time, seq)`` event.  By
-  construction this is **bit-identical to `global` for every
-  workload** — it is the determinism oracle the parallel backend is
-  checked against — while already paying per-shard data structures.
-* ``sharded-parallel`` — per-shard queues advanced under conservative
-  synchronization: all shards whose next event lies inside the window
-  ``[min_head, min_head + lookahead)`` drain it independently, then a
-  barrier re-computes the window.  Cross-shard messages (`Engine.post`)
-  must travel at least ``lookahead_ms`` — the per-link latency lower
-  bound exposed by `repro.sim.network` models as ``min_latency_ms`` —
-  which is exactly what makes the windows safe (Chandy–Misra–Bryant
-  conservative lookahead).  With ``workers > 1`` the shards execute in
-  forked OS processes exchanging messages at the window barriers.
+* ``global`` — one queue, exact ``(time, seq)`` order.  The reference
+  semantics; everything else is measured against it.
+* ``sharded-serial`` — one queue per shard under one clock and one
+  sequence counter, advanced by a k-way merge that always fires the
+  globally minimal ``(time, seq)`` head.  By construction this is
+  **bit-identical to `global` for every workload** — it is the
+  determinism oracle the parallel backend is checked against — while
+  already paying per-shard data structures.
+* ``sharded-parallel`` — one queue, clock and sequence counter per
+  shard, advanced under conservative synchronization
+  (`repro.sim.backends.sharded`): all shards whose next event lies
+  inside the window ``[min_head, min_head + lookahead)`` drain it
+  independently, then a barrier re-computes the window.  Cross-shard
+  messages (`Engine.post`) must travel at least ``lookahead_ms`` — the
+  per-link latency lower bound exposed by `repro.sim.network` models as
+  ``min_latency_ms`` — which is exactly what makes the windows safe
+  (Chandy–Misra–Bryant conservative lookahead).  With ``workers > 1``
+  the shards execute in forked OS processes exchanging messages at the
+  window barriers (≈1.6× on two cores, docs/PERFORMANCE.md §3.2).
 
 Workloads never construct engines; they call `make_engine` (or pass
 ``sim_backend=`` to `repro.core.api.make_cluster`) and speak the
@@ -65,8 +73,8 @@ DEFAULT_LOOKAHEAD_MS = 0.05
 class SimBackendProfile:
     """A registered way of executing the simulation.
 
-    ``factory(shards, lookahead_ms, profile, workers)`` returns an
-    engine implementing the full `repro.sim.engine.Engine` surface.
+    ``factory(shards, lookahead_ms, profile, workers)`` returns a
+    `repro.sim.engine.Engine` with this backend's queues and policy.
     ``parallel`` declares whether shards advance concurrently (windowed
     execution); ``oracle`` declares the bit-identical-to-``global``
     guarantee at any shard count.
@@ -133,42 +141,38 @@ def make_engine(
 
 
 # ----------------------------------------------------------------------
-# the three shipped backends
+# the three shipped backends: one engine class, three ways to drain it
 # ----------------------------------------------------------------------
-def _global_factory(shards=1, lookahead_ms=None, profile=False, workers=None):
-    from repro.sim.engine import Engine, EngineError
+def _engine(shards, lookahead_ms, profile, **policy):
+    from repro.sim.engine import Engine
 
-    if shards < 1:
-        raise EngineError(f"shard count must be >= 1, got {shards}")
-    eng = Engine(profile=profile)
-    # logical shards on one heap: shard-tagged calls are accepted and
-    # executed in exact global (time, seq) order — the reference
-    # semantics the sharded backends are digest-checked against
-    eng.shards = shards
-    if lookahead_ms is not None:
-        eng.lookahead_ms = lookahead_ms
-        eng._lookahead_auto = False
-    else:
-        # same starting lookahead as the sharded backends, so a post()
-        # that passes here cannot fail there
-        eng.lookahead_ms = DEFAULT_LOOKAHEAD_MS
+    eng = Engine(profile, shards=shards, **policy)
+    # None is *auto*: every backend starts from the same lookahead, so
+    # a post() that passes on one cannot fail on another, and adopts
+    # the link floor from there
+    eng._lookahead_auto = lookahead_ms is None
+    eng.lookahead_ms = (
+        DEFAULT_LOOKAHEAD_MS if lookahead_ms is None else lookahead_ms
+    )
     return eng
 
 
-def _serial_factory(shards=1, lookahead_ms=None, profile=False, workers=None):
-    from repro.sim.backends.sharded import ShardedSerialEngine
+def _global_factory(shards=1, lookahead_ms=None, profile=False, workers=None):
+    # logical shards on one queue: shard-tagged calls are accepted and
+    # executed in exact global (time, seq) order — the reference
+    # semantics the sharded backends are digest-checked against
+    return _engine(shards, lookahead_ms, profile)
 
-    return ShardedSerialEngine(
-        shards=shards, lookahead_ms=lookahead_ms, profile=profile
-    )
+
+def _serial_factory(shards=1, lookahead_ms=None, profile=False, workers=None):
+    return _engine(shards, lookahead_ms, profile, sharded=True)
 
 
 def _parallel_factory(shards=1, lookahead_ms=None, profile=False, workers=None):
-    from repro.sim.backends.sharded import ShardedParallelEngine
+    from repro.sim.backends.sharded import run_windows
 
-    return ShardedParallelEngine(
-        shards=shards, lookahead_ms=lookahead_ms, profile=profile,
-        workers=workers,
+    return _engine(
+        shards, lookahead_ms, profile, windows=run_windows, workers=workers
     )
 
 

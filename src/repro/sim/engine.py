@@ -124,41 +124,97 @@ class Engine:
 
     Usage::
 
-        eng = Engine()
+        eng = make_engine()  # repro.sim.backends
         eng.schedule(5.0, callback, arg1)
-        eng.run()            # runs until the heap is empty
+        eng.run()            # runs until the queues are empty
         eng.run(until=100.0) # or until simulated time passes 100 ms
 
     The engine deliberately has no notion of processes; see
     `repro.sim.tasks.Task` for coroutine driving.
 
+    One class serves every backend in `repro.sim.backends`; the three
+    registered names choose only how many queues there are and how
+    `run` drains them:
+
+    * ``global`` — one queue, exact ``(time, seq)`` order: the
+      reference semantics;
+    * ``sharded-serial`` — one queue per shard under one clock and one
+      sequence counter; every step fires the globally minimal
+      ``(time, seq)`` head (a k-way merge), which is *exactly* the
+      ``global`` order, so it is the oracle the parallel policy is
+      checked against;
+    * ``sharded-parallel`` — one queue, clock and sequence counter per
+      shard, drained in conservative lookahead windows by
+      `repro.sim.backends.sharded`, in-process or in forked workers.
+
+    ``_heap`` / ``now`` / ``_seq`` are always the *current shard's*
+    queue, clock and counter — the shard whose event is dispatching,
+    shard 0 outside a run — swapped in by `_enter` when a shard starts
+    dispatching, never per event, so the scheduling methods are written
+    once against plain attributes.  Untagged `schedule` calls therefore
+    stay on the shard that made them: workloads that never tag shards
+    run entirely on shard 0, in exact global order, on every backend.
+
     Construction note: layers above ``repro.sim`` obtain engines through
     the `repro.sim.backends` registry (``make_engine``), never by
     calling ``Engine(...)`` directly — the SIM002 lint rule enforces
-    this so every workload can run on the sharded backends unchanged.
+    this so every workload can run on every backend unchanged.  The
+    keyword arguments below are set by the three registry entries and
+    nowhere else.
     """
 
-    #: shard count — the global engine is always a single shard; the
-    #: sharded backends (`repro.sim.backends`) override this
-    shards: int = 1
-    #: conservative-synchronization lookahead (ms); adopted from the
-    #: interconnect's latency floor (`note_link_floor`) unless set
-    #: explicitly via the backend registry
-    lookahead_ms: float = 0.0
-    #: smallest guaranteed per-link transit time any network model has
-    #: registered; 0.0 until a model reports one
-    link_floor_ms: float = 0.0
-    #: whether `lookahead_ms` tracks `link_floor_ms` automatically
-    _lookahead_auto: bool = True
-
-    def __init__(self, profile: bool = False) -> None:
+    def __init__(
+        self,
+        profile: bool = False,
+        *,
+        shards: int = 1,
+        sharded: bool = False,
+        windows: Optional[Callable[..., int]] = None,
+        workers: Optional[int] = None,
+    ) -> None:
+        if shards < 1:
+            raise EngineError(f"shard count must be >= 1, got {shards}")
+        if workers is not None and workers < 1:
+            raise EngineError(f"worker count must be >= 1, got {workers}")
+        #: logical shard count; ``sharded`` gives each its own queue
+        self.shards = shards
+        #: conservative-synchronization lookahead (ms); adopted from the
+        #: interconnect's latency floor (`note_link_floor`) unless the
+        #: backend registry pinned one
+        self.lookahead_ms = 0.0
+        #: smallest guaranteed per-link transit time any network model
+        #: has registered; 0.0 until a model reports one
+        self.link_floor_ms = 0.0
+        #: whether `lookahead_ms` tracks `link_floor_ms` automatically
+        self._lookahead_auto = True
+        #: forked worker processes for the window policy (None: in-process)
+        self.workers = workers
+        #: the window drain policy, ``windows(engine, until, max_events)``
+        #: (`repro.sim.backends.sharded.run_windows`); it implies
+        #: per-shard queues *and* per-shard clocks and counters
+        self._windows = windows
+        per_shard = windows is not None
+        #: every queue, each holding ``(time, seq, fn, args, handle)``
+        #: entries (see `Event`): one, or one per shard
+        self._heaps: List[list] = [
+            [] for _ in range(shards if sharded or per_shard else 1)
+        ]
+        #: each shard's queue — the same one ``shards`` times over when
+        #: the shards are only logical
+        self._queue_of: List[list] = (
+            self._heaps if len(self._heaps) > 1 else self._heaps * shards
+        )
+        #: the current shard, and its queue, clock and sequence counter
+        self._cur = 0
+        self._heap: list = self._heaps[0]
         self.now: float = 0.0
-        #: ``(time, seq, fn, args, handle)`` entries; see `Event`
-        self._heap: List[tuple] = []
-        #: every queue of this engine — the sharded backends install
-        #: one heap per shard here; the introspection below reads it
-        self._heaps: List[list] = [self._heap]
         self._seq: int = 0
+        #: clocks and counters of the shards not current (window policy)
+        self._nows: Optional[List[float]] = [0.0] * shards if per_shard else None
+        self._seqs: Optional[List[int]] = [0] * shards if per_shard else None
+        #: cross-shard posts buffered during a window and flushed at its
+        #: barrier: ``(origin shard, target shard, time, key, args)``
+        self._outbox: Optional[List[tuple]] = [] if per_shard else None
         self._events_fired: int = 0
         self._running: bool = False
         #: per-shard cross-shard message receivers (`bind_receiver`)
@@ -214,8 +270,8 @@ class Engine:
     def defer(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """Fire-and-forget `schedule`: same sequence number, same
         firing order, but no cancellation handle is allocated or
-        returned — on every backend.  Use it wherever `schedule`'s
-        return value would be discarded."""
+        returned.  Use it wherever `schedule`'s return value would be
+        discarded."""
         if not delay >= 0:
             raise EngineError(f"cannot schedule {delay} ms in the past")
         seq = self._seq
@@ -225,10 +281,11 @@ class Engine:
     # ------------------------------------------------------------------
     # shard-tagged scheduling
     #
-    # The global engine is a single shard, so these are degenerate
-    # forms of the API the sharded backends (`repro.sim.backends`)
-    # implement with real per-shard queues.  Workloads written against
-    # this surface run bit-identically on every registered backend.
+    # Sharded workloads place work with `schedule_on` / `defer_on`
+    # during setup and talk across shards with `post` while running.
+    # With one queue (``global``) the tags are range-checked and
+    # otherwise ignored, so a workload written against this surface
+    # runs bit-identically on every registered backend.
     # ------------------------------------------------------------------
     def _check_shard(self, shard: int) -> None:
         if not 0 <= shard < self.shards:
@@ -236,25 +293,70 @@ class Engine:
                 f"shard {shard} out of range for {self.shards}-shard engine"
             )
 
+    def _enter(self, shard: int) -> None:
+        """Make ``shard`` the current shard: swap its queue (and, under
+        the window policy, its clock and sequence counter) into `_heap`
+        / `now` / `_seq`, parking those of the shard it replaces."""
+        prev = self._cur
+        if shard != prev:
+            nows = self._nows
+            if nows is not None:
+                seqs = self._seqs
+                nows[prev] = self.now
+                seqs[prev] = self._seq
+                self.now = nows[shard]
+                self._seq = seqs[shard]
+            self._heap = self._heaps[shard]
+            self._cur = shard
+
+    def _put(
+        self, shard: int, delay: float, fn: Callable[..., Any], args: tuple,
+        handle: bool,
+    ) -> Optional[Event]:
+        """`schedule_on` / `defer_on`: `schedule` / `defer` against
+        ``shard``'s queue, clock and counter, without swapping it in —
+        populating a sharded workload is one tagged call per client."""
+        self._check_shard(shard)
+        parked = self._nows is not None and shard != self._cur
+        if parked and self._running:
+            raise EngineError(
+                "cross-shard scheduling during a run must use post() "
+                "(lookahead-bounded); schedule_on/defer_on may only "
+                "target other shards before the run starts"
+            )
+        if not delay >= 0:
+            raise EngineError(f"cannot schedule {delay} ms in the past")
+        if parked:
+            t = self._nows[shard] + delay
+            seq = self._seqs[shard]
+            self._seqs[shard] = seq + 1
+        else:
+            t = self.now + delay
+            seq = self._seq
+            self._seq = seq + 1
+        ev = Event(t, seq, fn, args) if handle else None
+        heappush(self._queue_of[shard], (t, seq, fn, args, ev))
+        return ev
+
     def schedule_on(
         self, shard: int, delay: float, fn: Callable[..., Any], *args: Any
     ) -> Event:
-        """`schedule` onto an explicit shard's queue (here: the only
-        queue)."""
-        self._check_shard(shard)
-        return self.schedule(delay, fn, *args)
+        """`schedule` onto an explicit shard's queue."""
+        return self._put(shard, delay, fn, args, True)
 
     def defer_on(
         self, shard: int, delay: float, fn: Callable[..., Any], *args: Any
     ) -> None:
         """`defer` onto an explicit shard's queue."""
-        self._check_shard(shard)
-        self.defer(delay, fn, *args)
+        self._put(shard, delay, fn, args, False)
 
     def shard_now(self, shard: int) -> float:
-        """The shard-local clock — on the global engine, `now`."""
+        """The shard-local clock (`now`, unless the window policy gives
+        every shard its own)."""
         self._check_shard(shard)
-        return self.now
+        if self._nows is None or shard == self._cur:
+            return self.now
+        return self._nows[shard]
 
     def bind_receiver(self, shard: int, fn: Callable[..., Any]) -> None:
         """Register ``fn`` as the cross-shard message receiver for
@@ -267,10 +369,13 @@ class Engine:
         """Deliver a cross-shard message: ``receiver(key, *args)`` on
         ``shard``, ``delay`` ms from now.
 
-        ``delay`` must be at least `lookahead_ms` — on the sharded
-        backends that bound is what makes conservative windows safe;
-        the global engine enforces the same contract (trivially, at
-        0.0) so a workload cannot pass here and fail there.
+        ``delay`` must be at least `lookahead_ms` — under the window
+        policy that bound is what makes conservative windows safe;
+        every backend enforces the same contract so a workload cannot
+        pass on one and fail on another.  Inside a window a post to
+        another shard waits in the outbox for the barrier, so sequence
+        numbers are assigned identically in-process and across forked
+        workers.
         """
         self._check_shard(shard)
         if not delay >= self.lookahead_ms:
@@ -278,12 +383,25 @@ class Engine:
                 f"cross-shard post delay {delay} ms is below the "
                 f"lookahead bound {self.lookahead_ms} ms"
             )
+        t = self.now + delay
+        if self._running and self._outbox is not None and shard != self._cur:
+            self._outbox.append((self._cur, shard, t, key, args))
+        else:
+            self._deliver(shard, t, key, args)
+
+    def _deliver(self, shard: int, t: float, key: str, args: tuple) -> None:
+        """Push a posted message onto ``shard``'s queue at time ``t``,
+        under ``shard``'s sequence counter."""
         fn = self._receivers.get(shard)
         if fn is None:
             raise EngineError(f"no receiver bound on shard {shard}")
-        seq = self._seq
-        self._seq = seq + 1
-        heappush(self._heap, (self.now + delay, seq, fn, (key, *args), None))
+        if self._seqs is not None and shard != self._cur:
+            seq = self._seqs[shard]
+            self._seqs[shard] = seq + 1
+        else:
+            seq = self._seq
+            self._seq = seq + 1
+        heappush(self._queue_of[shard], (t, seq, fn, (key, *args), None))
 
     def note_link_floor(self, floor_ms: float) -> None:
         """A `repro.sim.network` model reports its guaranteed minimum
@@ -300,9 +418,9 @@ class Engine:
 
     def bind_harvest(self, shard: int, fn: Callable[[], Any]) -> None:
         """Register the callable that extracts ``shard``'s final
-        results.  `harvest` runs them after the simulation; on the
-        multiprocess backend they run *inside* the worker owning the
-        shard, so this is the only way to get per-shard state back."""
+        results.  `harvest` runs them after the simulation; with forked
+        workers they run *inside* the worker owning the shard, so this
+        is the only way to get per-shard state back."""
         self._check_shard(shard)
         self._harvest[shard] = fn
 
@@ -314,27 +432,40 @@ class Engine:
     # execution
     # ------------------------------------------------------------------
     def step(self) -> bool:
-        """Fire the single next non-cancelled event.
+        """Fire the single next non-cancelled event: the minimal
+        ``(time, seq)`` head over every queue.
 
-        Returns False when the heap is exhausted.  `run` steps only
-        when a `trace_hook` or dispatch profile is installed.
+        Returns False when the queues are exhausted.  `run` steps only
+        for a `trace_hook`, a dispatch profile, or a bounded run of
+        the k-way merge.
         """
-        heap = self._heap
-        _skip_cancelled(heap)
-        if not heap:
+        if self._windows is not None:
+            raise EngineError(
+                "sharded-parallel advances in lookahead windows; use run() "
+                "(or the sharded-serial oracle for single-step debugging)"
+            )
+        best = None
+        shard = 0
+        for i, h in enumerate(self._heaps):
+            _skip_cancelled(h)
+            if h and (best is None or h[0] < best):
+                best = h[0]
+                shard = i
+        if best is None:
             return False
-        t, seq, fn, args, ev = heappop(heap)
+        t, seq, fn, args, ev = heappop(self._heaps[shard])
         if t < self.now:  # pragma: no cover - defensive
             raise EngineError("event heap corrupted: time went backwards")
+        self._enter(shard)
         self.now = t
+        self._events_fired += 1
         self._dispatch(t, seq, fn, args, ev)
         return True
 
     def _dispatch(self, t, seq, fn, args, ev: Optional[Event]) -> None:
-        """Trace, count and (optionally) profile one popped entry."""
+        """Trace and (optionally) profile one popped, counted entry."""
         if self.trace_hook is not None:
             self.trace_hook(self, ev if ev is not None else Event(t, seq, fn, args))
-        self._events_fired += 1
         if self.profile is None:
             fn(*args)
         else:
@@ -347,22 +478,34 @@ class Engine:
         until: Optional[float] = None,
         max_events: Optional[int] = None,
     ) -> int:
-        """Run events until the heap empties, ``until`` is passed, or
+        """Run events until the queues empty, ``until`` is passed, or
         ``max_events`` have fired.  Returns the number of events fired by
         this call.
 
         ``until`` is inclusive: events scheduled exactly at ``until`` run.
         When the run stops because a *pending* event lies beyond
-        ``until``, the clock advances to ``until``; when the heap simply
-        empties, the clock stays at the last event fired (so it reads as
-        the workload's true duration).
+        ``until``, the clock (every shard's) advances to ``until``; when
+        the queues simply empty, clocks stay at the last event fired (so
+        they read as the workload's true duration).
         """
-        if self.trace_hook is not None or self.profile is not None:
+        self._running = True
+        try:
+            if self._windows is not None:
+                return self._windows(self, until, max_events)
+            if self.trace_hook is not None or self.profile is not None:
+                return self._run_stepped(until, max_events)
+            if len(self._heaps) == 1:
+                return self._drain(until, max_events)
+            if until is None and max_events is None:
+                return self._merge()
             return self._run_stepped(until, max_events)
-        return self._drain(until, max_events)
+        finally:
+            self._running = False
+            # untagged scheduling outside a run lands on shard 0
+            self._enter(0)
 
     def _drain(self, until: Optional[float], max_events: Optional[int]) -> int:
-        """`run` with no hook installed — every cluster run
+        """One queue, no hook installed — every cluster run
         (`run_until_quiet` passes both bounds) and every bare `run()`:
         the heap and `heappop` live in locals and nothing is called
         per event but the callback."""
@@ -372,7 +515,6 @@ class Engine:
         # ints only: `fired != budget` stays an int comparison
         budget = -1 if max_events is None else max(max_events, 0)
         fired = 0
-        self._running = True
         try:
             while heap and fired != budget:
                 entry = heap[0]
@@ -393,7 +535,33 @@ class Engine:
                 fired += 1
                 entry[2](*entry[3])
         finally:
-            self._running = False
+            self._events_fired += fired
+        return fired
+
+    def _merge(self) -> int:
+        """An unbounded, unhooked run of the k-way merge: `step`'s
+        head scan with nothing else called per event."""
+        heaps = self._heaps
+        pop = heappop
+        fired = 0
+        try:
+            while True:
+                best = None
+                shard = 0
+                for i, h in enumerate(heaps):
+                    _skip_cancelled(h)
+                    if h and (best is None or h[0] < best):
+                        best = h[0]
+                        shard = i
+                if best is None:
+                    break
+                pop(heaps[shard])
+                self._cur = shard
+                self._heap = heaps[shard]
+                self.now = best[0]
+                fired += 1
+                best[2](*best[3])
+        finally:
             self._events_fired += fired
         return fired
 
@@ -401,22 +569,17 @@ class Engine:
         self, until: Optional[float], max_events: Optional[int]
     ) -> int:
         """`run` through `_peek_time` / `step`: the traced / profiled
-        path, and the bounded path of backends with their own queue
-        layout (the sharded-serial oracle)."""
+        path, and the bounded path of the k-way merge."""
         fired = 0
-        self._running = True
-        try:
-            while max_events is None or fired < max_events:
-                nxt = self._peek_time()
-                if nxt is None:
-                    break
-                if until is not None and nxt > until:
-                    self.now = max(self.now, until)
-                    break
-                self.step()
-                fired += 1
-        finally:
-            self._running = False
+        while max_events is None or fired < max_events:
+            nxt = self._peek_time()
+            if nxt is None:
+                break
+            if until is not None and nxt > until:
+                self.now = max(self.now, until)
+                break
+            self.step()
+            fired += 1
         return fired
 
     def _peek_time(self) -> Optional[float]:
@@ -446,4 +609,7 @@ class Engine:
         return self._events_fired
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Engine t={self.now:.6f} pending={self.pending}>"
+        return (
+            f"<Engine t={self.now:.6f} shards={self.shards} "
+            f"queues={len(self._heaps)} pending={self.pending}>"
+        )

@@ -1,8 +1,8 @@
 """SIM002 seed: engines constructed directly instead of through the
 `repro.sim.backends` registry.  Only parsed by the lint pass.
 
-A direct construction pins the caller to one engine implementation,
-so the workload silently cannot run on the sharded backends.
+A direct construction pins the caller to one queue count and drain
+policy, so the workload silently cannot run on the other backends.
 """
 
 from repro.sim.engine import Engine
@@ -14,9 +14,9 @@ def bespoke_loop():
     return eng.run()
 
 
-def bespoke_sharded(backends):
-    # the dotted form is the same violation
-    return backends.sharded.ShardedParallelEngine(shards=4)
+def bespoke_sharded(sim):
+    # the dotted form, picking a policy by hand, is the same violation
+    return sim.engine.Engine(shards=4, sharded=True)
 
 
 def fine():

@@ -154,6 +154,21 @@ def test_forked_workers_match_the_in_process_loop():
     assert forked.events == inproc.events
     # harvest payloads made it back across the process boundary
     assert forked.completed == inproc.completed
+    assert forked.sim_ms == inproc.sim_ms
+
+    def clocks(workers, until):
+        eng = make_engine("sharded-parallel", shards=4, lookahead_ms=0.5,
+                          workers=workers)
+        for s in range(4):
+            eng.defer_on(s, s + 1.0, int)
+        eng.run(until=until)
+        return [eng.shard_now(s) for s in range(4)]
+
+    # the queues emptied inside the bound: every clock stays at its
+    # shard's last event — in the workers too
+    assert clocks(2, 100.0) == clocks(None, 100.0) == [1.0, 2.0, 3.0, 4.0]
+    # a pending event lies beyond it: every clock advances to the bound
+    assert clocks(2, 2.5) == clocks(None, 2.5) == [2.5] * 4
 
 
 # ----------------------------------------------------------------------
@@ -278,6 +293,21 @@ def test_cancellation_works_on_sharded_queues(backend):
     assert log == ["keep"]
     assert fired == 1
     assert eng.pending == 0
+
+
+@pytest.mark.parametrize("backend", SHARDED)
+def test_untagged_scheduling_is_back_on_shard_zero_after_a_run(backend):
+    eng = make_engine(backend, shards=3, lookahead_ms=0.5)
+    eng.defer_on(0, 1.0, int)
+    eng.defer_on(2, 2.0, int)
+    assert eng.run() == 2
+    # the last shard to dispatch was 2; outside a run it is 0 again
+    assert eng.now == eng.shard_now(0)
+    seen = []
+    eng.defer(1.0, lambda: seen.append(eng.now))
+    assert [len(h) for h in eng._heaps] == [1, 0, 0]
+    assert eng.run() == 1
+    assert seen == [eng.shard_now(0)]
 
 
 def test_harvest_returns_payloads_in_shard_order():

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
+from typing import NamedTuple
+
 import pytest
 
 from repro.sim.backends import make_engine, registered_sim_backends
@@ -277,22 +279,33 @@ def test_trace_hook_and_profile_divert_to_the_general_loop():
 
 
 # ----------------------------------------------------------------------
-# engine semantics, on every registered backend at one shard: the three
-# engines share one heap-entry layout (`(time, seq, fn, args, handle)`)
-# and must agree on everything a caller can observe
+# engine semantics, on every registered backend at one shard and at
+# four: one `Engine` class drains one queue, a k-way merge or lookahead
+# windows, and the three must agree on everything a caller can observe
 # ----------------------------------------------------------------------
-backends = pytest.mark.parametrize("backend", registered_sim_backends())
+LOOKAHEAD_MS = 0.5
+
+backends = pytest.mark.parametrize(
+    "backend, shards",
+    [
+        # the one-shard ids predate the shard-count parameter
+        pytest.param(b, k, id=b if k == 1 else f"{b}-s{k}")
+        for k in (1, 4)
+        for b in registered_sim_backends()
+    ],
+)
 
 
-def _engine(backend):
-    eng = make_engine(backend, shards=1)
-    eng.bind_receiver(0, lambda key, *args: None)
+def _engine(backend, shards, **kwargs):
+    eng = make_engine(backend, shards=shards, lookahead_ms=LOOKAHEAD_MS, **kwargs)
+    for s in range(shards):
+        eng.bind_receiver(s, lambda key, *args: None)
     return eng
 
 
 @backends
-def test_schedule_and_defer_interleave_fifo(backend):
-    eng = _engine(backend)
+def test_schedule_and_defer_interleave_fifo(backend, shards):
+    eng = _engine(backend, shards)
     order = []
     for i in range(0, 12, 3):
         eng.schedule(0.0, order.append, i)
@@ -306,8 +319,8 @@ def test_schedule_and_defer_interleave_fifo(backend):
 
 
 @backends
-def test_cancel_at_the_heap_head(backend):
-    eng = _engine(backend)
+def test_cancel_at_the_heap_head(backend, shards):
+    eng = _engine(backend, shards)
     fired = []
     head = eng.schedule(1.0, fired.append, "head")
     also = eng.schedule(1.0, fired.append, "also")
@@ -327,8 +340,8 @@ def test_cancel_at_the_heap_head(backend):
 
 
 @backends
-def test_run_until_clock_advance_cases(backend):
-    eng = _engine(backend)
+def test_run_until_clock_advance_cases(backend, shards):
+    eng = _engine(backend, shards)
     fired = []
     for t in (1.0, 2.0, 5.0):
         eng.defer(t, fired.append, t)
@@ -346,8 +359,8 @@ def test_run_until_clock_advance_cases(backend):
 
 
 @backends
-def test_max_events_is_exact_past_cancelled_heads(backend):
-    eng = _engine(backend)
+def test_max_events_is_exact_past_cancelled_heads(backend, shards):
+    eng = _engine(backend, shards)
     fired = []
     handles = [eng.schedule(float(i), fired.append, i) for i in range(8)]
     for i in (0, 1, 4):
@@ -366,8 +379,8 @@ def test_max_events_is_exact_past_cancelled_heads(backend):
 
 @backends
 @pytest.mark.parametrize("run_kwargs", ({}, {"until": 10.0, "max_events": 10}))
-def test_raising_callback_still_counts(backend, run_kwargs):
-    eng = _engine(backend)
+def test_raising_callback_still_counts(backend, shards, run_kwargs):
+    eng = _engine(backend, shards)
 
     def boom():
         raise RuntimeError("boom")
@@ -384,8 +397,8 @@ def test_raising_callback_still_counts(backend, run_kwargs):
 
 
 @backends
-def test_trace_hook_sees_deferred_entries_as_events(backend):
-    eng = _engine(backend)
+def test_trace_hook_sees_deferred_entries_as_events(backend, shards):
+    eng = _engine(backend, shards)
     seen = []
     eng.trace_hook = lambda e, ev: seen.append((ev.time, ev.seq, ev.fn, ev.args))
     out = []
@@ -400,10 +413,10 @@ def test_trace_hook_sees_deferred_entries_as_events(backend):
 
 
 @backends
-def test_nan_delay_or_time_is_rejected(backend):
+def test_nan_delay_or_time_is_rejected(backend, shards):
     """`delay < 0` is False for NaN: an accepted NaN timestamp breaks
     the heap order of everything scheduled after it."""
-    eng = _engine(backend)
+    eng = _engine(backend, shards)
     nan = float("nan")
     for call in (
         lambda: eng.schedule(nan, print),
@@ -425,27 +438,66 @@ def test_nan_delay_or_time_is_rejected(backend):
     assert order == [0.5, 1.0, 2.0]
 
 
-def _chatter(eng, log):
-    """Chains, a cancellation, zero delays, `schedule`/`defer` mixed."""
+def _chatter(eng, shards, log):
+    """On every shard: chains, a cancellation, zero delays, `schedule`
+    / `defer` mixed, placed with `schedule_on` / `defer_on`; each chain
+    `post`s once to the next shard, whose receiver answers locally.
+    ``log`` rows start with the shard that fired them.  Delays are
+    offset per shard so no two shards' posts tie on arrival: a tie
+    would be broken by which barrier flushed first."""
 
-    def tick(label, depth):
-        log.append((eng.now, label, depth))
+    def tick(shard, label, depth):
+        log.append((shard, eng.now, label, depth))
+        assert eng.now == eng.shard_now(shard)
         if depth:
-            eng.defer(0.75 * depth, tick, label, depth - 1)
-            eng.schedule(0.0, log.append, (eng.now, label, "soon"))
+            eng.defer(0.75 * depth, tick, shard, label, depth - 1)
+            eng.schedule(0.0, log.append, (shard, eng.now, label, "soon"))
+        if depth == 2:
+            eng.post((shard + 1) % shards, 0.6 + 0.01 * shard, "hop", shard, label)
 
-    doomed = eng.schedule(0.5, log.append, "never")
-    for i, label in enumerate("abc"):
-        eng.schedule(1.0 + i % 2, tick, label, 3)
-    eng.defer(0.25, doomed.cancel)
+    def receiver(shard):
+        def on_post(key, origin, label):
+            log.append((shard, eng.now, key, origin, label))
+            eng.defer(0.125, log.append, (shard, eng.now, label, "served"))
+
+        return on_post
+
+    for shard in range(shards):
+        eng.bind_receiver(shard, receiver(shard))
+        eng.bind_harvest(
+            shard, lambda shard=shard: [row for row in log if row[0] == shard]
+        )
+        doomed = eng.schedule_on(shard, 0.5, log.append, (shard, "never"))
+        for i, label in enumerate("abc"):
+            eng.defer_on(shard, 1.0 + i % 2 + 0.03 * shard, tick, shard, label, 3)
+        eng.defer_on(shard, 0.25, doomed.cancel)
 
 
-def _drive(backend, advance):
-    eng = _engine(backend)
+class _Outcome(NamedTuple):
+    """What a run leaves behind.  ``order`` is the global firing order;
+    the rest survives a different interleaving of shards."""
+
+    order: list
+    by_shard: list  # per-shard logs, through `harvest` (forked workers too)
+    clocks: list
+    events_fired: int
+    pending: int
+
+
+def _drive(backend, shards, advance, *, hooked=False, **kwargs):
+    eng = _engine(backend, shards, **kwargs)
     log = []
-    _chatter(eng, log)
+    _chatter(eng, shards, log)
+    if hooked:
+        traced = []
+        eng.trace_hook = lambda e, ev: traced.append(ev.time)
     advance(eng)
-    return log, eng.now, eng.events_fired, eng.pending
+    if hooked:
+        assert len(traced) == eng.events_fired
+    if eng.profile is not None:
+        assert sum(eng.profile.counts.values()) == eng.events_fired
+    clocks = [eng.shard_now(s) for s in range(shards)]
+    return _Outcome(log, eng.harvest(), clocks, eng.events_fired, eng.pending)
 
 
 def _stepping(eng):
@@ -453,10 +505,19 @@ def _stepping(eng):
         pass
 
 
+#: every way of advancing an engine to exhaustion, besides `step()`
+RUN_FORMS = (
+    lambda eng: eng.run(),
+    lambda eng: eng.run(until=1e7, max_events=5_000_000),
+    lambda eng: [eng.run(max_events=4) for _ in range(12 * eng.shards)],
+    lambda eng: [eng.run(until=t) for t in (1.0, 2.5, 1e7)],
+)
+
+
 @backends
-def test_every_run_form_fires_the_stepping_sequence(backend):
-    ref = _drive("global", _stepping)
-    assert ref[2] == 22 and ref[3] == 0
+def test_every_run_form_fires_the_stepping_sequence(backend, shards):
+    ref = _drive("global", shards, _stepping)
+    assert (ref.events_fired, ref.pending) == (28 * shards, 0)
     if backend == "sharded-parallel":
         # advances in windows and refuses step(): a one-event run is
         # its single step
@@ -465,15 +526,34 @@ def test_every_run_form_fires_the_stepping_sequence(backend):
                 pass
     else:
         single = _stepping
-    assert _drive(backend, single) == ref
-    assert _drive(backend, lambda eng: eng.run()) == ref
-    assert _drive(
-        backend, lambda eng: eng.run(until=1e7, max_events=5_000_000)
-    ) == ref
-    assert _drive(
-        backend, lambda eng: [eng.run(max_events=4) for _ in range(6)]
-    ) == ref
-    bounded = _drive(
-        backend, lambda eng: [eng.run(until=t) for t in (1.0, 2.5, 1e7)]
-    )
-    assert bounded == ref
+    windowed = backend == "sharded-parallel" and shards > 1
+    if windowed:
+        # windows interleave the shards differently from the global
+        # order and give each its own clock; within a shard nothing
+        # may move, and every other run form must reproduce run()
+        own = _drive(backend, shards, RUN_FORMS[0])
+        assert own.by_shard == ref.by_shard
+        assert (own.events_fired, own.pending) == (ref.events_fired, 0)
+        ref = own
+    for advance in (single,) + RUN_FORMS:
+        got = _drive(backend, shards, advance)
+        assert got[1:] == ref[1:]
+        assert windowed or got.order == ref.order
+    for instrumented in ({"hooked": True}, {"profile": True}):
+        for advance in RUN_FORMS[:2]:
+            got = _drive(backend, shards, advance, **instrumented)
+            assert got[1:] == ref[1:]
+
+
+@pytest.mark.parametrize("until", (None, 3.0))
+def test_forked_workers_fire_the_in_process_sequence(until):
+    """`workers=2` against the in-process window loop, to exhaustion
+    and stopped at a bound with work still pending.  (The parent of a
+    forked run keeps no queues, so `pending` is not compared.)"""
+    def advance(eng):
+        assert eng.run(until=until) == eng.events_fired
+
+    inproc = _drive("sharded-parallel", 4, advance)
+    forked = _drive("sharded-parallel", 4, advance, workers=2)
+    assert forked[1:4] == inproc[1:4]
+    assert (inproc.pending > 0) == (until is not None)
