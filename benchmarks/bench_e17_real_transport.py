@@ -6,9 +6,9 @@ check the ``python -m repro bench`` E17 entry gates on —
 `repro.obs.bench.bench_e17` — and renders both halves as a table:
 
   - **simulated**: the RPC workload on the registered ``real-asyncio``
-    backend (every message round-tripped through a real socket,
-    synchronously in simulated time); its shape must be bit-identical
-    to the ``ideal`` backend's.
+    backend (the ideal kernel delivering each message's copy out of
+    the node processes' frame codec; no socket); its shape must be
+    bit-identical to the ``ideal`` backend's.
   - **measured**: real node processes under `repro.net.supervisor`,
     driven by the `repro.net.load` generator with wall-clock
     `RecoveryPolicy` retry/backoff; forced retries must be absorbed
@@ -17,7 +17,7 @@ check the ``python -m repro bench`` E17 entry gates on —
 
 Everything ``net_meas_*`` is wall-clock and machine-dependent (like
 S1); the ``net_sim_*`` half is deterministic for a seed.  On hosts
-that forbid sockets the whole suite skips with the reason.
+that cannot run node processes the whole suite skips with the reason.
 """
 
 import pytest
@@ -64,8 +64,8 @@ def test_e17_real_transport_vs_simulated(benchmark, save_table):
 @pytest.mark.benchmark(group="e17")
 def test_e17_simulated_half_is_seed_deterministic(benchmark):
     """Only the wall-clock half may vary between runs: the simulated
-    shape of the real-transport backend is a pure function of the
-    seed (the switch round-trip is synchronous in simulated time)."""
+    shape of the ``real-asyncio`` backend is a pure function of the
+    seed (encode + decode, nothing the host can reorder)."""
     runs = []
 
     def run():

@@ -87,16 +87,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     # one RPC on every backend the registry knows about — including
     # ones registered after this script was written
     from repro.core.api import registered_kernels
-    from repro.net import TransportUnavailable
     from repro.workloads.rpc import run_rpc_workload
 
     for kind in registered_kernels():
         try:
             r = run_rpc_workload(kind, 0, count=1)
-        except TransportUnavailable as exc:
-            print(f"verify: rpc smoke skipped on {kind} "
-                  f"(this host forbids sockets: {exc})")
-            continue
         except Exception as exc:  # noqa: BLE001 - smoke check reports all
             print(f"verify: rpc smoke FAILED on {kind}: {exc}",
                   file=sys.stderr)
@@ -121,10 +116,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         try:
             c = run_chaos_workload(kind, count=8, seed=1,
                                    plan=lossy_plan(), policy=chaos_policy())
-        except TransportUnavailable as exc:
-            print(f"verify: fault smoke skipped on {kind} "
-                  f"(this host forbids sockets: {exc})")
-            continue
         except Exception as exc:  # noqa: BLE001 - smoke check reports all
             print(f"verify: fault smoke FAILED on {kind}: {exc}",
                   file=sys.stderr)
@@ -181,15 +172,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     # path of the E17 bench at the smallest size that still proves
     # exactly-once (completed + exhausted == issued, the retransmission
     # absorbed as a server-side duplicate, never re-executed)
+    from repro.net import TransportUnavailable
     from repro.net.load import query_stats, run_load
-    from repro.net.supervisor import NodeSupervisor, SpawnFailed
+    from repro.net.supervisor import NodeSupervisor
 
     try:
         with NodeSupervisor() as sup:
             node = sup.spawn("verify", drop_first=1)
             load = run_load([node.endpoint], clients=2, requests=2)
             stats = query_stats(node.endpoint)
-    except (TransportUnavailable, SpawnFailed, OSError) as exc:
+    except (TransportUnavailable, OSError) as exc:
         print(f"verify: real-transport smoke skipped "
               f"(this host forbids sockets/subprocesses: {exc})")
         load = stats = None

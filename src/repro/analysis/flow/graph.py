@@ -24,8 +24,8 @@ toward precision — a finding names a chain that really exists — at the
 price of recall, which is the right trade for a CI gate.
 
 Import resolution follows re-export chains (``from repro.net import
-hub_connect`` where ``repro.net.__init__`` itself imported it from
-``repro.net.hub``) with a cycle guard, so import cycles terminate.
+SpawnFailed`` where ``repro.net.__init__`` itself imported it from
+``repro.net.supervisor``) with a cycle guard, so import cycles terminate.
 Nested ``def``s are folded into their enclosing function: a closure
 handed to a scheduler is part of the parent's behaviour, and walking
 it with the parent is what makes reachability see it.

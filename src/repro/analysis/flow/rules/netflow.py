@@ -1,7 +1,7 @@
 """NET001 — no blocking calls reachable inside ``repro.net`` coroutines.
 
-The real transport multiplexes every node, client, and hub connection
-onto one asyncio event loop.  A single synchronous ``time.sleep``, a
+The real transport multiplexes every node and client connection onto
+one asyncio event loop.  A single synchronous ``time.sleep``, a
 blocking socket ``recv``, a file ``open``, or — worst — a nested
 ``Engine.run`` inside an ``async def`` stalls *every* coroutine on the
 loop: the measured half of E17 silently serializes and the
@@ -112,7 +112,7 @@ def _blocks(
     memo: _BlockMemo,
 ) -> Optional[str]:
     """Does calling this *sync* function (transitively) block?  Returns
-    a description like ``"time.sleep(...) in repro.net.hub.roundtrip"``."""
+    a description like ``"time.sleep(...) in repro.net.<module>.<helper>"``."""
     key = func.qualname
     if key in memo:
         return memo[key]

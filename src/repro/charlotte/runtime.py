@@ -103,8 +103,6 @@ class _CharEnd:
 
 
 class CharlotteRuntime(LynxRuntimeBase):
-    RUNTIME_NAME = "charlotte"
-
     def __init__(self, handle, cluster) -> None:
         super().__init__(handle, cluster)
         self.kport: KernelPort = cluster.kernel.register_process(

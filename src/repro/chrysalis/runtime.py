@@ -61,8 +61,6 @@ def _kind_of(msg: WireMessage) -> str:
 
 
 class ChrysalisRuntime(LynxRuntimeBase):
-    RUNTIME_NAME = "chrysalis"
-
     def __init__(self, handle, cluster) -> None:
         super().__init__(handle, cluster)
         self.port: ChrysalisPort = ChrysalisPort(cluster.kernel, self.name)

@@ -402,24 +402,6 @@ def _cmd_chaos(args) -> int:
     return 0
 
 
-def _reject_sim_backend(kernel: Optional[str],
-                        sim_backend: Optional[str]) -> bool:
-    """True (message printed) when an explicit ``--sim-backend`` is
-    combined with a real-transport backend — the knob selects a
-    *simulation* engine, and the real backend's network is the OS."""
-    if sim_backend is None or kernel is None:
-        return False
-    if not kernel_profile(kernel).real_transport:
-        return False
-    print(
-        f"repro: --sim-backend {sim_backend!r} does not apply to "
-        f"{kernel!r}: the real-transport backend runs on real OS "
-        "sockets, not a simulation engine (drop --sim-backend)",
-        file=sys.stderr,
-    )
-    return True
-
-
 def _cmd_flight(args) -> int:
     from repro.obs.flight import describe_flight_dump
 
@@ -431,13 +413,11 @@ def _cmd_flight(args) -> int:
             run_chaos_workload,
         )
 
-        if _reject_sim_backend(args.kernel, args.sim_backend):
-            return 2
         recorders = []
         run_chaos_workload(
             args.kernel, count=12, seed=args.seed,
             plan=partitioned_plan(quick=True), policy=chaos_policy(),
-            sim_backend=args.sim_backend or "global",
+            sim_backend=args.sim_backend,
             instrument=lambda cluster: recorders.append(
                 cluster.install_flight_recorder(args.out)
             ),
@@ -472,9 +452,8 @@ def _top_scale(args) -> int:
     shard 0's slice."""
     from repro.workloads.scale import run_scale
 
-    backend = args.sim_backend or "global"
     r = run_scale(
-        backend, args.shards, clients=args.clients,
+        args.sim_backend, args.shards, clients=args.clients,
         requests=2, seed=args.seed, window_ms=args.window,
     )
     ts = r.timeseries
@@ -483,7 +462,7 @@ def _top_scale(args) -> int:
               file=sys.stderr)
         return 2
     t = Table(
-        f"per-window scale telemetry on {backend} "
+        f"per-window scale telemetry on {args.sim_backend} "
         f"(shards={args.shards}, clients={args.clients}, "
         f"window={args.window:g} ms, seed={args.seed})",
         ["t0 ms", "completed", "goodput/s", "mean rtt ms", "max rtt ms",
@@ -519,8 +498,6 @@ def _cmd_top(args) -> int:
 
     if args.scenario == "scale":
         return _top_scale(args)
-    if _reject_sim_backend(args.kernel, args.sim_backend):
-        return 2
     if args.scenario == "lossy":
         plan = lossy_plan()
         label = "lossy"
@@ -534,7 +511,7 @@ def _cmd_top(args) -> int:
     run_chaos_workload(
         args.kernel, count=args.count, seed=args.seed,
         plan=plan, policy=chaos_policy() if plan is not None else None,
-        sim_backend=args.sim_backend or "global",
+        sim_backend=args.sim_backend,
         instrument=lambda cluster: series.append(
             cluster.install_timeseries(args.window)
         ),
@@ -827,9 +804,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default=_default_kernel("chaos"),
                    help="backend for --demo")
     p.add_argument("--sim-backend", choices=registered_sim_backends(),
-                   default=None,
-                   help="simulation engine for --demo (default: global; "
-                        "rejected for real-transport kernels)")
+                   default="global",
+                   help="simulation engine for --demo (default: global)")
     p.add_argument("--out", default="flight", metavar="DIR",
                    help="--demo dump directory (default: ./flight)")
     p.add_argument("--tail", type=int, default=20,
@@ -848,11 +824,10 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("partition", "lossy", "clean", "scale"),
                    default="partition")
     p.add_argument("--sim-backend", choices=registered_sim_backends(),
-                   default=None,
-                   help="simulation engine (default: global; rejected "
-                        "for real-transport kernels); with --scenario "
-                        "scale the per-shard series are merged before "
-                        "rendering")
+                   default="global",
+                   help="simulation engine (default: global); with "
+                        "--scenario scale the per-shard series are "
+                        "merged before rendering")
     p.add_argument("--shards", type=int, default=4,
                    help="shard count for --scenario scale")
     p.add_argument("--clients", type=int, default=2000,

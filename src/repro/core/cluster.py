@@ -143,10 +143,10 @@ class ClusterBase:
         per-process liveness deregister the process here."""
 
     def close(self) -> None:
-        """Release any OS resources the backend holds.  Simulated
-        backends hold none, so this is a no-op; the real-transport
-        backend closes its switch connection here.  Safe to call more
-        than once."""
+        """Release any OS resources the backend holds.  No registered
+        backend holds one (every cluster is in-memory), so this is a
+        no-op; callers still pair it with `make_cluster` so a backend
+        that does can rely on it.  Safe to call more than once."""
 
     # ------------------------------------------------------------------
     # process management

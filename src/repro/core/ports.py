@@ -276,11 +276,6 @@ class KernelProfile:
     #: zero-arg lazy loader returning the hand-coded raw-RPC baseline
     #: function (E1's "no LYNX runtime" floor), or None
     raw_rpc: Optional[Callable[[], Callable]] = None
-    #: True when this backend's data plane is a real OS transport:
-    #: clusters may raise `repro.net.TransportUnavailable` on hosts
-    #: that forbid sockets, and simulator-only knobs (``--sim-backend``)
-    #: do not apply — the CLI rejects the combination with exit 2
-    real_transport: bool = False
 
     def load_cluster(self) -> type:
         return self.factory()
@@ -405,7 +400,7 @@ def _ideal_cluster() -> type:
 
 
 def _real_asyncio_cluster() -> type:
-    from repro.net.cluster import NetCluster
+    from repro.net.ideal_framed import NetCluster
 
     return NetCluster
 
@@ -489,7 +484,7 @@ register_kernel(KernelProfile(
 
 register_kernel(KernelProfile(
     name="real-asyncio",
-    title="real-asyncio: ideal semantics over real OS sockets",
+    title="real-asyncio: ideal kernel + the node wire-frame codec, no socket",
     factory=_real_asyncio_cluster,
     paper=False,
     capabilities=KernelCapabilities(
@@ -498,12 +493,11 @@ register_kernel(KernelProfile(
         recovers_aborted_enclosures=True,
         detects_processor_failure=True,
     ),
-    runtime_modules=("repro.net.runtime", "repro.net.kernel"),
+    runtime_modules=("repro.net.ideal_framed",),
     trace_events=frozenset({"send"}),
     metric_namespaces=frozenset({"net"}),
     cost_attr="ideal",
     time_scale=0.05,
-    real_transport=True,
 ))
 
 

@@ -78,8 +78,6 @@ from repro.sim.failure import CrashMode
 class LynxRuntimeBase:
     """Shared half of the LYNX run-time package; see module docstring."""
 
-    RUNTIME_NAME = "abstract"
-
     def __init__(self, handle, cluster) -> None:
         self.handle = handle
         self.cluster = cluster

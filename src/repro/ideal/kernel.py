@@ -26,6 +26,11 @@ if TYPE_CHECKING:  # pragma: no cover
 class IdealKernel:
     """Owner routes, mailboxes, and the shared abort/destroy tables."""
 
+    #: counter names — a subclass that is the same kernel under another
+    #: registered name (`repro.net.ideal_framed`) keeps its own namespace
+    HANDOFFS = "ideal.handoffs"
+    WITHDRAWALS = "ideal.withdrawals"
+
     def __init__(self, registry, metrics) -> None:
         self.registry = registry
         self.metrics = metrics
@@ -53,7 +58,7 @@ class IdealKernel:
         self.box(dest).append(msg)
         self.metrics.count(f"wire.messages.{msg.kind.value}")
         self.metrics.count("wire.bytes", msg.wire_size)
-        self.metrics.count("ideal.handoffs")
+        self.metrics.count(self.HANDOFFS)
         owner = self.route.get(dest)
         if owner is not None:
             owner._wake()
@@ -63,7 +68,7 @@ class IdealKernel:
         are always wanted, §3.2.1 — no mailbox stop)."""
         self.metrics.count(f"wire.messages.{msg.kind.value}")
         self.metrics.count("wire.bytes", msg.wire_size)
-        self.metrics.count("ideal.handoffs")
+        self.metrics.count(self.HANDOFFS)
         owner = self.route.get(dest)
         if owner is not None:
             owner.deliver_reply(dest, msg)
@@ -75,7 +80,7 @@ class IdealKernel:
             for msg in list(box):
                 if msg.seq == seq:
                     box.remove(msg)
-                    self.metrics.count("ideal.withdrawals")
+                    self.metrics.count(self.WITHDRAWALS)
                     return True
         return False
 

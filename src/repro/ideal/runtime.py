@@ -31,8 +31,6 @@ from repro.sim.tasks import sleep
 class IdealRuntime(LynxRuntimeBase):
     """Mailbox transport; see module docstring."""
 
-    RUNTIME_NAME = "ideal"
-
     def __init__(self, handle, cluster) -> None:
         super().__init__(handle, cluster)
         self.costs = cluster.costmodel.ideal

@@ -1,25 +1,24 @@
-"""Real-transport backend: the kernel interface over actual sockets.
+"""The frame protocol, in-process and over real sockets.
 
-Every other backend in this repository simulates its network.  This
-package registers ``real-asyncio``, a kernel whose data plane is a
-real OS socket: every `WireMessage` a runtime sends is serialised into
-a length-prefixed frame (`repro.net.frames`), round-tripped through an
-asyncio switch listening on a Unix-domain socket (TCP on hosts without
-UDS — `repro.net.hub`), decoded from the returned bytes, and only then
-applied to the destination mailbox (`repro.net.kernel`).  The causal
-`SpanContext` rides inside the frame, so tracing and flight-recorder
-dumps work unchanged over the wire.
+Two halves share one wire format (`repro.net.frames`):
 
-The in-process backend keeps the control plane (routing tables, crash
-bookkeeping) in memory so it stays deterministic and runs the full
-conformance suite; the *distributed* half — real node processes
-spawned and monitored by `repro.net.supervisor`, served by
-`repro.net.server`, and driven by the `repro.net.load` generator with
-wall-clock `RecoveryPolicy` timeout/retry/backoff — is what the E17
-bench measures against the simulator's shapes (docs/PORTS.md,
-"Real transport").
+* **in-process** — `repro.net.ideal_framed` registers ``real-asyncio``:
+  the ideal backend with every kernel message encoded to a frame and
+  decoded again before delivery.  No socket, thread or event loop; it
+  is deterministic, bit-identical to ``ideal`` per seed on every
+  simulation backend, and exists so the conformance, divergence and
+  property suites run their contracts over the bytes the node
+  processes speak (the causal `SpanContext` rides inside the frame, so
+  tracing and flight-recorder dumps work unchanged).
+* **distributed** — real node processes spawned and monitored by
+  `repro.net.supervisor`, served by `repro.net.server`, and driven by
+  the `repro.net.load` generator with wall-clock `RecoveryPolicy`
+  timeout/retry/backoff.  This is the only place bytes cross an OS
+  socket, and what the E17 bench and the ``net_small`` workload
+  measure against the simulator's shapes (docs/PORTS.md, "Real
+  transport").
 """
 
-from repro.net.hub import TransportUnavailable
+from repro.net.supervisor import SpawnFailed, TransportUnavailable
 
-__all__ = ["TransportUnavailable"]
+__all__ = ["SpawnFailed", "TransportUnavailable"]

@@ -10,19 +10,25 @@ the far side is *content-identical* to the one that was sent (the
 round-trip property `tests/net/test_frames.py` pins for every field).
 
 Framing on a stream is a 4-byte big-endian length prefix followed by
-the frame body (`pack_frame` / `FrameReader`); the body itself starts
-with a one-byte version so the format can evolve.
+the frame body (`pack_frame` to write; `read_frame` to read from an
+asyncio stream, `FrameReader` to de-frame fed chunks); the body itself
+starts with a one-byte version so the format can evolve.  The
+in-process ``real-asyncio`` backend (`repro.net.ideal_framed`) uses
+only `encode_frame` / `decode_frame`: bodies, no stream.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.core.links import EndRef
 from repro.core.wire import ExceptionCode, MsgKind, WireMessage
 from repro.obs.causal import SpanContext
+
+if TYPE_CHECKING:  # pragma: no cover
+    import asyncio
 
 #: bump when the body layout changes; a mismatch raises `FrameError`
 FRAME_VERSION = 1
@@ -177,12 +183,22 @@ def pack_frame(body: bytes) -> bytes:
     return LENGTH_PREFIX.pack(len(body)) + body
 
 
-class FrameReader:
-    """Incremental de-framer for a byte stream.
+async def read_frame(reader: "asyncio.StreamReader") -> bytes:
+    """Read one frame body from an asyncio stream.  A length prefix
+    above `MAX_FRAME_BYTES` raises `FrameError` before any of the body
+    is read or allocated; a stream that ends early raises
+    `asyncio.IncompleteReadError`, as ``readexactly`` does."""
+    (n,) = LENGTH_PREFIX.unpack(await reader.readexactly(LENGTH_PREFIX.size))
+    if n > MAX_FRAME_BYTES:
+        raise FrameError(f"frame length {n} exceeds the cap")
+    return await reader.readexactly(n)
 
-    Feed it whatever the socket produced; it yields complete frame
-    bodies in order.  Used by both the blocking hub connection and the
-    asyncio server/load paths, so framing lives in exactly one place.
+
+class FrameReader:
+    """Incremental de-framer for chunks of a byte stream.
+
+    Feed it whatever a socket produced; it yields complete frame
+    bodies in order, enforcing the same cap as `read_frame`.
     """
 
     __slots__ = ("_buf",)

@@ -37,11 +37,11 @@ from typing import List, Optional, Tuple
 from repro.core.recovery import RecoveryPolicy
 from repro.core.wire import MsgKind, WireMessage
 from repro.net.frames import (
-    LENGTH_PREFIX,
     FrameError,
     decode_frame,
     encode_frame,
     pack_frame,
+    read_frame,
 )
 from repro.net.server import STATS_OP
 from repro.obs.hist import StreamingHistogram
@@ -88,12 +88,6 @@ async def _open(endpoint: str) -> Tuple[asyncio.StreamReader,
     return await asyncio.open_unix_connection(endpoint)
 
 
-async def _read_frame(reader: asyncio.StreamReader) -> WireMessage:
-    head = await reader.readexactly(LENGTH_PREFIX.size)
-    (n,) = LENGTH_PREFIX.unpack(head)
-    return decode_frame(await reader.readexactly(n))
-
-
 class _Client:
     """One client coroutine's connection + recovery state."""
 
@@ -134,9 +128,9 @@ class _Client:
             if remaining <= 0:
                 return None
             try:
-                msg = await asyncio.wait_for(
-                    _read_frame(self.reader), timeout=remaining
-                )
+                msg = decode_frame(await asyncio.wait_for(
+                    read_frame(self.reader), timeout=remaining
+                ))
             except asyncio.TimeoutError:
                 return None
             except (asyncio.IncompleteReadError, FrameError) as exc:
@@ -228,7 +222,7 @@ def query_stats(endpoint: str) -> dict:
                 kind=MsgKind.REQUEST, seq=0, opname=STATS_OP, sent_at=0.0,
             ))))
             await writer.drain()
-            reply = await _read_frame(reader)
+            reply = decode_frame(await read_frame(reader))
             return json.loads(reply.payload.decode("utf-8"))
         finally:
             writer.close()

@@ -29,11 +29,11 @@ from typing import Dict, Optional, Tuple
 
 from repro.core.wire import MsgKind, WireMessage
 from repro.net.frames import (
-    LENGTH_PREFIX,
     FrameError,
     decode_frame,
     encode_frame,
     pack_frame,
+    read_frame,
 )
 
 #: the control operation answered with the server's counters
@@ -108,19 +108,13 @@ class NodeServer:
                           writer: asyncio.StreamWriter) -> None:
         try:
             while True:
-                head = await reader.readexactly(LENGTH_PREFIX.size)
-                (n,) = LENGTH_PREFIX.unpack(head)
-                body = await reader.readexactly(n)
-                try:
-                    req = decode_frame(body)
-                except FrameError:
-                    break  # protocol violation: drop the connection
-                reply = self.handle(req)
+                reply = self.handle(decode_frame(await read_frame(reader)))
                 if reply is not None:
                     writer.write(pack_frame(reply))
                     await writer.drain()
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            pass
+        except (FrameError, asyncio.IncompleteReadError,
+                ConnectionError, OSError):
+            pass  # protocol violation or peer gone: drop the connection
         finally:
             writer.close()
 

@@ -27,7 +27,12 @@ from repro.net.server import READY_PREFIX
 SPAWN_DEADLINE_S = 20.0
 
 
-class SpawnFailed(RuntimeError):
+class TransportUnavailable(RuntimeError):
+    """This host cannot run node processes (subprocesses or sockets
+    forbidden); tests skip with the reason, benches record ``None``."""
+
+
+class SpawnFailed(TransportUnavailable):
     """A node process died or stalled before announcing readiness."""
 
 

@@ -34,8 +34,8 @@ joined ``benches``; 5 = the E15 observability-overhead bench joined
 derived (`repro.obs.hist`); 6 = the E16 sharded-engine scaling bench
 joined ``benches``; 7 = the E17 real-transport bench joined
 ``benches`` and the ``real-asyncio`` backend joined the per-kernel
-metric families (its keys are ``None`` on hosts that forbid sockets,
-so the document schema never varies).
+metric families (E17's keys are ``None`` on hosts that cannot run
+node processes, so the document schema never varies).
 
 Simulated quantities are deterministic for a seed; the ``s1.*``,
 ``obs_*_events_per_sec``, ``scale_*_events_per_sec`` and
@@ -149,11 +149,9 @@ def bench_s1(
         BYTES,
         Operation,
         Proc,
-        kernel_profile,
         make_cluster,
         registered_kernels,
     )
-    from repro.net import TransportUnavailable
     from repro.sim.backends import make_engine
 
     backend = sim_backend or "global"
@@ -195,20 +193,7 @@ def bench_s1(
                 yield from ctx.connect(end, ECHO, (b"x" * 64,))
 
     for kind in registered_kernels():
-        # real-transport backends have exactly one event order; a
-        # non-global *simulation* engine does not apply to them, and a
-        # host that forbids sockets cannot run them — either way the
-        # keys stay None so the document schema never varies
-        if kernel_profile(kind).real_transport and backend != "global":
-            out[f"rpc_sim_wall_ms_{kind}"] = None
-            out[f"rpc_sim_events_{kind}"] = None
-            continue
-        try:
-            cluster = make_cluster(kind, seed=seed, sim_backend=backend)
-        except TransportUnavailable:
-            out[f"rpc_sim_wall_ms_{kind}"] = None
-            out[f"rpc_sim_events_{kind}"] = None
-            continue
+        cluster = make_cluster(kind, seed=seed, sim_backend=backend)
         s = cluster.spawn(Server(), "server")
         c = cluster.spawn(Client(), "client")
         cluster.create_link(s, c)
@@ -238,22 +223,13 @@ def bench_e13(seed: int = 0, quick: bool = False) -> Dict[str, float]:
     floor: everything above it is protocol, not semantics.
     """
     from repro.core.api import registered_kernels
-    from repro.net import TransportUnavailable
     from repro.obs.causal import CausalGraph
     from repro.workloads.rpc import run_rpc_workload
 
     count = 2 if quick else 5
     out: Dict[str, float] = {}
     for kind in registered_kernels():
-        try:
-            r = run_rpc_workload(kind, 0, count=count, seed=seed)
-        except TransportUnavailable:
-            for layer in ("runtime", "kernel", "network", "app"):
-                out[f"{kind}_{layer}_ms"] = None
-            out[f"{kind}_total_ms"] = None
-            out[f"{kind}_runtime_share"] = None
-            out[f"{kind}_kernel_share"] = None
-            continue
+        r = run_rpc_workload(kind, 0, count=count, seed=seed)
         graph = CausalGraph.from_trace(r.trace)
         tids = graph.traces()[1:]  # drop the workload's warm-up trip
         layers = graph.by_layer(tids)
@@ -291,7 +267,6 @@ def bench_e14(seed: int = 0, quick: bool = False) -> Dict[str, float]:
     stretches to the window length).
     """
     from repro.core.api import kernel_profile, registered_kernels
-    from repro.net import TransportUnavailable
     from repro.workloads.chaos import (
         chaos_policy,
         partitioned_plan,
@@ -302,19 +277,11 @@ def bench_e14(seed: int = 0, quick: bool = False) -> Dict[str, float]:
     out: Dict[str, float] = {}
     placements: Dict[str, Tuple[str, float]] = {}
     for kind in registered_kernels():
-        try:
-            clean = run_chaos_workload(kind, count=count, seed=seed)
-            faulted = run_chaos_workload(
-                kind, count=count, seed=seed,
-                plan=partitioned_plan(quick), policy=chaos_policy(),
-            )
-        except TransportUnavailable:
-            for metric in ("clean_goodput_per_s", "faulted_goodput_per_s",
-                           "goodput_retention", "completed", "failed_over",
-                           "max_rtt_ms", "p99_rtt_ms", "retries",
-                           "kernel_retransmits"):
-                out[f"{kind}_{metric}"] = None
-            continue
+        clean = run_chaos_workload(kind, count=count, seed=seed)
+        faulted = run_chaos_workload(
+            kind, count=count, seed=seed,
+            plan=partitioned_plan(quick), policy=chaos_policy(),
+        )
         out[f"{kind}_clean_goodput_per_s"] = clean.goodput_per_s
         out[f"{kind}_faulted_goodput_per_s"] = faulted.goodput_per_s
         out[f"{kind}_goodput_retention"] = (
@@ -685,10 +652,10 @@ def bench_e17(seed: int = 0, quick: bool = False) -> Dict[str, float]:
     Two halves, one document:
 
     * **Simulated**: the RPC workload on the registered ``real-asyncio``
-      backend (every message round-tripped through a real OS socket,
-      synchronously in simulated time).  Machine-checked: its simulated
-      RTT is *bit-identical* to the ``ideal`` backend's — the transport
-      changed, the semantics did not.
+      backend (the ideal kernel with every message encoded to the node
+      processes' frame and decoded again before delivery).
+      Machine-checked: its simulated RTT is *bit-identical* to the
+      ``ideal`` backend's — the bytes changed, the semantics did not.
     * **Measured**: `repro.net.supervisor` spawns real node processes
       (``python -m repro net serve`` over UDS), and the
       `repro.net.load` generator drives concurrent client coroutines
@@ -723,7 +690,7 @@ def bench_e17(seed: int = 0, quick: bool = False) -> Dict[str, float]:
     from repro.core.recovery import RecoveryPolicy
     from repro.net import TransportUnavailable
     from repro.net.load import query_stats, run_load
-    from repro.net.supervisor import NodeSupervisor, SpawnFailed
+    from repro.net.supervisor import NodeSupervisor
     from repro.workloads.rpc import run_rpc_workload
 
     out: Dict[str, Optional[float]] = {
@@ -755,19 +722,13 @@ def bench_e17(seed: int = 0, quick: bool = False) -> Dict[str, float]:
     )
 
     # -- simulated half -------------------------------------------------
-    try:
-        sim = run_rpc_workload("real-asyncio", 0, count=5, seed=seed)
-    except TransportUnavailable:
-        return out
+    sim = run_rpc_workload("real-asyncio", 0, count=5, seed=seed)
     ideal = run_rpc_workload("ideal", 0, count=5, seed=seed)
-    out["net_sim_rtt_ms"] = sim.mean_ms
-    out["net_sim_ideal_rtt_ms"] = ideal.mean_ms
-    out["net_sim_wire_msgs"] = sim.messages
     if sim.rtts != ideal.rtts:
         raise AssertionError(
             f"E17: the real-asyncio backend's simulated shape must be "
-            f"bit-identical to ideal's (same semantics, different data "
-            f"plane); got {sim.rtts} != {ideal.rtts}"
+            f"bit-identical to ideal's (same kernel, framed messages); "
+            f"got {sim.rtts} != {ideal.rtts}"
         )
 
     # -- measured half --------------------------------------------------
@@ -784,7 +745,7 @@ def bench_e17(seed: int = 0, quick: bool = False) -> Dict[str, float]:
             wave_b = run_load(endpoints, clients=clients, requests=1,
                               policy=policy)
             stats_b = query_stats(backup.endpoint)
-    except (TransportUnavailable, SpawnFailed, OSError):
+    except (TransportUnavailable, OSError):
         return out
 
     checks = []
@@ -826,6 +787,9 @@ def bench_e17(seed: int = 0, quick: bool = False) -> Dict[str, float]:
         )
 
     out["net_available"] = 1.0
+    out["net_sim_rtt_ms"] = sim.mean_ms
+    out["net_sim_ideal_rtt_ms"] = ideal.mean_ms
+    out["net_sim_wire_msgs"] = sim.messages
     out["net_meas_clients"] = float(clients)
     out["net_meas_servers"] = 2.0
     out["net_meas_ops"] = float(wave_a.issued + wave_b.issued)

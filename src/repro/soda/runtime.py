@@ -81,8 +81,6 @@ class _Send:
 
 
 class SodaRuntime(LynxRuntimeBase):
-    RUNTIME_NAME = "soda"
-
     def __init__(self, handle, cluster) -> None:
         super().__init__(handle, cluster)
         self.port: SodaPort = cluster.kernel.register_process(

@@ -16,10 +16,10 @@ enclosures of aborted msgs recovered   no         yes   yes        yes    yes
 hard processor failure detected        yes        yes   no         yes    yes
 =====================================  =========  ====  =========  =====  ============
 
-The ``real-asyncio`` column matches ``ideal`` by construction: the
-real-transport kernel mirrors the ideal tables and only changes *how*
-a message moves (through a real OS socket), not what happens to it.
-On hosts that forbid sockets its cases skip with the reason.
+The ``real-asyncio`` column matches ``ideal`` by construction: it *is*
+the ideal kernel (`repro.net.ideal_framed` subclasses it), delivering
+the copy of each message that survived the node processes' frame
+codec — what a message is made of changes, not what happens to it.
 """
 
 import pytest
@@ -38,21 +38,11 @@ from repro.core.api import (
     registered_kernels,
 )
 from repro.core.registry import EndDisposition
-from repro.net import TransportUnavailable
 from repro.sim.failure import CrashMode
 
 ECHO = Operation("echo", (BYTES,), (BYTES,))
 ADD = Operation("add", (INT, INT), (INT,))
 GIVE = Operation("give", (LINK,), ())
-
-
-def _cluster(kind, **kw):
-    """`make_cluster`, but a host that forbids sockets skips (with the
-    reason) instead of failing the real-transport parametrisation."""
-    try:
-        return make_cluster(kind, **kw)
-    except TransportUnavailable as exc:
-        pytest.skip(f"{kind}: this host forbids sockets ({exc})")
 
 
 # ----------------------------------------------------------------------
@@ -89,7 +79,7 @@ class _RevB(Proc):
 
 
 def _run_reverse_scenario(kind):
-    cluster = _cluster(kind)
+    cluster = make_cluster(kind)
     a_prog, b_prog = _RevA(), _RevB()
     a = cluster.spawn(a_prog, "A")
     b = cluster.spawn(b_prog, "B")
@@ -163,7 +153,7 @@ def test_server_side_abort_exception(kind):
     profile = kernel_profile(kind)
     # time scales differ by ~25x between kernel families
     scale = profile.time_scale
-    cluster = _cluster(kind)
+    cluster = make_cluster(kind)
     client = _AbortClient(abort_at=100.0 * scale)
     server = _SlowServer(serve_delay=200.0 * scale)
     s = cluster.spawn(server, "server")
@@ -226,7 +216,7 @@ def test_aborted_enclosure_after_crash(kind):
     (§6 item 3)."""
     profile = kernel_profile(kind)
     scale = profile.time_scale
-    cluster = _cluster(kind)
+    cluster = make_cluster(kind)
     a_prog = _EncAborter(abort_at=40.0 * scale)
     a = cluster.spawn(a_prog, "A")
     b = cluster.spawn(_ReplyWaiter(), "B")
@@ -278,7 +268,7 @@ def test_processor_failure_detection(kind):
     processor outlives the client processor; Chrysalis §5.2:
     "Processor failures are currently not detected." """
     profile = kernel_profile(kind)
-    cluster = _cluster(kind)
+    cluster = make_cluster(kind)
     watcher = _CrashWatcher()
     d = cluster.spawn(_Doomed(), "doomed")
     w = cluster.spawn(watcher, "watcher")

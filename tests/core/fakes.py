@@ -34,8 +34,6 @@ ZERO_COSTS = RuntimeCosts(
 
 
 class FakeRuntime(LynxRuntimeBase):
-    RUNTIME_NAME = "fake"
-
     def __init__(self, handle, cluster) -> None:
         super().__init__(handle, cluster)
         #: transport-side request staging, per local end

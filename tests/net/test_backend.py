@@ -1,45 +1,37 @@
 """The registered ``real-asyncio`` backend: ideal semantics, real bytes.
 
-Reproducibility over real transport, stated once and pinned here:
-
-* **deterministic for a seed** — everything the *simulated* half
-  produces (RTT shapes, message counts, event order).  The backend
-  round-trips every message through the switch *synchronously* in
-  simulated time, so socket scheduling can never reorder engine
-  events; same seed, same run, bit-identical to ``ideal``.
-* **not deterministic** — wall-clock timing: the distributed
-  ``serve``/``load`` path and every ``net_meas_*`` number in the E17
-  bench depend on the host and the moment, exactly like S1.
+`repro.net.ideal_framed` is the ideal backend with every kernel
+message encoded to the node processes' frame and decoded again before
+delivery.  No socket is involved, so everything it produces (RTT
+shapes, message counts, event order) is deterministic for a seed and
+bit-identical to ``ideal`` on every simulation backend.  What is *not*
+deterministic — wall-clock timing over real sockets — lives in the
+distributed ``serve``/``load`` path (`tests/net/test_distributed.py`,
+the ``net_meas_*`` half of the E17 bench).
 """
 
 import pytest
 
 from repro.core.api import kernel_profile, make_cluster, registered_kernels
-from repro.core.wire import MsgKind, WireMessage
-from repro.net import TransportUnavailable
-from repro.net.cluster import NetCluster
+from repro.core.links import EndRef
+from repro.core.wire import ExceptionCode, MsgKind, WireMessage
+from repro.obs.causal import SpanContext
 from repro.workloads.rpc import run_rpc_workload
 
 
 def _rpc(kind, **kw):
-    try:
-        return run_rpc_workload(kind, count=6, seed=3, **kw)
-    except TransportUnavailable as exc:
-        pytest.skip(f"this host forbids sockets ({exc})")
-
-
-def _cluster(**kw):
-    try:
-        return make_cluster("real-asyncio", **kw)
-    except TransportUnavailable as exc:
-        pytest.skip(f"this host forbids sockets ({exc})")
+    return run_rpc_workload(kind, count=6, seed=3, **kw)
 
 
 def test_registered_with_the_real_transport_flag():
+    # the flag itself is gone: the backend is an ordinary registry entry
+    # that reuses ideal's cost bundle under its own metric namespace
     assert "real-asyncio" in registered_kernels()
-    assert kernel_profile("real-asyncio").real_transport
-    for kind in ("charlotte", "soda", "chrysalis", "ideal"):
-        assert not kernel_profile(kind).real_transport
+    profile = kernel_profile("real-asyncio")
+    assert not hasattr(profile, "real_transport")
+    assert profile.cost_attr == "ideal"
+    assert profile.metric_namespaces == {"net"}
+    assert profile.capabilities == kernel_profile("ideal").capabilities
 
 
 def test_same_seed_runs_are_bit_identical():
@@ -55,28 +47,34 @@ def test_matches_the_ideal_backend_shape_exactly():
                                                 ideal.wire_bytes)
 
 
+@pytest.mark.parametrize("sim_backend", ["sharded-serial", "sharded-parallel"])
+def test_matches_ideal_on_the_sharded_sim_backends(sim_backend):
+    real = _rpc("real-asyncio", sim_backend=sim_backend)
+    ideal = _rpc("ideal", sim_backend=sim_backend)
+    assert real.rtts == ideal.rtts
+    assert (real.messages, real.wire_bytes) == (ideal.messages,
+                                                ideal.wire_bytes)
+
+
 def test_transit_substitutes_the_wires_copy():
-    cluster = _cluster(seed=1)
-    try:
-        msg = WireMessage(kind=MsgKind.REQUEST, seq=9, opname="ping",
-                          sighash=2**63, payload=b"over the wire")
+    cluster = make_cluster("real-asyncio", seed=1)
+    messages = [
+        WireMessage(kind=MsgKind.REQUEST, seq=9, opname="ping",
+                    sighash=2**63, payload=b"over the wire"),
+        WireMessage(kind=MsgKind.REPLY, seq=3, reply_to=9, opname="ping",
+                    error=ExceptionCode.REQUEST_ABORTED),
+        WireMessage(kind=MsgKind.REQUEST, seq=10, opname="give",
+                    enclosures=[EndRef(4, 0), EndRef(7, 1)],
+                    enclosure_meta=[{"home": "a"}, {"home": "b", "gen": 2}],
+                    enc_total=2),
+        WireMessage(kind=MsgKind.REQUEST, seq=11, opname="ping",
+                    span=SpanContext(trace_id=5, span_id=6, parent_id=2,
+                                     sampled=True)),
+    ]
+    for n, msg in enumerate(messages, start=1):
         wired = cluster.kernel._transit(msg)
         # content-identical, but a distinct object rebuilt from bytes
         assert wired == msg
         assert wired is not msg
-        assert cluster.metrics.get("net.frames") == 1
-        assert cluster.metrics.get("net.frame_bytes") > 0
-    finally:
-        cluster.close()
-
-
-def test_rejects_a_simulation_backend_choice():
-    with pytest.raises(ValueError, match="real sockets"):
-        NetCluster(seed=0, sim_backend="sharded:2")
-
-
-def test_close_is_idempotent_and_releases_the_socket():
-    cluster = _cluster(seed=0)
-    cluster.close()
-    assert cluster.kernel._conn is None
-    cluster.close()
+        assert cluster.metrics.get("net.frames") == n
+    assert cluster.metrics.get("net.frame_bytes") > 0

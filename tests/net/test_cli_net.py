@@ -1,5 +1,5 @@
-"""CLI surface of the real transport: ``repro net ...`` and the
-``--sim-backend``-with-real-backend rejection."""
+"""CLI surface of the real transport: ``repro net ...``, and
+``--sim-backend`` applying to ``real-asyncio`` like any other kernel."""
 
 import pytest
 
@@ -7,18 +7,10 @@ from repro.cli import main
 from repro.net.supervisor import NodeSupervisor, SpawnFailed
 
 
-def test_sim_backend_with_real_backend_rejected(capsys):
-    assert main(["flight", "--demo", "--kernel", "real-asyncio",
-                 "--sim-backend", "sharded-serial"]) == 2
-    err = capsys.readouterr().err
-    assert "--sim-backend" in err and "real-asyncio" in err
-    assert "real OS" in err
-
-
-def test_top_rejects_the_same_combination(capsys):
+def test_top_accepts_a_sim_backend_on_real_asyncio(capsys):
     assert main(["top", "--kernel", "real-asyncio",
-                 "--sim-backend", "sharded-serial", "--quick"]) == 2
-    assert "--sim-backend" in capsys.readouterr().err
+                 "--sim-backend", "sharded-serial", "--quick"]) == 0
+    assert "goodput/s" in capsys.readouterr().out
 
 
 def test_sim_backend_still_works_on_simulated_kernels(capsys):

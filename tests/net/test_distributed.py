@@ -9,6 +9,8 @@ watch every client fail over — all while the exactly-once accounting
 holds.
 """
 
+import socket
+
 import pytest
 
 from repro.core.recovery import RecoveryPolicy
@@ -81,6 +83,26 @@ def test_no_endpoints_left_exhausts_instead_of_hanging(supervisor):
     r = run_load([node.endpoint], clients=2, requests=1, policy=FAST)
     assert r.exactly_once
     assert (r.completed, r.exhausted) == (0, 2)
+
+
+@pytest.mark.parametrize("hostile, half_close", [
+    (b"\xff\xff\xff\xff" + b"x" * 1000, False),   # prefix over the cap
+    (b"\x00\x00\x00\x64" + b"x" * 10, True),      # stream ends mid-body
+    (b"\x00\x00\x00\x0a" + b"x" * 10, False),     # framed garbage
+], ids=["oversized-prefix", "truncated-body", "malformed-body"])
+def test_hostile_frames_drop_the_connection_unexecuted(
+        supervisor, hostile, half_close):
+    node = _spawn(supervisor, "victim", tcp=True)
+    host, port = node.endpoint.rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=5.0) as sock:
+        sock.sendall(hostile)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
+        # the server hangs up at once: EOF, not a timeout, not a reply
+        assert sock.recv(1) == b""
+    assert query_stats(node.endpoint)["requests_seen"] == 0
+    r = run_load([node.endpoint], clients=1, requests=1, policy=FAST)
+    assert (r.completed, r.exhausted) == (1, 0)
 
 
 def test_supervisor_bookkeeping(supervisor):
