@@ -1,4 +1,4 @@
-"""E17 — the real-transport backend, measured against the simulator.
+"""E17 — the real-transport backend, held to the simulator's contracts.
 
 The repo's other benches measure a simulated kernel; this one puts
 real OS sockets under the same contracts.  It drives the machine
@@ -9,15 +9,17 @@ check the ``python -m repro bench`` E17 entry gates on —
     backend (the ideal kernel delivering each message's copy out of
     the node processes' frame codec; no socket); its shape must be
     bit-identical to the ``ideal`` backend's.
-  - **measured**: real node processes under `repro.net.supervisor`,
+  - **real**: real node processes under `repro.net.supervisor`,
     driven by the `repro.net.load` generator with wall-clock
     `RecoveryPolicy` retry/backoff; forced retries must be absorbed
     as server-side duplicates (exactly-once), and a hard-killed
     primary must turn into one failover per client.
 
-Everything ``net_meas_*`` is wall-clock and machine-dependent (like
-S1); the ``net_sim_*`` half is deterministic for a seed.  On hosts
-that cannot run node processes the whole suite skips with the reason.
+Every reported value is exact: the ``net_sim_*`` half is simulated,
+and each ``net_meas_*`` count is fixed by the checks above.  Real-socket
+RTT and throughput are the repo benchmark's ``net.load.*`` rows
+(perf/README.md).  On hosts that cannot run node processes the whole
+suite skips with the reason.
 """
 
 import pytest
@@ -29,7 +31,7 @@ SEED = 0
 
 
 @pytest.mark.benchmark(group="e17")
-def test_e17_real_transport_vs_simulated(benchmark, save_table):
+def test_e17_real_transport_contracts(benchmark, save_table):
     result = {}
 
     def run():
@@ -43,7 +45,7 @@ def test_e17_real_transport_vs_simulated(benchmark, save_table):
         pytest.skip("this host forbids sockets/subprocesses")
 
     t = Table(
-        f"E17: measured real transport vs simulated shapes "
+        f"E17: real transport under the simulator's contracts "
         f"({result['net_meas_clients']:.0f} clients, seed {SEED})",
         ["metric", "value"],
     )
@@ -56,16 +58,13 @@ def test_e17_real_transport_vs_simulated(benchmark, save_table):
     assert result["net_sim_rtt_ms"] == result["net_sim_ideal_rtt_ms"]
     assert result["net_meas_clients"] >= 1000
     assert result["net_meas_completed"] == result["net_meas_ops"]
-    assert result["net_meas_duplicates"] >= 1
-    assert result["net_meas_failovers"] >= result["net_meas_clients"]
-    assert result["net_meas_vs_sim_rtt_ratio"] > 0
+    assert result["net_meas_failovers"] == result["net_meas_clients"]
 
 
 @pytest.mark.benchmark(group="e17")
-def test_e17_simulated_half_is_seed_deterministic(benchmark):
-    """Only the wall-clock half may vary between runs: the simulated
-    shape of the ``real-asyncio`` backend is a pure function of the
-    seed (encode + decode, nothing the host can reorder)."""
+def test_e17_is_seed_deterministic(benchmark):
+    """Retry counts and RTTs vary with the host and are not reported;
+    what is reported may not."""
     runs = []
 
     def run():
@@ -73,10 +72,6 @@ def test_e17_simulated_half_is_seed_deterministic(benchmark):
         return runs
 
     benchmark.pedantic(run, rounds=1, iterations=1)
-    runs.append(bench_e17(seed=SEED, quick=True))
-    first, second = runs
-    if first["net_available"] != 1.0:
+    if runs[0]["net_available"] != 1.0:
         pytest.skip("this host forbids sockets/subprocesses")
-    det_keys = ("net_sim_rtt_ms", "net_sim_ideal_rtt_ms",
-                "net_sim_wire_msgs", "net_exactly_once")
-    assert {k: first[k] for k in det_keys} == {k: second[k] for k in det_keys}
+    assert bench_e17(seed=SEED, quick=True) == runs[0]

@@ -4,16 +4,17 @@
 
 Validates
 
-  - ``BENCH_PR8.json`` (and any other ``BENCH_*.json`` at the repo
-    root): schema "repro.bench", ``schema_version`` equal to the code's
-    ``BENCH_SCHEMA_VERSION``, and the exact top-level / per-bench key
-    structure recorded in ``tests/obs/golden_bench_schema.json``
-    (full-mode docs additionally carry the golden's
-    ``benches_full_extra`` keys — the wider E4 payload sweep; the E16
-    block's determinism flags are additionally value-checked, see
-    ``check_e16_contract``, and the E17 block's
-    exactly-once flag and full-mode client floor likewise, see
-    ``check_e17_contract``);
+  - the current baseline (`repro.obs.bench.DEFAULT_BENCH_FILENAME` at
+    the repo root): schema "repro.bench", ``schema_version`` equal to
+    the code's ``BENCH_SCHEMA_VERSION``, and the exact top-level /
+    per-bench key structure recorded in
+    ``tests/obs/golden_bench_schema.json`` (the E16 block's
+    determinism flags are additionally value-checked, see
+    ``check_e16_contract``, and the E17 block's exactly-once flag and
+    full-mode client floor likewise, see ``check_e17_contract``);
+  - every older ``BENCH_*.json`` at the repo root: history, written
+    under earlier schemas and never edited again — each must only
+    still load as a "repro.bench" document;
   - ``benchmarks/out/*.json``: schema "repro.table" version 1, the
     ``name`` field matching the file name, and rows shaped like the
     header;
@@ -21,11 +22,11 @@ Validates
     (schema "repro.flight" at the code's ``FLIGHT_SCHEMA_VERSION``) —
     each must round-trip through `repro.obs.flight.load_flight_dump`
     with a complete header and an event count matching the header's;
-  - the ``bench --compare`` report: when two or more ``BENCH_*.json``
-    baselines exist (the perf trajectory), the oldest and newest are
-    diffed with `repro.obs.compare.compare_files` and the resulting
-    report must match ``tests/obs/golden_compare_schema.json`` — the
-    compare format cannot drift without a golden update either;
+  - the ``bench --compare`` report: the first ``BENCH_*.json`` is
+    diffed against the current baseline with
+    `repro.obs.compare.compare_files` and the resulting report must
+    match ``tests/obs/golden_compare_schema.json`` — the compare
+    format cannot drift without a golden update either;
   - ``LINT_BASELINE.json``: schema "repro.lint-baseline" version 1,
     every entry naming a registered lint rule — shallow *or*
     whole-program — and carrying a non-empty justifying ``note``
@@ -86,9 +87,6 @@ def check_bench_doc(path: str, golden: dict, errors: List[str]) -> None:
         return
     got = {k: sorted(v) for k, v in doc["benches"].items()}
     want = {k: sorted(v) for k, v in golden["benches"].items()}
-    if not doc.get("quick"):
-        extra = golden.get("benches_full_extra", {})
-        want = {k: sorted(v + extra.get(k, [])) for k, v in want.items()}
     if set(got) != set(want):
         errors.append(f"{name}: bench ids {sorted(got)} != {sorted(want)}")
         return
@@ -109,30 +107,24 @@ def check_bench_doc(path: str, golden: dict, errors: List[str]) -> None:
 
 
 def check_e16_contract(name: str, doc: dict, errors: List[str]) -> None:
-    """E16 carries machine-checked claims, not just rates: a committed
-    baseline whose determinism flags are not exactly 1.0 is invalid
-    even if its key structure matches the golden file.  (The 8-shard
-    speedup is an informational wall ratio, not a claim.)"""
-    e16 = doc.get("benches", {}).get("E16")
-    if not e16:
-        return  # pre-E16 baselines carry no block; post-E16 nulls are fine
+    """E16 carries machine-checked claims: a committed baseline whose
+    determinism flags are not exactly 1.0 is invalid even if its key
+    structure matches the golden file."""
+    e16 = doc["benches"]["E16"]
     for flag in ("scale_digest_match_s1", "scale_digest_match_s8",
                  "scale_repeat_stable_s8"):
-        value = e16.get(flag)
-        if value is not None and value != 1.0:
-            errors.append(f"{name}: E16.{flag} = {value!r}; a baseline "
-                          f"may only record a passing (1.0) flag")
+        if e16.get(flag) != 1.0:
+            errors.append(f"{name}: E16.{flag} = {e16.get(flag)!r}; a "
+                          f"baseline may only record a passing (1.0) flag")
 
 
 def check_e17_contract(name: str, doc: dict, errors: List[str]) -> None:
-    """E17's measured half is machine-dependent, but its *claims* are
-    not: a committed baseline either ran the real transport with
-    exactly-once intact (1.0) or skipped it entirely (nulls) — there is
-    no valid in-between; and a full-mode run that did execute must have
-    sustained the gated thousand concurrent client coroutines."""
-    e17 = doc.get("benches", {}).get("E17")
-    if not e17:
-        return  # pre-E17 baselines carry no block
+    """E17's claims: a committed baseline either ran the real transport
+    with exactly-once intact (1.0) or skipped it entirely (nulls) —
+    there is no valid in-between; and a full-mode run that did execute
+    must have sustained the gated thousand concurrent client
+    coroutines."""
+    e17 = doc["benches"]["E17"]
     flag = e17.get("net_exactly_once")
     if flag is not None and flag != 1.0:
         errors.append(f"{name}: E17.net_exactly_once = {flag!r}; a "
@@ -176,9 +168,10 @@ def check_table_doc(path: str, errors: List[str]) -> None:
                               f"{len(cols)}-column header")
 
 
-def check_compare_report(bench_docs: List[str], errors: List[str]) -> None:
-    """Diff the oldest committed baseline against the newest and hold
-    the report to the compare golden file."""
+def check_compare_report(old_path: str, baseline: str,
+                         errors: List[str]) -> None:
+    """Diff ``old_path`` against the current baseline and hold the
+    report to the compare golden file."""
     from repro.obs.compare import (
         COMPARE_SCHEMA,
         COMPARE_SCHEMA_VERSION,
@@ -190,24 +183,28 @@ def check_compare_report(bench_docs: List[str], errors: List[str]) -> None:
                                "golden_compare_schema.json")
     with open(golden_path) as fh:
         golden = json.load(fh)
+    golden_name = os.path.relpath(golden_path, ROOT)
     name = "bench --compare report"
+    if golden["schema"] != COMPARE_SCHEMA:
+        errors.append(f"{golden_name}: golden schema {golden['schema']!r} "
+                      f"!= code's {COMPARE_SCHEMA!r}")
     if golden["schema_version"] != COMPARE_SCHEMA_VERSION:
         errors.append(
-            f"{os.path.relpath(golden_path, ROOT)}: golden "
-            f"schema_version {golden['schema_version']} != code's "
+            f"{golden_name}: golden schema_version "
+            f"{golden['schema_version']} != code's "
             f"{COMPARE_SCHEMA_VERSION} — update the golden file"
         )
     try:
-        report = compare_files(bench_docs[0], bench_docs[-1])
+        report = compare_files(old_path, baseline)
     except CompareError as exc:
         errors.append(f"{name}: {exc}")
         return
-    if report["schema"] != COMPARE_SCHEMA != golden["schema"]:
-        errors.append(f"{name}: schema {report['schema']!r}")
     if sorted(report) != golden["top_level"]:
         errors.append(f"{name}: top-level keys {sorted(report)} != "
                       f"{golden['top_level']}")
         return
+    if report["status"] not in golden["verdicts"]:
+        errors.append(f"{name}: verdict {report['status']!r} unknown")
     for side in ("old", "new"):
         if sorted(report[side]) != golden["meta_keys"]:
             errors.append(f"{name}: {side} meta keys "
@@ -218,9 +215,6 @@ def check_compare_report(bench_docs: List[str], errors: List[str]) -> None:
                 errors.append(f"{name}: {bid}.{metric} row keys "
                               f"{sorted(row)} != {golden['row_keys']}")
                 return
-            if row["direction"] not in golden["directions"]:
-                errors.append(f"{name}: {bid}.{metric} direction "
-                              f"{row['direction']!r} unknown")
             if row["status"] not in golden["statuses"]:
                 errors.append(f"{name}: {bid}.{metric} status "
                               f"{row['status']!r} unknown")
@@ -340,13 +334,23 @@ def main() -> int:
     with open(GOLDEN) as fh:
         golden = json.load(fh)
 
+    from repro.obs.bench import DEFAULT_BENCH_FILENAME
+    from repro.obs.compare import CompareError, load_bench_doc
+
+    baseline = os.path.join(ROOT, DEFAULT_BENCH_FILENAME)
     bench_docs = sorted(glob.glob(os.path.join(ROOT, "BENCH_*.json")))
-    if not bench_docs:
-        errors.append("no BENCH_*.json baseline found at the repo root")
+    if baseline not in bench_docs:
+        errors.append(f"no {DEFAULT_BENCH_FILENAME} baseline found at the "
+                      f"repo root")
+    else:
+        check_bench_doc(baseline, golden, errors)
+        check_compare_report(bench_docs[0], baseline, errors)
     for path in bench_docs:
-        check_bench_doc(path, golden, errors)
-    if len(bench_docs) >= 2:
-        check_compare_report(bench_docs, errors)
+        if path != baseline:
+            try:
+                load_bench_doc(path)
+            except CompareError as exc:
+                errors.append(str(exc))
 
     table_docs = sorted(glob.glob(os.path.join(OUT_DIR, "*.json")))
     if not table_docs:
@@ -375,7 +379,7 @@ def main() -> int:
         for e in errors:
             print(f"check_schema: {e}", file=sys.stderr)
         return 1
-    print(f"check_schema: ok ({len(bench_docs)} bench baseline(s), "
+    print(f"check_schema: ok ({len(bench_docs)} bench document(s), "
           f"{len(table_docs)} tables, {len(flight_docs)} flight "
           f"dump(s), lint baseline, deep lint report)")
     return 0

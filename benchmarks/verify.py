@@ -20,9 +20,8 @@ forced retry — exactly-once accounting must hold; hosts that forbid
 sockets skip it with the reason), followed by ``python -m repro bench
 --quick`` (the full BENCH_*.json export at smoke counts), failing on
 the first non-zero step.
-``--sim-backend NAME`` pins the scale smoke and the bench export to
-one registered engine; unknown names exit non-zero, same as an
-unknown ``bench --only`` id.  Tier-1 covers the same ground
+``--sim-backend NAME`` pins the scale smoke to one registered engine;
+unknown names exit non-zero, same as an unknown ``bench --only`` id.  Tier-1 covers the same ground
 piecewise; this script is the single command to confirm the whole
 observability pipeline works in a fresh checkout.
 """
@@ -50,9 +49,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                     help="directory for BENCH_verify.json "
                          "(default: a fresh temp dir)")
     ap.add_argument("--sim-backend", default=None, metavar="NAME",
-                    help="pin the scale smoke and the bench export to "
-                         "one repro.sim.backends engine (default: "
-                         "smoke every registered backend)")
+                    help="pin the scale smoke to one repro.sim.backends "
+                         "engine (default: smoke every registered "
+                         "backend)")
     args = ap.parse_args(argv)
     out_dir = args.out or tempfile.mkdtemp(prefix="repro-verify-")
 
@@ -206,10 +205,7 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"absorbed, {load.throughput_per_s:.0f} op/s)")
 
     bench_path = os.path.join(out_dir, "BENCH_verify.json")
-    bench_argv = ["bench", "--quick", "--out", bench_path]
-    if args.sim_backend is not None:
-        bench_argv += ["--sim-backend", args.sim_backend]
-    rc = repro_main(bench_argv)
+    rc = repro_main(["bench", "--quick", "--out", bench_path])
     if rc != 0:
         print("verify: bench --quick FAILED", file=sys.stderr)
         return rc

@@ -6,7 +6,7 @@
     python -m repro figure2                 # live figure-2 chart
     python -m repro migrate --kernel soda --hops 8 --loss 0.5
     python -m repro sizes                   # the E2 code-size table
-    python -m repro bench                   # E1..E16/S1 -> BENCH_*.json
+    python -m repro bench                   # E1..E17 -> BENCH_*.json
     python -m repro trace --kernel soda --by-layer --critical-path
     python -m repro chaos                   # fault injection + recovery
     python -m repro lint                    # determinism/layering checks
@@ -39,8 +39,6 @@ from repro.core.api import (
     registered_kernels,
     registered_sim_backends,
 )
-from repro.obs import compare as compare_mod
-from repro.obs.bench import BENCH_IDS
 
 
 def _default_kernel(command: str) -> str:
@@ -212,8 +210,7 @@ def _cmd_bench(args) -> int:
         return _bench_compare(args)
     try:
         results = run_benches(bench_ids=args.only, seed=args.seed,
-                              quick=args.quick,
-                              sim_backend=args.sim_backend)
+                              quick=args.quick)
     except ValueError as exc:
         print(f"repro bench: {exc}", file=sys.stderr)
         return 2
@@ -236,18 +233,15 @@ def _cmd_bench(args) -> int:
 
 def _bench_compare(args) -> int:
     """``bench --compare OLD NEW``: diff two BENCH_*.json documents and
-    gate on regression (exit 1).  Does not run any benchmark."""
+    gate on equality (exit 1 when any value changed).  Does not run
+    any benchmark."""
     import json as _json
 
     from repro.obs.compare import CompareError, compare_files, render_report
 
     old_path, new_path = args.compare
     try:
-        report = compare_files(
-            old_path, new_path,
-            threshold=args.threshold,
-            wall_threshold=args.wall_threshold,
-        )
+        report = compare_files(old_path, new_path)
     except CompareError as exc:
         print(f"repro bench --compare: {exc}", file=sys.stderr)
         return 2
@@ -260,7 +254,7 @@ def _bench_compare(args) -> int:
                 fh.write(payload + "\n")
     if args.json != "-":
         print(render_report(report))
-    return 1 if report["status"] == "regression" else 0
+    return 1 if report["status"] == "changed" else 0
 
 
 def _trace_graph(args):
@@ -733,35 +727,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench",
-        help="run the E1/E4/E5/E13/E14/E15/E16/E17/S1 workloads and "
+        help="run the E1/E4/E5/E13/E14/E15/E16/E17 workloads and "
              "write BENCH_*.json",
     )
     p.add_argument("--quick", action="store_true",
-                   help="smoke-test iteration counts (same schema)")
+                   help="smoke-size the E16/E17 populations (same "
+                        "schema; every other bench has one size)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None,
-                   help="output path (default: BENCH_PR9.json at the "
-                        "repo root; '-' writes the JSON to stdout)")
-    p.add_argument("--sim-backend", default=None, metavar="NAME",
-                   help="pin backend-aware benches (E16/S1) to one "
-                        "repro.sim.backends engine instead of sweeping "
-                        "all of them (unknown names exit 2)")
+                   help="output path (default: the committed baseline's "
+                        "name at the repo root; '-' writes the JSON to "
+                        "stdout)")
     p.add_argument("--only", nargs="+", metavar="BENCH", type=str.upper,
-                   help=f"subset of {' '.join(BENCH_IDS)} "
-                        "(unknown names exit 2)")
+                   help="subset of the bench ids (unknown names exit 2 "
+                        "and list the valid ones)")
     p.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
                    default=None,
                    help="diff two BENCH_*.json documents instead of "
-                        "running benchmarks; exits 1 on regression "
-                        "(docs/PERFORMANCE.md)")
-    p.add_argument("--threshold", type=float,
-                   default=compare_mod.DEFAULT_THRESHOLD,
-                   help="fractional regression gate for simulated "
-                        "metrics (default %(default)s)")
-    p.add_argument("--wall-threshold", type=float,
-                   default=compare_mod.DEFAULT_WALL_THRESHOLD,
-                   help="gate for wall-clock (machine-dependent) "
-                        "metrics (default %(default)s)")
+                        "running benchmarks; exits 1 when any value "
+                        "changed (docs/PERFORMANCE.md)")
     p.add_argument("--json", default=None, metavar="OUT",
                    help="with --compare: write the repro.bench-compare "
                         "report JSON ('-' for stdout)")

@@ -121,14 +121,18 @@ class NodeServer:
     async def serve(self, socket_path: Optional[str] = None,
                     port: Optional[int] = None) -> None:
         """Bind, announce readiness on stdout, and serve forever."""
+        # backlog: E17's full mode opens 1000 connections at once, and
+        # asyncio's default of 100 resets the overflow — which a client
+        # reads as a crashed server and fails over off a live node
         if socket_path is not None:
             server = await asyncio.start_unix_server(
-                self._connection, path=socket_path
+                self._connection, path=socket_path, backlog=1024
             )
             endpoint = socket_path
         else:
             server = await asyncio.start_server(
-                self._connection, host="127.0.0.1", port=port or 0
+                self._connection, host="127.0.0.1", port=port or 0,
+                backlog=1024,
             )
             endpoint = "127.0.0.1:%d" % server.sockets[0].getsockname()[1]
         print(f"{READY_PREFIX} {endpoint}", flush=True)

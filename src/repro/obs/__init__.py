@@ -10,9 +10,11 @@ across PRs:
   JSON Lines (`TraceLog.to_jsonl` / `TraceLog.from_jsonl`);
 * `prometheus_text` — render a `MetricSet` in the Prometheus text
   exposition format;
-* `run_benches` / `write_bench_json` — the unified benchmark runner
-  behind ``python -m repro bench``, producing the ``BENCH_*.json``
-  regression baseline;
+* `repro.obs.bench` / `repro.obs.compare` — the unified benchmark
+  runner behind ``python -m repro bench`` and its equality diff,
+  producing and gating the ``BENCH_*.json`` baseline (imported by
+  name, not re-exported here: nothing on a simulation or node-process
+  start-up path needs them);
 * `SpanContext` / `SpanTracker` / `CausalGraph` / `chrome_trace` /
   `waterfall` — causal span tracing with critical-path latency
   attribution across the three kernels (``python -m repro trace``,
@@ -34,13 +36,6 @@ across PRs:
 Formats and vocabularies are documented in docs/OBSERVABILITY.md.
 """
 
-from repro.obs.bench import (
-    BENCH_IDS,
-    BENCH_SCHEMA_VERSION,
-    DEFAULT_BENCH_FILENAME,
-    run_benches,
-    write_bench_json,
-)
 from repro.obs.flight import (
     FLIGHT_SCHEMA,
     FLIGHT_SCHEMA_VERSION,
@@ -68,10 +63,7 @@ from repro.obs.jsonl import JsonlTraceWriter, json_safe, load_trace
 from repro.obs.prom import prometheus_text
 
 __all__ = [
-    "BENCH_IDS",
-    "BENCH_SCHEMA_VERSION",
     "CausalGraph",
-    "DEFAULT_BENCH_FILENAME",
     "FLIGHT_SCHEMA",
     "FLIGHT_SCHEMA_VERSION",
     "FlightRecorder",
@@ -94,7 +86,5 @@ __all__ = [
     "load_flight_dump",
     "load_trace",
     "prometheus_text",
-    "run_benches",
     "waterfall",
-    "write_bench_json",
 ]

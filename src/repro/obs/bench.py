@@ -5,43 +5,49 @@ Re-runs the headline workloads — E1 (Charlotte latency plus the
 E5 (Chrysalis latency + tuning), E13 (causal critical-path layer
 attribution, repro.obs.causal), E14 (goodput and tail latency under a
 seeded network partition, repro.workloads.chaos), E15 (the telemetry
-plane's own overhead: events/sec with observability off / sampled /
-full, plus streaming-histogram accuracy and merge checks), E16 (the
-engine-scaling experiment: 100k+ simulated clients on every
-`repro.sim.backends` engine, events/sec by shard count, with the
-cross-backend determinism digests machine-checked), E17 (the
-real-transport backend: measured wall-clock RTT/throughput over real
-OS sockets side by side with the simulator's shapes, exactly-once
-machine-checked) and S1 (simulator wall-clock throughput) — and
-writes one machine-readable ``BENCH_*.json`` so the performance
+plane's contracts: deterministic head sampling, streaming-histogram
+accuracy and merge fidelity), E16 (the engine-scaling experiment:
+100k+ simulated clients on every `repro.sim.backends` engine, the
+cross-backend determinism digests machine-checked) and E17 (the
+real-transport backend: real node processes over OS sockets,
+exactly-once and failover machine-checked, beside the simulator's
+shape) — and writes one machine-readable ``BENCH_*.json`` so the
 trajectory of the repository is tracked across PRs.  The
 authoritative assertion-carrying harness remains
 ``pytest benchmarks/ --benchmark-only``; this runner trades
 its tables for a stable schema::
 
-    {"schema": "repro.bench", "schema_version": 7,
+    {"schema": "repro.bench", "schema_version": 8,
      "seed": 0, "git_rev": "<rev|unknown>",
      "timestamp": "<UTC ISO-8601>", "quick": false,
      "benches": {bench_id: {metric: value}}}
 
-E13, E14 and S1 iterate the kernel registry (`repro.core.ports`), and
+Every value in ``benches`` is **exact**: a simulated quantity, a count
+fixed by the workload, or a machine-checked contract flag — two runs
+of one commit with one seed write identical ``benches``, which is what
+lets ``bench --compare`` (`repro.obs.compare`) gate on equality.  Host
+time is not measured here; it belongs to the repo benchmark
+(``perf/``, BENCHMARK.json), which repeats every wall number in fresh
+pinned processes and reports its spread.
+
+E13 and E14 iterate the kernel registry (`repro.core.ports`), and
 E16 iterates the sim-backend registry (`repro.sim.backends`), so a
 newly registered backend shows up in the document without edits
 here.  ``schema_version`` history: 3 = the ``ideal`` backend joined
 every per-kernel metric family; 4 = the E14 fault-recovery bench
-joined ``benches``; 5 = the E15 observability-overhead bench joined
+joined ``benches``; 5 = the E15 observability bench joined
 ``benches`` and latency percentiles became streaming-histogram
 derived (`repro.obs.hist`); 6 = the E16 sharded-engine scaling bench
 joined ``benches``; 7 = the E17 real-transport bench joined
 ``benches`` and the ``real-asyncio`` backend joined the per-kernel
 metric families (E17's keys are ``None`` on hosts that cannot run
-node processes, so the document schema never varies).
+node processes, so the document schema never varies); 8 = every
+wall-clock metric left the document (the S1 bench whole, E15's and
+E16's events/sec and overhead ratios, E17's measured RTTs,
+throughput and retry counts) and E1/E4/E5/E13/E14 run at one size.
 
-Simulated quantities are deterministic for a seed; the ``s1.*``,
-``obs_*_events_per_sec``, ``scale_*_events_per_sec`` and
-``net_meas_*`` metrics are real time and machine-dependent by
-design.  ``--quick`` shrinks iteration counts so the whole run is
-test-suite cheap (the schema is unchanged).
+``--quick`` sizes only the benches in `QUICK_SIZED` (the E16 and E17
+populations); every other bench runs at its one size either way.
 """
 
 from __future__ import annotations
@@ -50,28 +56,26 @@ import json
 import os
 import subprocess
 import sys
-# S1 measures *real* wall-clock throughput and the export is stamped
-# with real UTC time by design (see module doc), hence the allows:
+# the export is stamped with real UTC time (metadata, not a
+# simulation input), hence the allow:
 from datetime import datetime, timezone  # repro: allow[DET001]
-from time import perf_counter  # repro: allow[DET001] — S1 wall clock
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro.obs.jsonl import json_safe
 
-BENCH_SCHEMA_VERSION = 7
-DEFAULT_BENCH_FILENAME = "BENCH_PR9.json"
+BENCH_SCHEMA_VERSION = 8
+DEFAULT_BENCH_FILENAME = "BENCH_PR16.json"
 
 E4_SWEEP = (0, 256, 512, 1024, 1536, 2048, 3072, 4096)
-E4_SWEEP_QUICK = (0, 1024, 2048)
 
 
-def bench_e1(seed: int = 0, quick: bool = False) -> Dict[str, float]:
+def bench_e1(seed: int = 0) -> Dict[str, float]:
     """E1 — §3.3 Charlotte latencies, LYNX vs raw kernel calls, with
     the ``ideal`` backend's zero-protocol-overhead RPC as the floor
     every real kernel is measured against."""
     from repro.workloads.rpc import raw_charlotte_rpc, run_rpc_workload
 
-    count = 2 if quick else 5
+    count = 5
     raw0 = raw_charlotte_rpc(0, count=count, seed=seed)
     raw1000 = raw_charlotte_rpc(1000, count=count, seed=seed)
     lynx0 = run_rpc_workload("charlotte", 0, count=count, seed=seed)
@@ -90,16 +94,15 @@ def bench_e1(seed: int = 0, quick: bool = False) -> Dict[str, float]:
     }
 
 
-def bench_e4(seed: int = 0, quick: bool = False) -> Dict[str, float]:
+def bench_e4(seed: int = 0) -> Dict[str, float]:
     """E4 — §4.3 fn.2: the Charlotte/SODA payload sweep and crossover."""
     from repro.workloads.rpc import run_rpc_workload
 
-    sweep = E4_SWEEP_QUICK if quick else E4_SWEEP
-    count = 2 if quick else 3
+    count = 3
     out: Dict[str, float] = {}
     crossover = None
     prev_winner = None
-    for nbytes in sweep:
+    for nbytes in E4_SWEEP:
         c = run_rpc_workload("charlotte", nbytes, count=count, seed=seed)
         s = run_rpc_workload("soda", nbytes, count=count, seed=seed)
         out[f"charlotte_rpc{nbytes}_ms"] = c.mean_ms
@@ -113,12 +116,12 @@ def bench_e4(seed: int = 0, quick: bool = False) -> Dict[str, float]:
     return out
 
 
-def bench_e5(seed: int = 0, quick: bool = False) -> Dict[str, float]:
+def bench_e5(seed: int = 0) -> Dict[str, float]:
     """E5 — §5.3 Chrysalis latencies, the tuned profile, and the
     order-of-magnitude Charlotte ratio."""
     from repro.workloads.rpc import run_rpc_workload
 
-    count = 2 if quick else 5
+    count = 5
     c0 = run_rpc_workload("chrysalis", 0, count=count, seed=seed).mean_ms
     c1000 = run_rpc_workload("chrysalis", 1000, count=count, seed=seed).mean_ms
     t0 = run_rpc_workload("chrysalis", 0, count=count, seed=seed,
@@ -136,79 +139,7 @@ def bench_e5(seed: int = 0, quick: bool = False) -> Dict[str, float]:
     }
 
 
-def bench_s1(
-    seed: int = 0, quick: bool = False, sim_backend: Optional[str] = None
-) -> Dict[str, float]:
-    """S1 — substrate wall-clock throughput: bare engine dispatch plus
-    a full RPC conversation simulated on every registered kernel.  Real
-    seconds, so these values are machine-dependent (unlike everything
-    else here).  ``sim_backend`` selects which `repro.sim.backends`
-    engine executes the dispatch loop and the cluster conversations
-    (default: ``global``)."""
-    from repro.core.api import (
-        BYTES,
-        Operation,
-        Proc,
-        make_cluster,
-        registered_kernels,
-    )
-    from repro.sim.backends import make_engine
-
-    backend = sim_backend or "global"
-    ticks = 2_000 if quick else 20_000
-    eng = make_engine(backend)
-    fired = {"n": 0}
-
-    def tick():
-        fired["n"] += 1
-        if fired["n"] < ticks:
-            eng.schedule(0.5, tick)
-
-    t0 = perf_counter()
-    eng.schedule(0.0, tick)
-    eng.run()
-    engine_wall = perf_counter() - t0
-
-    out: Dict[str, float] = {
-        "engine_events": float(fired["n"]),
-        "engine_events_per_sec": fired["n"] / engine_wall if engine_wall else 0.0,
-    }
-
-    ECHO = Operation("echo", (BYTES,), (BYTES,))
-    rounds = 10 if quick else 50
-
-    class Server(Proc):
-        def main(self, ctx):
-            (end,) = ctx.initial_links
-            yield from ctx.register(ECHO)
-            yield from ctx.open(end)
-            for _ in range(rounds):
-                inc = yield from ctx.wait_request()
-                yield from ctx.reply(inc, (inc.args[0],))
-
-    class Client(Proc):
-        def main(self, ctx):
-            (end,) = ctx.initial_links
-            for _ in range(rounds):
-                yield from ctx.connect(end, ECHO, (b"x" * 64,))
-
-    for kind in registered_kernels():
-        cluster = make_cluster(kind, seed=seed, sim_backend=backend)
-        s = cluster.spawn(Server(), "server")
-        c = cluster.spawn(Client(), "client")
-        cluster.create_link(s, c)
-        t0 = perf_counter()
-        cluster.run_until_quiet(max_ms=1e7)
-        wall = perf_counter() - t0
-        if not cluster.all_finished:
-            raise RuntimeError(f"S1 rpc conversation hung on {kind}")
-        out[f"rpc_sim_wall_ms_{kind}"] = wall * 1e3
-        out[f"rpc_sim_events_{kind}"] = float(cluster.engine.events_fired)
-        cluster.close()
-    return out
-
-
-def bench_e13(seed: int = 0, quick: bool = False) -> Dict[str, float]:
+def bench_e13(seed: int = 0) -> Dict[str, float]:
     """E13 — causal critical-path layer attribution (figure 2, §6):
     where does one round trip of the 0-byte RPC spend its time on each
     kernel?  Reports per-layer critical-path milliseconds per RPC and
@@ -226,7 +157,7 @@ def bench_e13(seed: int = 0, quick: bool = False) -> Dict[str, float]:
     from repro.obs.causal import CausalGraph
     from repro.workloads.rpc import run_rpc_workload
 
-    count = 2 if quick else 5
+    count = 5
     out: Dict[str, float] = {}
     for kind in registered_kernels():
         r = run_rpc_workload(kind, 0, count=count, seed=seed)
@@ -247,7 +178,7 @@ def bench_e13(seed: int = 0, quick: bool = False) -> Dict[str, float]:
     return out
 
 
-def bench_e14(seed: int = 0, quick: bool = False) -> Dict[str, float]:
+def bench_e14(seed: int = 0) -> Dict[str, float]:
     """E14 — goodput and tail latency under a seeded network partition
     (repro.workloads.chaos; §2.2 vs §4.1).
 
@@ -273,14 +204,14 @@ def bench_e14(seed: int = 0, quick: bool = False) -> Dict[str, float]:
         run_chaos_workload,
     )
 
-    count = 12 if quick else 30
+    count = 30
     out: Dict[str, float] = {}
     placements: Dict[str, Tuple[str, float]] = {}
     for kind in registered_kernels():
         clean = run_chaos_workload(kind, count=count, seed=seed)
         faulted = run_chaos_workload(
             kind, count=count, seed=seed,
-            plan=partitioned_plan(quick), policy=chaos_policy(),
+            plan=partitioned_plan(), policy=chaos_policy(),
         )
         out[f"{kind}_clean_goodput_per_s"] = clean.goodput_per_s
         out[f"{kind}_faulted_goodput_per_s"] = faulted.goodput_per_s
@@ -311,24 +242,18 @@ def bench_e14(seed: int = 0, quick: bool = False) -> Dict[str, float]:
     return out
 
 
-def bench_e15(seed: int = 0, quick: bool = False) -> Dict[str, float]:
-    """E15 — the telemetry plane's own overhead and accuracy.
+def bench_e15(seed: int = 0) -> Dict[str, float]:
+    """E15 — the telemetry plane's own contracts.
 
-    Before cross-kernel overhead comparisons mean anything at scale,
-    the observation machinery's own cost must be measured and bounded
-    (Argyroulis, PAPERS.md).  Three checks, all machine-enforced:
+    Before cross-kernel comparisons mean anything at scale, the
+    observation machinery must be shown not to distort what it
+    observes (Argyroulis, PAPERS.md).  Three checks, all
+    machine-enforced and all deterministic for a seed:
 
-    * **Overhead**: the same echo-RPC conversation runs on the
-      ``ideal`` backend with observability *off* (trace disabled,
-      sampling rate 0), *sampled* (head-based 1/16 trace sampling) and
-      *full* (every trace kept), reporting best-of-``repeats``
-      events/sec each.  Sampled tracing must cost **<10%** versus off
-      — otherwise always-on tracing at scale is a lie.  The gate uses
-      the *minimum* same-repeat wall ratio across interleaved repeats:
-      shared CI boxes show multi-second load bursts far larger than
-      the effect under test, and the cleanest window is the only
-      measurement they cannot contaminate (full tracing's true ~25%
-      cost still trips it in every window).
+    * **Sampling determinism**: the same echo-RPC conversation runs
+      twice on the ``ideal`` backend under head-based 1/16 trace
+      sampling; both runs must keep and drop exactly the same number
+      of spans, and ``sampled_trace_frac`` reports the kept share.
     * **Histogram accuracy**: 100k seeded lognormal-ish samples into a
       `StreamingHistogram`; p50/p90/p99/p99.9 must each land within
       1% of the exact sorted-sample percentile while occupying
@@ -338,19 +263,17 @@ def bench_e15(seed: int = 0, quick: bool = False) -> Dict[str, float]:
       percentiles bit-for-bit — the property that makes per-shard
       telemetry aggregation exact.
 
-    The ``obs_*_events_per_sec`` values are real wall-clock rates
-    (machine-dependent, like S1); every ``hist_*`` metric is
-    deterministic for a seed.
+    What tracing *costs* in host time is the repo benchmark's
+    ``obs.sampled_overhead_frac`` / ``obs.full_overhead_frac`` rows
+    (perf/README.md), measured there with repeats and a spread.
     """
-    import gc
     import math
 
     from repro.core.api import BYTES, Operation, Proc, make_cluster
     from repro.obs.hist import StreamingHistogram
     from repro.sim.rng import SimRandom
 
-    rounds = 600 if quick else 2400
-    repeats = 6
+    rounds = 2400
     ECHO = Operation("echo", (BYTES,), (BYTES,))
 
     class Server(Proc):
@@ -368,89 +291,28 @@ def bench_e15(seed: int = 0, quick: bool = False) -> Dict[str, float]:
             for _ in range(rounds):
                 yield from ctx.connect(end, ECHO, (b"x" * 64,))
 
-    def run_once(setup) -> Tuple[float, object]:
+    def sampled_run() -> Tuple[float, float]:
         cluster = make_cluster("ideal", seed=seed)
-        setup(cluster)
+        cluster.install_trace_sampling(1.0 / 16.0)
         s = cluster.spawn(Server(), "server")
         c = cluster.spawn(Client(), "client")
         cluster.create_link(s, c)
-        t0 = perf_counter()
         cluster.run_until_quiet(max_ms=1e9)
-        wall = perf_counter() - t0
         if not cluster.all_finished:
             raise RuntimeError("E15 rpc conversation hung")
-        rate = cluster.engine.events_fired / wall if wall else 0.0
-        return rate, cluster
-
-    def obs_off(cluster):
-        cluster.trace.enabled = False
-        cluster.install_trace_sampling(0.0)
-
-    def obs_sampled(cluster):
-        cluster.install_trace_sampling(1.0 / 16.0)
-
-    def obs_full(cluster):
-        pass  # the default: every trace kept
+        return (cluster.metrics.get("obs.spans_sampled"),
+                cluster.metrics.get("obs.spans_dropped"))
 
     out: Dict[str, float] = {}
-    sampled_counts = []
-    modes = (("off", obs_off), ("sampled", obs_sampled), ("full", obs_full))
-    rates: Dict[str, List[float]] = {mode: [] for mode, _ in modes}
-    # one untimed warm-up per mode, then interleaved timed repeats: the
-    # mode order rotates each repeat and the heap is collected before
-    # (never during) each timed run, so allocator/GC drift and cache
-    # warm-up hit every mode equally — the overhead *ratio* is what
-    # matters, not the absolute rate
-    for _, setup in modes:
-        run_once(setup)
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for r in range(repeats):
-            shift = r % len(modes)
-            for mode, setup in modes[shift:] + modes[:shift]:
-                gc.collect()
-                rate, cluster = run_once(setup)
-                rates[mode].append(rate)
-                if mode == "sampled":
-                    sampled_counts.append(
-                        (cluster.metrics.get("obs.spans_sampled"),
-                         cluster.metrics.get("obs.spans_dropped"))
-                    )
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    for mode, _ in modes:
-        out[f"obs_{mode}_events_per_sec"] = max(rates[mode])
-    if len(set(sampled_counts)) != 1:
+    kept, dropped = sampled_run()
+    if sampled_run() != (kept, dropped):
         raise AssertionError(
             f"E15: head-based sampling must be deterministic per seed; "
-            f"repeats disagreed: {sampled_counts}"
+            f"a repeat disagreed with {(kept, dropped)}"
         )
-    kept, dropped = sampled_counts[0]
     out["sampled_trace_frac"] = (
         kept / (kept + dropped) if (kept + dropped) else 0.0
     )
-
-    # the cleanest-window estimator: same-repeat runs sit ~100 ms apart,
-    # so each repeat yields one nearly-paired wall ratio; the minimum
-    # over repeats is the measurement least contaminated by load bursts
-    def min_overhead(mode: str) -> float:
-        return min(
-            off_r / mode_r - 1.0 if mode_r else math.inf
-            for off_r, mode_r in zip(rates["off"], rates[mode])
-        )
-
-    out["sampled_overhead_frac"] = min_overhead("sampled")
-    out["full_overhead_frac"] = min_overhead("full")
-    if not out["sampled_overhead_frac"] < 0.10:
-        raise AssertionError(
-            f"E15: sampled tracing must cost <10% vs obs-off in its "
-            f"cleanest window; measured "
-            f"{out['sampled_overhead_frac'] * 100:.1f}% "
-            f"(off best {out['obs_off_events_per_sec']:,.0f} vs sampled "
-            f"best {out['obs_sampled_events_per_sec']:,.0f} events/s)"
-        )
 
     # -- histogram accuracy + merge fidelity (deterministic) -----------
     n_samples = 100_000
@@ -504,150 +366,65 @@ def bench_e15(seed: int = 0, quick: bool = False) -> Dict[str, float]:
     return out
 
 
-def bench_e16(
-    seed: int = 0, quick: bool = False, sim_backend: Optional[str] = None
-) -> Dict[str, float]:
-    """E16 — engine scaling: the `repro.workloads.scale` population
-    (100k+ clients in full mode) runs on every backend registered in
-    `repro.sim.backends`, reporting host events/sec by shard count.
+def bench_e16(seed: int = 0, quick: bool = False) -> Dict[str, float]:
+    """E16 — engine determinism at scale: the `repro.workloads.scale`
+    population (100k clients in full mode, 4k under ``quick``) runs on
+    every backend registered in `repro.sim.backends` at 1 and 8 shards.
 
-    One family of claim is machine-checked on every run, one number is
-    informational:
+    Machine-checked on every run — a mismatch raises, so a baseline
+    violating the determinism contract cannot be written:
 
-    * **Determinism**: wherever two backends executed the same
-      (seed, shards) configuration, their `ScaleResult` digests — a
-      SHA-256 over every per-shard metric snapshot — must be
-      bit-identical, and re-running ``sharded-parallel`` at 8 shards
-      must reproduce its own digest exactly.  A mismatch raises, so a
-      baseline violating the determinism contract cannot be written.
-    * **Scaling**: ``scale_parallel_s8_speedup`` is the wall ratio of
-      ``sharded-parallel`` to ``global`` at 8 shards on the identical
-      workload, reported and not gated.  All three backends are one
-      `Engine` class over the same tuple-keyed heap entries, so
-      in-process it measures window topology (eight small heaps
-      against one large one, ~1.3×), not representation; forked
-      workers add real parallelism on top — ``workers=2`` runs the
-      50k-client, 8-shard population ≈1.5–1.6× faster than in-process
-      on a two-core host (docs/PERFORMANCE.md §3.2).
+    * **Cross-backend**: at each shard count every backend's
+      `ScaleResult` digest — a SHA-256 over every per-shard metric
+      snapshot — and event count must be bit-identical.
+    * **Repeat stability**: re-running ``sharded-parallel`` at 8
+      shards must reproduce its own digest exactly.
 
-    ``sim_backend`` restricts the sweep to one registered backend
-    (unknown names raise the registry's ValueError, which the CLI
-    turns into exit 2, exactly like an unknown ``--only``); the
-    metric keys for backends that did not run stay ``None`` so the
-    document schema never varies.  The ``scale_*_events_per_sec``
-    values are real wall-clock rates (machine-dependent, like S1);
-    digests, flags and the rtt quantiles are deterministic for a seed.
+    ``scale_events_total`` and the rtt quantiles are simulated, hence
+    deterministic for a seed.  How *fast* each backend drains the
+    population is the repo benchmark's ``sim.backends.*`` rows
+    (``shard_ratio`` is the honest sharding number; perf/README.md).
     """
-    from repro.sim.backends import registered_sim_backends, sim_backend_profile
+    from repro.sim.backends import registered_sim_backends
     from repro.workloads.scale import run_scale
 
-    if sim_backend is not None:
-        sim_backend_profile(sim_backend)  # unknown name -> ValueError
-        backends: Tuple[str, ...] = (sim_backend,)
-    else:
-        backends = registered_sim_backends()
     clients = 4_000 if quick else 100_000
     requests = 2 if quick else 4
-    short_names = {
-        "global": "global",
-        "sharded-serial": "serial",
-        "sharded-parallel": "parallel",
-    }
-
-    out: Dict[str, Optional[float]] = {
-        "scale_clients": float(clients),
-        "scale_events_total": None,
-        "scale_global_s1_events_per_sec": None,
-        "scale_global_s8_events_per_sec": None,
-        "scale_serial_s1_events_per_sec": None,
-        "scale_serial_s8_events_per_sec": None,
-        "scale_parallel_s1_events_per_sec": None,
-        "scale_parallel_s2_events_per_sec": None,
-        "scale_parallel_s4_events_per_sec": None,
-        "scale_parallel_s8_events_per_sec": None,
-        "scale_parallel_s8_speedup": None,
-        "scale_digest_match_s1": None,
-        "scale_digest_match_s8": None,
-        "scale_repeat_stable_s8": None,
-        "scale_rtt_mean_ms": None,
-        "scale_rtt_p99_ms": None,
-    }
-
-    # same hygiene as E15: collect before each timed run and keep the
-    # collector out of the timed region, so a run's rate does not
-    # depend on how much garbage the previous eight runs left behind
-    import gc
-
-    runs: Dict[Tuple[str, int], object] = {}
-    gc_was_enabled = gc.isenabled()
-    try:
-        for backend in backends:
-            short = short_names.get(backend, backend.replace("-", "_"))
-            counts = (1, 2, 4, 8) if backend == "sharded-parallel" \
-                else (1, 8)
-            for shards in counts:
-                gc.enable()
-                gc.collect()
-                gc.disable()
-                t_start = perf_counter()
-                r = run_scale(backend, shards, clients=clients,
-                              requests=requests, seed=seed)
-                wall = perf_counter() - t_start
-                runs[(backend, shards)] = r
-                out[f"scale_{short}_s{shards}_events_per_sec"] = (
-                    r.events / wall if wall else 0.0
-                )
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
-    # cross-backend determinism: every backend that ran a (seed, k)
-    # configuration must agree on the digest and the event count
-    for k in (1, 8):
-        ran = {b: runs[(b, k)] for b in backends if (b, k) in runs}
-        if len(ran) < 2:
-            continue
-        digests = {b: r.digest for b, r in ran.items()}
-        events = {b: r.events for b, r in ran.items()}
+    out: Dict[str, float] = {"scale_clients": float(clients)}
+    for shards in (1, 8):
+        runs = {
+            backend: run_scale(backend, shards, clients=clients,
+                               requests=requests, seed=seed)
+            for backend in registered_sim_backends()
+        }
+        digests = {b: r.digest for b, r in runs.items()}
+        events = {b: r.events for b, r in runs.items()}
         if len(set(digests.values())) != 1 or len(set(events.values())) != 1:
             raise AssertionError(
                 f"E16: same-seed runs diverged across backends at "
-                f"shards={k}: digests={digests} events={events}"
+                f"shards={shards}: digests={digests} events={events}"
             )
-        out[f"scale_digest_match_s{k}"] = 1.0
+        out[f"scale_digest_match_s{shards}"] = 1.0
 
-    # repeat stability: the parallel backend (or whichever backend was
-    # selected) must reproduce its own 8-shard digest exactly
-    stable_backend = (
-        "sharded-parallel" if "sharded-parallel" in backends else backends[-1]
-    )
-    base = runs.get((stable_backend, 8))
-    if base is not None:
-        again = run_scale(stable_backend, 8, clients=clients,
-                          requests=requests, seed=seed)
-        if again.digest != base.digest or again.events != base.events:
-            raise AssertionError(
-                f"E16: {stable_backend} at 8 shards is not repeat-stable "
-                f"for seed {seed}: {base.digest} != {again.digest}"
-            )
-        out["scale_repeat_stable_s8"] = 1.0
+    ref = runs["sharded-parallel"]  # the 8-shard run
+    again = run_scale("sharded-parallel", 8, clients=clients,
+                      requests=requests, seed=seed)
+    if again.digest != ref.digest or again.events != ref.events:
+        raise AssertionError(
+            f"E16: sharded-parallel at 8 shards is not repeat-stable "
+            f"for seed {seed}: {ref.digest} != {again.digest}"
+        )
+    out["scale_repeat_stable_s8"] = 1.0
 
-    ref = runs.get(("sharded-parallel", 8)) or next(iter(runs.values()))
     out["scale_events_total"] = float(ref.events)
     rtt = ref.metrics.latency("scale.rtt")
-    if rtt.count:
-        out["scale_rtt_mean_ms"] = rtt.mean
-        out["scale_rtt_p99_ms"] = rtt.percentile(99)
-
-    par = out["scale_parallel_s8_events_per_sec"]
-    base_rate = out["scale_global_s8_events_per_sec"]
-    if par and base_rate:
-        out["scale_parallel_s8_speedup"] = par / base_rate
+    out["scale_rtt_mean_ms"] = rtt.mean
+    out["scale_rtt_p99_ms"] = rtt.percentile(99)
     return out
 
 
 def bench_e17(seed: int = 0, quick: bool = False) -> Dict[str, float]:
-    """E17 — real transport, measured against the simulator's shapes.
+    """E17 — real transport, held to the simulator's contracts.
 
     Two halves, one document:
 
@@ -656,7 +433,7 @@ def bench_e17(seed: int = 0, quick: bool = False) -> Dict[str, float]:
       processes' frame and decoded again before delivery).
       Machine-checked: its simulated RTT is *bit-identical* to the
       ``ideal`` backend's — the bytes changed, the semantics did not.
-    * **Measured**: `repro.net.supervisor` spawns real node processes
+    * **Real**: `repro.net.supervisor` spawns real node processes
       (``python -m repro net serve`` over UDS), and the
       `repro.net.load` generator drives concurrent client coroutines
       with wall-clock `RecoveryPolicy` timeout/retry/failover.  The
@@ -670,22 +447,26 @@ def bench_e17(seed: int = 0, quick: bool = False) -> Dict[str, float]:
 
     * **exactly-once-or-exhausted**: ``completed + exhausted ==
       issued`` in both waves, with zero exhausted here (a live backup
-      always exists); the server's ``duplicates`` counter must show
-      the forced retransmissions were absorbed by the dedup cache, and
-      ``executed_unique`` must equal the wave's completed count — no
-      request ran twice on a server;
-    * **crash-driven failover**: every wave-B client must record
+      always exists); at least one client retry and one server-side
+      ``duplicates`` hit must show the forced retransmissions were
+      absorbed by the dedup cache, and ``executed_unique`` must equal
+      the wave's completed count — no request ran twice on a server;
+    * **crash-driven failover**: no wave-A client may fail over (the
+      primary is alive throughout) and every wave-B client must record
       exactly one failover;
     * **report contract**: with the transport available, every
-      ``net_*`` metric must be present (non-None) and the
-      measured-vs-simulated RTT ratio positive;
+      ``net_*`` metric must be present (non-None);
     * **scale** (full mode): at least 1000 concurrent client
       coroutines.
 
     On hosts that forbid sockets or subprocesses, ``net_available`` is
     0.0 and every other key stays ``None`` — same document schema.
-    ``net_meas_*`` values are wall-clock and machine-dependent (like
-    S1); the ``net_sim_*`` half is deterministic for a seed.
+    Every ``net_meas_*`` value is a count the checks above fix exactly
+    (how many retries a host's scheduling provokes is not one, so it
+    is asserted ``>= 1`` and not reported); real-socket RTT and
+    throughput are the repo benchmark's ``net.load.*`` rows
+    (perf/README.md).  The ``net_sim_*`` half is deterministic for a
+    seed.
     """
     from repro.core.recovery import RecoveryPolicy
     from repro.net import TransportUnavailable
@@ -703,14 +484,7 @@ def bench_e17(seed: int = 0, quick: bool = False) -> Dict[str, float]:
         "net_meas_ops": None,
         "net_meas_completed": None,
         "net_meas_exhausted": None,
-        "net_meas_retries": None,
-        "net_meas_duplicates": None,
         "net_meas_failovers": None,
-        "net_meas_rtt_mean_ms": None,
-        "net_meas_rtt_p50_ms": None,
-        "net_meas_rtt_p99_ms": None,
-        "net_meas_throughput_per_s": None,
-        "net_meas_vs_sim_rtt_ratio": None,
         "net_exactly_once": None,
     }
     clients = 24 if quick else 1000
@@ -731,7 +505,7 @@ def bench_e17(seed: int = 0, quick: bool = False) -> Dict[str, float]:
             f"got {sim.rtts} != {ideal.rtts}"
         )
 
-    # -- measured half --------------------------------------------------
+    # -- real half ------------------------------------------------------
     try:
         with NodeSupervisor() as sup:
             primary = sup.spawn("primary", drop_first=drop_first)
@@ -767,6 +541,11 @@ def bench_e17(seed: int = 0, quick: bool = False) -> Dict[str, float]:
             f"{stats['executed_unique']} executed != "
             f"{wave_a.completed} completed"
         )
+    if wave_a.failovers:
+        checks.append(
+            f"{wave_a.failovers} wave-A clients failed over off a live "
+            f"primary"
+        )
     if wave_b.failovers != wave_b.clients:
         checks.append(
             f"every wave-B client must fail over off the crashed "
@@ -795,26 +574,12 @@ def bench_e17(seed: int = 0, quick: bool = False) -> Dict[str, float]:
     out["net_meas_ops"] = float(wave_a.issued + wave_b.issued)
     out["net_meas_completed"] = float(wave_a.completed + wave_b.completed)
     out["net_meas_exhausted"] = float(wave_a.exhausted + wave_b.exhausted)
-    out["net_meas_retries"] = float(wave_a.retries + wave_b.retries)
-    out["net_meas_duplicates"] = float(stats["duplicates"]
-                                       + stats_b["duplicates"])
     out["net_meas_failovers"] = float(wave_a.failovers + wave_b.failovers)
-    out["net_meas_rtt_mean_ms"] = wave_a.rtt.mean
-    out["net_meas_rtt_p50_ms"] = wave_a.rtt.percentile(50.0)
-    out["net_meas_rtt_p99_ms"] = wave_a.rtt.percentile(99.0)
-    out["net_meas_throughput_per_s"] = wave_a.throughput_per_s
-    out["net_meas_vs_sim_rtt_ratio"] = (
-        wave_a.rtt.mean / sim.mean_ms if sim.mean_ms else 0.0
-    )
     out["net_exactly_once"] = 1.0
     # the report contract: available means *fully* reported
     missing = [k for k, v in out.items() if v is None]
-    if missing or out["net_meas_vs_sim_rtt_ratio"] <= 0.0:
-        raise AssertionError(
-            f"E17 measured-vs-simulated report contract broke: "
-            f"missing={missing} "
-            f"ratio={out['net_meas_vs_sim_rtt_ratio']}"
-        )
+    if missing:
+        raise AssertionError(f"E17 report contract broke: missing={missing}")
     return out
 
 
@@ -827,31 +592,23 @@ _BENCHES: Dict[str, Callable[..., Dict[str, float]]] = {
     "E15": bench_e15,
     "E16": bench_e16,
     "E17": bench_e17,
-    "S1": bench_s1,
 }
 
 BENCH_IDS: Tuple[str, ...] = tuple(_BENCHES)
 
-#: benches that execute on a selectable `repro.sim.backends` engine
-BACKEND_AWARE_BENCHES = frozenset({"E16", "S1"})
+#: the benches ``quick`` sizes (their populations); every other bench
+#: runs at one size.  `repro.obs.compare` skips exactly these when two
+#: documents' ``quick`` flags differ.
+QUICK_SIZED = frozenset({"E16", "E17"})
 
 
 def run_benches(
     bench_ids: Optional[Iterable[str]] = None,
     seed: int = 0,
     quick: bool = False,
-    sim_backend: Optional[str] = None,
 ) -> Dict[str, Dict[str, float]]:
     """Run the selected benches (all of them by default) and return
-    ``{bench_id: {metric: value}}``.  ``sim_backend`` routes the
-    backend-aware benches (E16, S1) through one registered
-    `repro.sim.backends` engine; an unknown name raises the registry's
-    ValueError before anything runs (the CLI maps it to exit 2, the
-    same contract as an unknown bench id)."""
-    if sim_backend is not None:
-        from repro.sim.backends import sim_backend_profile
-
-        sim_backend_profile(sim_backend)  # unknown -> ValueError
+    ``{bench_id: {metric: value}}``."""
     ids = list(bench_ids) if bench_ids else list(BENCH_IDS)
     results = {}
     for bid in ids:
@@ -860,10 +617,8 @@ def run_benches(
             raise ValueError(
                 f"unknown bench {bid!r}; expected one of {BENCH_IDS}"
             )
-        kwargs = {"seed": seed, "quick": quick}
-        if key in BACKEND_AWARE_BENCHES:
-            kwargs["sim_backend"] = sim_backend
-        results[key] = _BENCHES[key](**kwargs)
+        kwargs = {"quick": quick} if key in QUICK_SIZED else {}
+        results[key] = _BENCHES[key](seed=seed, **kwargs)
     return results
 
 
@@ -901,7 +656,7 @@ def write_bench_json(
     quick: bool = False,
 ) -> Tuple[Dict[str, object], str]:
     """Wrap ``results`` in the versioned envelope and write it (default:
-    ``BENCH_PR9.json`` at the repo root; ``"-"`` writes to stdout).
+    `DEFAULT_BENCH_FILENAME` at the repo root; ``"-"`` writes to stdout).
     Returns (document, path)."""
     if path is None:
         path = os.path.join(repo_root(), DEFAULT_BENCH_FILENAME)

@@ -1,47 +1,38 @@
-"""repro.obs.compare — the BENCH_*.json perf-regression diff.
+"""repro.obs.compare — the BENCH_*.json equality diff.
 
 ``python -m repro bench --compare OLD.json NEW.json`` turns two bench
 documents (the `repro.bench` envelope written by
 `repro.obs.bench.write_bench_json`) into one schema-versioned report:
-per-metric deltas, each classified against a configurable regression
-threshold, plus an overall verdict.  The CI ``perf`` job runs exactly
-this against the committed baseline, so a PR that slows the hot path
-fails before it merges (docs/PERFORMANCE.md).
+one row per metric plus an overall verdict.  Every value ``bench``
+writes is exact — simulated, or a count a machine check fixes — so
+the gate is equality, not a threshold: the CI ``perf`` job runs
+exactly this against the committed baseline, and a PR that moves any
+value, in either direction, fails until the baseline is regenerated
+on purpose (docs/PERFORMANCE.md §3.1).
 
-Classification rules — derived from the metric *name*, so new bench
-metrics are gated the moment they exist:
+Row status:
 
-* ``*_ms`` metrics are latencies: **lower is better**.
-* ``*_per_s`` / ``*_per_sec`` metrics are rates: **higher is better**.
-* Everything else (counts, shares, ratios, ``crossover_bytes``) is
-  reported as ``info`` and never gates.
-* **Wall-clock metrics** (``engine_events_per_sec`` and the
-  ``rpc_sim_wall_ms_*`` family — S1 measures real seconds) get their
-  own, much looser ``--wall-threshold``: they are machine- and
-  load-dependent, unlike every simulated quantity, which is exactly
-  reproducible and gated tightly.
-* When the two documents were produced in different modes
-  (``quick`` differs), only *iteration-invariant* metrics still gate:
-  simulated per-operation latencies (identical at any repetition
-  count) and the wall-clock family.  Iteration-shaped quantities (the
-  E14 partition window differs between modes, counts scale with the
-  workload) degrade to ``info`` instead of raising false alarms —
-  this is what lets CI compare its quick run against the committed
+* ``equal`` / ``changed`` — the key is on both sides; ``changed``
+  (``0 -> 5`` and ``null -> 1.0`` included) is what exits 1.
+* ``new`` / ``gone`` — the key is on one side only.  Never fails, so
+  documents written before a metric existed (or after one was
+  retired) stay comparable as committed.
+* ``skipped`` — the bench is one ``--quick`` sizes
+  (`repro.obs.bench.QUICK_SIZED`) and the two documents' ``quick``
+  flags differ, so its values describe different populations.  This
+  is what lets CI compare its quick run against the committed
   full-mode baseline.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List
+
+from repro.obs.bench import QUICK_SIZED
 
 COMPARE_SCHEMA = "repro.bench-compare"
-COMPARE_SCHEMA_VERSION = 1
-
-#: default fractional regression threshold for simulated metrics
-DEFAULT_THRESHOLD = 0.10
-#: default threshold for wall-clock (machine-dependent) metrics
-DEFAULT_WALL_THRESHOLD = 0.50
+COMPARE_SCHEMA_VERSION = 2
 
 _BENCH_SCHEMA = "repro.bench"
 
@@ -69,31 +60,6 @@ def load_bench_doc(path: str) -> Dict[str, Any]:
     return doc
 
 
-def is_wall_metric(name: str) -> bool:
-    """True for metrics measured in real host time (the S1 family plus
-    E15's ``obs_*_events_per_sec`` observability-overhead rates)."""
-    return name.endswith("_events_per_sec") or name.startswith("rpc_sim_wall_ms_")
-
-
-def metric_direction(name: str) -> str:
-    """``"lower"`` / ``"higher"`` is better, or ``"info"`` (ungated)."""
-    if name.endswith("_ms") or name.startswith("rpc_sim_wall_ms_"):
-        return "lower"
-    if name.endswith("_per_s") or name.endswith("_per_sec"):
-        return "higher"
-    return "info"
-
-
-def _gates_in_mixed_mode(name: str) -> bool:
-    """Iteration-invariant metrics: still gated when one document is
-    ``--quick`` and the other is not."""
-    if is_wall_metric(name):
-        return True
-    # simulated per-op latencies are repetition-count-independent; the
-    # E14 chaos metrics are not (its partition window differs by mode)
-    return name.endswith("_ms") and "goodput" not in name and "rtt" not in name
-
-
 def _meta(doc: Dict[str, Any], path: str) -> Dict[str, Any]:
     return {
         "path": path,
@@ -110,54 +76,31 @@ def compare_docs(
     new_doc: Dict[str, Any],
     old_path: str = "<old>",
     new_path: str = "<new>",
-    threshold: float = DEFAULT_THRESHOLD,
-    wall_threshold: float = DEFAULT_WALL_THRESHOLD,
 ) -> Dict[str, Any]:
     """Diff two loaded bench documents into a compare report dict."""
-    mixed_mode = bool(old_doc.get("quick")) != bool(new_doc.get("quick"))
+    sizes_differ = bool(old_doc.get("quick")) != bool(new_doc.get("quick"))
     benches: Dict[str, Dict[str, Any]] = {}
-    regressions: List[str] = []
-    improvements: List[str] = []
+    changed: List[str] = []
 
-    all_bids = sorted(set(old_doc["benches"]) | set(new_doc["benches"]))
-    for bid in all_bids:
+    for bid in sorted(set(old_doc["benches"]) | set(new_doc["benches"])):
         old_metrics = old_doc["benches"].get(bid, {})
         new_metrics = new_doc["benches"].get(bid, {})
         rows: Dict[str, Any] = {}
         for name in sorted(set(old_metrics) | set(new_metrics)):
-            old_v = old_metrics.get(name)
-            new_v = new_metrics.get(name)
-            direction = metric_direction(name)
-            wall = is_wall_metric(name)
-            gated = direction != "info" and (
-                not mixed_mode or _gates_in_mixed_mode(name)
-            )
-            delta: Optional[float] = None
-            status = "info"
-            if (
-                isinstance(old_v, (int, float))
-                and isinstance(new_v, (int, float))
-                and old_v
-            ):
-                delta = (new_v - old_v) / abs(old_v)
-                if gated:
-                    limit = wall_threshold if wall else threshold
-                    # signed delta that is "worse" for this direction
-                    worse = delta if direction == "lower" else -delta
-                    if worse > limit:
-                        status = "regression"
-                        regressions.append(f"{bid}.{name}")
-                    elif worse < -limit:
-                        status = "improvement"
-                        improvements.append(f"{bid}.{name}")
-                    else:
-                        status = "ok"
+            if sizes_differ and bid in QUICK_SIZED:
+                status = "skipped"
+            elif name not in old_metrics:
+                status = "new"
+            elif name not in new_metrics:
+                status = "gone"
+            elif old_metrics[name] == new_metrics[name]:
+                status = "equal"
+            else:
+                status = "changed"
+                changed.append(f"{bid}.{name}")
             rows[name] = {
-                "old": old_v,
-                "new": new_v,
-                "delta_frac": delta,
-                "direction": direction,
-                "wall": wall,
+                "old": old_metrics.get(name),
+                "new": new_metrics.get(name),
                 "status": status,
             }
         benches[bid] = rows
@@ -167,44 +110,30 @@ def compare_docs(
         "schema_version": COMPARE_SCHEMA_VERSION,
         "old": _meta(old_doc, old_path),
         "new": _meta(new_doc, new_path),
-        "threshold": threshold,
-        "wall_threshold": wall_threshold,
-        "mixed_mode": mixed_mode,
         "benches": benches,
-        "regressions": regressions,
-        "improvements": improvements,
-        "status": "regression" if regressions else "ok",
+        "changed": changed,
+        "status": "changed" if changed else "equal",
     }
 
 
-def compare_files(
-    old_path: str,
-    new_path: str,
-    threshold: float = DEFAULT_THRESHOLD,
-    wall_threshold: float = DEFAULT_WALL_THRESHOLD,
-) -> Dict[str, Any]:
+def compare_files(old_path: str, new_path: str) -> Dict[str, Any]:
     """`load_bench_doc` both paths and `compare_docs` them."""
     return compare_docs(
         load_bench_doc(old_path),
         load_bench_doc(new_path),
         old_path=old_path,
         new_path=new_path,
-        threshold=threshold,
-        wall_threshold=wall_threshold,
     )
 
 
 def _fmt(v: Any) -> str:
-    if v is None:
-        return "-"
-    if isinstance(v, float):
-        return f"{v:.4g}"
-    return str(v)
+    # repr: a last-ulp move is `changed` and must read as one
+    return "-" if v is None else repr(v)
 
 
-def render_report(report: Dict[str, Any], verbose: bool = False) -> str:
-    """The human-readable report: gated rows (plus every non-``ok``
-    row), one line per metric, then the verdict."""
+def render_report(report: Dict[str, Any]) -> str:
+    """The human-readable report: one line per ``changed`` / ``new`` /
+    ``gone`` row, a per-status tally, then the verdict."""
     lines = [
         f"bench compare: {report['old']['path']} "
         f"(rev {str(report['old']['git_rev'])[:8]}, "
@@ -212,30 +141,19 @@ def render_report(report: Dict[str, Any], verbose: bool = False) -> str:
         f"{report['new']['path']} "
         f"(rev {str(report['new']['git_rev'])[:8]}, "
         f"{'quick' if report['new']['quick'] else 'full'})",
-        f"threshold {report['threshold']:.0%}"
-        f" (wall-clock {report['wall_threshold']:.0%})"
-        + (", mixed quick/full: iteration-shaped metrics not gated"
-           if report["mixed_mode"] else ""),
-        f"{'bench':<6}{'metric':<34}{'old':>12}{'new':>12}"
-        f"{'delta':>9}  status",
+        f"{'bench':<6}{'metric':<34}{'old':>22}{'new':>22}  status",
     ]
+    tally: Dict[str, int] = {}
     for bid, rows in report["benches"].items():
         for name, row in rows.items():
-            interesting = row["status"] in ("regression", "improvement")
-            if not verbose and not interesting and row["direction"] == "info":
-                continue
-            delta = row["delta_frac"]
-            lines.append(
-                f"{bid:<6}{name:<34}{_fmt(row['old']):>12}"
-                f"{_fmt(row['new']):>12}"
-                f"{('%+.1f%%' % (delta * 100)) if delta is not None else '-':>9}"
-                f"  {row['status']}{' (wall)' if row['wall'] else ''}"
-            )
-    n_reg, n_imp = len(report["regressions"]), len(report["improvements"])
+            tally[row["status"]] = tally.get(row["status"], 0) + 1
+            if row["status"] not in ("equal", "skipped"):
+                lines.append(
+                    f"{bid:<6}{name:<34}{_fmt(row['old']):>22}"
+                    f"{_fmt(row['new']):>22}  {row['status']}"
+                )
     lines.append(
         f"result: {report['status'].upper()} — "
-        f"{n_reg} regression(s), {n_imp} improvement(s)"
+        + ", ".join(f"{n} {status}" for status, n in sorted(tally.items()))
     )
-    for name in report["regressions"]:
-        lines.append(f"  REGRESSED {name}")
     return "\n".join(lines)

@@ -133,6 +133,20 @@ class LatencyRecorder:
         return f"<LatencyRecorder {self.name!r} n={self.count} mean={self.mean:.3f}>"
 
 
+def ordered_mean(samples, empty: float = math.nan) -> float:
+    """``total / count`` with the total accumulated left to right, as
+    `LatencyRecorder` does.  Builtin ``sum`` is compensated from
+    Python 3.12 on, which moves the last ulp of a float mean; every
+    mean that reaches a `repro bench` document goes through here so the
+    document is the same on every interpreter."""
+    if not samples:
+        return empty
+    total = 0.0
+    for x in samples:
+        total += x
+    return total / len(samples)
+
+
 class MetricSet:
     """A namespace of counters and latency recorders."""
 

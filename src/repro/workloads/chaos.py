@@ -33,6 +33,7 @@ from repro.core.api import (
 )
 from repro.core.exceptions import LynxError
 from repro.sim.faults import FaultPlan
+from repro.sim.metrics import ordered_mean
 from repro.sim.trace import TraceLog
 
 CHAOS = Operation("chaos", (BYTES,), (BYTES,))
@@ -193,7 +194,7 @@ class ChaosResult:
 
     @property
     def mean_ms(self) -> float:
-        return sum(self.rtts) / len(self.rtts) if self.rtts else 0.0
+        return ordered_mean(self.rtts, empty=0.0)
 
 
 def run_chaos_workload(

@@ -20,6 +20,7 @@ from typing import Dict, List
 
 from repro.core.api import INT, LINK, LinkDestroyed, Operation, Proc, make_cluster
 from repro.core.ports import kernel_metric_digest
+from repro.sim.metrics import ordered_mean
 
 ADD = Operation("add", (INT, INT), (INT,))
 GIVEH = Operation("giveh", (LINK, INT), ())
@@ -122,9 +123,7 @@ def run_migration_churn(
         "finished": cluster.all_finished,
         "rpcs_served": len(observer.servers),
         "servers_in_hop_order": list(observer.servers),
-        "mean_rpc_ms": (
-            sum(observer.rtts) / len(observer.rtts) if observer.rtts else 0.0
-        ),
+        "mean_rpc_ms": ordered_mean(observer.rtts, empty=0.0),
         "moves": 2 * hops,  # by construction: out and back per hop
         "wire_messages": m.total("wire.messages."),
         "wire_bytes": m.get("wire.bytes"),

@@ -15,6 +15,7 @@ from typing import List, Optional
 from repro.core.api import BYTES, Operation, Proc, make_cluster
 from repro.core.links import EndRef
 from repro.core.wire import MsgKind, WireMessage
+from repro.sim.metrics import ordered_mean
 from repro.sim.trace import TraceLog
 
 PING = Operation("ping", (BYTES,), (BYTES,))
@@ -71,7 +72,7 @@ class RPCResult:
 
     @property
     def mean_ms(self) -> float:
-        return sum(self.rtts) / len(self.rtts) if self.rtts else float("nan")
+        return ordered_mean(self.rtts)
 
 
 def run_rpc_workload(

@@ -2,30 +2,50 @@
 benchmark-export path from silently rotting (ISSUE 1 CI satellite)."""
 
 import json
+import os
+import subprocess
+import sys
 
 from repro.cli import main
 
 
-def test_bench_quick_writes_valid_json(tmp_path, capsys):
-    out = tmp_path / "BENCH_smoke.json"
-    assert main(["bench", "--quick", "--out", str(out)]) == 0
-    printed = capsys.readouterr().out
+def test_bench_quick_writes_valid_json(quick_bench_run):
+    out, printed = quick_bench_run
     assert "benchmark export" in printed
     assert str(out) in printed
     doc = json.loads(out.read_text())
     assert doc["schema"] == "repro.bench"
     assert doc["quick"] is True
     assert set(doc["benches"]) == {"E1", "E4", "E5", "E13", "E14", "E15",
-                                   "E16", "E17", "S1"}
+                                   "E16", "E17"}
     assert "seed" in doc and "git_rev" in doc and "timestamp" in doc
+
+
+def test_two_quick_runs_of_one_commit_are_identical(quick_bench_run,
+                                                    tmp_path, capsys):
+    """Every exported value is exact, so a second run differs only in
+    its timestamp and ``bench --compare`` finds every row equal."""
+    first, _ = quick_bench_run
+    second = tmp_path / "BENCH_again.json"
+    assert main(["bench", "--quick", "--out", str(second)]) == 0
+    docs = [json.loads(p.read_text()) for p in (first, second)]
+    for doc in docs:
+        del doc["timestamp"]
+    assert docs[0] == docs[1]
+    capsys.readouterr()
+    assert main(["bench", "--compare", str(first), str(second),
+                 "--json", "-"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert {row["status"] for rows in report["benches"].values()
+            for row in rows.values()} == {"equal"}
 
 
 def test_bench_only_subset(tmp_path, capsys):
     out = tmp_path / "BENCH_sub.json"
-    assert main(["bench", "--quick", "--only", "S1", "--out", str(out)]) == 0
+    assert main(["bench", "--quick", "--only", "E4", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    assert list(doc["benches"]) == ["S1"]
-    assert doc["benches"]["S1"]["engine_events_per_sec"] > 0
+    assert list(doc["benches"]) == ["E4"]
+    assert doc["benches"]["E4"]["crossover_bytes"] == 1536
 
 
 def test_bench_out_dash_writes_json_to_stdout(capsys):
@@ -42,26 +62,16 @@ def test_bench_unknown_only_name_exits_nonzero(capsys):
     assert "E99" in err
 
 
-def test_bench_pinned_sim_backend_restricts_the_sweep(tmp_path):
-    out = tmp_path / "BENCH_backend.json"
-    assert main(["bench", "--quick", "--only", "E16",
-                 "--sim-backend", "sharded-serial",
-                 "--out", str(out)]) == 0
-    e16 = json.loads(out.read_text())["benches"]["E16"]
-    assert e16["scale_serial_s1_events_per_sec"] > 0
-    assert e16["scale_serial_s8_events_per_sec"] > 0
-    # backends that did not run stay null, so the schema never varies
-    assert e16["scale_global_s1_events_per_sec"] is None
-    assert e16["scale_parallel_s8_speedup"] is None
-    # only one backend ran: no cross-backend digest to compare, but the
-    # selected backend must still be repeat-stable
-    assert e16["scale_digest_match_s8"] is None
-    assert e16["scale_repeat_stable_s8"] == 1.0
-
-
-def test_bench_unknown_sim_backend_exits_nonzero(capsys):
-    assert main(["bench", "--quick", "--only", "E16",
-                 "--sim-backend", "turbo"]) == 2
-    err = capsys.readouterr().err
-    assert "turbo" in err
-    assert "sharded-parallel" in err  # the registry lists valid names
+def test_cli_import_does_not_load_the_bench_machinery():
+    """``python -m repro net serve`` — every spawned node process —
+    imports `repro.cli`; only ``bench`` itself may pay for the runner
+    and its compare."""
+    code = ("import sys, repro.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m in ('repro.obs.bench', 'repro.obs.compare')))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -98,6 +98,9 @@ SIZE_BUDGETS = [
                 "repro.sim.backends.sharded"), 498, 160),
     # PR 15: real-asyncio is ideal plus a codec hook (before: 917 / 170)
     ("net+ideal", _modules_of("repro.net", "repro.ideal"), 621, 116),
+    # PR 16: bench owns only exact values, compare is equality
+    # (before: 1,182 / 352)
+    ("obs", _modules_of("repro.obs"), 1020, 292),
 ]
 
 

@@ -1,8 +1,10 @@
 """docs/PERFORMANCE.md is a contract: every symbol, CLI flag and
 metric named in its tables must exist in the code, the `bench`
-parser, or the committed baselines, and the before/after table must
-match what `BENCH_PR1.json` / `BENCH_PR7.json` actually say — so the
-performance book cannot drift from the hot path it describes."""
+parser, or the committed baselines, the before/after table must
+match what `BENCH_PR1.json` / `BENCH_PR7.json` actually say, and
+every doc that names the bench baseline must name the one the code
+writes (`DEFAULT_BENCH_FILENAME`) — so the performance book cannot
+drift from the hot path it describes."""
 
 import fnmatch
 import json
@@ -10,7 +12,6 @@ import re
 from pathlib import Path
 
 from repro.obs.bench import DEFAULT_BENCH_FILENAME
-from repro.obs.compare import DEFAULT_THRESHOLD, DEFAULT_WALL_THRESHOLD
 
 ROOT = Path(__file__).resolve().parents[2]
 DOC = ROOT / "docs" / "PERFORMANCE.md"
@@ -28,7 +29,7 @@ def _codebase_blob() -> str:
 
 def _bench_keys() -> set:
     keys = set()
-    for name in ("BENCH_PR1.json", "BENCH_PR7.json"):
+    for name in ("BENCH_PR1.json", "BENCH_PR7.json", DEFAULT_BENCH_FILENAME):
         with open(ROOT / name) as fh:
             for bench in json.load(fh)["benches"].values():
                 keys.update(bench)
@@ -72,12 +73,37 @@ def test_doc_exists_and_every_documented_name_resolves():
 
 def test_doc_covers_every_compare_flag_and_the_defaults():
     text = DOC.read_text()
-    for flag in ("--compare", "--threshold", "--wall-threshold", "--json"):
+    for flag in ("--compare", "--json"):
         assert flag in text, f"compare flag {flag} missing from the doc"
         assert flag in CLI.read_text()
-    # documented defaults match the shipped ones
-    assert f"{DEFAULT_THRESHOLD:.2f}" in text
-    assert f"{DEFAULT_WALL_THRESHOLD:.2f}" in text
+    # the gate is equality: the retired knobs are in neither place
+    for flag in ("--threshold", "--wall-threshold", "--sim-backend NAME`"):
+        assert flag not in text, f"retired flag {flag} still documented"
+    assert "threshold" not in CLI.read_text()
+    # every row status the report can carry is documented
+    with open(ROOT / "tests" / "obs" / "golden_compare_schema.json") as fh:
+        for status in json.load(fh)["statuses"]:
+            assert f"| `{status}` |" in text, status
+
+
+def _bench_pr_numbers(text: str) -> set:
+    return {int(n) for n in re.findall(r"BENCH_PR(\d+)\.json", text)}
+
+
+def test_every_doc_names_the_baseline_the_code_writes():
+    """One baseline name: the newest ``BENCH_PR<n>.json`` a doc
+    mentions is the one the code writes, so an older file can only
+    appear as history; the CLI names no file at all (it takes
+    `DEFAULT_BENCH_FILENAME`) and the workflows name only the current
+    one."""
+    current = _bench_pr_numbers(DEFAULT_BENCH_FILENAME)
+    for rel in ("README.md", "docs/API.md", "docs/OBSERVABILITY.md",
+                "docs/PERFORMANCE.md"):
+        assert max(_bench_pr_numbers((ROOT / rel).read_text())) in current, rel
+    assert not _bench_pr_numbers(CLI.read_text())
+    for wf in ("ci.yml", "bench-full.yml"):
+        text = (ROOT / ".github" / "workflows" / wf).read_text()
+        assert _bench_pr_numbers(text) == current, wf
 
 
 def test_before_after_table_matches_the_committed_baselines():
@@ -108,7 +134,7 @@ def test_before_after_table_matches_the_committed_baselines():
 
 def test_doc_names_the_baselines_and_the_gate_tests():
     text = DOC.read_text()
-    assert DEFAULT_BENCH_FILENAME in text  # BENCH_PR7.json, the baseline
+    assert DEFAULT_BENCH_FILENAME in text  # the current baseline
     assert "BENCH_PR1.json" in text        # the old trajectory point
     assert "repro.bench-compare" in text
     assert "test_ci_perf_gate_fails_a_deliberately_slowed_codec" in text

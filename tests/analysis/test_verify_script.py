@@ -39,7 +39,7 @@ def test_verify_script_passes_and_writes_bench_json(tmp_path, capsys):
     doc = json.loads((tmp_path / "BENCH_verify.json").read_text())
     assert doc["quick"] is True
     assert set(doc["benches"]) == {"E1", "E4", "E5", "E13", "E14", "E15",
-                                   "E16", "E17", "S1"}
+                                   "E16", "E17"}
 
 
 def test_verify_script_rejects_unknown_sim_backend(capsys):

@@ -85,6 +85,25 @@ def test_no_endpoints_left_exhausts_instead_of_hanging(supervisor):
     assert (r.completed, r.exhausted) == (0, 2)
 
 
+def test_a_connect_burst_is_not_read_as_a_crash(supervisor):
+    """Many clients connecting at once (E17's full mode opens 1000): a
+    listen backlog narrower than the burst loses the overflow, and with
+    nowhere to fail over to those clients exhaust against a live node.
+    400 is four times asyncio's default backlog and leaves both
+    processes well under a 1024-descriptor limit."""
+    burst = 400
+    try:
+        with open("/proc/sys/net/core/somaxconn") as f:
+            if int(f.read()) < burst:
+                pytest.skip("the kernel clamps the listen backlog below the burst")
+    except OSError:
+        pass
+    node = _spawn(supervisor, "busy")
+    policy = RecoveryPolicy(timeout_ms=5000.0, max_retries=0)
+    r = run_load([node.endpoint], clients=burst, requests=1, policy=policy)
+    assert (r.completed, r.exhausted) == (burst, 0)
+
+
 @pytest.mark.parametrize("hostile, half_close", [
     (b"\xff\xff\xff\xff" + b"x" * 1000, False),   # prefix over the cap
     (b"\x00\x00\x00\x64" + b"x" * 10, True),      # stream ends mid-body

@@ -10,21 +10,25 @@ from repro.core.ports import registered_kernels
 from repro.obs.bench import (
     BENCH_IDS,
     BENCH_SCHEMA_VERSION,
+    DEFAULT_BENCH_FILENAME,
+    QUICK_SIZED,
     run_benches,
     write_bench_json,
 )
 
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir)
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_bench_schema.json")
 
 
 @pytest.fixture(scope="module")
-def quick_results():
-    return run_benches(quick=True, seed=0)
+def quick_results(quick_bench_run):
+    with open(quick_bench_run[0]) as fh:
+        return json.load(fh)["benches"]
 
 
 def test_bench_ids():
     assert BENCH_IDS == ("E1", "E4", "E5", "E13", "E14", "E15", "E16",
-                         "E17", "S1")
+                         "E17")
 
 
 def test_document_schema_matches_golden_file(quick_results, tmp_path):
@@ -55,17 +59,16 @@ def test_exported_values_are_json_numbers(quick_results):
 
 
 def test_quick_values_keep_the_paper_shape(quick_results):
-    """Even at smoke counts the simulated quantities reproduce the
-    paper's ordering claims (wall-clock S1 values are only positive)."""
-    e1, e4, e5, e13, e14, e15, e16, e17, s1 = (
+    """The simulated quantities reproduce the paper's ordering claims
+    (``quick`` sizes only the E16/E17 populations)."""
+    e1, e4, e5, e13, e14, e15, e16, e17 = (
         quick_results[k]
-        for k in ("E1", "E4", "E5", "E13", "E14", "E15", "E16", "E17",
-                  "S1")
+        for k in ("E1", "E4", "E5", "E13", "E14", "E15", "E16", "E17")
     )
     assert e1["lynx_rpc0_ms"] > e1["raw_rpc0_ms"]          # §3.3 overhead
     assert e1["lynx_rpc1000_ms"] > e1["lynx_rpc0_ms"]
     assert e4["small_msg_speedup"] > 2.0                   # §4.3 "3x"
-    assert e4["crossover_bytes"] == 2048                   # quick sweep grid
+    assert e4["crossover_bytes"] == 1536                   # §4.3 fn.2
     assert 0.2 < e5["tuned_improvement_rpc0"] < 0.5        # §5.3 "30-40%"
     assert e5["charlotte_ratio_rpc0"] > 10.0               # order of magnitude
     # figure 2 / §6: Charlotte's high-level primitives cost the most
@@ -89,32 +92,20 @@ def test_quick_values_keep_the_paper_shape(quick_results):
     assert e14["charlotte_failed_over"] == 0     # absolutes give no signal
     assert e14["charlotte_kernel_retransmits"] > 0
     for kind in registered_kernels():
-        for value in (e14[f"{kind}_completed"],
-                      s1[f"rpc_sim_wall_ms_{kind}"],
-                      s1[f"rpc_sim_events_{kind}"]):
-            assert value > 0
+        assert e14[f"{kind}_completed"] > 0
     # E15: the telemetry plane's own gates (machine-checked inside the
-    # bench; re-assert the deterministic accuracy numbers here)
-    for mode in ("off", "sampled", "full"):
-        assert e15[f"obs_{mode}_events_per_sec"] > 0.0
-    assert e15["sampled_overhead_frac"] < 0.10
+    # bench; re-assert the accuracy numbers here)
     assert e15["hist_max_err_frac"] <= 0.01
     assert e15["hist_merge_bitexact"] == 1.0
     assert 0.0 < e15["sampled_trace_frac"] < 0.5
     assert e15["hist_buckets"] * 100 <= e15["hist_samples"]
-    # E16: sharded-engine scaling (digest equality is machine-checked
+    # E16: sharded-engine determinism (digest equality is machine-checked
     # inside the bench — a divergence raises before values come back)
     assert e16["scale_digest_match_s1"] == 1.0
     assert e16["scale_digest_match_s8"] == 1.0
     assert e16["scale_repeat_stable_s8"] == 1.0
     assert e16["scale_events_total"] > 0
     assert e16["scale_rtt_p99_ms"] >= e16["scale_rtt_mean_ms"] > 0.0
-    for short in ("global", "serial"):
-        for shards in (1, 8):
-            assert e16[f"scale_{short}_s{shards}_events_per_sec"] > 0.0
-    for shards in (1, 2, 4, 8):
-        assert e16[f"scale_parallel_s{shards}_events_per_sec"] > 0.0
-    assert e16["scale_parallel_s8_speedup"] > 0.0
     # E17: real transport (the hard gates — exactly-once, failover
     # accounting, the report contract — are machine-checked inside the
     # bench; re-assert the headline claims when the host allows it)
@@ -122,8 +113,7 @@ def test_quick_values_keep_the_paper_shape(quick_results):
         assert e17["net_exactly_once"] == 1.0
         assert e17["net_sim_rtt_ms"] == e17["net_sim_ideal_rtt_ms"]
         assert e17["net_meas_completed"] == e17["net_meas_ops"] > 0
-        assert e17["net_meas_duplicates"] >= 1
-        assert e17["net_meas_vs_sim_rtt_ratio"] > 0.0
+        assert e17["net_meas_failovers"] == e17["net_meas_clients"]
     else:
         assert all(v is None for k, v in e17.items()
                    if k != "net_available")
@@ -133,6 +123,18 @@ def test_simulated_metrics_are_seed_deterministic():
     a = run_benches(bench_ids=["E1"], quick=True, seed=3)
     b = run_benches(bench_ids=["E1"], quick=True, seed=3)
     assert a == b
+
+
+def test_quick_sizes_only_the_declared_benches(quick_results):
+    """One declared fact per bench: outside `QUICK_SIZED` a quick run
+    reproduces the committed full-mode baseline exactly — the CI
+    ``perf`` gate, held in tier-1."""
+    with open(os.path.join(ROOT, DEFAULT_BENCH_FILENAME)) as fh:
+        baseline = json.load(fh)
+    assert baseline["quick"] is False
+    for bid in BENCH_IDS:
+        if bid not in QUICK_SIZED:
+            assert quick_results[bid] == baseline["benches"][bid], bid
 
 
 def test_unknown_bench_id_rejected():

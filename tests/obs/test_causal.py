@@ -258,7 +258,7 @@ def test_e13_charlotte_runtime_layer_cost_is_strictly_highest():
     Chrysalis's low-level primitives do."""
     from repro.obs.bench import bench_e13
 
-    e13 = bench_e13(seed=0, quick=False)
+    e13 = bench_e13(seed=0)
     assert e13["charlotte_runtime_ms"] > e13["soda_runtime_ms"]
     assert e13["charlotte_runtime_ms"] > e13["chrysalis_runtime_ms"]
     for kind in KINDS:

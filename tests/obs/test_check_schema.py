@@ -4,10 +4,13 @@ fails locally before it fails on the runner."""
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
 import pytest
+
+from repro.obs.bench import DEFAULT_BENCH_FILENAME
 
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
@@ -29,6 +32,37 @@ def test_checked_in_artifacts_pass():
     assert "check_schema: ok" in proc.stdout
 
 
+def _stripped_checkout(root, baseline_mutation=None, golden_mutation=None):
+    """The script, both bench goldens, one valid table and the (maybe
+    mutated) current baseline under ``root``; returns the finished
+    check_schema process."""
+    (root / "benchmarks" / "out").mkdir(parents=True)
+    # one valid table so only the bench artifacts are at fault
+    (root / "benchmarks" / "out" / "t.json").write_text(json.dumps({
+        "schema": "repro.table", "schema_version": 1, "name": "t",
+        "columns": ["a"], "rows": [[1]],
+    }))
+    shutil.copy(SCRIPT, root / "benchmarks" / "check_schema.py")
+    with open(os.path.join(ROOT, DEFAULT_BENCH_FILENAME)) as fh:
+        doc = json.load(fh)
+    if baseline_mutation is not None:
+        baseline_mutation(doc)
+    (root / DEFAULT_BENCH_FILENAME).write_text(json.dumps(doc))
+    (root / "tests" / "obs").mkdir(parents=True)
+    for name in ("golden_bench_schema.json", "golden_compare_schema.json"):
+        with open(os.path.join(ROOT, "tests", "obs", name)) as fh:
+            golden = json.load(fh)
+        if golden_mutation is not None and "compare" in name:
+            golden_mutation(golden)
+        (root / "tests" / "obs" / name).write_text(json.dumps(golden))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(ROOT, "src")
+    return subprocess.run(
+        [sys.executable, str(root / "benchmarks" / "check_schema.py")],
+        cwd=root, env=env, capture_output=True, text=True,
+    )
+
+
 @pytest.mark.parametrize("mutation, fragment", [
     (lambda d: d.__setitem__("schema_version", 1), "schema_version"),
     (lambda d: d["benches"]["E14"].pop("soda_faulted_goodput_per_s"),
@@ -37,31 +71,32 @@ def test_checked_in_artifacts_pass():
      "E1 metrics drifted"),
 ])
 def test_drifted_baseline_fails(tmp_path, mutation, fragment):
-    """A stale or hand-edited BENCH_*.json must be rejected."""
-    with open(os.path.join(ROOT, "BENCH_PR1.json")) as fh:
-        doc = json.load(fh)
-    mutation(doc)
-    root = tmp_path
-    (root / "benchmarks").mkdir()
-    out = root / "benchmarks" / "out"
-    out.mkdir()
-    # one valid table so only the bench baseline is at fault
-    (out / "t.json").write_text(json.dumps({
-        "schema": "repro.table", "schema_version": 1, "name": "t",
-        "columns": ["a"], "rows": [[1]],
-    }))
-    (root / "BENCH_PR1.json").write_text(json.dumps(doc))
-    import shutil
-    shutil.copy(SCRIPT, root / "benchmarks" / "check_schema.py")
-    (root / "tests" / "obs").mkdir(parents=True)
-    shutil.copy(os.path.join(ROOT, "tests", "obs",
-                             "golden_bench_schema.json"),
-                root / "tests" / "obs" / "golden_bench_schema.json")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(ROOT, "src")
-    proc = subprocess.run(
-        [sys.executable, str(root / "benchmarks" / "check_schema.py")],
-        cwd=root, env=env, capture_output=True, text=True,
-    )
+    """A stale or hand-edited current baseline must be rejected."""
+    proc = _stripped_checkout(tmp_path, baseline_mutation=mutation)
     assert proc.returncode == 1
     assert fragment in proc.stderr
+
+
+def test_compare_golden_naming_the_wrong_schema_fails(tmp_path):
+    """The chained ``a != b != c`` this check used to be could never
+    fire: the report's schema *is* the code's, whatever the golden
+    says."""
+    proc = _stripped_checkout(
+        tmp_path,
+        golden_mutation=lambda g: g.__setitem__("schema", "not-compare"),
+    )
+    assert proc.returncode == 1
+    assert "golden schema 'not-compare'" in proc.stderr
+
+
+def test_older_documents_only_have_to_load(tmp_path):
+    """History is not a fixture: a BENCH_*.json other than the current
+    baseline may carry any keys of any schema version, but must still
+    be a repro.bench document."""
+    shutil.copy(os.path.join(ROOT, "BENCH_PR1.json"),
+                tmp_path / "BENCH_PR1.json")
+    (tmp_path / "BENCH_PR2.json").write_text('{"schema": "nope"}')
+    proc = _stripped_checkout(tmp_path)
+    assert proc.returncode == 1
+    assert "BENCH_PR2.json is not a repro.bench document" in proc.stderr
+    assert "BENCH_PR1.json" not in proc.stderr

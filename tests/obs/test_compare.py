@@ -1,8 +1,8 @@
 """`repro.obs.compare` + ``bench --compare``: report schema against the
-golden file, direction classification, threshold gating, mixed
-quick/full behavior, and the CI perf-gate scenario — a deliberately
-slowed codec must fail the compare exactly the way the ``perf`` job
-would fail the PR."""
+golden file, equality gating (any changed value exits 1; a key on one
+side only never does), the quick/full skip, the committed trajectory,
+and the CI perf-gate scenario — a deliberately slowed codec must fail
+the compare exactly the way the ``perf`` job would fail the PR."""
 
 import copy
 import json
@@ -11,21 +11,24 @@ import os
 import pytest
 
 from repro.cli import main as cli_main
+from repro.obs.bench import DEFAULT_BENCH_FILENAME, QUICK_SIZED
 from repro.obs.compare import (
     COMPARE_SCHEMA,
     COMPARE_SCHEMA_VERSION,
     CompareError,
     compare_docs,
     compare_files,
-    is_wall_metric,
     load_bench_doc,
-    metric_direction,
     render_report,
 )
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir)
-BASELINE = os.path.join(ROOT, "BENCH_PR7.json")
+BASELINE = os.path.join(ROOT, DEFAULT_BENCH_FILENAME)
+PR9 = os.path.join(ROOT, "BENCH_PR9.json")
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_compare_schema.json")
+
+#: the benches that were already exact under the threshold runner
+SIMULATED = ("E1", "E4", "E5", "E13", "E14")
 
 
 def _baseline_doc():
@@ -33,24 +36,17 @@ def _baseline_doc():
         return json.load(fh)
 
 
-# ----------------------------------------------------------------------
-# classification
-# ----------------------------------------------------------------------
-def test_metric_direction_rules():
-    assert metric_direction("ideal_rpc0_ms") == "lower"
-    assert metric_direction("rpc_sim_wall_ms_ideal") == "lower"
-    assert metric_direction("engine_events_per_sec") == "higher"
-    assert metric_direction("soda_faulted_goodput_per_s") == "higher"
-    assert metric_direction("crossover_bytes") == "info"
-    assert metric_direction("charlotte_completed") == "info"
-    assert metric_direction("charlotte_runtime_share") == "info"
+def _write(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
-def test_wall_metric_rules():
-    assert is_wall_metric("engine_events_per_sec")
-    assert is_wall_metric("rpc_sim_wall_ms_charlotte")
-    assert not is_wall_metric("ideal_rpc0_ms")
-    assert not is_wall_metric("rpc_sim_events_ideal")
+def _statuses(report, bids=None):
+    return {row["status"]
+            for bid, rows in report["benches"].items()
+            if bids is None or bid in bids
+            for row in rows.values()}
 
 
 # ----------------------------------------------------------------------
@@ -65,13 +61,13 @@ def test_self_compare_is_clean_and_matches_golden_schema():
         == golden["schema_version"]
     assert sorted(report) == golden["top_level"]
     assert sorted(report["old"]) == golden["meta_keys"]
-    assert report["status"] == "ok"
-    assert report["regressions"] == [] and report["improvements"] == []
+    assert report["status"] == "equal" and report["changed"] == []
+    assert report["status"] in golden["verdicts"]
     for rows in report["benches"].values():
         for row in rows.values():
             assert sorted(row) == golden["row_keys"]
-            assert row["direction"] in golden["directions"]
             assert row["status"] in golden["statuses"]
+    assert _statuses(report) == {"equal"}
     # the report must be JSON-serializable as-is (CI uploads it)
     json.dumps(report)
 
@@ -88,100 +84,104 @@ def test_load_rejects_non_bench_documents(tmp_path):
 # ----------------------------------------------------------------------
 # gating
 # ----------------------------------------------------------------------
-def test_latency_regression_beyond_threshold_flags():
+@pytest.mark.parametrize("bid, name, mutate", [
+    # the paper's §4.3 headline, ungated "info" under the thresholds
+    ("E4", "crossover_bytes", lambda v: 2048),
+    # a zero baseline used to be uncomparable
+    ("E14", "charlotte_failed_over", lambda v: 1),
+    # a share: neither *_ms nor *_per_s, so never gated before
+    ("E13", "charlotte_runtime_share", lambda v: v * 1.05),
+    # far inside the old 10 % band
+    ("E1", "lynx_rpc0_ms", lambda v: v * 1.001),
+], ids=["E4.crossover_bytes", "E14.charlotte_failed_over",
+        "E13.charlotte_runtime_share", "E1.lynx_rpc0_ms"])
+def test_any_changed_value_exits_one(tmp_path, capsys, bid, name, mutate):
+    new = _baseline_doc()
+    new["benches"][bid][name] = mutate(new["benches"][bid][name])
+    rc = cli_main(["bench", "--compare", BASELINE,
+                   _write(tmp_path, "new.json", new), "--json", "-"])
+    assert rc == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "changed"
+    assert report["changed"] == [f"{bid}.{name}"]
+    assert report["benches"][bid][name]["status"] == "changed"
+
+
+def test_a_key_on_one_side_only_is_new_or_gone_and_never_fails():
     old = _baseline_doc()
     new = copy.deepcopy(old)
-    new["benches"]["E1"]["ideal_rpc0_ms"] *= 1.2  # 20% slower
-    report = compare_docs(old, new, threshold=0.10)
-    assert report["status"] == "regression"
-    assert "E1.ideal_rpc0_ms" in report["regressions"]
-
-
-def test_rate_regression_is_a_drop_not_a_rise():
-    old = _baseline_doc()
-    new = copy.deepcopy(old)
-    new["benches"]["E14"]["ideal_faulted_goodput_per_s"] *= 0.8
-    report = compare_docs(old, new, threshold=0.10)
-    assert "E14.ideal_faulted_goodput_per_s" in report["regressions"]
-    # a 20% *higher* goodput is an improvement, not a regression
-    new["benches"]["E14"]["ideal_faulted_goodput_per_s"] = \
-        old["benches"]["E14"]["ideal_faulted_goodput_per_s"] * 1.2
-    report = compare_docs(old, new, threshold=0.10)
-    assert "E14.ideal_faulted_goodput_per_s" in report["improvements"]
-    assert report["status"] == "ok"
-
-
-def test_wall_metrics_use_the_loose_threshold():
-    old = _baseline_doc()
-    new = copy.deepcopy(old)
-    new["benches"]["S1"]["engine_events_per_sec"] *= 0.6  # -40%: noise
-    report = compare_docs(old, new, threshold=0.10, wall_threshold=0.75)
-    assert report["status"] == "ok"
-    new["benches"]["S1"]["engine_events_per_sec"] = \
-        old["benches"]["S1"]["engine_events_per_sec"] * 0.2  # -80%: real
-    report = compare_docs(old, new, threshold=0.10, wall_threshold=0.75)
-    assert "S1.engine_events_per_sec" in report["regressions"]
+    new["benches"]["E1"]["fresh_metric"] = 1.0
+    del new["benches"]["E5"]["lynx_rpc0_ms"]
+    new["benches"]["E99"] = {"whole_new_bench": 2.0}
+    report = compare_docs(old, new)
+    assert report["status"] == "equal" and report["changed"] == []
+    assert report["benches"]["E1"]["fresh_metric"]["status"] == "new"
+    assert report["benches"]["E5"]["lynx_rpc0_ms"]["status"] == "gone"
+    assert report["benches"]["E99"]["whole_new_bench"]["status"] == "new"
 
 
 def test_mixed_quick_full_gates_only_iteration_invariant_metrics():
+    """The iteration-invariant metrics are declared per bench: with
+    the two documents' ``quick`` flags different, the benches in
+    `QUICK_SIZED` are skipped whole and every other one still gates."""
     old = _baseline_doc()
     new = copy.deepcopy(old)
     new["quick"] = True  # as the CI perf job's quick run
-    # E14's window differs between modes: a big goodput delta is info
-    new["benches"]["E14"]["ideal_faulted_goodput_per_s"] *= 0.5
-    # per-op simulated latency is mode-invariant: still gated
-    new["benches"]["E1"]["ideal_rpc0_ms"] *= 1.5
-    report = compare_docs(old, new, threshold=0.10)
-    assert report["mixed_mode"] is True
-    assert report["regressions"] == ["E1.ideal_rpc0_ms"]
-    status = report["benches"]["E14"]["ideal_faulted_goodput_per_s"]["status"]
-    assert status == "info"
-
-
-def test_info_metrics_never_gate():
-    old = _baseline_doc()
-    new = copy.deepcopy(old)
-    new["benches"]["E4"]["crossover_bytes"] = 9999
+    new["benches"]["E16"]["scale_clients"] = 4000.0
+    new["benches"]["E17"]["net_meas_clients"] = 24.0
     report = compare_docs(old, new)
-    assert report["status"] == "ok"
+    assert report["status"] == "equal"
+    assert _statuses(report, QUICK_SIZED) == {"skipped"}
+    assert _statuses(report, SIMULATED + ("E15",)) == {"equal"}
+    new["benches"]["E1"]["ideal_rpc0_ms"] *= 1.5
+    assert compare_docs(old, new)["changed"] == ["E1.ideal_rpc0_ms"]
+    # same size on both sides: the populations gate too
+    new["quick"] = False
+    assert set(compare_docs(old, new)["changed"]) == {
+        "E1.ideal_rpc0_ms", "E16.scale_clients", "E17.net_meas_clients"}
+
+
+def test_the_committed_trajectory_compares_clean():
+    """BENCH_PR9.json was written by the threshold runner six PRs ago
+    and is never edited: every simulated value it holds is still
+    bit-identical, and what the new runner retired is ``gone``."""
+    report = compare_files(PR9, BASELINE)
+    assert report["status"] == "equal"
+    rows = [row for bid in SIMULATED
+            for row in report["benches"][bid].values()]
+    assert len(rows) == 112
+    assert {row["status"] for row in rows} == {"equal"}
+    assert _statuses(report) == {"equal", "gone"}
+    assert _statuses(report, ("S1",)) == {"gone"}
 
 
 # ----------------------------------------------------------------------
 # the CI perf gate, end to end through the CLI
 # ----------------------------------------------------------------------
-def _write(tmp_path, name, doc):
-    path = tmp_path / name
-    path.write_text(json.dumps(doc))
-    return str(path)
-
-
 def test_ci_perf_gate_fails_a_deliberately_slowed_codec(tmp_path, capsys):
     """The scenario the ``perf`` job exists for: a change that slows
-    the codec hot path degrades the gated simulated latencies and the
-    exact CI command exits 1."""
+    the codec hot path moves the simulated latencies and the exact CI
+    command exits 1."""
     old = _baseline_doc()
     slowed = copy.deepcopy(old)
     slowed["quick"] = True  # CI compares its quick run to the baseline
     for bid in ("E1", "E13"):
         for name in slowed["benches"][bid]:
-            # what a slower codec inflates (nulls mark benches that did
-            # not run on this host, e.g. socket-forbidden real-asyncio)
-            if name.endswith("_ms") and slowed["benches"][bid][name] is not None:
+            if name.endswith("_ms"):  # what a slower codec inflates
                 slowed["benches"][bid][name] *= 1.25
     new_path = _write(tmp_path, "BENCH_ci_perf.json", slowed)
     report_path = str(tmp_path / "compare_report.json")
     rc = cli_main([
         "bench", "--compare", BASELINE, new_path,
-        "--threshold", "0.10", "--wall-threshold", "0.75",
         "--json", report_path,
     ])
     assert rc == 1
     out = capsys.readouterr().out
-    assert "REGRESSED E1.ideal_rpc0_ms" in out
+    assert "result: CHANGED" in out
     with open(report_path) as fh:
         report = json.load(fh)
-    assert report["status"] == "regression"
-    assert "E1.ideal_rpc0_ms" in report["regressions"]
+    assert report["status"] == "changed"
+    assert "E1.ideal_rpc0_ms" in report["changed"]
 
 
 def test_cli_compare_ok_exits_zero_and_json_stdout(capsys):
@@ -190,7 +190,7 @@ def test_cli_compare_ok_exits_zero_and_json_stdout(capsys):
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
     assert report["schema"] == COMPARE_SCHEMA
-    assert report["status"] == "ok"
+    assert report["status"] == "equal"
 
 
 def test_cli_compare_bad_document_exits_two(tmp_path, capsys):
@@ -200,8 +200,8 @@ def test_cli_compare_bad_document_exits_two(tmp_path, capsys):
     assert "bench --compare" in capsys.readouterr().err
 
 
-def test_render_report_mentions_thresholds_and_verdict():
-    report = compare_files(BASELINE, BASELINE)
-    text = render_report(report)
-    assert "threshold 10%" in text
-    assert "result: OK" in text
+def test_render_report_tallies_and_gives_the_verdict():
+    text = render_report(compare_files(PR9, BASELINE))
+    assert "engine_events_per_sec" in text and "gone" in text
+    assert "lynx_rpc0_ms" not in text  # equal rows are only counted
+    assert "result: EQUAL — 135 equal, 33 gone" in text

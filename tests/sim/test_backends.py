@@ -3,8 +3,8 @@
 Three families of checks:
 
 * **registry** — names resolve, unknown names fail with the registered
-  list in the message (the same contract `bench --sim-backend` and
-  `benchmarks/verify.py --sim-backend` exit 2 on), duplicates are
+  list in the message (the same contract
+  `benchmarks/verify.py --sim-backend` exits 2 on), duplicates are
   programming errors;
 * **determinism** — the oracle chain: `sharded-serial` is bit-identical
   to `global` for every workload at any shard count, `sharded-parallel`

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.sim.metrics import LatencyRecorder, MetricSet
+from repro.sim.metrics import LatencyRecorder, MetricSet, ordered_mean
 
 
 def test_counter_accumulates():
@@ -61,6 +61,19 @@ def test_latency_empty_is_nan():
     rec = LatencyRecorder()
     assert math.isnan(rec.mean)
     assert math.isnan(rec.percentile(50))
+
+
+def test_ordered_mean_is_the_same_on_every_interpreter():
+    # builtin sum() is compensated from Python 3.12 on and reads 1.0
+    # here; a bench document must not depend on which one wrote it
+    tenths = [0.1] * 10
+    assert ordered_mean(tenths) == 0.09999999999999999
+    rec = LatencyRecorder()
+    for v in tenths:
+        rec.record(v)
+    assert rec.mean == ordered_mean(tenths)
+    assert math.isnan(ordered_mean([]))
+    assert ordered_mean([], empty=0.0) == 0.0
 
 
 def test_latency_single_sample():
