@@ -10,11 +10,22 @@ the far side is *content-identical* to the one that was sent (the
 round-trip property `tests/net/test_frames.py` pins for every field).
 
 Framing on a stream is a 4-byte big-endian length prefix followed by
-the frame body (`pack_frame` to write; `read_frame` to read from an
-asyncio stream, `FrameReader` to de-frame fed chunks); the body itself
-starts with a one-byte version so the format can evolve.  The
-in-process ``real-asyncio`` backend (`repro.net.ideal_framed`) uses
-only `encode_frame` / `decode_frame`: bodies, no stream.
+the frame body (`pack_frame` to write; `FrameReader` to de-frame
+whatever a read produced — the node server's path; `read_frame` to
+await exactly one frame — the depth-1 load client and `query_stats`);
+the body itself starts with a one-byte version so the format can
+evolve.  The in-process ``real-asyncio`` backend
+(`repro.net.ideal_framed`) uses only `encode_frame` / `decode_frame`:
+bodies, no stream.
+
+Both directions work from a precompiled layout — a handful of
+multi-field `struct.Struct`s around the four variable-length fields —
+because a remote operation's cost on this path is fixed per-message
+work, not bytes (docs/PERFORMANCE.md §2.4).  `decode_frame` answers any
+input with a `WireMessage` or a `FrameError`, nothing else: a live node
+maps `FrameError` to "drop the connection".  The bytes are pinned by
+golden bodies in `tests/net/test_frames.py`; a change to them is a
+`FRAME_VERSION` bump.
 """
 
 from __future__ import annotations
@@ -40,21 +51,35 @@ LENGTH_PREFIX = struct.Struct(">I")
 #: refuse before allocating (16 MiB)
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
-_HEAD = struct.Struct(">BBqqQ")          # version, kind, seq, reply_to, sighash
-_F64 = struct.Struct(">d")               # sent_at (exact float round-trip)
-_U16 = struct.Struct(">H")
-_U32 = struct.Struct(">I")
-_ENC = struct.Struct(">qB")              # enclosure: link, side
-_SPAN = struct.Struct(">QQQB")           # trace_id, span_id, parent_id, flags
+# A body is four precompiled fixed-layout runs around its four
+# variable-length fields (opname, payload, enclosure refs, metadata):
+_HEAD = struct.Struct(">BBqqQH")  # version, kind, seq, reply_to, sighash,
+                                  # opname length
+_U32 = struct.Struct(">I")        # payload length; metadata length
+_ENCS = struct.Struct(">IH")      # enc_total, enclosure count
+_ENC = struct.Struct(">qB")       # one enclosure: link, side
+_TAIL = struct.Struct(">Bd")      # error, sent_at (exact float round-trip)
+_SPAN = struct.Struct(">BQQQB")   # flags, trace_id, span_id, parent_id, pad
+# `decode_frame` advances by one of these per field: as plain globals,
+# because nine `.size` attribute loads are a tenth of a 2 us decode
+_HEAD_SIZE, _U32_SIZE, _ENCS_SIZE = _HEAD.size, _U32.size, _ENCS.size
+_ENC_SIZE, _TAIL_SIZE, _SPAN_SIZE = _ENC.size, _TAIL.size, _SPAN.size
 
 _KINDS: Tuple[MsgKind, ...] = tuple(MsgKind)
 _KIND_CODE = {kind: i for i, kind in enumerate(_KINDS)}
-_ERRORS: Tuple[ExceptionCode, ...] = tuple(ExceptionCode)
-_ERROR_CODE = {err: i + 1 for i, err in enumerate(_ERRORS)}  # 0 = no error
+_ERRORS: Tuple[Optional[ExceptionCode], ...] = (None, *ExceptionCode)
+_ERROR_CODE = {err: i for i, err in enumerate(_ERRORS)}
+
+#: what a message that moves no link carries as enclosure metadata —
+#: matched and emitted as a constant, not through a JSON round trip
+_NO_META = b"[]"
+#: the span run of a message outside any trace: the flags byte alone
+_NO_SPAN = b"\x00"
 
 _SPAN_PRESENT = 0x01
 _SPAN_HAS_PARENT = 0x02
 _SPAN_SAMPLED = 0x04
+_U64 = 0xFFFFFFFFFFFFFFFF
 
 
 class FrameError(ValueError):
@@ -63,96 +88,86 @@ class FrameError(ValueError):
 
 def encode_frame(msg: WireMessage) -> bytes:
     """Serialise one `WireMessage` into a frame body (no length prefix)."""
-    parts: List[bytes] = [
-        _HEAD.pack(FRAME_VERSION, _KIND_CODE[msg.kind], msg.seq,
-                   msg.reply_to, msg.sighash)
-    ]
     opname = msg.opname.encode("utf-8")
     if len(opname) > 0xFFFF:
         raise FrameError(f"opname too long for the wire: {len(opname)} bytes")
-    parts.append(_U16.pack(len(opname)))
-    parts.append(opname)
     payload = bytes(msg.payload)
-    parts.append(_U32.pack(len(payload)))
-    parts.append(payload)
-    parts.append(_U32.pack(msg.enc_total))
-    parts.append(_U16.pack(len(msg.enclosures)))
+    meta = _NO_META
+    if msg.enclosure_meta:
+        # kernel-defined dicts; JSON with sorted keys keeps the byte
+        # stream deterministic for identical content
+        meta = json.dumps(msg.enclosure_meta, sort_keys=True,
+                          separators=(",", ":")).encode("utf-8")
+    refs = bytearray()
     for ref in msg.enclosures:
-        parts.append(_ENC.pack(ref.link, ref.side))
-    # enclosure metadata is kernel-defined dicts; JSON with sorted keys
-    # keeps the byte stream deterministic for identical content
-    meta = json.dumps(msg.enclosure_meta, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
-    parts.append(_U32.pack(len(meta)))
-    parts.append(meta)
-    parts.append(bytes([_ERROR_CODE.get(msg.error, 0)]))
-    parts.append(_F64.pack(msg.sent_at))
+        refs += _ENC.pack(ref.link, ref.side)
     span = msg.span
-    if span is None:
-        parts.append(b"\x00")
-    else:
-        flags = _SPAN_PRESENT
-        if span.parent_id is not None:
-            flags |= _SPAN_HAS_PARENT
-        if span.sampled:
-            flags |= _SPAN_SAMPLED
-        parts.append(bytes([flags]))
-        parts.append(_SPAN.pack(span.trace_id & 0xFFFFFFFFFFFFFFFF,
-                                span.span_id & 0xFFFFFFFFFFFFFFFF,
-                                (span.parent_id or 0) & 0xFFFFFFFFFFFFFFFF,
-                                0))
-    return b"".join(parts)
+    span_run = _NO_SPAN if span is None else _SPAN.pack(
+        _SPAN_PRESENT
+        | _SPAN_HAS_PARENT * (span.parent_id is not None)
+        | _SPAN_SAMPLED * bool(span.sampled),
+        span.trace_id & _U64, span.span_id & _U64,
+        (span.parent_id or 0) & _U64, 0)
+    return b"".join((
+        _HEAD.pack(FRAME_VERSION, _KIND_CODE[msg.kind], msg.seq,
+                   msg.reply_to, msg.sighash, len(opname)),
+        opname,
+        _U32.pack(len(payload)),
+        payload,
+        _ENCS.pack(msg.enc_total, len(msg.enclosures)),
+        refs,
+        _U32.pack(len(meta)),
+        meta,
+        _TAIL.pack(_ERROR_CODE[msg.error], msg.sent_at),
+        span_run,
+    ))
 
 
 def decode_frame(body: bytes) -> WireMessage:
     """Rebuild the `WireMessage` a frame body carries."""
     try:
-        version, kind_code, seq, reply_to, sighash = _HEAD.unpack_from(body, 0)
+        version, kind, seq, reply_to, sighash, n = _HEAD.unpack_from(body, 0)
     except struct.error as exc:
         raise FrameError(f"truncated frame head: {exc}") from None
     if version != FRAME_VERSION:
         raise FrameError(f"frame version {version} != {FRAME_VERSION}")
     try:
-        off = _HEAD.size
-        (n,) = _U16.unpack_from(body, off)
-        off += _U16.size
-        opname = body[off:off + n].decode("utf-8")
-        off += n
+        # a length that overruns the body leaves `off` past its end, and
+        # the next `unpack_from` refuses that
+        off = _HEAD_SIZE + n
+        opname = body[_HEAD_SIZE:off].decode("utf-8")
         (n,) = _U32.unpack_from(body, off)
-        off += _U32.size
-        payload = body[off:off + n]
-        if len(payload) != n:
-            raise FrameError("truncated payload")
-        off += n
-        (enc_total,) = _U32.unpack_from(body, off)
-        off += _U32.size
-        (n_enc,) = _U16.unpack_from(body, off)
-        off += _U16.size
+        off += _U32_SIZE + n
+        payload = body[off - n:off]
+        enc_total, n_enc = _ENCS.unpack_from(body, off)
+        off += _ENCS_SIZE
         enclosures: List[EndRef] = []
         for _ in range(n_enc):
-            link, side = _ENC.unpack_from(body, off)
-            off += _ENC.size
-            enclosures.append(EndRef(link, side))
+            enclosures.append(EndRef(*_ENC.unpack_from(body, off)))
+            off += _ENC_SIZE
         (n,) = _U32.unpack_from(body, off)
-        off += _U32.size
-        enclosure_meta = json.loads(body[off:off + n].decode("utf-8"))
-        off += n
-        err_code = body[off]
-        off += 1
-        (sent_at,) = _F64.unpack_from(body, off)
-        off += _F64.size
-        flags = body[off]
-        off += 1
+        off += _U32_SIZE + n
+        meta = body[off - n:off]
+        enclosure_meta = [] if meta == _NO_META \
+            else json.loads(meta.decode("utf-8"))
+        if not isinstance(enclosure_meta, list):
+            raise FrameError("enclosure metadata is not a list")
+        error, sent_at = _TAIL.unpack_from(body, off)
+        off += _TAIL_SIZE
         span: Optional[SpanContext] = None
-        if flags & _SPAN_PRESENT:
-            trace_id, span_id, parent_id, _pad = _SPAN.unpack_from(body, off)
-            off += _SPAN.size
+        if body[off] & _SPAN_PRESENT:
+            flags, trace_id, span_id, parent_id, _pad = \
+                _SPAN.unpack_from(body, off)
+            off += _SPAN_SIZE
             span = SpanContext(
-                trace_id=trace_id,
-                span_id=span_id,
-                parent_id=parent_id if flags & _SPAN_HAS_PARENT else None,
-                sampled=bool(flags & _SPAN_SAMPLED),
-            )
+                trace_id, span_id,
+                parent_id if flags & _SPAN_HAS_PARENT else None,
+                bool(flags & _SPAN_SAMPLED))
+        else:
+            off += len(_NO_SPAN)
+        msg = WireMessage(_KINDS[kind], seq, reply_to, opname, sighash,
+                          payload, enclosures, enclosure_meta, enc_total,
+                          _ERRORS[error], sent_at, span)
     except (struct.error, IndexError, UnicodeDecodeError,
             json.JSONDecodeError) as exc:
         raise FrameError(f"malformed frame: {exc}") from None
@@ -160,20 +175,7 @@ def decode_frame(body: bytes) -> WireMessage:
         raise FrameError(
             f"frame carries {len(body) - off} trailing byte(s)"
         )
-    return WireMessage(
-        kind=_KINDS[kind_code],
-        seq=seq,
-        reply_to=reply_to,
-        opname=opname,
-        sighash=sighash,
-        payload=payload,
-        enclosures=enclosures,
-        enclosure_meta=enclosure_meta,
-        enc_total=enc_total,
-        error=_ERRORS[err_code - 1] if err_code else None,
-        sent_at=sent_at,
-        span=span,
-    )
+    return msg
 
 
 def pack_frame(body: bytes) -> bytes:
@@ -207,19 +209,25 @@ class FrameReader:
         self._buf = bytearray()
 
     def feed(self, data: bytes) -> List[bytes]:
-        self._buf.extend(data)
+        buf = self._buf
+        buf += data
         out: List[bytes] = []
-        while True:
-            if len(self._buf) < LENGTH_PREFIX.size:
-                return out
-            (n,) = LENGTH_PREFIX.unpack_from(self._buf, 0)
-            if n > MAX_FRAME_BYTES:
-                raise FrameError(f"frame length {n} exceeds the cap")
-            end = LENGTH_PREFIX.size + n
-            if len(self._buf) < end:
-                return out
-            out.append(bytes(self._buf[LENGTH_PREFIX.size:end]))
-            del self._buf[:end]
+        unpack, head = LENGTH_PREFIX.unpack_from, LENGTH_PREFIX.size
+        off, size = 0, len(buf)
+        # scan with an offset and copy each body once, through a view;
+        # the consumed bytes are cut off once per feed, not per frame
+        with memoryview(buf) as view:
+            while size - off >= head:
+                (n,) = unpack(buf, off)
+                if n > MAX_FRAME_BYTES:
+                    raise FrameError(f"frame length {n} exceeds the cap")
+                end = off + head + n
+                if end > size:
+                    break
+                out.append(bytes(view[end - n:end]))
+                off = end
+        del buf[:off]
+        return out
 
     @property
     def pending_bytes(self) -> int:

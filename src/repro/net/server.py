@@ -17,6 +17,20 @@ the E17 measurements need:
 * the ``__stats__`` operation returns the counters as JSON, so the
   harness can interrogate a server before crashing it.
 
+The unit of work on a connection is a **wake-up, not a frame**: one
+``read`` is de-framed by a `FrameReader`, every complete frame it
+delivered is handled in request order, and the replies leave in one
+``write`` followed by one ``drain()`` (a pipelining client hands the
+server a dozen frames per wake-up; three awaits and a ``send(2)`` per
+frame were a quarter of the node's CPU — docs/PERFORMANCE.md §2.4).
+``drain()``
+is also the backpressure: a peer that stops reading its replies stops
+being read from.  A protocol violation anywhere in a read drops the
+connection without writing that read's replies; requests ahead of it
+in the same read have executed and are cached, so the client's retry on
+a fresh connection is a replay.  EOF, with or without a partial frame
+buffered, closes the connection.
+
 On startup the process prints ``REPRO-NET READY <endpoint>`` on stdout
 — the supervisor's spawn handshake.
 """
@@ -30,10 +44,10 @@ from typing import Dict, Optional, Tuple
 from repro.core.wire import MsgKind, WireMessage
 from repro.net.frames import (
     FrameError,
+    FrameReader,
     decode_frame,
     encode_frame,
     pack_frame,
-    read_frame,
 )
 
 #: the control operation answered with the server's counters
@@ -106,14 +120,19 @@ class NodeServer:
     # -- the asyncio half ----------------------------------------------
     async def _connection(self, reader: asyncio.StreamReader,
                           writer: asyncio.StreamWriter) -> None:
+        deframe = FrameReader()
         try:
-            while True:
-                reply = self.handle(decode_frame(await read_frame(reader)))
-                if reply is not None:
-                    writer.write(pack_frame(reply))
-                    await writer.drain()
-        except (FrameError, asyncio.IncompleteReadError,
-                ConnectionError, OSError):
+            # the unit of work is a wake-up, not a frame: answer every
+            # complete frame a read delivered, in order, with one write;
+            # `drain()` is the backpressure — a peer that does not read
+            # its replies stops being read from
+            while data := await reader.read(1 << 16):
+                writer.write(b"".join(
+                    pack_frame(reply) for body in deframe.feed(data)
+                    if (reply := self.handle(decode_frame(body))) is not None
+                ))
+                await writer.drain()
+        except (FrameError, ConnectionError, OSError):
             pass  # protocol violation or peer gone: drop the connection
         finally:
             writer.close()

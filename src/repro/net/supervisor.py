@@ -5,10 +5,13 @@
 liveness through the ``REPRO-NET READY <endpoint>`` stdout handshake,
 and detects crashes two ways — the supervisor side sees the exit code,
 the client side sees ``ECONNREFUSED``/EOF — both of which feed the
-load generator's failover path.  ``crash()`` is deliberate failure
-injection (SIGKILL: the node runs no cleanup, like the simulator's
-PROCESSOR crash mode); ``stop_all()`` is orderly teardown and is safe
-to call twice.
+load generator's failover path.  A node's stderr goes to
+``<socket dir>/<name>.stderr`` (`NodeProcess.stderr_path`): its tail is
+what a `SpawnFailed` reports, and anything there from a live node is an
+exception that escaped a connection handler.  ``crash()`` is
+deliberate failure injection (SIGKILL: the node runs no cleanup, like
+the simulator's PROCESSOR crash mode); ``stop_all()`` is orderly
+teardown and is safe to call twice.
 """
 
 from __future__ import annotations
@@ -40,11 +43,13 @@ class NodeProcess:
     """One supervised node: the Popen handle plus its endpoint."""
 
     def __init__(self, name: str, proc: subprocess.Popen,
-                 endpoint: str) -> None:
+                 endpoint: str, stderr_path: str) -> None:
         self.name = name
         self.proc = proc
         #: UDS path, or ``host:port`` when serving TCP
         self.endpoint = endpoint
+        #: file the node's stderr goes to; lives until `stop_all`
+        self.stderr_path = stderr_path
 
     @property
     def alive(self) -> bool:
@@ -126,16 +131,21 @@ class NodeSupervisor:
                                              f"{name}.sock")]
         if drop_first:
             cmd += ["--drop-first", str(drop_first)]
-        proc = subprocess.Popen(
-            cmd, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env
-        )
+        stderr_path = os.path.join(self._socket_dir(), f"{name}.stderr")
+        with open(stderr_path, "wb") as stderr:
+            proc = subprocess.Popen(
+                cmd, stdout=subprocess.PIPE, stderr=stderr, env=env
+            )
         try:
             endpoint = _await_ready(proc, SPAWN_DEADLINE_S)
-        except SpawnFailed:
+        except SpawnFailed as exc:
             proc.kill()
             proc.wait()
-            raise
-        node = NodeProcess(name, proc, endpoint)
+            proc.stdout.close()
+            with open(stderr_path, "rb") as stderr:
+                tail = stderr.read()[-2000:].decode("utf-8", "replace")
+            raise SpawnFailed(f"{exc}; its stderr ended: {tail!r}") from None
+        node = NodeProcess(name, proc, endpoint, stderr_path)
         self.nodes[name] = node
         return node
 

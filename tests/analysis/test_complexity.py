@@ -97,7 +97,9 @@ SIZE_BUDGETS = [
     ("engine", ("repro.sim.engine", "repro.sim.backends",
                 "repro.sim.backends.sharded"), 498, 160),
     # PR 15: real-asyncio is ideal plus a codec hook (before: 917 / 170)
-    ("net+ideal", _modules_of("repro.net", "repro.ideal"), 621, 116),
+    # PR 17: a layout codec, one server loop per wake-up, node stderr
+    # kept (before: 621 / 116)
+    ("net+ideal", _modules_of("repro.net", "repro.ideal"), 610, 114),
     # PR 16: bench owns only exact values, compare is equality
     # (before: 1,182 / 352)
     ("obs", _modules_of("repro.obs"), 1020, 292),

@@ -6,14 +6,24 @@ a handful of concurrent client coroutines through real sockets, force
 the timeout/retry path with ``--drop-first``, hard-kill a primary and
 watch every client fail over — all while the exactly-once accounting
 (``completed + exhausted == issued``, duplicates absorbed server-side)
-holds.
+holds.  The second half talks to a node over raw sockets (every one
+with a hard timeout) to pin what the load generator cannot see: the
+server answers a *read*, however many frames it holds.
 """
 
 import socket
+import time
 
 import pytest
 
 from repro.core.recovery import RecoveryPolicy
+from repro.core.wire import MsgKind, WireMessage
+from repro.net.frames import (
+    FrameReader,
+    decode_frame,
+    encode_frame,
+    pack_frame,
+)
 from repro.net.load import query_stats, run_load
 from repro.net.supervisor import NodeSupervisor, SpawnFailed
 
@@ -27,6 +37,13 @@ def supervisor():
     sup = NodeSupervisor()
     try:
         yield sup
+        # an exception that escapes a connection handler is only ever
+        # logged, by asyncio, on the node's stderr: a node this test
+        # did not kill must have had nothing to say
+        for node in sup.nodes.values():
+            if node.alive:
+                with open(node.stderr_path, encoding="utf-8") as f:
+                    assert f.read() == "", node.name
     finally:
         sup.stop_all()
 
@@ -108,7 +125,9 @@ def test_a_connect_burst_is_not_read_as_a_crash(supervisor):
     (b"\xff\xff\xff\xff" + b"x" * 1000, False),   # prefix over the cap
     (b"\x00\x00\x00\x64" + b"x" * 10, True),      # stream ends mid-body
     (b"\x00\x00\x00\x0a" + b"x" * 10, False),     # framed garbage
-], ids=["oversized-prefix", "truncated-body", "malformed-body"])
+    (pack_frame(b"\x01\x09" + encode_frame(                # a kind past
+        WireMessage(kind=MsgKind.REQUEST))[2:]), False),   # the enum
+], ids=["oversized-prefix", "truncated-body", "malformed-body", "bad-kind"])
 def test_hostile_frames_drop_the_connection_unexecuted(
         supervisor, hostile, half_close):
     node = _spawn(supervisor, "victim", tcp=True)
@@ -124,6 +143,15 @@ def test_hostile_frames_drop_the_connection_unexecuted(
     assert (r.completed, r.exhausted) == (1, 0)
 
 
+def test_a_lost_child_reports_its_stderr(supervisor):
+    # str(drop_first) reaches the child's argparse, which refuses it;
+    # "exited with 2" or "closed stdout", whichever the parent saw first
+    with pytest.raises(SpawnFailed,
+                       match="before READY; .*invalid int value"):
+        supervisor.spawn("lost", drop_first="many")
+    assert not supervisor.nodes
+
+
 def test_supervisor_bookkeeping(supervisor):
     node = _spawn(supervisor, "tcp-node", tcp=True)
     assert ":" in node.endpoint  # host:port form
@@ -133,3 +161,131 @@ def test_supervisor_bookkeeping(supervisor):
     supervisor.stop_all()
     assert not supervisor.nodes
     supervisor.stop_all()  # idempotent
+
+
+# -- a wake-up, not a frame, is the server's unit of work ---------------
+def _ping(seq, payload=b"x" * 32):
+    return pack_frame(encode_frame(WireMessage(
+        kind=MsgKind.REQUEST, seq=seq, opname="ping", sighash=7,
+        payload=payload, sent_at=0.0,
+    )))
+
+
+def _dial(node, timeout=5.0):
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    sock.settimeout(timeout)
+    sock.connect(node.endpoint)
+    return sock
+
+
+def _replies_until_eof(sock, want=None):
+    """Decode replies until ``want`` arrived or the node hung up."""
+    deframe, replies = FrameReader(), []
+    while want is None or len(replies) < want:
+        data = sock.recv(1 << 16)
+        if not data:
+            assert deframe.pending_bytes == 0
+            break
+        replies.extend(decode_frame(body) for body in deframe.feed(data))
+    return replies
+
+
+def _counters(node):
+    stats = query_stats(node.endpoint)
+    return stats["executed_unique"], stats["duplicates"]
+
+
+def test_pipelined_pings_are_answered_in_request_order(supervisor):
+    node = _spawn(supervisor, "batch")
+    n = 500
+    with _dial(node) as sock:
+        sock.sendall(b"".join(_ping(seq) for seq in range(1, n + 1)))
+        replies = _replies_until_eof(sock, want=n)
+    assert [r.reply_to for r in replies] == list(range(1, n + 1))
+    assert all(r.kind is MsgKind.REPLY and r.payload == b"x" * 32
+               for r in replies)
+    assert _counters(node) == (n, 0)
+
+
+def test_one_frame_in_three_sends_is_one_request(supervisor):
+    node = _spawn(supervisor, "split")
+    frame = _ping(1)
+    with _dial(node) as sock:
+        for piece in (frame[:2], frame[2:40], frame[40:]):
+            sock.sendall(piece)  # splits the length prefix, then the body
+            time.sleep(0.02)
+        (reply,) = _replies_until_eof(sock, want=1)
+        assert reply.reply_to == 1
+        sock.settimeout(0.2)
+        with pytest.raises(socket.timeout):
+            sock.recv(1)  # and nothing else
+    assert _counters(node) == (1, 0)
+
+
+def test_a_frame_of_many_reads_echoes_intact(supervisor):
+    node = _spawn(supervisor, "big")
+    payload = bytes(range(256)) * 4096  # 1 MiB
+    with _dial(node) as sock:
+        sock.sendall(_ping(1, payload))
+        (reply,) = _replies_until_eof(sock, want=1)
+    assert reply.payload == payload
+    assert _counters(node) == (1, 0)
+
+
+def test_a_malformed_frame_drops_the_batch_it_arrived_in(supervisor):
+    """``[good][malformed]`` in one read: the good request executes
+    exactly once, the connection drops, and no reply of that read is
+    written — the retry on a fresh connection is a cache replay."""
+    node = _spawn(supervisor, "mixed")
+    with _dial(node) as sock:
+        sock.sendall(_ping(1) + b"\x00\x00\x00\x0a" + b"x" * 10)
+        assert _replies_until_eof(sock) == []
+    assert _counters(node) == (1, 0)
+    with _dial(node) as sock:
+        sock.sendall(_ping(1))
+        (reply,) = _replies_until_eof(sock, want=1)
+    assert reply.reply_to == 1
+    assert _counters(node) == (1, 1)
+
+
+def test_complete_frames_before_eof_mid_frame_are_answered(supervisor):
+    node = _spawn(supervisor, "cut")
+    with _dial(node) as sock:
+        sock.sendall(_ping(1) + _ping(2) + _ping(3) + _ping(4)[:50])
+        sock.shutdown(socket.SHUT_WR)
+        replies = _replies_until_eof(sock)
+    assert [r.reply_to for r in replies] == [1, 2, 3]
+    assert _counters(node) == (3, 0)
+
+
+def _rss_kb(pid):
+    with open(f"/proc/{pid}/status", encoding="ascii") as f:
+        for line in f:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1])
+    raise OSError("no VmRSS line")
+
+
+def test_a_peer_that_never_reads_stalls_only_itself(supervisor):
+    """The slow reader: `drain()` stops that connection's read loop
+    once its replies back up, so the node neither buffers them without
+    bound nor stops serving anyone else."""
+    node = _spawn(supervisor, "clogged")
+    try:
+        before = _rss_kb(node.proc.pid)
+    except OSError as exc:
+        pytest.skip(f"no /proc to read the node's memory from ({exc})")
+    chunk = b"".join(_ping(seq) for seq in range(1, 701))  # ~64 KiB
+    offered, sent = 8 << 20, 0
+    with _dial(node, timeout=0.5) as clogged:
+        with pytest.raises(socket.timeout):
+            while sent < offered:
+                sent += clogged.send(chunk)
+        assert sent < offered
+        t0 = time.monotonic()
+        with _dial(node, timeout=2.0) as other:
+            other.sendall(_ping(1))
+            (reply,) = _replies_until_eof(other, want=1)
+        assert reply.reply_to == 1 and time.monotonic() - t0 < 2.0
+        # what backed up is a socket buffer or two, not the 8 MiB
+        assert _rss_kb(node.proc.pid) - before < 4096
