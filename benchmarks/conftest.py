@@ -1,45 +1,34 @@
-"""Shared helpers for the benchmark harness.
+"""Where the experiment tables are saved.
 
-Every bench module regenerates one of the paper's tables/figures (see
-DESIGN.md §3).  Benches print a paper-vs-measured table and save it
-under ``benchmarks/out/`` — both the human-readable ``.txt`` and a
-machine-readable ``.json`` (schema "repro.table") so the perf
-trajectory can be diffed across PRs (docs/OBSERVABILITY.md).
+``bench_tables.py`` regenerates the paper's tables/figures (DESIGN.md
+§3) and saves each under ``benchmarks/out/`` — the human-readable
+``.txt`` and a machine-readable ``.json`` (schema "repro.table") so
+the trajectory can be diffed across PRs (docs/OBSERVABILITY.md).
 
 Run with::
 
-    pytest benchmarks/ --benchmark-only -s
+    pytest benchmarks -q -s
 """
 
-import json
 import os
 
 import pytest
 
+from repro.experiments import table_files
+
 OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
-os.makedirs(OUT_DIR, exist_ok=True)
 
 
 @pytest.fixture
 def save_table():
-    """Print a rendered table and persist it (txt + json) for
-    EXPERIMENTS.md."""
+    """Print a table and persist its two files for EXPERIMENTS.md."""
 
     def _save(name: str, table) -> None:
-        text = table.render() if hasattr(table, "render") else str(table)
+        files = table_files(name, table)
         print()
-        print(text)
-        if not text.endswith("\n"):
-            text += "\n"
-        with open(os.path.join(OUT_DIR, f"{name}.txt"), "w") as fh:
-            fh.write(text)
-        doc = {"schema": "repro.table", "schema_version": 1, "name": name}
-        if hasattr(table, "to_dict"):
-            doc.update(table.to_dict())
-        else:
-            doc["text"] = text
-        with open(os.path.join(OUT_DIR, f"{name}.json"), "w") as fh:
-            json.dump(doc, fh, indent=2, allow_nan=False)
-            fh.write("\n")
+        print(files[f"{name}.txt"], end="")
+        for filename, content in files.items():
+            with open(os.path.join(OUT_DIR, filename), "w") as fh:
+                fh.write(content)
 
     return _save

@@ -9,9 +9,8 @@ holds itself to the determinism bar it enforces.
 
 Schema v2 (this version) adds a top-level ``deep`` flag and a
 ``scope`` per rule entry (``module`` for per-file rules, ``program``
-for whole-program ones).  `load_lint_report` still accepts v1
-documents and normalizes them to the v2 shape, so every consumer sees
-one format and old artifacts keep loading.
+for whole-program ones); `load_lint_report` validates exactly that
+shape.
 """
 
 from __future__ import annotations
@@ -67,42 +66,29 @@ def lint_json_doc(result: LintResult) -> dict:
 
 
 def load_lint_report(doc: dict) -> dict:
-    """Validate a ``repro.lint`` report (v1 or v2) and return it in the
-    v2 shape: v1 documents gain ``deep: False`` and per-rule
-    ``scope: "module"``; v2 documents must already carry both."""
+    """Validate a ``repro.lint`` report (top-level ``deep`` flag,
+    per-rule ``scope``) and return it."""
     if not isinstance(doc, dict) or doc.get("schema") != LINT_SCHEMA:
         raise LintReportError(
             f"not a {LINT_SCHEMA} document: schema="
             f"{doc.get('schema') if isinstance(doc, dict) else type(doc)!r}"
         )
     version = doc.get("schema_version")
-    if version not in (1, LINT_SCHEMA_VERSION):
+    if version != LINT_SCHEMA_VERSION:
         raise LintReportError(
             f"unsupported {LINT_SCHEMA} schema_version {version!r} "
-            f"(this build loads 1 and {LINT_SCHEMA_VERSION})"
+            f"(this build loads {LINT_SCHEMA_VERSION})"
         )
-    for key in ("rules", "files_scanned", "counts", "findings", "exit_code"):
+    for key in ("rules", "files_scanned", "counts", "findings", "exit_code",
+                "deep"):
         if key not in doc:
             raise LintReportError(f"lint report missing {key!r}")
-    out = dict(doc)
-    out["schema_version"] = LINT_SCHEMA_VERSION
-    if version == 1:
-        if "deep" in doc:
-            raise LintReportError("v1 lint report must not carry 'deep'")
-        out["deep"] = False
-        out["rules"] = {
-            rid: {**entry, "scope": "module"}
-            for rid, entry in doc["rules"].items()
-        }
-    else:
-        if "deep" not in doc:
-            raise LintReportError("v2 lint report missing 'deep'")
-        for rid, entry in doc["rules"].items():
-            if "scope" not in entry:
-                raise LintReportError(
-                    f"v2 lint report rule {rid!r} missing 'scope'"
-                )
-    return out
+    for rid, entry in doc["rules"].items():
+        if "scope" not in entry:
+            raise LintReportError(
+                f"lint report rule {rid!r} missing 'scope'"
+            )
+    return dict(doc)
 
 
 def render_text(result: LintResult) -> str:

@@ -6,7 +6,7 @@
     python -m repro figure2                 # live figure-2 chart
     python -m repro migrate --kernel soda --hops 8 --loss 0.5
     python -m repro sizes                   # the E2 code-size table
-    python -m repro bench                   # E1..E17 -> BENCH_*.json
+    python -m repro bench                   # E1..E17, A1..A5 -> BENCH_*.json
     python -m repro trace --kernel soda --by-layer --critical-path
     python -m repro chaos                   # fault injection + recovery
     python -m repro lint                    # determinism/layering checks
@@ -15,11 +15,11 @@
     python -m repro net serve --socket S    # real-transport node process
     python -m repro net load S --clients N  # wall-clock load generator
 
-Intended for exploration; the authoritative experiment harness (with
-assertions and saved tables) is ``pytest benchmarks/ --benchmark-only``.
-``bench`` is the exception: it is the canonical producer of the
-machine-readable ``BENCH_*.json`` regression baseline (see
-docs/OBSERVABILITY.md).
+Intended for exploration, except ``bench``: it runs every experiment
+registered in `repro.experiments`, holds each to the paper's claims,
+and is the canonical producer of the machine-readable ``BENCH_*.json``
+regression baseline (see docs/OBSERVABILITY.md); the saved tables under
+``benchmarks/out/`` are views of that document.
 """
 
 from __future__ import annotations
@@ -88,18 +88,12 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from repro.workloads.rpc import run_rpc_workload
+    from repro.experiments import experiment
 
-    t = Table(
-        "Charlotte vs SODA latency sweep (§4.3 fn. 2)",
-        ["payload B each way", "charlotte ms", "soda ms", "winner"],
-    )
-    for nbytes in (0, 256, 512, 1024, 1536, 2048, 3072, 4096):
-        c = run_rpc_workload("charlotte", nbytes, count=3, seed=args.seed)
-        s = run_rpc_workload("soda", nbytes, count=3, seed=args.seed)
-        t.add(nbytes, c.mean_ms, s.mean_ms,
-              "soda" if s.mean_ms < c.mean_ms else "charlotte")
-    t.show()
+    e4 = experiment("E4")
+    print()
+    print(e4.table(e4.measure(args.seed, False)))
+    print()
     return 0
 
 
@@ -727,8 +721,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench",
-        help="run the E1/E4/E5/E13/E14/E15/E16/E17 workloads and "
-             "write BENCH_*.json",
+        help="run every registered experiment (E1..E17, A1..A5), hold "
+             "each to the paper's claims and write BENCH_*.json",
     )
     p.add_argument("--quick", action="store_true",
                    help="smoke-size the E16/E17 populations (same "

@@ -64,7 +64,8 @@ def partitioned_plan(quick: bool = False) -> FaultPlan:
 
 def lossy_plan(drop: float = 0.2, dup: float = 0.1) -> FaultPlan:
     """Random per-message loss/duplication on every link — the
-    verify.py smoke and the property suite use this shape."""
+    per-backend recovery smoke (tests/core/test_recovery.py) and the
+    property suite use this shape."""
     return FaultPlan().drop(drop).duplicate(dup)
 
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 from repro.cli import main
+from repro.experiments import registered_experiments
 
 
 def test_bench_quick_writes_valid_json(quick_bench_run):
@@ -16,8 +17,7 @@ def test_bench_quick_writes_valid_json(quick_bench_run):
     doc = json.loads(out.read_text())
     assert doc["schema"] == "repro.bench"
     assert doc["quick"] is True
-    assert set(doc["benches"]) == {"E1", "E4", "E5", "E13", "E14", "E15",
-                                   "E16", "E17"}
+    assert set(doc["benches"]) == set(registered_experiments())
     assert "seed" in doc and "git_rev" in doc and "timestamp" in doc
 
 
@@ -64,11 +64,12 @@ def test_bench_unknown_only_name_exits_nonzero(capsys):
 
 def test_cli_import_does_not_load_the_bench_machinery():
     """``python -m repro net serve`` — every spawned node process —
-    imports `repro.cli`; only ``bench`` itself may pay for the runner
-    and its compare."""
+    imports `repro.cli`; only ``bench`` (and ``sweep``) may pay for
+    the runner, its compare and the experiment registry behind them."""
     code = ("import sys, repro.cli; "
             "print(sorted(m for m in sys.modules "
-            "if m in ('repro.obs.bench', 'repro.obs.compare')))")
+            "if m in ('repro.obs.bench', 'repro.obs.compare') "
+            "or m.startswith('repro.experiments')))")
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},

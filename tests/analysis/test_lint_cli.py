@@ -4,6 +4,7 @@ baseline workflow, and the path-error convention shared with
 ``bench --only``."""
 
 import json
+import time
 from pathlib import Path
 
 from repro.cli import main
@@ -110,8 +111,12 @@ def test_lint_suppressions_visible_in_text_summary(capsys):
 
 def test_lint_deep_shipped_tree_exits_zero(capsys):
     """The acceptance bar: the whole-program pass over src/ is clean
-    with the shipped (empty) baseline."""
+    with the shipped (empty) baseline — and inside a wall budget
+    generous next to its ~2.5 s, tight enough to catch an accidentally
+    quadratic rule before the analysis becomes the slow stage."""
+    t0 = time.perf_counter()
     assert main(["lint", "--deep"]) == 0
+    assert time.perf_counter() - t0 < 30.0
     out = capsys.readouterr().out
     assert "repro lint --deep: ok" in out
     assert "deep rules" in out
@@ -133,38 +138,29 @@ def test_lint_deep_json_report_carries_scope(capsys):
     assert set(golden["deep_rule_ids"]) <= fired
 
 
-def test_lint_report_v1_round_trip(capsys):
-    """`load_lint_report` still accepts version-1 documents (no `deep`
-    flag, no per-rule `scope`) and normalizes them to the v2 shape."""
+def test_lint_report_loader_validates_the_current_shape(capsys):
+    """`load_lint_report` returns a well-formed report unchanged and
+    rejects everything else — a version-1 document (no `deep` flag, no
+    per-rule `scope`) included: none was ever archived."""
+    import pytest
+
     from repro.analysis.lint import LintReportError, load_lint_report
 
     assert main(["lint", "--json", "-", str(FIXTURES)]) == 1
-    v2 = json.loads(capsys.readouterr().out)
+    doc = json.loads(capsys.readouterr().out)
+    assert load_lint_report(doc) == doc
 
-    v1 = {k: v for k, v in v2.items() if k != "deep"}
-    v1["schema_version"] = 1
-    v1["rules"] = {
-        rid: {k: v for k, v in entry.items() if k != "scope"}
-        for rid, entry in v2["rules"].items()
-    }
-    loaded = load_lint_report(v1)
-    assert loaded["schema_version"] == 2
-    assert loaded["deep"] is False
-    assert all(
-        e["scope"] == "module" for e in loaded["rules"].values()
-    )
-    # a modern doc loads unchanged
-    assert load_lint_report(v2)["deep"] is False
-
-    import pytest
-
-    with pytest.raises(LintReportError):
-        load_lint_report({**v2, "schema": "wrong"})
-    with pytest.raises(LintReportError):
-        load_lint_report({**v1, "deep": True})  # v1 cannot carry deep
-    missing = {k: v for k, v in v2.items() if k != "findings"}
-    with pytest.raises(LintReportError):
-        load_lint_report(missing)
+    unscoped = {rid: {k: v for k, v in entry.items() if k != "scope"}
+                for rid, entry in doc["rules"].items()}
+    for broken in (
+        {**doc, "schema": "wrong"},
+        {**doc, "schema_version": 1},
+        {k: v for k, v in doc.items() if k != "findings"},
+        {k: v for k, v in doc.items() if k != "deep"},
+        {**doc, "rules": unscoped},
+    ):
+        with pytest.raises(LintReportError):
+            load_lint_report(broken)
 
 
 def test_lint_fix_baseline_prunes_orphans(tmp_path, capsys):

@@ -145,3 +145,25 @@ def test_doc_names_the_baselines_and_the_gate_tests():
 def test_doc_is_linked_from_readme_and_api():
     assert "PERFORMANCE.md" in (ROOT / "README.md").read_text()
     assert "PERFORMANCE.md" in (ROOT / "docs" / "API.md").read_text()
+
+
+def _experiment_ids(lines) -> set:
+    return {bid for line in lines for bid in re.findall(r"\b[EA]\d+\b", line)}
+
+
+def test_experiment_ids_in_the_docs_are_the_registry():
+    """Every experiment a DESIGN.md §3 row or an EXPERIMENTS.md heading
+    names is registered (an ``E15–E17`` heading names its two ends),
+    and EXPERIMENTS.md names every registered one."""
+    from repro.experiments import registered_experiments
+
+    registered = set(registered_experiments())
+    design = (ROOT / "DESIGN.md").read_text().splitlines()
+    experiments = (ROOT / "EXPERIMENTS.md").read_text().splitlines()
+    indexed = _experiment_ids(
+        line.split("|")[1] for line in design
+        if re.match(r"\| [EA]\d+ \|", line))
+    headed = _experiment_ids(l for l in experiments if l.startswith("#"))
+    assert indexed == registered
+    assert headed <= registered
+    assert registered <= _experiment_ids(experiments)

@@ -11,11 +11,18 @@ from repro.core.api import (
     Proc,
     RecoveryExhausted,
     RecoveryPolicy,
+    kernel_profile,
     make_cluster,
+    registered_kernels,
 )
 from repro.core.exceptions import LynxError
 from repro.sim.faults import FaultPlan
 from repro.sim.rng import SimRandom
+from repro.workloads.chaos import (
+    chaos_policy,
+    lossy_plan,
+    run_chaos_workload,
+)
 
 ECHO = Operation("echo", (BYTES,), (BYTES,))
 
@@ -184,3 +191,22 @@ def test_without_a_policy_runtime_backends_just_wait():
     assert "client" in cluster.unfinished()
     assert cluster.metrics.get("faults.messages_lost") == 1
     assert cluster.metrics.total("recovery.") == 0
+
+
+@pytest.mark.parametrize("kind", registered_kernels())
+def test_every_backend_recovers_a_lossy_network_its_own_way(kind):
+    """Random loss and duplication on every link: each registered
+    backend must actually lose messages, resend them where its recovery
+    lives (kernel retransmit vs runtime retry), and still complete
+    every operation."""
+    c = run_chaos_workload(kind, count=8, seed=1, plan=lossy_plan(),
+                           policy=chaos_policy())
+    dropped = (c.counters.get("faults.messages_lost", 0)
+               + c.counters.get("faults.dropped", 0))
+    if kernel_profile(kind).capabilities.recovery_placement == "kernel":
+        resent = c.counters.get("faults.kernel_retransmits", 0)
+    else:
+        resent = (c.counters.get("recovery.retries", 0)
+                  + c.counters.get("recovery.reply_retries", 0))
+    assert dropped >= 1 and resent >= 1
+    assert c.completed == c.count and c.goodput_per_s > 0.0

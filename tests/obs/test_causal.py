@@ -256,9 +256,9 @@ def test_e13_charlotte_runtime_layer_cost_is_strictly_highest():
     counts Charlotte's high-level primitives force strictly more
     runtime-layer critical-path milliseconds per RPC than SODA's or
     Chrysalis's low-level primitives do."""
-    from repro.obs.bench import bench_e13
+    from repro.experiments import experiment
 
-    e13 = bench_e13(seed=0)
+    e13 = experiment("E13").measure(0, False)
     assert e13["charlotte_runtime_ms"] > e13["soda_runtime_ms"]
     assert e13["charlotte_runtime_ms"] > e13["chrysalis_runtime_ms"]
     for kind in KINDS:

@@ -65,13 +65,15 @@ def _stripped_checkout(root, baseline_mutation=None, golden_mutation=None):
 
 @pytest.mark.parametrize("mutation, fragment", [
     (lambda d: d.__setitem__("schema_version", 1), "schema_version"),
-    (lambda d: d["benches"]["E14"].pop("soda_faulted_goodput_per_s"),
-     "E14 metrics drifted"),
-    (lambda d: d["benches"]["E1"].__setitem__("rogue_metric", 1.0),
-     "E1 metrics drifted"),
+    (lambda d: d.pop("git_rev"), "top-level keys"),
+    (lambda d: d["benches"]["E1"].__setitem__("lynx_rpc0_ms", "57 ms"),
+     "E1.lynx_rpc0_ms is str, not a JSON number"),
 ])
 def test_drifted_baseline_fails(tmp_path, mutation, fragment):
-    """A stale or hand-edited current baseline must be rejected."""
+    """A stale or hand-edited current baseline must be rejected.  (A
+    metric added to or dropped from one bench block is not this
+    script's business any more: tests/obs/test_bench.py holds every
+    block's keys to what a run produces.)"""
     proc = _stripped_checkout(tmp_path, baseline_mutation=mutation)
     assert proc.returncode == 1
     assert fragment in proc.stderr

@@ -142,16 +142,18 @@ def test_mixed_quick_full_gates_only_iteration_invariant_metrics():
 
 
 def test_the_committed_trajectory_compares_clean():
-    """BENCH_PR9.json was written by the threshold runner six PRs ago
+    """BENCH_PR9.json was written by the threshold runner nine PRs ago
     and is never edited: every simulated value it holds is still
-    bit-identical, and what the new runner retired is ``gone``."""
+    bit-identical, what the exact-values runner retired is ``gone``,
+    and what the experiment registry added since is ``new``."""
     report = compare_files(PR9, BASELINE)
     assert report["status"] == "equal"
-    rows = [row for bid in SIMULATED
-            for row in report["benches"][bid].values()]
-    assert len(rows) == 112
-    assert {row["status"] for row in rows} == {"equal"}
-    assert _statuses(report) == {"equal", "gone"}
+    statuses = [row["status"] for bid in SIMULATED
+                for row in report["benches"][bid].values()]
+    assert statuses.count("equal") == 112
+    # E14's per-kernel `failed` / `exhausted`, which its claims read
+    assert statuses.count("new") == len(statuses) - 112 == 10
+    assert _statuses(report) == {"equal", "gone", "new"}
     assert _statuses(report, ("S1",)) == {"gone"}
 
 
@@ -203,5 +205,5 @@ def test_cli_compare_bad_document_exits_two(tmp_path, capsys):
 def test_render_report_tallies_and_gives_the_verdict():
     text = render_report(compare_files(PR9, BASELINE))
     assert "engine_events_per_sec" in text and "gone" in text
-    assert "lynx_rpc0_ms" not in text  # equal rows are only counted
-    assert "result: EQUAL — 135 equal, 33 gone" in text
+    assert "E1    lynx_rpc0_ms" not in text  # equal rows are only counted
+    assert "result: EQUAL — 135 equal, 33 gone, 251 new" in text

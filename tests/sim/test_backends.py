@@ -3,9 +3,7 @@
 Three families of checks:
 
 * **registry** — names resolve, unknown names fail with the registered
-  list in the message (the same contract
-  `benchmarks/verify.py --sim-backend` exits 2 on), duplicates are
-  programming errors;
+  list in the message, duplicates are programming errors;
 * **determinism** — the oracle chain: `sharded-serial` is bit-identical
   to `global` for every workload at any shard count, `sharded-parallel`
   matches at one shard, repeats and worker counts never change a
