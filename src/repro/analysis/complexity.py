@@ -22,8 +22,9 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import pkgutil
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import repro.core.runtime
 from repro.core.ports import kernel_profile, registered_kernels
@@ -91,10 +92,6 @@ class PackageStats:
         return self.kernel_specific_loc + self.common_loc
 
     @property
-    def total_branches(self) -> int:
-        return self.kernel_specific_branches + self.common_branches
-
-    @property
     def kernel_share(self) -> float:
         """Fraction of the package that is kernel-specific — the analog
         of §3.3's "devoted to the communication routines that interact
@@ -151,6 +148,46 @@ def analyze_module(module) -> ModuleStats:
                             sub.name, _logical_lines(sub), _branches(sub)
                         )
     return stats
+
+
+#: `src/repro` cut into the areas whose size is budgeted
+#: (`SIZE_BUDGETS` in tests/analysis/test_complexity.py): a module
+#: counts under the area naming its longest dotted prefix, so the rows
+#: are disjoint and a new package needs a row before `area_sizes` runs
+SIZE_AREAS = {
+    "engine": ("repro.sim.engine", "repro.sim.backends"),
+    "sim": ("repro.sim",),
+    "core": ("repro.core",),
+    "charlotte": ("repro.charlotte",),
+    "soda": ("repro.soda",),
+    "chrysalis": ("repro.chrysalis",),
+    "net+ideal": ("repro.net", "repro.ideal"),
+    "linda": ("repro.linda",),
+    "workloads": ("repro.workloads",),
+    "experiments": ("repro.experiments",),
+    "obs": ("repro.obs",),
+    "analysis": ("repro.analysis",),
+    "cli": ("repro.cli",),
+}
+
+
+def area_sizes() -> Dict[str, Tuple[int, int]]:
+    """``(logical lines, branches)`` of each `SIZE_AREAS` row:
+    `analyze_module` summed over every module of the tree, nested
+    packages included.  ``repro.__main__`` is not a module of the tree
+    in this sense — importing it runs the CLI."""
+    owner = {p: area for area, prefixes in SIZE_AREAS.items() for p in prefixes}
+    sizes = dict.fromkeys(SIZE_AREAS, (0, 0))
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name == "repro.__main__":
+            continue
+        area = owner[max(
+            (p for p in owner if f"{info.name}.".startswith(f"{p}.")), key=len
+        )]
+        stats = analyze_module(importlib.import_module(info.name))
+        loc, branches = sizes[area]
+        sizes[area] = (loc + stats.logical_loc, branches + stats.branches)
+    return sizes
 
 
 def runtime_package_stats(kind: str) -> PackageStats:

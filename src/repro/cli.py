@@ -5,7 +5,7 @@
     python -m repro sweep                   # the E4 crossover sweep
     python -m repro figure2                 # live figure-2 chart
     python -m repro migrate --kernel soda --hops 8 --loss 0.5
-    python -m repro sizes                   # the E2 code-size table
+    python -m repro sizes                   # E2's code-size table + the tree's
     python -m repro bench                   # E1..E17, A1..A5 -> BENCH_*.json
     python -m repro trace --kernel soda --by-layer --critical-path
     python -m repro chaos                   # fault injection + recovery
@@ -29,6 +29,7 @@ import sys
 from typing import List, Optional
 
 from repro.analysis.complexity import (
+    area_sizes,
     charlotte_special_case_stats,
     runtime_package_stats,
 )
@@ -642,6 +643,13 @@ def _cmd_sizes(args) -> int:
     special = charlotte_special_case_stats()
     t.add("charlotte special cases", special.logical_loc, special.branches)
     t.show()
+    t = Table(
+        "src/repro by budgeted area (SIZE_BUDGETS, tests/analysis)",
+        ["area", "logical loc", "branches"],
+    )
+    for area, size in area_sizes().items():
+        t.add(area, *size)
+    t.show()
     return 0
 
 
@@ -716,7 +724,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_chaos)
 
-    p = sub.add_parser("sizes", help="runtime package complexity (E2)")
+    p = sub.add_parser("sizes", help="runtime package complexity (E2) "
+                       "and the size of every area of the tree")
     p.set_defaults(fn=_cmd_sizes)
 
     p = sub.add_parser(

@@ -53,7 +53,6 @@ def serve(
     ends: Sequence[LinkEnd],
     handlers: Dict[Operation, Handler],
     count: Optional[int] = None,
-    fork_entries: bool = True,
 ):
     """Serve requests on ``ends`` until ``count`` have been handled (or
     every end dies, when ``count`` is None).  Returns the number
@@ -79,10 +78,7 @@ def serve(
         op, handler = by_name[inc.op.name]
         try:
             if _is_coroutine_entry(handler):
-                if fork_entries:
-                    yield from ctx.fork(handler(ctx, inc), f"entry:{op.name}")
-                else:
-                    yield from handler(ctx, inc)
+                yield from ctx.fork(handler(ctx, inc), f"entry:{op.name}")
             else:
                 results = handler(*inc.args)
                 if results is None:

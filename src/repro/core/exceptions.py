@@ -78,8 +78,3 @@ class ProtocolViolation(LynxError):
     """Internal consistency failure of a runtime package — never
     expected in a correct run; exists so tests can assert it never
     fires."""
-
-
-class DeadlockDetected(LynxError):
-    """Raised by cluster watchdogs when no process can make progress —
-    used by E10 (SODA outstanding-request limit)."""

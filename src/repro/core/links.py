@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Optional, Set, TYPE_CHECKING
+from typing import Any, Deque, Dict, Optional, Set, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.threads import LynxThread
@@ -97,8 +97,8 @@ class ConnectWaiter:
     #: simulated time the root span opened (connect entry, before
     #: marshalling — earlier than ``sent_at``)
     span_t0: float = 0.0
-    #: the REQUEST this waiter sent, kept for retransmission (only
-    #: populated when a `repro.core.recovery.RecoveryPolicy` is armed)
+    #: the REQUEST this waiter sent (always set by ``connect``), kept
+    #: for retransmission under a `repro.core.recovery.RecoveryPolicy`
     request: Optional["WireMessage"] = None
     #: retransmissions performed so far under the recovery policy
     retries: int = 0
@@ -124,8 +124,6 @@ class EndState:
     #: FIFO of coroutines awaiting replies on this end (reply queue is
     #: open iff this is non-empty)
     connect_waiters: Deque[ConnectWaiter] = field(default_factory=deque)
-    #: requests delivered by the transport, not yet consumed by a thread
-    incoming_requests: Deque["WireMessage"] = field(default_factory=deque)
     #: replies delivered by the transport, not yet matched
     incoming_replies: Deque["WireMessage"] = field(default_factory=deque)
     #: request seqs received and not yet replied to (blocks moving, §2.1)
@@ -141,12 +139,13 @@ class EndState:
     next_seq: int = 1
     #: why the link died, for exception messages
     destroy_reason: str = ""
-    #: causal contexts of requests we owe replies to, by request seq
-    #: (lets the reply leg rejoin the request's trace)
-    request_spans: Dict[int, "SpanContext"] = field(default_factory=dict)
-    #: simulated time each owed request was delivered to a server
-    #: thread, for the ``app`` serve span
-    request_span_t0: Dict[int, float] = field(default_factory=dict)
+    #: by seq of each traced request we owe a reply to: its causal
+    #: context (lets the reply leg rejoin the request's trace) and the
+    #: simulated time it was delivered to a server thread (where the
+    #: ``app`` serve span starts)
+    request_spans: Dict[int, Tuple["SpanContext", float]] = field(
+        default_factory=dict
+    )
     #: duplicate-suppression state, maintained only while the cluster
     #: has a fault plane installed (`repro.sim.faults`): request seqs
     #: already consumed on this end ...

@@ -14,8 +14,8 @@ Two things live here:
 
 `KernelProfile` + the registry
     one entry per backend: a lazy cluster factory, capability /
-    divergence flags, trace-event vocabulary, cost-model pointers and
-    everything the CLI / workloads / benches previously derived from
+    divergence flags, trace-event vocabulary and everything the CLI /
+    workloads / benches previously derived from
     ``if kind == "charlotte"`` string comparisons.  New backends
     register here and every layer above — `make_cluster`, the CLI,
     the conformance suite, the benches, the E2 complexity table —
@@ -80,8 +80,11 @@ class KernelRuntimePort(Protocol):
         tables for this process exist; initial links are usable.
 
     ``rt_runnable()`` *(plain)*
-        True while kernel-side activity for this runtime is possibly
-        pending (used by quiescence detection).  Must not block.
+        May user threads run right now?  The dispatcher steps a ready
+        thread only while this is True; the default is always True —
+        idle or not — and the one override is SODA's freeze protocol
+        (§4.2), False while the process is frozen ("ceases execution
+        of everything but its own searches").  Must not block.
 
     ``rt_shutdown()``
         Runs after ``main`` returns and cleanup finished.  Post: the
@@ -94,7 +97,9 @@ class KernelRuntimePort(Protocol):
 
     ``rt_send_request(es, msg)``
         Transmit a REQUEST on owned end ``es``.  Pre: enclosures are
-        staged (IN_TRANSIT) and ``es.outgoing[msg.seq]`` is recorded.
+        staged (IN_TRANSIT) and ``es.outgoing[msg.seq]`` is recorded —
+        `LynxRuntimeBase._stage` is the one place that establishes
+        both.
         Post (eventually): the peer runtime sees the message via its
         request queue and the sender gets `notify_receipt` (receipt
         confirmed) or `notify_bounce` (returned undelivered).  When a
@@ -261,8 +266,6 @@ class KernelProfile:
     #: keys in these namespaces are emitted only for backends that
     #: declare the namespace
     metric_namespaces: frozenset
-    #: attribute name of this backend's costs on `CostModel`
-    cost_attr: str = ""
     #: multiplier for conformance-scenario timings (fast kernels use
     #: small scales so scenario races land in the same regime)
     time_scale: float = 1.0
@@ -279,10 +282,6 @@ class KernelProfile:
 
     def load_cluster(self) -> type:
         return self.factory()
-
-    def cost_for(self, model) -> Any:
-        """This backend's cost bundle from a `CostModel` instance."""
-        return getattr(model, self.cost_attr or self.name)
 
 
 _REGISTRY: Dict[str, KernelProfile] = {}
@@ -496,7 +495,6 @@ register_kernel(KernelProfile(
     runtime_modules=("repro.net.ideal_framed",),
     trace_events=frozenset({"send"}),
     metric_namespaces=frozenset({"net"}),
-    cost_attr="ideal",
     time_scale=0.05,
 ))
 

@@ -35,11 +35,37 @@ the kernel* under SODA (unaccepted puts) and *in the link object* under
 Chrysalis (flags), exactly as the paper describes.  Only the Charlotte
 kernel eagerly pushes messages at the runtime — which is precisely what
 creates the retry/forbid/allow machinery in that runtime package.
+
+How a message is handled
+------------------------
+A thread yields an op; `_handle_op` looks its class up in
+`LynxRuntimeBase._OPS` — the whole language surface, one row per op.
+``connect`` and ``reply`` gather (`_charge`, inside a ``marshal`` span),
+then `_stage` the message — next seq on the end, its enclosed ends
+IN_TRANSIT, recorded in ``outgoing`` — and hand it to `_transmit`, the
+fault plane in front of ``rt_send_request`` / ``rt_send_reply``.  A
+staged message leaves ``outgoing`` once, through `_retract_outgoing`
+(or with its whole end, in `_mark_destroyed`):
+
+* *receipt* (`notify_receipt`) — enclosures MOVED, replier resumed;
+* *bounce* (`notify_bounce`) — enclosures OWNED again;
+* *reply refused* (`notify_reply_aborted`, or ``rt_send_reply``
+  raising) — the replier feels `RequestAborted`;
+* *unwind* (`_unwind_connect`) — send failed, aborted, or exhausted;
+* *gave up* (`_reply_recovery_fire`) — the reply's budget ran out.
+
+At a block point `_deliver_pending` hands a reply to `_consume_reply`
+and a request — taken lazily, when a thread waits for one — to
+`_consume_request`; both `_scatter` it (the charge inside an
+``unmarshal`` span, then the lazy unmarshal) and adopt its enclosures.
+A refused request is answered by `_auto_exception_reply`; `WIRE_ERRORS`
+is what that EXCEPTION raises in the connecting thread.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.core import codec
@@ -65,6 +91,7 @@ from repro.core.links import (
     EndState,
     LinkEnd,
 )
+from repro.core.ports import kernel_profile
 from repro.core.program import Incoming
 from repro.core.recovery import TimerWheel
 from repro.core.threads import LynxThread, ThreadState
@@ -73,6 +100,17 @@ from repro.core.wire import ExceptionCode, MsgKind, WireMessage
 from repro.sim.futures import Future
 from repro.sim.tasks import Task, TaskKilled, sleep
 from repro.sim.failure import CrashMode
+
+#: what the `ExceptionCode` of an EXCEPTION message raises in the thread
+#: whose connect it answers: (class, text)
+WIRE_ERRORS = {
+    ExceptionCode.REQUEST_ABORTED: (RequestAborted, "request aborted"),
+    ExceptionCode.LINK_DESTROYED: (
+        LinkDestroyed, "link destroyed during operation"),
+    ExceptionCode.NO_SUCH_OPERATION: (
+        TypeClash, "server does not serve this operation"),
+    ExceptionCode.TYPE_CLASH: (TypeClash, "request/reply signature mismatch"),
+}
 
 
 class LynxRuntimeBase:
@@ -88,7 +126,9 @@ class LynxRuntimeBase:
         #: costs of the run-time package itself (RuntimeCosts)
         self.rc = self.runtime_costs()
 
-        self.threads: List[LynxThread] = []
+        #: coroutines born and not yet finished — a count, not a list:
+        #: a server forks one per request and must not remember them
+        self.live_threads = 0
         self.ready: deque[LynxThread] = deque()
         self.ends: Dict[EndRef, EndState] = {}
         self.op_registry: Dict[str, Operation] = {}
@@ -108,12 +148,6 @@ class LynxRuntimeBase:
         self.alive = True
         self.exited = False
         self._crash_mode: Optional[CrashMode] = None
-        #: where loss-recovery lives for this backend ("runtime" or
-        #: "kernel"), resolved lazily from the kernel registry
-        self._recovery_placement_cache: Optional[str] = None
-        #: jitter stream for recovery backoff, derived lazily so
-        #: fault-free runs draw nothing
-        self._recovery_rng = None
         #: recovery timeouts batch same-deadline timers behind one
         #: engine event; see repro.core.recovery.TimerWheel
         self.timers = TimerWheel(self.engine)
@@ -149,19 +183,16 @@ class LynxRuntimeBase:
         """Create a fresh link with both ends owned locally; returns
         (ref_a, ref_b)."""
         raise NotImplementedError
-        yield
 
     def rt_send_request(self, es: EndState, msg: WireMessage) -> Generator:
         """Put a REQUEST on the wire (or queue it transport-side)."""
         raise NotImplementedError
-        yield
 
     def rt_send_reply(self, es: EndState, msg: WireMessage) -> Generator:
         """Put a REPLY/EXCEPTION on the wire.  May raise
         `RequestAborted` if the transport can tell the requester no
         longer wants it (SODA/Chrysalis can; Charlotte cannot — §3.2)."""
         raise NotImplementedError
-        yield
 
     def rt_sync_interest(self, es: EndState) -> Generator:
         """The set of messages we are willing to receive on ``es``
@@ -176,7 +207,6 @@ class LynxRuntimeBase:
         (via the ``deliver_* / notify_*`` base hooks or internal
         state)."""
         raise NotImplementedError
-        yield
 
     def rt_request_available(self, es: EndState) -> bool:
         """(plain) A request could be taken from the transport on this
@@ -187,19 +217,16 @@ class LynxRuntimeBase:
         """Take one request from the transport (scatter/accept it);
         returns a WireMessage, or None if none was actually available."""
         raise NotImplementedError
-        yield
 
     def rt_destroy(self, es: EndState, reason: str) -> Generator:
         """Destroy the link at the kernel level and notify the peer."""
         raise NotImplementedError
-        yield
 
     def rt_abort_connect(self, es: EndState, waiter: ConnectWaiter) -> Generator:
         """Attempt to withdraw the outstanding request of ``waiter``.
         Returns True if it was withdrawn before receipt (enclosures are
         then restored by the base)."""
         raise NotImplementedError
-        yield
 
     def rt_export_end(self, es: EndState) -> dict:
         """(plain) Transport metadata shipped with a moving end."""
@@ -296,7 +323,7 @@ class LynxRuntimeBase:
                     t = self.ready.popleft()
                     if t.live:
                         yield from self._run_thread(t)
-                if not self.alive or not self._has_live_threads():
+                if not self.alive or not self.live_threads:
                     break
                 yield from self._block_point()
         except GeneratorExit:
@@ -342,12 +369,9 @@ class LynxRuntimeBase:
     # ------------------------------------------------------------------
     def _spawn_thread(self, gen: Generator, name: str) -> LynxThread:
         t = LynxThread(gen, name)
-        self.threads.append(t)
+        self.live_threads += 1
         self.ready.append(t)
         return t
-
-    def _has_live_threads(self) -> bool:
-        return any(t.live for t in self.threads)
 
     def _run_thread(self, t: LynxThread) -> Generator:
         """Step ``t`` until it blocks or finishes.  Mutual exclusion is
@@ -364,58 +388,39 @@ class LynxRuntimeBase:
             except StopIteration as stop:
                 t.state = ThreadState.DONE
                 t.result = stop.value
-                return
             except ThreadAborted as err:
                 t.state = ThreadState.DONE
                 t.error = err
                 self.metrics.count("runtime.threads_aborted")
-                return
             except LynxError as err:
                 # an unhandled LYNX exception terminates the coroutine
                 t.state = ThreadState.FAILED
                 t.error = err
                 self.metrics.count("runtime.threads_failed")
-                return
-            yield from self._handle_op(t, op)
+            else:
+                yield from self._handle_op(t, op)
+                continue
+            # every ``except`` arm above is a finished thread — the only
+            # place one finishes
+            self.live_threads -= 1
+            return
 
     # ------------------------------------------------------------------
-    # op dispatch
+    # op dispatch: `_OPS` (below the handlers) maps each `repro.core.ops`
+    # class to its ``(self, t, op)`` handler.  A handler either leaves
+    # ``t`` READY with ``pending_value`` / ``pending_error`` set (None,
+    # the slot's state when the handler is entered, is the default
+    # result) or blocks it; one that charges simulated time or makes a
+    # kernel downcall is a generator function, the rest are plain.
     # ------------------------------------------------------------------
     def _handle_op(self, t: LynxThread, op: Any) -> Generator:
-        if isinstance(op, _ops.ConnectOp):
-            yield from self._op_connect(t, op)
-        elif isinstance(op, _ops.WaitRequestOp):
-            self._op_wait_request(t, op)
-        elif isinstance(op, _ops.ReplyOp):
-            yield from self._op_reply(t, op)
-        elif isinstance(op, _ops.OpenOp):
-            yield from self._op_set_queue(t, op.end, True)
-        elif isinstance(op, _ops.CloseOp):
-            yield from self._op_set_queue(t, op.end, False)
-        elif isinstance(op, _ops.NewLinkOp):
-            yield from self._op_new_link(t)
-        elif isinstance(op, _ops.DestroyOp):
-            yield from self._op_destroy(t, op)
-        elif isinstance(op, _ops.ForkOp):
-            child = self._spawn_thread(op.gen, op.name or f"{self.name}.fork")
-            t.pending_value = child
-        elif isinstance(op, _ops.AbortThreadOp):
-            yield from self._op_abort(t, op.thread)
-        elif isinstance(op, _ops.RegisterOp):
-            self.op_registry[op.operation.name] = op.operation
-            t.pending_value = None
-        elif isinstance(op, _ops.DelayOp):
-            t.block("delay")
-            self.engine.defer(op.ms, self._resume, t, None)
-        elif isinstance(op, _ops.ComputeOp):
-            yield sleep(self.engine, op.ms)
-            t.pending_value = None
-        elif isinstance(op, _ops.NowOp):
-            t.pending_value = self.engine.now
-        elif isinstance(op, _ops.SelfOp):
-            t.pending_value = self.name
-        else:
+        handler = self._OPS.get(type(op))
+        if handler is None:
             t.pending_error = ProtocolViolation(f"unknown op {op!r}")
+            return
+        steps = handler(self, t, op)
+        if steps is not None:
+            yield from steps
 
     # -- connect --------------------------------------------------------
     def _op_connect(self, t: LynxThread, op: _ops.ConnectOp) -> Generator:
@@ -430,28 +435,15 @@ class LynxRuntimeBase:
         # the conversation (see repro.obs.causal)
         root = self.cluster.spans.new_trace()
         root_t0 = self.engine.now
-        yield self._charge_gather(payload, encs)
-        self.cluster.spans.emit(
-            root, "runtime", "marshal", self.name, root_t0, self.engine.now
-        )
-        seq = es.alloc_seq()
-        msg = WireMessage(
-            kind=MsgKind.REQUEST,
-            seq=seq,
-            opname=op.op.name,
-            sighash=op.op.sighash,
-            payload=payload,
-            enclosures=encs,
-            enc_total=len(encs),
-            sent_at=self.engine.now,
-            span=root,
-        )
-        self._stage_enclosures(msg)
-        es.outgoing[seq] = msg
-        es.unreceived_sent += 1
+        yield from self._spanned(root, "marshal", self._charge(
+            self.rc.gather_fixed_ms, payload, encs, "runtime.gathers"))
+        msg = self._stage(es, WireMessage(
+            kind=MsgKind.REQUEST, opname=op.op.name, sighash=op.op.sighash,
+            payload=payload, enclosures=encs, span=root,
+        ))
         waiter = ConnectWaiter(
-            t, seq, op.op, sent_at=self.engine.now, span=root, span_t0=root_t0,
-            request=msg,
+            t, msg.seq, op.op, sent_at=self.engine.now, span=root,
+            span_t0=root_t0, request=msg,
         )
         es.connect_waiters.append(waiter)
         t.block(f"connect:{op.op.name}")
@@ -461,18 +453,20 @@ class LynxRuntimeBase:
             yield from self._transmit_request(es, msg)
             yield from self.rt_sync_interest(es)
         except LynxError as err:
-            self._unwind_connect(es, waiter, msg)
+            self._unwind_connect(es, waiter)
             self._resume_error(t, err)
         else:
             self._arm_recovery(es, waiter)
 
-    def _unwind_connect(
-        self, es: EndState, waiter: ConnectWaiter, msg: WireMessage
-    ) -> None:
+    def _unwind_connect(self, es: EndState, waiter: ConnectWaiter) -> None:
+        """End a connect from our side (send failed, aborted and
+        withdrawn, recovery exhausted): if its request is still
+        outgoing, its enclosures come back to us."""
         if waiter in es.connect_waiters:
             es.connect_waiters.remove(waiter)
-        self._retract_outgoing(es, msg.seq)
-        self._restore_enclosures(msg)
+        msg = self._retract_outgoing(es, waiter.seq)
+        if msg is not None:
+            self._restore_enclosures(msg)
         self._finish_root_span(waiter)
 
     def _finish_root_span(self, waiter: ConnectWaiter) -> None:
@@ -510,39 +504,22 @@ class LynxRuntimeBase:
         except LynxError as err:
             t.pending_error = err
             return
-        root = es.request_spans.pop(inc.seq, None)
-        serve_t0 = es.request_span_t0.pop(inc.seq, None)
-        gather_t0 = self.engine.now
-        if root is not None and serve_t0 is not None:
+        # emission order is load-bearing (span ids): app, charge, marshal
+        root, serve_t0 = es.request_spans.pop(inc.seq, (None, 0.0))
+        if root is not None:
             # the server's application time: request delivery -> reply
             self.cluster.spans.emit(
                 root, "app", f"serve:{inc.op.name}", self.name,
-                serve_t0, gather_t0,
+                serve_t0, self.engine.now,
             )
-        yield self._charge_gather(payload, encs)
-        if root is not None:
-            self.cluster.spans.emit(
-                root, "runtime", "marshal", self.name, gather_t0,
-                self.engine.now,
-            )
-        seq = es.alloc_seq()
-        msg = WireMessage(
-            kind=MsgKind.REPLY,
-            seq=seq,
-            reply_to=inc.seq,
-            opname=inc.op.name,
-            sighash=inc.op.sighash,
-            payload=payload,
-            enclosures=encs,
-            enc_total=len(encs),
-            sent_at=self.engine.now,
-            span=root,
-        )
-        self._stage_enclosures(msg)
-        es.outgoing[seq] = msg
-        es.unreceived_sent += 1
+        yield from self._spanned(root, "marshal", self._charge(
+            self.rc.gather_fixed_ms, payload, encs, "runtime.gathers"))
+        msg = self._stage(es, WireMessage(
+            kind=MsgKind.REPLY, reply_to=inc.seq, opname=inc.op.name,
+            sighash=inc.op.sighash, payload=payload, enclosures=encs, span=root,
+        ))
         es.owed_replies.discard(inc.seq)
-        es.send_waiters[seq] = t
+        es.send_waiters[msg.seq] = t
         t.block("reply")
         self.metrics.count("runtime.replies")
         self.cluster.trace_msg(self.name, "send", es.ref, msg, op=inc.op.name)
@@ -550,8 +527,8 @@ class LynxRuntimeBase:
         try:
             yield from self._transmit_reply(es, msg)
         except LynxError as err:
-            es.send_waiters.pop(seq, None)
-            self._retract_outgoing(es, seq)
+            es.send_waiters.pop(msg.seq, None)
+            self._retract_outgoing(es, msg.seq)
             es.reply_cache.pop(inc.seq, None)
             if isinstance(err, RequestAborted):
                 # the requester withdrew: the reply's enclosures stay ours
@@ -561,19 +538,20 @@ class LynxRuntimeBase:
             self._arm_reply_recovery(es, msg, 0)
 
     # -- queue control ------------------------------------------------------
-    def _op_set_queue(self, t: LynxThread, end: LinkEnd, open_: bool) -> Generator:
+    def _op_set_queue(self, t: LynxThread, op) -> Generator:
+        """`OpenOp` and `CloseOp`: the op's class is the wanted state."""
         try:
-            es = self._resolve_end(end)
+            es = self._resolve_end(op.end)
         except LynxError as err:
             t.pending_error = err
             return
+        open_ = type(op) is _ops.OpenOp
         if es.queue_open != open_:
             es.queue_open = open_
             yield from self.rt_sync_interest(es)
-        t.pending_value = None
 
     # -- link creation/destruction -------------------------------------------
-    def _op_new_link(self, t: LynxThread) -> Generator:
+    def _op_new_link(self, t: LynxThread, op: _ops.NewLinkOp) -> Generator:
         ref_a, ref_b = yield from self.rt_new_link()
         for ref in (ref_a, ref_b):
             self.ends[ref] = self._new_end_state(ref)
@@ -593,15 +571,14 @@ class LynxRuntimeBase:
         self._mark_destroyed(es, reason, crash=False)
         yield from self.rt_destroy(es, reason)
         self.registry.record_destroyed(es.ref.link, reason)
-        t.pending_value = None
 
     # -- abort -----------------------------------------------------------------
-    def _op_abort(self, t: LynxThread, target: LynxThread) -> Generator:
+    def _op_abort(self, t: LynxThread, op: _ops.AbortThreadOp) -> Generator:
+        target = op.thread
         if target is t:
             t.pending_error = ProtocolViolation("a thread cannot abort itself")
             return
         if not target.live:
-            t.pending_value = None
             return
         if target.state is ThreadState.BLOCKED:
             # find what it is blocked on
@@ -612,9 +589,7 @@ class LynxRuntimeBase:
                     self._cancel_recovery(waiter)
                     withdrawn = yield from self.rt_abort_connect(es, waiter)
                     if withdrawn:
-                        self._unwind_connect(
-                            es, waiter, self._outgoing_of(es, waiter.seq)
-                        )
+                        self._unwind_connect(es, waiter)
                 self.metrics.count("runtime.connect_aborts")
             elif target.block_reason == "wait_request":
                 self._wait_req = deque(
@@ -624,14 +599,6 @@ class LynxRuntimeBase:
         else:
             # runnable: deliver the abort before its next operation
             target.pending_error = ThreadAborted("aborted by peer thread")
-        t.pending_value = None
-
-    def _outgoing_of(self, es: EndState, seq: int) -> WireMessage:
-        msg = es.outgoing.get(seq)
-        if msg is None:
-            # already received/bounced; nothing to unwind
-            msg = WireMessage(kind=MsgKind.REQUEST, seq=seq)
-        return msg
 
     def _find_connect_waiter(
         self, t: LynxThread
@@ -641,6 +608,46 @@ class LynxRuntimeBase:
                 if w.thread is t:
                     return es, w
         return None, None
+
+    # -- the ops that touch no link ---------------------------------------------
+    def _op_fork(self, t: LynxThread, op: _ops.ForkOp) -> None:
+        t.pending_value = self._spawn_thread(
+            op.gen, op.name or f"{self.name}.fork"
+        )
+
+    def _op_register(self, t: LynxThread, op: _ops.RegisterOp) -> None:
+        self.op_registry[op.operation.name] = op.operation
+
+    def _op_delay(self, t: LynxThread, op: _ops.DelayOp) -> None:
+        t.block("delay")
+        self.engine.defer(op.ms, self._resume, t, None)
+
+    def _op_compute(self, t: LynxThread, op: _ops.ComputeOp) -> Generator:
+        yield sleep(self.engine, op.ms)
+
+    def _op_now(self, t: LynxThread, op: _ops.NowOp) -> None:
+        t.pending_value = self.engine.now
+
+    def _op_self(self, t: LynxThread, op: _ops.SelfOp) -> None:
+        t.pending_value = self.name
+
+    #: the language surface (`repro.core.ops`), one row per op
+    _OPS = {
+        _ops.ConnectOp: _op_connect,
+        _ops.WaitRequestOp: _op_wait_request,
+        _ops.ReplyOp: _op_reply,
+        _ops.OpenOp: _op_set_queue,
+        _ops.CloseOp: _op_set_queue,
+        _ops.NewLinkOp: _op_new_link,
+        _ops.DestroyOp: _op_destroy,
+        _ops.ForkOp: _op_fork,
+        _ops.AbortThreadOp: _op_abort,
+        _ops.RegisterOp: _op_register,
+        _ops.DelayOp: _op_delay,
+        _ops.ComputeOp: _op_compute,
+        _ops.NowOp: _op_now,
+        _ops.SelfOp: _op_self,
+    }
 
     # ==================================================================
     # block points
@@ -652,7 +659,7 @@ class LynxRuntimeBase:
                 yield from self._deliver_pending()
                 if self.ready:
                     return
-            if not self._has_live_threads():
+            if not self.live_threads:
                 return
             yield from self.rt_block_wait()
 
@@ -678,7 +685,7 @@ class LynxRuntimeBase:
         still_waiting: deque = deque()
         while self._wait_req:
             t, filt = self._wait_req.popleft()
-            if not t.live or t.state is not ThreadState.BLOCKED:
+            if t.state is not ThreadState.BLOCKED:
                 continue
             es = self._pick_queue(filt)
             if es is None:
@@ -724,12 +731,7 @@ class LynxRuntimeBase:
                 # a duplicated or replayed reply we already consumed:
                 # sequence-number suppression, not a protocol error
                 self.metrics.count("recovery.duplicates_dropped")
-                if msg.span is not None:
-                    now = self.engine.now
-                    self.cluster.spans.emit(
-                        msg.span, "runtime", "dup-reply-dropped", self.name,
-                        now, now,
-                    )
+                self._emit_fault_span(msg, "runtime", "dup-reply-dropped")
                 return
             self.metrics.count("runtime.unmatched_replies")
             return
@@ -743,31 +745,13 @@ class LynxRuntimeBase:
             self._finish_root_span(waiter)
             return
         yield from self.rt_sync_interest(es)
-        if msg.kind is MsgKind.EXCEPTION:
-            # enclosures of the refused request come home with it
-            yield from self._adopt_enclosures(msg)
-            err = self._exception_from_code(msg.error, es)
-            self._finish_root_span(waiter)
-            self._resume_error(waiter.thread, err)
-            return
-        scatter_t0 = self.engine.now
-        yield self._charge_scatter(msg)
-        if waiter.span is not None:
-            self.cluster.spans.emit(
-                waiter.span, "runtime", "unmarshal", self.name,
-                scatter_t0, self.engine.now,
-            )
         try:
-            # lazy: enclosed ends adopt now (§2.1), the body walk runs
-            # only if the connector reads the results — a corrupt body
-            # raises ProtocolViolation there, not here (sighash already
-            # screened signature mismatch at the header)
-            results = codec.lazy_unmarshal(
-                waiter.op.reply,
-                msg.payload,
-                msg.enclosures,
-                self._adopt_link_factory(msg),
-            )
+            if msg.kind is MsgKind.EXCEPTION:
+                # enclosures of the refused request come home with it
+                yield from self._adopt_enclosures(msg)
+                error, text = WIRE_ERRORS[msg.error]
+                raise error(text)
+            results = yield from self._scatter(waiter.span, waiter.op.reply, msg)
         except LynxError as err:
             self._finish_root_span(waiter)
             self._resume_error(waiter.thread, err)
@@ -785,7 +769,12 @@ class LynxRuntimeBase:
             if not self._admit_request(es, msg):
                 return False
         op = self.op_registry.get(msg.opname)
-        if op is None or op.sighash != msg.sighash:
+        try:
+            if op is None or op.sighash != msg.sighash:
+                raise TypeClash(msg.opname)
+            args = yield from self._scatter(msg.span, op.request, msg)
+        except LynxError:
+            # refused, whatever the reason: the requester hears why
             code = (
                 ExceptionCode.NO_SUCH_OPERATION
                 if op is None
@@ -794,53 +783,48 @@ class LynxRuntimeBase:
             yield from self._auto_exception_reply(es, msg, code)
             self.metrics.count("runtime.type_clashes")
             return False
-        scatter_t0 = self.engine.now
-        yield self._charge_scatter(msg)
-        if msg.span is not None:
-            self.cluster.spans.emit(
-                msg.span, "runtime", "unmarshal", self.name,
-                scatter_t0, self.engine.now,
-            )
-        try:
-            # lazy: see _consume_reply — adoption is eager, the body
-            # walk defers to the server thread's first args access
-            args = codec.lazy_unmarshal(
-                op.request, msg.payload, msg.enclosures, self._adopt_link_factory(msg)
-            )
-        except LynxError:
-            yield from self._auto_exception_reply(es, msg, ExceptionCode.TYPE_CLASH)
-            self.metrics.count("runtime.type_clashes")
-            return False
         yield from self._adopt_enclosures(msg)
         es.owed_replies.add(msg.seq)
         if msg.span is not None:
-            # remember the request's trace so the reply leg rejoins it
-            es.request_spans[msg.seq] = msg.span
-            es.request_span_t0[msg.seq] = self.engine.now
+            # remember the request's trace, and when its server thread
+            # got it, so the reply leg rejoins it with an ``app`` span
+            es.request_spans[msg.seq] = (msg.span, self.engine.now)
         incoming = Incoming(LinkEnd(es.ref, self.name), op, args, msg.seq)
         self.metrics.count("runtime.requests_served")
         self.cluster.trace_msg(self.name, "consume", es.ref, msg, op=op.name)
         self._resume(t, incoming)
         return True
 
+    def _scatter(self, span, types, msg: WireMessage) -> Generator:
+        """Charge the scatter of ``msg`` and unmarshal it against
+        ``types`` — lazily: enclosed ends get their local handles now
+        (§2.1; kernel adoption is `_adopt_enclosures`), the body walk
+        runs only when the receiving thread reads the values, so a
+        corrupt body raises `ProtocolViolation` there, not here (the
+        sighash already screened a signature mismatch at the header)."""
+        yield from self._spanned(span, "unmarshal", self._charge(
+            self.rc.scatter_fixed_ms, msg.payload, msg.enclosures,
+            "runtime.scatters"))
+        return codec.lazy_unmarshal(
+            types, msg.payload, msg.enclosures, self._local_end
+        )
+
+    def _local_end(self, ref: EndRef) -> LinkEnd:
+        """codec link factory: an incoming `EndRef` as a local handle."""
+        return LinkEnd(ref, self.name)
+
     def _auto_exception_reply(
         self, es: EndState, msg: WireMessage, code: ExceptionCode
     ) -> Generator:
-        exc = WireMessage(
-            kind=MsgKind.EXCEPTION,
-            seq=es.alloc_seq(),
-            reply_to=msg.seq,
-            opname=msg.opname,
-            error=code,
-            # enclosures of the refused request travel back, unadopted
-            enclosures=list(msg.enclosures),
-            enclosure_meta=list(msg.enclosure_meta),
-            enc_total=len(msg.enclosures),
-            sent_at=self.engine.now,
-            span=msg.span,
-        )
-        es.outgoing[exc.seq] = exc
-        es.unreceived_sent += 1
+        exc = self._stage(es, WireMessage(
+            kind=MsgKind.EXCEPTION, reply_to=msg.seq, opname=msg.opname,
+            error=code, span=msg.span,
+        ))
+        # the refused request's enclosures travel back as they came,
+        # unadopted — never ours, so attached after staging, not staged
+        exc.enclosures = list(msg.enclosures)
+        exc.enclosure_meta = list(msg.enclosure_meta)
+        exc.enc_total = len(msg.enclosures)
         try:
             yield from self._transmit_reply(es, exc)
         except LynxError:
@@ -864,18 +848,12 @@ class LynxRuntimeBase:
         never reaches ``send`` at all, so no kernel bookkeeping leaks;
         what the drop *means* depends on this backend's
         ``recovery_placement`` capability (§2.2 vs §4.1)."""
-        faults = self.cluster.faults
-        if faults is None:
+        if self.cluster.faults is None:
             yield from send(es, msg)
             return
-        verdict = faults.judge(
-            self.name,
-            self.cluster.peer_name_of(es.ref),
-            es.ref.link,
-            msg.kind.value,
-        )
+        verdict = self._judge(es, msg)
         if verdict.drop:
-            if self._recovery_placement() == "kernel":
+            if self._recovery_placement == "kernel":
                 # absolutes (Charlotte): the kernel hides the loss,
                 # retransmitting unboundedly and invisibly (§2.2)
                 self._spawn_kernel_retransmit(es, msg, send)
@@ -885,7 +863,7 @@ class LynxRuntimeBase:
                 self.metrics.count("faults.messages_lost")
                 self._emit_fault_span(msg, "network", "fault-drop")
             return
-        if verdict.dup and self._recovery_placement() == "runtime":
+        if verdict.dup and self._recovery_placement == "runtime":
             # duplicate delivery: a second copy rides alongside; the
             # receiving runtime suppresses it by sequence number
             self._emit_fault_span(msg, "network", "fault-duplicate")
@@ -895,10 +873,17 @@ class LynxRuntimeBase:
             return
         yield from send(es, msg)
 
+    def _judge(self, es: EndState, msg: WireMessage):
+        """The fault plane's verdict on one transmission of ``msg``."""
+        return self.cluster.faults.judge(
+            self.name, self.cluster.peer_name_of(es.ref), es.ref.link,
+            msg.kind.value,
+        )
+
     def _emit_fault_span(self, msg: WireMessage, layer: str, name: str) -> None:
         """Zero-duration marker span on the message's trace (no-op when
         the message carries no span context)."""
-        if msg is not None and msg.span is not None:
+        if msg.span is not None:
             now = self.engine.now
             self.cluster.spans.emit(msg.span, layer, name, self.name, now, now)
 
@@ -939,13 +924,7 @@ class LynxRuntimeBase:
                     # receipt/abort already concluded this exchange
                     return
                 self.metrics.count("faults.kernel_retransmits")
-                verdict = faults.judge(
-                    self.name,
-                    self.cluster.peer_name_of(es.ref),
-                    es.ref.link,
-                    msg.kind.value,
-                )
-                if verdict.drop:
+                if self._judge(es, msg).drop:
                     continue
                 self._emit_fault_span(msg, "kernel", "retransmit-delivered")
                 try:
@@ -956,36 +935,28 @@ class LynxRuntimeBase:
 
         Task(self.engine, driver(), f"kernel-rexmit:{self.name}:{msg.seq}")
 
+    @cached_property
     def _recovery_placement(self) -> str:
         """Where loss recovery lives for this backend, per its
         registered `KernelCapabilities` ("runtime" when the backend is
         not registered — the hint stance is the language's default)."""
-        if self._recovery_placement_cache is None:
-            from repro.core.ports import kernel_profile
+        try:
+            return kernel_profile(self.cluster.KIND).capabilities.recovery_placement
+        except (KeyError, ValueError):
+            return "runtime"
 
-            try:
-                profile = kernel_profile(self.cluster.KIND)
-            except (KeyError, ValueError):
-                self._recovery_placement_cache = "runtime"
-            else:
-                self._recovery_placement_cache = (
-                    profile.capabilities.recovery_placement
-                )
-        return self._recovery_placement_cache
+    @cached_property
+    def _recovery_rng(self):
+        """Jitter stream for recovery backoff — derived on first use,
+        so fault-free runs draw nothing."""
+        return self.cluster.rng.child(f"recovery/{self.name}")
 
     def _recovery_policy(self):
         """The cluster's `RecoveryPolicy`, or None when no policy is
         installed or this backend places recovery in the kernel."""
-        if self.cluster.recovery is None:
-            return None
-        if self._recovery_placement() != "runtime":
+        if self._recovery_placement != "runtime":
             return None
         return self.cluster.recovery
-
-    def _recovery_jitter_rng(self):
-        if self._recovery_rng is None:
-            self._recovery_rng = self.cluster.rng.child(f"recovery/{self.name}")
-        return self._recovery_rng
 
     def _arm_recovery(self, es: EndState, waiter: ConnectWaiter) -> None:
         """Start the connect's recovery timer, if a policy applies.
@@ -993,7 +964,7 @@ class LynxRuntimeBase:
         copy would try to move its link ends twice — so those connects
         keep the paper's wait-forever semantics."""
         policy = self._recovery_policy()
-        if policy is None or waiter.request is None:
+        if policy is None:
             return
         if waiter.request.enclosures:
             return
@@ -1032,7 +1003,7 @@ class LynxRuntimeBase:
                 self.name, "recovery-exhausted",
                 op=waiter.op.name, link=es.ref.link, retries=waiter.retries,
             )
-            self._unwind_connect(es, waiter, self._outgoing_of(es, waiter.seq))
+            self._unwind_connect(es, waiter)
             self._resume_error(
                 waiter.thread,
                 RecoveryExhausted(
@@ -1054,7 +1025,7 @@ class LynxRuntimeBase:
         # the retransmission passes through the fault plane again
         self._spawn_send(es, clone, self._transmit_request, 0.0)
         waiter.recovery_timer = self.timers.schedule(
-            policy.backoff_ms(waiter.retries, self._recovery_jitter_rng()),
+            policy.backoff_ms(waiter.retries, self._recovery_rng),
             self._recovery_fire,
             es,
             waiter,
@@ -1077,7 +1048,7 @@ class LynxRuntimeBase:
         delay = (
             policy.timeout_ms
             if attempt == 0
-            else policy.backoff_ms(attempt, self._recovery_jitter_rng())
+            else policy.backoff_ms(attempt, self._recovery_rng)
         )
         self.timers.schedule(delay, self._reply_recovery_fire, es, msg, attempt)
 
@@ -1173,12 +1144,25 @@ class LynxRuntimeBase:
                     f"{ref} has outstanding connects awaiting replies"
                 )
 
-    def _stage_enclosures(self, msg: WireMessage) -> None:
+    def _stage(self, es: EndState, msg: WireMessage) -> WireMessage:
+        """``msg`` becomes the next message sent on ``es`` — the one
+        place a sent message's life begins: it takes the end's next
+        seq, the ends of ours it encloses go IN_TRANSIT, and it is
+        recorded ``outgoing`` and counted unreceived (the precondition
+        of ``rt_send_request`` / ``rt_send_reply``) until
+        `_retract_outgoing` ends that life — on receipt, bounce, a
+        refused reply, unwind, reply give-up — or `_mark_destroyed`
+        does."""
+        msg.seq = es.alloc_seq()
+        msg.sent_at = self.engine.now
+        msg.enc_total = len(msg.enclosures)
         for ref in msg.enclosures:
-            es = self.ends[ref]
-            es.lifecycle = EndLifecycle.IN_TRANSIT
+            self.ends[ref].lifecycle = EndLifecycle.IN_TRANSIT
             self.registry.record_in_transit(ref, self.name)
         msg.enclosure_meta = [self.rt_export_end(self.ends[r]) for r in msg.enclosures]
+        es.outgoing[msg.seq] = msg
+        es.unreceived_sent += 1
+        return msg
 
     def _restore_enclosures(self, msg: WireMessage) -> None:
         for ref in msg.enclosures:
@@ -1197,17 +1181,8 @@ class LynxRuntimeBase:
                 if ref in self._rr:
                     self._rr.remove(ref)
 
-    def _adopt_link_factory(self, msg: WireMessage):
-        """codec link factory: wrap incoming EndRefs as local handles;
-        actual kernel adoption happens in `_adopt_enclosures`."""
-
-        def factory(ref: EndRef) -> LinkEnd:
-            return LinkEnd(ref, self.name)
-
-        return factory
-
     def _adopt_enclosures(self, msg: WireMessage) -> Generator:
-        metas = getattr(msg, "enclosure_meta", None) or [{}] * len(msg.enclosures)
+        metas = msg.enclosure_meta or [{}] * len(msg.enclosures)
         for ref, meta in zip(msg.enclosures, metas):
             if ref in self.ends:  # the end came home
                 es = self.ends[ref]
@@ -1227,13 +1202,12 @@ class LynxRuntimeBase:
             self._rr.append(ref)
         return es
 
-    def preload_end(self, ref: EndRef, as_initial: bool = True) -> EndState:
+    def preload_end(self, ref: EndRef) -> EndState:
         """Cluster-side installation of an initial link end (before the
         process starts)."""
         es = self._new_end_state(ref)
         self.ends[ref] = es
-        if as_initial:
-            self.initial_links.append(LinkEnd(ref, self.name))
+        self.initial_links.append(LinkEnd(ref, self.name))
         return es
 
     def _resolve_end(self, end: LinkEnd) -> EndState:
@@ -1283,8 +1257,7 @@ class LynxRuntimeBase:
         return msg
 
     def _mark_destroyed(self, es: EndState, reason: str, crash: bool) -> None:
-        if es.lifecycle is EndLifecycle.DESTROYED:
-            return
+        """(every caller has checked ``es`` is not DESTROYED already)"""
         es.lifecycle = EndLifecycle.DESTROYED
         es.destroy_reason = ("crash: " if crash else "") + reason
         err_cls = RemoteCrash if crash else LinkDestroyed
@@ -1323,7 +1296,6 @@ class LynxRuntimeBase:
         es.unreceived_sent = 0
         es.owed_replies.clear()
         es.request_spans.clear()
-        es.request_span_t0.clear()
         es.seen_requests.clear()
         es.reply_cache.clear()
         es.delivered_replies.clear()
@@ -1366,31 +1338,23 @@ class LynxRuntimeBase:
             self._wakeup = Future(self.engine, f"{self.name}.wakeup")
         return self._wakeup
 
-    def _charge_gather(self, payload: bytes, encs: List[EndRef]):
+    def _charge(self, fixed_ms: float, payload: bytes, encs: List[EndRef],
+                counter: str):
+        """The gather or scatter of one message, as a sleep to yield."""
         cost = (
-            self.rc.gather_fixed_ms
+            fixed_ms
             + self.rc.per_byte_ms * len(payload)
             + self.rc.per_enclosure_ms * len(encs)
         )
-        self.metrics.count("runtime.gathers")
+        self.metrics.count(counter)
         return sleep(self.engine, cost)
 
-    def _charge_scatter(self, msg: WireMessage):
-        cost = (
-            self.rc.scatter_fixed_ms
-            + self.rc.per_byte_ms * len(msg.payload)
-            + self.rc.per_enclosure_ms * len(msg.enclosures)
-        )
-        self.metrics.count("runtime.scatters")
-        return sleep(self.engine, cost)
-
-    def _exception_from_code(
-        self, code: Optional[ExceptionCode], es: EndState
-    ) -> LynxError:
-        if code is ExceptionCode.REQUEST_ABORTED:
-            return RequestAborted("request aborted")
-        if code is ExceptionCode.LINK_DESTROYED:
-            return LinkDestroyed("link destroyed during operation")
-        if code is ExceptionCode.NO_SUCH_OPERATION:
-            return TypeClash("server does not serve this operation")
-        return TypeClash("request/reply signature mismatch")
+    def _spanned(self, span, name: str, charge) -> Generator:
+        """Yield ``charge``; emit a ``runtime`` span covering it when
+        the message it is charged for carries a trace."""
+        t0 = self.engine.now
+        yield charge
+        if span is not None:
+            self.cluster.spans.emit(
+                span, "runtime", name, self.name, t0, self.engine.now
+            )

@@ -366,16 +366,6 @@ class CausalGraph:
                 totals[seg.layer] = totals.get(seg.layer, 0.0) + seg.duration
         return totals
 
-    def by_host(
-        self, trace_ids: Optional[Sequence[int]] = None
-    ) -> Dict[str, float]:
-        """Total critical-path milliseconds per host across traces."""
-        totals: Dict[str, float] = {}
-        for tid in (trace_ids if trace_ids is not None else self.traces()):
-            for seg in self.critical_path(tid):
-                totals[seg.host] = totals.get(seg.host, 0.0) + seg.duration
-        return totals
-
     def total_ms(
         self, trace_ids: Optional[Sequence[int]] = None
     ) -> float:

@@ -30,9 +30,6 @@ from repro.sim.engine import Engine
 
 #: bumped whenever the exported JSONL record shape changes
 TRACE_SCHEMA_VERSION = 2
-#: schema versions `from_jsonl` still understands (v1 records are v2
-#: records without the optional ``span`` field)
-SUPPORTED_TRACE_SCHEMA_VERSIONS = (1, 2)
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,7 +166,7 @@ class TraceLog:
     ) -> "TraceLog":
         """Rebuild a detached log from `to_jsonl` output (a string or an
         iterable of lines).  Header lines are recognised and skipped;
-        a header with an unknown schema version raises ValueError."""
+        a header of any other schema version raises ValueError."""
         if isinstance(source, str):
             source = source.splitlines()
         log = cls(engine=None, capacity=capacity)
@@ -179,7 +176,7 @@ class TraceLog:
                 continue
             rec = json.loads(line)
             if "schema" in rec:
-                if rec.get("version") not in SUPPORTED_TRACE_SCHEMA_VERSIONS:
+                if rec.get("version") != TRACE_SCHEMA_VERSION:
                     raise ValueError(
                         f"unsupported trace schema {rec.get('schema')!r} "
                         f"v{rec.get('version')!r}"

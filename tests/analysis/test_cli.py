@@ -1,7 +1,10 @@
 """Tests for the CLI (`python -m repro ...`)."""
 
+import re
+
 import pytest
 
+from repro.analysis.complexity import area_sizes
 from repro.cli import main
 
 
@@ -41,6 +44,9 @@ def test_sizes_command(capsys):
     assert main(["sizes"]) == 0
     out = capsys.readouterr().out
     assert "charlotte special cases" in out
+    # ... and, under E2's table, the row of every budgeted area
+    for area, (loc, branches) in area_sizes().items():
+        assert re.search(rf"{re.escape(area)} +{loc} +{branches}\n", out), area
 
 
 def test_unknown_command_rejected():

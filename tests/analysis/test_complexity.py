@@ -1,7 +1,7 @@
 """Unit tests for the code-complexity accounting (E2's instrument)."""
 
-import importlib
-import pkgutil
+import ast
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +9,10 @@ import repro.charlotte.runtime
 import repro.core.runtime
 from repro.analysis.complexity import (
     CHARLOTTE_SPECIAL_CASES,
+    _branches,
+    _logical_lines,
     analyze_module,
+    area_sizes,
     charlotte_special_case_stats,
     comparison,
     runtime_package_stats,
@@ -36,9 +39,7 @@ def f():
     """
     return 1
 '''
-    import ast as _ast
-    tree = _ast.parse(src)
-    from repro.analysis.complexity import _branches, _logical_lines
+    tree = ast.parse(src)
 
     # def + return = 2 statements; the docstring Expr is skipped
     assert _logical_lines(tree) == 2
@@ -77,46 +78,74 @@ def test_comparison_reproduces_paper_ordering():
     assert 0.0 < cmp_["charlotte"]["special_case_share_of_specific"] < 1.0
 
 
-def _modules_of(*packages):
-    """Every module of each package, its ``__init__`` included."""
-    names = []
-    for pkg in packages:
-        names.append(pkg)
-        names.extend(m.name for m in pkgutil.iter_modules(
-            importlib.import_module(pkg).__path__, pkg + "."))
-    return tuple(names)
-
-
-#: ROADMAP item 4's tree-wide size budget, one row per collapsed area:
-#: `analyze_module` logical lines and branches summed over the row's
-#: modules, as the PR that shrank it left them.  Like
+#: ROADMAP item 3's tree-wide size budget, one row per area of
+#: `repro.analysis.complexity.SIZE_AREAS` — between them every module
+#: of `src/repro`: `analyze_module` logical lines and branches summed
+#: over the row's modules, as the PR that shrank it left them.  Like
 #: LINT_BASELINE.json it only ratchets down, so lower a row when a
 #: change shrinks the code and do not raise one to admit growth.
-SIZE_BUDGETS = [
+#: `python -m repro sizes` prints the current numbers.
+SIZE_BUDGETS = {
     # PR 13: one Engine, three drain policies (before: 733 / 215)
-    ("engine", ("repro.sim.engine", "repro.sim.backends",
-                "repro.sim.backends.sharded"), 498, 160),
+    "engine": (498, 160),
     # PR 15: real-asyncio is ideal plus a codec hook (before: 917 / 170)
     # PR 17: a layout codec, one server loop per wake-up, node stderr
     # kept (before: 621 / 116)
-    ("net+ideal", _modules_of("repro.net", "repro.ideal"), 610, 114),
+    "net+ideal": (610, 114),
     # PR 16: bench owns only exact values, compare is equality
     # (before: 1,182 / 352)
     # PR 18: the eight bench bodies left for the experiment registry;
     # bench.py is the runner and the envelope (before: 1,020 / 292)
-    ("obs", _modules_of("repro.obs"), 783, 230),
+    # PR 19: `CausalGraph.by_host` had no caller (before: 783 / 230)
+    "obs": (777, 227),
     # PR 18: every paper experiment declared once.  Not growth: these
     # lines came from the 21 `benchmarks/bench_*.py` modules (which no
     # budget row counted) and the eight bodies the `obs` row lost — and
     # the `obs` row's drop is that move, not a saving.  The surface they
     # shared (obs/bench.py + this package + benchmarks/*.py) went
     # 1,475 / 302 -> 1,203 / 245.
-    ("experiments", _modules_of("repro.experiments"), 950, 162),
-]
+    "experiments": (950, 162),
+    # PR 19: core/runtime.py's op dispatch, staging and scatter get one
+    # table and one owner each (802 / 229 -> 736 / 201); three one-value
+    # options and an unused exception go (before: 1,808 / 358)
+    "core": (1734, 328),
+    # PR 19: the version-1 trace reader goes (before: 674 / 128)
+    "sim": (673, 128),
+    # PR 19: first budgeted at its size then — 1,710 / 672 less the
+    # unused `PackageStats.total_branches`, plus `area_sizes`, the
+    # function this test and `repro sizes` share
+    "analysis": (1721, 677),
+    # PR 19: first budgeted — 468 / 88 plus the area table of `sizes`
+    "cli": (472, 89),
+    # PR 19: set at their size then, not yet lowered
+    "charlotte": (754, 195),
+    "soda": (759, 157),
+    "chrysalis": (518, 85),
+    "linda": (392, 60),
+    "workloads": (815, 116),
+}
 
 
-def test_engine_size_budget_only_ratchets_down():
-    for area, modules, loc, branches in SIZE_BUDGETS:
-        stats = [analyze_module(importlib.import_module(m)) for m in modules]
-        assert sum(s.logical_loc for s in stats) <= loc, area
-        assert sum(s.branches for s in stats) <= branches, area
+@pytest.fixture(scope="module")
+def sizes():
+    return area_sizes()
+
+
+def test_size_budgets_only_ratchet_down(sizes):
+    assert set(sizes) == set(SIZE_BUDGETS)
+    for area, (loc, branches) in sizes.items():
+        assert loc <= SIZE_BUDGETS[area][0], area
+        assert branches <= SIZE_BUDGETS[area][1], area
+
+
+def test_area_sizes_count_every_module_of_the_tree_once(sizes):
+    """The rows are disjoint and complete: together they equal a walk
+    of the source files — nested packages (`analysis/flow/rules`)
+    included, only ``__main__`` and the root ``__init__`` left out."""
+    root = Path(repro.__file__).parent
+    files = [p for p in root.rglob("*.py")
+             if p not in (root / "__init__.py", root / "__main__.py")]
+    assert any(len(p.relative_to(root).parts) > 3 for p in files)
+    trees = [ast.parse(p.read_text()) for p in files]
+    assert sum(loc for loc, _ in sizes.values()) == sum(map(_logical_lines, trees))
+    assert sum(br for _, br in sizes.values()) == sum(map(_branches, trees))

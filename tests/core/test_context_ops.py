@@ -3,9 +3,13 @@
 import pytest
 
 from repro.core import ops as _ops
+from repro.core.api import Proc
 from repro.core.context import LynxContext
+from repro.core.exceptions import ProtocolViolation
 from repro.core.links import EndRef, LinkEnd
+from repro.core.runtime import LynxRuntimeBase
 from repro.core.types import BYTES, Operation
+from tests.core.fakes import FakeCluster
 
 
 class _StubRuntime:
@@ -82,3 +86,37 @@ def test_fork_and_abort(ctx):
     t = LynxThread(child(), "t")
     a = first_yield(ctx.abort(t))
     assert isinstance(a, _ops.AbortThreadOp) and a.thread is t
+
+
+def test_every_op_has_a_handler_and_every_handler_an_op():
+    """`LynxRuntimeBase._OPS` *is* the language surface: an op added to
+    `repro.core.ops` without a row fails here, not as "unknown op" in
+    some program."""
+    surface = {
+        cls for cls in vars(_ops).values()
+        if isinstance(cls, type) and issubclass(cls, _ops.LynxOp)
+        and cls is not _ops.LynxOp
+    }
+    assert surface == set(LynxRuntimeBase._OPS)
+
+
+def test_yielding_a_non_op_raises_in_the_yielding_thread():
+    class Confused(Proc):
+        def __init__(self):
+            self.felt = []
+
+        def main(self, ctx):
+            for not_an_op in (42, _ops.LynxOp()):
+                try:
+                    yield not_an_op
+                except ProtocolViolation as err:
+                    self.felt.append(str(err))
+            # the thread survived both and still runs real ops
+            self.felt.append((yield from ctx.whoami()))
+
+    proc = Confused()
+    cluster = FakeCluster()
+    cluster.spawn(proc, "confused")
+    cluster.run_until_quiet()
+    assert cluster.all_finished
+    assert [f.split()[0] for f in proc.felt] == ["unknown", "unknown", "confused"]

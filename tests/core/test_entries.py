@@ -1,5 +1,7 @@
 """Tests for the entry-style server layer (core.entries)."""
 
+from collections.abc import Sized
+
 import pytest
 
 from repro.core.api import BYTES, INT, LinkDestroyed, Operation, Proc, STR
@@ -174,3 +176,39 @@ def test_call_returns_tuple_for_multi_result_ops():
     client = Client()
     cluster = run_pair(Server(), client)
     assert client.got == (3, 6)
+
+
+def test_a_server_keeps_no_record_of_the_entries_it_has_served():
+    """ROADMAP aim 3, "every table that can grow must have a bound":
+    `serve` forks one coroutine per request, so whatever a runtime
+    remembers per finished coroutine grows with every request it ever
+    answered.  It remembers a count of the live ones, nothing else."""
+    n = 300
+
+    class Server(Proc):
+        def entry(self, ctx, inc):
+            yield from ctx.reply(inc, (inc.args[0] + 1,))
+
+        def main(self, ctx):
+            self.served = yield from serve(
+                ctx, ctx.initial_links, {SLOW: self.entry}, count=n
+            )
+
+    class Client(Proc):
+        def main(self, ctx):
+            (end,) = ctx.initial_links
+            for i in range(n):
+                assert (yield from call(ctx, end, SLOW, i)) == i + 1
+
+    server = Server()
+    cluster = run_pair(server, Client())
+    assert cluster.all_finished and server.served == n
+    cluster.check()
+    rt = cluster.processes["server"].runtime
+    assert rt.live_threads == 0
+    grew = {
+        name: len(value) for name, value in vars(rt).items()
+        if isinstance(value, Sized) and not isinstance(value, str)
+        and len(value) >= n
+    }
+    assert not grew

@@ -5,10 +5,12 @@ advertise the registry must actually link it — so the doc cannot drift
 from the interface it reifies."""
 
 import dataclasses
+import inspect
 import re
 from pathlib import Path
 
 from repro.core.ports import KernelCapabilities, KernelRuntimePort
+from repro.core.runtime import LynxRuntimeBase
 
 ROOT = Path(__file__).resolve().parents[2]
 DOC = ROOT / "docs" / "PORTS.md"
@@ -71,3 +73,42 @@ def test_doc_states_the_registry_and_ideal_backend():
 def test_doc_is_linked_from_readme_and_api():
     assert "PORTS.md" in (ROOT / "README.md").read_text()
     assert "PORTS.md" in (ROOT / "docs" / "API.md").read_text()
+
+
+#: `inspect.signature` of the 20 port names on `LynxRuntimeBase`, taken
+#: at 9522e3e (PR 18).  The shared half may be rewritten behind the
+#: port; a kernel package must never have to change because it was.
+PORT_SIGNATURES = {
+    "runtime_costs": "(self)",
+    "rt_startup": "(self) -> 'Generator'",
+    "rt_runnable": "(self) -> 'bool'",
+    "rt_shutdown": "(self) -> 'Generator'",
+    "rt_new_link": "(self) -> 'Generator'",
+    "rt_send_request":
+        "(self, es: 'EndState', msg: 'WireMessage') -> 'Generator'",
+    "rt_send_reply":
+        "(self, es: 'EndState', msg: 'WireMessage') -> 'Generator'",
+    "rt_sync_interest": "(self, es: 'EndState') -> 'Generator'",
+    "rt_block_wait": "(self) -> 'Generator'",
+    "rt_request_available": "(self, es: 'EndState') -> 'bool'",
+    "rt_take_request": "(self, es: 'EndState') -> 'Generator'",
+    "rt_destroy": "(self, es: 'EndState', reason: 'str') -> 'Generator'",
+    "rt_abort_connect":
+        "(self, es: 'EndState', waiter: 'ConnectWaiter') -> 'Generator'",
+    "rt_export_end": "(self, es: 'EndState') -> 'dict'",
+    "rt_adopt_end": "(self, ref: 'EndRef', meta: 'dict') -> 'Generator'",
+    "deliver_reply": "(self, ref: 'EndRef', msg: 'WireMessage') -> 'None'",
+    "notify_receipt": "(self, ref: 'EndRef', seq: 'int') -> 'None'",
+    "notify_bounce": "(self, ref: 'EndRef', seq: 'int') -> 'None'",
+    "notify_reply_aborted": "(self, ref: 'EndRef', seq: 'int') -> 'None'",
+    "notify_destroyed":
+        "(self, ref: 'EndRef', reason: 'str', crash: 'bool' = False) -> 'None'",
+}
+
+
+def test_the_port_is_frozen():
+    port = {n for n in vars(KernelRuntimePort) if not n.startswith("_")}
+    assert port == set(PORT_SIGNATURES)
+    for name, signature in PORT_SIGNATURES.items():
+        found = str(inspect.signature(getattr(LynxRuntimeBase, name)))
+        assert found == signature, name

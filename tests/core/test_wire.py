@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core.exceptions import LynxError
 from repro.core.links import EndRef
+from repro.core.runtime import WIRE_ERRORS
 from repro.core.wire import (
     ENCLOSURE_REF_BYTES,
     HEADER_BYTES,
@@ -61,3 +63,12 @@ def test_kind_vocabulary_matches_the_paper():
         "goahead", "enc",                  # §3.2.2
         "ack",                             # the rejected design (E7)
     }
+
+
+def test_every_exception_code_names_the_error_it_raises():
+    """`WIRE_ERRORS` is what an EXCEPTION message means to the thread
+    whose connect it answers: a code without a row would be a KeyError
+    in the dispatcher, not a LYNX exception in that thread."""
+    assert set(WIRE_ERRORS) == set(ExceptionCode)
+    for error, text in WIRE_ERRORS.values():
+        assert issubclass(error, LynxError) and text

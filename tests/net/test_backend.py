@@ -29,7 +29,6 @@ def test_registered_with_the_real_transport_flag():
     assert "real-asyncio" in registered_kernels()
     profile = kernel_profile("real-asyncio")
     assert not hasattr(profile, "real_transport")
-    assert profile.cost_attr == "ideal"
     assert profile.metric_namespaces == {"net"}
     assert profile.capabilities == kernel_profile("ideal").capabilities
 
