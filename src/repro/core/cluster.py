@@ -178,19 +178,19 @@ class ClusterBase:
         """Record a message event for sequence charts.  The peer lookup
         goes through the registry — observability only; no protocol
         decision ever depends on it."""
+        detail = {"link": ref.link, **extra}
         if msg is not None:
             span = msg.span
             if span is not None and not span.sampled:
                 return  # head-based sampling: the whole trace is dropped
-        detail = dict(link=ref.link, **extra)
-        peer = self.registry.owner_of(ref.peer)
-        if peer is not None:
-            detail["peer"] = peer
-        if msg is not None:
             detail.setdefault("kind", msg.kind.value)
             detail["seq"] = msg.seq
             detail["bytes"] = msg.wire_size
-        self.trace.emit(actor, event, **detail)
+        peer = self.registry.owner_of(ref.peer)
+        if peer is not None:
+            detail["peer"] = peer
+        # built once and handed over: the log stores it as given
+        self.trace.record(actor, event, detail)
 
     def install_faults(self, plan: FaultPlan) -> FaultInjector:
         """Bind a network-fault schedule to this cluster (see

@@ -29,7 +29,9 @@ from __future__ import annotations
 import enum
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Optional, Set, Tuple, TYPE_CHECKING
+from typing import (
+    Any, Deque, Dict, NamedTuple, Optional, Set, Tuple, TYPE_CHECKING,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.threads import LynxThread
@@ -37,9 +39,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.causal import SpanContext
 
 
-@dataclass(frozen=True, slots=True)
-class EndRef:
-    """Global identity of one end of one link."""
+class EndRef(NamedTuple):
+    """Global identity of one end of one link.  A tuple: it keys
+    ``runtime.ends``, the registry and every kernel table, so it hashes
+    and compares in C, as ``(link, side)``."""
 
     link: int
     side: int  # 0 or 1

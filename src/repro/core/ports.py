@@ -128,9 +128,12 @@ class KernelRuntimePort(Protocol):
         returns after any event that could unblock a thread
         (level-triggered wakeup is fine).
 
-    ``rt_request_available(es)`` *(plain)*
+    ``rt_request_available(es)`` *(plain, no side effect)*
         True when a request on ``es`` could be consumed right now
-        without blocking.  Must not block, must not consume.
+        without blocking.  Must not block, must not consume, must not
+        change any state: a pure query.  `_pick_queue` stops asking at
+        the first end that answers True, so how many ends are asked
+        (and which) depends on the round-robin order.
 
     ``rt_take_request(es)``
         Dequeue and return the next incoming REQUEST `WireMessage`

@@ -706,18 +706,20 @@ class LynxRuntimeBase:
     def _pick_queue(self, filt: Optional[Tuple[EndRef, ...]]) -> Optional[EndState]:
         """Fair choice among non-empty open queues: rotate a global
         round-robin so "no queue is ignored forever" (§2.1)."""
-        candidates = [
-            ref
-            for ref in self._rr
-            if ref in self.ends
-            and self.ends[ref].queue_open
-            and self.ends[ref].lifecycle is EndLifecycle.OWNED
-            and (filt is None or ref in filt)
-            and self.rt_request_available(self.ends[ref])
-        ]
-        if not candidates:
+        chosen = next(
+            (
+                ref
+                for ref in self._rr
+                if ref in self.ends
+                and self.ends[ref].queue_open
+                and self.ends[ref].lifecycle is EndLifecycle.OWNED
+                and (filt is None or ref in filt)
+                and self.rt_request_available(self.ends[ref])
+            ),
+            None,
+        )
+        if chosen is None:
             return None
-        chosen = candidates[0]
         # rotate: move chosen to the back of the global order
         self._rr.remove(chosen)
         self._rr.append(chosen)

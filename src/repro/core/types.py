@@ -24,6 +24,7 @@ import zlib
 from typing import Any, Sequence, Tuple
 
 from repro.core.exceptions import TypeClash
+from repro.core.links import EndRef
 
 
 class LynxType:
@@ -122,7 +123,9 @@ class ArrayType(LynxType):
         return f"a[{self.elem.describe()}]"
 
     def check(self, value: Any, path: str = "value") -> None:
-        if not isinstance(value, (list, tuple)):
+        # an `EndRef` is a tuple by representation only: an identity,
+        # never an array of two INTs
+        if not isinstance(value, (list, tuple)) or isinstance(value, EndRef):
             raise TypeClash(f"{path}: expected array, got {type(value).__name__}")
         for i, v in enumerate(value):
             self.elem.check(v, f"{path}[{i}]")
@@ -187,6 +190,12 @@ class Operation:
     be used by requester and server; the 64-bit `sighash` travels in
     every request and reply header so mismatches surface as `TypeClash`
     rather than garbage decode.
+
+    An `Operation` is a value: ``signature`` (the canonical string,
+    e.g. ``get(s)->(y,i)``) and ``sighash`` (a stable 64-bit hash of
+    it) are computed at construction, and assigning to any attribute
+    afterwards raises `AttributeError` — the header hash cannot come
+    to describe a signature the codec no longer uses.
     """
 
     def __init__(
@@ -195,21 +204,25 @@ class Operation:
         request: Sequence[LynxType] = (),
         reply: Sequence[LynxType] = (),
     ) -> None:
-        self.name = name
-        self.request = tuple(request)
-        self.reply = tuple(reply)
+        request = tuple(request)
+        reply = tuple(reply)
+        req = ",".join(t.describe() for t in request)
+        rep = ",".join(t.describe() for t in reply)
+        signature = f"{name}({req})->({rep})"
+        data = signature.encode()
+        sighash = (zlib.crc32(data) << 32) | zlib.crc32(data[::-1])
+        # derived here, once, and stored past `__setattr__`, which keeps
+        # them describing the signature the codec uses
+        self.__dict__.update(
+            name=name, request=request, reply=reply,
+            signature=signature, sighash=sighash,
+        )
 
-    @property
-    def signature(self) -> str:
-        req = ",".join(t.describe() for t in self.request)
-        rep = ",".join(t.describe() for t in self.reply)
-        return f"{self.name}({req})->({rep})"
-
-    @property
-    def sighash(self) -> int:
-        """Stable 64-bit hash of the canonical signature."""
-        data = self.signature.encode()
-        return (zlib.crc32(data) << 32) | zlib.crc32(data[::-1])
+    def __setattr__(self, attr: str, value: Any) -> None:
+        raise AttributeError(
+            f"Operation is immutable: cannot assign to {attr!r} (the "
+            "sighash in every message header is computed once)"
+        )
 
     def check_request(self, args: Sequence[Any]) -> None:
         check_args(self.request, args, f"{self.name}.request")

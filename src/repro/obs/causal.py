@@ -47,7 +47,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import (
+    Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.sim.trace import TraceLog
 
@@ -63,10 +66,15 @@ _LAYER_PRIORITY = {name: i for i, name in enumerate(LAYERS)}
 GAP_LAYER = "runtime"
 
 
-@dataclass(frozen=True, slots=True)
-class SpanContext:
-    """The causal identity piggybacked on wire messages.  Slotted: one
-    rides on every `WireMessage` when tracing is on.
+#: the ``detail`` of every span record: its content is the ``span``
+#: payload, so all of them share this one read-only empty mapping
+_NO_DETAIL: Mapping[str, object] = MappingProxyType({})
+
+
+class SpanContext(NamedTuple):
+    """The causal identity piggybacked on wire messages.  A tuple: one
+    rides on every `WireMessage` when tracing is on, and it hashes and
+    compares as ``(trace_id, span_id, parent_id, sampled)``.
 
     ``sampled`` is the head-based sampling decision, made once at
     `SpanTracker.new_trace` and inherited by every child, so a trace
@@ -143,16 +151,15 @@ class SpanTracker:
                 self.metrics.count(
                     "obs.spans_sampled" if sampled else "obs.spans_dropped"
                 )
-        return SpanContext(tid, self._alloc_span(), None, sampled)
+        sid = self._next_span
+        self._next_span = sid + 1
+        return SpanContext(tid, sid, None, sampled)
 
     def child(self, parent: SpanContext) -> SpanContext:
-        return SpanContext(parent.trace_id, self._alloc_span(),
-                           parent.span_id, parent.sampled)
-
-    def _alloc_span(self) -> int:
-        s = self._next_span
-        self._next_span += 1
-        return s
+        sid = self._next_span
+        self._next_span = sid + 1
+        return SpanContext(parent.trace_id, sid, parent.span_id,
+                           parent.sampled)
 
     # -- emission ------------------------------------------------------
     def emit(
@@ -165,10 +172,23 @@ class SpanTracker:
         t1: float,
     ) -> SpanContext:
         """Mint a child of ``parent`` and emit it, completed, covering
-        ``[t0, t1]``.  Returns the child context (rarely needed)."""
-        ctx = self.child(parent)
-        self._record(ctx, layer, name, host, t0, t1)
-        return ctx
+        ``[t0, t1]``.  Returns the child context (rarely needed).  One
+        frame: ten of these are recorded per null RPC."""
+        sid = self._next_span
+        self._next_span = sid + 1
+        if parent.sampled:
+            self.trace.record(host, "span", _NO_DETAIL, {
+                "trace": parent.trace_id,
+                "id": sid,
+                "parent": parent.span_id,
+                "layer": layer,
+                "name": name,
+                "host": host,
+                "t0": t0,
+                "t1": t1,
+            })
+        return SpanContext(parent.trace_id, sid, parent.span_id,
+                           parent.sampled)
 
     def emit_root(
         self,
@@ -179,29 +199,17 @@ class SpanTracker:
         t1: float,
     ) -> None:
         """Emit the root (``rpc`` layer) span of a finished trace."""
-        self._record(ctx, "rpc", name, host, t0, t1)
-
-    def _record(
-        self,
-        ctx: SpanContext,
-        layer: str,
-        name: str,
-        host: str,
-        t0: float,
-        t1: float,
-    ) -> None:
-        if not ctx.sampled:
-            return
-        self.trace.emit(host, "span", span={
-            "trace": ctx.trace_id,
-            "id": ctx.span_id,
-            "parent": ctx.parent_id,
-            "layer": layer,
-            "name": name,
-            "host": host,
-            "t0": t0,
-            "t1": t1,
-        })
+        if ctx.sampled:
+            self.trace.record(host, "span", _NO_DETAIL, {
+                "trace": ctx.trace_id,
+                "id": ctx.span_id,
+                "parent": ctx.parent_id,
+                "layer": "rpc",
+                "name": name,
+                "host": host,
+                "t0": t0,
+                "t1": t1,
+            })
 
 
 #: one attributed segment of a critical path
@@ -243,9 +251,8 @@ class CausalGraph:
         return sorted(self.by_trace)
 
     def root(self, trace_id: int) -> Optional[Span]:
-        roots = [s for s in self.by_trace.get(trace_id, ())
-                 if s.parent_id is None]
-        return roots[0] if roots else None
+        return next((s for s in self.by_trace.get(trace_id, ())
+                     if s.parent_id is None), None)
 
     def children(self, trace_id: int) -> Dict[int, List[Span]]:
         """``{parent span_id: [child spans]}`` for one trace."""

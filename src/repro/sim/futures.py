@@ -24,6 +24,9 @@ class FutureState(enum.Enum):
     FAILED = "failed"
 
 
+_PENDING = FutureState.PENDING
+
+
 class InvalidFutureTransition(RuntimeError):
     """A future was resolved or failed more than once."""
 
@@ -40,65 +43,66 @@ class Future:
 
     def __init__(self, engine: Engine, label: str = "") -> None:
         self.engine = engine
-        self.state = FutureState.PENDING
+        self.state = _PENDING
         self.value: Any = None
         self.error: Optional[BaseException] = None
-        self._callbacks: List[Callable[["Future"], None]] = []
+        #: listeners in registration order; ``()`` once settled (a later
+        #: `add_done_callback` runs its listener at once instead)
+        self._callbacks: Sequence[Callable[["Future"], None]] = []
         #: free-form tag for tracing and error messages
         self.label = label
 
     # ------------------------------------------------------------------
     def is_settled(self) -> bool:
-        return self.state is not FutureState.PENDING
+        return self.state is not _PENDING
 
     def resolve(self, value: Any = None) -> None:
         """Settle successfully with ``value``."""
-        if self.state is not FutureState.PENDING:
+        if self.state is not _PENDING:
             raise InvalidFutureTransition(
                 f"future {self.label!r} already {self.state.value}"
             )
         self.state = FutureState.DONE
         self.value = value
-        self._fire()
+        callbacks, self._callbacks = self._callbacks, ()
+        for fn in callbacks:
+            fn(self)
 
     def fail(self, error: BaseException) -> None:
         """Settle with an exception; the waiting task will see it raised."""
-        if self.state is not FutureState.PENDING:
+        if self.state is not _PENDING:
             raise InvalidFutureTransition(
                 f"future {self.label!r} already {self.state.value}"
             )
         self.state = FutureState.FAILED
         self.error = error
-        self._fire()
+        callbacks, self._callbacks = self._callbacks, ()
+        for fn in callbacks:
+            fn(self)
 
-    def resolve_later(self, delay: float, value: Any = None):
-        """Schedule resolution ``delay`` ms from now; returns the Event."""
-        return self.engine.schedule(delay, self._safe_resolve, value)
-
-    def fail_later(self, delay: float, error: BaseException):
-        return self.engine.schedule(delay, self._safe_fail, error)
+    def resolve_later(self, delay: float, value: Any = None) -> None:
+        """Schedule resolution ``delay`` ms from now (a no-op if the
+        future has settled by then).  Fire-and-forget: nothing to
+        cancel, nothing returned."""
+        self.engine.defer(delay, self._safe_resolve, value)
 
     def _safe_resolve(self, value: Any) -> None:
-        if self.state is FutureState.PENDING:
-            self.resolve(value)
-
-    def _safe_fail(self, error: BaseException) -> None:
-        if self.state is FutureState.PENDING:
-            self.fail(error)
+        if self.state is _PENDING:
+            self.state = FutureState.DONE
+            self.value = value
+            callbacks, self._callbacks = self._callbacks, ()
+            for fn in callbacks:
+                fn(self)
 
     # ------------------------------------------------------------------
     def add_done_callback(self, fn: Callable[["Future"], None]) -> None:
         """Register ``fn(self)`` to run when the future settles (or
-        immediately if it already has)."""
-        if self.is_settled():
+        immediately if it already has).  Listeners fire in registration
+        order."""
+        if self.state is not _PENDING:
             fn(self)
         else:
             self._callbacks.append(fn)
-
-    def _fire(self) -> None:
-        callbacks, self._callbacks = self._callbacks, []
-        for fn in callbacks:
-            fn(self)
 
     def result(self) -> Any:
         """The settled value; raises if pending or failed."""
@@ -126,7 +130,7 @@ def gather(engine: Engine, futures: Sequence[Future], label: str = "gather") -> 
     def make_cb(index: int):
         def cb(f: Future) -> None:
             nonlocal remaining
-            if out.is_settled():
+            if out.state is not _PENDING:
                 return
             if f.state is FutureState.FAILED:
                 assert f.error is not None
@@ -151,7 +155,7 @@ def first_of(engine: Engine, futures: Sequence[Future], label: str = "first") ->
 
     def make_cb(index: int):
         def cb(f: Future) -> None:
-            if out.is_settled():
+            if out.state is not _PENDING:
                 return
             if f.state is FutureState.FAILED:
                 assert f.error is not None

@@ -68,7 +68,7 @@ class Task:
     # ------------------------------------------------------------------
     @property
     def finished(self) -> bool:
-        return self.done.is_settled()
+        return self.done.state is not FutureState.PENDING
 
     def kill(self, reason: str = "killed") -> None:
         """Deliver `TaskKilled` at the task's current (or next) yield
@@ -84,11 +84,10 @@ class Task:
 
     # ------------------------------------------------------------------
     def _step(self, value: Any, error: Optional[BaseException]) -> None:
-        if self.finished:
+        if self.done.state is not FutureState.PENDING:
             return
         if self._kill_pending is not None and error is None:
             error, self._kill_pending = self._kill_pending, None
-        self._waiting_on = None
         try:
             if error is not None:
                 yielded = self.gen.throw(error)
@@ -107,7 +106,11 @@ class Task:
         if yielded is None:
             self.engine.defer(0.0, self._step, None, None)
         elif isinstance(yielded, Future):
-            self._wait_on(yielded)
+            # one listener per wait, in the future's registration order;
+            # an already-settled future still resumes us through a
+            # deferred event, behind everything queued for this instant
+            self._waiting_on = yielded
+            yielded.add_done_callback(self._on_settle)
         else:
             err = TypeError(
                 f"task {self.name!r} yielded {type(yielded).__name__}; "
@@ -115,18 +118,14 @@ class Task:
             )
             self.engine.defer(0.0, self._step, None, err)
 
-    def _wait_on(self, fut: Future) -> None:
-        self._waiting_on = fut
-
-        def on_settle(f: Future) -> None:
-            if self._waiting_on is not f:
-                return  # task was killed or redirected meanwhile
-            if f.state is FutureState.DONE:
-                self.engine.defer(0.0, self._step, f.value, None)
-            else:
-                self.engine.defer(0.0, self._step, None, f.error)
-
-        fut.add_done_callback(on_settle)
+    def _on_settle(self, fut: Future) -> None:
+        """The future's listener.  A settle we no longer wait for — the
+        task was killed meanwhile, or this wait was already answered —
+        is ignored; a settled future has its value or its error, so one
+        `defer` carries both."""
+        if self._waiting_on is fut:
+            self._waiting_on = None
+            self.engine.defer(0.0, self._step, fut.value, fut.error)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "finished" if self.finished else "running"

@@ -6,8 +6,10 @@ happen so any run can be rendered the same way — the E3 bench and the
 `examples/figure2.py` script regenerate figure 2 from a live run
 rather than from the model.
 
-Tracing is always on (appending a tuple is cheap at simulation scale)
-but bounded; the log keeps the most recent ``capacity`` events.
+Tracing is always on but bounded: an event is one `TraceEvent` tuple
+appended to a deque that keeps the most recent ``capacity`` events —
+no copy of its ``detail`` or ``span`` mapping is taken, so a recorder
+hands over mappings it will not touch again (`TraceLog.record`).
 
 For offline analysis the log exports to JSON Lines (`to_jsonl`) and
 reloads (`from_jsonl`) into a detached log that renders the same
@@ -21,9 +23,9 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
 from typing import (
-    Callable, Deque, Dict, Iterable, List, Optional, Sequence, Union,
+    Callable, Deque, Dict, Iterable, List, Mapping, NamedTuple, Optional,
+    Sequence, Union,
 )
 
 from repro.sim.engine import Engine
@@ -32,13 +34,16 @@ from repro.sim.engine import Engine
 TRACE_SCHEMA_VERSION = 2
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
+    """One recorded event, immutable.  A tuple rather than a frozen
+    dataclass: sixteen are built per null RPC, and a tuple is filled by
+    one ``tuple.__new__``, not one ``object.__setattr__`` per field."""
+
     time: float
     actor: str
     event: str
     #: free-form details (message kind, link, seq, peer, ...)
-    detail: Dict[str, object]
+    detail: Mapping[str, object]
     #: optional causal-span payload (schema v2; see repro.obs.causal)
     span: Optional[Dict[str, object]] = None
 
@@ -121,11 +126,22 @@ class TraceLog:
         span: Optional[Dict[str, object]] = None,
         **detail: object,
     ) -> None:
+        self.record(actor, event, detail, span)
+
+    def record(
+        self,
+        actor: str,
+        event: str,
+        detail: Mapping[str, object],
+        span: Optional[Dict[str, object]] = None,
+    ) -> None:
+        """`emit` for a recorder that has already built its ``detail``
+        mapping: it is stored as given, not copied."""
         if not self.enabled:
             return
         if self.engine is None:
             raise ValueError("cannot emit into a detached (replayed) TraceLog")
-        ev = TraceEvent(self.engine.now, actor, event, detail, span=span)
+        ev = TraceEvent(self.engine.now, actor, event, detail, span)
         self.events.append(ev)
         if self._sinks:
             for sink in self._sinks:

@@ -116,3 +116,74 @@ def test_operation_check_request_and_reply():
         op.check_request((1, "x"))
     with pytest.raises(TypeClash):
         op.check_reply((1, 2))
+
+
+def test_an_end_ref_is_not_an_array():
+    """`EndRef` is a tuple by representation only.  Programs hold
+    `LinkEnd`s, but ``link.end_ref`` is reachable: it must not pass for
+    an array of two INTs."""
+    with pytest.raises(TypeClash, match="expected array, got EndRef"):
+        ArrayType(INT).check(EndRef(3, 0))
+    with pytest.raises(TypeClash):
+        Operation("sum", (ArrayType(INT),)).check_request((EndRef(3, 0),))
+    ArrayType(INT).check((3, 0))  # the plain pair still is one
+
+
+# ----------------------------------------------------------------------
+# an `Operation` is a value: its screening hash (paper lesson 2) is
+# derived once and cannot go stale
+# ----------------------------------------------------------------------
+def test_structurally_identical_operations_are_one_value():
+    op1 = Operation("get", (STR, ArrayType(INT)), (BYTES,))
+    op2 = Operation("get", [STR, ArrayType(INT)], [BYTES])
+    assert op1 is not op2
+    assert op1 == op2
+    assert hash(op1) == hash(op2)
+    assert {op1: "served"}[op2] == "served"
+    assert op1 != Operation("get", (STR, ArrayType(STR)), (BYTES,))
+    assert op1 != "get(s,a[i])->(y)"
+
+
+def test_the_sighash_on_the_wire_has_not_moved():
+    """Literals taken from the parent commit: this is the value in
+    every request and reply header, which no byte count sees."""
+    from repro.workloads.rpc import PING
+
+    assert PING.signature == "ping(y)->(y)"
+    assert PING.sighash == 0x535EA6C12413A852
+    nested = Operation(
+        "get", (STR, ArrayType(INT)),
+        (RecordType("r", (("a", INT), ("l", LINK))),),
+    )
+    assert nested.signature == "get(s,a[i])->(Rr(a:i,l:L))"
+    assert nested.sighash == 13709795906076811513
+
+
+def test_the_signature_is_built_once():
+    described = []
+
+    class Counted(type(INT)):
+        def describe(self):
+            described.append(self)
+            return super().describe()
+
+    a, b = Counted(), Counted()
+    op = Operation("count", (a,), (b,))
+    for _ in range(3):
+        assert op.sighash == Operation("count", (INT,), (INT,)).sighash
+        assert op.signature == "count(i)->(i)"
+        assert op == op and hash(op) == hash(op.signature)
+    assert described == [a, b]
+
+
+@pytest.mark.parametrize(
+    "attr", ("name", "request", "reply", "signature", "sighash", "extra")
+)
+def test_an_operation_cannot_be_assigned_to(attr):
+    """``op.request = ...`` after first use would leave the header
+    hash describing a signature the codec no longer uses."""
+    op = Operation("get", (STR,), (BYTES,))
+    before = (op.name, op.request, op.reply, op.signature, op.sighash)
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(op, attr, ())
+    assert (op.name, op.request, op.reply, op.signature, op.sighash) == before

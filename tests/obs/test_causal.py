@@ -54,6 +54,60 @@ def test_tracker_mints_distinct_ids():
     assert child.parent_id == a.span_id
 
 
+def test_a_span_context_is_an_immutable_tuple_value():
+    ctx = SpanContext(1, 2)
+    assert (ctx.parent_id, ctx.sampled) == (None, True)
+    assert ctx == SpanContext(trace_id=1, span_id=2, parent_id=None,
+                              sampled=True)
+    # the hash of the frozen dataclass it replaced
+    assert hash(ctx) == hash((1, 2, None, True))
+    assert repr(ctx) == ("SpanContext(trace_id=1, span_id=2, "
+                         "parent_id=None, sampled=True)")
+    with pytest.raises(AttributeError):
+        ctx.sampled = False
+
+
+def test_emit_mints_in_call_order_and_returns_the_child():
+    log = TraceLog(Engine())
+    spans = SpanTracker(log)
+    root = spans.new_trace()
+    first = spans.emit(root, "kernel", "k", "a", 0.0, 1.0)
+    second = spans.child(root)
+    third = spans.emit(first, "network", "n", "ring", 0.5, 1.0)
+    assert [c.span_id for c in (root, first, second, third)] == [1, 2, 3, 4]
+    assert first == SpanContext(root.trace_id, 2, root.span_id, True)
+    assert third.parent_id == first.span_id
+    assert [ev.span["id"] for ev in log.events] == [2, 4]
+    assert log.events[0].span == {
+        "trace": 1, "id": 2, "parent": 1, "layer": "kernel", "name": "k",
+        "host": "a", "t0": 0.0, "t1": 1.0,
+    }
+
+
+def test_an_unsampled_span_takes_its_id_but_leaves_no_record():
+    log = TraceLog(Engine())
+    spans = SpanTracker(log)
+    dropped = SpanContext(9, 1, None, sampled=False)
+    child = spans.emit(dropped, "kernel", "k", "a", 0.0, 1.0)
+    spans.emit_root(dropped, "connect:op", "a", 0.0, 2.0)
+    assert child == SpanContext(9, 1, 1, False)
+    assert spans.new_trace().span_id == 2
+    assert len(log.events) == 0
+
+
+def test_span_records_share_one_read_only_empty_detail():
+    log = TraceLog(Engine())
+    spans = SpanTracker(log)
+    root = spans.new_trace()
+    spans.emit(root, "kernel", "k", "a", 0.0, 1.0)
+    spans.emit_root(root, "connect:op", "a", 0.0, 2.0)
+    a, b = log.events
+    assert a.detail is b.detail
+    assert a.detail == {} and a.to_record()["detail"] == {}
+    with pytest.raises(TypeError):
+        a.detail["k"] = 1
+
+
 def test_hand_built_tree_and_depths():
     g = _hand_built_graph()
     (tid,) = g.traces()

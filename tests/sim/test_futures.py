@@ -113,3 +113,49 @@ def test_first_of_propagates_failure(eng):
     out = first_of(eng, futs)
     futs[0].fail(KeyError("k"))
     assert out.state is FutureState.FAILED
+
+
+@pytest.mark.parametrize("settle", (
+    lambda fut: fut.resolve(None),
+    lambda fut: fut.fail(KeyError("k")),
+    lambda fut: fut.resolve_later(1.0),
+))
+def test_listeners_fire_in_registration_order(eng, settle):
+    """Whichever way it settles: each path runs the listeners itself."""
+    fut = Future(eng)
+    order = []
+    for tag in "abc":
+        fut.add_done_callback(lambda f, tag=tag: order.append(tag))
+    settle(fut)
+    eng.run()
+    assert order == ["a", "b", "c"]
+
+
+def test_a_listener_added_while_firing_runs_at_once(eng):
+    fut = Future(eng)
+    order = []
+
+    def first(f):
+        order.append("first")
+        f.add_done_callback(lambda f: order.append("nested"))
+
+    fut.add_done_callback(first)
+    fut.add_done_callback(lambda f: order.append("second"))
+    fut.fail(KeyError("k"))
+    assert order == ["first", "nested", "second"]
+
+
+def test_resolve_later_is_one_uncancellable_event(eng):
+    """Fire-and-forget: no handle comes back, and on a future settled
+    in the meantime the timer still fires — as a no-op."""
+    fut = Future(eng)
+    seen = []
+    fut.add_done_callback(lambda f: seen.append(f.value))
+    assert fut.resolve_later(5.0, "late") is None
+    assert eng.pending == 1
+    fut.resolve("early")
+    eng.run()
+    assert eng.events_fired == 1
+    assert eng.now == 5.0
+    assert seen == ["early"]
+    assert fut.result() == "early"

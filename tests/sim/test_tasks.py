@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.engine import Engine
-from repro.sim.futures import Future, FutureState
+from repro.sim.futures import Future, FutureState, first_of
 from repro.sim.tasks import Task, TaskKilled, sleep
 
 
@@ -50,7 +50,7 @@ def test_failed_future_raises_inside_generator(eng):
 
     def body():
         fut = Future(eng)
-        fut.fail_later(1.0, ValueError("inner"))
+        eng.defer(1.0, fut.fail, ValueError("inner"))
         try:
             yield fut
         except ValueError as e:
@@ -221,3 +221,130 @@ def test_sleep_duration(eng):
     Task(eng, body(), "t")
     eng.run()
     assert stamps == [2.5, 3.0]
+
+
+# ----------------------------------------------------------------------
+# the wait semantics `perf/golden.json` rests on: every test below pins
+# an event count or an order that a faster wait path must not move
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("settle", (
+    lambda fut: fut.resolve("v"),
+    lambda fut: fut.resolve_later(1.0, "v"),
+))
+def test_listeners_of_one_future_resume_in_registration_order(eng, settle):
+    """Tasks and plain callbacks share one listener list: their
+    `defer`s take consecutive sequence numbers, so the order in which
+    they registered is the order of their next steps."""
+    shared = Future(eng, "shared")
+    order = []
+
+    def waiter(tag):
+        yield shared
+        order.append(tag)
+
+    def racer():
+        index, value = yield first_of(eng, [shared, Future(eng, "never")])
+        order.append(("first_of", index, value))
+
+    Task(eng, waiter("a"), "a")
+    Task(eng, racer(), "racer")  # a plain callback between two tasks
+    Task(eng, waiter("b"), "b")
+    eng.run()
+    assert order == []
+    settle(shared)
+    eng.run()
+    assert order == ["a", ("first_of", 0, "v"), "b"]
+
+
+def test_an_already_settled_future_resumes_through_a_deferred_event(eng):
+    """Never inline: the resume queues behind everything already
+    scheduled for this instant, and costs exactly one event."""
+    ready = Future(eng, "ready")
+    ready.resolve("now")
+    order = []
+
+    def body():
+        eng.defer(0.0, order.append, "queued before the yield")
+        order.append((yield ready))
+
+    Task(eng, body(), "t")
+    eng.run()
+    assert order == ["queued before the yield", "now"]
+    # the first step, the queued event, the resume — and nothing else
+    assert eng.events_fired == 3
+    assert eng.pending == 0
+
+
+def test_a_wait_is_two_events(eng):
+    def body():
+        yield sleep(eng, 1.0)
+
+    t = Task(eng, body(), "t")
+    eng.run()
+    assert t.finished
+    # the first step, then the wait: its timer and its deferred resume
+    assert eng.events_fired == 1 + 2
+    assert eng.pending == 0
+
+
+def test_a_settle_after_kill_does_not_step_the_task_again(eng):
+    fut = Future(eng, "abandoned")
+    steps = []
+
+    def body():
+        try:
+            yield fut
+        except TaskKilled:
+            steps.append("killed")
+        steps.append((yield sleep(eng, 10.0)))
+        return "clean"
+
+    t = Task(eng, body(), "t")
+    eng.schedule(1.0, t.kill)
+    eng.schedule(2.0, fut.resolve, "too late")
+    eng.run()
+    # the abandoned future's value never reaches the generator
+    assert steps == ["killed", None]
+    assert t.done.result() == "clean"
+    # first step, kill, kill's step, resolve, sleep timer, its resume
+    assert eng.events_fired == 6
+
+
+def test_waiting_again_on_the_same_future_after_a_kill_resumes_once(eng):
+    fut = Future(eng, "kept")
+    got = []
+
+    def body():
+        try:
+            yield fut
+        except TaskKilled:
+            pass
+        got.append((yield fut))  # registered twice on ``fut`` now
+        got.append((yield sleep(eng, 5.0)))
+
+    t = Task(eng, body(), "t")
+    eng.schedule(1.0, t.kill)
+    eng.schedule(2.0, fut.resolve, "once")
+    eng.run()
+    # a second resume would have fed "once" to the sleep's yield
+    assert got == ["once", None]
+    assert t.finished
+    assert eng.now == 7.0
+
+
+def test_a_failed_future_raises_the_original_exception_object(eng):
+    boom = ValueError("the very one")
+    caught = []
+
+    def body():
+        fut = Future(eng)
+        eng.defer(1.0, fut.fail, boom)
+        try:
+            yield fut
+        except ValueError as err:
+            caught.append(err)
+
+    Task(eng, body(), "t")
+    eng.run()
+    assert caught == [boom]
+    assert caught[0] is boom

@@ -1,10 +1,12 @@
 """Tests for the trace log and sequence charts."""
 
+import json
+
 import pytest
 
 from repro.core.api import BYTES, LINK, Operation, Proc, make_cluster
 from repro.sim.engine import Engine
-from repro.sim.trace import TraceLog
+from repro.sim.trace import TraceEvent, TraceLog
 
 ECHO = Operation("echo", (BYTES,), (BYTES,))
 
@@ -164,3 +166,68 @@ def test_charlotte_packets_traced_for_figure2():
     packets = [e.detail["kind"] for e in cluster.trace.select(event="packet")
                if e.detail.get("link") == 1]
     assert packets == ["request", "goahead", "enc", "reply"]
+
+
+# ----------------------------------------------------------------------
+# `TraceEvent` is a tuple value; its export is byte-for-byte the
+# parent's (lines below are taken from a seed-3 Charlotte run there)
+# ----------------------------------------------------------------------
+GOLDEN_PLAIN = (
+    '{"actor": "client", "detail": {"bytes": 32, "kind": "request", '
+    '"link": 1, "op": "ping", "peer": "server", "seq": 1}, '
+    '"event": "send", "t": 0.503}'
+)
+GOLDEN_SPAN = (
+    '{"actor": "client", "detail": {}, "event": "span", "span": '
+    '{"host": "client", "id": 3, "layer": "kernel", "name": '
+    '"transfer:request", "parent": 1, "t0": 0.503, "t1": 26.7574, '
+    '"trace": 1}, "t": 0.503}'
+)
+
+
+@pytest.mark.parametrize("line", (GOLDEN_PLAIN, GOLDEN_SPAN))
+def test_a_trace_event_round_trips_byte_for_byte(line):
+    ev = TraceEvent.from_record(json.loads(line))
+    assert ev.to_json() == line
+    assert TraceEvent.from_record(ev.to_record()) == ev
+    assert ("span" in ev.to_record()) == (ev.span is not None)
+
+
+def test_a_seeded_run_still_exports_the_golden_lines():
+    from repro.workloads.rpc import run_rpc_workload
+
+    lines = run_rpc_workload(
+        "charlotte", 0, count=2, seed=3
+    ).trace.to_jsonl().splitlines()
+    assert GOLDEN_PLAIN in lines
+    assert GOLDEN_SPAN in lines
+
+
+def test_a_trace_event_is_an_immutable_five_field_value():
+    ev = TraceEvent(1.5, "a", "send", {"link": 1})
+    assert ev.span is None
+    assert ev == TraceEvent(time=1.5, actor="a", event="send",
+                            detail={"link": 1}, span=None)
+    assert TraceEvent._fields == ("time", "actor", "event", "detail", "span")
+    assert repr(ev) == ("TraceEvent(time=1.5, actor='a', event='send', "
+                        "detail={'link': 1}, span=None)")
+    with pytest.raises(AttributeError):
+        ev.time = 2.0
+
+
+def test_record_stores_the_mapping_it_is_given():
+    """`emit` builds a dict from its keywords; `record` is for a caller
+    that already has one — no second copy is taken."""
+    eng = Engine()
+    log = TraceLog(eng)
+    detail = {"link": 1, "kind": "request"}
+    log.record("a", "send", detail)
+    log.emit("a", "send", link=1, kind="request")
+    by_record, by_emit = log.events
+    assert by_record.detail is detail
+    assert by_record == by_emit
+    log.enabled = False
+    log.record("a", "send", detail)
+    assert len(log.events) == 2
+    with pytest.raises(ValueError):
+        TraceLog(None).record("a", "send", detail)
