@@ -384,7 +384,7 @@ class CharlotteKernel:
         )
         self.metrics.count("kernel.transfers")
         self.metrics.count("wire.bytes", nbytes)
-        self.metrics.count(f"wire.messages.{msg.kind.value}")
+        self.metrics.count(f"wire.messages.{msg.kind._value_}")
         enclosure = msg.enclosures[0] if msg.enclosures else None
         if enclosure is not None:
             # three-party agreement before delivery (moves.py); it
@@ -417,7 +417,7 @@ class CharlotteKernel:
             net = min(self.ring.transit_time(msg.wire_size), delay)
             now = self.engine.now
             self.spans.emit(
-                msg.span, "kernel", f"transfer:{msg.kind.value}",
+                msg.span, "kernel", f"transfer:{msg.kind._value_}",
                 sender.owner, now, now + delay - net,
             )
             self.spans.emit(
@@ -492,7 +492,7 @@ class CharlotteKernel:
         """Wait "blocks the caller until an activity completes"."""
         self.metrics.count("kernel.calls.Wait")
         queue = self._completions[caller]
-        fut = Future(self.engine, f"{caller}.Wait")
+        fut = Future(self.engine, "Wait")
         if queue:
             fut.resolve_later(self.costs.wait_syscall_ms, queue.popleft())
         else:
@@ -509,8 +509,9 @@ class KernelPort:
         self.name = name
 
     def _bounded(self, result, cost: float) -> Future:
-        fut = Future(self.kernel.engine, f"{self.name}.syscall")
-        fut.resolve_later(cost, result)
+        fut = Future(self.kernel.engine, "syscall")
+        # `Future.resolve_later`'s one event, without its frame
+        fut.engine.defer(cost, fut._safe_resolve, result)
         return fut
 
     def make_link(self) -> Future:

@@ -233,8 +233,6 @@ class CharlotteRuntime(LynxRuntimeBase):
         tr = ce.current
         if tr is not None and tr.packets:
             pkt = tr.packets.pop(0)
-            if not tr.packets and tr.needs_goahead is False:
-                pass
             if tr.needs_goahead and pkt.kind is not MsgKind.ENC:
                 # first packet of a multi-enclosure request: hold the
                 # enc packets until the GOAHEAD arrives (fig. 2)
@@ -321,17 +319,13 @@ class CharlotteRuntime(LynxRuntimeBase):
         # wait for a kernel completion OR an internal wakeup (a timer
         # resumed a coroutine, a hook ran).  The kernel Wait persists
         # across internal wakeups.
-        from repro.sim.futures import first_of
-
         if self._kwait is not None and self._kwait.is_settled():
             desc, self._kwait = self._kwait.result(), None
             yield from self._handle_completion(desc)
             return
         if self._kwait is None:
             self._kwait = self.kport.wait()
-        idx, value = yield first_of(
-            self.engine, [self._kwait, self.wakeup_future()], "block-wait"
-        )
+        idx, value = yield self._kwait, self.wakeup_future()
         if idx == 0:
             self._kwait = None
             yield from self._handle_completion(value)
@@ -600,7 +594,6 @@ class CharlotteRuntime(LynxRuntimeBase):
         # reverse it
         if bounced_seq not in es.outgoing:
             es.outgoing[bounced_seq] = logical
-            es.unreceived_sent += 1
         # re-own every enclosure of the logical message (returned ones
         # came back in the bounce; unsent ones never left)
         for ref in logical.enclosures:

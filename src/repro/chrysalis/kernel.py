@@ -174,7 +174,7 @@ class ChrysalisKernel:
             raise ProtocolViolation(
                 f"{caller} waited on event {eid} owned by {ev.owner}"
             )
-        fut = Future(self.engine, f"{caller}.event{eid}")
+        fut = Future(self.engine, "event")
         if ev.pending:
             fut.resolve_later(self.costs.event_wait_ms, ev.pending.popleft())
         else:
@@ -228,8 +228,9 @@ class ChrysalisPort:
         self.name = name
 
     def _charged(self, value: Any, cost: float) -> Future:
-        fut = Future(self.kernel.engine, f"{self.name}.chrys")
-        fut.resolve_later(cost, value)
+        fut = Future(self.kernel.engine, "chrys")
+        # `Future.resolve_later`'s one event, without its frame
+        fut.engine.defer(cost, fut._safe_resolve, value)
         return fut
 
     # memory objects ------------------------------------------------------

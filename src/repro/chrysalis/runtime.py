@@ -42,7 +42,6 @@ from repro.core.exceptions import (
 from repro.core.links import EndLifecycle, EndRef, EndState
 from repro.core.runtime import LynxRuntimeBase
 from repro.core.wire import MsgKind, WireMessage
-from repro.sim.futures import first_of
 
 
 @dataclass
@@ -152,7 +151,7 @@ class ChrysalisRuntime(LynxRuntimeBase):
             obj.set_full(kind, side)
 
         yield self.port.atomic(write)
-        self.metrics.count(f"wire.messages.{msg.kind.value}")
+        self.metrics.count(f"wire.messages.{msg.kind._value_}")
         self.metrics.count("wire.bytes", msg.wire_size)
         # notify the far end through its dual-queue name — a hint that
         # may be stale after a move; flags are the ground truth (§5.2)
@@ -235,9 +234,7 @@ class ChrysalisRuntime(LynxRuntimeBase):
                 notice, self._ewait = self._ewait.result(), None
                 yield from self._on_notice(notice)
                 return
-            idx, value = yield first_of(
-                self.engine, [self._ewait, self.wakeup_future()], "chrys-block"
-            )
+            idx, value = yield self._ewait, self.wakeup_future()
             if idx == 0:
                 self._ewait = None
                 yield from self._on_notice(value)
@@ -245,9 +242,7 @@ class ChrysalisRuntime(LynxRuntimeBase):
         item = yield self.port.dequeue(self.my_queue, self.my_event)
         if item is DQ_BLOCKED:
             self._ewait = self.port.event_wait(self.my_event)
-            idx, value = yield first_of(
-                self.engine, [self._ewait, self.wakeup_future()], "chrys-block"
-            )
+            idx, value = yield self._ewait, self.wakeup_future()
             if idx == 0:
                 self._ewait = None
                 yield from self._on_notice(value)

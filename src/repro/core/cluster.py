@@ -183,10 +183,13 @@ class ClusterBase:
             span = msg.span
             if span is not None and not span.sampled:
                 return  # head-based sampling: the whole trace is dropped
-            detail.setdefault("kind", msg.kind.value)
+            # ``_value_``: the attribute Enum's ``value`` property reads,
+            # without the property's frame
+            detail.setdefault("kind", msg.kind._value_)
             detail["seq"] = msg.seq
             detail["bytes"] = msg.wire_size
-        peer = self.registry.owner_of(ref.peer)
+        # `LinkRegistry.owner_of(ref.peer)`, without building the peer ref
+        peer = self.registry.links[ref.link].ends[1 - ref.side].owner
         if peer is not None:
             detail["peer"] = peer
         # built once and handed over: the log stores it as given

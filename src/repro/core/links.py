@@ -131,12 +131,10 @@ class EndState:
     incoming_replies: Deque["WireMessage"] = field(default_factory=deque)
     #: request seqs received and not yet replied to (blocks moving, §2.1)
     owed_replies: Set[int] = field(default_factory=set)
-    #: count of our sent messages not yet known to be received
-    #: (blocks moving, §2.1)
-    unreceived_sent: int = 0
     #: threads blocked in stop-and-wait on their sent message (repliers)
     send_waiters: Dict[int, "LynxThread"] = field(default_factory=dict)
     #: sent messages whose receipt is not yet known, by our seq
+    #: (any one blocks moving, §2.1)
     outgoing: Dict[int, "WireMessage"] = field(default_factory=dict)
     #: outgoing per-end message sequence counter
     next_seq: int = 1
@@ -179,7 +177,7 @@ class EndState:
         replies."""
         return (
             self.lifecycle is EndLifecycle.OWNED
-            and self.unreceived_sent == 0
+            and not self.outgoing
             and not self.owed_replies
         )
 

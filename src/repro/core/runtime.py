@@ -38,7 +38,7 @@ creates the retry/forbid/allow machinery in that runtime package.
 
 How a message is handled
 ------------------------
-A thread yields an op; `_handle_op` looks its class up in
+A thread yields an op; `_run_thread` looks its class up in
 `LynxRuntimeBase._OPS` — the whole language surface, one row per op.
 ``connect`` and ``reply`` gather (`_charge`, inside a ``marshal`` span),
 then `_stage` the message — next seq on the end, its enclosed ends
@@ -54,12 +54,13 @@ staged message leaves ``outgoing`` once, through `_retract_outgoing`
 * *unwind* (`_unwind_connect`) — send failed, aborted, or exhausted;
 * *gave up* (`_reply_recovery_fire`) — the reply's budget ran out.
 
-At a block point `_deliver_pending` hands a reply to `_consume_reply`
-and a request — taken lazily, when a thread waits for one — to
-`_consume_request`; both `_scatter` it (the charge inside an
-``unmarshal`` span, then the lazy unmarshal) and adopt its enclosures.
-A refused request is answered by `_auto_exception_reply`; `WIRE_ERRORS`
-is what that EXCEPTION raises in the connecting thread.
+At a block point `_deliver_pending` hands a reply (when `deliver_reply`
+has queued one since its last scan) to `_consume_reply` and a request —
+taken lazily, when a thread waits for one — to `_consume_request`; both
+`_scatter` it (the charge inside an ``unmarshal`` span, then the lazy
+unmarshal) and adopt its enclosures.  A refused request is answered by
+`_auto_exception_reply`; `WIRE_ERRORS` is what that EXCEPTION raises in
+the connecting thread.
 """
 
 from __future__ import annotations
@@ -140,6 +141,11 @@ class LynxRuntimeBase:
         )
         #: round-robin rotation of end refs for queue fairness (§2.1)
         self._rr: deque[EndRef] = deque()
+        #: a reply was queued on some end since `_deliver_pending` last
+        #: scanned them, so the next block point scans again
+        self._replies_waiting = False
+        #: None, or the pending future the dispatcher blocks on: only
+        #: `_wake` settles it, and clears it as it does
         self._wakeup: Optional[Future] = None
         #: level-trigger latch: a wake that arrived while no wakeup
         #: future existed (e.g. during a charged kernel call) is
@@ -251,6 +257,7 @@ class LynxRuntimeBase:
             self.metrics.count("runtime.stray_reply")
             return
         es.incoming_replies.append(msg)
+        self._replies_waiting = True
         self._wake()
 
     def notify_receipt(self, ref: EndRef, seq: int) -> None:
@@ -398,7 +405,13 @@ class LynxRuntimeBase:
                 t.error = err
                 self.metrics.count("runtime.threads_failed")
             else:
-                yield from self._handle_op(t, op)
+                handler = self._OPS.get(type(op))
+                if handler is None:
+                    t.pending_error = ProtocolViolation(f"unknown op {op!r}")
+                    continue
+                steps = handler(self, t, op)
+                if steps is not None:
+                    yield from steps
                 continue
             # every ``except`` arm above is a finished thread — the only
             # place one finishes
@@ -406,21 +419,14 @@ class LynxRuntimeBase:
             return
 
     # ------------------------------------------------------------------
-    # op dispatch: `_OPS` (below the handlers) maps each `repro.core.ops`
-    # class to its ``(self, t, op)`` handler.  A handler either leaves
-    # ``t`` READY with ``pending_value`` / ``pending_error`` set (None,
-    # the slot's state when the handler is entered, is the default
-    # result) or blocks it; one that charges simulated time or makes a
-    # kernel downcall is a generator function, the rest are plain.
+    # op handlers: `_OPS` (below them) maps each `repro.core.ops` class
+    # to its ``(self, t, op)`` handler, which `_run_thread` calls.  A
+    # handler either leaves ``t`` READY with ``pending_value`` /
+    # ``pending_error`` set (None, the slot's state when the handler is
+    # entered, is the default result) or blocks it; one that charges
+    # simulated time or makes a kernel downcall is a generator
+    # function, the rest are plain.
     # ------------------------------------------------------------------
-    def _handle_op(self, t: LynxThread, op: Any) -> Generator:
-        handler = self._OPS.get(type(op))
-        if handler is None:
-            t.pending_error = ProtocolViolation(f"unknown op {op!r}")
-            return
-        steps = handler(self, t, op)
-        if steps is not None:
-            yield from steps
 
     # -- connect --------------------------------------------------------
     def _op_connect(self, t: LynxThread, op: _ops.ConnectOp) -> Generator:
@@ -435,8 +441,12 @@ class LynxRuntimeBase:
         # the conversation (see repro.obs.causal)
         root = self.cluster.spans.new_trace()
         root_t0 = self.engine.now
-        yield from self._spanned(root, "marshal", self._charge(
-            self.rc.gather_fixed_ms, payload, encs, "runtime.gathers"))
+        yield self._charge(
+            self.rc.gather_fixed_ms, payload, encs, "runtime.gathers")
+        if root is not None:
+            self.cluster.spans.emit(
+                root, "runtime", "marshal", self.name, root_t0, self.engine.now
+            )
         msg = self._stage(es, WireMessage(
             kind=MsgKind.REQUEST, opname=op.op.name, sighash=op.op.sighash,
             payload=payload, enclosures=encs, span=root,
@@ -512,8 +522,13 @@ class LynxRuntimeBase:
                 root, "app", f"serve:{inc.op.name}", self.name,
                 serve_t0, self.engine.now,
             )
-        yield from self._spanned(root, "marshal", self._charge(
-            self.rc.gather_fixed_ms, payload, encs, "runtime.gathers"))
+        t0 = self.engine.now
+        yield self._charge(
+            self.rc.gather_fixed_ms, payload, encs, "runtime.gathers")
+        if root is not None:
+            self.cluster.spans.emit(
+                root, "runtime", "marshal", self.name, t0, self.engine.now
+            )
         msg = self._stage(es, WireMessage(
             kind=MsgKind.REPLY, reply_to=inc.seq, opname=inc.op.name,
             sighash=inc.op.sighash, payload=payload, enclosures=encs, span=root,
@@ -670,11 +685,13 @@ class LynxRuntimeBase:
         while progressed and self.alive:
             progressed = False
             # replies first: always wanted (§3.2.1)
-            for es in list(self.ends.values()):
-                while es.incoming_replies:
-                    msg = es.incoming_replies.popleft()
-                    yield from self._consume_reply(es, msg)
-                    progressed = True
+            if self._replies_waiting:
+                self._replies_waiting = False
+                for es in list(self.ends.values()):
+                    while es.incoming_replies:
+                        msg = es.incoming_replies.popleft()
+                        yield from self._consume_reply(es, msg)
+                        progressed = True
             # requests: fair round-robin over open, available queues
             if self._wait_req:
                 delivered = yield from self._match_requests()
@@ -804,9 +821,14 @@ class LynxRuntimeBase:
         runs only when the receiving thread reads the values, so a
         corrupt body raises `ProtocolViolation` there, not here (the
         sighash already screened a signature mismatch at the header)."""
-        yield from self._spanned(span, "unmarshal", self._charge(
+        t0 = self.engine.now
+        yield self._charge(
             self.rc.scatter_fixed_ms, msg.payload, msg.enclosures,
-            "runtime.scatters"))
+            "runtime.scatters")
+        if span is not None:
+            self.cluster.spans.emit(
+                span, "runtime", "unmarshal", self.name, t0, self.engine.now
+            )
         return codec.lazy_unmarshal(
             types, msg.payload, msg.enclosures, self._local_end
         )
@@ -1018,10 +1040,8 @@ class LynxRuntimeBase:
         waiter.retries += 1
         self.metrics.count("recovery.retries")
         clone = waiter.request.clone_for_resend()
-        if waiter.seq not in es.outgoing:
-            # the original was received (receipt retracted it); the
-            # retransmission re-stages so movability stays honest
-            es.unreceived_sent += 1
+        # re-staged even when receipt already retracted the original, so
+        # movability stays honest
         es.outgoing[waiter.seq] = clone
         self._emit_fault_span(waiter.request, "runtime", f"retry-{waiter.retries}")
         # the retransmission passes through the fault plane again
@@ -1150,8 +1170,8 @@ class LynxRuntimeBase:
         """``msg`` becomes the next message sent on ``es`` — the one
         place a sent message's life begins: it takes the end's next
         seq, the ends of ours it encloses go IN_TRANSIT, and it is
-        recorded ``outgoing`` and counted unreceived (the precondition
-        of ``rt_send_request`` / ``rt_send_reply``) until
+        recorded ``outgoing`` — unreceived, so its end cannot move (the
+        precondition of ``rt_send_request`` / ``rt_send_reply``) until
         `_retract_outgoing` ends that life — on receipt, bounce, a
         refused reply, unwind, reply give-up — or `_mark_destroyed`
         does."""
@@ -1163,7 +1183,6 @@ class LynxRuntimeBase:
             self.registry.record_in_transit(ref, self.name)
         msg.enclosure_meta = [self.rt_export_end(self.ends[r]) for r in msg.enclosures]
         es.outgoing[msg.seq] = msg
-        es.unreceived_sent += 1
         return msg
 
     def _restore_enclosures(self, msg: WireMessage) -> None:
@@ -1250,13 +1269,9 @@ class LynxRuntimeBase:
         return waiter is not None and not waiter.aborted
 
     def _retract_outgoing(self, es: EndState, seq: int) -> Optional[WireMessage]:
-        """Un-stage a sent message: pop it from ``outgoing`` and undo
-        its unreceived-count contribution (receipt, bounce, abort and
-        unwind paths all need exactly this)."""
-        msg = es.outgoing.pop(seq, None)
-        if msg is not None:
-            es.unreceived_sent = max(0, es.unreceived_sent - 1)
-        return msg
+        """Un-stage a sent message: pop it from ``outgoing`` (receipt,
+        bounce, abort and unwind paths all need exactly this)."""
+        return es.outgoing.pop(seq, None)
 
     def _mark_destroyed(self, es: EndState, reason: str, crash: bool) -> None:
         """(every caller has checked ``es`` is not DESTROYED already)"""
@@ -1295,7 +1310,6 @@ class LynxRuntimeBase:
         # fate is kernel-specific; kernels call registry.record_lost or
         # redeliver.  Here we only drop the outgoing staging.
         es.outgoing.clear()
-        es.unreceived_sent = 0
         es.owed_replies.clear()
         es.request_spans.clear()
         es.seen_requests.clear()
@@ -1321,8 +1335,9 @@ class LynxRuntimeBase:
         # alone would lose the signal.  The latch costs at most one
         # spurious loop pass, which the block loops absorb.
         self._wake_signal = True
-        if self._wakeup is not None and not self._wakeup.is_settled():
-            fut, self._wakeup = self._wakeup, None
+        fut = self._wakeup
+        if fut is not None:
+            self._wakeup = None
             fut.resolve(None)
 
     def wakeup_future(self) -> Future:
@@ -1333,11 +1348,11 @@ class LynxRuntimeBase:
         spurious wakeups are harmless)."""
         if self._wake_signal:
             self._wake_signal = False
-            fut = Future(self.engine, f"{self.name}.wakeup-latched")
+            fut = Future(self.engine, "wakeup-latched")
             fut.resolve(None)
             return fut
-        if self._wakeup is None or self._wakeup.is_settled():
-            self._wakeup = Future(self.engine, f"{self.name}.wakeup")
+        if self._wakeup is None:
+            self._wakeup = Future(self.engine, "wakeup")
         return self._wakeup
 
     def _charge(self, fixed_ms: float, payload: bytes, encs: List[EndRef],
@@ -1350,13 +1365,3 @@ class LynxRuntimeBase:
         )
         self.metrics.count(counter)
         return sleep(self.engine, cost)
-
-    def _spanned(self, span, name: str, charge) -> Generator:
-        """Yield ``charge``; emit a ``runtime`` span covering it when
-        the message it is charged for carries a trace."""
-        t0 = self.engine.now
-        yield charge
-        if span is not None:
-            self.cluster.spans.emit(
-                span, "runtime", name, self.name, t0, self.engine.now
-            )

@@ -56,7 +56,7 @@ class IdealKernel:
     def post(self, dest: EndRef, msg: WireMessage) -> None:
         """Queue ``msg`` for ``dest`` and wake its owner."""
         self.box(dest).append(msg)
-        self.metrics.count(f"wire.messages.{msg.kind.value}")
+        self.metrics.count(f"wire.messages.{msg.kind._value_}")
         self.metrics.count("wire.bytes", msg.wire_size)
         self.metrics.count(self.HANDOFFS)
         owner = self.route.get(dest)
@@ -66,7 +66,7 @@ class IdealKernel:
     def deliver(self, dest: EndRef, msg: WireMessage) -> None:
         """Hand a reply straight to the requester's runtime (replies
         are always wanted, §3.2.1 — no mailbox stop)."""
-        self.metrics.count(f"wire.messages.{msg.kind.value}")
+        self.metrics.count(f"wire.messages.{msg.kind._value_}")
         self.metrics.count("wire.bytes", msg.wire_size)
         self.metrics.count(self.HANDOFFS)
         owner = self.route.get(dest)

@@ -9,7 +9,8 @@ Modules
 -------
 engine   : the event loop (`Engine`) and simulated clock.
 futures  : `Future`, the completion primitive kernels hand to tasks.
-tasks    : `Task`, which drives generator coroutines over futures.
+tasks    : `Task`, which drives generator coroutines over futures (one
+           future, or the first of a tuple of them).
 network  : latency/bandwidth models for the three interconnects.
 metrics  : counters and latency recorders shared by kernels and benches.
 failure  : crash / message-loss injection.
@@ -17,7 +18,7 @@ rng      : seeded randomness helpers (all randomness flows through here).
 """
 
 from repro.sim.engine import Engine, Event
-from repro.sim.futures import Future, FutureState, gather, first_of
+from repro.sim.futures import Future, FutureState
 from repro.sim.tasks import Task, TaskKilled, sleep
 from repro.sim.metrics import MetricSet, LatencyRecorder
 from repro.sim.network import (
@@ -35,8 +36,6 @@ __all__ = [
     "Event",
     "Future",
     "FutureState",
-    "gather",
-    "first_of",
     "Task",
     "TaskKilled",
     "sleep",

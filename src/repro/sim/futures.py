@@ -3,7 +3,10 @@
 A `Future` is resolved (or failed) exactly once, at some simulated time;
 callbacks registered on it run at the instant of resolution.  Tasks
 (`repro.sim.tasks.Task`) suspend by yielding a Future and resume when it
-settles.
+settles — or by yielding a tuple of them, resuming with the first to
+settle.  A label shows in errors and ``repr`` only; kernel, wakeup and
+timer futures carry a constant one naming their kind (``"syscall"``,
+``"wakeup"``, ``"sleep"``, …), a task's ``done`` its task's name.
 
 Futures are the only suspension mechanism in the whole reproduction:
 kernel calls, network deliveries, dual-queue waits and software
@@ -13,7 +16,7 @@ interrupts all surface as futures.
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.sim.engine import Engine
 
@@ -115,56 +118,3 @@ class Future:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Future {self.label!r} {self.state.value}>"
-
-
-def gather(engine: Engine, futures: Sequence[Future], label: str = "gather") -> Future:
-    """A future that resolves to the list of values once *all* inputs have
-    resolved; it fails with the first failure observed."""
-    out = Future(engine, label)
-    remaining = len(futures)
-    if remaining == 0:
-        out.resolve([])
-        return out
-    results: List[Any] = [None] * remaining
-
-    def make_cb(index: int):
-        def cb(f: Future) -> None:
-            nonlocal remaining
-            if out.state is not _PENDING:
-                return
-            if f.state is FutureState.FAILED:
-                assert f.error is not None
-                out.fail(f.error)
-                return
-            results[index] = f.value
-            remaining -= 1
-            if remaining == 0:
-                out.resolve(list(results))
-
-        return cb
-
-    for i, f in enumerate(futures):
-        f.add_done_callback(make_cb(i))
-    return out
-
-
-def first_of(engine: Engine, futures: Sequence[Future], label: str = "first") -> Future:
-    """A future that settles with the (index, value) of the first input to
-    resolve, or fails with the first failure."""
-    out = Future(engine, label)
-
-    def make_cb(index: int):
-        def cb(f: Future) -> None:
-            if out.state is not _PENDING:
-                return
-            if f.state is FutureState.FAILED:
-                assert f.error is not None
-                out.fail(f.error)
-            else:
-                out.resolve((index, f.value))
-
-        return cb
-
-    for i, f in enumerate(futures):
-        f.add_done_callback(make_cb(i))
-    return out

@@ -13,8 +13,16 @@ A task generator may yield:
   future resumes the generator with its value, a failed one raises the
   failure *inside* the generator (so simulated code can catch simulated
   exceptions);
+* a ``tuple`` of futures — the task suspends until the *first* of them
+  settles and resumes with ``(index, value)`` of that one, or has its
+  failure raised; a later settle of another member is ignored (how a
+  runtime waits for "a kernel completion or an internal wakeup");
 * ``None`` — the task is rescheduled at the current instant, after other
   pending same-instant events (a cooperative yield).
+
+Whatever it waits on, a task resumes through exactly one deferred event
+at the instant the wait is answered — never inline, even when a future
+was already settled at the yield.
 
 The generator's ``return`` value becomes the result of ``task.done``
 (itself a Future), so whole processes compose as futures.
@@ -29,7 +37,7 @@ Modula-2".
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Any, Generator, Optional, Tuple, Union
 
 from repro.sim.engine import Engine
 from repro.sim.futures import Future, FutureState
@@ -60,7 +68,9 @@ class Task:
         self.name = name
         #: settles with the generator's return value (or its exception)
         self.done: Future = Future(engine, f"{name}.done")
-        self._waiting_on: Optional[Future] = None
+        #: the future or tuple of futures this task waits on; None while
+        #: running, or once a kill detached it
+        self._waiting_on: Union[Future, Tuple[Future, ...], None] = None
         self._kill_pending: Optional[TaskKilled] = None
         # start on the next tick so construction order does not matter
         engine.defer(0.0, self._step, None, None)
@@ -111,10 +121,19 @@ class Task:
             # deferred event, behind everything queued for this instant
             self._waiting_on = yielded
             yielded.add_done_callback(self._on_settle)
+        elif type(yielded) is tuple and set(map(type, yielded)) == {Future}:
+            # every member is checked (each exactly a `Future`, at least
+            # one) before the first listener goes on, since a settled one
+            # resumes us as it is registered; the first to settle answers
+            # the wait, and the listeners left on the others are ignored
+            self._waiting_on = yielded
+            for fut in yielded:
+                fut.add_done_callback(self._on_first)
         else:
             err = TypeError(
                 f"task {self.name!r} yielded {type(yielded).__name__}; "
-                "only Future or None may be yielded"
+                "only a Future, a non-empty tuple of Futures, or None may "
+                "be yielded"
             )
             self.engine.defer(0.0, self._step, None, err)
 
@@ -127,6 +146,19 @@ class Task:
             self._waiting_on = None
             self.engine.defer(0.0, self._step, fut.value, fut.error)
 
+    def _on_first(self, fut: Future) -> None:
+        """A tuple member's listener: the first member to settle while
+        the tuple is still waited on resumes the task with its index
+        and value, or with its error (`_step` then ignores the value).
+        Listeners left on a long-lived future by earlier waits find the
+        wait answered and do nothing."""
+        waiting = self._waiting_on
+        if type(waiting) is tuple and fut in waiting:
+            self._waiting_on = None
+            self.engine.defer(
+                0.0, self._step, (waiting.index(fut), fut.value), fut.error
+            )
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "finished" if self.finished else "running"
         return f"<Task {self.name!r} {state}>"
@@ -136,5 +168,6 @@ def sleep(engine: Engine, delay: float, label: str = "sleep") -> Future:
     """A future that resolves ``delay`` ms from now — the idiom simulated
     code uses to burn simulated CPU time: ``yield sleep(eng, 0.5)``."""
     fut = Future(engine, label)
-    fut.resolve_later(delay, None)
+    # `Future.resolve_later`'s one event, without its frame
+    engine.defer(delay, fut._safe_resolve, None)
     return fut

@@ -141,7 +141,11 @@ class TraceLog:
             return
         if self.engine is None:
             raise ValueError("cannot emit into a detached (replayed) TraceLog")
-        ev = TraceEvent(self.engine.now, actor, event, detail, span)
+        # the tuple is filled in C; NamedTuple's generated ``__new__``
+        # is a Python frame that would only restate these five fields
+        ev = tuple.__new__(
+            TraceEvent, (self.engine.now, actor, event, detail, span)
+        )
         self.events.append(ev)
         if self._sinks:
             for sink in self._sinks:

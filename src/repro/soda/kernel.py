@@ -205,7 +205,7 @@ class SodaKernel:
         """Unreliable broadcast query (§4.1): resolves with a process id
         advertising ``name``, or None after the timeout."""
         self.metrics.count("soda.discover")
-        fut = Future(self.engine, f"{caller}.discover")
+        fut = Future(self.engine, "discover")
         responders: List[str] = []
 
         def hear(proc: _SodaProc) -> None:
@@ -332,7 +332,7 @@ class SodaKernel:
 
         Resolves with (status, data_from_requester).
         """
-        fut = Future(self.engine, f"{caller}.accept")
+        fut = Future(self.engine, "accept")
         req = self._requests.get(rid)
         if req is None or req.to != caller or req.state in (
             _ReqState.WITHDRAWN,
@@ -441,8 +441,9 @@ class SodaPort:
         self.name = name
 
     def _charged(self, value: Any, cost: float) -> Future:
-        fut = Future(self.kernel.engine, f"{self.name}.soda")
-        fut.resolve_later(cost, value)
+        fut = Future(self.kernel.engine, "soda")
+        # `Future.resolve_later`'s one event, without its frame
+        fut.engine.defer(cost, fut._safe_resolve, value)
         return fut
 
     def set_handler(self, fn: Callable[[Interrupt], None]) -> None:

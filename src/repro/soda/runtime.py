@@ -429,7 +429,7 @@ class SodaRuntime(LynxRuntimeBase):
         snd = _Send(es.ref, msg, kind)
         self.sends[rid] = snd
         self._arm_timer(rid, snd)
-        self.metrics.count(f"wire.messages.{msg.kind.value}")
+        self.metrics.count(f"wire.messages.{msg.kind._value_}")
 
     def rt_sync_interest(self, es: EndState):
         """Post a status signal toward the far end whenever we are

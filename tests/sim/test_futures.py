@@ -3,13 +3,7 @@
 import pytest
 
 from repro.sim.engine import Engine
-from repro.sim.futures import (
-    Future,
-    FutureState,
-    InvalidFutureTransition,
-    first_of,
-    gather,
-)
+from repro.sim.futures import Future, FutureState, InvalidFutureTransition
 
 
 @pytest.fixture
@@ -75,44 +69,6 @@ def test_resolve_later_is_noop_if_already_settled(eng):
     fut.resolve("early")
     eng.run()  # the late event fires but must not raise or overwrite
     assert fut.value == "early"
-
-
-def test_gather_collects_in_input_order(eng):
-    futs = [Future(eng, str(i)) for i in range(3)]
-    out = gather(eng, futs)
-    futs[2].resolve("c")
-    futs[0].resolve("a")
-    assert not out.is_settled()
-    futs[1].resolve("b")
-    assert out.result() == ["a", "b", "c"]
-
-
-def test_gather_empty_resolves_immediately(eng):
-    assert gather(eng, []).result() == []
-
-
-def test_gather_fails_on_first_failure(eng):
-    futs = [Future(eng) for _ in range(2)]
-    out = gather(eng, futs)
-    futs[1].fail(RuntimeError("dead"))
-    assert out.state is FutureState.FAILED
-    # late resolution of the other input must not blow up
-    futs[0].resolve(1)
-
-
-def test_first_of_reports_index_and_value(eng):
-    futs = [Future(eng) for _ in range(3)]
-    out = first_of(eng, futs)
-    futs[1].resolve("winner")
-    assert out.result() == (1, "winner")
-    futs[0].resolve("late")  # ignored
-
-
-def test_first_of_propagates_failure(eng):
-    futs = [Future(eng) for _ in range(2)]
-    out = first_of(eng, futs)
-    futs[0].fail(KeyError("k"))
-    assert out.state is FutureState.FAILED
 
 
 @pytest.mark.parametrize("settle", (

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.engine import Engine
-from repro.sim.futures import Future, FutureState, first_of
+from repro.sim.futures import Future, FutureState
 from repro.sim.tasks import Task, TaskKilled, sleep
 
 
@@ -243,17 +243,17 @@ def test_listeners_of_one_future_resume_in_registration_order(eng, settle):
         order.append(tag)
 
     def racer():
-        index, value = yield first_of(eng, [shared, Future(eng, "never")])
-        order.append(("first_of", index, value))
+        index, value = yield shared, Future(eng, "never")
+        order.append(("first", index, value))
 
     Task(eng, waiter("a"), "a")
-    Task(eng, racer(), "racer")  # a plain callback between two tasks
+    Task(eng, racer(), "racer")  # a tuple wait between two plain ones
     Task(eng, waiter("b"), "b")
     eng.run()
     assert order == []
     settle(shared)
     eng.run()
-    assert order == ["a", ("first_of", 0, "v"), "b"]
+    assert order == ["a", ("first", 0, "v"), "b"]
 
 
 def test_an_already_settled_future_resumes_through_a_deferred_event(eng):
@@ -348,3 +348,167 @@ def test_a_failed_future_raises_the_original_exception_object(eng):
     eng.run()
     assert caught == [boom]
     assert caught[0] is boom
+
+
+# ----------------------------------------------------------------------
+# the tuple wait: ``yield (a, b)`` resumes with the first to settle.
+# Each test names the mutation of `Task._step` / `Task._on_first` it
+# catches.
+# ----------------------------------------------------------------------
+def test_a_tuple_wait_resumes_with_index_and_value(eng):
+    """Catches: resuming with the bare value, or with the index of the
+    wrong member (e.g. always 0).  Like a plain wait it costs the timer
+    and one deferred resume."""
+    got = []
+
+    def body():
+        got.append((yield Future(eng, "never"), sleep(eng, 2.0, "timer")))
+        got.append(eng.now)
+
+    Task(eng, body(), "t")
+    eng.run()
+    assert got == [(1, None), 2.0]
+    # the first step, the timer, the resume
+    assert eng.events_fired == 3
+
+
+def test_a_tuple_wait_raises_the_first_failure_inside_the_generator(eng):
+    """Catches: a failed member resuming the task with ``(index, None)``
+    instead of raising, or the error of a later member winning."""
+    first, second = KeyError("first"), ValueError("second")
+    a, b = Future(eng, "a"), Future(eng, "b")
+    caught = []
+
+    def body():
+        try:
+            yield a, b
+        except KeyError as err:
+            caught.append(err)
+        return "recovered"
+
+    t = Task(eng, body(), "t")
+    eng.schedule(1.0, a.fail, first)
+    eng.schedule(2.0, b.fail, second)
+    eng.run()
+    assert caught == [first] and caught[0] is first
+    assert t.done.result() == "recovered"
+
+
+def test_an_already_settled_member_resumes_through_a_deferred_event(eng):
+    """Catches: resuming inline when a member is settled at the yield
+    (the generator would re-enter itself), or queuing the resume ahead
+    of work already scheduled for this instant."""
+    ready = Future(eng, "ready")
+    ready.resolve("now")
+    order = []
+
+    def body():
+        eng.defer(0.0, order.append, "queued before the yield")
+        order.append((yield Future(eng, "never"), ready))
+
+    Task(eng, body(), "t")
+    eng.run()
+    assert order == ["queued before the yield", (1, "now")]
+    # the first step, the queued event, the resume — and nothing else
+    assert eng.events_fired == 3
+    assert eng.pending == 0
+
+
+def test_a_later_settle_of_another_member_is_ignored(eng):
+    """Catches: `_on_first` resuming on every member's settle — the
+    loser's value would be fed to the generator's next yield."""
+    a, b = Future(eng, "a"), Future(eng, "b")
+    got = []
+
+    def body():
+        got.append((yield a, b))
+        got.append((yield sleep(eng, 10.0)))
+
+    t = Task(eng, body(), "t")
+    eng.schedule(1.0, b.resolve, "winner")
+    eng.schedule(2.0, a.resolve, "loser")
+    eng.run()
+    assert got == [(1, "winner"), None]
+    assert t.finished
+    assert eng.now == 11.0
+
+
+def test_a_kill_during_a_tuple_wait_resumes_once_with_taskkilled(eng):
+    """Catches: `kill` leaving the tuple registered as the wait — a
+    member settling in the same instant, before the kill's step runs,
+    would step the task a second time."""
+    a, b = Future(eng, "a"), Future(eng, "b")
+    got = []
+
+    def body():
+        try:
+            yield a, b
+        except TaskKilled:
+            got.append("killed")
+        got.append((yield sleep(eng, 10.0)))
+        return "clean"
+
+    t = Task(eng, body(), "t")
+    eng.schedule(1.0, t.kill)
+    eng.schedule(1.0, a.resolve, "too late")  # ahead of the kill's step
+    eng.run()
+    assert got == ["killed", None]
+    assert t.done.result() == "clean"
+    # first step, kill, kill's step, resolve, sleep timer, its resume
+    assert eng.events_fired == 6
+
+
+def test_an_old_listener_on_a_future_waited_on_again_resumes_once(eng):
+    """Charlotte's shape: the kernel Wait outlives an internal wakeup,
+    so the next block point waits on it again and it carries two of
+    our listeners.  Catches: `_on_first` not clearing the wait it
+    answers — both listeners would resume the task."""
+    kwait = Future(eng, "Wait")
+    wake1, wake2 = Future(eng, "wakeup"), Future(eng, "wakeup")
+    got = []
+
+    def body():
+        got.append((yield kwait, wake1))
+        got.append((yield kwait, wake2))  # registered twice on kwait now
+        got.append((yield sleep(eng, 5.0)))
+
+    t = Task(eng, body(), "t")
+    eng.schedule(1.0, wake1.resolve, None)
+    eng.schedule(2.0, kwait.resolve, "completion")
+    eng.run()
+    # a second resume would have fed (0, "completion") to the sleep
+    assert got == [(1, None), (0, "completion"), None]
+    assert t.finished
+    assert eng.now == 7.0
+
+
+@pytest.mark.parametrize("bad", ("not a future", None))
+def test_a_tuple_holding_a_non_future_fails_the_task(eng, bad):
+    """Catches: registering listeners before every member is checked —
+    the settled first member would resume the task as well as the
+    TypeError, stepping it twice."""
+    settled = Future(eng, "settled")
+    settled.resolve("v")
+    steps = []
+
+    def body():
+        steps.append("started")
+        yield settled, bad
+        steps.append("resumed")  # pragma: no cover - must not happen
+
+    t = Task(eng, body(), "t")
+    eng.run()
+    assert steps == ["started"]
+    assert t.done.state is FutureState.FAILED
+    assert isinstance(t.done.error, TypeError)
+    assert eng.events_fired == 2
+
+
+def test_an_empty_tuple_fails_the_task(eng):
+    """Catches: accepting ``()`` as a wait nothing can ever answer."""
+    def body():
+        yield ()
+
+    t = Task(eng, body(), "t")
+    eng.run()
+    assert isinstance(t.done.error, TypeError)
