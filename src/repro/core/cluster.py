@@ -33,7 +33,7 @@ from repro.sim.futures import FutureState
 from repro.sim.metrics import MetricSet
 from repro.sim.rng import SimRandom
 from repro.sim.tasks import Task, TaskKilled
-from repro.sim.trace import TraceLog
+from repro.sim.trace import TraceEvent, TraceLog
 
 
 class ProcessHandle:
@@ -60,6 +60,28 @@ class ProcessHandle:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "finished" if self.finished else "running"
         return f"<Process {self.name} node={self.node} {state}>"
+
+
+def _msg_event(
+    time: float,
+    actor: str,
+    event: str,
+    link: int,
+    op: Optional[str],
+    kind: str,
+    seq: int,
+    nbytes: int,
+    peer: Optional[str],
+) -> TraceEvent:
+    """The record of one `ClusterBase.trace_msg` row: ``op`` and
+    ``peer`` appear only when known."""
+    detail = {"link": link, "op": op, "kind": kind, "seq": seq,
+              "bytes": nbytes, "peer": peer}
+    if op is None:
+        del detail["op"]
+    if peer is None:
+        del detail["peer"]
+    return TraceEvent(time, actor, event, detail)
 
 
 class ClusterBase:
@@ -174,26 +196,23 @@ class ClusterBase:
         self.processes[name] = handle
         return handle
 
-    def trace_msg(self, actor: str, event: str, ref, msg=None, **extra) -> None:
-        """Record a message event for sequence charts.  The peer lookup
-        goes through the registry — observability only; no protocol
-        decision ever depends on it."""
-        detail = {"link": ref.link, **extra}
-        if msg is not None:
-            span = msg.span
-            if span is not None and not span.sampled:
-                return  # head-based sampling: the whole trace is dropped
-            # ``_value_``: the attribute Enum's ``value`` property reads,
-            # without the property's frame
-            detail.setdefault("kind", msg.kind._value_)
-            detail["seq"] = msg.seq
-            detail["bytes"] = msg.wire_size
+    def trace_msg(self, actor: str, event: str, ref, msg, op=None) -> None:
+        """Record a message event for sequence charts: a row of values
+        taken now, so a later move of either end cannot change it
+        (`_msg_event` builds the record when the log is read).  The peer
+        lookup goes through the registry — observability only; no
+        protocol decision ever depends on it."""
+        span = msg.span
+        if span is not None and not span.sampled:
+            return  # head-based sampling: the whole trace is dropped
+        # ``kind._value_``: the attribute Enum's ``value`` property
+        # reads, without the property's frame; the peer is
         # `LinkRegistry.owner_of(ref.peer)`, without building the peer ref
-        peer = self.registry.links[ref.link].ends[1 - ref.side].owner
-        if peer is not None:
-            detail["peer"] = peer
-        # built once and handed over: the log stores it as given
-        self.trace.record(actor, event, detail)
+        self.trace.defer(
+            _msg_event, actor, event, ref.link, op, msg.kind._value_,
+            msg.seq, msg.wire_size,
+            self.registry.links[ref.link].ends[1 - ref.side].owner,
+        )
 
     def install_faults(self, plan: FaultPlan) -> FaultInjector:
         """Bind a network-fault schedule to this cluster (see

@@ -458,7 +458,7 @@ class LynxRuntimeBase:
         es.connect_waiters.append(waiter)
         t.block(f"connect:{op.op.name}")
         self.metrics.count("runtime.connects")
-        self.cluster.trace_msg(self.name, "send", es.ref, msg, op=op.op.name)
+        self.cluster.trace_msg(self.name, "send", es.ref, msg, op.op.name)
         try:
             yield from self._transmit_request(es, msg)
             yield from self.rt_sync_interest(es)
@@ -537,7 +537,7 @@ class LynxRuntimeBase:
         es.send_waiters[msg.seq] = t
         t.block("reply")
         self.metrics.count("runtime.replies")
-        self.cluster.trace_msg(self.name, "send", es.ref, msg, op=inc.op.name)
+        self.cluster.trace_msg(self.name, "send", es.ref, msg, inc.op.name)
         self._cache_reply(es, inc.seq, msg)
         try:
             yield from self._transmit_reply(es, msg)
@@ -810,7 +810,7 @@ class LynxRuntimeBase:
             es.request_spans[msg.seq] = (msg.span, self.engine.now)
         incoming = Incoming(LinkEnd(es.ref, self.name), op, args, msg.seq)
         self.metrics.count("runtime.requests_served")
-        self.cluster.trace_msg(self.name, "consume", es.ref, msg, op=op.name)
+        self.cluster.trace_msg(self.name, "consume", es.ref, msg, op.name)
         self._resume(t, incoming)
         return True
 

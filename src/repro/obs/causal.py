@@ -52,7 +52,7 @@ from typing import (
     Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
 )
 
-from repro.sim.trace import TraceLog
+from repro.sim.trace import TraceEvent, TraceLog
 
 #: every layer a span may be tagged with, in paint-priority order
 #: (later wins overlaps at equal tree depth)
@@ -170,25 +170,18 @@ class SpanTracker:
         host: str,
         t0: float,
         t1: float,
-    ) -> SpanContext:
-        """Mint a child of ``parent`` and emit it, completed, covering
-        ``[t0, t1]``.  Returns the child context (rarely needed).  One
-        frame: ten of these are recorded per null RPC."""
+    ) -> int:
+        """Mint a child of ``parent`` and record it, completed, covering
+        ``[t0, t1]``.  Returns the span id it minted: the child's
+        context is ``SpanContext(parent.trace_id, sid, parent.span_id,
+        parent.sampled)``.  One frame and one row (`_span_event` builds
+        the record on read): ten of these are recorded per null RPC."""
         sid = self._next_span
         self._next_span = sid + 1
         if parent.sampled:
-            self.trace.record(host, "span", _NO_DETAIL, {
-                "trace": parent.trace_id,
-                "id": sid,
-                "parent": parent.span_id,
-                "layer": layer,
-                "name": name,
-                "host": host,
-                "t0": t0,
-                "t1": t1,
-            })
-        return SpanContext(parent.trace_id, sid, parent.span_id,
-                           parent.sampled)
+            self.trace.defer(_span_event, host, parent.trace_id, sid,
+                             parent.span_id, layer, name, t0, t1)
+        return sid
 
     def emit_root(
         self,
@@ -198,18 +191,35 @@ class SpanTracker:
         t0: float,
         t1: float,
     ) -> None:
-        """Emit the root (``rpc`` layer) span of a finished trace."""
+        """Record the root (``rpc`` layer) span of a finished trace."""
         if ctx.sampled:
-            self.trace.record(host, "span", _NO_DETAIL, {
-                "trace": ctx.trace_id,
-                "id": ctx.span_id,
-                "parent": ctx.parent_id,
-                "layer": "rpc",
-                "name": name,
-                "host": host,
-                "t0": t0,
-                "t1": t1,
-            })
+            self.trace.defer(_span_event, host, ctx.trace_id, ctx.span_id,
+                             ctx.parent_id, "rpc", name, t0, t1)
+
+
+def _span_event(
+    time: float,
+    host: str,
+    trace_id: int,
+    span_id: int,
+    parent_id: Optional[int],
+    layer: str,
+    name: str,
+    t0: float,
+    t1: float,
+) -> TraceEvent:
+    """The ``event="span"`` record of one `SpanTracker` row: the payload
+    dict is made here, when the log is read, never at record time."""
+    return TraceEvent(time, host, "span", _NO_DETAIL, {
+        "trace": trace_id,
+        "id": span_id,
+        "parent": parent_id,
+        "layer": layer,
+        "name": name,
+        "host": host,
+        "t0": t0,
+        "t1": t1,
+    })
 
 
 #: one attributed segment of a critical path
@@ -253,14 +263,6 @@ class CausalGraph:
     def root(self, trace_id: int) -> Optional[Span]:
         return next((s for s in self.by_trace.get(trace_id, ())
                      if s.parent_id is None), None)
-
-    def children(self, trace_id: int) -> Dict[int, List[Span]]:
-        """``{parent span_id: [child spans]}`` for one trace."""
-        kids: Dict[int, List[Span]] = {}
-        for s in self.by_trace.get(trace_id, ()):
-            if s.parent_id is not None:
-                kids.setdefault(s.parent_id, []).append(s)
-        return kids
 
     def orphans(self, trace_id: int) -> List[Span]:
         """Spans whose parent id names no span of the same trace."""

@@ -45,17 +45,11 @@ class SimRandom:
     def uniform(self, lo: float, hi: float) -> float:
         return self._rng.uniform(lo, hi)
 
-    def expovariate(self, rate: float) -> float:
-        return self._rng.expovariate(rate)
-
     def randint(self, lo: int, hi: int) -> int:
         return self._rng.randint(lo, hi)
 
     def choice(self, seq: Sequence[T]) -> T:
         return self._rng.choice(seq)
-
-    def shuffle(self, seq: list) -> None:
-        self._rng.shuffle(seq)
 
     def bernoulli(self, p: float) -> bool:
         """True with probability ``p``."""

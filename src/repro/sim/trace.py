@@ -6,10 +6,17 @@ happen so any run can be rendered the same way — the E3 bench and the
 `examples/figure2.py` script regenerate figure 2 from a live run
 rather than from the model.
 
-Tracing is always on but bounded: an event is one `TraceEvent` tuple
-appended to a deque that keeps the most recent ``capacity`` events —
-no copy of its ``detail`` or ``span`` mapping is taken, so a recorder
-hands over mappings it will not touch again (`TraceLog.record`).
+Tracing is always on but bounded, and a record costs one flat tuple
+until something reads it.  `TraceLog.defer` appends the row
+``(build, time, *args)`` to a deque that keeps the most recent
+``capacity`` rows; ``build(time, *args)`` makes the `TraceEvent` only
+when it is read.  A recorder therefore hands over *values* taken at
+record time (a later link move cannot change a row), and the eager
+`TraceLog.record` is the row ``(TraceEvent, time, actor, event,
+detail, span)``, whose mappings are stored as given, not copied.
+``TraceLog.events`` is a read-only sequence over the rows: ``len``
+builds nothing, and iteration and indexing build a fresh event per
+read.  An attached sink still receives each event, built, at once.
 
 For offline analysis the log exports to JSON Lines (`to_jsonl`) and
 reloads (`from_jsonl`) into a detached log that renders the same
@@ -24,8 +31,8 @@ from __future__ import annotations
 import json
 from collections import deque
 from typing import (
-    Callable, Deque, Dict, Iterable, List, Mapping, NamedTuple, Optional,
-    Sequence, Union,
+    Callable, Deque, Dict, Iterable, Iterator, List, Mapping, NamedTuple,
+    Optional, Sequence, Union,
 )
 
 from repro.sim.engine import Engine
@@ -36,8 +43,9 @@ TRACE_SCHEMA_VERSION = 2
 
 class TraceEvent(NamedTuple):
     """One recorded event, immutable.  A tuple rather than a frozen
-    dataclass: sixteen are built per null RPC, and a tuple is filled by
-    one ``tuple.__new__``, not one ``object.__setattr__`` per field."""
+    dataclass: a read of a trace builds one per record, and a tuple is
+    filled by one ``tuple.__new__``, not one ``object.__setattr__`` per
+    field."""
 
     time: float
     actor: str
@@ -103,6 +111,30 @@ def trace_header(capacity: Optional[int] = None) -> Dict[str, object]:
     return head
 
 
+def _event_of(row: tuple) -> TraceEvent:
+    """The event of one ``(build, time, *args)`` row."""
+    return row[0](*row[1:])
+
+
+class _Events(Sequence[TraceEvent]):
+    """`TraceLog.events`: a read-only view of the rows that builds each
+    event as it is read.  ``len`` builds nothing — `perf/passes.py`
+    reads it after the clock stops — and every read makes a fresh
+    event, equal to the last."""
+
+    def __init__(self, rows: Deque[tuple]) -> None:
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index: int) -> TraceEvent:
+        return _event_of(self._rows[index])
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        return map(_event_of, self._rows)
+
+
 class TraceLog:
     """A bounded, append-only log of simulation events.
 
@@ -113,7 +145,10 @@ class TraceLog:
     def __init__(self, engine: Optional[Engine], capacity: int = 100_000) -> None:
         self.engine = engine
         self.capacity = capacity
-        self.events: Deque[TraceEvent] = deque(maxlen=capacity)
+        #: ``(build, time, *args)`` rows, oldest first
+        self._rows: Deque[tuple] = deque(maxlen=capacity)
+        #: the recorded events, built on read (see the module docstring)
+        self.events: Sequence[TraceEvent] = _Events(self._rows)
         self.enabled = True
         #: streaming subscribers, called with each TraceEvent as it is
         #: recorded (see `repro.obs.JsonlTraceWriter`)
@@ -126,7 +161,7 @@ class TraceLog:
         span: Optional[Dict[str, object]] = None,
         **detail: object,
     ) -> None:
-        self.record(actor, event, detail, span)
+        self.defer(TraceEvent, actor, event, detail, span)
 
     def record(
         self,
@@ -137,17 +172,20 @@ class TraceLog:
     ) -> None:
         """`emit` for a recorder that has already built its ``detail``
         mapping: it is stored as given, not copied."""
+        self.defer(TraceEvent, actor, event, detail, span)
+
+    def defer(self, build: Callable[..., TraceEvent], *args: object) -> None:
+        """Record the event ``build(now, *args)`` will make when read.
+        ``args`` are kept as given: pass values, not objects that may
+        change before the log is read."""
         if not self.enabled:
             return
         if self.engine is None:
             raise ValueError("cannot emit into a detached (replayed) TraceLog")
-        # the tuple is filled in C; NamedTuple's generated ``__new__``
-        # is a Python frame that would only restate these five fields
-        ev = tuple.__new__(
-            TraceEvent, (self.engine.now, actor, event, detail, span)
-        )
-        self.events.append(ev)
+        row = (build, self.engine.now, *args)
+        self._rows.append(row)
         if self._sinks:
+            ev = _event_of(row)
             for sink in self._sinks:
                 sink(ev)
 
@@ -202,29 +240,12 @@ class TraceLog:
                         f"v{rec.get('version')!r}"
                     )
                 continue
-            log.events.append(TraceEvent.from_record(rec))
+            log._rows.append((TraceEvent, *TraceEvent.from_record(rec)))
         return log
 
     # ------------------------------------------------------------------
-    # queries
+    # rendering
     # ------------------------------------------------------------------
-    def select(
-        self,
-        actor: Optional[str] = None,
-        event: Optional[str] = None,
-        link: Optional[int] = None,
-    ) -> List[TraceEvent]:
-        out = []
-        for ev in self.events:
-            if actor is not None and ev.actor != actor:
-                continue
-            if event is not None and ev.event != event:
-                continue
-            if link is not None and ev.detail.get("link") != link:
-                continue
-            out.append(ev)
-        return out
-
     def dump(self, limit: int = 200) -> str:
         events = list(self.events)[-limit:]
         if not events:

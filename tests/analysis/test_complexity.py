@@ -100,7 +100,9 @@ SIZE_BUDGETS = {
     # PR 20: unchanged — the one-frame `SpanTracker.emit` (+1 / +1) is
     # paid for by `_alloc_span` / `_record` and by `CausalGraph.root`
     # taking the first root instead of listing them all
-    "obs": (777, 227),
+    # a span record is a row built on read (`_span_event`); the
+    # uncalled `CausalGraph.children` goes (before: 777 / 227)
+    "obs": (773, 225),
     # PR 18: every paper experiment declared once.  Not growth: these
     # lines came from the 21 `benchmarks/bench_*.py` modules (which no
     # budget row counted) and the eight bodies the `obs` row lost — and
@@ -116,14 +118,19 @@ SIZE_BUDGETS = {
     # refusing an `EndRef` (before: 1,734 / 328)
     # `EndState.unreceived_sent` was `len(outgoing)`; `_handle_op` and
     # `_spanned` inlined at their callers (before: 1,733 / 328)
-    "core": (1731, 327),
+    # `trace_msg` records a row of values, `_msg_event` builds it on
+    # read (before: 1,731 / 327)
+    "core": (1730, 327),
     # PR 19: the version-1 trace reader goes (before: 674 / 128)
     # PR 20: a wait is one bound listener — `Task._wait_on`, `_fire`,
     # `fail_later` / `_safe_fail` go, `TraceLog.record` comes
     # (before: 673 / 128)
     # a wait on two futures is a tuple `Task` answers itself:
     # `first_of` and the uncalled `gather` go (before: 669 / 128)
-    "sim": (640, 125),
+    # a trace record is a row built on read: `TraceLog.defer` and the
+    # `events` view come; `TraceLog.select` (test callers only) and the
+    # uncalled `SimRandom.expovariate` / `shuffle` go (before: 640 / 125)
+    "sim": (640, 118),
     # PR 19: first budgeted at its size then — 1,710 / 672 less the
     # unused `PackageStats.total_branches`, plus `area_sizes`, the
     # function this test and `repro sizes` share

@@ -36,7 +36,8 @@ def _hand_built_graph():
     spans = SpanTracker(log)
     root = spans.new_trace()
     spans.emit(root, "runtime", "marshal", "a", 0.0, 1.0)
-    k = spans.emit(root, "kernel", "transfer", "a", 1.0, 5.0)
+    sid = spans.emit(root, "kernel", "transfer", "a", 1.0, 5.0)
+    k = SpanContext(root.trace_id, sid, root.span_id)
     spans.emit(k, "network", "ring", "ring", 4.0, 5.0)
     spans.emit(root, "runtime", "unmarshal", "b", 5.0, 6.0)
     spans.emit_root(root, "connect:op", "a", 0.0, 8.0)
@@ -67,17 +68,17 @@ def test_a_span_context_is_an_immutable_tuple_value():
         ctx.sampled = False
 
 
-def test_emit_mints_in_call_order_and_returns_the_child():
+def test_emit_mints_in_call_order_and_returns_the_id():
     log = TraceLog(Engine())
     spans = SpanTracker(log)
     root = spans.new_trace()
-    first = spans.emit(root, "kernel", "k", "a", 0.0, 1.0)
+    sid = spans.emit(root, "kernel", "k", "a", 0.0, 1.0)
+    first = SpanContext(root.trace_id, sid, root.span_id)
     second = spans.child(root)
     third = spans.emit(first, "network", "n", "ring", 0.5, 1.0)
-    assert [c.span_id for c in (root, first, second, third)] == [1, 2, 3, 4]
-    assert first == SpanContext(root.trace_id, 2, root.span_id, True)
-    assert third.parent_id == first.span_id
+    assert (root.span_id, sid, second.span_id, third) == (1, 2, 3, 4)
     assert [ev.span["id"] for ev in log.events] == [2, 4]
+    assert log.events[1].span["parent"] == sid
     assert log.events[0].span == {
         "trace": 1, "id": 2, "parent": 1, "layer": "kernel", "name": "k",
         "host": "a", "t0": 0.0, "t1": 1.0,
@@ -88,9 +89,9 @@ def test_an_unsampled_span_takes_its_id_but_leaves_no_record():
     log = TraceLog(Engine())
     spans = SpanTracker(log)
     dropped = SpanContext(9, 1, None, sampled=False)
-    child = spans.emit(dropped, "kernel", "k", "a", 0.0, 1.0)
+    sid = spans.emit(dropped, "kernel", "k", "a", 0.0, 1.0)
     spans.emit_root(dropped, "connect:op", "a", 0.0, 2.0)
-    assert child == SpanContext(9, 1, 1, False)
+    assert sid == 1
     assert spans.new_trace().span_id == 2
     assert len(log.events) == 0
 
@@ -106,6 +107,21 @@ def test_span_records_share_one_read_only_empty_detail():
     assert a.detail == {} and a.to_record()["detail"] == {}
     with pytest.raises(TypeError):
         a.detail["k"] = 1
+
+
+def test_a_span_row_builds_its_payload_on_each_read():
+    """Catches: a payload dict made at record time and handed to every
+    reader, so a reader that edits one would rewrite the log.  Only the
+    read-only empty ``detail`` is shared."""
+    log = TraceLog(Engine())
+    spans = SpanTracker(log)
+    root = spans.new_trace()
+    spans.emit(root, "kernel", "k", "a", 0.0, 1.0)
+    first = log.events[0]
+    first.span["name"] = "edited"
+    again = log.events[0]
+    assert again.span["name"] == "k"
+    assert again.detail is first.detail
 
 
 def test_hand_built_tree_and_depths():

@@ -166,6 +166,6 @@ def test_healing_is_counted_and_traced():
     engine, metrics, inj = make_injector(plan, with_trace=True)
     engine.run(until=100.0)
     assert metrics.get("faults.partitions_healed") == 1
-    healed = inj.trace.select(event="partition-healed")
+    healed = [ev for ev in inj.trace.events if ev.event == "partition-healed"]
     assert len(healed) == 1
     assert healed[0].time == 30.0

@@ -5,13 +5,27 @@ import json
 import pytest
 
 from repro.core.api import BYTES, LINK, Operation, Proc, make_cluster
+from repro.core.links import EndRef
+from repro.core.wire import MsgKind, WireMessage
+from repro.obs.causal import SpanContext, SpanTracker
 from repro.sim.engine import Engine
 from repro.sim.trace import TraceEvent, TraceLog
 
 ECHO = Operation("echo", (BYTES,), (BYTES,))
 
 
-def test_emit_and_select():
+def _counting_build(calls):
+    def build(time, actor, event):
+        calls.append(event)
+        return TraceEvent(time, actor, event, {})
+    return build
+
+
+def _select(log, event):
+    return [ev for ev in log.events if ev.event == event]
+
+
+def test_emit_and_read_back():
     eng = Engine()
     log = TraceLog(eng)
     log.emit("a", "send", link=1, kind="request")
@@ -19,9 +33,9 @@ def test_emit_and_select():
     log.emit("b", "consume", link=1, kind="request")
     log.emit("a", "send", link=2, kind="reply")
     assert len(log.events) == 3
-    assert [e.actor for e in log.select(event="send")] == ["a", "a"]
-    assert [e.time for e in log.select(link=1)] == [0.0, 5.0]
-    assert log.select(actor="b", event="consume")[0].detail["link"] == 1
+    assert [e.actor for e in _select(log, "send")] == ["a", "a"]
+    assert [e.time for e in log.events if e.detail["link"] == 1] == [0.0, 5.0]
+    assert _select(log, "consume")[0].detail["link"] == 1
 
 
 def test_capacity_bound():
@@ -34,11 +48,15 @@ def test_capacity_bound():
 
 
 def test_disabled_log_records_nothing():
-    eng = Engine()
-    log = TraceLog(eng)
+    """Catches: the ``enabled`` test moved after the row is stored or
+    after the sinks are served."""
+    calls, got = [], []
+    log = TraceLog(Engine())
+    log.attach(got.append)
     log.enabled = False
     log.emit("a", "e")
-    assert len(log.events) == 0
+    log.defer(_counting_build(calls), "a", "e")
+    assert (len(log.events), calls, got) == (0, [], [])
 
 
 def test_dump_is_readable():
@@ -129,8 +147,8 @@ def test_clusters_record_rpc_traces(kind):
     c = cluster.spawn(Client(), "client")
     cluster.create_link(s, c)
     cluster.run_until_quiet(max_ms=1e6)
-    sends = cluster.trace.select(event="send")
-    consumes = cluster.trace.select(event="consume")
+    sends = _select(cluster.trace, "send")
+    consumes = _select(cluster.trace, "consume")
     kinds = {e.detail.get("kind") for e in sends}
     assert {"request", "reply"} <= kinds
     assert len(consumes) >= 2  # request consumed + reply consumed
@@ -163,7 +181,7 @@ def test_charlotte_packets_traced_for_figure2():
     b = cluster.spawn(Taker(), "taker")
     cluster.create_link(a, b)
     cluster.run_until_quiet(max_ms=1e6)
-    packets = [e.detail["kind"] for e in cluster.trace.select(event="packet")
+    packets = [e.detail["kind"] for e in _select(cluster.trace, "packet")
                if e.detail.get("link") == 1]
     assert packets == ["request", "goahead", "enc", "reply"]
 
@@ -231,3 +249,130 @@ def test_record_stores_the_mapping_it_is_given():
     assert len(log.events) == 2
     with pytest.raises(ValueError):
         TraceLog(None).record("a", "send", detail)
+
+
+# ----------------------------------------------------------------------
+# the deferred log: a record is one ``(build, time, *args)`` row until
+# something reads it.  Each test names the mutation of `TraceLog.defer`,
+# the `events` view or `ClusterBase.trace_msg` it catches.
+# ----------------------------------------------------------------------
+def test_len_of_events_builds_nothing_and_every_read_builds_afresh():
+    """Catches: `len` building the records (`perf/passes.py` reads it
+    after the clock stops, so the work would only move off the clock),
+    and records cached in place on a first read (the log would then hold
+    both the rows and the events)."""
+    calls = []
+    log = TraceLog(Engine())
+    for i in range(3):
+        log.defer(_counting_build(calls), "a", f"e{i}")
+    assert len(log.events) == 3
+    assert calls == []
+    assert [ev.event for ev in log.events] == ["e0", "e1", "e2"]
+    assert log.events[-1].event == "e2"
+    assert calls == ["e0", "e1", "e2", "e2"]
+    assert log.events[0] == log.events[0]
+    assert log.events[0] is not log.events[0]
+
+
+def _message_cluster():
+    cluster = make_cluster("ideal")
+    link = cluster.registry.alloc_link("client", "server")
+    return cluster, EndRef(link, 0), EndRef(link, 1)
+
+
+def test_deferred_rows_read_back_as_the_eager_records():
+    """Catches: a builder that drops or renames a field, or a row
+    stamped with the wrong time: a log filled through `trace_msg` and
+    `SpanTracker` exports byte for byte what `record` stores."""
+    cluster, near, _ = _message_cluster()
+    eager = TraceLog(cluster.engine)
+    root = cluster.spans.new_trace()
+    msg = WireMessage(kind=MsgKind.REQUEST, seq=1, opname="ping",
+                      payload=b"x" * 9, span=root)
+    cluster.engine.now = 0.5
+    cluster.trace_msg("client", "send", near, msg, "ping")
+    eager.record("client", "send", {
+        "link": near.link, "op": "ping", "kind": "request", "seq": 1,
+        "bytes": msg.wire_size, "peer": "server",
+    })
+    cluster.engine.now = 2.25
+    cluster.spans.emit(root, "kernel", "transfer", "client", 0.5, 2.0)
+    cluster.spans.emit_root(root, "connect:ping", "client", 0.5, 3.0)
+    eager.record("client", "span", {}, {
+        "trace": 1, "id": 2, "parent": 1, "layer": "kernel",
+        "name": "transfer", "host": "client", "t0": 0.5, "t1": 2.0,
+    })
+    eager.record("client", "span", {}, {
+        "trace": 1, "id": 1, "parent": None, "layer": "rpc",
+        "name": "connect:ping", "host": "client", "t0": 0.5, "t1": 3.0,
+    })
+    assert len(cluster.trace.events) == 3
+    assert cluster.trace.to_jsonl() == eager.to_jsonl()
+    assert list(cluster.trace.events) == list(eager.events)
+
+
+def test_a_message_row_holds_values_taken_at_record_time():
+    """Catches: a row that keeps ``ref`` or ``msg`` and reads the peer,
+    kind, seq or size when the log is read — a record made before the
+    far end moved would then name its new owner."""
+    cluster, near, far = _message_cluster()
+    msg = WireMessage(kind=MsgKind.REQUEST, seq=7, opname="ping")
+    size = msg.wire_size
+    cluster.trace_msg("client", "send", near, msg, "ping")
+    cluster.registry.record_in_transit(far, "server")
+    cluster.trace_msg("client", "consume", near, msg)
+    cluster.registry.record_adopted(far, "elsewhere")
+    cluster.trace_msg("client", "send", near, msg)
+    msg.kind, msg.seq, msg.payload = MsgKind.REPLY, 8, b"longer"
+    sent, in_transit, moved = cluster.trace.events
+    assert sent.detail == {"link": near.link, "op": "ping",
+                           "kind": "request", "seq": 7, "bytes": size,
+                           "peer": "server"}
+    # no op given, and no owner while the far end is in transit
+    assert in_transit.detail == {"link": near.link, "kind": "request",
+                                 "seq": 7, "bytes": size}
+    assert moved.detail["peer"] == "elsewhere"
+
+
+def test_an_unsampled_message_leaves_no_row():
+    """Catches: the sampling test moved after the row is stored."""
+    cluster, near, _ = _message_cluster()
+    msg = WireMessage(kind=MsgKind.REQUEST, seq=1,
+                      span=SpanContext(1, 1, None, sampled=False))
+    cluster.trace_msg("client", "send", near, msg, "ping")
+    assert len(cluster.trace.events) == 0
+
+
+def test_a_sink_gets_each_event_built_at_once_in_record_order():
+    """Catches: a sink handed the raw row, served only for eager
+    records, served late (when the log is read) or out of order."""
+    eng = Engine()
+    log = TraceLog(eng)
+    got = []
+    log.attach(got.append)
+    log.emit("a", "first", k=1)
+    assert got == [TraceEvent(0.0, "a", "first", {"k": 1})]
+    eng.now = 2.0
+    spans = SpanTracker(log)
+    root = spans.new_trace()
+    spans.emit(root, "kernel", "k", "a", 1.0, 2.0)
+    assert len(got) == 2 and got[1].span["layer"] == "kernel"
+    log.record("b", "last", {})
+    assert all(type(ev) is TraceEvent for ev in got)
+    assert [ev.event for ev in got] == ["first", "span", "last"]
+    assert got == list(log.events)
+
+
+def test_a_detached_log_refuses_records_and_still_round_trips():
+    """Catches: `from_jsonl` storing built events where the view expects
+    rows, or a detached log accepting a deferred record."""
+    from repro.workloads.rpc import run_rpc_workload
+
+    text = run_rpc_workload("soda", 0, count=2, seed=3).trace.to_jsonl()
+    replayed = TraceLog.from_jsonl(text)
+    assert replayed.to_jsonl() == text
+    with pytest.raises(ValueError):
+        replayed.defer(TraceEvent, "a", "e", {}, None)
+    with pytest.raises(ValueError):
+        replayed.emit("a", "e")
+    assert replayed.to_jsonl() == text
