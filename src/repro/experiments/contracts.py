@@ -481,11 +481,15 @@ def _e17_measure(seed, quick):
                                  ("backup", wave_b, stats_b)):
         if not wave.exactly_once:
             checks.append(f"completed + exhausted != issued on the {node}")
-        if executed["executed_unique"] != wave.completed:
+        # every request ran once, and no retry was refused as left of
+        # its client's dedup window
+        if (executed["executed_unique"], executed["expired"]) != \
+                (wave.completed, 0):
             checks.append(
                 f"a request ran other-than-once on the {node}: "
                 f"{executed['executed_unique']} executed != "
-                f"{wave.completed} completed"
+                f"{wave.completed} completed, {executed['expired']} "
+                f"retries refused as expired"
             )
     if wave_a.failovers:
         checks.append(

@@ -89,7 +89,13 @@ async def _open(endpoint: str) -> Tuple[asyncio.StreamReader,
 
 
 class _Client:
-    """One client coroutine's connection + recovery state."""
+    """One client coroutine's connection + recovery state.
+
+    ``cid`` is the client's identity on the wire: every request carries
+    it as the frame's ``sighash``, and the node keys its dedup window
+    for this client on it (`repro.net.server`).  Seqs run 1, 2, 3, ...
+    per client, so a retry of the request in flight is always inside
+    that window."""
 
     __slots__ = ("cid", "endpoints", "addr_idx", "reader", "writer")
 
@@ -104,17 +110,6 @@ class _Client:
         if self.writer is not None:
             self.writer.close()
         self.reader = self.writer = None
-
-    async def _ensure_connected(self) -> bool:
-        if self.writer is not None:
-            return True
-        try:
-            self.reader, self.writer = await _open(
-                self.endpoints[self.addr_idx]
-            )
-            return True
-        except OSError:
-            return False
 
     async def _attempt(self, frame: bytes, seq: int,
                        wait_ms: float) -> Optional[WireMessage]:
@@ -140,6 +135,30 @@ class _Client:
             # a stale reply to an attempt we already timed out on:
             # ignore it and keep waiting inside the same window
 
+    async def _exchange(self, frame: bytes, seq: int,
+                        policy: RecoveryPolicy, report: LoadReport) -> bool:
+        """Spend one address's retry budget on a request: True once its
+        reply arrived, False when the address is out of budget or dead."""
+        for attempt in range(policy.max_retries + 1):
+            if self.writer is None:
+                try:
+                    self.reader, self.writer = await _open(
+                        self.endpoints[self.addr_idx]
+                    )
+                except OSError:
+                    report.connect_errors += 1
+                    return False  # crash detection: fail over at once
+            try:
+                msg = await self._attempt(frame, seq,
+                                          policy.backoff_ms(attempt))
+            except (ConnectionError, OSError):
+                self._drop_connection()
+                return False  # reset mid-flight: fail over at once
+            if msg is not None:
+                return True
+            report.retries += 1
+        return False
+
     async def run(self, requests: int, payload: bytes,
                   policy: RecoveryPolicy, report: LoadReport) -> None:
         for seq in range(1, requests + 1):
@@ -149,37 +168,17 @@ class _Client:
                 sighash=self.cid, payload=payload, sent_at=0.0,
             )))
             t0 = perf_counter()
-            done = False
-            while not done:
-                attempt = 0
-                while attempt <= policy.max_retries:
-                    if not await self._ensure_connected():
-                        report.connect_errors += 1
-                        break  # crash detection: fail over at once
-                    try:
-                        msg = await self._attempt(
-                            frame, seq, policy.backoff_ms(attempt)
-                        )
-                    except (ConnectionError, OSError):
-                        self._drop_connection()
-                        break  # reset mid-flight: fail over at once
-                    if msg is not None:
-                        report.completed += 1
-                        report.rtt.record((perf_counter() - t0) * 1000.0)
-                        done = True
-                        break
-                    attempt += 1
-                    report.retries += 1
-                if done:
-                    break
+            while not await self._exchange(frame, seq, policy, report):
                 # this address is out of budget (or dead): fail over
                 self._drop_connection()
-                if self.addr_idx + 1 < len(self.endpoints):
-                    self.addr_idx += 1
-                    report.failovers += 1
-                else:
+                if self.addr_idx + 1 == len(self.endpoints):
                     report.exhausted += 1
                     break
+                self.addr_idx += 1
+                report.failovers += 1
+            else:
+                report.completed += 1
+                report.rtt.record((perf_counter() - t0) * 1000.0)
         self._drop_connection()
 
 

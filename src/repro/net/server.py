@@ -4,11 +4,21 @@ Speaks the frame protocol of `repro.net.frames` over a Unix-domain or
 TCP socket.  Semantics are the paper's server half, reduced to what
 the E17 measurements need:
 
-* a REQUEST executes **at most once per server**: the dedup table keys
-  on ``(sighash, seq)`` — the load generator uses ``sighash`` as the
-  client id — and a duplicate arrival replays the cached reply bytes
+* a REQUEST executes **at most once per server**.  On this path the
+  frame's ``sighash`` is the *client id* (`repro.net.load` and the
+  benchmark's generator both send ``sighash=cid``), and it keys one
+  dedup window per client: the replies to that client's last
+  `REPLY_CACHE_LIMIT` seqs, the simulated runtime's bound.  A
+  retransmission inside the window replays the cached reply bytes
   instead of re-executing (the `duplicates` stat is the proof that
-  retransmissions happened and were absorbed);
+  retransmissions happened and were absorbed).  One *left* of the
+  window — at or below the highest seq it evicted — is absorbed
+  without a reply and also counted `expired`: its reply is gone, and
+  running it again would break at-most-once, so the client's bounded
+  retry reports it exhausted, as the simulated `_admit_request` drops a
+  duplicate whose cached reply was evicted.  A node keeps O(clients x
+  window) replies, not O(requests served); the table of clients itself
+  is not bounded, because a client id is all the node knows;
 * ``--drop-first N`` makes the first arrival of the first ``N``
   distinct requests execute but *withholds the reply*, deterministically
   forcing the client's wall-clock timeout/retry path so a test run can
@@ -39,8 +49,10 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Dict, Optional, Tuple
+from collections import defaultdict
+from typing import DefaultDict, Optional
 
+from repro.core.links import REPLY_CACHE_LIMIT
 from repro.core.wire import MsgKind, WireMessage
 from repro.net.frames import (
     FrameError,
@@ -57,17 +69,29 @@ STATS_OP = "__stats__"
 READY_PREFIX = "REPRO-NET READY"
 
 
+class _Window(dict):
+    """One client's dedup window: seq -> cached reply frame body.  A
+    request at or below ``floor``, the highest seq the window evicted,
+    is left of it; before the first eviction no seq is."""
+
+    __slots__ = ("floor",)  # read on every request: a slot, not a dict
+
+    def __init__(self) -> None:
+        self.floor = float("-inf")
+
+
 class NodeServer:
-    """One node's request executor + dedup table."""
+    """One node's request executor + per-client dedup windows."""
 
     def __init__(self, name: str, drop_first: int = 0) -> None:
         self.name = name
         self.drop_first = drop_first
-        #: (sighash, seq) -> cached reply frame body
-        self.reply_cache: Dict[Tuple[int, int], bytes] = {}
+        #: client id (the frame's ``sighash``) -> its dedup window
+        self.windows: DefaultDict[int, _Window] = defaultdict(_Window)
         self.requests_seen = 0
         self.executed_unique = 0
         self.duplicates = 0
+        self.expired = 0
         self.dropped_replies = 0
         self._reply_seq = 0
 
@@ -87,19 +111,33 @@ class NodeServer:
 
     def handle(self, req: WireMessage) -> Optional[bytes]:
         """Process one request; return the reply frame body to send,
-        or None when the reply is deliberately withheld."""
+        or None when the reply is deliberately withheld or has expired."""
         if req.opname == STATS_OP:
             return self._reply_to(req, json.dumps(self.stats()).encode())
         self.requests_seen += 1
-        key = (req.sighash, req.seq)
-        cached = self.reply_cache.get(key)
-        if cached is not None:
-            # a retransmission: exactly-once means replay, not re-execute
+        seq = req.seq
+        window = self.windows[req.sighash]
+        cached = window.get(seq)
+        if cached is not None or seq <= window.floor:
+            # a retransmission: exactly-once means replay, not
+            # re-execute — and left of the window, where the reply is
+            # gone, it means silence
             self.duplicates += 1
+            self.expired += cached is None
             return cached
         self.executed_unique += 1
-        reply = self._reply_to(req, req.payload)
-        self.reply_cache[key] = reply
+        reply = window[seq] = self._reply_to(req, req.payload)
+        # contiguous seqs evict one keyed entry per request; a client
+        # that skips or reorders them is swept back to its newest
+        # replies once it holds two windows' worth
+        old = seq - REPLY_CACHE_LIMIT
+        if old > window.floor and old in window:
+            del window[old]
+            window.floor = old
+        elif len(window) > 2 * REPLY_CACHE_LIMIT:
+            for old in sorted(window)[:-REPLY_CACHE_LIMIT]:
+                del window[old]
+            window.floor = max(window.floor, old)
         if self.drop_first > 0:
             # execute, cache, but stay silent: the client must time out
             # and retransmit, and the retransmit must hit the cache
@@ -114,6 +152,7 @@ class NodeServer:
             "requests_seen": self.requests_seen,
             "executed_unique": self.executed_unique,
             "duplicates": self.duplicates,
+            "expired": self.expired,
             "dropped_replies": self.dropped_replies,
         }
 

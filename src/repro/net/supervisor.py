@@ -55,10 +55,6 @@ class NodeProcess:
     def alive(self) -> bool:
         return self.proc.poll() is None
 
-    @property
-    def returncode(self) -> Optional[int]:
-        return self.proc.poll()
-
 
 def _await_ready(proc: subprocess.Popen, deadline_s: float) -> str:
     """Block until the child prints its READY line; return the endpoint."""
@@ -70,13 +66,11 @@ def _await_ready(proc: subprocess.Popen, deadline_s: float) -> str:
     deadline = monotonic() + deadline_s
     try:
         while True:
-            if b"\n" in buf:
-                line, _, rest = buf.partition(b"\n")
+            while b"\n" in buf:
+                line, _, buf = buf.partition(b"\n")
                 text = line.decode("utf-8", "replace").strip()
                 if text.startswith(READY_PREFIX):
                     return text[len(READY_PREFIX):].strip()
-                buf = rest
-                continue
             remaining = deadline - monotonic()
             if remaining <= 0:
                 raise SpawnFailed(
@@ -149,9 +143,6 @@ class NodeSupervisor:
         self.nodes[name] = node
         return node
 
-    def alive(self, name: str) -> bool:
-        return name in self.nodes and self.nodes[name].alive
-
     def crash(self, name: str) -> None:
         """Hard-kill a node (no cleanup runs — the PROCESSOR mode of
         the real world).  Clients learn of the death through refused
@@ -163,16 +154,14 @@ class NodeSupervisor:
     def stop_all(self) -> None:
         """Orderly teardown of every node still running."""
         for node in self.nodes.values():
-            if node.alive:
-                node.proc.terminate()
+            node.proc.terminate()  # a no-op on a node that already exited
         for node in self.nodes.values():
             try:
                 node.proc.wait(timeout=5.0)
             except subprocess.TimeoutExpired:  # pragma: no cover
                 node.proc.kill()
                 node.proc.wait()
-            if node.proc.stdout is not None:
-                node.proc.stdout.close()
+            node.proc.stdout.close()
         self.nodes.clear()
         if self._tmpdir is not None:
             self._tmpdir.cleanup()

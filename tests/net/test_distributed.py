@@ -11,6 +11,7 @@ with a hard timeout) to pin what the load generator cannot see: the
 server answers a *read*, however many frames it holds.
 """
 
+import signal
 import socket
 import time
 
@@ -32,18 +33,22 @@ FAST = RecoveryPolicy(timeout_ms=120.0, max_retries=3,
                       backoff_factor=2.0, jitter_frac=0.0)
 
 
+def _assert_quiet(sup):
+    """An exception that escapes a connection handler is only ever
+    logged, by asyncio, on the node's stderr: a node the test did not
+    kill must have had nothing to say."""
+    for node in sup.nodes.values():
+        if node.alive:
+            with open(node.stderr_path, encoding="utf-8") as f:
+                assert f.read() == "", node.name
+
+
 @pytest.fixture
 def supervisor():
     sup = NodeSupervisor()
     try:
         yield sup
-        # an exception that escapes a connection handler is only ever
-        # logged, by asyncio, on the node's stderr: a node this test
-        # did not kill must have had nothing to say
-        for node in sup.nodes.values():
-            if node.alive:
-                with open(node.stderr_path, encoding="utf-8") as f:
-                    assert f.read() == "", node.name
+        _assert_quiet(sup)
     finally:
         sup.stop_all()
 
@@ -83,8 +88,7 @@ def test_crash_detection_fails_over_to_the_backup(supervisor):
     primary = _spawn(supervisor, "primary")
     backup = _spawn(supervisor, "backup")
     supervisor.crash("primary")
-    assert not supervisor.alive("primary")
-    assert supervisor.nodes["primary"].returncode is not None
+    assert not supervisor.nodes["primary"].alive
     r = run_load([primary.endpoint, backup.endpoint],
                  clients=3, requests=2, policy=FAST)
     assert r.exactly_once
@@ -92,6 +96,31 @@ def test_crash_detection_fails_over_to_the_backup(supervisor):
     # a dead primary is a refused connection, not a timeout
     assert r.failovers == 3 and r.connect_errors >= 3
     assert query_stats(backup.endpoint)["executed_unique"] == 6
+
+
+def test_sigkill_mid_frame_fails_over_once(supervisor):
+    """The hostile crash: the primary is SIGKILLed while it holds half
+    of a client's frame.  That client's run fails over exactly once, the
+    backup executes each of its requests once, and no node process
+    outlives the supervisor."""
+    primary = _spawn(supervisor, "primary")
+    backup = _spawn(supervisor, "backup")
+    frame = _ping(1, client=0)  # run_load's first client, its first seq
+    with _dial(primary) as sock:
+        sock.sendall(frame[:len(frame) // 2])
+        time.sleep(0.05)  # let the node read the half into its de-framer
+        supervisor.crash("primary")
+    assert primary.proc.returncode == -signal.SIGKILL
+    r = run_load([primary.endpoint, backup.endpoint],
+                 clients=1, requests=3, policy=FAST)
+    assert r.failovers == 1 and r.connect_errors >= 1
+    assert r.exactly_once and r.completed == r.issued == 3
+    assert query_stats(backup.endpoint)["executed_unique"] == r.completed
+    _assert_quiet(supervisor)
+    procs = [node.proc for node in supervisor.nodes.values()]
+    supervisor.stop_all()
+    assert len(procs) == 2
+    assert all(proc.returncode is not None for proc in procs)
 
 
 def test_no_endpoints_left_exhausts_instead_of_hanging(supervisor):
@@ -155,7 +184,7 @@ def test_a_lost_child_reports_its_stderr(supervisor):
 def test_supervisor_bookkeeping(supervisor):
     node = _spawn(supervisor, "tcp-node", tcp=True)
     assert ":" in node.endpoint  # host:port form
-    assert supervisor.alive("tcp-node")
+    assert supervisor.nodes["tcp-node"].alive
     with pytest.raises(ValueError, match="duplicate"):
         supervisor.spawn("tcp-node")
     supervisor.stop_all()
@@ -164,9 +193,11 @@ def test_supervisor_bookkeeping(supervisor):
 
 
 # -- a wake-up, not a frame, is the server's unit of work ---------------
-def _ping(seq, payload=b"x" * 32):
+def _ping(seq, payload=b"x" * 32, client=7):
+    """One framed request; ``client`` rides as the frame's sighash,
+    which is the client id the node keys its dedup window on."""
     return pack_frame(encode_frame(WireMessage(
-        kind=MsgKind.REQUEST, seq=seq, opname="ping", sighash=7,
+        kind=MsgKind.REQUEST, seq=seq, opname="ping", sighash=client,
         payload=payload, sent_at=0.0,
     )))
 
@@ -269,7 +300,8 @@ def _rss_kb(pid):
 def test_a_peer_that_never_reads_stalls_only_itself(supervisor):
     """The slow reader: `drain()` stops that connection's read loop
     once its replies back up, so the node neither buffers them without
-    bound nor stops serving anyone else."""
+    bound nor stops serving anyone else.  The other peer is another
+    client: the clogged one's seq 1 is long left of its own window."""
     node = _spawn(supervisor, "clogged")
     try:
         before = _rss_kb(node.proc.pid)
@@ -284,7 +316,7 @@ def test_a_peer_that_never_reads_stalls_only_itself(supervisor):
         assert sent < offered
         t0 = time.monotonic()
         with _dial(node, timeout=2.0) as other:
-            other.sendall(_ping(1))
+            other.sendall(_ping(1, client=8))
             (reply,) = _replies_until_eof(other, want=1)
         assert reply.reply_to == 1 and time.monotonic() - t0 < 2.0
         # what backed up is a socket buffer or two, not the 8 MiB
