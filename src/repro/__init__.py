@@ -10,5 +10,3 @@ figures.  Start with `repro.core.api`.
 """
 
 __version__ = "1.0.0"
-
-from repro.core.api import make_cluster  # noqa: F401  (public root export)

@@ -12,7 +12,7 @@
     python -m repro lint                    # determinism/layering checks
     python -m repro flight --demo           # black-box dump + inspector
     python -m repro top                     # per-window chaos telemetry
-    python -m repro net serve --socket S    # real-transport node process
+    python -m repro net serve --socket S    # a node: python -m repro.net
     python -m repro net load S --clients N  # wall-clock load generator
 
 Intended for exploration, except ``bench``: it runs every experiment
@@ -586,15 +586,9 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_net_serve(args) -> int:
-    from repro.net.server import serve_forever
+    from repro.net.__main__ import main as serve
 
-    if (args.socket is None) == (args.tcp is None):
-        print("repro net serve: give exactly one of --socket PATH or "
-              "--tcp PORT", file=sys.stderr)
-        return 2
-    serve_forever(args.name, socket_path=args.socket, port=args.tcp,
-                  drop_first=args.drop_first)
-    return 0
+    return serve(args.argv, prog="repro net serve")
 
 
 def _cmd_net_load(args) -> int:
@@ -834,20 +828,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     netsub = p.add_subparsers(dest="net_command", required=True)
 
+    # everything after ``serve`` goes verbatim to the node's own parser
+    # (`repro.net.__main__`): with no prefix char, nothing here is an
+    # option, ``--help`` included
     s = netsub.add_parser(
-        "serve", help="run one node server process (prints "
-                      "'REPRO-NET READY <endpoint>' when bound)",
+        "serve", prefix_chars="\0", add_help=False,
+        help="run one node server process, as python -m repro.net "
+             "(serve --help lists its options)",
     )
-    s.add_argument("--name", default="node",
-                   help="node name reported in __stats__")
-    s.add_argument("--socket", default=None, metavar="PATH",
-                   help="serve on this Unix-domain socket path")
-    s.add_argument("--tcp", type=int, default=None, metavar="PORT",
-                   help="serve on 127.0.0.1:PORT (0 = ephemeral)")
-    s.add_argument("--drop-first", type=int, default=0, metavar="N",
-                   help="execute but withhold the reply for the first N "
-                        "distinct requests (forces client retries; the "
-                        "retransmit must hit the dedup cache)")
+    s.add_argument("argv", nargs=argparse.REMAINDER)
     s.set_defaults(fn=_cmd_net_serve)
 
     ld = netsub.add_parser(

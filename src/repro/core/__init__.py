@@ -12,58 +12,8 @@ It contains no kernel-specific code; the three run-time packages
 and implement its transport hooks against their kernels.  User programs
 written against `repro.core.api` run unmodified on all three — that is
 the paper's central experimental setup.
+
+Import from the modules, not from the package: `repro.core.api` is the
+public surface.  The package itself imports nothing, so a node process
+that needs only `repro.core.wire` pays for nothing else.
 """
-
-from repro.core.exceptions import (
-    LynxError,
-    LinkDestroyed,
-    RemoteCrash,
-    TypeClash,
-    RequestAborted,
-    MoveRestricted,
-    LinkMoved,
-    ThreadAborted,
-    ProtocolViolation,
-)
-from repro.core.types import (
-    LynxType,
-    INT,
-    REAL,
-    BOOL,
-    STR,
-    BYTES,
-    LINK,
-    ArrayType,
-    RecordType,
-    Operation,
-)
-from repro.core.program import Proc, Incoming
-from repro.core.cluster import ClusterBase, ProcessHandle
-from repro.core.registry import LinkRegistry
-
-__all__ = [
-    "LynxError",
-    "LinkDestroyed",
-    "RemoteCrash",
-    "TypeClash",
-    "RequestAborted",
-    "MoveRestricted",
-    "LinkMoved",
-    "ThreadAborted",
-    "ProtocolViolation",
-    "LynxType",
-    "INT",
-    "REAL",
-    "BOOL",
-    "STR",
-    "BYTES",
-    "LINK",
-    "ArrayType",
-    "RecordType",
-    "Operation",
-    "Proc",
-    "Incoming",
-    "ClusterBase",
-    "ProcessHandle",
-    "LinkRegistry",
-]

@@ -35,8 +35,7 @@ from typing import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.threads import LynxThread
-    from repro.core.wire import WireMessage
-    from repro.obs.causal import SpanContext
+    from repro.core.wire import SpanContext, WireMessage
 
 
 class EndRef(NamedTuple):

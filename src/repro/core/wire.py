@@ -31,10 +31,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.core.links import EndRef
-from repro.obs.causal import SpanContext
 
 #: bytes of fixed header on every wire message (kind, seq, reply_to,
 #: sighash, lengths) — mirrors the "self-descriptive information
@@ -62,6 +61,24 @@ class ExceptionCode(enum.Enum):
     NO_SUCH_OPERATION = "no-such-operation"
     REQUEST_ABORTED = "request-aborted"
     LINK_DESTROYED = "link-destroyed"
+
+
+class SpanContext(NamedTuple):
+    """The causal identity piggybacked on wire messages: the
+    `WireMessage.span` field, and the span run `repro.net.frames`
+    encodes.  Minted and read by `repro.obs.causal`, which re-exports
+    it; defined here so the wire needs nothing of the tracer.  A tuple:
+    one rides on every `WireMessage` when tracing is on, and it hashes
+    and compares as ``(trace_id, span_id, parent_id, sampled)``.
+
+    ``sampled`` is the head-based sampling decision, made once at
+    `SpanTracker.new_trace` and inherited by every child, so a trace
+    is recorded complete or not at all (`repro.obs.sampling`)."""
+
+    trace_id: int
+    span_id: int
+    parent_id: Optional[int] = None
+    sampled: bool = True
 
 
 @dataclass(slots=True)

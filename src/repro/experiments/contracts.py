@@ -409,7 +409,7 @@ register_experiment(Experiment(
 #   RTTs must be *bit-identical* to the ``ideal`` backend's — the bytes
 #   changed, the semantics did not.
 # * **Real**: `repro.net.supervisor` spawns real node processes
-#   (``python -m repro net serve`` over UDS), and the `repro.net.load`
+#   (``python -m repro.net`` over UDS), and the `repro.net.load`
 #   generator drives concurrent client coroutines with wall-clock
 #   `RecoveryPolicy` timeout/retry/failover.  The primary server's
 #   ``--drop-first`` deterministically withholds its first few replies,

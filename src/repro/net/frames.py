@@ -35,8 +35,7 @@ import struct
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.core.links import EndRef
-from repro.core.wire import ExceptionCode, MsgKind, WireMessage
-from repro.obs.causal import SpanContext
+from repro.core.wire import ExceptionCode, MsgKind, SpanContext, WireMessage
 
 if TYPE_CHECKING:  # pragma: no cover
     import asyncio

@@ -59,7 +59,6 @@ class LoadReport:
     """Aggregate outcome of one `run_load` call."""
 
     clients: int
-    requests_per_client: int
     issued: int = 0
     completed: int = 0
     exhausted: int = 0
@@ -195,15 +194,14 @@ async def _run_load(endpoints: List[str], clients: int, requests: int,
 
 def run_load(endpoints: List[str], clients: int = 8, requests: int = 4,
              payload_bytes: int = 32,
-             policy: Optional[RecoveryPolicy] = None) -> LoadReport:
+             policy: RecoveryPolicy = DEFAULT_LOAD_POLICY) -> LoadReport:
     """Drive ``clients`` concurrent coroutines against ``endpoints``.
 
     Each client issues ``requests`` sequential pings, retrying and
-    failing over per ``policy`` (`DEFAULT_LOAD_POLICY` when omitted).
+    failing over per ``policy`` (`DEFAULT_LOAD_POLICY` when omitted;
+    a `RecoveryPolicy` is frozen, so one instance serves every call).
     """
-    if policy is None:
-        policy = DEFAULT_LOAD_POLICY
-    report = LoadReport(clients=clients, requests_per_client=requests)
+    report = LoadReport(clients=clients)
     t0 = perf_counter()
     asyncio.run(_run_load(endpoints, clients, requests, payload_bytes,
                           policy, report))

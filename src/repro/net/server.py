@@ -1,4 +1,5 @@
-"""A real node process: the asyncio server behind ``repro net serve``.
+"""A real node process: the asyncio server behind ``python -m repro.net``
+(`repro.net.__main__`, which ``repro net serve`` forwards to).
 
 Speaks the frame protocol of `repro.net.frames` over a Unix-domain or
 TCP socket.  Semantics are the paper's server half, reduced to what
@@ -196,13 +197,3 @@ class NodeServer:
         print(f"{READY_PREFIX} {endpoint}", flush=True)
         async with server:
             await server.serve_forever()
-
-
-def serve_forever(name: str, socket_path: Optional[str] = None,
-                  port: Optional[int] = None, drop_first: int = 0) -> None:
-    """Blocking entry point used by ``python -m repro net serve``."""
-    node = NodeServer(name, drop_first=drop_first)
-    try:
-        asyncio.run(node.serve(socket_path=socket_path, port=port))
-    except KeyboardInterrupt:  # pragma: no cover - interactive teardown
-        pass

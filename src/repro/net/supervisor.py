@@ -1,7 +1,8 @@
 """Process supervision for real node processes.
 
-`NodeSupervisor` spawns each node as ``python -m repro net serve``
-(its own interpreter, its own asyncio loop, its own socket), confirms
+`NodeSupervisor` spawns each node as ``python -m repro.net``
+(`repro.net.__main__`: its own interpreter, its own asyncio loop, its
+own socket, and only the wire's modules imported), confirms
 liveness through the ``REPRO-NET READY <endpoint>`` stdout handshake,
 and detects crashes two ways — the supervisor side sees the exit code,
 the client side sees ``ECONNREFUSED``/EOF — both of which feed the
@@ -22,7 +23,7 @@ import subprocess
 import sys
 import tempfile
 from time import monotonic  # repro: allow[DET001] — wall-clock spawn deadlines for real OS processes
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.net.server import READY_PREFIX
 
@@ -50,10 +51,6 @@ class NodeProcess:
         self.endpoint = endpoint
         #: file the node's stderr goes to; lives until `stop_all`
         self.stderr_path = stderr_path
-
-    @property
-    def alive(self) -> bool:
-        return self.proc.poll() is None
 
 
 def _await_ready(proc: subprocess.Popen, deadline_s: float) -> str:
@@ -116,15 +113,10 @@ class NodeSupervisor:
         env["PYTHONPATH"] = src_dir + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
         )
-        cmd: List[str] = [sys.executable, "-m", "repro", "net", "serve",
-                          "--name", name]
-        if tcp:
-            cmd += ["--tcp", "0"]
-        else:
-            cmd += ["--socket", os.path.join(self._socket_dir(),
-                                             f"{name}.sock")]
-        if drop_first:
-            cmd += ["--drop-first", str(drop_first)]
+        bind = (["--tcp", "0"] if tcp else
+                ["--socket", os.path.join(self._socket_dir(), f"{name}.sock")])
+        cmd = [sys.executable, "-m", "repro.net", "--name", name, *bind,
+               "--drop-first", str(drop_first)]
         stderr_path = os.path.join(self._socket_dir(), f"{name}.stderr")
         with open(stderr_path, "wb") as stderr:
             proc = subprocess.Popen(

@@ -13,7 +13,8 @@ Vocabulary (documented in docs/CAUSALITY.md):
     the ``(trace_id, span_id, parent_id)`` triple minted by the core
     runtime at each ``connect`` entry and piggybacked on
     `repro.core.wire.WireMessage.span` so kernels and peer runtimes can
-    open child spans of the same trace;
+    open child spans of the same trace (defined in `repro.core.wire`,
+    beside the message that carries it, and re-exported here);
 `SpanTracker`
     the per-cluster minting authority; completed spans are emitted as
     ``event="span"`` trace records with explicit ``t0``/``t1`` (a span
@@ -48,10 +49,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import (
-    Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
-)
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.core.wire import SpanContext
 from repro.sim.trace import TraceEvent, TraceLog
 
 #: every layer a span may be tagged with, in paint-priority order
@@ -69,21 +69,6 @@ GAP_LAYER = "runtime"
 #: the ``detail`` of every span record: its content is the ``span``
 #: payload, so all of them share this one read-only empty mapping
 _NO_DETAIL: Mapping[str, object] = MappingProxyType({})
-
-
-class SpanContext(NamedTuple):
-    """The causal identity piggybacked on wire messages.  A tuple: one
-    rides on every `WireMessage` when tracing is on, and it hashes and
-    compares as ``(trace_id, span_id, parent_id, sampled)``.
-
-    ``sampled`` is the head-based sampling decision, made once at
-    `SpanTracker.new_trace` and inherited by every child, so a trace
-    is recorded complete or not at all (`repro.obs.sampling`)."""
-
-    trace_id: int
-    span_id: int
-    parent_id: Optional[int] = None
-    sampled: bool = True
 
 
 @dataclass(frozen=True, slots=True)

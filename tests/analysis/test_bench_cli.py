@@ -63,9 +63,11 @@ def test_bench_unknown_only_name_exits_nonzero(capsys):
 
 
 def test_cli_import_does_not_load_the_bench_machinery():
-    """``python -m repro net serve`` — every spawned node process —
-    imports `repro.cli`; only ``bench`` (and ``sweep``) may pay for
-    the runner, its compare and the experiment registry behind them."""
+    """Every ``python -m repro`` command imports `repro.cli` (a node
+    process does not: it is ``python -m repro.net``,
+    tests/analysis/test_import_closure.py); only ``bench`` (and
+    ``sweep``) may pay for the runner, its compare and the experiment
+    registry behind them."""
     code = ("import sys, repro.cli; "
             "print(sorted(m for m in sys.modules "
             "if m in ('repro.obs.bench', 'repro.obs.compare') "

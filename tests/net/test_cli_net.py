@@ -1,6 +1,10 @@
 """CLI surface of the real transport: ``repro net ...``, and
 ``--sim-backend`` applying to ``real-asyncio`` like any other kernel."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
@@ -20,11 +24,27 @@ def test_sim_backend_still_works_on_simulated_kernels(capsys):
 
 
 def test_net_serve_needs_exactly_one_bind(capsys):
-    assert main(["net", "serve", "--name", "n"]) == 2
-    assert "exactly one" in capsys.readouterr().err
-    assert main(["net", "serve", "--name", "n", "--socket", "/tmp/x.sock",
-                 "--tcp", "0"]) == 2
-    assert "exactly one" in capsys.readouterr().err
+    """``repro net serve`` forwards its arguments to the node's own
+    parser (`repro.net.__main__`), whose required --socket / --tcp
+    group refuses neither and both."""
+    for bind in ([], ["--socket", "/tmp/x.sock", "--tcp", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["net", "serve", "--name", "n", *bind])
+        assert exc.value.code == 2
+        assert "usage: repro net serve" in capsys.readouterr().err
+
+
+def test_the_node_entry_helps_without_a_word_on_stderr():
+    """``python -m repro.net`` is what the supervisor spawns, and a live
+    node's stderr must stay empty — a ``-m repro.net.server`` entry
+    would import the server twice and warn there."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.net", "--help"], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert "usage: python -m repro.net" in proc.stdout
+    assert "--socket PATH | --tcp PORT" in proc.stdout
 
 
 def test_net_load_end_to_end(capsys):

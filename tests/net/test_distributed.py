@@ -1,7 +1,7 @@
 """Real node processes under the supervisor, driven by the load generator.
 
 A miniature of the E17 bench's measured half, small enough for the
-tier-1 suite: spawn real ``python -m repro net serve`` processes, push
+tier-1 suite: spawn real ``python -m repro.net`` processes, push
 a handful of concurrent client coroutines through real sockets, force
 the timeout/retry path with ``--drop-first``, hard-kill a primary and
 watch every client fail over — all while the exactly-once accounting
@@ -38,7 +38,7 @@ def _assert_quiet(sup):
     logged, by asyncio, on the node's stderr: a node the test did not
     kill must have had nothing to say."""
     for node in sup.nodes.values():
-        if node.alive:
+        if node.proc.poll() is None:
             with open(node.stderr_path, encoding="utf-8") as f:
                 assert f.read() == "", node.name
 
@@ -88,7 +88,7 @@ def test_crash_detection_fails_over_to_the_backup(supervisor):
     primary = _spawn(supervisor, "primary")
     backup = _spawn(supervisor, "backup")
     supervisor.crash("primary")
-    assert not supervisor.nodes["primary"].alive
+    assert supervisor.nodes["primary"].proc.poll() is not None
     r = run_load([primary.endpoint, backup.endpoint],
                  clients=3, requests=2, policy=FAST)
     assert r.exactly_once
@@ -184,7 +184,7 @@ def test_a_lost_child_reports_its_stderr(supervisor):
 def test_supervisor_bookkeeping(supervisor):
     node = _spawn(supervisor, "tcp-node", tcp=True)
     assert ":" in node.endpoint  # host:port form
-    assert supervisor.nodes["tcp-node"].alive
+    assert supervisor.nodes["tcp-node"].proc.poll() is None
     with pytest.raises(ValueError, match="duplicate"):
         supervisor.spawn("tcp-node")
     supervisor.stop_all()
