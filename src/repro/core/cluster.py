@@ -164,12 +164,6 @@ class ClusterBase:
         ``rt_shutdown`` calls this).  Clusters whose kernels track
         per-process liveness deregister the process here."""
 
-    def close(self) -> None:
-        """Release any OS resources the backend holds.  No registered
-        backend holds one (every cluster is in-memory), so this is a
-        no-op; callers still pair it with `make_cluster` so a backend
-        that does can rely on it.  Safe to call more than once."""
-
     # ------------------------------------------------------------------
     # process management
     # ------------------------------------------------------------------

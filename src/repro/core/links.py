@@ -104,8 +104,9 @@ class ConnectWaiter:
     request: Optional["WireMessage"] = None
     #: retransmissions performed so far under the recovery policy
     retries: int = 0
-    #: the pending recovery timer (`repro.sim.engine.Event`), cancelled
-    #: whenever the connect ends
+    #: the pending recovery timer (a `repro.core.recovery.TimerHandle`;
+    #: a raw `repro.sim.engine.Event` under ``TimerWheel(passthrough=
+    #: True)``), cancelled whenever the connect ends
     recovery_timer: Optional[Any] = None
 
 

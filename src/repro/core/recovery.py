@@ -115,7 +115,13 @@ class TimerHandle:
 
 
 class _Bucket:
-    """All timers of one wheel due at one exact simulated deadline."""
+    """All timers of one wheel due at one exact simulated deadline.
+
+    A bucket's engine event holds the bucket (``Event.args``) and its
+    handles point back at it, so both back-links are cut the moment
+    the bucket ends — fired or released: a spent bucket holds no cycle,
+    and reference counting frees each timer's arguments at once rather
+    than leaving them to the collector."""
 
     __slots__ = ("wheel", "deadline", "event", "handles", "live")
 
@@ -123,13 +129,13 @@ class _Bucket:
         self.wheel = wheel
         self.deadline = deadline
         self.event: Any = None  # the single shared engine Event
-        self.handles: List[TimerHandle] = []
+        self.handles: Optional[List[TimerHandle]] = []
         self.live = 0
 
     def release(self) -> None:
         self.wheel._buckets.pop(self.deadline, None)
-        if self.event is not None:
-            self.event.cancel()
+        self.event.cancel()
+        self.event = self.handles = None
 
 
 class TimerWheel:
@@ -143,7 +149,9 @@ class TimerWheel:
     among wheel timers is identical to the engine's (time, insertion)
     order and simulated timings are bit-for-bit unchanged (the
     equivalence test in ``tests/core/test_timer_wheel.py`` holds a
-    seeded chaos run to that).
+    seeded chaos run to that).  A bucket that has fired or been
+    released is acyclic (see `_Bucket`), so a finished timer's objects
+    never wait for the garbage collector.
 
     ``passthrough=True`` forwards every ``schedule`` straight to the
     engine (the pre-wheel behavior) — the reference arm of the
@@ -186,6 +194,7 @@ class TimerWheel:
             if not handle.cancelled:
                 handle.cancelled = True  # fired == spent
                 handle.fn(*handle.args)
+        bucket.event = bucket.handles = None  # spent: no cycle left
 
     @property
     def pending(self) -> int:

@@ -28,9 +28,8 @@ class SimRandom:
         self.seed = seed
         self.name = name
         self._rng = random.Random(f"{seed}\x00{name}")
-        # `random` and `uniform` are pure delegation on simulator hot
-        # paths (every event draws jitter); bind the underlying stream's
-        # methods directly so each draw costs one call, not two
+        # `random` and `uniform` are drawn on simulator hot paths (every
+        # event draws jitter): the stream's own methods, one call a draw
         self.random = self._rng.random
         self.uniform = self._rng.uniform
 
@@ -39,12 +38,6 @@ class SimRandom:
         return SimRandom(self.seed, f"{self.name}/{name}")
 
     # thin wrappers -----------------------------------------------------
-    def random(self) -> float:
-        return self._rng.random()
-
-    def uniform(self, lo: float, hi: float) -> float:
-        return self._rng.uniform(lo, hi)
-
     def randint(self, lo: int, hi: int) -> int:
         return self._rng.randint(lo, hi)
 

@@ -22,6 +22,4 @@ def kernel_kind(request):
 
 @pytest.fixture
 def cluster(kernel_kind):
-    c = make_cluster(kernel_kind, seed=7)
-    yield c
-    c.close()
+    return make_cluster(kernel_kind, seed=7)

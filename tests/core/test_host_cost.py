@@ -34,6 +34,19 @@ the calls it repeats to the byte on one interpreter (2,974 / 3,378 /
 record was a built `TraceEvent`; 3.10.13 keeps at most 1 % more, 3.12.1
 and 3.13.0 about 1 % less), and a record that keeps more than its
 values fails here, not only in `peak_rss_mb`.
+
+And garbage per op: the objects ``gc.collect()`` finds unreachable
+after a run made with the collector disabled — with every cluster the
+run built still alive, as `perf/passes.py` keeps them — differenced
+between a 100-op and a 300-op run so the per-cluster constant cancels.
+The benchmark's timed regions run with the collector off, so each such
+object stays resident to the end of the pass: memory stranded per op
+goes straight into `peak_rss_mb` (docs/PERFORMANCE.md §2.11).  A lossy
+chaos run was 0 / 22.0 / 26.0 / 27.0 objects per op while every
+`TimerWheel` bucket kept its engine event and its handles in cycles,
+and is 0 on all four kernels since; `rpc_null` measures 0, and
+`link_move` 40 per hop on Charlotte (a closure cycle of its move path)
+and 0 elsewhere, on 3.10.13 through 3.13.0.
 """
 
 import cProfile
@@ -43,6 +56,8 @@ import tracemalloc
 
 import pytest
 
+from repro.workloads import chaos, migration, rpc
+from repro.workloads.chaos import chaos_policy, lossy_plan, run_chaos_workload
 from repro.workloads.migration import run_migration_churn
 from repro.workloads.rpc import run_rpc_workload
 
@@ -129,4 +144,70 @@ def test_bytes_kept_per_null_rpc_stay_under_the_ceiling(kind):
     assert kept_per_op <= KEPT_BYTES_CEILINGS[kind], (
         f"{kind}: {kept_per_op:.0f} bytes kept per null RPC "
         f"(ceiling {KEPT_BYTES_CEILINGS[kind]})"
+    )
+
+
+#: cyclic garbage per op (objects), keyed by workload: only ever lowered
+GARBAGE_CEILINGS = {
+    "rpc_null": {"charlotte": 0, "soda": 0, "chrysalis": 0, "ideal": 0},
+    "link_move": {"charlotte": 40, "soda": 0, "chrysalis": 0, "ideal": 0},
+    "chaos_lossy": {"charlotte": 0.5, "soda": 0.5, "chrysalis": 0.5,
+                    "ideal": 0.5},
+}
+
+GARBAGE_RUNS = {
+    "rpc_null": lambda kind, n: run_rpc_workload(kind, 0, count=n),
+    "link_move": lambda kind, n: run_migration_churn(kind, members=4, hops=n),
+    "chaos_lossy": lambda kind, n: run_chaos_workload(
+        kind, count=n, plan=lossy_plan(0.1, 0.05), policy=chaos_policy(),
+        pace_ms=0.0,
+    ),
+}
+
+
+def _keeping(make_cluster, clusters):
+    """``make_cluster`` that also keeps every cluster it builds alive."""
+    def make(*args, **kwargs):
+        cluster = make_cluster(*args, **kwargs)
+        clusters.append(cluster)
+        return cluster
+    return make
+
+
+@pytest.mark.parametrize("kind", sorted(CALL_CEILINGS))
+@pytest.mark.parametrize("workload", sorted(GARBAGE_CEILINGS))
+def test_cyclic_garbage_per_op_stays_under_the_ceiling(
+    workload, kind, monkeypatch
+):
+    """Catches a `TimerWheel` whose spent buckets keep their engine
+    event or their handles: the parent's wheel reads 22.0 / 26.0 / 27.0
+    chaos objects per op on SODA / Chrysalis / ideal, dropping only the
+    ``bucket.event = bucket.handles = None`` of `_fire` 13.5–15.8, only
+    that of `_Bucket.release` 9.2–13.0.  The other legs catch a
+    listener closure that names itself (`Task` waiting through a nested
+    ``def listener(fut)`` that sets ``listener.done``: 48–92 objects
+    per null RPC, 144–344 per hop), the pattern of Charlotte's
+    `MoveCoordinator.move` ``attempt``, whose cycle is the 40 per hop
+    its ceiling allows."""
+    clusters = []
+    for module in (rpc, migration, chaos):
+        monkeypatch.setattr(module, "make_cluster",
+                            _keeping(module.make_cluster, clusters))
+    run = GARBAGE_RUNS[workload]
+
+    def garbage(count):
+        clusters.clear()
+        gc.collect()
+        gc.disable()
+        try:
+            run(kind, count)
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    run(kind, 20)
+    per_op = (garbage(300) - garbage(100)) / 200
+    assert per_op <= GARBAGE_CEILINGS[workload][kind], (
+        f"{workload} on {kind}: {per_op:.2f} cyclic objects per op "
+        f"(ceiling {GARBAGE_CEILINGS[workload][kind]})"
     )

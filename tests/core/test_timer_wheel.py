@@ -4,6 +4,8 @@ equivalence with the old one-engine-event-per-timer scheme under
 seeded fault plans.  The wheel is a pure scheduling-cost optimization;
 if any simulated outcome shifts, it stopped being one."""
 
+import gc
+
 import pytest
 
 from repro.core.recovery import RecoveryPolicy, TimerWheel
@@ -98,6 +100,32 @@ def test_callback_may_cancel_a_sibling_in_the_same_bucket():
     handles["victim"] = wheel.schedule(5.0, fired.append, "victim")
     eng.run()
     assert fired == ["killer"]
+
+
+def _spend_a_bucket(cancelled: int) -> None:
+    eng = Engine()
+    wheel = TimerWheel(eng)
+    handles = [wheel.schedule(5.0, lambda: None) for _ in range(3)]
+    for handle in handles[:cancelled]:
+        handle.cancel()
+    eng.run()
+
+
+@pytest.mark.parametrize(
+    "cancelled", (0, 1, 3), ids=("fired", "partly-cancelled", "cancelled")
+)
+def test_a_spent_bucket_leaves_no_cyclic_garbage(cancelled):
+    """Fired, partly and fully cancelled buckets are freed by reference
+    counting alone.  Catches a bucket that keeps its engine event
+    (``Event.args`` is the bucket) or its handles (each points back at
+    the bucket) once it has fired or been released."""
+    gc.collect()
+    gc.disable()
+    try:
+        _spend_a_bucket(cancelled)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_negative_delay_raises_like_the_engine():
