@@ -6,7 +6,7 @@ from repro.charlotte.kernel import CharlotteKernel
 from repro.charlotte.runtime import CharlotteRuntime
 from repro.core.cluster import ClusterBase, ProcessHandle
 from repro.core.links import EndRef
-from repro.sim.failure import CrashMode
+from repro.sim.faults import CrashMode
 from repro.sim.network import TokenRing
 
 

@@ -183,9 +183,6 @@ class CharlotteKernel:
     def node_of(self, name: str) -> int:
         return self._nodes.get(name, 0)
 
-    def is_dead(self, name: str) -> bool:
-        return name in self._dead
-
     # ------------------------------------------------------------------
     # syscall implementations (invoked by KernelPort)
     # ------------------------------------------------------------------

@@ -36,7 +36,7 @@ from typing import Callable, TYPE_CHECKING
 from repro.core.links import EndRef
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.charlotte.kernel import CharlotteKernel
+    from repro.charlotte.kernel import CharlotteKernel, _KLink
 
 #: backoff before retrying a contended move lock, ms
 MOVE_RETRY_BACKOFF_MS = 5.0
@@ -73,32 +73,34 @@ class MoveCoordinator:
         handshake is done; ``extra_ms`` is protocol time added to the
         carrying message's delivery.  The caller must later invoke
         `commit` when the carrying message is delivered."""
-        k = self.kernel
-        klink = k.links.get(enc.link)
+        klink = self.kernel.links.get(enc.link)
         if klink is None or klink.destroyed:
             on_ready(0.0)
             return
-        extra_acc = 0.0
+        self._attempt(klink, on_ready, 0.0)
 
-        def attempt() -> None:
-            nonlocal extra_acc
-            if klink.destroyed:
-                on_ready(extra_acc)
-                return
-            if klink.move_locked:
-                # lost the race with a move of the other end: NACK round
-                # trip plus backoff, then try again (fig. 1 serialiser)
-                k.metrics.count("charlotte.move_retries")
-                extra_acc += self._msg_cost() + self._msg_cost()
-                k.engine.defer(MOVE_RETRY_BACKOFF_MS, attempt)
-                return
-            klink.move_locked = True
-            # FREEZE to F's kernel and its ACK, on the critical path
-            freeze = self._msg_cost() + self._msg_cost()
-            extra_acc += freeze
+    def _attempt(
+        self, klink: "_KLink", on_ready: Callable[[float], None],
+        extra_acc: float,
+    ) -> None:
+        """One try at ``klink``'s move lock; ``extra_acc`` is the
+        protocol time the earlier tries already cost."""
+        k = self.kernel
+        if klink.destroyed:
             on_ready(extra_acc)
-
-        attempt()
+            return
+        if klink.move_locked:
+            # lost the race with a move of the other end: NACK round
+            # trip plus backoff, then try again (fig. 1 serialiser)
+            k.metrics.count("charlotte.move_retries")
+            extra_acc += self._msg_cost() + self._msg_cost()
+            k.engine.defer(
+                MOVE_RETRY_BACKOFF_MS, self._attempt, klink, on_ready, extra_acc
+            )
+            return
+        klink.move_locked = True
+        # FREEZE to F's kernel and its ACK, on the critical path
+        on_ready(extra_acc + (self._msg_cost() + self._msg_cost()))
 
     def commit(self, enc: EndRef, to_proc: str) -> None:
         """All three parties agree; ownership changes and the lock

@@ -7,7 +7,7 @@ from repro.chrysalis.linkobject import LinkObject
 from repro.chrysalis.runtime import ChrysalisRuntime
 from repro.core.cluster import ClusterBase, ProcessHandle
 from repro.core.links import EndRef
-from repro.sim.failure import CrashMode
+from repro.sim.faults import CrashMode
 from repro.sim.network import SharedMemoryInterconnect
 
 

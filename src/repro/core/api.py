@@ -82,8 +82,7 @@ from repro.sim.backends import (
     registered_sim_backends,
     sim_backend_profile,
 )
-from repro.sim.failure import CrashMode
-from repro.sim.faults import FaultPlan, FaultSpec
+from repro.sim.faults import CrashMode, FaultPlan, FaultSpec
 
 #: the paper's kernel substrates (the experimental setup's three
 #: systems); `registered_kernels()` additionally lists reference

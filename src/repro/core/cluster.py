@@ -11,7 +11,7 @@ surface the tests and benches drive:
   (the role the paper's "long-lived system servers" play for
   processes "designed in isolation");
 * ``run`` / ``run_until_quiet`` — advance simulated time;
-* ``crash_process`` — failure injection (see `repro.sim.failure`).
+* ``crash_process`` — failure injection (see `repro.sim.faults`).
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from repro.obs.flight import FlightRecorder
 from repro.obs.sampling import TraceSampler
 from repro.obs.timeseries import TimeSeries
 from repro.sim.backends import make_engine
-from repro.sim.failure import CrashMode
-from repro.sim.faults import FaultInjector, FaultPlan
+from repro.sim.faults import CrashMode, FaultInjector, FaultPlan
 from repro.sim.futures import FutureState
 from repro.sim.metrics import MetricSet
 from repro.sim.rng import SimRandom
@@ -275,7 +274,7 @@ class ClusterBase:
         self, name: str, mode: CrashMode = CrashMode.TERMINATE
     ) -> None:
         """Kill a process.  TERMINATE/FAULT let the runtime clean up;
-        PROCESSOR is a hard node failure (see `repro.sim.failure`)."""
+        PROCESSOR is a hard node failure (see `repro.sim.faults`)."""
         handle = self.processes[name]
         if handle.finished:
             return

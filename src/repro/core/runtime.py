@@ -98,9 +98,13 @@ from repro.core.recovery import TimerWheel
 from repro.core.threads import LynxThread, ThreadState
 from repro.core.types import Operation
 from repro.core.wire import ExceptionCode, MsgKind, WireMessage
+from repro.sim.faults import CrashMode
 from repro.sim.futures import Future
 from repro.sim.tasks import Task, TaskKilled, sleep
-from repro.sim.failure import CrashMode
+
+#: retransmit period (ms) of a kernel-placement backend's silent loss
+#: recovery: Charlotte's kernel, not a property of the network
+KERNEL_RETRANSMIT_MS = 25.0
 
 #: what the `ExceptionCode` of an EXCEPTION message raises in the thread
 #: whose connect it answers: (class, text)
@@ -933,15 +937,14 @@ class LynxRuntimeBase:
 
     def _spawn_kernel_retransmit(self, es: EndState, msg: WireMessage, send) -> None:
         """Kernel-placement loss recovery: a detached task re-judges the
-        dropped message every ``plan.kernel_retransmit_ms`` until a
-        verdict lets it through, however long that takes.  Invisible to
-        the runtime — the absolute the paper says a kernel cannot
-        usefully promise (§2.2, §4.1)."""
-        faults = self.cluster.faults
+        dropped message every `KERNEL_RETRANSMIT_MS` until a verdict
+        lets it through, however long that takes.  Invisible to the
+        runtime — the absolute the paper says a kernel cannot usefully
+        promise (§2.2, §4.1)."""
 
         def driver() -> Generator:
             while True:
-                yield sleep(self.engine, faults.plan.kernel_retransmit_ms)
+                yield sleep(self.engine, KERNEL_RETRANSMIT_MS)
                 if not self.alive or es.lifecycle is not EndLifecycle.OWNED:
                     return
                 if msg.seq not in es.outgoing:

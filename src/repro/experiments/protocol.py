@@ -19,7 +19,7 @@ from repro.core.api import (
 )
 from repro.core.registry import EndDisposition
 from repro.experiments import Experiment, near, register_experiment
-from repro.sim.failure import CrashMode
+from repro.sim.faults import CrashMode
 from repro.workloads.adversarial import (
     run_open_close_scenario,
     run_reverse_scenario,

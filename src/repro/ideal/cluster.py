@@ -6,7 +6,7 @@ from repro.core.cluster import ClusterBase, ProcessHandle
 from repro.core.links import EndRef
 from repro.ideal.kernel import IdealKernel
 from repro.ideal.runtime import IdealRuntime
-from repro.sim.failure import CrashMode
+from repro.sim.faults import CrashMode
 
 
 class IdealCluster(ClusterBase):

@@ -13,7 +13,7 @@ tasks    : `Task`, which drives generator coroutines over futures (one
            future, or the first of a tuple of them).
 network  : latency/bandwidth models for the three interconnects.
 metrics  : counters and latency recorders shared by kernels and benches.
-failure  : crash / message-loss injection.
+faults   : crash modes and the seeded network-fault plane.
 rng      : seeded randomness helpers (all randomness flows through here).
 """
 
@@ -27,7 +27,6 @@ from repro.sim.network import (
     CSMABus,
     SharedMemoryInterconnect,
 )
-from repro.sim.failure import FailurePlan, CrashInjector
 from repro.sim.rng import SimRandom
 from repro.sim.trace import TraceLog, TraceEvent
 
@@ -45,8 +44,6 @@ __all__ = [
     "TokenRing",
     "CSMABus",
     "SharedMemoryInterconnect",
-    "FailurePlan",
-    "CrashInjector",
     "SimRandom",
     "TraceLog",
     "TraceEvent",

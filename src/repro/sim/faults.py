@@ -1,11 +1,27 @@
-"""Deterministic network-fault injection (the other half of failure).
+"""Deterministic fault injection: process crashes and a degraded network.
 
-`repro.sim.failure` kills *processes*; this module degrades the
-*network* between them: per-link message drop, duplication, extra
-delay (reordering), and timed partition windows.  Together they let
-the simulator pose the question the paper's three lessons turn on —
-what happens to the language's remote-operation semantics when the
-transport misbehaves (§2.2, §4.1, §5.2)?
+The paper's semantic findings all involve failures:
+
+* Charlotte: process termination destroys all the process's links, and
+  peers must see send/receive failures (§2.2); a crash *during* the
+  multi-packet enclosure protocol loses enclosed links (§3.2.2 a–d).
+* SODA: "If a process dies before accepting a request, the requester
+  feels an interrupt that informs it of the crash" (§4.1); node crashes
+  strain ``discover`` (§4.2).
+* Chrysalis: clean termination destroys links even for erroneous
+  processes (the runtime catches faults), but "processor failures are
+  currently not detected" (§5.2) — a hard kill leaves peers hanging.
+
+A crash is part of the workload: whoever runs it schedules
+``cluster.crash_process(name, mode)`` on the engine, with a `CrashMode`.
+
+A `FaultPlan` degrades the *network* between processes: message drop,
+duplication, extra delay (reordering), and timed partition windows.
+Together they let the simulator pose the question the paper's three
+lessons turn on — what happens to the language's remote-operation
+semantics when the transport misbehaves?  The plan is a frozen value:
+every builder returns a new plan, so one plan can be installed into
+any number of clusters.
 
 Everything is seeded through `repro.sim.rng.SimRandom`, so a fault
 schedule replays exactly from ``(seed, plan)``.  Draws come from per
@@ -31,25 +47,39 @@ What a verdict *means* depends on where the backend places recovery
     the loss.
 ``"kernel"`` (Charlotte — absolutes)
     the kernel hides the loss: it silently retransmits every
-    ``plan.kernel_retransmit_ms`` until a verdict lets the message
-    through, however long that takes.  Nothing is ever surfaced to
-    the runtime — which is exactly the absolute the paper says a
-    kernel cannot usefully promise.
+    `repro.core.runtime.KERNEL_RETRANSMIT_MS` until a verdict lets the
+    message through, however long that takes.  Nothing is ever
+    surfaced to the runtime — which is exactly the absolute the paper
+    says a kernel cannot usefully promise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, List, Optional, Tuple
+import enum
+from dataclasses import dataclass, replace
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.sim.engine import Engine
 from repro.sim.metrics import MetricSet
 from repro.sim.rng import SimRandom
 
 
+class CrashMode(enum.Enum):
+    #: orderly termination: runtime clean-up runs (finally blocks)
+    TERMINATE = "terminate"
+    #: software fault inside the process: runtime fault handlers run
+    #: (Chrysalis can still clean up; models "even erroneous processes
+    #: can clean up their links", §5.2)
+    FAULT = "fault"
+    #: hard processor failure: nothing runs; peers are only informed if
+    #: the kernel itself detects node death (Charlotte/SODA yes,
+    #: Chrysalis no)
+    PROCESSOR = "processor"
+
+
 @dataclass(frozen=True)
 class FaultSpec:
-    """Per-link stochastic fault rates (all default to "healthy")."""
+    """Stochastic fault rates (all default to "healthy")."""
 
     #: probability a message is silently lost
     drop: float = 0.0
@@ -93,47 +123,32 @@ class Verdict:
     drop: bool = False
     dup: bool = False
     delay_ms: float = 0.0
-    #: the drop came from an active partition window (vs random loss)
-    partitioned: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class FaultPlan:
-    """A declarative, seed-replayable fault schedule.
-
-    Built fluently::
+    """A declarative, seed-replayable fault schedule.  A value: each
+    builder returns a new plan and leaves its receiver as it was::
 
         plan = (FaultPlan()
-                .drop(0.05)                      # every link
-                .drop(0.5, link=3)               # override one link
+                .drop(0.05)
                 .partition(200.0, 900.0,
                            a=("client",), b=("server",)))
     """
 
-    default: FaultSpec = field(default_factory=FaultSpec)
-    per_link: Dict[int, FaultSpec] = field(default_factory=dict)
-    partitions: List[PartitionWindow] = field(default_factory=list)
-    #: retransmit period of kernel-placement ("absolutes") backends
-    kernel_retransmit_ms: float = 25.0
+    #: the rates every link's verdicts are drawn from
+    spec: FaultSpec = FaultSpec()
+    partitions: Tuple[PartitionWindow, ...] = ()
 
     # fluent builders ---------------------------------------------------
-    def _update(self, link: Optional[int], **kw) -> "FaultPlan":
-        if link is None:
-            self.default = replace(self.default, **kw)
-        else:
-            self.per_link[link] = replace(
-                self.per_link.get(link, self.default), **kw
-            )
-        return self
+    def drop(self, p: float) -> "FaultPlan":
+        return replace(self, spec=replace(self.spec, drop=p))
 
-    def drop(self, p: float, link: Optional[int] = None) -> "FaultPlan":
-        return self._update(link, drop=p)
+    def duplicate(self, p: float) -> "FaultPlan":
+        return replace(self, spec=replace(self.spec, dup=p))
 
-    def duplicate(self, p: float, link: Optional[int] = None) -> "FaultPlan":
-        return self._update(link, dup=p)
-
-    def delay(self, ms: float, link: Optional[int] = None) -> "FaultPlan":
-        return self._update(link, delay_ms=ms)
+    def delay(self, ms: float) -> "FaultPlan":
+        return replace(self, spec=replace(self.spec, delay_ms=ms))
 
     def partition(
         self,
@@ -142,23 +157,12 @@ class FaultPlan:
         a: Optional[Tuple[str, ...]] = None,
         b: Optional[Tuple[str, ...]] = None,
     ) -> "FaultPlan":
-        self.partitions.append(PartitionWindow(
+        window = PartitionWindow(
             t0, t1,
             None if a is None else frozenset(a),
             None if b is None else frozenset(b),
-        ))
-        return self
-
-    def spec_for(self, link: int) -> FaultSpec:
-        return self.per_link.get(link, self.default)
-
-    @property
-    def empty(self) -> bool:
-        return (
-            self.default.healthy
-            and all(s.healthy for s in self.per_link.values())
-            and not self.partitions
         )
+        return replace(self, partitions=self.partitions + (window,))
 
 
 class FaultInjector:
@@ -166,9 +170,9 @@ class FaultInjector:
 
     ``judge`` is consulted by the runtime once per runtime-level
     message transmission and returns a `Verdict`.  Counters land under
-    ``faults.*``; partition healings are announced on the trace log
-    (and counted) when their window closes, so a sequence chart shows
-    when the network came back.
+    ``faults.*``; partition windows are announced on the trace log
+    (and counted) when they open and when they heal, so a sequence
+    chart shows when the network went and came back.
     """
 
     def __init__(
@@ -186,26 +190,24 @@ class FaultInjector:
         self.trace = trace
         self._streams: Dict[Tuple[int, str], SimRandom] = {}
         for i, win in enumerate(plan.partitions):
-            engine.schedule_at(max(win.t0, engine.now), self._entered, i, win)
-            engine.schedule_at(max(win.t1, engine.now), self._healed, i, win)
-
-    def _entered(self, idx: int, win: PartitionWindow) -> None:
-        self.metrics.count("faults.partitions_entered")
-        if self.trace is not None:
-            # a flight-recorder trigger (repro.obs.flight): the black
-            # box snapshots the healthy lead-up as the window opens
-            self.trace.emit(
-                "faults", "partition-entered", window=idx,
-                t0=win.t0, t1=win.t1,
+            engine.schedule_at(
+                max(win.t0, engine.now), self._announce,
+                "faults.partitions_entered", "partition-entered", i, win,
+            )
+            engine.schedule_at(
+                max(win.t1, engine.now), self._announce,
+                "faults.partitions_healed", "partition-healed", i, win,
             )
 
-    def _healed(self, idx: int, win: PartitionWindow) -> None:
-        self.metrics.count("faults.partitions_healed")
+    def _announce(
+        self, counter: str, event: str, idx: int, win: PartitionWindow
+    ) -> None:
+        # "partition-entered" is a flight-recorder trigger
+        # (repro.obs.flight): the black box snapshots the healthy
+        # lead-up as the window opens
+        self.metrics.count(counter)
         if self.trace is not None:
-            self.trace.emit(
-                "faults", "partition-healed", window=idx,
-                t0=win.t0, t1=win.t1,
-            )
+            self.trace.emit("faults", event, window=idx, t0=win.t0, t1=win.t1)
 
     def _stream(self, link: int, kind: str) -> SimRandom:
         key = (link, kind)
@@ -229,8 +231,8 @@ class FaultInjector:
         ``link`` (``kind`` is the wire kind, e.g. ``"request"``)."""
         if self.partitioned(src, dst):
             self.metrics.count("faults.partition_dropped")
-            return Verdict(drop=True, partitioned=True)
-        spec = self.plan.spec_for(link)
+            return Verdict(drop=True)
+        spec = self.plan.spec
         if spec.healthy:
             return Verdict()
         stream = self._stream(link, kind)

@@ -7,7 +7,7 @@ from typing import Optional
 
 from repro.core.cluster import ClusterBase, ProcessHandle
 from repro.core.links import EndRef
-from repro.sim.failure import CrashMode
+from repro.sim.faults import CrashMode
 from repro.sim.network import CSMABus
 from repro.soda.kernel import SodaKernel
 from repro.soda.runtime import SodaRuntime

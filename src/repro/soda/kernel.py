@@ -403,10 +403,6 @@ class SodaKernel:
             return True
         return False
 
-    def request_state(self, rid: int) -> str:
-        req = self._requests.get(rid)
-        return "gone" if req is None else req.state.value
-
     # ------------------------------------------------------------------
     # interrupts
     # ------------------------------------------------------------------

@@ -140,7 +140,11 @@ SIZE_BUDGETS = {
     # (+2), paid by the no-op `ClusterBase.close` and `release`'s
     # `None` check, which no bucket with a handle can reach
     # (before: 1,727 / 327)
-    "core": (1727, 326),
+    # `CrashMode` and the fault types import from `repro.sim.faults` in
+    # one line each; `KERNEL_RETRANSMIT_MS` (+1) replaces the plan
+    # knob and the `faults` local of `_spawn_kernel_retransmit`
+    # (before: 1,727 / 326)
+    "core": (1725, 326),
     # PR 19: the version-1 trace reader goes (before: 674 / 128)
     # PR 20: a wait is one bound listener — `Task._wait_on`, `_fire`,
     # `fail_later` / `_safe_fail` go, `TraceLog.record` comes
@@ -152,7 +156,13 @@ SIZE_BUDGETS = {
     # uncalled `SimRandom.expovariate` / `shuffle` go (before: 640 / 125)
     # `SimRandom.random` / `uniform`, shadowed by the instance's bound
     # stream methods, go (before: 640 / 118)
-    "sim": (636, 118),
+    # one fault plane: the uncalled crash plan and its injector go
+    # (`CrashMode` moves into `faults`), and the frozen `FaultPlan`
+    # keeps `spec` and `partitions` — per-link overrides and their
+    # lookup, `empty`, the verdict's partition flag and the retransmit
+    # knob go, `_entered` / `_healed` become `_announce`
+    # (before: 636 / 118)
+    "sim": (595, 113),
     # PR 19: first budgeted at its size then — 1,710 / 672 less the
     # unused `PackageStats.total_branches`, plus `area_sizes`, the
     # function this test and `repro sizes` share
@@ -165,8 +175,13 @@ SIZE_BUDGETS = {
     # charlotte and chrysalis: the `first_of` imports, Charlotte's
     # `if ...: pass` and its second unreceived-count write go
     # (before: 754 / 195 and 518 / 85)
-    "charlotte": (750, 193),
-    "soda": (759, 157),
+    # charlotte: the uncalled `CharlotteKernel.is_dead` goes, and the
+    # move lock's self-deferring ``attempt`` closure becomes the
+    # method `_attempt` (before: 750 / 193)
+    "charlotte": (744, 193),
+    # soda: the uncalled `SodaKernel.request_state` goes (before:
+    # 759 / 157)
+    "soda": (756, 156),
     "chrysalis": (517, 85),
     "linda": (392, 60),
     "workloads": (815, 116),

@@ -24,7 +24,7 @@ from repro.core.api import (
     make_cluster,
 )
 from repro.core.registry import EndDisposition
-from repro.sim.failure import CrashMode
+from repro.sim.faults import CrashMode
 
 ECHO = Operation("echo", (BYTES,), (BYTES,))
 ADD = Operation("add", (INT, INT), (INT,))

@@ -17,7 +17,7 @@ from repro.core.api import (
     RecoveryPolicy,
     make_cluster,
 )
-from repro.sim.failure import CrashMode
+from repro.sim.faults import CrashMode
 
 ECHO = Operation("echo", (BYTES,), (BYTES,))
 

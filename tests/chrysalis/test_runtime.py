@@ -13,7 +13,7 @@ from repro.core.api import (
     ThreadAborted,
     make_cluster,
 )
-from repro.sim.failure import CrashMode
+from repro.sim.faults import CrashMode
 
 ECHO = Operation("echo", (BYTES,), (BYTES,))
 ADD = Operation("add", (INT, INT), (INT,))

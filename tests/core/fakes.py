@@ -19,7 +19,7 @@ from repro.core.cluster import ClusterBase, ProcessHandle
 from repro.core.links import EndRef, EndState
 from repro.core.runtime import LynxRuntimeBase
 from repro.core.wire import MsgKind, WireMessage
-from repro.sim.failure import CrashMode
+from repro.sim.faults import CrashMode
 
 #: one-way message latency of the fake transport, ms
 FAKE_LATENCY = 1.0

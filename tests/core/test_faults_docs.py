@@ -65,7 +65,7 @@ def test_doc_covers_the_policy_and_spec_fields():
 
 def test_every_documented_name_appears_in_codebase():
     blob = _codebase_blob()
-    strip = re.compile(r"[^\w.]")  # `drop(0.5, link=3)` -> symbol only
+    strip = re.compile(r"[^\w.]")  # `partition(t0, t1)` -> symbol only
     missing = []
     for n in sorted(_documented_names()):
         symbol = strip.split(n)[0]

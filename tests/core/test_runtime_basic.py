@@ -18,7 +18,7 @@ from repro.core.api import (
     STR,
     TypeClash,
 )
-from repro.sim.failure import CrashMode
+from repro.sim.faults import CrashMode
 from tests.core.fakes import FakeCluster
 
 ECHO = Operation("echo", (BYTES,), (BYTES,))

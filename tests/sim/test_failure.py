@@ -1,33 +1,8 @@
-"""Unit tests for failure injection plumbing."""
+"""Process crashes are part of the workload: a crash is one
+``engine.schedule(t, cluster.crash_process, name, mode)``."""
 
-import pytest
-
-from repro.core.api import BYTES, Operation, Proc, make_cluster
-from repro.sim.engine import Engine
-from repro.sim.failure import CrashInjector, CrashMode, FailurePlan
-
-ECHO = Operation("echo", (BYTES,), (BYTES,))
-
-
-def test_failure_plan_builder_chains():
-    plan = FailurePlan().kill(10.0, "a").kill(20.0, "b", CrashMode.PROCESSOR)
-    assert len(plan.events) == 2
-    assert plan.events[1].mode is CrashMode.PROCESSOR
-
-
-def test_injector_fires_at_scheduled_times():
-    eng = Engine()
-    fired = []
-    inj = CrashInjector(eng, lambda name, mode: fired.append((eng.now, name,
-                                                              mode)))
-    plan = FailurePlan().kill(5.0, "x").kill(2.0, "y", CrashMode.FAULT)
-    inj.apply(plan)
-    eng.run()
-    assert fired == [
-        (2.0, "y", CrashMode.FAULT),
-        (5.0, "x", CrashMode.TERMINATE),
-    ]
-    assert len(inj.injected) == 2
+from repro.core.api import Proc, make_cluster
+from repro.sim.faults import CrashMode
 
 
 def test_injector_drives_cluster_crashes_end_to_end():
@@ -37,8 +12,9 @@ def test_injector_drives_cluster_crashes_end_to_end():
 
     cluster = make_cluster("charlotte")
     cluster.spawn(Hang(), "victim")
-    inj = CrashInjector(cluster.engine, cluster.crash_process)
-    inj.apply(FailurePlan().kill(50.0, "victim", CrashMode.TERMINATE))
+    cluster.engine.schedule(
+        50.0, cluster.crash_process, "victim", CrashMode.TERMINATE
+    )
     cluster.run_until_quiet(max_ms=1e6)
     assert cluster.processes["victim"].finished
     assert cluster.metrics.get("cluster.crashes.terminate") == 1

@@ -2,6 +2,10 @@
 plan builders, partition geometry, verdict determinism and the
 counters — independent of any kernel."""
 
+import dataclasses
+
+import pytest
+
 from repro.sim.engine import Engine
 from repro.sim.faults import (
     FaultInjector,
@@ -27,30 +31,30 @@ def make_injector(plan, seed=0, with_trace=False):
 
 def test_plan_defaults_are_healthy_and_empty():
     plan = FaultPlan()
-    assert plan.empty
-    assert plan.spec_for(1).healthy
+    assert plan.spec.healthy
+    assert plan.partitions == ()
     assert FaultSpec().healthy
 
 
-def test_fluent_builders_and_per_link_overrides():
-    plan = (FaultPlan()
-            .drop(0.1)
-            .duplicate(0.2)
-            .delay(5.0)
-            .drop(0.9, link=3))
-    assert not plan.empty
-    base = plan.spec_for(1)
-    assert (base.drop, base.dup, base.delay_ms) == (0.1, 0.2, 5.0)
-    # the override inherits the default's other rates at override time
-    three = plan.spec_for(3)
-    assert three.drop == 0.9
-    assert three.dup == 0.2
-    assert not base.healthy and not three.healthy
+def test_builders_return_new_frozen_plans():
+    """A plan is a value: one plan may be installed into many clusters
+    (the chaos pass shares one across four), so a builder must never
+    change the plan it is called on."""
+    base = FaultPlan()
+    plan = base.drop(0.1).duplicate(0.2).delay(5.0).partition(1.0, 2.0)
+    assert plan is not base
+    assert (plan.spec.drop, plan.spec.dup, plan.spec.delay_ms) == (0.1, 0.2, 5.0)
+    assert len(plan.partitions) == 1
+    assert base == FaultPlan()
+    assert base.spec.healthy and base.partitions == ()
+    assert [f.name for f in dataclasses.fields(FaultPlan)] == [
+        "spec", "partitions"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.spec = FaultSpec()
 
 
 def test_partition_builder_freezes_groups():
     plan = FaultPlan().partition(10.0, 20.0, a=("x",), b=("y", "z"))
-    assert not plan.empty
     (win,) = plan.partitions
     assert (win.t0, win.t1) == (10.0, 20.0)
     assert win.a == frozenset({"x"})
@@ -97,15 +101,14 @@ def test_healthy_plan_judges_clean_without_consuming_randomness():
     _, metrics, inj = make_injector(FaultPlan())
     for _ in range(5):
         v = inj.judge("a", "b", 1, "request")
-        assert not (v.drop or v.dup or v.delay_ms or v.partitioned)
+        assert not (v.drop or v.dup or v.delay_ms)
     assert metrics.counters("faults.") == {}
 
 
 def test_partition_drop_is_counted_and_flagged():
     plan = FaultPlan().partition(0.0, 50.0, a=("a",), b=("b",))
     _, metrics, inj = make_injector(plan)
-    v = inj.judge("a", "b", 1, "request")
-    assert v.drop and v.partitioned
+    assert inj.judge("a", "b", 1, "request").drop
     assert metrics.get("faults.partition_dropped") == 1
     assert metrics.get("faults.dropped") == 0  # random-loss counter
 

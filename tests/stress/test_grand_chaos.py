@@ -27,7 +27,7 @@ from repro.core.api import (
     Proc,
     make_cluster,
 )
-from repro.sim.failure import CrashMode
+from repro.sim.faults import CrashMode
 from repro.sim.rng import SimRandom
 
 GIVE = Operation("give", (LINK,), ())

@@ -23,7 +23,7 @@ from repro.core.api import (
 )
 from repro.core.api import make_cluster
 from repro.core.entries import call, serve
-from repro.sim.failure import CrashMode
+from repro.sim.faults import CrashMode
 from repro.sim.rng import SimRandom
 
 ECHO = Operation("echo", (BYTES,), (BYTES,))
