@@ -27,14 +27,12 @@ Validates
     match ``tests/obs/golden_compare_schema.json`` — the compare
     format cannot drift without a golden update either;
   - ``LINT_BASELINE.json``: schema "repro.lint-baseline" version 1,
-    every entry naming a registered lint rule — shallow *or*
-    whole-program — and carrying a non-empty justifying ``note``
-    (docs/LINT.md);
-  - the ``lint --deep`` JSON report: generated in-process over the
-    shipped tree and held to ``tests/analysis/golden_lint_schema.json``
-    (version 2: top-level ``deep`` flag, per-rule ``scope``, and the
-    golden's ``deep_rule_ids`` all present as ``program``-scoped
-    rules).
+    every entry naming a rule of the one lint registry and carrying a
+    non-empty justifying ``note`` (docs/LINT.md);
+  - the ``lint`` JSON report: generated in-process over the shipped
+    tree and held to ``tests/analysis/golden_lint_schema.json``
+    (version 3: every registered rule ran, and the golden's
+    ``rule_ids`` are exactly the registry).
 
 An envelope that changes without a golden-file update (and a schema-
 version bump) fails here — this is the CI job that makes "the baseline
@@ -198,7 +196,6 @@ def check_flight_dump(path: str, errors: List[str]) -> None:
 
 
 def check_lint_baseline(path: str, errors: List[str]) -> None:
-    from repro.analysis.flow import registered_deep_rules
     from repro.analysis.lint import (
         BaselineError,
         load_baseline,
@@ -212,7 +209,6 @@ def check_lint_baseline(path: str, errors: List[str]) -> None:
         errors.append(str(exc))
         return
     known = {r.id for r in registered_rules()}
-    known.update(r.id for r in registered_deep_rules())
     for e in entries:
         if e.rule not in known:
             errors.append(f"{name}: entry grandfathers unknown rule "
@@ -220,14 +216,14 @@ def check_lint_baseline(path: str, errors: List[str]) -> None:
 
 
 def check_lint_report(errors: List[str]) -> None:
-    """Generate the ``lint --deep`` report over the shipped tree and
-    hold it to the v2 golden."""
-    from repro.analysis.lint import run_lint
+    """Generate the ``lint`` report over the shipped tree and hold it
+    to the v3 golden."""
+    from repro.analysis.lint import registered_rules, run_lint
     from repro.analysis.lint.report import LINT_SCHEMA_VERSION, lint_json_doc
 
     golden_path = os.path.join(ROOT, "tests", "analysis",
                                "golden_lint_schema.json")
-    name = "lint --deep report"
+    name = "lint report"
     if not os.path.exists(golden_path) or not os.path.isdir(
         os.path.join(ROOT, "src", "repro")
     ):
@@ -243,25 +239,20 @@ def check_lint_report(errors: List[str]) -> None:
             f"schema_version {golden['schema_version']} != code's "
             f"{LINT_SCHEMA_VERSION} — update the golden file"
         )
-    doc = lint_json_doc(run_lint(root=ROOT, deep=True))
+    doc = lint_json_doc(run_lint(root=ROOT))
     if sorted(doc) != golden["top_level"]:
         errors.append(f"{name}: top-level keys {sorted(doc)} != "
                       f"{golden['top_level']}")
         return
-    if doc["deep"] is not True:
-        errors.append(f"{name}: deep flag is {doc['deep']!r}, not True")
-    deep_ids = sorted(r for r, e in doc["rules"].items()
-                      if e.get("scope") == "program")
-    if deep_ids != golden["deep_rule_ids"]:
-        errors.append(f"{name}: program-scoped rules {deep_ids} != "
-                      f"golden deep_rule_ids {golden['deep_rule_ids']}")
-    shallow_ids = sorted(r for r, e in doc["rules"].items()
-                         if e.get("scope") == "module")
-    if shallow_ids != golden["rule_ids"]:
-        errors.append(f"{name}: module-scoped rules {shallow_ids} != "
+    registered = sorted(r.id for r in registered_rules())
+    if registered != golden["rule_ids"]:
+        errors.append(f"{name}: registered rules {registered} != "
                       f"golden rule_ids {golden['rule_ids']}")
+    if sorted(doc["rules"]) != registered:
+        errors.append(f"{name}: rules that ran {sorted(doc['rules'])} != "
+                      f"the registry {registered}")
     if doc["exit_code"] != 0:
-        errors.append(f"{name}: the shipped tree is not deep-clean "
+        errors.append(f"{name}: the shipped tree is not lint-clean "
                       f"(exit_code {doc['exit_code']})")
 
 
@@ -317,7 +308,7 @@ def main() -> int:
         return 1
     print(f"check_schema: ok ({len(bench_docs)} bench document(s), "
           f"{len(table_docs)} tables, {len(flight_docs)} flight "
-          f"dump(s), lint baseline, deep lint report)")
+          f"dump(s), lint baseline, lint report)")
     return 0
 
 

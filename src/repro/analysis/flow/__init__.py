@@ -1,28 +1,18 @@
-"""Whole-program static analysis (`python -m repro lint --deep`).
+"""The whole-program graph that program-scope lint rules read.
 
-The per-file lint (`repro.analysis.lint`) checks what one AST can
+The per-file rules of `repro.analysis.lint` check what one AST can
 show.  This package links every parsed module into a `ProgramGraph` —
-import graph, symbol table, conservative call graph — and runs
-*interprocedural* rules over it: races on fork-shared state, lookahead
-floors violated by constant-foldable delays, blocking calls buried
-under helpers inside coroutines, and recovery signals swallowed far
-from where they were raised.
+import graph, symbol table, conservative call graph — so a rule
+registered with ``scope="program"`` can follow a call across helpers
+and files: NET001 finds a blocking call buried under ordinary sync
+helpers inside a `repro.net` coroutine.
 
-Entry points: `build_program` links `ModuleInfo`s; `registered_deep_rules`
-lists the shipped rules; the lint runner (`run_lint(deep=True)`) wires
-both into the normal finding/baseline/report pipeline.
+`build_program` links `ModuleInfo`s; `lint_modules` calls it once per
+run when a program-scope rule is active, so ``python -m repro lint``
+runs every rule every time.
 """
 
-from repro.analysis.flow.core import (
-    DeepRule,
-    DeepViolation,
-    deep_rule,
-    get_deep_rule,
-    registered_deep_rules,
-)
-from repro.analysis.flow.fold import fold_lower_bound
 from repro.analysis.flow.graph import (
-    CallEdge,
     ClassInfo,
     FunctionInfo,
     ModuleGraph,
@@ -31,16 +21,9 @@ from repro.analysis.flow.graph import (
 )
 
 __all__ = [
-    "CallEdge",
     "ClassInfo",
-    "DeepRule",
-    "DeepViolation",
     "FunctionInfo",
     "ModuleGraph",
     "ProgramGraph",
     "build_program",
-    "deep_rule",
-    "fold_lower_bound",
-    "get_deep_rule",
-    "registered_deep_rules",
 ]

@@ -1,27 +1,24 @@
 """The whole-program graph: modules, symbols, and a conservative call graph.
 
 `build_program` parses nothing itself — it takes the same `ModuleInfo`
-objects the per-file lint pass already produced and links them into a
+objects the per-file rules already read and links them into a
 `ProgramGraph`:
 
 * **module graph** — every file under ``src/repro`` keyed by its dotted
   name (``repro.sim.engine``); ad-hoc files (fixtures, scripts) keyed
-  by their stem so deep rules run on them too;
+  by their stem so program-scope rules run on them too;
 * **symbol table** — per module: imports (aliases, ``from`` symbols,
-  relative forms), top-level functions, classes with their methods and
-  ``self.x = ...`` bindings, module-level constants, and module-level
-  names bound to mutable containers;
+  relative forms), top-level functions, and classes with their methods
+  and ``self.x = ...`` bindings;
 * **call graph** — for every function, the calls whose targets resolve
   statically (direct names, imported names, ``self.method``, methods
-  on locally constructed instances) plus *reference edges*: function
-  objects passed as call arguments (``defer(d, self._serve, ...)``) —
-  the dominant control-flow idiom of an event-driven codebase.
+  on locally constructed instances).
 
 Resolution is deliberately conservative: an edge exists only when the
 target is certain, and anything dynamic (``fn(*args)``, dict dispatch,
-``getattr``) resolves to nothing.  Deep rules are therefore biased
-toward precision — a finding names a chain that really exists — at the
-price of recall, which is the right trade for a CI gate.
+``getattr``) resolves to nothing.  Program-scope rules are therefore
+biased toward precision — a finding names a chain that really exists —
+at the price of recall, which is the right trade for a CI gate.
 
 Import resolution follows re-export chains (``from repro.net import
 SpawnFailed`` where ``repro.net.__init__`` itself imported it from
@@ -35,38 +32,17 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.analysis.lint.core import ModuleInfo, dotted_name
 
 __all__ = [
-    "CallEdge",
     "ClassInfo",
     "FunctionInfo",
     "ModuleGraph",
     "ProgramGraph",
     "build_program",
 ]
-
-#: AST nodes that bind a module-level name to a mutable container
-_MUTABLE_LITERALS = (ast.List, ast.Dict, ast.Set, ast.ListComp,
-                     ast.DictComp, ast.SetComp)
-#: constructor names that build a mutable container
-_MUTABLE_CALLS = frozenset({
-    "list", "dict", "set", "deque", "defaultdict", "OrderedDict",
-    "Counter", "bytearray",
-})
-
-
-def _is_mutable_expr(expr: ast.AST) -> bool:
-    if isinstance(expr, _MUTABLE_LITERALS):
-        return True
-    if isinstance(expr, ast.Call):
-        name = dotted_name(expr.func)
-        if name is not None and name.rsplit(".", 1)[-1] in _MUTABLE_CALLS:
-            return True
-    return False
-
 
 @dataclass
 class FunctionInfo:
@@ -78,42 +54,11 @@ class FunctionInfo:
     node: ast.AST  # FunctionDef | AsyncFunctionDef
     cls: Optional["ClassInfo"] = None
     is_async: bool = False
-    #: resolved per call node (id(node) -> target), filled by _link
+    #: resolved per call node (id(node) -> target), in source order
     call_targets: Dict[int, "FunctionInfo"] = field(default_factory=dict)
-    #: function references passed as arguments, per call node
-    ref_targets: Dict[int, List["FunctionInfo"]] = field(default_factory=dict)
-    edges: List["CallEdge"] = field(default_factory=list)
-
-    def callees(self) -> List["FunctionInfo"]:
-        """Every function this one calls or passes as a callback, in
-        source order, deduplicated."""
-        seen: Set[str] = set()
-        out: List[FunctionInfo] = []
-        for edge in self.edges:
-            for t in edge.targets():
-                if t.qualname not in seen:
-                    seen.add(t.qualname)
-                    out.append(t)
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<FunctionInfo {self.qualname}>"
-
-
-@dataclass
-class CallEdge:
-    """One call site: the resolved callee (if any) and any function
-    references among its arguments."""
-
-    node: ast.Call
-    target: Optional[FunctionInfo]
-    arg_refs: List[FunctionInfo] = field(default_factory=list)
-
-    def targets(self) -> List[FunctionInfo]:
-        out = list(self.arg_refs)
-        if self.target is not None:
-            out.insert(0, self.target)
-        return out
 
 
 @dataclass
@@ -125,10 +70,6 @@ class ClassInfo:
     node: ast.ClassDef
     bases: List[str] = field(default_factory=list)
     methods: Dict[str, FunctionInfo] = field(default_factory=dict)
-    #: class-level attribute assignments (name -> value expression)
-    class_attrs: Dict[str, ast.AST] = field(default_factory=dict)
-    #: class-level names bound to mutable containers
-    class_mutables: Set[str] = field(default_factory=set)
     #: ``self.NAME = <expr>`` seen in any method (last one wins)
     self_bindings: Dict[str, ast.AST] = field(default_factory=dict)
 
@@ -153,10 +94,6 @@ class ModuleGraph:
     imports: Dict[str, _Import] = field(default_factory=dict)
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
-    #: module-level simple constant assignments (name -> value expr)
-    constants: Dict[str, ast.AST] = field(default_factory=dict)
-    #: module-level names bound to mutable containers (name -> expr)
-    mutables: Dict[str, ast.AST] = field(default_factory=dict)
     #: calls made from ``if __name__ == "__main__":`` blocks
     main_calls: List[ast.Call] = field(default_factory=list)
 
@@ -187,19 +124,15 @@ def _is_main_guard(node: ast.If) -> bool:
 
 
 class ProgramGraph:
-    """The linked whole-program view deep rules run on."""
+    """The linked whole-program view program-scope rules run on."""
 
     def __init__(self, modules: Sequence[ModuleGraph]) -> None:
         self.modules: Dict[str, ModuleGraph] = {m.name: m for m in modules}
-        self._blocks_cache: Dict[str, object] = {}
-
-    # -- iteration -----------------------------------------------------
-    def iter_modules(self) -> List[ModuleGraph]:
-        return [self.modules[k] for k in sorted(self.modules)]
 
     def iter_functions(self) -> List[FunctionInfo]:
         out: List[FunctionInfo] = []
-        for mod in self.iter_modules():
+        for name in sorted(self.modules):
+            mod = self.modules[name]
             out.extend(mod.functions[k] for k in mod.functions)
             for cname in mod.classes:
                 cls = mod.classes[cname]
@@ -210,9 +143,7 @@ class ProgramGraph:
     def resolve(self, mod: ModuleGraph, dotted: str):
         """Resolve a dotted name as seen from ``mod``.  Returns one of
         ``("func", FunctionInfo)``, ``("class", ClassInfo)``,
-        ``("classattr", ClassInfo, name)``, ``("const", ModuleGraph,
-        expr)``, ``("mutable", ModuleGraph, name)``, ``("module",
-        ModuleGraph)`` or None."""
+        ``("module", ModuleGraph)`` or None."""
         return self._resolve_parts(mod, dotted.split("."), set())
 
     def _resolve_parts(self, mod: ModuleGraph, parts: List[str], seen: set):
@@ -227,16 +158,9 @@ class ProgramGraph:
                 meth = self.class_method(cls, rest[0])
                 if meth is not None:
                     return ("func", meth)
-                attr = self.class_attr(cls, rest[0])
-                if attr is not None:
-                    return ("classattr", cls, rest[0])
             return None
         if head in mod.functions:
             return ("func", mod.functions[head]) if not rest else None
-        if head in mod.mutables:
-            return ("mutable", mod, head) if not rest else None
-        if head in mod.constants:
-            return ("const", mod, mod.constants[head]) if not rest else None
         imp = mod.imports.get(head)
         if imp is not None:
             if imp.kind == "module":
@@ -284,44 +208,6 @@ class ProgramGraph:
                     return meth
         return None
 
-    def class_attr(self, cls: ClassInfo, name: str,
-                   _seen: Optional[set] = None) -> Optional[ast.AST]:
-        if name in cls.class_attrs:
-            return cls.class_attrs[name]
-        _seen = _seen if _seen is not None else set()
-        key = (cls.module.name, cls.name)
-        if key in _seen:
-            return None
-        _seen.add(key)
-        for base in cls.bases:
-            resolved = self._resolve_parts(cls.module, base.split("."), set())
-            if resolved is not None and resolved[0] == "class":
-                attr = self.class_attr(resolved[1], name, _seen)
-                if attr is not None:
-                    return attr
-        return None
-
-    # -- reachability --------------------------------------------------
-    def reachable(self, roots: Iterable[FunctionInfo]) -> List[FunctionInfo]:
-        """Transitive closure over call + reference edges, in a stable
-        (qualname-sorted BFS) order."""
-        seen: Dict[str, FunctionInfo] = {}
-        frontier = sorted(
-            {r.qualname: r for r in roots}.values(),
-            key=lambda f: f.qualname,
-        )
-        for f in frontier:
-            seen[f.qualname] = f
-        while frontier:
-            nxt: Dict[str, FunctionInfo] = {}
-            for f in frontier:
-                for callee in f.callees():
-                    if callee.qualname not in seen:
-                        seen[callee.qualname] = callee
-                        nxt[callee.qualname] = callee
-            frontier = [nxt[k] for k in sorted(nxt)]
-        return [seen[k] for k in sorted(seen)]
-
 
 # ----------------------------------------------------------------------
 # building: per-module symbol tables, then a linking pass
@@ -367,16 +253,6 @@ def _collect_class(mod: ModuleGraph, node: ast.ClassDef) -> ClassInfo:
                 is_async=isinstance(stmt, ast.AsyncFunctionDef),
             )
             cls.methods[stmt.name] = fi
-        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-            targets = (
-                stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-            )
-            value = stmt.value
-            for t in targets:
-                if isinstance(t, ast.Name) and value is not None:
-                    cls.class_attrs[t.id] = value
-                    if _is_mutable_expr(value):
-                        cls.class_mutables.add(t.id)
     # self.NAME = <expr> bindings, from every method
     for meth in cls.methods.values():
         for sub in ast.walk(meth.node):
@@ -410,20 +286,6 @@ def _collect_module(info: ModuleInfo) -> ModuleGraph:
             )
         elif isinstance(node, ast.ClassDef):
             mod.classes[node.name] = _collect_class(mod, node)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = (
-                node.targets if isinstance(node, ast.Assign) else [node.target]
-            )
-            value = node.value
-            if value is None:
-                continue
-            for t in targets:
-                if not isinstance(t, ast.Name):
-                    continue
-                if _is_mutable_expr(value):
-                    mod.mutables[t.id] = value
-                else:
-                    mod.constants[t.id] = value
         elif isinstance(node, ast.If) and _is_main_guard(node):
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Call):
@@ -432,7 +294,7 @@ def _collect_module(info: ModuleInfo) -> ModuleGraph:
 
 
 class _Linker(ast.NodeVisitor):
-    """Resolve one function's call sites and argument references.
+    """Resolve one function's call sites.
 
     Walks the function body in source order, tracking locally
     constructed instances (``x = SomeClass(...)``) so ``x.method()``
@@ -504,20 +366,8 @@ class _Linker(ast.NodeVisitor):
 
     def visit_Call(self, node: ast.Call) -> None:
         target = self._resolve_callable(node.func)
-        refs: List[FunctionInfo] = []
-        for arg in list(node.args) + [kw.value for kw in node.keywords]:
-            if isinstance(arg, (ast.Name, ast.Attribute)):
-                ref = self._resolve_callable(arg)
-                if ref is not None:
-                    refs.append(ref)
         if target is not None:
             self.func.call_targets[id(node)] = target
-        if refs:
-            self.func.ref_targets[id(node)] = refs
-        if target is not None or refs:
-            self.func.edges.append(
-                CallEdge(node=node, target=target, arg_refs=refs)
-            )
         self.generic_visit(node)
 
 

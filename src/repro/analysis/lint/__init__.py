@@ -10,16 +10,17 @@ declares).  This package turns both conventions into checked rules,
 Eraser-style: an AST visitor core, a rule registry with per-rule
 severity, ``# repro: allow[RULE]`` inline suppressions, and a
 checked-in baseline (``LINT_BASELINE.json``) for grandfathered
-findings.
+findings.  One registry holds every rule, per-file and whole-program
+(``scope="program"``, over `repro.analysis.flow`'s graph), and every
+run runs them all.
 
 Entry points::
 
-    python -m repro lint [--deep] [--json OUT|-] [--baseline FILE]
+    python -m repro lint [--json OUT|-] [--baseline FILE]
                          [--fix-baseline] [paths...]
 
     from repro.analysis.lint import run_lint
-    result = run_lint()            # defaults to <repo>/src/repro
-    result = run_lint(deep=True)   # + whole-program rules (repro.analysis.flow)
+    result = run_lint()            # every rule over <repo>/src/repro
     result.exit_code               # 1 iff active findings exist
 
 The rule catalog, suppression workflow and JSON report schema are

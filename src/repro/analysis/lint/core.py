@@ -2,12 +2,15 @@
 suppressions, and the engine that runs every registered rule over a
 set of parsed modules.
 
-A *rule* is a function ``check(module: ModuleInfo) -> iterator of
-(node_or_line, message)`` registered under a stable id (``DET001``,
-``LAY001``, ...) with a severity and one-line title.  Rules never see
-files — the engine parses once and hands every rule the same
-`ModuleInfo`, so adding a rule costs one function, not another tree
-walk over the repository.
+A *rule* is a check function registered under a stable id (``DET001``,
+``NET001``, ...) with a severity, a one-line title and a scope.  A
+``module`` rule's check takes one `ModuleInfo` and yields
+``(node_or_line, message)``; a ``program`` rule's check takes the
+`repro.analysis.flow.ProgramGraph` linked from every module of the run
+and yields ``(module, node_or_line, message)``, the module locating the
+finding.  Rules never see files — the engine parses once and hands
+every rule the same trees, so adding a rule costs one function, not
+another walk over the repository.
 
 Suppression is per-line and explicit: ``# repro: allow[DET001]`` on
 the offending line (or the line directly above it) silences exactly
@@ -55,7 +58,7 @@ class Finding:
     line: int
     col: int
     message: str
-    #: silenced by an inline ``# repro: allow[rule]`` comment
+    #: silenced by an inline allow comment naming this rule
     suppressed: bool = False
     #: grandfathered by an entry in the baseline file
     baselined: bool = False
@@ -128,19 +131,19 @@ class ModuleInfo:
         return allowed
 
 
-#: what a rule's check yields: an AST node (location source) or a
-#: 1-based line number, plus the human-readable message
+#: what a module rule's check yields: an AST node (location source) or
+#: a 1-based line number, plus the human-readable message
 Violation = Tuple[Union[ast.AST, int], str]
-CheckFn = Callable[[ModuleInfo], Iterator[Violation]]
+#: what a program rule's check yields: the module the finding lands in
+#: (its allow comments apply), then the same location and message
+ProgramViolation = Tuple[ModuleInfo, Union[ast.AST, int], str]
+CheckFn = Callable[..., Iterator]
 
 
 @dataclass(frozen=True)
 class Rule:
-    """A registered rule: stable id, severity, title, check function.
-
-    ``scope`` is ``"module"`` for per-file rules; the whole-program
-    registry (`repro.analysis.flow.core.DeepRule`) uses ``"program"``.
-    """
+    """A registered rule: stable id, severity, title, check function,
+    and the scope its check reads: ``"module"`` or ``"program"``."""
 
     id: str
     title: str
@@ -148,8 +151,14 @@ class Rule:
     check: CheckFn
     scope: str = "module"
 
-    def run(self, module: ModuleInfo) -> Iterator[Finding]:
-        for node_or_line, message in self.check(module):
+    def run(self, target) -> Iterator[Finding]:
+        """Findings of this rule over ``target``: a `ModuleInfo` for a
+        module rule, a `ProgramGraph` for a program rule."""
+        if self.scope == "module":
+            hits = ((target, at, msg) for at, msg in self.check(target))
+        else:
+            hits = self.check(target)
+        for module, node_or_line, message in hits:
             if isinstance(node_or_line, int):
                 line, col = node_or_line, 0
             else:
@@ -181,11 +190,12 @@ def register_rule(r: Rule) -> Rule:
     return r
 
 
-def rule(id: str, title: str, severity: str = "error"):
+def rule(id: str, title: str, severity: str = "error", scope: str = "module"):
     """Decorator form of `register_rule` for plain check functions."""
 
     def deco(fn: CheckFn) -> CheckFn:
-        register_rule(Rule(id=id, title=title, severity=severity, check=fn))
+        register_rule(Rule(id=id, title=title, severity=severity, check=fn,
+                           scope=scope))
         return fn
 
     return deco
@@ -209,17 +219,12 @@ def get_rule(rule_id: str) -> Rule:
 
 @dataclass
 class LintResult:
-    """Everything one lint run produced, in deterministic order.
-
-    ``rules`` holds the per-module rules that ran; ``deep_rules`` the
-    whole-program rules when this was a ``--deep`` run (``deep`` is
-    True then, and the JSON report says so)."""
+    """Everything one lint run produced, in deterministic order;
+    ``rules`` holds every rule that ran, of either scope."""
 
     findings: List[Finding]
     files_scanned: int
     rules: Tuple[Rule, ...]
-    deep_rules: Tuple = ()
-    deep: bool = False
 
     @property
     def active(self) -> List[Finding]:
@@ -286,9 +291,9 @@ def _unused_allow_findings(
     allow_rule: Rule,
 ) -> Iterator[Finding]:
     """The ALLOW001 post-pass: every ``# repro: allow[RULE]`` tag must
-    have silenced an actual finding this run, else the escape hatch has
-    rotted.  Only tags naming rules that *ran this invocation* are
-    judged — a shallow run never convicts an allow for a deep rule."""
+    name a registered rule and have silenced an actual finding this
+    run, else the escape hatch has rotted.  A tag naming a registered
+    rule left out of a subset run (``rules=``) is not judged."""
     suppressed_lines: Dict[Tuple[str, str], set] = {}
     for f in findings:
         if f.suppressed:
@@ -296,24 +301,29 @@ def _unused_allow_findings(
     for module in modules:
         for lineno, tags in sorted(_comment_allow_tags(module).items()):
             for tag in tags:
-                if tag == ALLOW_RULE_ID or tag not in ran_ids:
-                    continue
-                covered = suppressed_lines.get((module.display, tag), set())
-                # an allow on line N silences findings on N and N+1
-                if covered & {lineno, lineno + 1}:
-                    continue
+                if tag not in _RULES:
+                    why = (f"unknown rule in suppression: no rule {tag} "
+                           f"is registered; delete the "
+                           f"`# repro: allow[{tag}]`")
+                else:
+                    if tag == ALLOW_RULE_ID or tag not in ran_ids:
+                        continue
+                    covered = suppressed_lines.get((module.display, tag),
+                                                   set())
+                    # an allow on line N silences findings on N and N+1
+                    if covered & {lineno, lineno + 1}:
+                        continue
+                    why = (f"unused suppression: no {tag} finding fires "
+                           f"here any more — the code this allow covered "
+                           f"has changed; delete the stale "
+                           f"`# repro: allow[{tag}]`")
                 yield Finding(
                     rule=ALLOW_RULE_ID,
                     severity=allow_rule.severity,
                     path=module.display,
                     line=lineno,
                     col=0,
-                    message=(
-                        f"unused suppression: no {tag} finding fires "
-                        f"here any more — the code this allow covered "
-                        f"has changed; delete the stale "
-                        f"`# repro: allow[{tag}]`"
-                    ),
+                    message=why,
                     suppressed=ALLOW_RULE_ID
                     in module.allowed_rules(lineno),
                 )
@@ -323,22 +333,18 @@ def lint_modules(
     modules: Iterable[ModuleInfo],
     rules: Optional[Sequence[Rule]] = None,
     baseline: Optional[Sequence] = None,
-    program=None,
-    deep_rules: Optional[Sequence] = None,
 ) -> LintResult:
     """Run ``rules`` (default: all registered) over parsed modules.
 
-    ``baseline`` entries (see `repro.analysis.lint.baseline`) match
-    findings by ``(rule, path)``; matched findings are marked
-    ``baselined`` and stop gating the exit code.
-
-    When ``program`` (a `repro.analysis.flow.ProgramGraph` built from
-    the same modules) and ``deep_rules`` are given, the whole-program
-    rules run too and the result is marked ``deep``.
+    Module rules see each module; when a program rule is among them,
+    the modules are linked once into a `repro.analysis.flow.ProgramGraph`
+    and each program rule sees that.  ``baseline`` entries (see
+    `repro.analysis.lint.baseline`) match findings by ``(rule, path)``;
+    matched findings are marked ``baselined`` and stop gating the exit
+    code.
     """
     module_list = list(modules)
     active_rules = tuple(rules) if rules is not None else registered_rules()
-    deep_active = tuple(deep_rules) if deep_rules is not None else ()
     grandfathered = {(e.rule, e.path) for e in (baseline or ())}
 
     def grandfather(f: Finding) -> Finding:
@@ -347,18 +353,23 @@ def lint_modules(
         return f
 
     findings: List[Finding] = []
+    module_rules = [r for r in active_rules if r.scope == "module"]
     for module in module_list:
-        for r in active_rules:
+        for r in module_rules:
             findings.extend(grandfather(f) for f in r.run(module))
-    if program is not None:
-        for dr in deep_active:
-            findings.extend(grandfather(f) for f in dr.run(program))
+    program_rules = [r for r in active_rules if r.scope == "program"]
+    if program_rules:
+        # the graph imports this module: link lazily, once per run
+        from repro.analysis.flow.graph import build_program
+
+        program = build_program(module_list)
+        for r in program_rules:
+            findings.extend(grandfather(f) for f in r.run(program))
     allow_rule = next(
         (r for r in active_rules if r.id == ALLOW_RULE_ID), None
     )
     if allow_rule is not None:
         ran_ids = {r.id for r in active_rules}
-        ran_ids.update(r.id for r in deep_active)
         findings.extend(
             grandfather(f)
             for f in _unused_allow_findings(
@@ -370,8 +381,6 @@ def lint_modules(
         findings=findings,
         files_scanned=len(module_list),
         rules=active_rules,
-        deep_rules=deep_active,
-        deep=program is not None and bool(deep_active),
     )
 
 

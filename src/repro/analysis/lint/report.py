@@ -7,10 +7,10 @@ anything machine-specific: findings are repo-relative and sorted, so
 two clean checkouts produce byte-identical reports — the lint pass
 holds itself to the determinism bar it enforces.
 
-Schema v2 (this version) adds a top-level ``deep`` flag and a
-``scope`` per rule entry (``module`` for per-file rules, ``program``
-for whole-program ones); `load_lint_report` validates exactly that
-shape.
+Schema v3 (this version) keeps v2's ``scope`` per rule entry
+(``module`` for per-file rules, ``program`` for whole-program ones) and
+drops v2's top-level ``deep`` flag: every run runs every rule.
+`load_lint_report` validates exactly that shape.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import List
 from repro.analysis.lint.core import LintResult
 
 LINT_SCHEMA = "repro.lint"
-LINT_SCHEMA_VERSION = 2
+LINT_SCHEMA_VERSION = 3
 
 
 class LintReportError(ValueError):
@@ -30,16 +30,15 @@ class LintReportError(ValueError):
 def lint_json_doc(result: LintResult) -> dict:
     """The versioned machine-readable report for one lint run."""
     rules = {}
-    for r in tuple(result.rules) + tuple(result.deep_rules):
+    for r in result.rules:
         rules[r.id] = {
             "severity": r.severity,
             "title": r.title,
-            "scope": getattr(r, "scope", "module"),
+            "scope": r.scope,
         }
     return {
         "schema": LINT_SCHEMA,
         "schema_version": LINT_SCHEMA_VERSION,
-        "deep": result.deep,
         "rules": rules,
         "files_scanned": result.files_scanned,
         "counts": {
@@ -66,8 +65,8 @@ def lint_json_doc(result: LintResult) -> dict:
 
 
 def load_lint_report(doc: dict) -> dict:
-    """Validate a ``repro.lint`` report (top-level ``deep`` flag,
-    per-rule ``scope``) and return it."""
+    """Validate a ``repro.lint`` report (per-rule ``scope``) and
+    return it."""
     if not isinstance(doc, dict) or doc.get("schema") != LINT_SCHEMA:
         raise LintReportError(
             f"not a {LINT_SCHEMA} document: schema="
@@ -79,8 +78,7 @@ def load_lint_report(doc: dict) -> dict:
             f"unsupported {LINT_SCHEMA} schema_version {version!r} "
             f"(this build loads {LINT_SCHEMA_VERSION})"
         )
-    for key in ("rules", "files_scanned", "counts", "findings", "exit_code",
-                "deep"):
+    for key in ("rules", "files_scanned", "counts", "findings", "exit_code"):
         if key not in doc:
             raise LintReportError(f"lint report missing {key!r}")
     for rid, entry in doc["rules"].items():
@@ -99,12 +97,10 @@ def render_text(result: LintResult) -> str:
         lines.append(f"{f.location()}: {f.rule} [{f.severity}] {f.message}")
     n_active = len(result.active)
     summary = (
-        f"repro lint{' --deep' if result.deep else ''}: "
+        "repro lint: "
         f"{'ok' if not n_active else f'{n_active} finding(s)'}"
-        f" ({result.files_scanned} files"
+        f" ({result.files_scanned} files, {len(result.rules)} rules"
     )
-    if result.deep:
-        summary += f", {len(result.deep_rules)} deep rules"
     if result.suppressed:
         summary += f", {len(result.suppressed)} suppressed"
     if result.baselined:

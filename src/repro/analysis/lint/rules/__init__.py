@@ -1,5 +1,5 @@
 """The shipped rule set.  Importing this package registers every rule
-with the registry in `repro.analysis.lint.core`; the catalog with
+with the one registry in `repro.analysis.lint.core`; the catalog with
 rationale lives in docs/LINT.md.
 
 =========  ==========================================================
@@ -11,15 +11,17 @@ rationale lives in docs/LINT.md.
 ``SIM001``  float equality on simulated timestamps
 ``SIM002``  direct engine construction bypassing `repro.sim.backends`
 ``OBS001``  unbounded raw-sample accumulation in the telemetry plane
-``ALLOW001``  stale `# repro: allow[...]` suppressions
+``ALLOW001``  stale or unknown `# repro: allow[...]` suppressions
+``NET001``  blocking calls reachable from `repro.net` coroutines
 =========  ==========================================================
 
-The whole-program rules (SHARD001, SIM003, NET001, API002) live in
-`repro.analysis.flow.rules` and run under ``lint --deep``.
+NET001 is the one ``scope="program"`` rule: its check reads the
+`repro.analysis.flow.ProgramGraph` the engine links once per run.
 """
 
 import repro.analysis.lint.rules.determinism  # noqa: F401
 import repro.analysis.lint.rules.hygiene  # noqa: F401
 import repro.analysis.lint.rules.layering  # noqa: F401
+import repro.analysis.lint.rules.netflow  # noqa: F401
 import repro.analysis.lint.rules.obs  # noqa: F401
 import repro.analysis.lint.rules.semantics  # noqa: F401

@@ -5,12 +5,14 @@ sanctioned, justified escape hatch — but code moves, and an allow
 whose finding no longer fires is a live grant of permission attached
 to nothing.  Left in place it will silently re-arm the day someone
 reintroduces the pattern two lines away, with the justification for a
-different decade's code.
+different decade's code.  An allow naming a rule that is not
+registered (a typo, or a rule since deleted) grants nothing at all and
+is a finding too.
 
 The detection is not a per-module AST walk: whether an allow is *used*
 depends on which rules ran and what they found, so it runs as a
 post-pass inside `lint_modules` (see ``_unused_allow_findings``) after
-all per-module and whole-program findings exist.  This module only
+the findings of both scopes exist.  This module only
 registers the id/severity/title so the registry, report, docs table,
 and drift tests treat ALLOW001 like any other rule."""
 

@@ -65,16 +65,12 @@ def run_lint(
     root: Optional[Path] = None,
     baseline_path: Optional[str] = None,
     rules: Optional[Sequence] = None,
-    deep: bool = False,
 ) -> LintResult:
     """Lint ``paths`` (default: ``<repo>/src/repro``) with the full
     registered rule set (or ``rules``), honouring the baseline at
     ``baseline_path`` (default: ``<repo>/LINT_BASELINE.json``; a
-    missing baseline file simply grandfathers nothing).
-
-    ``deep=True`` additionally links the parsed modules into a
-    `repro.analysis.flow.ProgramGraph` and runs every registered
-    whole-program rule over it — one parse, both passes."""
+    missing baseline file simply grandfathers nothing).  One parse
+    feeds the module rules and the program graph alike."""
     # the rules package registers on import; pulling it here keeps
     # `from repro.analysis.lint.runner import run_lint` self-contained
     import repro.analysis.lint.rules  # noqa: F401
@@ -86,17 +82,4 @@ def run_lint(
         baseline_path = str(root / DEFAULT_BASELINE_NAME)
     baseline = load_baseline(baseline_path)
     modules = [ModuleInfo.parse(f, root=root) for f in files]
-    program = None
-    deep_rules = None
-    if deep:
-        from repro.analysis.flow import build_program, registered_deep_rules
-
-        program = build_program(modules)
-        deep_rules = registered_deep_rules()
-    return lint_modules(
-        modules,
-        rules=rules,
-        baseline=baseline,
-        program=program,
-        deep_rules=deep_rules,
-    )
+    return lint_modules(modules, rules=rules, baseline=baseline)

@@ -545,8 +545,7 @@ def _cmd_lint(args) -> int:
 
     try:
         result = run_lint(paths=args.paths or None,
-                          baseline_path=args.baseline,
-                          deep=args.deep)
+                          baseline_path=args.baseline)
     except (LintPathError, BaselineError) as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
@@ -755,11 +754,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("paths", nargs="*", metavar="PATH",
                    help="files or directories to lint (default: "
                         "src/repro; nonexistent paths exit 2)")
-    p.add_argument("--deep", action="store_true",
-                   help="also link the tree into a whole-program graph "
-                        "and run the interprocedural rules "
-                        "(repro.analysis.flow: SHARD001/SIM003/NET001/"
-                        "API002)")
     p.add_argument("--json", default=None, metavar="OUT",
                    help="write the repro.lint JSON report "
                         "('-' for stdout)")

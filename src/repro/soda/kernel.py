@@ -308,12 +308,12 @@ class SodaKernel:
 
     def _release_pair(self, req: _Request) -> None:
         pair = (req.frm, req.to)
-        if req.state is not _ReqState.QUEUED:
-            self._pair_load[pair] = max(0, self._pair_load.get(pair, 0) - 1)
+        self._pair_load[pair] = max(0, self._pair_load.get(pair, 0) - 1)
         queue = self._pair_queue.get(pair)
         while queue:
             nxt = self._requests[queue.popleft()]
-            if nxt.state is _ReqState.QUEUED:
+            # a dead requester's queued requests are never delivered
+            if nxt.state is _ReqState.QUEUED and not self._procs[nxt.frm].dead:
                 self._admit(nxt)
                 break
 

@@ -1,39 +1,32 @@
-"""Contract tests for the whole-program (`--deep`) rules: every deep
-rule fires on its seeded fixture pair under
-``tests/analysis/fixtures/deep/`` and stays silent on the clean twin;
-ALLOW001 convicts stale suppressions without convicting allows that
-cover rules which did not run; and the shipped tree is deep-clean
-with an empty baseline — the PR's acceptance bar, machine-checked."""
+"""Contract tests for the whole-program (``scope="program"``) rules:
+every program rule fires on its seeded fixture under
+``tests/analysis/fixtures/`` and stays silent on the clean twin;
+ALLOW001 convicts stale suppressions and tags naming no registered
+rule, without convicting allows that cover rules a subset run left
+out; and the shipped tree is clean under every rule with an empty
+baseline — the acceptance bar, machine-checked."""
 
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.flow import (
-    build_program,
-    get_deep_rule,
-    registered_deep_rules,
-)
-from repro.analysis.lint import ModuleInfo, get_rule, run_lint
+from repro.analysis.flow import build_program
+from repro.analysis.lint import ModuleInfo, get_rule, registered_rules, run_lint
 from repro.analysis.lint.core import lint_modules
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
-DEEP = FIXTURES / "deep"
 REPO = Path(__file__).resolve().parents[2]
 
 #: rule id -> fixture stem and the number of distinct seeded hazards
 DEEP_RULE_FIXTURES = {
-    "SHARD001": ("shard001", 4),
-    "SIM003": ("sim003", 2),
     "NET001": ("net001", 3),
-    "API002": ("api002", 1),
 }
 
 
 def _deep_findings(stem, kind, rule_id):
-    mod = ModuleInfo.parse(DEEP / f"{stem}_{kind}.py")
+    mod = ModuleInfo.parse(FIXTURES / f"{stem}_{kind}.py")
     prog = build_program([mod])
-    return list(get_deep_rule(rule_id).run(prog))
+    return list(get_rule(rule_id).run(prog))
 
 
 @pytest.mark.parametrize(
@@ -56,28 +49,22 @@ def test_deep_rule_passes_clean_fixture(rule_id, stem):
 
 
 def test_registry_matches_the_fixture_table():
-    assert {r.id for r in registered_deep_rules()} == set(
-        DEEP_RULE_FIXTURES
-    )
-    for r in registered_deep_rules():
-        assert r.scope == "program"
+    program_rules = [r for r in registered_rules() if r.scope == "program"]
+    assert {r.id for r in program_rules} == set(DEEP_RULE_FIXTURES)
+    for r in program_rules:
         assert r.severity == "error"
 
 
 def test_deep_rules_all_fire_through_lint_modules():
-    """The engine path: deep findings flow through the same result
-    object, counts, and exit code as shallow ones."""
+    """The engine path: program findings flow through the same result
+    object, counts, and exit code as module ones — `lint_modules`
+    links the graph itself when a program rule is active."""
     mods = [
-        ModuleInfo.parse(DEEP / f"{stem}_bad.py")
+        ModuleInfo.parse(FIXTURES / f"{stem}_bad.py")
         for stem, _ in sorted(DEEP_RULE_FIXTURES.values())
     ]
-    result = lint_modules(
-        mods,
-        rules=[],
-        program=build_program(mods),
-        deep_rules=registered_deep_rules(),
-    )
-    assert result.deep
+    program_rules = [r for r in registered_rules() if r.scope == "program"]
+    result = lint_modules(mods, rules=program_rules)
     assert result.exit_code == 1
     assert result.fired() == set(DEEP_RULE_FIXTURES)
     assert len(result.findings) == sum(
@@ -86,7 +73,7 @@ def test_deep_rules_all_fire_through_lint_modules():
 
 
 def test_deep_findings_honour_inline_allow(tmp_path):
-    src = DEEP / "net001_bad.py"
+    src = FIXTURES / "net001_bad.py"
     lines = src.read_text().splitlines()
     patched = []
     for line in lines:
@@ -96,9 +83,7 @@ def test_deep_findings_honour_inline_allow(tmp_path):
     f = tmp_path / "net001_allowed.py"
     f.write_text("\n".join(patched) + "\n")
     mod = ModuleInfo.parse(f)
-    findings = list(
-        get_deep_rule("NET001").run(build_program([mod]))
-    )
+    findings = list(get_rule("NET001").run(build_program([mod])))
     assert len(findings) == 3
     sleeps = [x for x in findings if "time.sleep" in x.message]
     assert sleeps and all(x.suppressed for x in sleeps)
@@ -106,30 +91,6 @@ def test_deep_findings_honour_inline_allow(tmp_path):
     # next line is suppressed too; the transitive chain stays active
     active = [x for x in findings if x.active]
     assert len(active) == 1
-
-
-# --- SIM003 specifics -------------------------------------------------
-
-def test_sim003_names_the_floor_and_the_bound():
-    findings = _deep_findings("sim003", "bad", "SIM003")
-    for f in findings:
-        assert "floor" in f.message
-        assert "0.5" in f.message  # the fixture link's min_latency_ms
-
-
-def test_sim003_silent_when_no_floor_registered(tmp_path):
-    """Without any `_register_floor` class in the program and without
-    the engine default in sight, there is no bar to be under."""
-    f = tmp_path / "lonely.py"
-    f.write_text(
-        "class Client:\n"
-        "    def __init__(self, eng):\n"
-        "        self._post = eng.post\n"
-        "    def send(self, t):\n"
-        "        self._post(t, 0.0001, 'm')\n"
-    )
-    mod = ModuleInfo.parse(f)
-    assert list(get_deep_rule("SIM003").run(build_program([mod]))) == []
 
 
 # --- ALLOW001: the escape hatch polices itself ------------------------
@@ -160,22 +121,31 @@ def test_used_allow_is_not_convicted(tmp_path):
 
 
 def test_allow_for_rule_that_did_not_run_is_not_judged(tmp_path):
-    """A shallow-only run must not convict an allow that covers a deep
-    rule — the rule never ran, so the allow's finding had no chance to
-    fire.  The same file under a deep run *is* judged."""
+    """A subset run must not convict an allow that covers a registered
+    rule it left out — the rule never ran, so the allow's finding had
+    no chance to fire.  The same file under every rule *is* judged."""
     f = tmp_path / "deep_tag.py"
     f.write_text(
-        "X = 1  # repro: allow[NET001] covers a --deep finding\n"
+        "X = 1  # repro: allow[NET001] covers a program-scope finding\n"
     )
     mod = ModuleInfo.parse(f)
-    shallow = lint_modules([mod])
-    assert "ALLOW001" not in shallow.fired()
-    deep = lint_modules(
-        [mod],
-        program=build_program([mod]),
-        deep_rules=registered_deep_rules(),
-    )
-    assert "ALLOW001" in deep.fired()
+    module_rules = [r for r in registered_rules() if r.scope == "module"]
+    subset = lint_modules([mod], rules=module_rules)
+    assert "ALLOW001" not in subset.fired()
+    assert "ALLOW001" in lint_modules([mod]).fired()
+
+
+def test_allow_naming_an_unregistered_rule_is_a_finding(tmp_path):
+    """A tag naming no registered rule (a typo, or a deleted rule)
+    grants nothing: ALLOW001 says so, on every run that has it."""
+    f = tmp_path / "ghost_tag.py"
+    f.write_text("X = 1  # repro: allow[SIM004] names no rule\n")
+    mod = ModuleInfo.parse(f)
+    [finding] = lint_modules([mod]).findings
+    assert finding.rule == "ALLOW001" and finding.active
+    assert "SIM004" in finding.message and "registered" in finding.message
+    module_rules = [r for r in registered_rules() if r.scope == "module"]
+    assert lint_modules([mod], rules=module_rules).fired() == {"ALLOW001"}
 
 
 def test_subset_run_without_allow_rule_skips_the_post_pass(tmp_path):
@@ -200,12 +170,11 @@ def test_docstring_mention_of_allow_syntax_is_ignored(tmp_path):
 # --- the acceptance bar ----------------------------------------------
 
 def test_shipped_tree_is_deep_clean():
-    """`python -m repro lint --deep` over src/ must exit 0 with the
-    shipped (empty) baseline — ISSUE acceptance, machine-checked."""
-    result = run_lint(
-        paths=[REPO / "src" / "repro"], root=REPO, deep=True
-    )
-    assert result.deep
+    """`python -m repro lint` over src/ runs the program rules too and
+    exits 0 with the shipped (empty) baseline."""
+    result = run_lint(paths=[REPO / "src" / "repro"], root=REPO)
+    assert {r.id for r in result.rules} == {r.id for r in registered_rules()}
+    assert "NET001" in {r.id for r in result.rules}
     active = [f for f in result.findings if f.active]
     assert result.exit_code == 0, [f.location() for f in active]
     assert not any(f.baselined for f in result.findings)

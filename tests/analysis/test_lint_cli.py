@@ -110,38 +110,49 @@ def test_lint_suppressions_visible_in_text_summary(capsys):
 
 
 def test_lint_deep_shipped_tree_exits_zero(capsys):
-    """The acceptance bar: the whole-program pass over src/ is clean
-    with the shipped (empty) baseline — and inside a wall budget
-    generous next to its ~2.5 s, tight enough to catch an accidentally
-    quadratic rule before the analysis becomes the slow stage."""
+    """The acceptance bar: the full pass — every rule, the
+    whole-program ones included — over src/ is clean with the shipped
+    (empty) baseline, inside a wall budget generous next to its ~2.5 s
+    and tight enough to catch an accidentally quadratic rule before
+    the analysis becomes the slow stage."""
+    from repro.analysis.lint import registered_rules
+
     t0 = time.perf_counter()
-    assert main(["lint", "--deep"]) == 0
+    assert main(["lint"]) == 0
     assert time.perf_counter() - t0 < 30.0
     out = capsys.readouterr().out
-    assert "repro lint --deep: ok" in out
-    assert "deep rules" in out
+    assert f"{len(registered_rules())} rules" in out
+
+
+def test_lint_deep_flag_is_gone(capsys):
+    """Every run runs every rule, so there is no flag to opt in."""
+    import pytest
+
+    with pytest.raises(SystemExit) as exc:
+        main(["lint", "--deep"])
+    assert exc.value.code == 2
+    assert "--deep" in capsys.readouterr().err
 
 
 def test_lint_deep_json_report_carries_scope(capsys):
-    assert main(["lint", "--deep", "--json", "-", str(FIXTURES)]) == 1
+    """Every rule entry names its scope: NET001 reads the program
+    graph, every other rule one module."""
+    assert main(["lint", "--json", "-", str(FIXTURES)]) == 1
     doc = json.loads(capsys.readouterr().out)
     golden = json.loads(GOLDEN.read_text())
-    assert doc["deep"] is True
-    deep_ids = [r for r, e in doc["rules"].items()
-                if e["scope"] == "program"]
-    assert sorted(deep_ids) == golden["deep_rule_ids"]
-    shallow_ids = [r for r, e in doc["rules"].items()
-                   if e["scope"] == "module"]
-    assert sorted(shallow_ids) == golden["rule_ids"]
-    # the deep fixture pairs seed at least one finding per deep rule
-    fired = {f["rule"] for f in doc["findings"]}
-    assert set(golden["deep_rule_ids"]) <= fired
+    scopes = {r: e["scope"] for r, e in doc["rules"].items()}
+    assert sorted(scopes) == golden["rule_ids"]
+    assert scopes["NET001"] == "program"
+    assert {s for r, s in scopes.items() if r != "NET001"} == {"module"}
+    # the fixture directory seeds a finding for every rule
+    assert {f["rule"] for f in doc["findings"]} == set(golden["rule_ids"])
 
 
 def test_lint_report_loader_validates_the_current_shape(capsys):
     """`load_lint_report` returns a well-formed report unchanged and
-    rejects everything else — a version-1 document (no `deep` flag, no
-    per-rule `scope`) included: none was ever archived."""
+    rejects everything else — a version-2 document (with its top-level
+    `deep` flag) and one without a per-rule `scope` included: none was
+    ever archived."""
     import pytest
 
     from repro.analysis.lint import LintReportError, load_lint_report
@@ -154,9 +165,8 @@ def test_lint_report_loader_validates_the_current_shape(capsys):
                 for rid, entry in doc["rules"].items()}
     for broken in (
         {**doc, "schema": "wrong"},
-        {**doc, "schema_version": 1},
+        {**doc, "schema_version": 2, "deep": True},
         {k: v for k, v in doc.items() if k != "findings"},
-        {k: v for k, v in doc.items() if k != "deep"},
         {**doc, "rules": unscoped},
     ):
         with pytest.raises(LintReportError):

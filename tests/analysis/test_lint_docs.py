@@ -1,5 +1,5 @@
 """docs/LINT.md is a contract: the rule catalog must cover the
-registered rule set — shallow *and* whole-program — exactly, every
+registered rule set — module *and* program scope — exactly, every
 documented token must exist in the codebase, and the docs that
 advertise the pass must actually link it — so the doc cannot drift
 from the linter."""
@@ -7,16 +7,11 @@ from the linter."""
 import re
 from pathlib import Path
 
-from repro.analysis.flow import registered_deep_rules
 from repro.analysis.lint import registered_rules
 
 ROOT = Path(__file__).resolve().parents[2]
 DOC = ROOT / "docs" / "LINT.md"
 CODE_DIRS = ("src", "tests", "examples", "benchmarks")
-
-
-def _all_rules():
-    return tuple(registered_rules()) + tuple(registered_deep_rules())
 
 
 def _codebase_blob() -> str:
@@ -41,7 +36,7 @@ def _documented_names() -> set:
 def test_doc_catalog_covers_the_registry_exactly():
     assert DOC.exists()
     documented = _documented_names()
-    registered = {r.id for r in _all_rules()}
+    registered = {r.id for r in registered_rules()}
     assert documented == registered, (
         f"docs/LINT.md catalog and the rule registry drifted: "
         f"undocumented={sorted(registered - documented)} "
@@ -67,9 +62,10 @@ def test_doc_states_the_workflows():
 
 def test_doc_severity_claims_match_registry():
     text = DOC.read_text()
-    for r in _all_rules():
-        assert f"| `{r.id}` | {r.severity} |" in text, (
-            f"{r.id}: catalog row must state severity {r.severity!r}"
+    for r in registered_rules():
+        assert f"| `{r.id}` | {r.severity} | {r.scope} |" in text, (
+            f"{r.id}: catalog row must state severity {r.severity!r} "
+            f"and scope {r.scope!r}"
         )
 
 

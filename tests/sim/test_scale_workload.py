@@ -154,6 +154,10 @@ def test_all_three_faults_together_stay_bit_identical():
     ref = run_scale("global", 4, **BASE, **kw)
     assert ref.metrics.get("scale.dropped") > 0
     assert ref.metrics.get("scale.moves") == 1
-    for backend in SHARDED:
-        got = run_scale(backend, 4, **BASE, **kw)
-        assert got.digest == ref.digest, backend
+    # and in forked workers, where module state one shard's worker
+    # writes is invisible to the others' (the digest shows it)
+    for backend, workers in [(b, None) for b in SHARDED] + [
+        ("sharded-parallel", 2)
+    ]:
+        got = run_scale(backend, 4, workers=workers, **BASE, **kw)
+        assert got.digest == ref.digest, (backend, workers)

@@ -214,6 +214,22 @@ def test_requests_from_dead_process_become_withdrawn():
     assert got[0][0] is AcceptStatus.WITHDRAWN
 
 
+def test_dead_requesters_queued_requests_are_never_delivered():
+    """Releasing a dead requester's slots at the §4.2.1 pair limit must
+    not admit its queued requests: the target would take a REQUEST
+    interrupt from a process that no longer exists."""
+    eng, k = make_kernel(pair_limit=2)
+    a, b = Collector(k, "a"), Collector(k, "b")
+    name = k.new_name()
+    k.advertise("b", name)
+    for i in range(4):
+        k.request("a", "b", name, {"i": i}, 0, 0, None)
+    k.process_died("a")
+    eng.run()
+    assert [i.kind for i in b.interrupts] == [InterruptKind.REQUEST] * 2
+    assert sorted(i.rid for i in b.interrupts) == [1, 2]
+
+
 def test_process_ids_enumerates_live_processes():
     eng, k = make_kernel()
     Collector(k, "a")
