@@ -94,8 +94,6 @@ class ModuleGraph:
     imports: Dict[str, _Import] = field(default_factory=dict)
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
-    #: calls made from ``if __name__ == "__main__":`` blocks
-    main_calls: List[ast.Call] = field(default_factory=list)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ModuleGraph {self.name}>"
@@ -107,20 +105,6 @@ def module_dotted_name(info: ModuleInfo) -> str:
     if info.package is not None:
         return ".".join(("repro",) + info.package)
     return info.path.stem
-
-
-def _is_main_guard(node: ast.If) -> bool:
-    t = node.test
-    return (
-        isinstance(t, ast.Compare)
-        and isinstance(t.left, ast.Name)
-        and t.left.id == "__name__"
-        and len(t.ops) == 1
-        and isinstance(t.ops[0], ast.Eq)
-        and len(t.comparators) == 1
-        and isinstance(t.comparators[0], ast.Constant)
-        and t.comparators[0].value == "__main__"
-    )
 
 
 class ProgramGraph:
@@ -286,10 +270,6 @@ def _collect_module(info: ModuleInfo) -> ModuleGraph:
             )
         elif isinstance(node, ast.ClassDef):
             mod.classes[node.name] = _collect_class(mod, node)
-        elif isinstance(node, ast.If) and _is_main_guard(node):
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Call):
-                    mod.main_calls.append(sub)
     return mod
 
 

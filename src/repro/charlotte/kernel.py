@@ -43,11 +43,16 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.analysis.costmodel import CharlotteCosts
 from repro.core.links import EndRef
-from repro.core.wire import WireMessage
+from repro.core.wire import MsgKind, WireMessage
 from repro.sim.engine import Engine
 from repro.sim.futures import Future
 from repro.sim.metrics import MetricSet
 from repro.sim.network import TokenRing
+
+
+#: the kernel span of a transfer, by message kind: built once, shared
+#: by every trace row that records one
+_TRANSFER_SPANS = {k._value_: f"transfer:{k._value_}" for k in MsgKind}
 
 
 class CallStatus(enum.Enum):
@@ -372,7 +377,6 @@ class CharlotteKernel:
         self, klink: _KLink, sender: _KEnd, receiver: _KEnd
     ) -> None:
         msg = sender.send.msg
-        assert msg is not None
         nbytes = msg.wire_size
         base_delay = (
             self.costs.kernel_msg_fixed_ms
@@ -414,7 +418,7 @@ class CharlotteKernel:
             net = min(self.ring.transit_time(msg.wire_size), delay)
             now = self.engine.now
             self.spans.emit(
-                msg.span, "kernel", f"transfer:{msg.kind._value_}",
+                msg.span, "kernel", _TRANSFER_SPANS[msg.kind._value_],
                 sender.owner, now, now + delay - net,
             )
             self.spans.emit(

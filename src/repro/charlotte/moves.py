@@ -74,7 +74,7 @@ class MoveCoordinator:
         carrying message's delivery.  The caller must later invoke
         `commit` when the carrying message is delivered."""
         klink = self.kernel.links.get(enc.link)
-        if klink is None or klink.destroyed:
+        if klink is None:
             on_ready(0.0)
             return
         self._attempt(klink, on_ready, 0.0)

@@ -620,7 +620,7 @@ class CharlotteRuntime(LynxRuntimeBase):
             end = self.ends.get(ref)
             if end is not None and end.lifecycle is EndLifecycle.OWNED:
                 end.lifecycle = EndLifecycle.IN_TRANSIT
-                self.registry.record_in_transit(ref, self.name)
+                self.registry.record_in_transit(ref)
         self.metrics.count("charlotte.resends")
         self._enqueue(es, logical)
         yield from self._pump(es)

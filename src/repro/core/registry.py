@@ -4,7 +4,8 @@ The paper's figure 1 and §3.2.2 hinge on questions like *who really
 owns this end right now?* and *was this enclosure lost?*  Real systems
 have no such oracle — that is rather the point of the paper's hint
 systems — but the reproduction needs one to *verify* the hint systems.
-Runtimes report every lifecycle transition here; nothing in the
+Runtimes report every lifecycle transition here, and it keeps each
+end's current owner and disposition, not their history; nothing in the
 simulated protocols ever reads it (tests assert that by construction:
 it exposes no query API that runtimes import).
 
@@ -47,8 +48,6 @@ class LinkRegistry:
     def __init__(self) -> None:
         self._next_link = 1
         self.links: Dict[int, LinkRecord] = {}
-        #: chronological (time-ordering by call order) transition log
-        self.log: List[Tuple[str, str]] = []
 
     # ------------------------------------------------------------------
     # allocation / transitions (called by runtimes and clusters)
@@ -59,27 +58,23 @@ class LinkRegistry:
         self.links[link] = LinkRecord(
             link, (EndRecord(owner_a), EndRecord(owner_b))
         )
-        self.log.append(("new", f"L{link} a={owner_a} b={owner_b}"))
         return link
 
-    def record_in_transit(self, ref: EndRef, from_owner: str) -> None:
+    def record_in_transit(self, ref: EndRef) -> None:
         rec = self.links[ref.link].ends[ref.side]
         rec.owner = None
         rec.disposition = EndDisposition.IN_TRANSIT
-        self.log.append(("transit", f"{ref} from {from_owner}"))
 
     def record_adopted(self, ref: EndRef, new_owner: str) -> None:
         rec = self.links[ref.link].ends[ref.side]
         rec.owner = new_owner
         rec.disposition = EndDisposition.OWNED
-        self.log.append(("adopt", f"{ref} by {new_owner}"))
 
     def record_bounced(self, ref: EndRef, restored_owner: str) -> None:
         """An unwanted message returned its enclosure to the sender."""
         rec = self.links[ref.link].ends[ref.side]
         rec.owner = restored_owner
         rec.disposition = EndDisposition.OWNED
-        self.log.append(("bounce", f"{ref} back to {restored_owner}"))
 
     def record_lost(self, ref: EndRef) -> None:
         """The Charlotte deviation (§3.2.2): an enclosure in an aborted
@@ -87,14 +82,12 @@ class LinkRegistry:
         rec = self.links[ref.link].ends[ref.side]
         rec.owner = None
         rec.disposition = EndDisposition.LOST
-        self.log.append(("lost", str(ref)))
 
     def record_destroyed(self, link: int, reason: str = "") -> None:
         rec = self.links[link]
         if not rec.destroyed:
             rec.destroyed = True
             rec.destroy_reason = reason
-            self.log.append(("destroy", f"L{link} ({reason})"))
 
     # ------------------------------------------------------------------
     # queries (FOR TESTS AND BENCHES ONLY — simulated protocols must

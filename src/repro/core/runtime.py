@@ -460,7 +460,7 @@ class LynxRuntimeBase:
             span_t0=root_t0, request=msg,
         )
         es.connect_waiters.append(waiter)
-        t.block(f"connect:{op.op.name}")
+        t.block(op.op.connect_span)
         self.metrics.count("runtime.connects")
         self.cluster.trace_msg(self.name, "send", es.ref, msg, op.op.name)
         try:
@@ -491,7 +491,7 @@ class LynxRuntimeBase:
         self._cancel_recovery(waiter)
         if waiter.span is not None:
             self.cluster.spans.emit_root(
-                waiter.span, f"connect:{waiter.op.name}", self.name,
+                waiter.span, waiter.op.connect_span, self.name,
                 waiter.span_t0, self.engine.now,
             )
             waiter.span = None
@@ -523,7 +523,7 @@ class LynxRuntimeBase:
         if root is not None:
             # the server's application time: request delivery -> reply
             self.cluster.spans.emit(
-                root, "app", f"serve:{inc.op.name}", self.name,
+                root, "app", inc.op.serve_span, self.name,
                 serve_t0, self.engine.now,
             )
         t0 = self.engine.now
@@ -1183,7 +1183,7 @@ class LynxRuntimeBase:
         msg.enc_total = len(msg.enclosures)
         for ref in msg.enclosures:
             self.ends[ref].lifecycle = EndLifecycle.IN_TRANSIT
-            self.registry.record_in_transit(ref, self.name)
+            self.registry.record_in_transit(ref)
         msg.enclosure_meta = [self.rt_export_end(self.ends[r]) for r in msg.enclosures]
         es.outgoing[msg.seq] = msg
         return msg

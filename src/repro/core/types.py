@@ -195,7 +195,9 @@ class Operation:
     e.g. ``get(s)->(y,i)``) and ``sighash`` (a stable 64-bit hash of
     it) are computed at construction, and assigning to any attribute
     afterwards raises `AttributeError` — the header hash cannot come
-    to describe a signature the codec no longer uses.
+    to describe a signature the codec no longer uses.  So are the span
+    names every RPC of it records (``connect_span``, ``serve_span``):
+    a trace row then shares one string instead of keeping its own.
     """
 
     def __init__(
@@ -216,6 +218,7 @@ class Operation:
         self.__dict__.update(
             name=name, request=request, reply=reply,
             signature=signature, sighash=sighash,
+            connect_span=f"connect:{name}", serve_span=f"serve:{name}",
         )
 
     def __setattr__(self, attr: str, value: Any) -> None:

@@ -67,9 +67,6 @@ class _ReqState(enum.Enum):
     QUEUED = "queued"
     #: visible (or deliverable) at the target
     PENDING = "pending"
-    ACCEPTED = "accepted"
-    WITHDRAWN = "withdrawn"
-    CRASHED = "crashed"
 
 
 @dataclass
@@ -135,6 +132,8 @@ class SodaKernel:
         #: the bound value for both the delay and the span boundaries.
         self.spans = spans
         self._procs: Dict[str, _SodaProc] = {}
+        #: requests in flight only: one leaves at accept, withdraw or
+        #: the death of either party
         self._requests: Dict[int, _Request] = {}
         self._next_rid = 1
         self._next_name = 1
@@ -162,20 +161,19 @@ class SodaKernel:
         proc.advertised.clear()
         proc.handler = None
         for req in list(self._requests.values()):
-            if req.state in (_ReqState.PENDING, _ReqState.QUEUED):
-                if req.to == name:
-                    # "the requester feels an interrupt that informs it
-                    # of the crash" (§4.1)
-                    req.state = _ReqState.CRASHED
-                    self._release_pair(req)
-                    self._interrupt(
-                        req.frm,
-                        Interrupt(InterruptKind.CRASH, req.rid, frm=name,
-                                  name=req.name, oob=req.oob),
-                    )
-                elif req.frm == name:
-                    req.state = _ReqState.WITHDRAWN
-                    self._release_pair(req)
+            if name not in (req.to, req.frm):
+                continue
+            del self._requests[req.rid]
+            if req.state is _ReqState.PENDING:
+                self._release_pair(req)
+            if req.to == name:
+                # "the requester feels an interrupt that informs it of
+                # the crash" (§4.1)
+                self._interrupt(
+                    req.frm,
+                    Interrupt(InterruptKind.CRASH, req.rid, frm=name,
+                              name=req.name, oob=req.oob),
+                )
 
     # ------------------------------------------------------------------
     # names
@@ -248,21 +246,20 @@ class SodaKernel:
     ) -> int:
         rid = self._next_rid
         self._next_rid += 1
-        req = _Request(
-            rid, caller, to, name, dict(oob), nsend, nrecv, data,
-            _ReqState.QUEUED,
-        )
-        self._requests[rid] = req
         self.metrics.count("soda.requests")
         target = self._procs.get(to)
         if target is None or target.dead:
             # dead on arrival: immediate crash interrupt
-            req.state = _ReqState.CRASHED
             self._interrupt(
                 caller,
                 Interrupt(InterruptKind.CRASH, rid, frm=to, name=name, oob=oob),
             )
             return rid
+        req = _Request(
+            rid, caller, to, name, dict(oob), nsend, nrecv, data,
+            _ReqState.QUEUED,
+        )
+        self._requests[rid] = req
         pair = (caller, to)
         if self._pair_load.get(pair, 0) >= self.costs.pair_request_limit:
             # §4.2.1: over the outstanding-request limit the request
@@ -308,12 +305,12 @@ class SodaKernel:
 
     def _release_pair(self, req: _Request) -> None:
         pair = (req.frm, req.to)
-        self._pair_load[pair] = max(0, self._pair_load.get(pair, 0) - 1)
+        self._pair_load[pair] -= 1
         queue = self._pair_queue.get(pair)
         while queue:
-            nxt = self._requests[queue.popleft()]
+            nxt = self._requests.get(queue.popleft())
             # a dead requester's queued requests are never delivered
-            if nxt.state is _ReqState.QUEUED and not self._procs[nxt.frm].dead:
+            if nxt is not None and not self._procs[nxt.frm].dead:
                 self._admit(nxt)
                 break
 
@@ -334,20 +331,13 @@ class SodaKernel:
         """
         fut = Future(self.engine, "accept")
         req = self._requests.get(rid)
-        if req is None or req.to != caller or req.state in (
-            _ReqState.WITHDRAWN,
-            _ReqState.CRASHED,
-        ):
+        if (req is None or req.to != caller
+                or req.state is not _ReqState.PENDING):
             fut.resolve_later(
                 self.costs.accept_syscall_ms, (AcceptStatus.WITHDRAWN, None)
             )
             return fut
-        if req.state is not _ReqState.PENDING:
-            fut.resolve_later(
-                self.costs.accept_syscall_ms, (AcceptStatus.WITHDRAWN, None)
-            )
-            return fut
-        req.state = _ReqState.ACCEPTED
+        del self._requests[rid]
         self._release_pair(req)
         to_accepter = req.data if min(req.nsend, nrecv) > 0 else None
         to_requester = data if min(nsend, req.nrecv) > 0 else None
@@ -394,14 +384,11 @@ class SodaKernel:
         req = self._requests.get(rid)
         if req is None or req.frm != caller:
             return False
-        if req.state in (_ReqState.PENDING, _ReqState.QUEUED):
-            was_queued = req.state is _ReqState.QUEUED
-            req.state = _ReqState.WITHDRAWN
-            if not was_queued:
-                self._release_pair(req)
-            self.metrics.count("soda.withdrawals")
-            return True
-        return False
+        del self._requests[rid]
+        if req.state is _ReqState.PENDING:
+            self._release_pair(req)
+        self.metrics.count("soda.withdrawals")
+        return True
 
     # ------------------------------------------------------------------
     # interrupts

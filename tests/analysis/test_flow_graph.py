@@ -114,20 +114,6 @@ def test_nested_defs_fold_into_parent(tmp_path):
     assert _callees(parent) == ["repro.n.leaf"]
 
 
-def test_main_guard_entry_points_detected(tmp_path):
-    prog = _program(tmp_path, {
-        "cli.py": (
-            "def main():\n"
-            "    return 0\n"
-            "if __name__ == \"__main__\":\n"
-            "    main()\n"
-        ),
-        "lib.py": "def main():\n    return 0\n",
-    })
-    assert len(prog.modules["repro.cli"].main_calls) == 1
-    assert prog.modules["repro.lib"].main_calls == []
-
-
 def test_adhoc_files_get_stem_names(tmp_path):
     f = tmp_path / "scratch.py"
     f.write_text("def g():\n    return 1\n")

@@ -20,7 +20,7 @@ def test_move_lifecycle_transitions():
     r = LinkRegistry()
     link = r.alloc_link("a", "b")
     ref = EndRef(link, 1)
-    r.record_in_transit(ref, "b")
+    r.record_in_transit(ref)
     assert r.disposition_of(ref) is EndDisposition.IN_TRANSIT
     assert r.owner_of(ref) is None
     r.record_adopted(ref, "c")
@@ -32,7 +32,7 @@ def test_bounce_restores_owner():
     r = LinkRegistry()
     link = r.alloc_link("a", "b")
     ref = EndRef(link, 0)
-    r.record_in_transit(ref, "a")
+    r.record_in_transit(ref)
     r.record_bounced(ref, "a")
     assert r.owner_of(ref) == "a"
     assert r.disposition_of(ref) is EndDisposition.OWNED
@@ -42,7 +42,7 @@ def test_lost_ends_tracked():
     r = LinkRegistry()
     link = r.alloc_link("a", "b")
     ref = EndRef(link, 1)
-    r.record_in_transit(ref, "b")
+    r.record_in_transit(ref)
     r.record_lost(ref)
     assert r.lost_ends() == [ref]
     assert r.disposition_of(ref) is EndDisposition.LOST
@@ -66,12 +66,3 @@ def test_invariants_catch_ownerless_owned_end():
     problems = r.check_invariants()
     assert problems and "owned by nobody" in problems[0]
 
-
-def test_log_records_transitions_in_order():
-    r = LinkRegistry()
-    link = r.alloc_link("a", "b")
-    ref = EndRef(link, 0)
-    r.record_in_transit(ref, "a")
-    r.record_adopted(ref, "b")
-    kinds = [k for k, _ in r.log]
-    assert kinds == ["new", "transit", "adopt"]

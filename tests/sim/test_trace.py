@@ -319,7 +319,7 @@ def test_a_message_row_holds_values_taken_at_record_time():
     msg = WireMessage(kind=MsgKind.REQUEST, seq=7, opname="ping")
     size = msg.wire_size
     cluster.trace_msg("client", "send", near, msg, "ping")
-    cluster.registry.record_in_transit(far, "server")
+    cluster.registry.record_in_transit(far)
     cluster.trace_msg("client", "consume", near, msg)
     cluster.registry.record_adopted(far, "elsewhere")
     cluster.trace_msg("client", "send", near, msg)

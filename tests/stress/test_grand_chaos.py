@@ -152,7 +152,7 @@ def test_grand_chaos(kind, seed):
     # but never delivered to its runtime is in limbo when the crash
     # lands — the §3.2.2 deviation family — so losses there are
     # possible (and each must involve the crashed process's kernel
-    # table, which the registry log records as 'lost').
+    # table, which the registry records as a lost end).
     lost = cluster.registry.lost_ends()
     if kind == "charlotte":
         assert len(lost) <= 3, (seed, lost)
