@@ -16,7 +16,7 @@ surface the tests and benches drive:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Dict, Optional
 
 from repro.analysis.costmodel import CostModel
 from repro.core.program import Proc
@@ -303,11 +303,6 @@ class ClusterBase:
 
     def unfinished(self):
         return [p.name for p in self.processes.values() if not p.finished]
-
-    def result_of(self, name: str) -> Any:
-        """The return value of a process's main generator (raises the
-        process's failure if it crashed)."""
-        return self.processes[name].task.done.result()
 
     def check(self) -> None:
         """Raise if any process died of a *programming* error (not a

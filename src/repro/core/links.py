@@ -27,7 +27,7 @@ Three layers represent an end:
 from __future__ import annotations
 
 import enum
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import (
     Any, Deque, Dict, NamedTuple, Optional, Set, Tuple, TYPE_CHECKING,
@@ -110,11 +110,40 @@ class ConnectWaiter:
     recovery_timer: Optional[Any] = None
 
 
-#: replies kept per end for duplicate-request replay (see
-#: `EndState.reply_cache`); a duplicate evicted past this bound is
-#: dropped instead, and the requester's bounded retry surfaces
+#: seqs a `SeqWindow` keeps: the span of recent seqs whose copies are
+#: answered from it.  A copy left of the window is dropped without a
+#: reply, and the requester's bounded retry surfaces
 #: `RecoveryExhausted` — exactly-once-or-error is preserved either way
 REPLY_CACHE_LIMIT = 512
+
+
+class SeqWindow(dict):
+    """The one duplicate-suppression table: seq -> the reply to replay
+    for a copy of it (None while no reply is kept).  A contiguous
+    sender evicts key ``seq - REPLY_CACHE_LIMIT`` per `add`; one that
+    skips or reorders seqs is swept back to its newest
+    `REPLY_CACHE_LIMIT` once it holds twice that.  ``floor``, the
+    highest seq ever evicted, never goes down: a seq at or below it is
+    left of the window, seen but unanswerable."""
+
+    __slots__ = ("floor",)  # read on every request: a slot, not a dict
+
+    def __init__(self) -> None:
+        self.floor = float("-inf")
+
+    def seen(self, seq: int) -> bool:
+        return seq in self or seq <= self.floor
+
+    def add(self, seq: int, reply: Any = None) -> None:
+        self[seq] = reply
+        old = seq - REPLY_CACHE_LIMIT
+        if old > self.floor and old in self:
+            del self[old]
+            self.floor = old
+        elif len(self) > 2 * REPLY_CACHE_LIMIT:
+            for old in sorted(self)[:-REPLY_CACHE_LIMIT]:
+                del self[old]
+            self.floor = max(self.floor, old)
 
 
 @dataclass(slots=True)
@@ -147,20 +176,14 @@ class EndState:
     request_spans: Dict[int, Tuple["SpanContext", float]] = field(
         default_factory=dict
     )
-    #: duplicate-suppression state, maintained only while the cluster
-    #: has a fault plane installed (`repro.sim.faults`): request seqs
-    #: already consumed on this end ...
-    seen_requests: Set[int] = field(default_factory=set)
-    #: ... the reply we sent for each, kept so a retransmitted request
-    #: can be answered by replaying the original reply (same seq —
-    #: receipt then resumes the still-blocked replier).  Bounded by
-    #: `REPLY_CACHE_LIMIT`, oldest first.
-    reply_cache: "OrderedDict[int, WireMessage]" = field(
-        default_factory=OrderedDict
-    )
-    #: reply_to seqs whose reply this end already consumed (duplicate
-    #: replies are dropped, counted ``recovery.duplicates_dropped``)
-    delivered_replies: Set[int] = field(default_factory=set)
+    #: duplicate suppression, kept while a copy can arrive (a fault
+    #: plane or a recovery policy is installed): request seqs this end
+    #: has admitted, each with the reply a copy replays (same seq —
+    #: receipt then resumes the still-blocked replier) ...
+    served: SeqWindow = field(default_factory=SeqWindow)
+    #: ... and reply_to seqs whose reply this end already consumed
+    #: (a copy is dropped, counted ``recovery.duplicates_dropped``)
+    consumed: SeqWindow = field(default_factory=SeqWindow)
 
     def alloc_seq(self) -> int:
         s = self.next_seq

@@ -85,7 +85,6 @@ from repro.core.exceptions import (
     TypeClash,
 )
 from repro.core.links import (
-    REPLY_CACHE_LIMIT,
     ConnectWaiter,
     EndLifecycle,
     EndRef,
@@ -161,6 +160,12 @@ class LynxRuntimeBase:
         #: recovery timeouts batch same-deadline timers behind one
         #: engine event; see repro.core.recovery.TimerWheel
         self.timers = TimerWheel(self.engine)
+        #: a copy of a message can arrive (a fault plane duplicates, a
+        #: recovery policy retransmits): suppress it by sequence number.
+        #: Both are installed before any process spawns (docs/FAULTS.md)
+        self._suppress_copies = (
+            cluster.faults is not None or cluster.recovery is not None
+        )
 
     # ==================================================================
     # kernel-specific transport hooks (overridden by kernel runtimes);
@@ -542,18 +547,20 @@ class LynxRuntimeBase:
         t.block("reply")
         self.metrics.count("runtime.replies")
         self.cluster.trace_msg(self.name, "send", es.ref, msg, inc.op.name)
-        self._cache_reply(es, inc.seq, msg)
         try:
             yield from self._transmit_reply(es, msg)
         except LynxError as err:
             es.send_waiters.pop(msg.seq, None)
             self._retract_outgoing(es, msg.seq)
-            es.reply_cache.pop(inc.seq, None)
             if isinstance(err, RequestAborted):
                 # the requester withdrew: the reply's enclosures stay ours
                 self._restore_enclosures(msg)
             self._resume_error(t, err)
         else:
+            # a copy of the request replays this reply — unless the reply
+            # moves link ends, which a replay would move twice
+            if inc.seq in es.served and not msg.enclosures:
+                es.served[inc.seq] = msg
             self._arm_reply_recovery(es, msg, 0)
 
     # -- queue control ------------------------------------------------------
@@ -672,14 +679,14 @@ class LynxRuntimeBase:
     # block points
     # ==================================================================
     def _block_point(self) -> Generator:
+        # entered only with live threads, and none can finish in here:
+        # threads run only in `_run_thread`
         yield sleep(self.engine, self.rc.dispatch_ms)
         while self.alive:
             if self.rt_runnable():
                 yield from self._deliver_pending()
                 if self.ready:
                     return
-            if not self.live_threads:
-                return
             yield from self.rt_block_wait()
 
     def _deliver_pending(self) -> Generator:
@@ -749,8 +756,7 @@ class LynxRuntimeBase:
     def _consume_reply(self, es: EndState, msg: WireMessage) -> Generator:
         waiter = es.find_waiter(msg.reply_to)
         if waiter is None:
-            if (self.cluster.faults is not None
-                    and msg.reply_to in es.delivered_replies):
+            if es.consumed.seen(msg.reply_to):
                 # a duplicated or replayed reply we already consumed:
                 # sequence-number suppression, not a protocol error
                 self.metrics.count("recovery.duplicates_dropped")
@@ -759,8 +765,8 @@ class LynxRuntimeBase:
             self.metrics.count("runtime.unmatched_replies")
             return
         es.connect_waiters.remove(waiter)
-        if self.cluster.faults is not None:
-            es.delivered_replies.add(msg.reply_to)
+        if self._suppress_copies:
+            es.consumed.add(msg.reply_to)
         if waiter.aborted:
             # client already gave up; drop silently (Charlotte cannot
             # tell the server — §3.2; capable kernels told it earlier)
@@ -788,9 +794,23 @@ class LynxRuntimeBase:
     def _consume_request(
         self, es: EndState, msg: WireMessage, t: LynxThread
     ) -> Generator:
-        if self.cluster.faults is not None and msg.kind is MsgKind.REQUEST:
-            if not self._admit_request(es, msg):
+        if self._suppress_copies:
+            # each request seq is admitted once per end.  A copy of one
+            # we answered replays the kept reply; a copy of one still
+            # being served, or whose reply is not kept, is dropped
+            if es.served.seen(msg.seq):
+                cached = es.served.get(msg.seq)
+                if cached is not None:
+                    self.metrics.count("recovery.replies_replayed")
+                    self._emit_fault_span(msg, "runtime", "reply-replayed")
+                    self._spawn_send(es, cached.clone_for_resend(),
+                                     self._transmit_reply, 0.0)
+                else:
+                    self.metrics.count("recovery.duplicates_dropped")
+                    self._emit_fault_span(
+                        msg, "runtime", "dup-request-dropped")
                 return False
+            es.served.add(msg.seq)
         op = self.op_registry.get(msg.opname)
         try:
             if op is None or op.sighash != msg.sighash:
@@ -1066,7 +1086,7 @@ class LynxRuntimeBase:
         recovery the reply is retransmitted on the same bounded
         schedule as requests; when the budget is spent the replier is
         *released* — the client's own recovery governs from there, and
-        the cached reply still answers any later duplicate."""
+        the reply kept in ``served`` still answers any later duplicate."""
         policy = self._recovery_policy()
         if self.cluster.faults is None or policy is None or msg.enclosures:
             return
@@ -1103,42 +1123,6 @@ class LynxRuntimeBase:
         self._emit_fault_span(msg, "runtime", f"reply-retry-{attempt + 1}")
         self._spawn_send(es, msg.clone_for_resend(), self._transmit_reply, 0.0)
         self._arm_reply_recovery(es, msg, attempt + 1)
-
-    def _cache_reply(self, es: EndState, reply_to: int, msg: WireMessage) -> None:
-        """Remember the reply to request ``reply_to`` so a duplicate of
-        that request can be answered by replaying it (same reply seq, so
-        receipt still resumes the original blocked replier).  Replies
-        that move link ends are never cached — replaying one would move
-        the ends twice."""
-        if self.cluster.faults is None or msg.enclosures:
-            return
-        es.reply_cache[reply_to] = msg
-        while len(es.reply_cache) > REPLY_CACHE_LIMIT:
-            es.reply_cache.popitem(last=False)
-
-    def _admit_request(self, es: EndState, msg: WireMessage) -> bool:
-        """Duplicate suppression by sequence number: admit each request
-        seq at most once per end.  A duplicate of a request still being
-        served is dropped (the reply will answer both copies); one we
-        already answered gets the cached reply replayed."""
-        if msg.seq in es.owed_replies:
-            self.metrics.count("recovery.duplicates_dropped")
-            self._emit_fault_span(msg, "runtime", "dup-request-dropped")
-            return False
-        if msg.seq in es.seen_requests:
-            cached = es.reply_cache.get(msg.seq)
-            if cached is not None:
-                self.metrics.count("recovery.replies_replayed")
-                self._emit_fault_span(msg, "runtime", "reply-replayed")
-                self._spawn_send(
-                    es, cached.clone_for_resend(), self._transmit_reply, 0.0
-                )
-            else:
-                self.metrics.count("recovery.duplicates_dropped")
-                self._emit_fault_span(msg, "runtime", "dup-request-dropped")
-            return False
-        es.seen_requests.add(msg.seq)
-        return True
 
     # ==================================================================
     # enclosure (link-moving) machinery
@@ -1315,9 +1299,8 @@ class LynxRuntimeBase:
         es.outgoing.clear()
         es.owed_replies.clear()
         es.request_spans.clear()
-        es.seen_requests.clear()
-        es.reply_cache.clear()
-        es.delivered_replies.clear()
+        es.served.clear()
+        es.consumed.clear()
 
     def _resume(self, t: LynxThread, value: Any) -> None:
         if t.state is ThreadState.BLOCKED:

@@ -8,16 +8,17 @@ the E17 measurements need:
 * a REQUEST executes **at most once per server**.  On this path the
   frame's ``sighash`` is the *client id* (`repro.net.load` and the
   benchmark's generator both send ``sighash=cid``), and it keys one
-  dedup window per client: the replies to that client's last
-  `REPLY_CACHE_LIMIT` seqs, the simulated runtime's bound.  A
-  retransmission inside the window replays the cached reply bytes
-  instead of re-executing (the `duplicates` stat is the proof that
-  retransmissions happened and were absorbed).  One *left* of the
-  window — at or below the highest seq it evicted — is absorbed
-  without a reply and also counted `expired`: its reply is gone, and
-  running it again would break at-most-once, so the client's bounded
-  retry reports it exhausted, as the simulated `_admit_request` drops a
-  duplicate whose cached reply was evicted.  A node keeps O(clients x
+  dedup window per client: a `repro.core.links.SeqWindow`, the table
+  the simulated runtime keeps per end, holding the replies to that
+  client's last `REPLY_CACHE_LIMIT` seqs.  A retransmission inside the
+  window replays the cached reply bytes instead of re-executing (the
+  `duplicates` stat is the proof that retransmissions happened and
+  were absorbed).  One *left* of the window — at or below its
+  ``floor``, the highest seq it evicted — is absorbed without a reply
+  and also counted `expired`: its reply is gone, and running it again
+  would break at-most-once, so the client's bounded retry reports it
+  exhausted, as `LynxRuntimeBase._consume_request` drops a copy left
+  of an end's ``served`` window.  A node keeps O(clients x
   window) replies, not O(requests served); the table of clients itself
   is not bounded, because a client id is all the node knows;
 * ``--drop-first N`` makes the first arrival of the first ``N``
@@ -53,7 +54,7 @@ import json
 from collections import defaultdict
 from typing import DefaultDict, Optional
 
-from repro.core.links import REPLY_CACHE_LIMIT
+from repro.core.links import SeqWindow
 from repro.core.wire import MsgKind, WireMessage
 from repro.net.frames import (
     FrameError,
@@ -70,25 +71,15 @@ STATS_OP = "__stats__"
 READY_PREFIX = "REPRO-NET READY"
 
 
-class _Window(dict):
-    """One client's dedup window: seq -> cached reply frame body.  A
-    request at or below ``floor``, the highest seq the window evicted,
-    is left of it; before the first eviction no seq is."""
-
-    __slots__ = ("floor",)  # read on every request: a slot, not a dict
-
-    def __init__(self) -> None:
-        self.floor = float("-inf")
-
-
 class NodeServer:
     """One node's request executor + per-client dedup windows."""
 
     def __init__(self, name: str, drop_first: int = 0) -> None:
         self.name = name
         self.drop_first = drop_first
-        #: client id (the frame's ``sighash``) -> its dedup window
-        self.windows: DefaultDict[int, _Window] = defaultdict(_Window)
+        #: client id (the frame's ``sighash``) -> its dedup window of
+        #: reply frame bodies
+        self.windows: DefaultDict[int, SeqWindow] = defaultdict(SeqWindow)
         self.requests_seen = 0
         self.executed_unique = 0
         self.duplicates = 0
@@ -127,18 +118,8 @@ class NodeServer:
             self.expired += cached is None
             return cached
         self.executed_unique += 1
-        reply = window[seq] = self._reply_to(req, req.payload)
-        # contiguous seqs evict one keyed entry per request; a client
-        # that skips or reorders them is swept back to its newest
-        # replies once it holds two windows' worth
-        old = seq - REPLY_CACHE_LIMIT
-        if old > window.floor and old in window:
-            del window[old]
-            window.floor = old
-        elif len(window) > 2 * REPLY_CACHE_LIMIT:
-            for old in sorted(window)[:-REPLY_CACHE_LIMIT]:
-                del window[old]
-            window.floor = max(window.floor, old)
+        reply = self._reply_to(req, req.payload)
+        window.add(seq, reply)
         if self.drop_first > 0:
             # execute, cache, but stay silent: the client must time out
             # and retransmit, and the retransmit must hit the cache

@@ -103,7 +103,9 @@ SIZE_BUDGETS = {
     # unread `LoadReport.requests_per_client` and the test-only
     # `NodeProcess.alive`; the two rows together went 1,081 / 203 ->
     # 1,078 / 199 (before: 609 / 114)
-    "net+ideal": (613, 111),
+    # the node's private dedup window goes: `NodeServer` keeps the
+    # runtime's `SeqWindow` per client (before: 613 / 111)
+    "net+ideal": (602, 107),
     # PR 16: bench owns only exact values, compare is equality
     # (before: 1,182 / 352)
     # PR 18: the eight bench bodies left for the experiment registry;
@@ -145,7 +147,10 @@ SIZE_BUDGETS = {
     # knob and the `faults` local of `_spawn_kernel_retransmit`
     # (before: 1,727 / 326)
     # the link registry's unread transition log goes (before: 1,725 / 326)
-    "core": (1718, 326),
+    # one `SeqWindow` pair per end replaces three dedup tables and
+    # `_cache_reply`; the uncalled `ClusterBase.result_of` and
+    # `_block_point`'s dead `live_threads` test go (before: 1,718 / 326)
+    "core": (1715, 326),
     # PR 19: the version-1 trace reader goes (before: 674 / 128)
     # PR 20: a wait is one bound listener — `Task._wait_on`, `_fire`,
     # `fail_later` / `_safe_fail` go, `TraceLog.record` comes

@@ -17,7 +17,6 @@ message; `_retract_outgoing` leaving the message behind on receipt.
 import pytest
 
 from repro.core.api import INT, Operation, Proc, RecoveryPolicy, make_cluster
-from repro.sim.faults import FaultPlan
 
 ADD = Operation("add", (INT, INT), (INT,))
 
@@ -126,7 +125,6 @@ EXPECTED = {
 @pytest.mark.parametrize("kind", sorted(EXPECTED))
 def test_movable_through_receipt_bounce_recovery_and_destroy(kind):
     cluster = make_cluster(kind, seed=0)
-    cluster.install_faults(FaultPlan())  # duplicate suppression, no faults
     cluster.install_recovery(RecoveryPolicy(timeout_ms=TIMEOUT_MS,
                                             max_retries=2))
     server = cluster.spawn(Server(), "server")

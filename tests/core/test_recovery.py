@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.api import (
     BYTES,
+    LINK,
     Operation,
     Proc,
     RecoveryExhausted,
@@ -16,6 +17,7 @@ from repro.core.api import (
     registered_kernels,
 )
 from repro.core.exceptions import LynxError
+from repro.core.links import REPLY_CACHE_LIMIT
 from repro.sim.faults import FaultPlan
 from repro.sim.rng import SimRandom
 from repro.workloads.chaos import (
@@ -210,3 +212,179 @@ def test_every_backend_recovers_a_lossy_network_its_own_way(kind):
                   + c.counters.get("recovery.reply_retries", 0))
     assert dropped >= 1 and resent >= 1
     assert c.completed == c.count and c.goodput_per_s > 0.0
+
+
+# duplicate suppression: one SeqWindow pair per end --------------------
+
+
+def _runtime_placed(kind):
+    return kernel_profile(kind).capabilities.recovery_placement == "runtime"
+
+
+class EchoServer(Proc):
+    """Echoes each request; records every *execution*, and computes
+    ``compute_ms`` before each reply."""
+
+    def __init__(self, compute_ms=0.0):
+        self.compute_ms = compute_ms
+        self.executed = []
+
+    def main(self, ctx):
+        (end,) = ctx.initial_links
+        yield from ctx.register(ECHO)
+        yield from ctx.open(end)
+        while True:
+            try:
+                inc = yield from ctx.wait_request((end,))
+                self.executed.append(inc.args[0])
+                if self.compute_ms:
+                    yield from ctx.compute(self.compute_ms)
+                yield from ctx.reply(inc, (inc.args[0],))
+            except LynxError:
+                return
+
+
+class SequentialClient(Proc):
+    def __init__(self, count):
+        self.count = count
+        self.replies = []
+
+    def main(self, ctx):
+        (end,) = ctx.initial_links
+        for i in range(self.count):
+            (r,) = yield from ctx.connect(end, ECHO, (b"%d" % i,))
+            self.replies.append(r)
+        yield from ctx.destroy(end)
+
+
+def _converse(kind, client, server, policy, plan=None):
+    cluster = make_cluster(kind, seed=0)
+    if plan is not None:
+        cluster.install_faults(plan)
+    cluster.install_recovery(policy)
+    c = cluster.spawn(client, "client")
+    s = cluster.spawn(server, "server")
+    cluster.create_link(c, s)
+    return cluster
+
+
+@pytest.mark.parametrize("kind", registered_kernels())
+def test_a_recovery_policy_alone_suppresses_its_retransmitted_copies(kind):
+    """No fault plane, but a server slower than the recovery timeout:
+    every retransmission is a copy of a request the server already
+    admitted, so each op still executes once and completes (a copy is
+    dropped while the request is served, and replays its reply after)."""
+    ops = [b"0", b"1", b"2"]
+    client, server = SequentialClient(len(ops)), EchoServer(compute_ms=100.0)
+    cluster = _converse(kind, client, server, RecoveryPolicy(
+        timeout_ms=25.0, max_retries=3, jitter_frac=0.0))
+    cluster.run_until_quiet(max_ms=1e6)
+    assert cluster.all_finished, cluster.unfinished()
+    cluster.check()
+    assert client.replies == ops
+    assert server.executed == ops
+    if _runtime_placed(kind):
+        assert cluster.metrics.get("recovery.retries") >= len(ops)
+        assert cluster.metrics.get("recovery.replies_replayed") >= 1
+    assert cluster.metrics.get("recovery.exhausted") == 0
+
+
+@pytest.mark.parametrize("kind", registered_kernels())
+def test_windows_stay_bounded_over_more_ops_than_two_windows(kind):
+    """A lossy run longer than two windows: every op executes exactly
+    once, and no end's ``served`` or ``consumed`` outgrows
+    2 x `REPLY_CACHE_LIMIT` — the windows evicted as they went."""
+    count = 2 * REPLY_CACHE_LIMIT + 100
+    client, server = SequentialClient(count), EchoServer()
+    cluster = _converse(kind, client, server,
+                        RecoveryPolicy(timeout_ms=25.0, max_retries=8,
+                                       jitter_frac=0.0),
+                        plan=lossy_plan(0.1, 0.05))
+    windows = []  # (served, consumed) of every end as it is destroyed
+    for proc in cluster.processes.values():
+        runtime = proc.runtime
+        destroy = runtime._mark_destroyed
+
+        def probe(es, reason, crash, destroy=destroy):
+            windows.append((len(es.served), es.served.floor,
+                            len(es.consumed), es.consumed.floor))
+            destroy(es, reason, crash)
+
+        runtime._mark_destroyed = probe
+    cluster.run_until_quiet(max_ms=1e8)
+    assert cluster.all_finished, cluster.unfinished()
+    cluster.check()
+    ops = [b"%d" % i for i in range(count)]
+    assert client.replies == ops
+    assert server.executed == ops
+    assert len(windows) == 2
+    for served, _, consumed, _ in windows:
+        assert served <= 2 * REPLY_CACHE_LIMIT
+        assert consumed <= 2 * REPLY_CACHE_LIMIT
+    # each side's window evicted: the server's request seqs, the
+    # client's reply seqs
+    assert max(w[1] for w in windows) > REPLY_CACHE_LIMIT
+    assert max(w[3] for w in windows) > REPLY_CACHE_LIMIT
+
+
+GIVE = Operation("give", (BYTES,), (LINK,))
+
+
+class LinkGiver(Proc):
+    """Answers one ``give`` with a fresh link end, then waits on —
+    and so takes — whatever copies of the request arrive."""
+
+    def __init__(self):
+        self.executed = 0
+
+    def main(self, ctx):
+        (end,) = ctx.initial_links
+        yield from ctx.register(GIVE)
+        yield from ctx.open(end)
+        while True:
+            try:
+                inc = yield from ctx.wait_request((end,))
+                self.executed += 1
+                _, theirs = yield from ctx.new_link()
+                yield from ctx.reply(inc, (theirs,))
+            except LynxError:
+                return
+
+
+class BusyTaker(Proc):
+    """Takes a link end with ``give``; a sibling thread's compute holds
+    the process for 150 ms, so the reply waits unconsumed while the
+    recovery timer retransmits copies of the request."""
+
+    def __init__(self):
+        self.got = None
+
+    def main(self, ctx):
+        (end,) = ctx.initial_links
+
+        def busy():
+            yield from ctx.compute(150.0)
+
+        yield from ctx.fork(busy())
+        (self.got,) = yield from ctx.connect(end, GIVE, (b"x",))
+        yield from ctx.destroy(self.got)
+        yield from ctx.destroy(end)
+
+
+@pytest.mark.parametrize("kind", [k for k in registered_kernels()
+                                  if _runtime_placed(k)])
+def test_a_copy_of_a_request_whose_reply_moved_an_end_is_dropped(kind):
+    """A reply that moves a link end is never kept — replaying it would
+    move the end twice — so a copy of its request arriving after it is
+    dropped and counted, neither re-executed nor replayed."""
+    client, server = BusyTaker(), LinkGiver()
+    cluster = _converse(kind, client, server, RecoveryPolicy(
+        timeout_ms=25.0, max_retries=3, jitter_frac=0.0))
+    cluster.run_until_quiet(max_ms=1e6)
+    assert cluster.all_finished, cluster.unfinished()
+    cluster.check()
+    assert client.got is not None
+    assert server.executed == 1
+    assert cluster.metrics.get("recovery.retries") >= 1
+    assert cluster.metrics.get("recovery.duplicates_dropped") >= 1
+    assert cluster.metrics.get("recovery.replies_replayed") == 0
