@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.analysis.costmodel import CharlotteCosts
+from repro.charlotte import moves
 from repro.core.links import EndRef
 from repro.core.wire import MsgKind, WireMessage
 from repro.sim.engine import Engine
@@ -150,11 +151,6 @@ class CharlotteKernel:
         self._waiters: Dict[str, Future] = {}
         self._nodes: Dict[str, int] = {}
         self._dead: set = set()
-        # avoid a module cycle: moves.py imports nothing from us at
-        # import time; we instantiate its coordinator here
-        from repro.charlotte.moves import MoveCoordinator
-
-        self.mover = MoveCoordinator(self)
 
     # ------------------------------------------------------------------
     # process lifecycle
@@ -390,11 +386,9 @@ class CharlotteKernel:
         if enclosure is not None:
             # three-party agreement before delivery (moves.py); it
             # reports the extra delay its messages took
-            self.mover.move(
+            moves.move(
+                self,
                 enclosure,
-                sender.owner,
-                receiver.owner,
-                base_delay,
                 lambda extra: self._finish_transfer(
                     klink, sender, receiver, msg, base_delay + extra
                 ),
@@ -444,14 +438,14 @@ class CharlotteKernel:
             receiver.recv = None
             for enc in msg.enclosures[:1]:
                 # third party agreement concludes; ownership commits
-                self.mover.commit(enc, receiver.owner)
+                moves.commit(self, enc, receiver.owner)
             self._complete(
                 sender.owner, Completion(CompletionKind.SEND_DONE, sender.ref)
             )
             if receiver.owner in self._dead:
                 # receiver died mid-transfer: the message (and any
                 # enclosure) is in limbo — §3.2.2's loss scenario;
-                # the mover already recorded ownership at the kernel
+                # `moves.commit` already recorded ownership at the kernel
                 # level, so the link dies with the receiver.
                 for enc in msg.enclosures[:1]:
                     self._on_enclosure_lost(enc)

@@ -27,6 +27,11 @@ experiment E11's comparison.
 Simultaneously-moving ends (paper figure 1) are exercised by the
 conformance suite: the per-link lock serialises the two moves and both
 far ends remain oblivious.
+
+The protocol is functions of the kernel, not an object the kernel
+keeps: an object holding its kernel would be a reference cycle, and a
+finished cluster could not go by reference counting
+(`repro.core.cluster.ClusterBase.close`).
 """
 
 from __future__ import annotations
@@ -44,79 +49,67 @@ MOVE_RETRY_BACKOFF_MS = 5.0
 CONTROL_FRAME_BYTES = 32
 
 
-class MoveCoordinator:
-    """Runs the agreement protocol for one kernel instance."""
+def _msg_cost(k: "CharlotteKernel") -> float:
+    """One inter-kernel protocol message: kernel processing plus a
+    control frame on the ring."""
+    k.metrics.count("charlotte.move_msgs")
+    return k.costs.move_protocol_msg_ms + k.ring.transit_time(
+        CONTROL_FRAME_BYTES
+    )
 
-    def __init__(self, kernel: "CharlotteKernel") -> None:
-        self.kernel = kernel
 
-    # ------------------------------------------------------------------
-    def _msg_cost(self) -> float:
-        """One inter-kernel protocol message: kernel processing plus a
-        control frame on the ring."""
-        k = self.kernel
-        k.metrics.count("charlotte.move_msgs")
-        return k.costs.move_protocol_msg_ms + k.ring.transit_time(
-            CONTROL_FRAME_BYTES
+def move(
+    k: "CharlotteKernel", enc: EndRef, on_ready: Callable[[float], None]
+) -> None:
+    """Begin the agreement for moving ``enc``.  Calls
+    ``on_ready(extra_ms)`` once the freeze handshake is done;
+    ``extra_ms`` is protocol time added to the carrying message's
+    delivery.  The caller must later invoke `commit` when the carrying
+    message is delivered."""
+    klink = k.links.get(enc.link)
+    if klink is None:
+        on_ready(0.0)
+        return
+    _attempt(k, klink, on_ready, 0.0)
+
+
+def _attempt(
+    k: "CharlotteKernel", klink: "_KLink", on_ready: Callable[[float], None],
+    extra_acc: float,
+) -> None:
+    """One try at ``klink``'s move lock; ``extra_acc`` is the
+    protocol time the earlier tries already cost."""
+    if klink.destroyed:
+        on_ready(extra_acc)
+        return
+    if klink.move_locked:
+        # lost the race with a move of the other end: NACK round
+        # trip plus backoff, then try again (fig. 1 serialiser)
+        k.metrics.count("charlotte.move_retries")
+        extra_acc += _msg_cost(k) + _msg_cost(k)
+        k.engine.defer(
+            MOVE_RETRY_BACKOFF_MS, _attempt, k, klink, on_ready, extra_acc
         )
+        return
+    klink.move_locked = True
+    # FREEZE to F's kernel and its ACK, on the critical path
+    on_ready(extra_acc + (_msg_cost(k) + _msg_cost(k)))
 
-    def move(
-        self,
-        enc: EndRef,
-        from_proc: str,
-        to_proc: str,
-        base_delay: float,
-        on_ready: Callable[[float], None],
-    ) -> None:
-        """Begin the agreement for moving ``enc`` from ``from_proc`` to
-        ``to_proc``.  Calls ``on_ready(extra_ms)`` once the freeze
-        handshake is done; ``extra_ms`` is protocol time added to the
-        carrying message's delivery.  The caller must later invoke
-        `commit` when the carrying message is delivered."""
-        klink = self.kernel.links.get(enc.link)
-        if klink is None:
-            on_ready(0.0)
-            return
-        self._attempt(klink, on_ready, 0.0)
 
-    def _attempt(
-        self, klink: "_KLink", on_ready: Callable[[float], None],
-        extra_acc: float,
-    ) -> None:
-        """One try at ``klink``'s move lock; ``extra_acc`` is the
-        protocol time the earlier tries already cost."""
-        k = self.kernel
-        if klink.destroyed:
-            on_ready(extra_acc)
-            return
-        if klink.move_locked:
-            # lost the race with a move of the other end: NACK round
-            # trip plus backoff, then try again (fig. 1 serialiser)
-            k.metrics.count("charlotte.move_retries")
-            extra_acc += self._msg_cost() + self._msg_cost()
-            k.engine.defer(
-                MOVE_RETRY_BACKOFF_MS, self._attempt, klink, on_ready, extra_acc
-            )
-            return
-        klink.move_locked = True
-        # FREEZE to F's kernel and its ACK, on the critical path
-        on_ready(extra_acc + (self._msg_cost() + self._msg_cost()))
-
-    def commit(self, enc: EndRef, to_proc: str) -> None:
-        """All three parties agree; ownership changes and the lock
-        drops.  The COMMIT message to F's kernel is off the critical
-        path (charged to metrics, not to the delivery latency)."""
-        k = self.kernel
-        klink = k.links.get(enc.link)
-        if klink is None:
-            return
-        kend = klink.ends[enc.side]
-        kend.owner = to_proc
-        kend.node = k.node_of(to_proc)
-        kend.moving = False
-        klink.move_locked = False
-        self._msg_cost()  # COMMIT
-        k.metrics.count("charlotte.moves_committed")
-        if not klink.destroyed:
-            # a sender parked on the far end may now be matchable again
-            k._try_match(klink)
+def commit(k: "CharlotteKernel", enc: EndRef, to_proc: str) -> None:
+    """All three parties agree; ownership changes and the lock
+    drops.  The COMMIT message to F's kernel is off the critical
+    path (charged to metrics, not to the delivery latency)."""
+    klink = k.links.get(enc.link)
+    if klink is None:
+        return
+    kend = klink.ends[enc.side]
+    kend.owner = to_proc
+    kend.node = k.node_of(to_proc)
+    kend.moving = False
+    klink.move_locked = False
+    _msg_cost(k)  # COMMIT
+    k.metrics.count("charlotte.moves_committed")
+    if not klink.destroyed:
+        # a sender parked on the far end may now be matchable again
+        k._try_match(klink)

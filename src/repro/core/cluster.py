@@ -11,7 +11,9 @@ surface the tests and benches drive:
   (the role the paper's "long-lived system servers" play for
   processes "designed in isolation");
 * ``run`` / ``run_until_quiet`` — advance simulated time;
-* ``crash_process`` — failure injection (see `repro.sim.faults`).
+* ``crash_process`` — failure injection (see `repro.sim.faults`);
+* ``close``, or ``with make_cluster(...) as cluster:`` — let a cluster
+  that is done running go by reference counting.
 """
 
 from __future__ import annotations
@@ -48,13 +50,6 @@ class ProcessHandle:
     @property
     def finished(self) -> bool:
         return self.task is not None and self.task.finished
-
-    @property
-    def crashed(self) -> bool:
-        return (
-            self.finished
-            and self.task.done.state is FutureState.FAILED
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "finished" if self.finished else "running"
@@ -284,6 +279,33 @@ class ClusterBase:
         self.metrics.count(f"cluster.crashes.{mode.value}")
         # black-box trigger (repro.obs.flight): record the death itself
         self.trace.emit(name, "crash", mode=mode.value, node=handle.node)
+
+    def close(self) -> None:
+        """Let a finished cluster go by reference counting.
+
+        Each runtime is the hub of the cluster's reference cycles: it
+        points at the cluster, its handle, its kernel port and its own
+        helpers, and each of those points back (the handle's task, a
+        kernel's routes and handlers, a suspended thread's context).
+        ``close`` empties every runtime, so no path leads back through
+        one, and a task still blocked stops waiting, so it and the
+        futures it waited on no longer hold each other.  Everything else
+        stays: the engine, the trace, the metrics, the installed planes,
+        and each handle with its task, so ``all_finished`` and ``check``
+        still answer.  No simulated code runs; a generator still
+        suspended runs only its ``GeneratorExit`` branch when it is
+        freed.  A second call does nothing; a closed cluster cannot run
+        again.  Events still pending hold what they reference until the
+        engine goes."""
+        for handle in self.processes.values():
+            vars(handle.runtime).clear()
+            handle.task._waiting_on = None
+
+    def __enter__(self) -> "ClusterBase":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # execution

@@ -39,14 +39,10 @@ from typing import (
     Generator,
     Mapping,
     Optional,
+    Protocol,
     Tuple,
     TYPE_CHECKING,
 )
-
-try:  # pragma: no cover - Protocol exists on all supported pythons
-    from typing import Protocol
-except ImportError:  # pragma: no cover
-    Protocol = object  # type: ignore[assignment]
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.cluster import ClusterBase

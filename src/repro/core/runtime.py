@@ -345,11 +345,17 @@ class LynxRuntimeBase:
         except GeneratorExit:
             # the simulation ended with this process still suspended
             # (e.g. an undetected Chrysalis processor failure left it
-            # blocked); no simulated clean-up can run during GC
+            # blocked) and its generator is being freed, by reference
+            # counting once its cluster is closed and dropped, or by GC;
+            # no simulated clean-up can run then
             self.alive = False
             self.exited = True
             raise
-        except TaskKilled:
+        except TaskKilled as kill:
+            # the kill stays in the frame of the task step that threw it
+            # in; with its traceback it would hold this generator's frame,
+            # and through it that step's, in a reference cycle (3.12+)
+            kill.with_traceback(None)
             self.alive = False
             if self._crash_mode is CrashMode.PROCESSOR:
                 # hard processor failure: nothing more runs here; the
@@ -359,7 +365,9 @@ class LynxRuntimeBase:
             # TERMINATE / FAULT: orderly clean-up still runs (§5.2:
             # "even erroneous processes can clean up their links")
         finally:
-            if self._crash_mode is not CrashMode.PROCESSOR and not self.exited:
+            # ``exited`` first: a closed cluster's runtime is empty
+            # (`ClusterBase.close`) by the time its generator is freed
+            if not self.exited and self._crash_mode is not CrashMode.PROCESSOR:
                 yield from self._cleanup()
                 self.exited = True
 
@@ -401,17 +409,18 @@ class LynxRuntimeBase:
                 else:
                     val, t.pending_value = t.pending_value, None
                     op = t.gen.send(val)
-            except StopIteration as stop:
+            # each ``as err`` unbinds the error thrown in above when its
+            # clause ends: left bound, it and its traceback would hold
+            # this frame (and, from 3.12, the callers' frames up to the
+            # cluster) in a reference cycle
+            except StopIteration as err:  # noqa: F841
                 t.state = ThreadState.DONE
-                t.result = stop.value
-            except ThreadAborted as err:
+            except ThreadAborted as err:  # noqa: F841
                 t.state = ThreadState.DONE
-                t.error = err
                 self.metrics.count("runtime.threads_aborted")
-            except LynxError as err:
+            except LynxError as err:  # noqa: F841
                 # an unhandled LYNX exception terminates the coroutine
                 t.state = ThreadState.FAILED
-                t.error = err
                 self.metrics.count("runtime.threads_failed")
             else:
                 handler = self._OPS.get(type(op))

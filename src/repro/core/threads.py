@@ -41,10 +41,6 @@ class LynxThread:
         self.pending_error: Optional[BaseException] = None
         #: why the thread is blocked (diagnostics / tests)
         self.block_reason: str = ""
-        #: result of the generator, once DONE
-        self.result: Any = None
-        #: terminal error, once FAILED
-        self.error: Optional[BaseException] = None
         #: set when another thread asked to abort this one
         self.abort_requested: bool = False
 

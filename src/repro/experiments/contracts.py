@@ -258,16 +258,16 @@ class _EchoClient(Proc):
 
 def _sampled_spans(seed):
     """(kept, dropped) span counts of one sampled conversation."""
-    cluster = make_cluster("ideal", seed=seed)
-    cluster.install_trace_sampling(1.0 / 16.0)
-    s = cluster.spawn(_EchoServer(), "server")
-    c = cluster.spawn(_EchoClient(), "client")
-    cluster.create_link(s, c)
-    cluster.run_until_quiet(max_ms=1e9)
-    if not cluster.all_finished:
-        raise RuntimeError("E15 rpc conversation hung")
-    return (cluster.metrics.get("obs.spans_sampled"),
-            cluster.metrics.get("obs.spans_dropped"))
+    with make_cluster("ideal", seed=seed) as cluster:
+        cluster.install_trace_sampling(1.0 / 16.0)
+        s = cluster.spawn(_EchoServer(), "server")
+        c = cluster.spawn(_EchoClient(), "client")
+        cluster.create_link(s, c)
+        cluster.run_until_quiet(max_ms=1e9)
+        if not cluster.all_finished:
+            raise RuntimeError("E15 rpc conversation hung")
+        return (cluster.metrics.get("obs.spans_sampled"),
+                cluster.metrics.get("obs.spans_dropped"))
 
 
 def _e15_measure(seed, quick):

@@ -102,29 +102,29 @@ class _FinalServer(Proc):
 def _e8_measure(seed, quick):
     out = {}
     for kind in KERNEL_KINDS:
-        cluster = make_cluster(kind, seed=seed)
-        starter = cluster.spawn(_Starter(), "starter")
-        a = cluster.spawn(_Mover(), "a")
-        d = cluster.spawn(_Mover(), "d")
-        b_prog = _FinalClient()
-        b = cluster.spawn(b_prog, "b")
-        c = cluster.spawn(_FinalServer(), "c")
-        cluster.create_link(starter, a)
-        cluster.create_link(starter, d)
-        cluster.create_link(a, b)
-        cluster.create_link(d, c)
-        cluster.run_until_quiet(max_ms=1e7)
-        assert b_prog.reply == (42,), (kind, cluster.unfinished())
-        digest = kernel_metric_digest(kind, cluster.metrics, {
-            "move_msgs": "charlotte.move_msgs",
-            "move_retries": "charlotte.move_retries",
-            "moves_committed": "charlotte.moves_committed",
-            "redirects": "soda.redirects_served",
-            "stale_notices": "chrysalis.stale_notices",
-        })
-        digest["ok"] = float(cluster.all_finished)
-        digest["wire_messages"] = cluster.metrics.total("wire.messages.")
-        out.update({f"{kind}_{key}": v for key, v in digest.items()})
+        with make_cluster(kind, seed=seed) as cluster:
+            starter = cluster.spawn(_Starter(), "starter")
+            a = cluster.spawn(_Mover(), "a")
+            d = cluster.spawn(_Mover(), "d")
+            b_prog = _FinalClient()
+            b = cluster.spawn(b_prog, "b")
+            c = cluster.spawn(_FinalServer(), "c")
+            cluster.create_link(starter, a)
+            cluster.create_link(starter, d)
+            cluster.create_link(a, b)
+            cluster.create_link(d, c)
+            cluster.run_until_quiet(max_ms=1e7)
+            assert b_prog.reply == (42,), (kind, cluster.unfinished())
+            digest = kernel_metric_digest(kind, cluster.metrics, {
+                "move_msgs": "charlotte.move_msgs",
+                "move_retries": "charlotte.move_retries",
+                "moves_committed": "charlotte.moves_committed",
+                "redirects": "soda.redirects_served",
+                "stale_notices": "chrysalis.stale_notices",
+            })
+            digest["ok"] = float(cluster.all_finished)
+            digest["wire_messages"] = cluster.metrics.total("wire.messages.")
+            out.update({f"{kind}_{key}": v for key, v in digest.items()})
     return out
 
 
@@ -400,23 +400,23 @@ class _CacheObserver(Proc):
 def _a2_measure(seed, quick):
     out = {}
     for size in A2_SIZES:
-        cluster = make_cluster("soda", seed=seed, cache_size=size)
-        obs_prog = _CacheObserver()
-        d = cluster.spawn(_CacheDispatcher(), "dispatcher")
-        h = cluster.spawn(_CacheHolder(), "holder")
-        obs = cluster.spawn(obs_prog, "observer")
-        cluster.create_link(d, h)
-        for _ in range(A2_LINKS):
-            cluster.create_link(d, obs)  # dispatcher side will move
-        cluster.run_until_quiet(max_ms=1e7)
-        assert len(obs_prog.latencies) == A2_LINKS, cluster.unfinished()
-        get = cluster.metrics.get
-        out[f"cache{size}_mean_repair_ms"] = ordered_mean(obs_prog.latencies)
-        out[f"cache{size}_max_repair_ms"] = max(obs_prog.latencies)
-        out[f"cache{size}_redirects"] = get("soda.redirects_served")
-        out[f"cache{size}_evictions"] = get("soda.cache_evictions")
-        out[f"cache{size}_discover_repairs"] = get(
-            "soda.hints_repaired_by_discover")
+        with make_cluster("soda", seed=seed, cache_size=size) as cluster:
+            obs_prog = _CacheObserver()
+            d = cluster.spawn(_CacheDispatcher(), "dispatcher")
+            h = cluster.spawn(_CacheHolder(), "holder")
+            obs = cluster.spawn(obs_prog, "observer")
+            cluster.create_link(d, h)
+            for _ in range(A2_LINKS):
+                cluster.create_link(d, obs)  # dispatcher side will move
+            cluster.run_until_quiet(max_ms=1e7)
+            assert len(obs_prog.latencies) == A2_LINKS, cluster.unfinished()
+            get = cluster.metrics.get
+            out[f"cache{size}_mean_repair_ms"] = ordered_mean(obs_prog.latencies)
+            out[f"cache{size}_max_repair_ms"] = max(obs_prog.latencies)
+            out[f"cache{size}_redirects"] = get("soda.redirects_served")
+            out[f"cache{size}_evictions"] = get("soda.cache_evictions")
+            out[f"cache{size}_discover_repairs"] = get(
+                "soda.hints_repaired_by_discover")
     return out
 
 

@@ -84,13 +84,14 @@ def _e3_measure(seed, quick):
     out = {}
     for kind in KERNEL_KINDS:
         for n in E3_ENCLOSURES:
-            cluster = make_cluster(kind, seed=seed)
-            a = cluster.spawn(_Giver(n), "giver")
-            b = cluster.spawn(_Taker(n), "taker")
-            cluster.create_link(a, b)
-            cluster.run_until_quiet(max_ms=1e7)
-            assert cluster.all_finished, (kind, n, cluster.unfinished())
-            out[f"{kind}_n{n}_msgs"] = cluster.metrics.total("wire.messages.")
+            with make_cluster(kind, seed=seed) as cluster:
+                a = cluster.spawn(_Giver(n), "giver")
+                b = cluster.spawn(_Taker(n), "taker")
+                cluster.create_link(a, b)
+                cluster.run_until_quiet(max_ms=1e7)
+                assert cluster.all_finished, (kind, n, cluster.unfinished())
+                out[f"{kind}_n{n}_msgs"] = cluster.metrics.total(
+                    "wire.messages.")
     return out
 
 
@@ -223,13 +224,13 @@ class _AddClient(Proc):
 
 
 def _e7_messages(reply_acks, seed):
-    cluster = make_cluster("charlotte", seed=seed, reply_acks=reply_acks)
-    s = cluster.spawn(_AddServer(), "server")
-    c = cluster.spawn(_AddClient(), "client")
-    cluster.create_link(s, c)
-    cluster.run_until_quiet(max_ms=1e7)
-    assert cluster.all_finished
-    return cluster.metrics.total("wire.messages.")
+    with make_cluster("charlotte", seed=seed, reply_acks=reply_acks) as cluster:
+        s = cluster.spawn(_AddServer(), "server")
+        c = cluster.spawn(_AddClient(), "client")
+        cluster.create_link(s, c)
+        cluster.run_until_quiet(max_ms=1e7)
+        assert cluster.all_finished
+        return cluster.metrics.total("wire.messages.")
 
 
 def _e7_measure(seed, quick):
@@ -388,21 +389,23 @@ class _ReplyWaiter(Proc):
 def _enclosure_safe(kind, crash_at, seed):
     """1.0 when A still owns the enclosure it tried to give away after
     B crashed at ``crash_at``, 0.0 when the enclosure was lost."""
-    cluster = make_cluster(kind, seed=seed)
-    a_prog = _Aborter()
-    a = cluster.spawn(a_prog, "A")
-    b = cluster.spawn(_ReplyWaiter(), "B")
-    cluster.create_link(a, b)
-    cluster.engine.schedule(crash_at, cluster.crash_process, "B",
-                            CrashMode.PROCESSOR)
-    cluster.run_until_quiet(max_ms=5e4)
-    ref = a_prog.given_ref
-    disp = cluster.registry.disposition_of(ref)
-    if disp is EndDisposition.OWNED and cluster.registry.owner_of(ref) == "A":
-        return 1.0
-    assert (disp is EndDisposition.LOST
-            or cluster.registry.is_destroyed(ref.link)), (kind, crash_at, disp)
-    return 0.0
+    with make_cluster(kind, seed=seed) as cluster:
+        a_prog = _Aborter()
+        a = cluster.spawn(a_prog, "A")
+        b = cluster.spawn(_ReplyWaiter(), "B")
+        cluster.create_link(a, b)
+        cluster.engine.schedule(crash_at, cluster.crash_process, "B",
+                                CrashMode.PROCESSOR)
+        cluster.run_until_quiet(max_ms=5e4)
+        ref = a_prog.given_ref
+        disp = cluster.registry.disposition_of(ref)
+        if (disp is EndDisposition.OWNED
+                and cluster.registry.owner_of(ref) == "A"):
+            return 1.0
+        assert (disp is EndDisposition.LOST
+                or cluster.registry.is_destroyed(ref.link)), (
+                    kind, crash_at, disp)
+        return 0.0
 
 
 def _a3_measure(seed, quick):

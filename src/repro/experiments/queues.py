@@ -63,18 +63,19 @@ class _EveryLinkClient(Proc):
 def _e10_measure(seed, quick):
     out = {"threshold": None}  # stays None when every limit deadlocks
     for limit in E10_LIMITS:
-        cluster = make_cluster("soda", seed=seed, pair_request_limit=limit)
-        server = _LastQueueServer()
-        s = cluster.spawn(server, "server")
-        c = cluster.spawn(_EveryLinkClient(), "client")
-        for _ in range(E10_LINKS):
-            cluster.create_link(c, s)
-        cluster.run_until_quiet(max_ms=3000.0)
-        out[f"limit{limit}_served"] = server.served
-        out[f"limit{limit}_queued"] = cluster.metrics.get(
-            "soda.pair_limit_queued")
-        if out["threshold"] is None and server.served:
-            out["threshold"] = limit
+        with make_cluster("soda", seed=seed,
+                          pair_request_limit=limit) as cluster:
+            server = _LastQueueServer()
+            s = cluster.spawn(server, "server")
+            c = cluster.spawn(_EveryLinkClient(), "client")
+            for _ in range(E10_LINKS):
+                cluster.create_link(c, s)
+            cluster.run_until_quiet(max_ms=3000.0)
+            out[f"limit{limit}_served"] = server.served
+            out[f"limit{limit}_queued"] = cluster.metrics.get(
+                "soda.pair_limit_queued")
+            if out["threshold"] is None and server.served:
+                out["threshold"] = limit
     return out
 
 

@@ -107,7 +107,10 @@ class Task:
             self.done.resolve(stop.value)
             return
         except TaskKilled as kill:
-            self.done.fail(kill)
+            # without its traceback: the frames it holds (this one and
+            # its callers') would keep ``done`` and the caller's cluster
+            # in a reference cycle
+            self.done.fail(kill.with_traceback(None))
             return
         except BaseException as exc:
             self.done.fail(exc)

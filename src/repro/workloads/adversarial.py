@@ -76,25 +76,25 @@ def run_reverse_scenario(
     kind: str, rounds: int = 3, seed: int = 0, reply_delay_ms: float = 1.0,
     **cluster_kw,
 ) -> Dict[str, float]:
-    cluster = make_cluster(kind, seed=seed, **cluster_kw)
-    a_prog = ReverseRequestPair.A(rounds)
-    b_prog = ReverseRequestPair.B(rounds, reply_delay_ms)
-    a = cluster.spawn(a_prog, "A")
-    b = cluster.spawn(b_prog, "B")
-    cluster.create_link(a, b)
-    cluster.run_until_quiet(max_ms=1e7)
-    if not cluster.all_finished:
-        raise RuntimeError(f"reverse scenario hung on {kind}: "
-                           f"{cluster.unfinished()}")
-    assert a_prog.ok == rounds and b_prog.ok == rounds
-    m = cluster.metrics
-    digest = {
-        "rounds": float(rounds),
-        "unwanted": m.get("runtime.unwanted"),
-        "messages": m.total("wire.messages."),
-        "useful_messages": 4.0 * rounds,  # 2 RPCs/round x 2 messages
-        "sim_time_ms": cluster.engine.now,
-    }
+    with make_cluster(kind, seed=seed, **cluster_kw) as cluster:
+        a_prog = ReverseRequestPair.A(rounds)
+        b_prog = ReverseRequestPair.B(rounds, reply_delay_ms)
+        a = cluster.spawn(a_prog, "A")
+        b = cluster.spawn(b_prog, "B")
+        cluster.create_link(a, b)
+        cluster.run_until_quiet(max_ms=1e7)
+        if not cluster.all_finished:
+            raise RuntimeError(f"reverse scenario hung on {kind}: "
+                               f"{cluster.unfinished()}")
+        assert a_prog.ok == rounds and b_prog.ok == rounds
+        m = cluster.metrics
+        digest = {
+            "rounds": float(rounds),
+            "unwanted": m.get("runtime.unwanted"),
+            "messages": m.total("wire.messages."),
+            "useful_messages": 4.0 * rounds,  # 2 RPCs/round x 2 messages
+            "sim_time_ms": cluster.engine.now,
+        }
     # bounce-machinery counters exist only where the machinery does;
     # consumers must test `key in digest`
     digest.update(kernel_metric_digest(kind, m, {
@@ -143,24 +143,24 @@ class OpenCloseRacer:
 def run_open_close_scenario(
     kind: str, rounds: int = 3, seed: int = 0, **cluster_kw
 ) -> Dict[str, float]:
-    cluster = make_cluster(kind, seed=seed, **cluster_kw)
-    a_prog = OpenCloseRacer.A(rounds)
-    b_prog = OpenCloseRacer.B(rounds)
-    a = cluster.spawn(a_prog, "A")
-    b = cluster.spawn(b_prog, "B")
-    cluster.create_link(a, b)
-    cluster.run_until_quiet(max_ms=1e7)
-    if not cluster.all_finished:
-        raise RuntimeError(f"open/close scenario hung on {kind}: "
-                           f"{cluster.unfinished()}")
-    m = cluster.metrics
-    digest = {
-        "rounds": float(rounds),
-        "unwanted": m.get("runtime.unwanted"),
-        "messages": m.total("wire.messages."),
-        "useful_messages": 2.0 * rounds,
-        "sim_time_ms": cluster.engine.now,
-    }
+    with make_cluster(kind, seed=seed, **cluster_kw) as cluster:
+        a_prog = OpenCloseRacer.A(rounds)
+        b_prog = OpenCloseRacer.B(rounds)
+        a = cluster.spawn(a_prog, "A")
+        b = cluster.spawn(b_prog, "B")
+        cluster.create_link(a, b)
+        cluster.run_until_quiet(max_ms=1e7)
+        if not cluster.all_finished:
+            raise RuntimeError(f"open/close scenario hung on {kind}: "
+                               f"{cluster.unfinished()}")
+        m = cluster.metrics
+        digest = {
+            "rounds": float(rounds),
+            "unwanted": m.get("runtime.unwanted"),
+            "messages": m.total("wire.messages."),
+            "useful_messages": 2.0 * rounds,
+            "sim_time_ms": cluster.engine.now,
+        }
     digest.update(kernel_metric_digest(kind, m, {
         "retry": "charlotte.retry_sent",
         "resends": "charlotte.resends",

@@ -219,38 +219,38 @@ def run_chaos_workload(
     ``repro flight --demo`` and ``repro top`` use to attach a flight
     recorder or a windowed time-series.
     """
-    cluster = make_cluster(kind, seed=seed, **cluster_kw)
-    if plan is not None:
-        cluster.install_faults(plan)
-    if policy is not None:
-        cluster.install_recovery(policy)
-    if instrument is not None:
-        instrument(cluster)
-    client = ChaosClient(count, payload_bytes, pace_ms)
-    primary = ChaosServer(payload_bytes)
-    backup = ChaosServer(payload_bytes)
-    c = cluster.spawn(client, "client")
-    p = cluster.spawn(primary, "primary")
-    b = cluster.spawn(backup, "backup")
-    cluster.create_link(c, p)
-    cluster.create_link(c, b)
-    cluster.run_until_quiet(max_ms=1e7)
-    if not cluster.all_finished:
-        raise RuntimeError(
-            f"chaos workload hung on {kind}: {cluster.unfinished()}"
+    with make_cluster(kind, seed=seed, **cluster_kw) as cluster:
+        if plan is not None:
+            cluster.install_faults(plan)
+        if policy is not None:
+            cluster.install_recovery(policy)
+        if instrument is not None:
+            instrument(cluster)
+        client = ChaosClient(count, payload_bytes, pace_ms)
+        primary = ChaosServer(payload_bytes)
+        backup = ChaosServer(payload_bytes)
+        c = cluster.spawn(client, "client")
+        p = cluster.spawn(primary, "primary")
+        b = cluster.spawn(backup, "backup")
+        cluster.create_link(c, p)
+        cluster.create_link(c, b)
+        cluster.run_until_quiet(max_ms=1e7)
+        if not cluster.all_finished:
+            raise RuntimeError(
+                f"chaos workload hung on {kind}: {cluster.unfinished()}"
+            )
+        cluster.check()
+        counters = {}
+        counters.update(cluster.metrics.counters("faults."))
+        counters.update(cluster.metrics.counters("recovery."))
+        return ChaosResult(
+            kind=kind,
+            count=count,
+            completed=client.completed,
+            failed=client.failed,
+            failed_over=client.failed_over,
+            rtts=client.rtts,
+            elapsed_ms=client.elapsed_ms,
+            counters=counters,
+            trace=cluster.trace,
         )
-    cluster.check()
-    counters = {}
-    counters.update(cluster.metrics.counters("faults."))
-    counters.update(cluster.metrics.counters("recovery."))
-    return ChaosResult(
-        kind=kind,
-        count=count,
-        completed=client.completed,
-        failed=client.failed,
-        failed_over=client.failed_over,
-        rtts=client.rtts,
-        elapsed_ms=client.elapsed_ms,
-        counters=counters,
-        trace=cluster.trace,
-    )

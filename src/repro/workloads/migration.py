@@ -104,32 +104,34 @@ def run_migration_churn(
     **cluster_kw,
 ) -> Dict[str, object]:
     """Run the churn; returns a metrics digest for E9/E11."""
-    cluster = make_cluster(kind, seed=seed, **cluster_kw)
-    observer = Observer(hops)
-    dispatcher = Dispatcher(hops, members)
-    member_progs = [
-        Member(i, len([h for h in range(hops) if h % members == i]), linger_ms)
-        for i in range(members)
-    ]
-    d = cluster.spawn(dispatcher, "dispatcher")
-    obs = cluster.spawn(observer, "observer")
-    handles = [cluster.spawn(m, f"member{i}") for i, m in enumerate(member_progs)]
-    cluster.create_link(d, obs)  # the work link (dispatcher side moves)
-    for h in handles:
-        cluster.create_link(d, h)
-    cluster.run_until_quiet(max_ms=1e7)
-    m = cluster.metrics
-    digest = {
-        "finished": cluster.all_finished,
-        "rpcs_served": len(observer.servers),
-        "servers_in_hop_order": list(observer.servers),
-        "mean_rpc_ms": ordered_mean(observer.rtts, empty=0.0),
-        "moves": 2 * hops,  # by construction: out and back per hop
-        "wire_messages": m.total("wire.messages."),
-        "wire_bytes": m.get("wire.bytes"),
-        "sim_time_ms": cluster.engine.now,
-        "trace": cluster.trace,
-    }
+    with make_cluster(kind, seed=seed, **cluster_kw) as cluster:
+        observer = Observer(hops)
+        dispatcher = Dispatcher(hops, members)
+        member_progs = [
+            Member(i, len([h for h in range(hops) if h % members == i]),
+                   linger_ms)
+            for i in range(members)
+        ]
+        d = cluster.spawn(dispatcher, "dispatcher")
+        obs = cluster.spawn(observer, "observer")
+        handles = [cluster.spawn(m, f"member{i}")
+                   for i, m in enumerate(member_progs)]
+        cluster.create_link(d, obs)  # the work link (dispatcher side moves)
+        for h in handles:
+            cluster.create_link(d, h)
+        cluster.run_until_quiet(max_ms=1e7)
+        m = cluster.metrics
+        digest = {
+            "finished": cluster.all_finished,
+            "rpcs_served": len(observer.servers),
+            "servers_in_hop_order": list(observer.servers),
+            "mean_rpc_ms": ordered_mean(observer.rtts, empty=0.0),
+            "moves": 2 * hops,  # by construction: out and back per hop
+            "wire_messages": m.total("wire.messages."),
+            "wire_bytes": m.get("wire.bytes"),
+            "sim_time_ms": cluster.engine.now,
+            "trace": cluster.trace,
+        }
     # kernel-specific machinery counts appear only on kernels that have
     # the machinery; consumers must test `key in digest`
     digest.update(kernel_metric_digest(kind, m, {
@@ -241,36 +243,37 @@ def run_dormant_migration(
     and pays whatever hint repair costs (redirect chain / discover /
     freeze).  Returns the metrics digest including the repair latency.
     """
-    cluster = make_cluster(kind, seed=seed, **cluster_kw)
-    observer = DormantObserver(settle_ms)
-    dispatcher = DormantDispatcher(hops, members)
-    dispatcher.linger_ms = linger_ms
-    final_index = hops % members
-    member_progs = [
-        DormantMember(
-            i,
-            len([h for h in range(hops) if h % members == i]),
-            i == final_index,
-            linger_ms,
-        )
-        for i in range(members)
-    ]
-    d = cluster.spawn(dispatcher, "dispatcher")
-    obs = cluster.spawn(observer, "observer")
-    handles = [cluster.spawn(m, f"member{i}") for i, m in enumerate(member_progs)]
-    cluster.create_link(d, obs)
-    for h in handles:
-        cluster.create_link(d, h)
-    cluster.run_until_quiet(max_ms=1e7)
-    m = cluster.metrics
-    digest = {
-        "finished": cluster.all_finished,
-        "served_by": observer.server,
-        "repair_latency_ms": observer.repair_latency_ms,
-        "wire_messages": m.total("wire.messages."),
-        "sim_time_ms": cluster.engine.now,
-        "trace": cluster.trace,
-    }
+    with make_cluster(kind, seed=seed, **cluster_kw) as cluster:
+        observer = DormantObserver(settle_ms)
+        dispatcher = DormantDispatcher(hops, members)
+        dispatcher.linger_ms = linger_ms
+        final_index = hops % members
+        member_progs = [
+            DormantMember(
+                i,
+                len([h for h in range(hops) if h % members == i]),
+                i == final_index,
+                linger_ms,
+            )
+            for i in range(members)
+        ]
+        d = cluster.spawn(dispatcher, "dispatcher")
+        obs = cluster.spawn(observer, "observer")
+        handles = [cluster.spawn(m, f"member{i}")
+                   for i, m in enumerate(member_progs)]
+        cluster.create_link(d, obs)
+        for h in handles:
+            cluster.create_link(d, h)
+        cluster.run_until_quiet(max_ms=1e7)
+        m = cluster.metrics
+        digest = {
+            "finished": cluster.all_finished,
+            "served_by": observer.server,
+            "repair_latency_ms": observer.repair_latency_ms,
+            "wire_messages": m.total("wire.messages."),
+            "sim_time_ms": cluster.engine.now,
+            "trace": cluster.trace,
+        }
     digest.update(kernel_metric_digest(kind, m, {
         "redirects_served": "soda.redirects_served",
         "redirects_followed": "soda.redirects_followed",

@@ -69,35 +69,35 @@ def run_skewed_load(
     number of chatty services any quiet request had to wait through
     after arriving (the starvation measure)."""
     total = chatty_requests + quiet_clients
-    cluster = make_cluster(kind, seed=seed, **cluster_kw)
-    server = SkewServer(total)
-    s = cluster.spawn(server, "server")
-    chatty = cluster.spawn(ChattyClient(0, chatty_requests), "chatty")
-    cluster.create_link(s, chatty)
-    quiet_progs = []
-    for i in range(quiet_clients):
-        q = QuietClient(i + 1, start_after_ms=10.0)
-        quiet_progs.append(q)
-        handle = cluster.spawn(q, f"quiet{i + 1}")
-        cluster.create_link(s, handle)
-    cluster.run_until_quiet(max_ms=1e7)
-    if not cluster.all_finished:
-        raise RuntimeError(f"skew workload hung on {kind}: "
-                           f"{cluster.unfinished()}")
-    order = server.service_order
-    # starvation measure: longest run of chatty services between any
-    # quiet service and the preceding quiet service (or start)
-    worst_gap = 0
-    gap = 0
-    for ident in order:
-        if ident == 0:
-            gap += 1
-        else:
-            worst_gap = max(worst_gap, gap)
-            gap = 0
-    return {
-        "order": order,
-        "quiet_latencies_ms": [q.latency for q in quiet_progs],
-        "worst_chatty_run_before_quiet": worst_gap,
-        "sim_time_ms": cluster.engine.now,
-    }
+    with make_cluster(kind, seed=seed, **cluster_kw) as cluster:
+        server = SkewServer(total)
+        s = cluster.spawn(server, "server")
+        chatty = cluster.spawn(ChattyClient(0, chatty_requests), "chatty")
+        cluster.create_link(s, chatty)
+        quiet_progs = []
+        for i in range(quiet_clients):
+            q = QuietClient(i + 1, start_after_ms=10.0)
+            quiet_progs.append(q)
+            handle = cluster.spawn(q, f"quiet{i + 1}")
+            cluster.create_link(s, handle)
+        cluster.run_until_quiet(max_ms=1e7)
+        if not cluster.all_finished:
+            raise RuntimeError(f"skew workload hung on {kind}: "
+                               f"{cluster.unfinished()}")
+        order = server.service_order
+        # starvation measure: longest run of chatty services between any
+        # quiet service and the preceding quiet service (or start)
+        worst_gap = 0
+        gap = 0
+        for ident in order:
+            if ident == 0:
+                gap += 1
+            else:
+                worst_gap = max(worst_gap, gap)
+                gap = 0
+        return {
+            "order": order,
+            "quiet_latencies_ms": [q.latency for q in quiet_progs],
+            "worst_chatty_run_before_quiet": worst_gap,
+            "sim_time_ms": cluster.engine.now,
+        }

@@ -6,6 +6,8 @@ import pytest
 
 from repro.analysis.complexity import area_sizes
 from repro.cli import main
+from repro.core.api import registered_kernels
+from repro.core.cluster import ClusterBase
 
 
 def test_rpc_command(capsys):
@@ -149,6 +151,26 @@ def test_top_prints_windowed_table(capsys):
     assert "fault drops" in out
     # the partition scenario must show at least one degraded window
     assert any(line.split() for line in out.splitlines())
+
+
+@pytest.mark.parametrize("kind", registered_kernels())
+def test_closing_the_instrumented_cluster_changes_no_output(
+    kind, capsys, tmp_path, monkeypatch
+):
+    """`run_chaos_workload` closes its cluster before it returns, and
+    `top`'s time series and `flight --demo`'s recorder outlive it: they
+    print, and write, what they did while the cluster stayed open."""
+    def outputs(tag):
+        out = tmp_path / tag
+        assert main(["top", "--kernel", kind, "--quick", "--count", "12"]) == 0
+        assert main(["flight", "--demo", "--kernel", kind,
+                     "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.replace(str(out), "OUT")
+        return printed, sorted(p.read_bytes() for p in out.iterdir())
+
+    closed = outputs("closed")
+    monkeypatch.setattr(ClusterBase, "close", lambda self: None)
+    assert outputs("open") == closed
 
 
 def test_top_clean_scenario(capsys):

@@ -22,4 +22,7 @@ def kernel_kind(request):
 
 @pytest.fixture
 def cluster(kernel_kind):
-    return make_cluster(kernel_kind, seed=7)
+    """A cluster on the backend under test, closed once the test is done
+    (`ClusterBase.close`), whatever state the test left it in."""
+    with make_cluster(kernel_kind, seed=7) as cluster:
+        yield cluster

@@ -1,9 +1,22 @@
 """Additional cross-kernel semantics: self-links, determinism,
-double destroy, internal-consistency guarantees."""
+double destroy, internal-consistency guarantees, and a release that
+leaves no trace."""
+
+import gc
+import sys
+import weakref
 
 import pytest
 
-from repro.core.api import BYTES, INT, LinkDestroyed, Operation, Proc
+from repro.core.api import (
+    BYTES,
+    INT,
+    LinkDestroyed,
+    Operation,
+    Proc,
+    make_cluster,
+)
+from repro.sim.faults import CrashMode
 
 ADD = Operation("add", (INT, INT), (INT,))
 ECHO = Operation("echo", (BYTES,), (BYTES,))
@@ -227,3 +240,81 @@ def test_enclosure_in_mistyped_request_comes_home(cluster):
         is EndDisposition.OWNED
     )
     cluster.check()
+
+
+def test_close_changes_nothing_the_run_recorded(kernel_kind, monkeypatch):
+    """`ClusterBase.close` lets a cluster go by reference counting and
+    leaves what a run's result keeps as it was: the trace, the engine
+    and the metrics read the same after ``close``, after a second
+    ``close``, and once the cluster itself is gone.  Two processes are
+    still blocked at the end (each waits for a request the other never
+    sends), so their generators are freed with the cluster: that runs
+    only `main_generator`'s ``GeneratorExit`` branch, records nothing
+    and raises nothing.  Two more were killed, one by a processor
+    failure (its task keeps the kill) and one by termination (its
+    runtime caught the kill and cleaned up): neither may hold the
+    cluster."""
+
+    class Server(Proc):
+        def main(self, ctx):
+            (end,) = ctx.initial_links
+            yield from ctx.register(ECHO)
+            yield from ctx.open(end)
+            for _ in range(3):
+                inc = yield from ctx.wait_request()
+                yield from ctx.reply(inc, inc.args)
+
+    class Client(Proc):
+        def main(self, ctx):
+            (end,) = ctx.initial_links
+            for i in range(3):
+                yield from ctx.connect(end, ECHO, (b"%d" % i,))
+
+    class Waiter(Proc):
+        def main(self, ctx):
+            (end,) = ctx.initial_links
+            yield from ctx.register(ECHO)
+            yield from ctx.open(end)
+            yield from ctx.wait_request()
+
+    class Sleeper(Proc):
+        def main(self, ctx):
+            yield from ctx.delay(5.0)
+
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    cluster = make_cluster(kernel_kind, seed=7)
+    cluster.create_link(cluster.spawn(Server(), "server"),
+                        cluster.spawn(Client(), "client"))
+    cluster.create_link(cluster.spawn(Waiter(), "w1"),
+                        cluster.spawn(Waiter(), "w2"))
+    for name, mode in (("victim", CrashMode.PROCESSOR),
+                       ("quitter", CrashMode.TERMINATE)):
+        cluster.spawn(Sleeper(), name)
+        cluster.engine.schedule(1.0, cluster.crash_process, name, mode)
+    cluster.run_until_quiet(max_ms=1e6)
+    assert cluster.unfinished() == ["w1", "w2"]
+    trace, engine, metrics = cluster.trace, cluster.engine, cluster.metrics
+
+    def recorded():
+        return (trace.to_jsonl(), len(trace.events), engine.events_fired,
+                metrics.snapshot())
+
+    before = recorded()
+    blocked = weakref.ref(cluster.processes["w1"].task.gen)
+    cluster.close()
+    assert recorded() == before
+    cluster.close()
+    assert recorded() == before
+    assert cluster.unfinished() == ["w1", "w2"]
+    cluster.check()
+    gone = weakref.ref(cluster)
+    gc.disable()
+    try:
+        del cluster
+        assert gone() is None
+        assert blocked() is None
+    finally:
+        gc.enable()
+    assert recorded() == before
+    assert unraisable == []
