@@ -217,7 +217,7 @@ def check_lint_baseline(path: str, errors: List[str]) -> None:
 
 def check_lint_report(errors: List[str]) -> None:
     """Generate the ``lint`` report over the shipped tree and hold it
-    to the v3 golden."""
+    to the v4 golden."""
     from repro.analysis.lint import registered_rules, run_lint
     from repro.analysis.lint.report import LINT_SCHEMA_VERSION, lint_json_doc
 

@@ -10,9 +10,10 @@ declares).  This package turns both conventions into checked rules,
 Eraser-style: an AST visitor core, a rule registry with per-rule
 severity, ``# repro: allow[RULE]`` inline suppressions, and a
 checked-in baseline (``LINT_BASELINE.json``) for grandfathered
-findings.  One registry holds every rule, per-file and whole-program
-(``scope="program"``, over `repro.analysis.flow`'s graph), and every
-run runs them all.
+findings.  One registry holds every rule, each reading one module, and
+every run runs them all.  Blocking calls inside `repro.net`
+coroutines are caught at run time instead, by the audit hook in
+``tests/net/conftest.py``.
 
 Entry points::
 

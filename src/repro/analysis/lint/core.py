@@ -3,12 +3,9 @@ suppressions, and the engine that runs every registered rule over a
 set of parsed modules.
 
 A *rule* is a check function registered under a stable id (``DET001``,
-``NET001``, ...) with a severity, a one-line title and a scope.  A
-``module`` rule's check takes one `ModuleInfo` and yields
-``(node_or_line, message)``; a ``program`` rule's check takes the
-`repro.analysis.flow.ProgramGraph` linked from every module of the run
-and yields ``(module, node_or_line, message)``, the module locating the
-finding.  Rules never see files — the engine parses once and hands
+``SIM001``, ...) with a severity and a one-line title.  Its check takes
+one `ModuleInfo` and yields ``(node_or_line, message)``.  Rules never
+see files — the engine parses once and hands
 every rule the same trees, so adding a rule costs one function, not
 another walk over the repository.
 
@@ -131,34 +128,24 @@ class ModuleInfo:
         return allowed
 
 
-#: what a module rule's check yields: an AST node (location source) or
-#: a 1-based line number, plus the human-readable message
+#: what a rule's check yields: an AST node (location source) or a
+#: 1-based line number, plus the human-readable message
 Violation = Tuple[Union[ast.AST, int], str]
-#: what a program rule's check yields: the module the finding lands in
-#: (its allow comments apply), then the same location and message
-ProgramViolation = Tuple[ModuleInfo, Union[ast.AST, int], str]
-CheckFn = Callable[..., Iterator]
+CheckFn = Callable[[ModuleInfo], Iterator[Violation]]
 
 
 @dataclass(frozen=True)
 class Rule:
-    """A registered rule: stable id, severity, title, check function,
-    and the scope its check reads: ``"module"`` or ``"program"``."""
+    """A registered rule: stable id, severity, title, check function."""
 
     id: str
     title: str
     severity: str
     check: CheckFn
-    scope: str = "module"
 
-    def run(self, target) -> Iterator[Finding]:
-        """Findings of this rule over ``target``: a `ModuleInfo` for a
-        module rule, a `ProgramGraph` for a program rule."""
-        if self.scope == "module":
-            hits = ((target, at, msg) for at, msg in self.check(target))
-        else:
-            hits = self.check(target)
-        for module, node_or_line, message in hits:
+    def run(self, module: ModuleInfo) -> Iterator[Finding]:
+        """Findings of this rule over one module."""
+        for node_or_line, message in self.check(module):
             if isinstance(node_or_line, int):
                 line, col = node_or_line, 0
             else:
@@ -190,12 +177,11 @@ def register_rule(r: Rule) -> Rule:
     return r
 
 
-def rule(id: str, title: str, severity: str = "error", scope: str = "module"):
+def rule(id: str, title: str, severity: str = "error"):
     """Decorator form of `register_rule` for plain check functions."""
 
     def deco(fn: CheckFn) -> CheckFn:
-        register_rule(Rule(id=id, title=title, severity=severity, check=fn,
-                           scope=scope))
+        register_rule(Rule(id=id, title=title, severity=severity, check=fn))
         return fn
 
     return deco
@@ -220,7 +206,7 @@ def get_rule(rule_id: str) -> Rule:
 @dataclass
 class LintResult:
     """Everything one lint run produced, in deterministic order;
-    ``rules`` holds every rule that ran, of either scope."""
+    ``rules`` holds every rule that ran."""
 
     findings: List[Finding]
     files_scanned: int
@@ -336,9 +322,7 @@ def lint_modules(
 ) -> LintResult:
     """Run ``rules`` (default: all registered) over parsed modules.
 
-    Module rules see each module; when a program rule is among them,
-    the modules are linked once into a `repro.analysis.flow.ProgramGraph`
-    and each program rule sees that.  ``baseline`` entries (see
+    Every rule sees each module.  ``baseline`` entries (see
     `repro.analysis.lint.baseline`) match findings by ``(rule, path)``;
     matched findings are marked ``baselined`` and stop gating the exit
     code.
@@ -353,18 +337,9 @@ def lint_modules(
         return f
 
     findings: List[Finding] = []
-    module_rules = [r for r in active_rules if r.scope == "module"]
     for module in module_list:
-        for r in module_rules:
+        for r in active_rules:
             findings.extend(grandfather(f) for f in r.run(module))
-    program_rules = [r for r in active_rules if r.scope == "program"]
-    if program_rules:
-        # the graph imports this module: link lazily, once per run
-        from repro.analysis.flow.graph import build_program
-
-        program = build_program(module_list)
-        for r in program_rules:
-            findings.extend(grandfather(f) for f in r.run(program))
     allow_rule = next(
         (r for r in active_rules if r.id == ALLOW_RULE_ID), None
     )

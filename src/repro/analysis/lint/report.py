@@ -7,10 +7,10 @@ anything machine-specific: findings are repo-relative and sorted, so
 two clean checkouts produce byte-identical reports — the lint pass
 holds itself to the determinism bar it enforces.
 
-Schema v3 (this version) keeps v2's ``scope`` per rule entry
-(``module`` for per-file rules, ``program`` for whole-program ones) and
-drops v2's top-level ``deep`` flag: every run runs every rule.
-`load_lint_report` validates exactly that shape.
+Schema v4 (this version) drops v3's per-rule ``scope``: every rule
+reads one module, so the field could hold one value only.
+`load_lint_report` validates exactly that shape and rejects v3 and
+earlier.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import List
 from repro.analysis.lint.core import LintResult
 
 LINT_SCHEMA = "repro.lint"
-LINT_SCHEMA_VERSION = 3
+LINT_SCHEMA_VERSION = 4
 
 
 class LintReportError(ValueError):
@@ -29,13 +29,8 @@ class LintReportError(ValueError):
 
 def lint_json_doc(result: LintResult) -> dict:
     """The versioned machine-readable report for one lint run."""
-    rules = {}
-    for r in result.rules:
-        rules[r.id] = {
-            "severity": r.severity,
-            "title": r.title,
-            "scope": r.scope,
-        }
+    rules = {r.id: {"severity": r.severity, "title": r.title}
+             for r in result.rules}
     return {
         "schema": LINT_SCHEMA,
         "schema_version": LINT_SCHEMA_VERSION,
@@ -65,8 +60,7 @@ def lint_json_doc(result: LintResult) -> dict:
 
 
 def load_lint_report(doc: dict) -> dict:
-    """Validate a ``repro.lint`` report (per-rule ``scope``) and
-    return it."""
+    """Validate a ``repro.lint`` report and return it."""
     if not isinstance(doc, dict) or doc.get("schema") != LINT_SCHEMA:
         raise LintReportError(
             f"not a {LINT_SCHEMA} document: schema="
@@ -81,11 +75,6 @@ def load_lint_report(doc: dict) -> dict:
     for key in ("rules", "files_scanned", "counts", "findings", "exit_code"):
         if key not in doc:
             raise LintReportError(f"lint report missing {key!r}")
-    for rid, entry in doc["rules"].items():
-        if "scope" not in entry:
-            raise LintReportError(
-                f"lint report rule {rid!r} missing 'scope'"
-            )
     return dict(doc)
 
 

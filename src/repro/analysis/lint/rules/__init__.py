@@ -12,16 +12,15 @@ rationale lives in docs/LINT.md.
 ``SIM002``  direct engine construction bypassing `repro.sim.backends`
 ``OBS001``  unbounded raw-sample accumulation in the telemetry plane
 ``ALLOW001``  stale or unknown `# repro: allow[...]` suppressions
-``NET001``  blocking calls reachable from `repro.net` coroutines
 =========  ==========================================================
 
-NET001 is the one ``scope="program"`` rule: its check reads the
-`repro.analysis.flow.ProgramGraph` the engine links once per run.
+Every rule reads one module.  A blocking call inside a `repro.net`
+coroutine is a run-time fact, so a run-time guard catches it instead
+(the audit hook in ``tests/net/conftest.py``).
 """
 
 import repro.analysis.lint.rules.determinism  # noqa: F401
 import repro.analysis.lint.rules.hygiene  # noqa: F401
 import repro.analysis.lint.rules.layering  # noqa: F401
-import repro.analysis.lint.rules.netflow  # noqa: F401
 import repro.analysis.lint.rules.obs  # noqa: F401
 import repro.analysis.lint.rules.semantics  # noqa: F401

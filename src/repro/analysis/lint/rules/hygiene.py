@@ -12,7 +12,7 @@ is a finding too.
 The detection is not a per-module AST walk: whether an allow is *used*
 depends on which rules ran and what they found, so it runs as a
 post-pass inside `lint_modules` (see ``_unused_allow_findings``) after
-the findings of both scopes exist.  This module only
+every other rule's findings exist.  This module only
 registers the id/severity/title so the registry, report, docs table,
 and drift tests treat ALLOW001 like any other rule."""
 

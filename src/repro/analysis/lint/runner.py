@@ -70,7 +70,7 @@ def run_lint(
     registered rule set (or ``rules``), honouring the baseline at
     ``baseline_path`` (default: ``<repo>/LINT_BASELINE.json``; a
     missing baseline file simply grandfathers nothing).  One parse
-    feeds the module rules and the program graph alike."""
+    feeds every rule."""
     # the rules package registers on import; pulling it here keeps
     # `from repro.analysis.lint.runner import run_lint` self-contained
     import repro.analysis.lint.rules  # noqa: F401

@@ -41,9 +41,9 @@ def main(argv: Optional[List[str]] = None,
                              "N distinct requests (forces client retries; "
                              "the retransmit must hit the dedup cache)")
     args = parser.parse_args(argv)
-    node = NodeServer(args.name, drop_first=args.drop_first)
     with suppress(KeyboardInterrupt):  # interactive teardown
-        asyncio.run(node.serve(socket_path=args.socket, port=args.tcp))
+        asyncio.run(NodeServer(args.name, drop_first=args.drop_first)
+                    .serve(socket_path=args.socket, port=args.tcp))
     return 0
 
 

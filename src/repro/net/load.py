@@ -18,6 +18,11 @@ events:
 * a refused or reset connection is crash detection: no timeout is
   waited, the client fails over immediately.
 
+A client's id on the wire names its run as well as its index, so a
+second run against a node that is still up executes afresh instead of
+being replayed from the first run's dedup windows; a client that
+finishes says ``__bye__`` and the node drops its window.
+
 Client-observed **exactly-once** is an accounting identity the E17
 bench machine-checks: ``completed + exhausted == issued``, each
 completed request matched to exactly one reply, with the server-side
@@ -43,7 +48,7 @@ from repro.net.frames import (
     pack_frame,
     read_frame,
 )
-from repro.net.server import STATS_OP
+from repro.net.server import BYE_OP, STATS_OP
 from repro.obs.hist import StreamingHistogram
 
 #: wall-clock knobs suited to a loaded asyncio loop (the simulator's
@@ -90,23 +95,25 @@ async def _open(endpoint: str) -> Tuple[asyncio.StreamReader,
 class _Client:
     """One client coroutine's connection + recovery state.
 
-    ``cid`` is the client's identity on the wire: every request carries
-    it as the frame's ``sighash``, and the node keys its dedup window
-    for this client on it (`repro.net.server`).  Seqs run 1, 2, 3, ...
-    per client, so a retry of the request in flight is always inside
-    that window."""
+    ``sighash`` is the client's identity on the wire: its run's nonce
+    in the high 32 bits and its index in the low 32.  Every request
+    carries it, and the node keys its dedup window for this client on
+    it (`repro.net.server`).  Seqs run 1, 2, 3, ... per client, so a
+    retry of the request in flight is always inside that window; a
+    later run is a new client, not a retransmission of this one."""
 
-    __slots__ = ("cid", "endpoints", "addr_idx", "reader", "writer")
+    __slots__ = ("sighash", "endpoints", "addr_idx", "reader", "writer")
 
-    def __init__(self, cid: int, endpoints: List[str]) -> None:
-        self.cid = cid
+    def __init__(self, sighash: int, endpoints: List[str]) -> None:
+        self.sighash = sighash
         self.endpoints = endpoints
         self.addr_idx = 0  # sticky: failover advances, never returns
-        self.reader: Optional[asyncio.StreamReader] = None
-        self.writer: Optional[asyncio.StreamWriter] = None
+        self.reader = self.writer = None  # the connection, once opened
 
-    def _drop_connection(self) -> None:
+    def _drop_connection(self, last: bytes = b"") -> None:
+        """Close the connection, if any, after writing ``last`` on it."""
         if self.writer is not None:
+            self.writer.write(last)
             self.writer.close()
         self.reader = self.writer = None
 
@@ -164,7 +171,7 @@ class _Client:
             report.issued += 1
             frame = pack_frame(encode_frame(WireMessage(
                 kind=MsgKind.REQUEST, seq=seq, opname="ping",
-                sighash=self.cid, payload=payload, sent_at=0.0,
+                sighash=self.sighash, payload=payload, sent_at=0.0,
             )))
             t0 = perf_counter()
             while not await self._exchange(frame, seq, policy, report):
@@ -178,15 +185,23 @@ class _Client:
             else:
                 report.completed += 1
                 report.rtt.record((perf_counter() - t0) * 1000.0)
-        self._drop_connection()
+        # finished: the node may drop this client's window
+        self._drop_connection(pack_frame(encode_frame(WireMessage(
+            kind=MsgKind.REQUEST, seq=0, opname=BYE_OP,
+            sighash=self.sighash, sent_at=0.0,
+        ))))
 
 
 async def _run_load(endpoints: List[str], clients: int, requests: int,
                     payload_bytes: int, policy: RecoveryPolicy,
                     report: LoadReport) -> None:
     payload = b"x" * payload_bytes
+    # the run's nonce: a node still up from an earlier run must not
+    # read this run's seqs as that run's retransmissions
+    nonce = int.from_bytes(os.urandom(4), "big") << 32  # repro: allow[DET001] — a real node outlives a run, so the run's identity comes from entropy
     tasks = [
-        _Client(cid, list(endpoints)).run(requests, payload, policy, report)
+        _Client(nonce | cid, list(endpoints)).run(requests, payload,
+                                                   policy, report)
         for cid in range(clients)
     ]
     await asyncio.gather(*tasks)
@@ -218,9 +233,7 @@ def query_stats(endpoint: str) -> dict:
             writer.write(pack_frame(encode_frame(WireMessage(
                 kind=MsgKind.REQUEST, seq=0, opname=STATS_OP, sent_at=0.0,
             ))))
-            await writer.drain()
-            reply = decode_frame(await read_frame(reader))
-            return json.loads(reply.payload.decode("utf-8"))
+            return json.loads(decode_frame(await read_frame(reader)).payload)
         finally:
             writer.close()
 

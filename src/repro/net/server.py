@@ -6,11 +6,12 @@ TCP socket.  Semantics are the paper's server half, reduced to what
 the E17 measurements need:
 
 * a REQUEST executes **at most once per server**.  On this path the
-  frame's ``sighash`` is the *client id* (`repro.net.load` and the
-  benchmark's generator both send ``sighash=cid``), and it keys one
-  dedup window per client: a `repro.core.links.SeqWindow`, the table
-  the simulated runtime keeps per end, holding the replies to that
-  client's last `REPLY_CACHE_LIMIT` seqs.  A retransmission inside the
+  frame's ``sighash`` is the *client id* (`repro.net.load` puts its
+  run's nonce beside the client's index, so an id names one client of
+  one run), and it keys one dedup window per client: a
+  `repro.core.links.SeqWindow`, the table the simulated runtime keeps
+  per end, holding the replies to that client's last
+  `REPLY_CACHE_LIMIT` seqs.  A retransmission inside the
   window replays the cached reply bytes instead of re-executing (the
   `duplicates` stat is the proof that retransmissions happened and
   were absorbed).  One *left* of the window — at or below its
@@ -19,8 +20,11 @@ the E17 measurements need:
   would break at-most-once, so the client's bounded retry reports it
   exhausted, as `LynxRuntimeBase._consume_request` drops a copy left
   of an end's ``served`` window.  A node keeps O(clients x
-  window) replies, not O(requests served); the table of clients itself
-  is not bounded, because a client id is all the node knows;
+  window) replies, not O(requests served);
+* a finished client sends ``__bye__`` last on its connection, and the
+  node drops its window without counting or answering it.  Windows of
+  clients that died or failed over stay: a client id is all the node
+  knows;
 * ``--drop-first N`` makes the first arrival of the first ``N``
   distinct requests execute but *withholds the reply*, deterministically
   forcing the client's wall-clock timeout/retry path so a test run can
@@ -66,6 +70,9 @@ from repro.net.frames import (
 
 #: the control operation answered with the server's counters
 STATS_OP = "__stats__"
+#: the control operation a finished client sends last: the node drops
+#: its window and answers nothing
+BYE_OP = "__bye__"
 
 #: stdout handshake line, watched by `repro.net.supervisor`
 READY_PREFIX = "REPRO-NET READY"
@@ -106,6 +113,11 @@ class NodeServer:
         or None when the reply is deliberately withheld or has expired."""
         if req.opname == STATS_OP:
             return self._reply_to(req, json.dumps(self.stats()).encode())
+        if req.opname == BYE_OP:
+            # no frame of the client's run can follow its bye on this
+            # connection, so no retransmission can need the window
+            self.windows.pop(req.sighash, None)
+            return None
         self.requests_seen += 1
         seq = req.seq
         window = self.windows[req.sighash]

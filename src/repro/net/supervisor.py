@@ -23,7 +23,7 @@ import subprocess
 import sys
 import tempfile
 from time import monotonic  # repro: allow[DET001] — wall-clock spawn deadlines for real OS processes
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 from repro.net.server import READY_PREFIX
 
@@ -40,17 +40,15 @@ class SpawnFailed(TransportUnavailable):
     """A node process died or stalled before announcing readiness."""
 
 
-class NodeProcess:
+class NodeProcess(NamedTuple):
     """One supervised node: the Popen handle plus its endpoint."""
 
-    def __init__(self, name: str, proc: subprocess.Popen,
-                 endpoint: str, stderr_path: str) -> None:
-        self.name = name
-        self.proc = proc
-        #: UDS path, or ``host:port`` when serving TCP
-        self.endpoint = endpoint
-        #: file the node's stderr goes to; lives until `stop_all`
-        self.stderr_path = stderr_path
+    name: str
+    proc: subprocess.Popen
+    #: UDS path, or ``host:port`` when serving TCP
+    endpoint: str
+    #: file the node's stderr goes to; lives until `stop_all`
+    stderr_path: str
 
 
 def _await_ready(proc: subprocess.Popen, deadline_s: float) -> str:
@@ -109,10 +107,8 @@ class NodeSupervisor:
         src_dir = os.path.dirname(os.path.dirname(
             os.path.abspath(repro.__file__)
         ))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src_dir + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src_dir, os.environ.get("PYTHONPATH"))))}
         bind = (["--tcp", "0"] if tcp else
                 ["--socket", os.path.join(self._socket_dir(), f"{name}.sock")])
         cmd = [sys.executable, "-m", "repro.net", "--name", name, *bind,

@@ -49,7 +49,8 @@ def test_lint_json_stdout_matches_golden_schema(capsys):
     assert sorted(doc["rules"]) == golden["rule_ids"]
     for entry in doc["rules"].values():
         assert sorted(entry) == golden["rule_keys"]
-    assert doc["findings"], "fixture dir must produce findings"
+    # the fixture directory seeds a finding for every rule
+    assert {f["rule"] for f in doc["findings"]} == set(golden["rule_ids"])
     for f in doc["findings"]:
         assert sorted(f) == golden["finding_keys"]
     assert doc["exit_code"] == 1
@@ -110,9 +111,8 @@ def test_lint_suppressions_visible_in_text_summary(capsys):
 
 
 def test_lint_deep_shipped_tree_exits_zero(capsys):
-    """The acceptance bar: the full pass — every rule, the
-    whole-program ones included — over src/ is clean with the shipped
-    (empty) baseline, inside a wall budget generous next to its ~2.5 s
+    """The acceptance bar: the full pass — every rule — over src/ is
+    clean with the shipped (empty) baseline, inside a wall budget generous next to its ~2.5 s
     and tight enough to catch an accidentally quadratic rule before
     the analysis becomes the slow stage."""
     from repro.analysis.lint import registered_rules
@@ -134,25 +134,11 @@ def test_lint_deep_flag_is_gone(capsys):
     assert "--deep" in capsys.readouterr().err
 
 
-def test_lint_deep_json_report_carries_scope(capsys):
-    """Every rule entry names its scope: NET001 reads the program
-    graph, every other rule one module."""
-    assert main(["lint", "--json", "-", str(FIXTURES)]) == 1
-    doc = json.loads(capsys.readouterr().out)
-    golden = json.loads(GOLDEN.read_text())
-    scopes = {r: e["scope"] for r, e in doc["rules"].items()}
-    assert sorted(scopes) == golden["rule_ids"]
-    assert scopes["NET001"] == "program"
-    assert {s for r, s in scopes.items() if r != "NET001"} == {"module"}
-    # the fixture directory seeds a finding for every rule
-    assert {f["rule"] for f in doc["findings"]} == set(golden["rule_ids"])
-
-
 def test_lint_report_loader_validates_the_current_shape(capsys):
     """`load_lint_report` returns a well-formed report unchanged and
     rejects everything else — a version-2 document (with its top-level
-    `deep` flag) and one without a per-rule `scope` included: none was
-    ever archived."""
+    `deep` flag) and a version-3 one (with its per-rule `scope`)
+    included: none was ever archived."""
     import pytest
 
     from repro.analysis.lint import LintReportError, load_lint_report
@@ -161,13 +147,13 @@ def test_lint_report_loader_validates_the_current_shape(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert load_lint_report(doc) == doc
 
-    unscoped = {rid: {k: v for k, v in entry.items() if k != "scope"}
-                for rid, entry in doc["rules"].items()}
+    scoped = {rid: {**entry, "scope": "module"}
+              for rid, entry in doc["rules"].items()}
     for broken in (
         {**doc, "schema": "wrong"},
         {**doc, "schema_version": 2, "deep": True},
+        {**doc, "schema_version": 3, "rules": scoped},
         {k: v for k, v in doc.items() if k != "findings"},
-        {**doc, "rules": unscoped},
     ):
         with pytest.raises(LintReportError):
             load_lint_report(broken)

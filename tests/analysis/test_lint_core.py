@@ -25,6 +25,8 @@ from repro.analysis.lint import (
 from repro.analysis.lint.core import lint_modules
 from repro.analysis.lint.runner import LintPathError
 
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+REPO = Path(__file__).resolve().parents[2]
 EXPECTED_RULES = {"DET001", "DET002", "LAY001", "LAY002", "API001", "SIM001"}
 
 
@@ -114,6 +116,79 @@ def test_suppressed_findings_still_reported():
     result = run_lint()
     assert result.exit_code == 0
     assert len(result.suppressed) >= 4  # bench wall clock + profiler
+
+
+# ----------------------------------------------------------------------
+# ALLOW001: the escape hatch polices itself
+# ----------------------------------------------------------------------
+def test_stale_allow_fires_via_full_rule_set():
+    result = run_lint(paths=[FIXTURES / "allow001_bad.py"], root=REPO)
+    assert result.exit_code == 1
+    assert "ALLOW001" in result.fired()
+    [finding] = [f for f in result.findings if f.rule == "ALLOW001"]
+    assert "SIM001" in finding.message
+    assert finding.active
+
+
+def test_used_allow_is_not_convicted(tmp_path):
+    """An allow whose rule genuinely fires on that line is earning its
+    keep: SIM001 reports the site as suppressed, ALLOW001 stays out."""
+    mod = _module(
+        tmp_path,
+        "def late(sent_at, t0):\n"
+        "    return sent_at == t0  # repro: allow[SIM001] probe\n",
+    )
+    result = lint_modules([mod])
+    assert "ALLOW001" not in result.fired()
+    assert any(
+        f.rule == "SIM001" and f.suppressed for f in result.findings
+    )
+
+
+def test_allow_for_rule_that_did_not_run_is_not_judged(tmp_path):
+    """A subset run must not convict an allow that covers a registered
+    rule it left out — the rule never ran, so the allow's finding had
+    no chance to fire.  The same file under every rule *is* judged."""
+    mod = _module(tmp_path, "X = 1  # repro: allow[DET001] left out\n")
+    subset = [r for r in registered_rules() if r.id != "DET001"]
+    assert "ALLOW001" not in lint_modules([mod], rules=subset).fired()
+    assert "ALLOW001" in lint_modules([mod]).fired()
+
+
+def test_allow_naming_an_unregistered_rule_is_a_finding(tmp_path):
+    """A tag naming no registered rule (a typo, or a deleted rule)
+    grants nothing: ALLOW001 says so, on every run that has it."""
+    mod = _module(tmp_path, "X = 1  # repro: allow[SIM004] names no rule\n")
+    [finding] = lint_modules([mod]).findings
+    assert finding.rule == "ALLOW001" and finding.active
+    assert "SIM004" in finding.message and "registered" in finding.message
+
+
+def test_subset_run_without_allow_rule_skips_the_post_pass(tmp_path):
+    mod = _module(tmp_path, "X = 1  # repro: allow[DET001] stale\n")
+    result = lint_modules([mod], rules=[get_rule("DET001")])
+    assert not result.findings
+    assert result.exit_code == 0
+
+
+def test_docstring_mention_of_allow_syntax_is_ignored(tmp_path):
+    mod = _module(
+        tmp_path,
+        '"""Suppress with ``# repro: allow[DET001]`` on the line."""\n'
+        "X = 1\n",
+    )
+    assert "ALLOW001" not in lint_modules([mod]).fired()
+
+
+def test_shipped_tree_is_clean():
+    """`python -m repro lint` over src/ runs every rule and exits 0
+    with the shipped (empty) baseline — the acceptance bar,
+    machine-checked."""
+    result = run_lint(paths=[REPO / "src" / "repro"], root=REPO)
+    assert {r.id for r in result.rules} == {r.id for r in registered_rules()}
+    active = [f for f in result.findings if f.active]
+    assert result.exit_code == 0, [f.location() for f in active]
+    assert not any(f.baselined for f in result.findings)
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,7 @@
 """docs/LINT.md is a contract: the rule catalog must cover the
-registered rule set — module *and* program scope — exactly, every
-documented token must exist in the codebase, and the docs that
-advertise the pass must actually link it — so the doc cannot drift
-from the linter."""
+registered rule set exactly, every documented token must exist in the
+codebase, and the docs that advertise the pass must actually link it —
+so the doc cannot drift from the linter."""
 
 import re
 from pathlib import Path
@@ -63,9 +62,8 @@ def test_doc_states_the_workflows():
 def test_doc_severity_claims_match_registry():
     text = DOC.read_text()
     for r in registered_rules():
-        assert f"| `{r.id}` | {r.severity} | {r.scope} |" in text, (
-            f"{r.id}: catalog row must state severity {r.severity!r} "
-            f"and scope {r.scope!r}"
+        assert f"| `{r.id}` | {r.severity} |" in text, (
+            f"{r.id}: catalog row must state severity {r.severity!r}"
         )
 
 
