@@ -26,12 +26,9 @@ Validates
     `repro.obs.compare.compare_files` and the resulting report must
     match ``tests/obs/golden_compare_schema.json`` — the compare
     format cannot drift without a golden update either;
-  - ``LINT_BASELINE.json``: schema "repro.lint-baseline" version 1,
-    every entry naming a rule of the one lint registry and carrying a
-    non-empty justifying ``note`` (docs/LINT.md);
   - the ``lint`` JSON report: generated in-process over the shipped
     tree and held to ``tests/analysis/golden_lint_schema.json``
-    (version 3: every registered rule ran, and the golden's
+    (version 5: every registered rule ran, and the golden's
     ``rule_ids`` are exactly the registry).
 
 An envelope that changes without a golden-file update (and a schema-
@@ -195,29 +192,9 @@ def check_flight_dump(path: str, errors: List[str]) -> None:
                       "(expected {\"metrics\": ...} on line 2)")
 
 
-def check_lint_baseline(path: str, errors: List[str]) -> None:
-    from repro.analysis.lint import (
-        BaselineError,
-        load_baseline,
-        registered_rules,
-    )
-
-    name = os.path.relpath(path, ROOT)
-    try:
-        entries = load_baseline(path)
-    except BaselineError as exc:
-        errors.append(str(exc))
-        return
-    known = {r.id for r in registered_rules()}
-    for e in entries:
-        if e.rule not in known:
-            errors.append(f"{name}: entry grandfathers unknown rule "
-                          f"{e.rule!r} (registered: {sorted(known)})")
-
-
 def check_lint_report(errors: List[str]) -> None:
     """Generate the ``lint`` report over the shipped tree and hold it
-    to the v4 golden."""
+    to the v5 golden."""
     from repro.analysis.lint import registered_rules, run_lint
     from repro.analysis.lint.report import LINT_SCHEMA_VERSION, lint_json_doc
 
@@ -294,12 +271,6 @@ def main() -> int:
     for path in flight_docs:
         check_flight_dump(path, errors)
 
-    baseline = os.path.join(ROOT, "LINT_BASELINE.json")
-    if not os.path.exists(baseline):
-        errors.append("no LINT_BASELINE.json found at the repo root")
-    else:
-        check_lint_baseline(baseline, errors)
-
     check_lint_report(errors)
 
     if errors:
@@ -308,7 +279,7 @@ def main() -> int:
         return 1
     print(f"check_schema: ok ({len(bench_docs)} bench document(s), "
           f"{len(table_docs)} tables, {len(flight_docs)} flight "
-          f"dump(s), lint baseline, lint report)")
+          f"dump(s), lint report)")
     return 0
 
 

@@ -8,17 +8,15 @@ meaningful) and *layering discipline* (runtimes reach kernels only
 through `repro.core.ports` and the capabilities each backend
 declares).  This package turns both conventions into checked rules,
 Eraser-style: an AST visitor core, a rule registry with per-rule
-severity, ``# repro: allow[RULE]`` inline suppressions, and a
-checked-in baseline (``LINT_BASELINE.json``) for grandfathered
-findings.  One registry holds every rule, each reading one module, and
-every run runs them all.  Blocking calls inside `repro.net`
-coroutines are caught at run time instead, by the audit hook in
-``tests/net/conftest.py``.
+severity, and ``# repro: allow[RULE]`` inline suppressions, each
+policed by ALLOW001.  One registry holds every rule, each reading one
+module, and every run runs them all.  Blocking calls inside
+`repro.net` coroutines are caught at run time instead, by the audit
+hook in ``tests/net/conftest.py``.
 
 Entry points::
 
-    python -m repro lint [--json OUT|-] [--baseline FILE]
-                         [--fix-baseline] [paths...]
+    python -m repro lint [--json OUT|-] [paths...]
 
     from repro.analysis.lint import run_lint
     result = run_lint()            # every rule over <repo>/src/repro
@@ -28,14 +26,6 @@ The rule catalog, suppression workflow and JSON report schema are
 documented in docs/LINT.md (kept honest by a doc-drift test).
 """
 
-from repro.analysis.lint.baseline import (
-    BASELINE_SCHEMA,
-    BASELINE_SCHEMA_VERSION,
-    DEFAULT_BASELINE_NAME,
-    BaselineError,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.lint.core import (
     Finding,
     LintResult,
@@ -65,10 +55,6 @@ from repro.analysis.lint.runner import (
 import repro.analysis.lint.rules  # noqa: F401  (registration side effect)
 
 __all__ = [
-    "BASELINE_SCHEMA",
-    "BASELINE_SCHEMA_VERSION",
-    "BaselineError",
-    "DEFAULT_BASELINE_NAME",
     "Finding",
     "LINT_SCHEMA",
     "LINT_SCHEMA_VERSION",
@@ -81,12 +67,10 @@ __all__ = [
     "get_rule",
     "lint_json_doc",
     "lint_repo_root",
-    "load_baseline",
     "load_lint_report",
     "register_rule",
     "registered_rules",
     "render_text",
     "rule",
     "run_lint",
-    "write_baseline",
 ]

@@ -14,15 +14,15 @@ the offending line (or the line directly above it) silences exactly
 the named rules there and nowhere else.  Suppressed findings are
 still reported (marked ``suppressed``) so the JSON artifact records
 every sanctioned escape hatch; only *active* findings gate the exit
-code.  Grandfathered findings live in the baseline file instead
-(`repro.analysis.lint.baseline`).
+code.  There is no baseline of grandfathered findings: a finding is
+fixed or it is allowed where it fires.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
     Callable,
@@ -57,13 +57,11 @@ class Finding:
     message: str
     #: silenced by an inline allow comment naming this rule
     suppressed: bool = False
-    #: grandfathered by an entry in the baseline file
-    baselined: bool = False
 
     @property
     def active(self) -> bool:
         """Does this finding gate the exit code?"""
-        return not (self.suppressed or self.baselined)
+        return not self.suppressed
 
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"
@@ -221,12 +219,8 @@ class LintResult:
         return [f for f in self.findings if f.suppressed]
 
     @property
-    def baselined(self) -> List[Finding]:
-        return [f for f in self.findings if f.baselined]
-
-    @property
     def exit_code(self) -> int:
-        """Non-zero iff unsuppressed, non-baselined findings exist."""
+        """Non-zero iff unsuppressed findings exist."""
         return 1 if self.active else 0
 
     def fired(self) -> set:
@@ -318,39 +312,23 @@ def _unused_allow_findings(
 def lint_modules(
     modules: Iterable[ModuleInfo],
     rules: Optional[Sequence[Rule]] = None,
-    baseline: Optional[Sequence] = None,
 ) -> LintResult:
-    """Run ``rules`` (default: all registered) over parsed modules.
-
-    Every rule sees each module.  ``baseline`` entries (see
-    `repro.analysis.lint.baseline`) match findings by ``(rule, path)``;
-    matched findings are marked ``baselined`` and stop gating the exit
-    code.
-    """
+    """Run ``rules`` (default: all registered) over parsed modules;
+    every rule sees each module."""
     module_list = list(modules)
     active_rules = tuple(rules) if rules is not None else registered_rules()
-    grandfathered = {(e.rule, e.path) for e in (baseline or ())}
-
-    def grandfather(f: Finding) -> Finding:
-        if not f.suppressed and (f.rule, f.path) in grandfathered:
-            return replace(f, baselined=True)
-        return f
-
     findings: List[Finding] = []
     for module in module_list:
         for r in active_rules:
-            findings.extend(grandfather(f) for f in r.run(module))
+            findings.extend(r.run(module))
     allow_rule = next(
         (r for r in active_rules if r.id == ALLOW_RULE_ID), None
     )
     if allow_rule is not None:
         ran_ids = {r.id for r in active_rules}
-        findings.extend(
-            grandfather(f)
-            for f in _unused_allow_findings(
-                module_list, findings, ran_ids, allow_rule
-            )
-        )
+        findings.extend(_unused_allow_findings(
+            module_list, findings, ran_ids, allow_rule
+        ))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return LintResult(
         findings=findings,

@@ -7,9 +7,10 @@ anything machine-specific: findings are repo-relative and sorted, so
 two clean checkouts produce byte-identical reports — the lint pass
 holds itself to the determinism bar it enforces.
 
-Schema v4 (this version) drops v3's per-rule ``scope``: every rule
-reads one module, so the field could hold one value only.
-`load_lint_report` validates exactly that shape and rejects v3 and
+Schema v5 (this version) drops v4's ``counts.baselined`` and each
+finding's ``baselined``: there is no baseline file, so both could hold
+zero / false only.  (v4 had dropped v3's per-rule ``scope``.)
+`load_lint_report` validates exactly that shape and rejects v4 and
 earlier.
 """
 
@@ -20,7 +21,7 @@ from typing import List
 from repro.analysis.lint.core import LintResult
 
 LINT_SCHEMA = "repro.lint"
-LINT_SCHEMA_VERSION = 4
+LINT_SCHEMA_VERSION = 5
 
 
 class LintReportError(ValueError):
@@ -40,7 +41,6 @@ def lint_json_doc(result: LintResult) -> dict:
             "total": len(result.findings),
             "active": len(result.active),
             "suppressed": len(result.suppressed),
-            "baselined": len(result.baselined),
         },
         "findings": [
             {
@@ -51,7 +51,6 @@ def lint_json_doc(result: LintResult) -> dict:
                 "col": f.col,
                 "message": f.message,
                 "suppressed": f.suppressed,
-                "baselined": f.baselined,
             }
             for f in result.findings
         ],
@@ -92,8 +91,6 @@ def render_text(result: LintResult) -> str:
     )
     if result.suppressed:
         summary += f", {len(result.suppressed)} suppressed"
-    if result.baselined:
-        summary += f", {len(result.baselined)} baselined"
     summary += ")"
     lines.append(summary)
     return "\n".join(lines)

@@ -12,7 +12,6 @@ import os
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.analysis.lint.baseline import DEFAULT_BASELINE_NAME, load_baseline
 from repro.analysis.lint.core import LintResult, ModuleInfo, lint_modules
 
 
@@ -63,14 +62,10 @@ def collect_files(paths: Sequence[Path]) -> List[Path]:
 def run_lint(
     paths: Optional[Sequence] = None,
     root: Optional[Path] = None,
-    baseline_path: Optional[str] = None,
     rules: Optional[Sequence] = None,
 ) -> LintResult:
     """Lint ``paths`` (default: ``<repo>/src/repro``) with the full
-    registered rule set (or ``rules``), honouring the baseline at
-    ``baseline_path`` (default: ``<repo>/LINT_BASELINE.json``; a
-    missing baseline file simply grandfathers nothing).  One parse
-    feeds every rule."""
+    registered rule set (or ``rules``).  One parse feeds every rule."""
     # the rules package registers on import; pulling it here keeps
     # `from repro.analysis.lint.runner import run_lint` self-contained
     import repro.analysis.lint.rules  # noqa: F401
@@ -78,8 +73,5 @@ def run_lint(
     root = Path(root) if root is not None else lint_repo_root()
     targets = [Path(p) for p in paths] if paths else default_paths(root)
     files = collect_files(targets)
-    if baseline_path is None:
-        baseline_path = str(root / DEFAULT_BASELINE_NAME)
-    baseline = load_baseline(baseline_path)
     modules = [ModuleInfo.parse(f, root=root) for f in files]
-    return lint_modules(modules, rules=rules, baseline=baseline)
+    return lint_modules(modules, rules=rules)

@@ -1,9 +1,7 @@
 """Command-line interface: run the paper's workloads without pytest.
 
-    python -m repro compare                 # the three-kernel summary
     python -m repro rpc --kernel soda --payload 1024 --count 10
     python -m repro sweep                   # the E4 crossover sweep
-    python -m repro figure2                 # live figure-2 chart
     python -m repro migrate --kernel soda --hops 8 --loss 0.5
     python -m repro sizes                   # E2's code-size table + the tree's
     python -m repro bench                   # E1..E17, A1..A5 -> BENCH_*.json
@@ -14,6 +12,10 @@
     python -m repro top                     # per-window chaos telemetry
     python -m repro net serve --socket S    # a node: python -m repro.net
     python -m repro net load S --clients N  # wall-clock load generator
+
+The figure-2 chart, the kernel comparison and the Linda bag of tasks
+are the shipped scripts ``examples/figure2.py``,
+``examples/kernel_comparison.py`` and ``examples/linda_bag_of_tasks.py``.
 
 Intended for exploration, except ``bench``: it runs every experiment
 registered in `repro.experiments`, holds each to the paper's claims,
@@ -36,20 +38,9 @@ from repro.analysis.complexity import (
 from repro.analysis.report import Table
 from repro.core.api import (
     kernel_profile,
-    kernel_profiles,
     registered_kernels,
     registered_sim_backends,
 )
-
-
-def _default_kernel(command: str) -> str:
-    """The backend whose profile claims ``command`` (first registered
-    wins; the paper's own pairings: figure2/trace → charlotte,
-    migrate/linda → soda, rpc → chrysalis)."""
-    for profile in kernel_profiles():
-        if command in profile.cli_default_for:
-            return profile.name
-    return registered_kernels()[0]
 
 
 def _cmd_rpc(args) -> int:
@@ -70,24 +61,6 @@ def _cmd_rpc(args) -> int:
     return 0
 
 
-def _cmd_compare(args) -> int:
-    from repro.workloads.rpc import run_rpc_workload
-
-    t = Table(
-        "one LYNX program, every registered kernel",
-        ["kernel", "rpc 0B ms", "rpc 1000B ms", "runtime loc",
-         "runtime branches"],
-    )
-    for kind in registered_kernels():
-        r0 = run_rpc_workload(kind, 0, count=args.count, seed=args.seed)
-        r1 = run_rpc_workload(kind, 1000, count=args.count, seed=args.seed)
-        stats = runtime_package_stats(kind)
-        t.add(kind, r0.mean_ms, r1.mean_ms, stats.kernel_specific_loc,
-              stats.kernel_specific_branches)
-    t.show()
-    return 0
-
-
 def _cmd_sweep(args) -> int:
     from repro.experiments import experiment
 
@@ -98,50 +71,29 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_figure2(args) -> int:
-    from repro.core.api import LINK, Operation, Proc, make_cluster
-
-    n = args.enclosures
-    GIVE = Operation(f"give{n}", tuple([LINK] * n), ())
-
-    class Giver(Proc):
-        def main(self, ctx):
-            (to_taker,) = ctx.initial_links
-            ends = []
-            for _ in range(n):
-                mine, theirs = yield from ctx.new_link()
-                ends.append(theirs)
-            yield from ctx.connect(to_taker, GIVE, tuple(ends))
-
-    class Taker(Proc):
-        def main(self, ctx):
-            (from_giver,) = ctx.initial_links
-            yield from ctx.register(GIVE)
-            yield from ctx.open(from_giver)
-            inc = yield from ctx.wait_request()
-            yield from ctx.reply(inc, ())
-
-    cluster = make_cluster(args.kernel, seed=args.seed)
-    a = cluster.spawn(Giver(), "connector")
-    b = cluster.spawn(Taker(), "accepter")
-    cluster.create_link(a, b)
-    cluster.run_until_quiet()
-    events = set(kernel_profile(args.kernel).trace_events)
-    print(cluster.trace.sequence_chart(
-        ["connector", "accepter"], events=events, link=1, width=34
-    ))
-    return 0
+#: ``migrate`` flag -> the cluster keyword it sets (SODA's, today)
+_MIGRATE_KNOBS = {"loss": "broadcast_loss", "cache": "cache_size"}
 
 
 def _cmd_migrate(args) -> int:
+    from inspect import signature
+
     from repro.workloads.migration import run_dormant_migration
 
-    profile = kernel_profile(args.kernel)
-    extras = {kwarg: getattr(args, attr)
-              for attr, kwarg in profile.cli_migrate_extras.items()}
+    knobs = {kwarg: getattr(args, flag)
+             for flag, kwarg in _MIGRATE_KNOBS.items()
+             if getattr(args, flag) is not None}
+    # a kernel has a knob when its cluster constructor names it
+    named = signature(kernel_profile(args.kernel).load_cluster()).parameters
+    lacking = [f"--{flag}" for flag, kwarg in _MIGRATE_KNOBS.items()
+               if kwarg in knobs and kwarg not in named]
+    if lacking:
+        print(f"repro migrate: {args.kernel} has no cluster knob for "
+              f"{' / '.join(lacking)}", file=sys.stderr)
+        return 2
     d = run_dormant_migration(
         args.kernel, members=args.members, hops=args.hops, seed=args.seed,
-        **extras,
+        **knobs,
     )
     t = Table(
         f"dormant-link migration on {args.kernel} "
@@ -154,46 +106,6 @@ def _cmd_migrate(args) -> int:
         # capability-conditional keys are *absent* (not None) on
         # kernels whose digest does not produce them
         t.add(key, d[key] if key in d else "(n/a)")
-    t.show()
-    return 0
-
-
-def _cmd_linda(args) -> int:
-    from repro.linda import ANY, make_linda
-
-    system = make_linda(args.kernel, seed=args.seed)
-    results = []
-
-    def master(c):
-        for i in range(args.tasks):
-            yield from c.out(("task", i))
-        for _ in range(args.tasks):
-            results.append((yield from c.take(("result", ANY, ANY))))
-        for _ in range(args.workers):
-            yield from c.out(("task", -1))
-        yield from c.close()
-
-    def worker(c):
-        while True:
-            _, n = yield from c.take(("task", ANY))
-            if n < 0:
-                break
-            yield from c.out(("result", n, n * n))
-        yield from c.close()
-
-    system.spawn(master(system.client("master")), "master")
-    for i in range(args.workers):
-        system.spawn(worker(system.client(f"w{i}")), f"w{i}")
-    system.run_until_quiet()
-    t = Table(
-        f"mini-Linda bag of tasks on {args.kernel} "
-        f"({args.tasks} tasks, {args.workers} workers)",
-        ["quantity", "value"],
-    )
-    t.add("results collected", len(results))
-    t.add("takes that blocked",
-          system.metrics.get("linda.blocked_waiters"))
-    t.add("simulated ms", system.engine.now)
     t.show()
     return 0
 
@@ -274,8 +186,6 @@ def _trace_graph(args):
 def _cmd_trace(args) -> int:
     from repro.obs.causal import chrome_trace_json, waterfall
 
-    if args.selftest:
-        return _trace_selftest()
     graph, label = _trace_graph(args)
     tids = graph.traces()
     if not tids:
@@ -312,44 +222,6 @@ def _cmd_trace(args) -> int:
                   ms / total if total else 0.0)
         t.add("(total)", total, total / len(tids), 1.0)
         t.show()
-    return 0
-
-
-def _trace_selftest() -> int:
-    """Smoke-check the whole causal pipeline on every registered kernel."""
-    import json as _json
-
-    from repro.obs.causal import CausalGraph, chrome_trace_json, waterfall
-    from repro.workloads.rpc import run_rpc_workload
-
-    failures = []
-    for kind in registered_kernels():
-        r = run_rpc_workload(kind, 64, count=3, seed=0)
-        graph = CausalGraph.from_trace(r.trace)
-        tids = graph.traces()
-        if len(tids) != 4:  # 3 measured + 1 warm-up
-            failures.append(f"{kind}: expected 4 traces, got {len(tids)}")
-            continue
-        for tid in tids:
-            if not graph.is_tree(tid):
-                failures.append(f"{kind}: trace {tid} is not a tree")
-            segs = graph.critical_path(tid)
-            root = graph.root(tid)
-            covered = sum(s.duration for s in segs)
-            if abs(covered - root.duration) > 1e-9:
-                failures.append(
-                    f"{kind}: trace {tid} critical path covers "
-                    f"{covered} != rtt {root.duration}"
-                )
-        _json.loads(chrome_trace_json(graph))
-        waterfall(graph, tids[-1])
-        print(f"trace selftest: {kind} ok "
-              f"({len(graph.spans)} spans, {len(tids)} traces)")
-    if failures:
-        for f in failures:
-            print(f"trace selftest FAILED: {f}", file=sys.stderr)
-        return 1
-    print("trace selftest: all kernels ok")
     return 0
 
 
@@ -538,38 +410,13 @@ def _cmd_lint(args) -> int:
         lint_json_doc,
         render_text,
         run_lint,
-        write_baseline,
     )
-    from repro.analysis.lint.baseline import BaselineError
-    from repro.analysis.lint.runner import lint_repo_root
 
     try:
-        result = run_lint(paths=args.paths or None,
-                          baseline_path=args.baseline)
-    except (LintPathError, BaselineError) as exc:
+        result = run_lint(paths=args.paths or None)
+    except LintPathError as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
-    if args.fix_baseline:
-        from repro.analysis.lint.baseline import (
-            DEFAULT_BASELINE_NAME,
-            load_baseline,
-        )
-
-        path = args.baseline or str(lint_repo_root() / DEFAULT_BASELINE_NAME)
-        keep = {(e.rule, e.path): e.note for e in load_baseline(path)}
-        doc = write_baseline(path, result.findings, keep=keep)
-        print(f"wrote {path} "
-              f"({len(doc['entries'])} grandfathered finding(s))")
-        # the baseline may only shrink: entries whose finding no longer
-        # fires are pruned from the file above, and their presence is an
-        # error — a fixed finding must take its grandfather clause with
-        # it, not leave a rule-shaped hole for regressions to hide in
-        current = {(e["rule"], e["path"]) for e in doc["entries"]}
-        orphaned = sorted(k for k in keep if k not in current)
-        for rule_id, rel_path in orphaned:
-            print(f"pruned orphaned baseline entry: {rule_id} at "
-                  f"{rel_path} (finding no longer fires)")
-        return 1 if orphaned else 0
     if args.json is not None:
         payload = _json.dumps(lint_json_doc(result), indent=2,
                               sort_keys=True)
@@ -656,48 +503,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rpc", help="run the simple-remote-operation workload")
     p.add_argument("--kernel", choices=registered_kernels(),
-                   default=_default_kernel("rpc"))
+                   default="chrysalis")
     p.add_argument("--payload", type=int, default=0,
                    help="bytes each way (paper used 0 and 1000)")
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_rpc)
 
-    p = sub.add_parser("compare", help="three-kernel summary table")
-    p.add_argument("--count", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_compare)
-
     p = sub.add_parser("sweep", help="Charlotte-vs-SODA payload sweep (E4)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_sweep)
 
-    p = sub.add_parser("figure2", help="live message-sequence chart")
-    p.add_argument("--kernel", choices=registered_kernels(),
-                   default=_default_kernel("figure2"))
-    p.add_argument("--enclosures", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_figure2)
-
     p = sub.add_parser("migrate", help="dormant-link migration + repair")
     p.add_argument("--kernel", choices=registered_kernels(),
-                   default=_default_kernel("migrate"))
+                   default="soda")
     p.add_argument("--members", type=int, default=3)
     p.add_argument("--hops", type=int, default=5)
-    p.add_argument("--loss", type=float, default=0.0,
-                   help="SODA broadcast loss probability")
-    p.add_argument("--cache", type=int, default=64,
-                   help="SODA moved-link cache size")
+    p.add_argument("--loss", type=float, default=None,
+                   help="SODA broadcast loss probability (SODA only)")
+    p.add_argument("--cache", type=int, default=None,
+                   help="SODA moved-link cache size (SODA only)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_migrate)
-
-    p = sub.add_parser("linda", help="the second language: bag of tasks")
-    p.add_argument("--kernel", choices=registered_kernels(),
-                   default=_default_kernel("linda"))
-    p.add_argument("--tasks", type=int, default=8)
-    p.add_argument("--workers", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_linda)
 
     p = sub.add_parser(
         "chaos",
@@ -757,13 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", default=None, metavar="OUT",
                    help="write the repro.lint JSON report "
                         "('-' for stdout)")
-    p.add_argument("--baseline", default=None, metavar="FILE",
-                   help="baseline file (default: LINT_BASELINE.json "
-                        "at the repo root)")
-    p.add_argument("--fix-baseline", action="store_true",
-                   help="rewrite the baseline from current findings; "
-                        "prunes entries whose finding no longer fires "
-                        "and exits non-zero when any were orphaned")
     p.set_defaults(fn=_cmd_lint)
 
     p = sub.add_parser(
@@ -776,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run a quick partitioned chaos workload with a "
                         "flight recorder attached and inspect its dumps")
     p.add_argument("--kernel", choices=registered_kernels(),
-                   default=_default_kernel("chaos"),
+                   default="charlotte",
                    help="backend for --demo")
     p.add_argument("--sim-backend", choices=registered_sim_backends(),
                    default="global",
@@ -794,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
              "time (repro.obs.timeseries)",
     )
     p.add_argument("--kernel", choices=registered_kernels(),
-                   default=_default_kernel("chaos"))
+                   default="charlotte")
     p.add_argument("--scenario",
                    choices=("partition", "lossy", "clean", "scale"),
                    default="partition")
@@ -855,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="causal span tracing: critical-path latency attribution",
     )
     p.add_argument("--kernel", choices=registered_kernels(),
-                   default=_default_kernel("trace"))
+                   default="charlotte")
     p.add_argument("--payload", type=int, default=0,
                    help="bytes each way for the traced RPC workload")
     p.add_argument("--count", type=int, default=5)
@@ -872,9 +692,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--by-layer", action="store_true",
                    help="print the per-layer attribution table "
                         "(default when no other output is selected)")
-    p.add_argument("--selftest", action="store_true",
-                   help="smoke-check span trees, critical-path "
-                        "coverage and the Chrome export on all kernels")
     p.set_defaults(fn=_cmd_trace)
 
     return parser

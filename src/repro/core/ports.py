@@ -14,9 +14,8 @@ Two things live here:
 
 `KernelProfile` + the registry
     one entry per backend: a lazy cluster factory, capability /
-    divergence flags, trace-event vocabulary and everything the CLI /
-    workloads / benches previously derived from
-    ``if kind == "charlotte"`` string comparisons.  New backends
+    divergence flags and everything the workloads / benches previously
+    derived from ``if kind == "charlotte"`` string comparisons.  New backends
     register here and every layer above — `make_cluster`, the CLI,
     the conformance suite, the benches, the E2 complexity table —
     picks them up without modification.
@@ -31,7 +30,7 @@ walkthrough.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -259,8 +258,6 @@ class KernelProfile:
     #: dotted module paths of the kernel-specific runtime half,
     #: measured by the E2 complexity bench
     runtime_modules: Tuple[str, ...]
-    #: trace-event names that make a useful sequence chart (figure 2)
-    trace_events: frozenset
     #: kernel-specific metric prefixes (``charlotte.*`` etc.); digest
     #: keys in these namespaces are emitted only for backends that
     #: declare the namespace
@@ -268,10 +265,6 @@ class KernelProfile:
     #: multiplier for conformance-scenario timings (fast kernels use
     #: small scales so scenario races land in the same regime)
     time_scale: float = 1.0
-    #: CLI subcommands whose ``--kernel`` defaults to this backend
-    cli_default_for: Tuple[str, ...] = ()
-    #: argparse attribute -> cluster kwarg, forwarded by ``migrate``
-    cli_migrate_extras: Mapping[str, str] = field(default_factory=dict)
     #: zero-arg lazy loader returning this backend's Linda adapter
     #: class, or None when no second-language port exists
     linda_adapter: Optional[Callable[[], type]] = None
@@ -416,9 +409,7 @@ register_kernel(KernelProfile(
         recovery_placement="kernel",
     ),
     runtime_modules=("repro.charlotte.runtime",),
-    trace_events=frozenset({"packet"}),
     metric_namespaces=frozenset({"charlotte"}),
-    cli_default_for=("figure2", "trace"),
     raw_rpc=_charlotte_raw,
     linda_adapter=_charlotte_linda,
 ))
@@ -435,10 +426,7 @@ register_kernel(KernelProfile(
         detects_processor_failure=True,
     ),
     runtime_modules=("repro.soda.runtime", "repro.soda.freeze"),
-    trace_events=frozenset({"send"}),
     metric_namespaces=frozenset({"soda", "freeze"}),
-    cli_default_for=("migrate", "linda"),
-    cli_migrate_extras={"loss": "broadcast_loss", "cache": "cache_size"},
     raw_rpc=_soda_raw,
     linda_adapter=_soda_linda,
 ))
@@ -455,10 +443,8 @@ register_kernel(KernelProfile(
         detects_processor_failure=False,
     ),
     runtime_modules=("repro.chrysalis.runtime", "repro.chrysalis.linkobject"),
-    trace_events=frozenset({"send"}),
     metric_namespaces=frozenset({"chrysalis"}),
     time_scale=0.05,
-    cli_default_for=("rpc",),
     raw_rpc=_chrysalis_raw,
     linda_adapter=_chrysalis_linda,
 ))
@@ -475,7 +461,6 @@ register_kernel(KernelProfile(
         detects_processor_failure=True,
     ),
     runtime_modules=("repro.ideal.runtime", "repro.ideal.kernel"),
-    trace_events=frozenset({"send"}),
     metric_namespaces=frozenset({"ideal"}),
     time_scale=0.05,
 ))
@@ -492,7 +477,6 @@ register_kernel(KernelProfile(
         detects_processor_failure=True,
     ),
     runtime_modules=("repro.net.ideal_framed",),
-    trace_events=frozenset({"send"}),
     metric_namespaces=frozenset({"net"}),
     time_scale=0.05,
 ))

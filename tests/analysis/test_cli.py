@@ -16,30 +16,49 @@ def test_rpc_command(capsys):
     assert "chrysalis" in out and "mean ms" in out
 
 
-def test_compare_command(capsys):
-    assert main(["compare", "--count", "2"]) == 0
-    out = capsys.readouterr().out
-    for kind in ("charlotte", "soda", "chrysalis"):
-        assert kind in out
-
-
-def test_figure2_command(capsys):
-    assert main(["figure2", "--enclosures", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "goahead" in out and out.count("enc") >= 2
-
-
-def test_figure2_on_chrysalis_has_no_protocol(capsys):
-    assert main(["figure2", "--kernel", "chrysalis"]) == 0
-    out = capsys.readouterr().out
-    assert "goahead" not in out
-    assert "request" in out and "reply" in out
-
-
 def test_migrate_command(capsys):
     assert main(["migrate", "--kernel", "chrysalis", "--hops", "3"]) == 0
     out = capsys.readouterr().out
     assert "repair_latency_ms" in out
+
+
+@pytest.mark.parametrize("flag", [["--loss", "0.9"], ["--cache", "1"]])
+@pytest.mark.parametrize("kind", [k for k in registered_kernels()
+                                  if k != "soda"])
+def test_migrate_rejects_a_knob_the_kernel_lacks(kind, flag, capsys):
+    """`--loss` and `--cache` set SODA's cluster; on any other kernel
+    the flag is refused by name instead of dropped."""
+    assert main(["migrate", "--kernel", kind, "--hops", "3", *flag]) == 2
+    captured = capsys.readouterr()
+    assert flag[0] in captured.err and kind in captured.err
+    assert captured.out == ""
+
+
+def test_migrate_forwards_the_knobs_soda_has(capsys):
+    """Unset, SODA's knobs keep its cluster defaults; set, they reach
+    the cluster."""
+    def table(*flags):
+        assert main(["migrate", "--kernel", "soda", "--hops", "8",
+                     *flags]) == 0
+        return capsys.readouterr().out
+
+    plain, uncached = table(), table("--cache", "0")
+    assert table("--loss", "0.0", "--cache", "64") == plain
+    assert uncached != plain  # no hint cache: the use must discover
+    assert table("--loss", "0.9", "--cache", "0") != uncached
+
+
+@pytest.mark.parametrize("argv", [["figure2"], ["linda"], ["compare"],
+                                  ["trace", "--selftest"]])
+def test_commands_the_examples_and_tests_own_are_gone(argv, capsys):
+    """`examples/figure2.py`, `examples/linda_bag_of_tasks.py` and
+    `examples/kernel_comparison.py` (run by tests/examples) and
+    tests/obs/test_causal.py (every registered kernel) are their one
+    home."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert argv[-1] in capsys.readouterr().err
 
 
 def test_sizes_command(capsys):
@@ -62,15 +81,6 @@ def test_sweep_command(capsys):
     assert _main(["sweep"]) == 0
     out = capsys.readouterr().out
     assert "charlotte" in out and "soda" in out
-
-
-def test_linda_command(capsys):
-    from repro.cli import main as _main
-
-    assert _main(["linda", "--kernel", "chrysalis", "--tasks", "4",
-                  "--workers", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "results collected" in out
 
 
 def test_trace_by_layer_default(capsys):
@@ -106,12 +116,6 @@ def test_trace_chrome_export_and_jsonl_reload(tmp_path, capsys):
     assert main(["trace", "--jsonl", str(jsonl), "--by-layer"]) == 0
     out = capsys.readouterr().out
     assert "critical-path latency by layer" in out
-
-
-def test_trace_selftest_command(capsys):
-    assert main(["trace", "--selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "all kernels ok" in out
 
 
 def test_flight_demo_writes_and_describes_dumps(tmp_path, capsys):

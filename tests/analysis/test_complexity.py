@@ -81,9 +81,9 @@ def test_comparison_reproduces_paper_ordering():
 #: ROADMAP item 3's tree-wide size budget, one row per area of
 #: `repro.analysis.complexity.SIZE_AREAS` — between them every module
 #: of `src/repro`: `analyze_module` logical lines and branches summed
-#: over the row's modules, as the PR that shrank it left them.  Like
-#: LINT_BASELINE.json it only ratchets down, so lower a row when a
-#: change shrinks the code and do not raise one to admit growth.
+#: over the row's modules, as the PR that shrank it left them.  It
+#: only ratchets down, so lower a row when a change shrinks the code
+#: and do not raise one to admit growth.
 #: `python -m repro sizes` prints the current numbers.
 SIZE_BUDGETS = {
     # PR 13: one Engine, three drain policies (before: 733 / 215)
@@ -158,7 +158,9 @@ SIZE_BUDGETS = {
     # traceback (+9 / +1) are paid by the unread `LynxThread.result` /
     # `error`, the uncalled `ProcessHandle.crashed` and the `Protocol`
     # import fallback no supported Python needs (before: 1,715 / 326)
-    "core": (1714, 324),
+    # `KernelProfile` drops `trace_events`, `cli_default_for` and
+    # `cli_migrate_extras`, which only the CLI read (before: 1,714 / 324)
+    "core": (1711, 324),
     # PR 19: the version-1 trace reader goes (before: 674 / 128)
     # PR 20: a wait is one bound listener — `Task._wait_on`, `_fire`,
     # `fail_later` / `_safe_fail` go, `TraceLog.record` comes
@@ -186,12 +188,17 @@ SIZE_BUDGETS = {
     # `--deep` (before: 1,721 / 677)
     # `ProgramGraph.main_calls`, read by no rule, goes (before: 1,145 / 405)
     # NET001, its call graph and the program scope go (before: 1,137 / 400)
-    "analysis": (792, 273),
+    # the lint baseline goes: inline allows, policed by ALLOW001, do its
+    # job (before: 792 / 273)
+    "analysis": (722, 249),
     # PR 19: first budgeted — 468 / 88 plus the area table of `sizes`
     # `net serve` forwards to the node's own parser, and argparse's
     # required group replaces the hand check (before: 472 / 89)
     # `lint --deep` goes: every run runs every rule (before: 465 / 88)
-    "cli": (464, 88),
+    # `figure2`, `linda` and `compare` (the shipped examples' job),
+    # `trace --selftest` (test_causal's) and the lint baseline flags go
+    # (before: 464 / 88)
+    "cli": (337, 65),
     # PR 19: set at their size then, not yet lowered
     # charlotte and chrysalis: the `first_of` imports, Charlotte's
     # `if ...: pass` and its second unreceived-count write go

@@ -1,7 +1,6 @@
 """Tests for ``python -m repro lint``: exit codes, the JSON report
-(checked against the golden schema the same way BENCH docs are), the
-baseline workflow, and the path-error convention shared with
-``bench --only``."""
+(checked against the golden schema the same way BENCH docs are), and
+the path-error convention shared with ``bench --only``."""
 
 import json
 import time
@@ -75,33 +74,6 @@ def test_lint_json_to_file(tmp_path, capsys):
     assert doc["exit_code"] == 0
 
 
-def test_lint_fix_baseline_then_clean(tmp_path, capsys):
-    """--fix-baseline grandfathers current findings; the next run
-    against that baseline exits 0 and reports them as baselined."""
-    baseline = tmp_path / "base.json"
-    bad = FIXTURES / "sim001_bad.py"
-    assert main(["lint", "--baseline", str(baseline),
-                 "--fix-baseline", str(bad)]) == 0
-    out = capsys.readouterr().out
-    assert "grandfathered" in out
-    doc = json.loads(baseline.read_text())
-    assert doc["schema"] == "repro.lint-baseline"
-    assert len(doc["entries"]) == 1  # one (rule, path) pair
-    assert doc["entries"][0]["rule"] == "SIM001"
-
-    assert main(["lint", "--baseline", str(baseline), str(bad)]) == 0
-    out = capsys.readouterr().out
-    assert "baselined" in out
-
-
-def test_lint_malformed_baseline_exits_2(tmp_path, capsys):
-    baseline = tmp_path / "base.json"
-    baseline.write_text(json.dumps({"schema": "wrong",
-                                    "schema_version": 1, "entries": []}))
-    assert main(["lint", "--baseline", str(baseline)]) == 2
-    assert "repro lint:" in capsys.readouterr().err
-
-
 def test_lint_suppressions_visible_in_text_summary(capsys):
     """The shipped tree's sanctioned wall-clock uses show up in the
     summary so the escape hatch stays visible."""
@@ -112,7 +84,7 @@ def test_lint_suppressions_visible_in_text_summary(capsys):
 
 def test_lint_deep_shipped_tree_exits_zero(capsys):
     """The acceptance bar: the full pass — every rule — over src/ is
-    clean with the shipped (empty) baseline, inside a wall budget generous next to its ~2.5 s
+    clean, inside a wall budget generous next to its ~2.5 s
     and tight enough to catch an accidentally quadratic rule before
     the analysis becomes the slow stage."""
     from repro.analysis.lint import registered_rules
@@ -134,11 +106,25 @@ def test_lint_deep_flag_is_gone(capsys):
     assert "--deep" in capsys.readouterr().err
 
 
+def test_lint_baseline_flags_are_gone(capsys):
+    """A finding is fixed or allowed inline where it fires (ALLOW001
+    polices the allows), so there is no baseline file to name or
+    rewrite."""
+    import pytest
+
+    for flag in (["--baseline", "b.json"], ["--fix-baseline"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["lint", *flag])
+        assert exc.value.code == 2
+        assert flag[0] in capsys.readouterr().err
+
+
 def test_lint_report_loader_validates_the_current_shape(capsys):
     """`load_lint_report` returns a well-formed report unchanged and
     rejects everything else — a version-2 document (with its top-level
-    `deep` flag) and a version-3 one (with its per-rule `scope`)
-    included: none was ever archived."""
+    `deep` flag), a version-3 one (with its per-rule `scope`) and a
+    version-4 one (with its `baselined` count and flags) included: none
+    was ever archived."""
     import pytest
 
     from repro.analysis.lint import LintReportError, load_lint_report
@@ -149,33 +135,16 @@ def test_lint_report_loader_validates_the_current_shape(capsys):
 
     scoped = {rid: {**entry, "scope": "module"}
               for rid, entry in doc["rules"].items()}
+    baselined = {
+        "counts": {**doc["counts"], "baselined": 0},
+        "findings": [{**f, "baselined": False} for f in doc["findings"]],
+    }
     for broken in (
         {**doc, "schema": "wrong"},
         {**doc, "schema_version": 2, "deep": True},
         {**doc, "schema_version": 3, "rules": scoped},
+        {**doc, "schema_version": 4, **baselined},
         {k: v for k, v in doc.items() if k != "findings"},
     ):
         with pytest.raises(LintReportError):
             load_lint_report(broken)
-
-
-def test_lint_fix_baseline_prunes_orphans(tmp_path, capsys):
-    """A baseline entry whose finding no longer fires is pruned and
-    the refresh exits non-zero — the baseline can only shrink."""
-    baseline = tmp_path / "base.json"
-    assert main(["lint", "--baseline", str(baseline), "--fix-baseline",
-                 str(FIXTURES / "sim001_bad.py")]) == 0
-    capsys.readouterr()
-
-    assert main(["lint", "--baseline", str(baseline), "--fix-baseline",
-                 str(FIXTURES / "clean.py")]) == 1
-    out = capsys.readouterr().out
-    assert "pruned orphaned baseline entry" in out
-    assert "SIM001" in out
-    doc = json.loads(baseline.read_text())
-    assert doc["entries"] == []
-
-    # and the pruned baseline is stable: a second refresh is a no-op
-    assert main(["lint", "--baseline", str(baseline), "--fix-baseline",
-                 str(FIXTURES / "clean.py")]) == 0
-    capsys.readouterr()

@@ -1,26 +1,22 @@
 """Tests for the lint engine itself: the registry, inline
-suppressions, the baseline, ordering and path semantics — everything
+suppressions, ordering and path semantics — everything
 below the individual rules (`test_lint_rules`) and the CLI
 (`test_lint_cli`)."""
 
-import json
 from pathlib import Path
 
 import pytest
 
 from repro.analysis.lint import (
-    BaselineError,
     Finding,
     LintResult,
     ModuleInfo,
     Rule,
     collect_files,
     get_rule,
-    load_baseline,
     register_rule,
     registered_rules,
     run_lint,
-    write_baseline,
 )
 from repro.analysis.lint.core import lint_modules
 from repro.analysis.lint.runner import LintPathError
@@ -181,14 +177,13 @@ def test_docstring_mention_of_allow_syntax_is_ignored(tmp_path):
 
 
 def test_shipped_tree_is_clean():
-    """`python -m repro lint` over src/ runs every rule and exits 0
-    with the shipped (empty) baseline — the acceptance bar,
-    machine-checked."""
+    """`python -m repro lint` over src/ runs every rule and exits 0:
+    every finding is fixed or allowed inline where it fires — the
+    acceptance bar, machine-checked."""
     result = run_lint(paths=[REPO / "src" / "repro"], root=REPO)
     assert {r.id for r in result.rules} == {r.id for r in registered_rules()}
     active = [f for f in result.findings if f.active]
     assert result.exit_code == 0, [f.location() for f in active]
-    assert not any(f.baselined for f in result.findings)
 
 
 # ----------------------------------------------------------------------
@@ -206,8 +201,7 @@ def test_findings_sorted_by_path_line_col_rule(tmp_path):
 def test_lint_result_exit_code_gates_on_active_only():
     f_active = Finding("DET001", "error", "x.py", 1, 0, "m")
     f_supp = Finding("DET001", "error", "x.py", 2, 0, "m", suppressed=True)
-    f_base = Finding("DET001", "error", "x.py", 3, 0, "m", baselined=True)
-    assert LintResult([f_supp, f_base], 1, ()).exit_code == 0
+    assert LintResult([f_supp], 1, ()).exit_code == 0
     assert LintResult([f_supp, f_active], 1, ()).exit_code == 1
 
 
@@ -241,81 +235,3 @@ def test_module_info_package_for_src_repro(tmp_path):
 def test_module_info_package_none_outside_src(tmp_path):
     mod = _module(tmp_path, "x = 1\n")
     assert mod.package is None
-
-
-# ----------------------------------------------------------------------
-# baseline
-# ----------------------------------------------------------------------
-def test_baseline_round_trip(tmp_path):
-    path = str(tmp_path / "LINT_BASELINE.json")
-    f = Finding("DET001", "error", "src/repro/x.py", 7, 0, "m")
-    doc = write_baseline(path, [f])
-    assert doc["entries"][0]["rule"] == "DET001"
-    entries = load_baseline(path)
-    assert [(e.rule, e.path) for e in entries] == [
-        ("DET001", "src/repro/x.py")
-    ]
-
-
-def test_baselined_finding_does_not_gate(tmp_path):
-    mod_path = tmp_path / "hazard.py"
-    mod_path.write_text("import random\n")
-    baseline = tmp_path / "base.json"
-    display = ModuleInfo.parse(mod_path, root=tmp_path).display
-    write_baseline(
-        str(baseline),
-        [Finding("DET001", "error", display, 1, 0, "m")],
-    )
-    result = run_lint(paths=[mod_path], root=tmp_path,
-                      baseline_path=str(baseline),
-                      rules=[get_rule("DET001")])
-    assert result.exit_code == 0
-    assert len(result.baselined) == 1
-
-
-def test_baseline_refresh_keeps_grandfathered_findings(tmp_path):
-    """--fix-baseline must not silently un-grandfather still-firing
-    findings just because the old baseline masked them."""
-    f = Finding("DET001", "error", "x.py", 1, 0, "m", baselined=True)
-    path = str(tmp_path / "b.json")
-    doc = write_baseline(path, [f], keep={("DET001", "x.py"): "kept note"})
-    assert doc["entries"] == [
-        {"rule": "DET001", "path": "x.py", "note": "kept note"}
-    ]
-
-
-def test_baseline_refresh_drops_suppressed_findings(tmp_path):
-    f = Finding("DET001", "error", "x.py", 1, 0, "m", suppressed=True)
-    doc = write_baseline(str(tmp_path / "b.json"), [f])
-    assert doc["entries"] == []
-
-
-def test_baseline_entry_without_note_rejected(tmp_path):
-    path = tmp_path / "b.json"
-    path.write_text(json.dumps({
-        "schema": "repro.lint-baseline",
-        "schema_version": 1,
-        "entries": [{"rule": "DET001", "path": "x.py", "note": "  "}],
-    }))
-    with pytest.raises(BaselineError, match="note"):
-        load_baseline(str(path))
-
-
-def test_baseline_wrong_schema_rejected(tmp_path):
-    path = tmp_path / "b.json"
-    path.write_text(json.dumps({"schema": "other", "schema_version": 1,
-                                "entries": []}))
-    with pytest.raises(BaselineError, match="schema"):
-        load_baseline(str(path))
-
-
-def test_missing_baseline_grandfathers_nothing(tmp_path):
-    assert load_baseline(str(tmp_path / "absent.json")) == []
-
-
-def test_shipped_baseline_is_empty():
-    """Every true positive in the tree was fixed, not grandfathered."""
-    from repro.analysis.lint.runner import lint_repo_root
-
-    entries = load_baseline(str(lint_repo_root() / "LINT_BASELINE.json"))
-    assert entries == []

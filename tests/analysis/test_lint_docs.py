@@ -52,8 +52,6 @@ def test_every_documented_name_appears_in_codebase():
 def test_doc_states_the_workflows():
     text = DOC.read_text()
     assert "repro: allow[" in text  # the suppression syntax
-    assert "--fix-baseline" in text
-    assert "LINT_BASELINE.json" in text
     assert "repro.lint" in text  # the JSON schema name
     assert "--json" in text
     assert "exits 2" in text or "exit 2" in text.lower()

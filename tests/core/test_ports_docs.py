@@ -112,3 +112,17 @@ def test_the_port_is_frozen():
     for name, signature in PORT_SIGNATURES.items():
         found = str(inspect.signature(getattr(LynxRuntimeBase, name)))
         assert found == signature, name
+
+
+def test_the_registration_snippet_builds_a_profile(monkeypatch):
+    """The doc's `register_kernel` example names only `KernelProfile`
+    fields (it once kept the CLI's fields after they went)."""
+    import repro.core.ports as ports
+
+    text = DOC.read_text()
+    start = text.index("register_kernel(KernelProfile(")
+    snippet = text[start:text.index("```", start)]
+    built = []
+    monkeypatch.setattr(ports, "register_kernel", built.append)
+    exec(snippet, vars(ports).copy())
+    assert [p.name for p in built] == ["mykernel"]
