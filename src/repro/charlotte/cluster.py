@@ -29,11 +29,11 @@ class CharlotteCluster(ClusterBase):
 
     def __init__(self, seed=0, costmodel=None, nodes: int = 20,
                  reply_acks: bool = False, no_forbid: bool = False,
-                 profile: bool = False, **engine_kw) -> None:
+                 **engine_kw) -> None:
         self.reply_acks = reply_acks
         self.no_forbid = no_forbid
         super().__init__(seed=seed, costmodel=costmodel, nodes=nodes,
-                         profile=profile, **engine_kw)
+                         **engine_kw)
 
     def _setup_hardware(self) -> None:
         costs = self.costmodel.charlotte

@@ -23,11 +23,10 @@ class ChrysalisCluster(ClusterBase):
     KIND = "chrysalis"
 
     def __init__(self, seed=0, costmodel=None, nodes: int = 128,
-                 tuned: bool = False, profile: bool = False,
-                 **engine_kw) -> None:
+                 tuned: bool = False, **engine_kw) -> None:
         self.tuned = tuned
         super().__init__(seed=seed, costmodel=costmodel, nodes=nodes,
-                         profile=profile, **engine_kw)
+                         **engine_kw)
 
     def _setup_hardware(self) -> None:
         costs = self.costmodel.chrysalis

@@ -226,12 +226,8 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_chaos(args) -> int:
-    from repro.workloads.chaos import (
-        chaos_policy,
-        lossy_plan,
-        partitioned_plan,
-        run_chaos_workload,
-    )
+    from repro.experiments.contracts import chaos_metrics, chaos_table
+    from repro.workloads.chaos import lossy_plan, partitioned_plan
 
     if args.scenario == "lossy":
         plan = lossy_plan(drop=args.drop, dup=args.dup)
@@ -240,26 +236,11 @@ def _cmd_chaos(args) -> int:
         plan = partitioned_plan(quick=args.quick)
         label = "partition client<->primary"
     kinds = [args.kernel] if args.kernel else registered_kernels()
-    t = Table(
+    chaos_table(
         f"fault recovery under {label} "
         f"(count={args.count}, seed={args.seed})",
-        ["kernel", "recovery", "clean op/s", "faulted op/s", "retention",
-         "max rtt ms", "failovers", "retries", "kernel rexmit"],
-    )
-    for kind in kinds:
-        clean = run_chaos_workload(kind, count=args.count, seed=args.seed)
-        faulted = run_chaos_workload(
-            kind, count=args.count, seed=args.seed,
-            plan=plan, policy=chaos_policy(),
-        )
-        placement = kernel_profile(kind).capabilities.recovery_placement
-        retention = (faulted.goodput_per_s / clean.goodput_per_s
-                     if clean.goodput_per_s else 0.0)
-        t.add(kind, placement, clean.goodput_per_s, faulted.goodput_per_s,
-              retention, faulted.max_rtt_ms, faulted.failed_over,
-              faulted.counters.get("recovery.retries", 0),
-              faulted.counters.get("faults.kernel_retransmits", 0))
-    t.show()
+        kinds, chaos_metrics(kinds, args.count, args.seed, plan),
+    ).show()
     return 0
 
 

@@ -88,7 +88,6 @@ class ClusterBase:
         seed: int = 0,
         costmodel: Optional[CostModel] = None,
         nodes: int = 16,
-        profile: bool = False,
         sim_backend: str = "global",
         shards: int = 1,
         lookahead_ms: Optional[float] = None,
@@ -101,7 +100,6 @@ class ClusterBase:
         self.sim_backend = sim_backend
         self.engine = make_engine(
             sim_backend, shards=shards, lookahead_ms=lookahead_ms,
-            profile=profile,
         )
         self.metrics = MetricSet()
         self.registry = LinkRegistry()

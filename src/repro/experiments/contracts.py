@@ -124,32 +124,53 @@ register_experiment(Experiment(
 E14_COUNT = 30
 
 
-def _e14_measure(seed, quick):
+def chaos_metrics(kinds, count, seed, plan):
+    """Each kernel of ``kinds`` runs the paced failover workload
+    fault-free, then under ``plan`` with `chaos_policy`: E14's values,
+    and `repro chaos`'s, keyed ``<kind>_<metric>``."""
     out = {}
-    for kind in registered_kernels():
-        clean = run_chaos_workload(kind, count=E14_COUNT, seed=seed)
+    for kind in kinds:
+        clean = run_chaos_workload(kind, count=count, seed=seed)
         faulted = run_chaos_workload(
-            kind, count=E14_COUNT, seed=seed,
-            plan=partitioned_plan(), policy=chaos_policy(),
+            kind, count=count, seed=seed, plan=plan, policy=chaos_policy(),
         )
-        out[f"{kind}_clean_goodput_per_s"] = clean.goodput_per_s
-        out[f"{kind}_faulted_goodput_per_s"] = faulted.goodput_per_s
-        out[f"{kind}_goodput_retention"] = (
-            faulted.goodput_per_s / clean.goodput_per_s
-            if clean.goodput_per_s else 0.0
-        )
-        out[f"{kind}_completed"] = float(faulted.completed)
-        out[f"{kind}_failed"] = float(faulted.failed)
-        out[f"{kind}_failed_over"] = float(faulted.failed_over)
-        out[f"{kind}_max_rtt_ms"] = faulted.max_rtt_ms
-        out[f"{kind}_p99_rtt_ms"] = faulted.p99_ms
-        out[f"{kind}_retries"] = faulted.counters.get("recovery.retries", 0.0)
-        out[f"{kind}_exhausted"] = faulted.counters.get(
-            "recovery.exhausted", 0.0)
-        out[f"{kind}_kernel_retransmits"] = faulted.counters.get(
-            "faults.kernel_retransmits", 0.0
-        )
+        out.update({
+            f"{kind}_clean_goodput_per_s": clean.goodput_per_s,
+            f"{kind}_faulted_goodput_per_s": faulted.goodput_per_s,
+            f"{kind}_goodput_retention": (
+                faulted.goodput_per_s / clean.goodput_per_s
+                if clean.goodput_per_s else 0.0
+            ),
+            f"{kind}_completed": float(faulted.completed),
+            f"{kind}_failed": float(faulted.failed),
+            f"{kind}_failed_over": float(faulted.failed_over),
+            f"{kind}_max_rtt_ms": faulted.max_rtt_ms,
+            f"{kind}_p99_rtt_ms": faulted.p99_ms,
+            f"{kind}_retries": faulted.counters.get("recovery.retries", 0.0),
+            f"{kind}_exhausted": faulted.counters.get(
+                "recovery.exhausted", 0.0),
+            f"{kind}_kernel_retransmits": faulted.counters.get(
+                "faults.kernel_retransmits", 0.0),
+        })
     return out
+
+
+def chaos_table(title, kinds, m):
+    """The nine-column clean-vs-faulted table of `chaos_metrics`."""
+    t = Table(title, ["kernel", "recovery", "clean op/s", "faulted op/s",
+                      "retention", "max rtt ms", "failovers", "retries",
+                      "kernel rexmit"])
+    for kind in kinds:
+        t.add(kind, _recovery_placement(kind), *(m[f"{kind}_{key}"] for key in (
+            "clean_goodput_per_s", "faulted_goodput_per_s",
+            "goodput_retention", "max_rtt_ms", "failed_over", "retries",
+            "kernel_retransmits")))
+    return t
+
+
+def _e14_measure(seed, quick):
+    return chaos_metrics(registered_kernels(), E14_COUNT, seed,
+                         partitioned_plan())
 
 
 def _recovery_placement(kind):
@@ -191,18 +212,9 @@ def _e14_claims(m):
 
 
 def _e14_table(m):
-    t = Table(
+    return chaos_table(
         f"E14: goodput under a client<->primary partition "
-        f"({E14_COUNT} paced ops)",
-        ["kernel", "recovery", "clean op/s", "faulted op/s", "retention",
-         "max rtt ms", "failovers", "retries", "kernel rexmit"],
-    )
-    for kind in registered_kernels():
-        t.add(kind, _recovery_placement(kind), *(m[f"{kind}_{key}"] for key in (
-            "clean_goodput_per_s", "faulted_goodput_per_s",
-            "goodput_retention", "max_rtt_ms", "failed_over", "retries",
-            "kernel_retransmits")))
-    return t
+        f"({E14_COUNT} paced ops)", registered_kernels(), m)
 
 
 register_experiment(Experiment(

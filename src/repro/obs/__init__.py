@@ -2,7 +2,7 @@
 
 The simulation substrate already *collects* everything the paper's
 argument needs (`repro.sim.trace.TraceLog`, `repro.sim.metrics.
-MetricSet`, `Engine(profile=True)`); this package makes it *machine
+MetricSet`); this package makes it *machine
 readable* so the perf trajectory of the repository can be tracked
 across PRs:
 

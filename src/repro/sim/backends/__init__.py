@@ -27,7 +27,9 @@ one-queue machine, not siblings of it:
   ``min_latency_ms`` — which is exactly what makes the windows safe
   (Chandy–Misra–Bryant conservative lookahead).  With ``workers > 1``
   the shards execute in forked OS processes exchanging messages at the
-  window barriers (≈1.6× on two cores, docs/PERFORMANCE.md §3.2).
+  window barriers.  The ≈1.6× on two cores in docs/PERFORMANCE.md §3.2
+  is the one measurement taken when the workers landed, not re-run
+  since; ROADMAP item 5 prices it.
 
 Workloads never construct engines; they call `make_engine` (or pass
 ``sim_backend=`` to `repro.core.api.make_cluster`) and speak the
@@ -73,7 +75,7 @@ DEFAULT_LOOKAHEAD_MS = 0.05
 class SimBackendProfile:
     """A registered way of executing the simulation.
 
-    ``factory(shards, lookahead_ms, profile, workers)`` returns a
+    ``factory(shards, lookahead_ms, workers)`` returns a
     `repro.sim.engine.Engine` with this backend's queues and policy.
     ``parallel`` declares whether shards advance concurrently (windowed
     execution); ``oracle`` declares the bit-identical-to-``global``
@@ -123,7 +125,6 @@ def make_engine(
     *,
     shards: int = 1,
     lookahead_ms: Optional[float] = None,
-    profile: bool = False,
     workers: Optional[int] = None,
 ):
     """Build an engine through the registry.
@@ -135,18 +136,17 @@ def make_engine(
     backends (``None`` → in-process execution).
     """
     return sim_backend_profile(backend).factory(
-        shards=shards, lookahead_ms=lookahead_ms, profile=profile,
-        workers=workers,
+        shards=shards, lookahead_ms=lookahead_ms, workers=workers,
     )
 
 
 # ----------------------------------------------------------------------
 # the three shipped backends: one engine class, three ways to drain it
 # ----------------------------------------------------------------------
-def _engine(shards, lookahead_ms, profile, **policy):
+def _engine(shards, lookahead_ms, **policy):
     from repro.sim.engine import Engine
 
-    eng = Engine(profile, shards=shards, **policy)
+    eng = Engine(shards=shards, **policy)
     # None is *auto*: every backend starts from the same lookahead, so
     # a post() that passes on one cannot fail on another, and adopts
     # the link floor from there
@@ -157,22 +157,22 @@ def _engine(shards, lookahead_ms, profile, **policy):
     return eng
 
 
-def _global_factory(shards=1, lookahead_ms=None, profile=False, workers=None):
+def _global_factory(shards=1, lookahead_ms=None, workers=None):
     # logical shards on one queue: shard-tagged calls are accepted and
     # executed in exact global (time, seq) order — the reference
     # semantics the sharded backends are digest-checked against
-    return _engine(shards, lookahead_ms, profile)
+    return _engine(shards, lookahead_ms)
 
 
-def _serial_factory(shards=1, lookahead_ms=None, profile=False, workers=None):
-    return _engine(shards, lookahead_ms, profile, sharded=True)
+def _serial_factory(shards=1, lookahead_ms=None, workers=None):
+    return _engine(shards, lookahead_ms, sharded=True)
 
 
-def _parallel_factory(shards=1, lookahead_ms=None, profile=False, workers=None):
+def _parallel_factory(shards=1, lookahead_ms=None, workers=None):
     from repro.sim.backends.sharded import run_windows
 
     return _engine(
-        shards, lookahead_ms, profile, windows=run_windows, workers=workers
+        shards, lookahead_ms, windows=run_windows, workers=workers
     )
 
 

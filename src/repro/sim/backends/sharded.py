@@ -17,9 +17,8 @@ order)``, keeping sequence assignment identical whether shards run
 in-process or in forked workers.
 
 `run_windows` is the policy `Engine.run` calls; `drain_window` is the
-one loop that fires events — for the unbounded in-process run, for
-``until`` / ``max_events`` / ``trace_hook`` / ``profile=True``, and
-inside every forked worker.
+one loop that fires events — for every in-process run, bounded or not,
+and inside every forked worker.
 
 With ``workers > 1`` the shards are partitioned round-robin over
 forked OS processes (`multiprocessing`, fork start method).  The
@@ -31,8 +30,10 @@ state that returns to the parent besides the shard clocks.  The window
 sequence, post routing order and per-shard sequence numbers are
 identical to the in-process loop, so same-seed digests, event counts
 and clocks are bit-identical across ``workers`` settings (test-pinned).
-On this repo's 2-core host ``workers=2`` runs the 50k-client, 8-shard
-scale workload ≈1.6× faster than in-process (docs/PERFORMANCE.md §3.2).
+When the workers landed, ``workers=2`` ran the 50k-client, 8-shard
+scale workload ≈1.6× faster than in-process on a 2-core host
+(docs/PERFORMANCE.md §3.2).  Nothing has re-measured that since — a
+later scratch run read ×0.70–0.88 — and ROADMAP item 5 prices it.
 """
 
 from __future__ import annotations
@@ -58,11 +59,6 @@ def run_windows(
     if eng.workers is not None and eng.workers > 1 and k > 1:
         if max_events is not None:
             raise EngineError("max_events is not supported with forked workers")
-        if eng.trace_hook is not None or eng.profile is not None:
-            raise EngineError(
-                "tracing/profiling are in-process features; run with "
-                "workers=None"
-            )
         import multiprocessing
 
         if "fork" in multiprocessing.get_all_start_methods():
@@ -108,7 +104,6 @@ def drain_window(
     limit = horizon
     if until is not None:
         limit = min(horizon, math.nextafter(until, math.inf))
-    hooked = eng.trace_hook is not None or eng.profile is not None
     fired = 0
     try:
         for shard in shards:
@@ -127,10 +122,7 @@ def drain_window(
                     continue
                 eng.now = t
                 fired += 1
-                if hooked:
-                    eng._dispatch(*head)
-                else:
-                    head[2](*head[3])
+                head[2](*head[3])
     finally:
         eng._events_fired += fired
     return fired

@@ -19,68 +19,11 @@ from __future__ import annotations
 
 import math
 from heapq import heappop, heappush
-# dispatch profiling prices callbacks in real host time on purpose;
-# it never feeds back into simulated state (see DispatchProfile)
-from time import perf_counter  # repro: allow[DET001]
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 
 class EngineError(RuntimeError):
     """Raised for misuse of the engine (e.g. scheduling in the past)."""
-
-
-def _callback_key(fn: Callable[..., Any]) -> str:
-    """A stable aggregation key for an event callback: the qualified
-    name for functions and bound methods, the type name otherwise
-    (partials, callables)."""
-    key = getattr(fn, "__qualname__", None)
-    if key is None:
-        key = type(fn).__name__
-    return key
-
-
-class DispatchProfile:
-    """Per-callback dispatch counts and wall-clock cost.
-
-    Populated by `Engine.step` only when the engine was built with
-    ``profile=True`` — the default hot path never touches it.  Keys are
-    callback qualified names (``CharlotteKernel._deliver``, ...); wall
-    time is real seconds spent *inside* the callback, which for a
-    simulator measures the cost of simulating, not simulated time.
-    """
-
-    __slots__ = ("counts", "wall_s")
-
-    def __init__(self) -> None:
-        self.counts: Dict[str, int] = {}
-        self.wall_s: Dict[str, float] = {}
-
-    def record(self, key: str, seconds: float) -> None:
-        self.counts[key] = self.counts.get(key, 0) + 1
-        self.wall_s[key] = self.wall_s.get(key, 0.0) + seconds
-
-    def rows(self) -> List[Tuple[str, int, float]]:
-        """``(key, count, wall_ms)`` rows, most expensive first."""
-        return sorted(
-            ((k, self.counts[k], self.wall_s[k] * 1e3) for k in self.counts),
-            key=lambda row: row[2],
-            reverse=True,
-        )
-
-    def as_dict(self) -> Dict[str, Dict[str, float]]:
-        return {
-            k: {"count": self.counts[k], "wall_ms": self.wall_s[k] * 1e3}
-            for k in sorted(self.counts)
-        }
-
-    def render(self, limit: int = 20) -> str:
-        lines = [f"{'callback':<44} {'count':>8} {'wall ms':>10}"]
-        for key, count, wall_ms in self.rows()[:limit]:
-            lines.append(f"{key:<44} {count:>8} {wall_ms:>10.3f}")
-        return "\n".join(lines)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<DispatchProfile kinds={len(self.counts)}>"
 
 
 class Event:
@@ -165,7 +108,6 @@ class Engine:
 
     def __init__(
         self,
-        profile: bool = False,
         *,
         shards: int = 1,
         sharded: bool = False,
@@ -221,13 +163,6 @@ class Engine:
         self._receivers: Dict[int, Callable[..., Any]] = {}
         #: per-shard result extractors (`bind_harvest`)
         self._harvest: Dict[int, Callable[[], Any]] = {}
-        #: optional hook called as trace(engine, event) before each
-        #: event; entries pushed without a handle get a fresh `Event`
-        self.trace_hook: Optional[Callable[["Engine", Event], None]] = None
-        #: per-callback dispatch statistics; None unless ``profile=True``
-        self.profile: Optional[DispatchProfile] = (
-            DispatchProfile() if profile else None
-        )
 
     # ------------------------------------------------------------------
     # scheduling
@@ -261,11 +196,6 @@ class Engine:
         ev = Event(time, seq, fn, args)
         heappush(self._heap, (time, seq, fn, args, ev))
         return ev
-
-    def call_soon(self, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` at the current instant (after pending
-        same-instant events)."""
-        return self.schedule(0.0, fn, *args)
 
     def defer(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """Fire-and-forget `schedule`: same sequence number, same
@@ -435,9 +365,8 @@ class Engine:
         """Fire the single next non-cancelled event: the minimal
         ``(time, seq)`` head over every queue.
 
-        Returns False when the queues are exhausted.  `run` steps only
-        for a `trace_hook`, a dispatch profile, or a bounded run of
-        the k-way merge.
+        Returns False when the queues are exhausted.  `run` never
+        steps; every run form fires the sequence `step` does.
         """
         if self._windows is not None:
             raise EngineError(
@@ -453,25 +382,14 @@ class Engine:
                 shard = i
         if best is None:
             return False
-        t, seq, fn, args, ev = heappop(self._heaps[shard])
+        t, _seq, fn, args, _ev = heappop(self._heaps[shard])
         if t < self.now:  # pragma: no cover - defensive
             raise EngineError("event heap corrupted: time went backwards")
         self._enter(shard)
         self.now = t
         self._events_fired += 1
-        self._dispatch(t, seq, fn, args, ev)
+        fn(*args)
         return True
-
-    def _dispatch(self, t, seq, fn, args, ev: Optional[Event]) -> None:
-        """Trace and (optionally) profile one popped, counted entry."""
-        if self.trace_hook is not None:
-            self.trace_hook(self, ev if ev is not None else Event(t, seq, fn, args))
-        if self.profile is None:
-            fn(*args)
-        else:
-            t0 = perf_counter()
-            fn(*args)
-            self.profile.record(_callback_key(fn), perf_counter() - t0)
 
     def run(
         self,
@@ -492,23 +410,18 @@ class Engine:
         try:
             if self._windows is not None:
                 return self._windows(self, until, max_events)
-            if self.trace_hook is not None or self.profile is not None:
-                return self._run_stepped(until, max_events)
             if len(self._heaps) == 1:
                 return self._drain(until, max_events)
-            if until is None and max_events is None:
-                return self._merge()
-            return self._run_stepped(until, max_events)
+            return self._merge(until, max_events)
         finally:
             self._running = False
             # untagged scheduling outside a run lands on shard 0
             self._enter(0)
 
     def _drain(self, until: Optional[float], max_events: Optional[int]) -> int:
-        """One queue, no hook installed — every cluster run
-        (`run_until_quiet` passes both bounds) and every bare `run()`:
-        the heap and `heappop` live in locals and nothing is called
-        per event but the callback."""
+        """One queue — every cluster run (`run_until_quiet` passes both
+        bounds) and every bare `run()`: the heap and `heappop` live in
+        locals and nothing is called per event but the callback."""
         heap = self._heap
         pop = heappop
         limit = math.inf if until is None else until
@@ -538,14 +451,16 @@ class Engine:
             self._events_fired += fired
         return fired
 
-    def _merge(self) -> int:
-        """An unbounded, unhooked run of the k-way merge: `step`'s
-        head scan with nothing else called per event."""
+    def _merge(self, until: Optional[float], max_events: Optional[int]) -> int:
+        """The k-way merge over per-shard queues: `step`'s head scan
+        under `_drain`'s bounds, nothing else called per event."""
         heaps = self._heaps
         pop = heappop
+        limit = math.inf if until is None else until
+        budget = -1 if max_events is None else max(max_events, 0)
         fired = 0
         try:
-            while True:
+            while fired != budget:
                 best = None
                 shard = 0
                 for i, h in enumerate(heaps):
@@ -555,31 +470,18 @@ class Engine:
                         shard = i
                 if best is None:
                     break
+                t = best[0]
+                if t > limit:
+                    self.now = max(self.now, limit)
+                    break
                 pop(heaps[shard])
                 self._cur = shard
                 self._heap = heaps[shard]
-                self.now = best[0]
+                self.now = t
                 fired += 1
                 best[2](*best[3])
         finally:
             self._events_fired += fired
-        return fired
-
-    def _run_stepped(
-        self, until: Optional[float], max_events: Optional[int]
-    ) -> int:
-        """`run` through `_peek_time` / `step`: the traced / profiled
-        path, and the bounded path of the k-way merge."""
-        fired = 0
-        while max_events is None or fired < max_events:
-            nxt = self._peek_time()
-            if nxt is None:
-                break
-            if until is not None and nxt > until:
-                self.now = max(self.now, until)
-                break
-            self.step()
-            fired += 1
         return fired
 
     def _peek_time(self) -> Optional[float]:

@@ -38,8 +38,8 @@ class Future:
     """A single-assignment cell that settles at a simulated instant.
 
     Callbacks run synchronously inside ``resolve``/``fail`` — callers that
-    need "run later this instant" ordering should resolve via
-    ``engine.call_soon``.
+    need "run later this instant" ordering should resolve from an
+    ``engine.defer(0.0, ...)`` event.
     """
 
     __slots__ = ("engine", "state", "value", "error", "_callbacks", "label")

@@ -41,14 +41,13 @@ class SodaCluster(ClusterBase):
         broadcast_loss: float = 0.0,
         pair_request_limit: Optional[int] = None,
         cache_size: int = 64,
-        profile: bool = False,
         **engine_kw,
     ) -> None:
         self.broadcast_loss = broadcast_loss
         self.pair_request_limit = pair_request_limit
         self.cache_size = cache_size
         super().__init__(seed=seed, costmodel=costmodel, nodes=nodes,
-                         profile=profile, **engine_kw)
+                         **engine_kw)
 
     def _setup_hardware(self) -> None:
         costs = self.costmodel.soda

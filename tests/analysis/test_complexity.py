@@ -87,7 +87,10 @@ def test_comparison_reproduces_paper_ordering():
 #: `python -m repro sizes` prints the current numbers.
 SIZE_BUDGETS = {
     # PR 13: one Engine, three drain policies (before: 733 / 215)
-    "engine": (498, 160),
+    # the dispatch profile, the trace hook, their stepped loop and the
+    # uncalled `call_soon` go: `run` is `_drain`, `_merge` or the
+    # window policy (before: 498 / 160)
+    "engine": (446, 142),
     # PR 15: real-asyncio is ideal plus a codec hook (before: 917 / 170)
     # PR 17: a layout codec, one server loop per wake-up, node stderr
     # kept (before: 621 / 116)
@@ -129,7 +132,9 @@ SIZE_BUDGETS = {
     # the `obs` row's drop is that move, not a saving.  The surface they
     # shared (obs/bench.py + this package + benchmarks/*.py) went
     # 1,475 / 302 -> 1,203 / 245.
-    "experiments": (950, 162),
+    # `chaos_metrics` / `chaos_table` serve E14 and `repro chaos` alike;
+    # a kernel's values are one dict (before: 950 / 162)
+    "experiments": (944, 162),
     # PR 19: core/runtime.py's op dispatch, staging and scatter get one
     # table and one owner each (802 / 229 -> 736 / 201); three one-value
     # options and an unused exception go (before: 1,808 / 358)
@@ -198,7 +203,8 @@ SIZE_BUDGETS = {
     # `figure2`, `linda` and `compare` (the shipped examples' job),
     # `trace --selftest` (test_causal's) and the lint baseline flags go
     # (before: 464 / 88)
-    "cli": (337, 65),
+    # `chaos` prints `chaos_table(chaos_metrics(...))` (before: 337 / 65)
+    "cli": (331, 63),
     # PR 19: set at their size then, not yet lowered
     # charlotte and chrysalis: the `first_of` imports, Charlotte's
     # `if ...: pass` and its second unreceived-count write go

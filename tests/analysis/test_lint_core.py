@@ -18,7 +18,7 @@ from repro.analysis.lint import (
     registered_rules,
     run_lint,
 )
-from repro.analysis.lint.core import lint_modules
+from repro.analysis.lint.core import _comment_allow_tags, lint_modules
 from repro.analysis.lint.runner import LintPathError
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -184,6 +184,27 @@ def test_shipped_tree_is_clean():
     assert {r.id for r in result.rules} == {r.id for r in registered_rules()}
     active = [f for f in result.findings if f.active]
     assert result.exit_code == 0, [f.location() for f in active]
+
+
+#: the only packages whose code may read a host clock or host entropy
+#: under a DET001 allow: the real transport (sockets and processes) and
+#: the bench export stamp
+HOST_CLOCK_HOMES = (("net",), ("obs", "bench"))
+
+
+def test_host_clocks_stay_out_of_the_simulator():
+    """Every DET001 allow tag in the shipped tree sits in a
+    `HOST_CLOCK_HOMES` package: the simulator reads no host clock, not
+    even one the lint was told to let through."""
+    stray = []
+    for path in collect_files([REPO / "src" / "repro"]):
+        module = ModuleInfo.parse(path, root=REPO)
+        homed = any(module.package[:len(home)] == home
+                    for home in HOST_CLOCK_HOMES)
+        stray += [f"{module.display}:{line}"
+                  for line, tags in _comment_allow_tags(module).items()
+                  if "DET001" in tags and not homed]
+    assert stray == []
 
 
 # ----------------------------------------------------------------------

@@ -166,8 +166,8 @@ def test_sim002_flags_both_seeded_constructions():
 def test_sim002_exempts_the_backend_registry(tmp_path):
     """The registry package's factories are the sanctioned callers."""
     src = ("from repro.sim.engine import Engine\n"
-           "def factory(profile=False):\n"
-           "    return Engine(profile=profile)\n")
+           "def factory(shards=1):\n"
+           "    return Engine(shards=shards)\n")
     target = tmp_path / "src" / "repro" / "sim" / "backends" / "__init__.py"
     target.parent.mkdir(parents=True)
     target.write_text(src)

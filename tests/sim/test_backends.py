@@ -94,7 +94,7 @@ def _legacy_workload(eng):
             eng.schedule(0.7 * ((i * 5) % 3 + 1), tick, i + 1)
         if i == 2:
             doomed = eng.schedule(50.0, log.append, "never")
-            eng.call_soon(doomed.cancel)
+            eng.schedule(0.0, doomed.cancel)
         if i == 4:
             eng.defer(0.0, log.append, (round(eng.now, 9), "deferred"))
 
