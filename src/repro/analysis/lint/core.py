@@ -39,7 +39,7 @@ from typing import (
 #: the severities a rule may declare, strongest first
 SEVERITIES: Tuple[str, ...] = ("error", "warning")
 
-#: the inline suppression marker: ``repro: allow[DET001,LAY002]``
+#: the inline suppression marker: ``repro: allow[DET001,SIM001]``
 #: inside a comment; prose may follow the closing bracket (justify
 #: the suppression!)
 _ALLOW_RE = re.compile(r"#\s*repro:\s*allow\[([A-Za-z0-9_,\s]+)\]")

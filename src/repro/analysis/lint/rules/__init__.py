@@ -6,11 +6,8 @@ rationale lives in docs/LINT.md.
 ``DET001``  wall-clock / entropy outside `repro.sim.rng`
 ``DET002``  iteration over unordered sets in order-sensitive modules
 ``LAY001``  kernel imports that bypass `repro.core.ports`
-``LAY002``  capability attributes missing from `KernelCapabilities`
 ``API001``  `RecoveryExhausted` swallowed without trace
 ``SIM001``  float equality on simulated timestamps
-``SIM002``  direct engine construction bypassing `repro.sim.backends`
-``OBS001``  unbounded raw-sample accumulation in the telemetry plane
 ``ALLOW001``  stale or unknown `# repro: allow[...]` suppressions
 =========  ==========================================================
 
@@ -22,5 +19,4 @@ coroutine is a run-time fact, so a run-time guard catches it instead
 import repro.analysis.lint.rules.determinism  # noqa: F401
 import repro.analysis.lint.rules.hygiene  # noqa: F401
 import repro.analysis.lint.rules.layering  # noqa: F401
-import repro.analysis.lint.rules.obs  # noqa: F401
 import repro.analysis.lint.rules.semantics  # noqa: F401

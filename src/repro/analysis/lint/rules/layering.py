@@ -1,15 +1,12 @@
-"""Layering rules: the paper's central claim is that the placement of
+"""Layering rule: the paper's central claim is that the placement of
 the kernel/runtime boundary decides how awkward the language
 implementation becomes, and PR 3 reified that boundary as
-`repro.core.ports`.  These rules keep the boundary real: every layer
-above the kernel packages reaches a backend only through the registry
-(LAY001), and capability-conditional behaviour keys only on fields a
-backend actually declares (LAY002)."""
+`repro.core.ports`.  LAY001 keeps the boundary real: every layer
+above the kernel packages reaches a backend only through the
+registry."""
 
 from __future__ import annotations
 
-import ast
-import dataclasses
 from typing import FrozenSet, Iterator
 
 from repro.analysis.lint.core import (
@@ -55,33 +52,3 @@ def lay001(module: ModuleInfo) -> Iterator[Violation]:
                     f"kernel/runtime boundary; reach backends through the "
                     f"repro.core.ports registry"
                 )
-
-
-def _capability_fields() -> FrozenSet[str]:
-    from repro.core.ports import KernelCapabilities
-
-    return frozenset(f.name for f in dataclasses.fields(KernelCapabilities))
-
-
-@rule(
-    "LAY002",
-    "capability attribute not declared in KernelCapabilities",
-)
-def lay002(module: ModuleInfo) -> Iterator[Violation]:
-    """Every ``<profile>.capabilities.<flag>`` read must name a field
-    of the `KernelCapabilities` digest.  A flag that is not declared
-    there is a semantic divergence the conformance suite cannot see —
-    the boundary leaks exactly the way §6 warns about."""
-    declared = _capability_fields()
-    for node in ast.walk(module.tree):
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Attribute)
-            and node.value.attr == "capabilities"
-            and node.attr not in declared
-        ):
-            yield node, (
-                f"capability {node.attr!r} is not a KernelCapabilities "
-                f"field; declare it in repro.core.ports so the "
-                f"conformance suite and digests can see it"
-            )

@@ -11,12 +11,6 @@ SIM001 guards the clock: simulated timestamps are floats accumulated
 from cost-model charges, so exact equality is a coincidence of one
 cost profile and breaks the moment a charge changes.  Compare with
 tolerances or half-open windows.
-
-SIM002 guards the `SimBackend` port: engines are obtained through the
-`repro.sim.backends` registry (``make_engine`` / ``sim_backend=``),
-never constructed directly.  A direct ``Engine(...)`` picks a queue
-count and drain policy on the spot, so the code silently cannot run on
-the other backends — the exact coupling the registry exists to prevent.
 """
 
 from __future__ import annotations
@@ -24,7 +18,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.lint.core import ModuleInfo, Violation, dotted_name, rule
+from repro.analysis.lint.core import ModuleInfo, Violation, rule
 
 EXHAUSTED = "RecoveryExhausted"
 
@@ -109,30 +103,3 @@ def sim001(module: ModuleInfo) -> Iterator[Violation]:
                     "on them is cost-model roulette — compare with a "
                     "tolerance or a half-open window"
                 )
-
-
-#: the engine class only the backend registry may construct
-ENGINE_CLASS_NAMES = frozenset({"Engine"})
-
-
-@rule(
-    "SIM002",
-    "direct engine construction bypassing the SimBackend registry",
-)
-def sim002(module: ModuleInfo) -> Iterator[Violation]:
-    # the registry package's factories are the one legitimate caller
-    if module.package is not None and module.package[:2] == ("sim", "backends"):
-        return
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = dotted_name(node.func)
-        if name is None:
-            continue
-        if name.rsplit(".", 1)[-1] in ENGINE_CLASS_NAMES:
-            yield node, (
-                f"{name}(...) pins this code to one drain "
-                "policy; obtain engines through the "
-                "repro.sim.backends registry (make_engine / "
-                "sim_backend=) so the workload runs on every backend"
-            )

@@ -42,10 +42,8 @@ class Table:
             raise ValueError(
                 f"row has {len(cells)} cells for {len(self.columns)} columns"
             )
-        # report tables hold one row per rendered line, not one per
-        # sample — bounded by the report, so raw retention is fine
-        self.raw_rows.append(list(cells))  # repro: allow[OBS001]
-        self.rows.append([_fmt(c) for c in cells])  # repro: allow[OBS001]
+        self.raw_rows.append(list(cells))
+        self.rows.append([_fmt(c) for c in cells])
 
     def to_dict(self) -> dict:
         """The table as a JSON-safe dict: ``{"title", "columns",

@@ -34,9 +34,10 @@ one-queue machine, not siblings of it:
 Workloads never construct engines; they call `make_engine` (or pass
 ``sim_backend=`` to `repro.core.api.make_cluster`) and speak the
 shard-tagged `Engine` surface (``schedule_on`` / ``defer_on`` /
-``post`` / ``bind_receiver`` / ``bind_harvest``).  The SIM002 lint
-rule rejects direct ``Engine(...)`` construction outside this package
-so that every workload stays runnable on every backend.
+``post`` / ``bind_receiver`` / ``bind_harvest``).  A direct
+``Engine(...)`` would ignore the backend a caller names, and
+`tests/sim/test_backends.py` fails when a cluster or the scale
+workload runs on any engine but the one its ``sim_backend`` names.
 
 Determinism contract (machine-checked by `tests/sim/test_backends.py`
 and the E16 bench):

@@ -100,10 +100,9 @@ class Engine:
 
     Construction note: layers above ``repro.sim`` obtain engines through
     the `repro.sim.backends` registry (``make_engine``), never by
-    calling ``Engine(...)`` directly — the SIM002 lint rule enforces
-    this so every workload can run on every backend unchanged.  The
-    keyword arguments below are set by the three registry entries and
-    nowhere else.
+    calling ``Engine(...)`` directly, so every workload can run on
+    every backend unchanged.  The keyword arguments below are set by
+    the three registry entries and nowhere else.
     """
 
     def __init__(

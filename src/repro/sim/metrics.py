@@ -17,8 +17,9 @@ Latency recorders are constant-memory: exact running count / total /
 min / max (so benchmark means are exact) plus a log-bucketed
 `repro.obs.hist.StreamingHistogram` for percentiles (≤1% relative
 error, O(occupied buckets) memory, mergeable across shards).  Raw
-samples are never retained — the OBS001 lint rule guards against the
-pattern reappearing.
+samples are never retained: a recorder that kept them would grow with
+every op, which the table census (`tests/core/test_table_census.py`)
+and the alive-bytes ceilings (`tests/core/test_host_cost.py`) fail.
 
 The full vocabulary and the export formats (JSONL traces, Prometheus
 text) are documented in docs/OBSERVABILITY.md; `repro.obs` holds the

@@ -195,7 +195,9 @@ SIZE_BUDGETS = {
     # NET001, its call graph and the program scope go (before: 1,137 / 400)
     # the lint baseline goes: inline allows, policed by ALLOW001, do its
     # job (before: 792 / 273)
-    "analysis": (722, 249),
+    # LAY002, SIM002 and OBS001 go: tier-1 fails each one's mutations
+    # by running (before: 722 / 249)
+    "analysis": (640, 204),
     # PR 19: first budgeted — 468 / 88 plus the area table of `sizes`
     # `net serve` forwards to the node's own parser, and argparse's
     # required group replaces the hand check (before: 472 / 89)

@@ -23,7 +23,7 @@ from repro.analysis.lint.runner import LintPathError
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 REPO = Path(__file__).resolve().parents[2]
-EXPECTED_RULES = {"DET001", "DET002", "LAY001", "LAY002", "API001", "SIM001"}
+EXPECTED_RULES = {"DET001", "DET002", "LAY001", "API001", "SIM001"}
 
 
 def _module(tmp_path: Path, source: str, name: str = "mod.py") -> ModuleInfo:

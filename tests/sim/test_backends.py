@@ -216,6 +216,22 @@ def test_parallel_with_zero_lookahead_refuses_to_run():
         eng.run()
 
 
+def test_clusters_and_the_scale_workload_run_on_the_backend_they_name():
+    """``sim_backend=`` builds the engine it names: every kernel's
+    cluster on the parallel backend refuses `step` as that backend
+    does, and the scale workload on it refuses a zero lookahead."""
+    from repro.core.api import make_cluster, registered_kernels
+    from repro.workloads.scale import run_scale
+
+    for kind in registered_kernels():
+        cluster = make_cluster(kind, sim_backend="sharded-parallel", shards=2)
+        with pytest.raises(EngineError, match="lookahead windows"):
+            cluster.engine.step()
+    with pytest.raises(EngineError, match="positive lookahead_ms"):
+        run_scale("sharded-parallel", 4, clients=8, requests=1,
+                  lookahead_ms=0.0)
+
+
 # ----------------------------------------------------------------------
 # lookahead adoption from the network layer
 # ----------------------------------------------------------------------
