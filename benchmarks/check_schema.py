@@ -22,11 +22,9 @@ Validates
 
 What tier-1 already holds is not repeated here: the experiment tables
 under ``benchmarks/out/`` (tests/obs/test_experiments.py compares each
-byte for byte with its render from the baseline), the ``bench
+byte for byte with its render from the baseline) and the ``bench
 --compare`` report (tests/obs/test_compare.py holds it to
-``tests/obs/golden_compare_schema.json``) and the ``lint`` report
-(tests/analysis/test_lint_cli.py holds it to
-``tests/analysis/golden_lint_schema.json``).  Exits non-zero on the
+``tests/obs/golden_compare_schema.json``).  Exits non-zero on the
 first violation, printing every violation it found.
 """
 

@@ -442,31 +442,16 @@ class CharlotteKernel:
             self._complete(
                 sender.owner, Completion(CompletionKind.SEND_DONE, sender.ref)
             )
-            if receiver.owner in self._dead:
-                # receiver died mid-transfer: the message (and any
-                # enclosure) is in limbo — §3.2.2's loss scenario;
-                # `moves.commit` already recorded ownership at the kernel
-                # level, so the link dies with the receiver.
-                for enc in msg.enclosures[:1]:
-                    self._on_enclosure_lost(enc)
-                return
+            # the receiver is alive: `process_died` destroys every
+            # link a dead process owns an end of, and `moves.commit`
+            # hands an end only to the receiver of a live link, so a
+            # receiver that died mid-transfer took the branch above
             self._complete(
                 receiver.owner,
                 Completion(CompletionKind.RECV_DONE, receiver.ref, msg=msg),
             )
 
         self.engine.defer(delay, complete)
-
-    def _on_enclosure_lost(self, enc: EndRef) -> None:
-        klink = self.links.get(enc.link)
-        if klink is None or klink.destroyed:
-            return
-        self.registry.record_lost(enc)
-        self._destroy_link(
-            klink,
-            "enclosure lost with crashed receiver",
-            notify=[klink.ends[enc.peer.side]],
-        )
 
     # ------------------------------------------------------------------
     # completion delivery / Wait

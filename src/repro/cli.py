@@ -7,7 +7,6 @@
     python -m repro bench                   # E1..E17, A1..A5 -> BENCH_*.json
     python -m repro trace --kernel soda --by-layer --critical-path
     python -m repro chaos                   # fault injection + recovery
-    python -m repro lint                    # determinism/layering checks
     python -m repro flight --demo           # black-box dump + inspector
     python -m repro top                     # per-window chaos telemetry
     python -m repro net serve --socket S    # a node: python -m repro.net
@@ -383,35 +382,6 @@ def _cmd_top(args) -> int:
     return 0
 
 
-def _cmd_lint(args) -> int:
-    import json as _json
-
-    from repro.analysis.lint import (
-        LintPathError,
-        lint_json_doc,
-        render_text,
-        run_lint,
-    )
-
-    try:
-        result = run_lint(paths=args.paths or None)
-    except LintPathError as exc:
-        print(f"repro lint: {exc}", file=sys.stderr)
-        return 2
-    if args.json is not None:
-        payload = _json.dumps(lint_json_doc(result), indent=2,
-                              sort_keys=True)
-        if args.json == "-":
-            print(payload)
-        else:
-            with open(args.json, "w") as fh:
-                fh.write(payload + "\n")
-            print(f"wrote {args.json}")
-    else:
-        print(render_text(result))
-    return result.exit_code
-
-
 def _cmd_net_serve(args) -> int:
     from repro.net.__main__ import main as serve
 
@@ -554,18 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --compare: write the repro.bench-compare "
                         "report JSON ('-' for stdout)")
     p.set_defaults(fn=_cmd_bench)
-
-    p = sub.add_parser(
-        "lint",
-        help="determinism & layering static analysis (docs/LINT.md)",
-    )
-    p.add_argument("paths", nargs="*", metavar="PATH",
-                   help="files or directories to lint (default: "
-                        "src/repro; nonexistent paths exit 2)")
-    p.add_argument("--json", default=None, metavar="OUT",
-                   help="write the repro.lint JSON report "
-                        "('-' for stdout)")
-    p.set_defaults(fn=_cmd_lint)
 
     p = sub.add_parser(
         "flight",

@@ -36,7 +36,7 @@ import asyncio
 import json
 import os
 from dataclasses import dataclass, field
-from time import perf_counter  # repro: allow[DET001] — measuring real-transport wall-clock RTT is the purpose of this module
+from time import perf_counter  # measuring real-transport wall-clock RTT is the purpose of this module
 from typing import List, Optional, Tuple
 
 from repro.core.recovery import RecoveryPolicy
@@ -198,7 +198,7 @@ async def _run_load(endpoints: List[str], clients: int, requests: int,
     payload = b"x" * payload_bytes
     # the run's nonce: a node still up from an earlier run must not
     # read this run's seqs as that run's retransmissions
-    nonce = int.from_bytes(os.urandom(4), "big") << 32  # repro: allow[DET001] — a real node outlives a run, so the run's identity comes from entropy
+    nonce = int.from_bytes(os.urandom(4), "big") << 32  # a real node outlives a run, so the run's identity comes from entropy
     tasks = [
         _Client(nonce | cid, list(endpoints)).run(requests, payload,
                                                    policy, report)

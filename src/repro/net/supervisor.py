@@ -22,7 +22,7 @@ import selectors
 import subprocess
 import sys
 import tempfile
-from time import monotonic  # repro: allow[DET001] — wall-clock spawn deadlines for real OS processes
+from time import monotonic  # wall-clock spawn deadlines for real OS processes
 from typing import Dict, NamedTuple, Optional
 
 from repro.net.server import READY_PREFIX

@@ -51,8 +51,8 @@ import subprocess
 import sys
 import traceback
 # the export is stamped with real UTC time (metadata, not a
-# simulation input), hence the allow:
-from datetime import datetime, timezone  # repro: allow[DET001]
+# simulation input)
+from datetime import datetime, timezone
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.experiments import experiment, registered_experiments
@@ -138,7 +138,7 @@ def write_bench_json(
         "schema_version": BENCH_SCHEMA_VERSION,
         "seed": seed,
         "git_rev": _git_rev(),
-        # repro: allow[DET001] — export metadata, not simulation input
+        # export metadata, not simulation input
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "quick": quick,
         "benches": json_safe(results),

@@ -12,7 +12,7 @@ torn causal graphs).
 Because the decision is a pure function of the seed and the trace id
 — and trace ids are minted deterministically by the simulator — two
 same-seed runs sample *identical* trace ids, preserving the repo's
-determinism contract (the DET lint rules and same-seed tests).
+determinism contract (the DET checks and same-seed tests).
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """API001 seed: the hint from §4.1, silently swallowed.
 
-Only parsed by the lint pass.  The first handler neither re-raises
+Only parsed by the checks.  The first handler neither re-raises
 nor records a ``recovery.*`` metric; the second does, and must not
 be flagged.
 """

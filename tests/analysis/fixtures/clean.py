@@ -1,6 +1,6 @@
 """A fixture every rule must pass: ordered iteration, tolerance
 comparison, the boundary crossed only through the registry.  Only
-parsed by the lint pass."""
+parsed by the checks."""
 
 from repro.core.ports import kernel_profile, registered_kernels
 

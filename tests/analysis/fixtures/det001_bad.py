@@ -1,6 +1,6 @@
 """DET001 seed: ambient wall-clock and entropy reads.
 
-Never imported by the suite — only parsed by the lint pass, which
+Never imported by the suite — only parsed by the checks, which
 must flag every hazard below.
 """
 

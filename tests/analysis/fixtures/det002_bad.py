@@ -1,6 +1,6 @@
 """DET002 seed: set iteration feeding scheduling decisions.
 
-Only parsed by the lint pass; a fixture file has no package under
+Only parsed by the checks; a fixture file has no package under
 ``src/repro``, so DET002 treats it as order-sensitive.
 """
 

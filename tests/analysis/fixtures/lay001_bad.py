@@ -1,7 +1,7 @@
 """LAY001 seed: module-level imports that bypass repro.core.ports.
 
-Only parsed by the lint pass — importing this file would work (the
-modules exist) but the point is that the *lint* forbids it: this
+Only parsed by the checks — importing this file would work (the
+modules exist) but the point is that LAY001 forbids it: this
 file's name declares no kernel, so both imports cross the boundary.
 """
 

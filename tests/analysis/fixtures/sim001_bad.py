@@ -1,6 +1,6 @@
 """SIM001 seed: float equality on simulated timestamps.
 
-Only parsed by the lint pass.  Simulated instants are accumulated
+Only parsed by the checks.  Simulated instants are accumulated
 floats; exact equality is a coincidence of one cost profile.
 """
 

@@ -182,3 +182,23 @@ def test_top_clean_scenario(capsys):
                  "--quick", "--count", "8"]) == 0
     out = capsys.readouterr().out
     assert "goodput/s" in out
+
+
+def test_chaos_prints_the_recovery_table(capsys):
+    assert main(["chaos", "--kernel", "ideal", "--quick", "--count", "6"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3].split() == [
+        "kernel", "recovery", "clean", "op/s", "faulted", "op/s",
+        "retention", "max", "rtt", "ms", "failovers", "retries", "kernel",
+        "rexmit"]
+    assert lines[5].split()[:2] == ["ideal", "runtime"]
+
+
+def test_top_scale_scenario(capsys):
+    assert main(["top", "--scenario", "scale", "--shards", "2",
+                 "--clients", "200"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3].split() == [
+        "t0", "ms", "completed", "goodput/s", "mean", "rtt", "ms", "max",
+        "rtt", "ms", "remote", "dropped", "retries", "moves"]
+    assert "across 2 shard(s)" in lines[-1]

@@ -197,7 +197,10 @@ SIZE_BUDGETS = {
     # job (before: 792 / 273)
     # LAY002, SIM002 and OBS001 go: tier-1 fails each one's mutations
     # by running (before: 722 / 249)
-    "analysis": (640, 204),
+    # the lint package goes: its five checks are plain tier-1 functions
+    # (tests/analysis/lint_checks.py) and an exemption table replaces
+    # the inline allows (before: 640 / 204)
+    "analysis": (265, 62),
     # PR 19: first budgeted — 468 / 88 plus the area table of `sizes`
     # `net serve` forwards to the node's own parser, and argparse's
     # required group replaces the hand check (before: 472 / 89)
@@ -206,7 +209,8 @@ SIZE_BUDGETS = {
     # `trace --selftest` (test_causal's) and the lint baseline flags go
     # (before: 464 / 88)
     # `chaos` prints `chaos_table(chaos_metrics(...))` (before: 337 / 65)
-    "cli": (331, 63),
+    # `repro lint` goes with the lint package (before: 331 / 63)
+    "cli": (311, 58),
     # PR 19: set at their size then, not yet lowered
     # charlotte and chrysalis: the `first_of` imports, Charlotte's
     # `if ...: pass` and its second unreceived-count write go
@@ -219,7 +223,9 @@ SIZE_BUDGETS = {
     # `destroyed` test, which `_attempt` makes again
     # the move agreement is functions of the kernel, not a coordinator
     # object holding it in a cycle (before: 744 / 193)
-    "charlotte": (737, 193),
+    # the kernel's `_on_enclosure_lost` branch, which no schedule can
+    # reach, goes (before: 737 / 193)
+    "charlotte": (727, 189),
     # soda: the uncalled `SodaKernel.request_state` goes (before:
     # 759 / 157)
     # `_release_pair` admits only a live requester's queued request and
@@ -246,12 +252,12 @@ def test_size_budgets_only_ratchet_down(sizes):
 
 def test_area_sizes_count_every_module_of_the_tree_once(sizes):
     """The rows are disjoint and complete: together they equal a walk
-    of the source files — nested packages (`analysis/lint/rules`)
-    included, only ``__main__`` and the root ``__init__`` left out."""
+    of the source files — nested packages (`sim/backends`) included,
+    only ``__main__`` and the root ``__init__`` left out."""
     root = Path(repro.__file__).parent
     files = [p for p in root.rglob("*.py")
              if p not in (root / "__init__.py", root / "__main__.py")]
-    assert any(len(p.relative_to(root).parts) > 3 for p in files)
+    assert any(len(p.relative_to(root).parts) > 2 for p in files)
     trees = [ast.parse(p.read_text()) for p in files]
     assert sum(loc for loc, _ in sizes.values()) == sum(map(_logical_lines, trees))
     assert sum(br for _, br in sizes.values()) == sum(map(_branches, trees))

@@ -1,12 +1,13 @@
-"""docs/LINT.md is a contract: the rule catalog must cover the
-registered rule set exactly, every documented token must exist in the
-codebase, and the docs that advertise the pass must actually link it —
-so the doc cannot drift from the linter."""
+"""docs/LINT.md is a contract: its catalog must name the checks
+exactly, every name it documents must exist in the codebase, its
+exemption table must be the one the checks read, and the docs that
+advertise the checks must link it — so the doc cannot drift from the
+code."""
 
 import re
 from pathlib import Path
 
-from repro.analysis.lint import registered_rules
+from tests.analysis.lint_checks import CHECKS, HOST_CLOCK_EXEMPTIONS
 
 ROOT = Path(__file__).resolve().parents[2]
 DOC = ROOT / "docs" / "LINT.md"
@@ -21,25 +22,26 @@ def _codebase_blob() -> str:
     return "\n".join(chunks)
 
 
+def _section(title: str) -> str:
+    """The body of one ``## `` section."""
+    return DOC.read_text().split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def _documented_names() -> set:
-    """Backticked tokens from the first column of every table row."""
+    """Backticked tokens from the first column of the catalog's rows."""
     names = set()
-    for line in DOC.read_text().splitlines():
-        if not line.startswith("| `"):
-            continue
-        first_cell = line.split("|")[1]
-        names.update(re.findall(r"`([^`]+)`", first_cell))
+    for line in _section("The checks").splitlines():
+        if line.startswith("| `"):
+            names.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
     return names
 
 
 def test_doc_catalog_covers_the_registry_exactly():
-    assert DOC.exists()
     documented = _documented_names()
-    registered = {r.id for r in registered_rules()}
-    assert documented == registered, (
-        f"docs/LINT.md catalog and the rule registry drifted: "
-        f"undocumented={sorted(registered - documented)} "
-        f"stale={sorted(documented - registered)}"
+    assert documented == set(CHECKS), (
+        f"docs/LINT.md catalog and CHECKS drifted: "
+        f"undocumented={sorted(set(CHECKS) - documented)} "
+        f"stale={sorted(documented - set(CHECKS))}"
     )
 
 
@@ -50,19 +52,13 @@ def test_every_documented_name_appears_in_codebase():
 
 
 def test_doc_states_the_workflows():
-    text = DOC.read_text()
-    assert "repro: allow[" in text  # the suppression syntax
-    assert "repro.lint" in text  # the JSON schema name
-    assert "--json" in text
-    assert "exits 2" in text or "exit 2" in text.lower()
-
-
-def test_doc_severity_claims_match_registry():
-    text = DOC.read_text()
-    for r in registered_rules():
-        assert f"| `{r.id}` | {r.severity} |" in text, (
-            f"{r.id}: catalog row must state severity {r.severity!r}"
-        )
+    """The exemption table in the doc is `HOST_CLOCK_EXEMPTIONS`, row
+    for row, reasons included."""
+    rows = {tuple(cell.strip() for cell in line.split("|")[1:4])
+            for line in _section("The exemption table").splitlines()
+            if line.startswith("| repro.")}
+    assert rows == {(module, hazard, why) for (module, hazard), why
+                    in HOST_CLOCK_EXEMPTIONS.items()}
 
 
 def test_doc_is_linked_from_readme_and_api():

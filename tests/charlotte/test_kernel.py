@@ -199,6 +199,30 @@ def test_process_death_destroys_all_its_links(kern):
     assert CompletionKind.LINK_DESTROYED in kinds_a
 
 
+def test_receiver_death_mid_transfer_loses_the_enclosure(kern):
+    """§3.2.2: the receiver dies after the transfer matched and before
+    it completed.  Its death destroys the carrying link, so the
+    transfer completes on a destroyed link: the sender's send fails
+    in transfer, the enclosure is recorded lost and unlocked, and its
+    ownership never commits to the dead receiver."""
+    eng, kernel = kern
+    pa, pb, ra, rb = _mk(kernel)
+    _, ea, eb = kernel._make_link("a")
+    kernel._receive("b", rb)
+    assert kernel._send("a", ra, _msg(encs=(ea,)), ea) is CallStatus.SUCCESS
+    kernel.process_died("b")
+    eng.run()
+    assert kernel.links[ra.link].destroyed
+    assert kernel.registry.lost_ends() == [ea]
+    moved = kernel.links[ea.link]
+    assert moved.ends[ea.side].owner == "a"
+    assert not moved.ends[ea.side].moving and not moved.move_locked
+    [failed] = [c for c in kernel._completions["a"]
+                if c.kind is CompletionKind.SEND_FAILED]
+    assert failed.reason.startswith("in-transfer: ")
+    assert kernel.metrics.get("charlotte.moves_committed") == 0
+
+
 def test_wait_returns_queued_completion(kern):
     eng, kernel = kern
     pa, pb, ra, rb = _mk(kernel)

@@ -58,9 +58,10 @@ of the pass: memory stranded per op goes straight into `peak_rss_mb`
 (docs/PERFORMANCE.md §2.11).  A lossy chaos run was 0 / 22.0 / 26.0 /
 27.0 objects per op while every `TimerWheel` bucket kept its engine
 event and its handles in cycles, and is 0 on all four kernels since;
-`rpc_null` measures 0, and `link_move` 40 per hop on Charlotte (a
-closure cycle of its move path) and 0 elsewhere, on 3.10.13 through
-3.13.0.
+`rpc_null` and `link_move` measure 0 on all four kernels, on 3.10.13
+through 3.13.0 (Charlotte's `link_move` read 40 per hop while its move
+lock retry was a self-deferring closure; `repro.charlotte.moves._attempt`
+leaves none).
 
 Last, the cluster as a whole.  A workload entry point closes its
 cluster before it returns (`ClusterBase.close`), so dropping the result

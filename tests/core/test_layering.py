@@ -2,33 +2,20 @@
 
 The point of `repro.core.ports` is that every layer above the kernel
 packages — `core.api`, the CLI, workloads, benches, observability,
-analysis — reaches a backend only through the registry.  The rule
-itself now lives in the lint pass (`repro.analysis.lint` rule LAY001,
-also enforced by CI via ``python -m repro lint``); this test pins the
-tree to it and keeps the rule's own contract honest, with no AST
-walker of its own.
+analysis — reaches a backend only through the registry.  The check is
+LAY001 in `tests/analysis/lint_checks.py`; this test pins the tree to
+it and keeps its contract on `if TYPE_CHECKING:` honest.
 """
 
-from pathlib import Path
-
-from repro.analysis.lint import ModuleInfo, get_rule
-from repro.analysis.lint.core import lint_modules
-
-REPO = Path(__file__).resolve().parents[2]
-SRC = REPO / "src" / "repro"
-
-
-def _lay001(paths, root=None):
-    modules = [ModuleInfo.parse(p, root=root) for p in paths]
-    return lint_modules(modules, rules=[get_rule("LAY001")])
+from tests.analysis.lint_checks import lay001, parse, shipped_modules
 
 
 def test_no_module_level_kernel_imports_outside_kernel_packages():
-    result = _lay001(sorted(SRC.rglob("*.py")), root=REPO)
-    assert not result.active, (
+    found = [f"{m.path}:{node.lineno}" for m in shipped_modules()
+             for node, _ in lay001(m)]
+    assert not found, (
         "modules must reach kernels via repro.core.ports, not direct "
-        "module-level imports:\n"
-        + "\n".join(f.location() for f in result.active)
+        "module-level imports:\n" + "\n".join(found)
     )
 
 
@@ -41,6 +28,5 @@ def test_type_checking_guard_is_not_an_escape_hatch(tmp_path):
         "if TYPE_CHECKING:\n"
         "    from repro.soda.kernel import SodaKernel\n"
     )
-    result = _lay001([mod])
-    assert result.fired() == {"LAY001"}
-    assert result.findings[0].line == 3
+    [(node, hazard)] = lay001(parse(mod))
+    assert (node.lineno, hazard) == (3, "repro.soda")
