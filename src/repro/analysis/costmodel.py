@@ -232,10 +232,6 @@ class CostModel:
     chrysalis: ChrysalisCosts = field(default_factory=ChrysalisCosts)
     ideal: IdealCosts = field(default_factory=IdealCosts)
 
-    @staticmethod
-    def default() -> "CostModel":
-        return CostModel()
-
 
 #: Paper-reported figures, for calibration tests and bench tables.
 PAPER = {

@@ -26,14 +26,13 @@ class CharlotteCluster(ClusterBase):
     """
 
     KIND = "charlotte"
+    NODES = 20
 
-    def __init__(self, seed=0, costmodel=None, nodes: int = 20,
-                 reply_acks: bool = False, no_forbid: bool = False,
-                 **engine_kw) -> None:
+    def __init__(self, reply_acks: bool = False, no_forbid: bool = False,
+                 **cluster_kw) -> None:
         self.reply_acks = reply_acks
         self.no_forbid = no_forbid
-        super().__init__(seed=seed, costmodel=costmodel, nodes=nodes,
-                         **engine_kw)
+        super().__init__(**cluster_kw)
 
     def _setup_hardware(self) -> None:
         costs = self.costmodel.charlotte
@@ -43,7 +42,7 @@ class CharlotteCluster(ClusterBase):
             rng=self.rng.child("ring"),
             rate_mbit=costs.ring_rate_mbit,
             access_delay_ms=costs.ring_access_ms,
-            stations=self.nodes,
+            stations=self.NODES,
         )
         self.kernel = CharlotteKernel(
             self.engine, self.metrics, costs, self.ring, self.registry,

@@ -162,9 +162,7 @@ class CharlotteKernel:
 
     def process_died(self, name: str) -> None:
         """Kernel-detected death: destroy all the process's links
-        (§3.1) and notify peers.  Ends the dead process had received at
-        the kernel level but whose runtime never adopted are recorded
-        as lost — the §3.2.2 deviation's oracle."""
+        (§3.1), notify peers and drop the dead process's parked wait."""
         self._dead.add(name)
         for klink in list(self.links.values()):
             if klink.destroyed:
@@ -175,11 +173,9 @@ class CharlotteKernel:
                         klink, f"process {name} died", notify=klink.ends
                     )
                     break
-        # fail any parked wait
-        fut = self._waiters.pop(name, None)
-        if fut is not None and not fut.is_settled():
-            # the process is gone; nobody consumes this — leave unsettled
-            pass
+        # nobody will consume a parked wait's completion: leave it
+        # unsettled
+        self._waiters.pop(name, None)
 
     def node_of(self, name: str) -> int:
         return self._nodes.get(name, 0)

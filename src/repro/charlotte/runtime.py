@@ -110,11 +110,11 @@ class CharlotteRuntime(LynxRuntimeBase):
         )
         self.cends: Dict[EndRef, _CharEnd] = {}
         #: E7 ablation: top-level acknowledgments for replies
-        self.reply_acks: bool = getattr(cluster, "reply_acks", False)
+        self.reply_acks: bool = cluster.reply_acks
         #: A1 ablation: bounce every unwanted request with RETRY, even
         #: when a Receive must stay posted — §3.2.1 explains why this
         #: invites "an arbitrary number of retransmissions"
-        self.no_forbid: bool = getattr(cluster, "no_forbid", False)
+        self.no_forbid: bool = cluster.no_forbid
         #: outstanding kernel Wait (kept across internal wakeups so a
         #: single completion is never lost)
         self._kwait = None

@@ -14,26 +14,15 @@ from repro.sim.network import SharedMemoryInterconnect
 class ChrysalisCluster(ClusterBase):
     """A BBN Butterfly: 68000 processors around a switch (§5.1).
 
-    Extra options
-    -------------
-    tuned : bool
-        Use the §5.3 "30 to 40%" tuned cost profile (E5 ablation).
+    The §5.3 "30 to 40%" tuned profile (the E5 ablation) is
+    ``costmodel=CostModel(chrysalis=ChrysalisCosts().tuned())``.
     """
 
     KIND = "chrysalis"
-
-    def __init__(self, seed=0, costmodel=None, nodes: int = 128,
-                 tuned: bool = False, **engine_kw) -> None:
-        self.tuned = tuned
-        super().__init__(seed=seed, costmodel=costmodel, nodes=nodes,
-                         **engine_kw)
+    NODES = 128
 
     def _setup_hardware(self) -> None:
         costs = self.costmodel.chrysalis
-        if self.tuned:
-            costs = costs.tuned()
-        #: the (possibly tuned) profile runtimes read
-        self.chrysalis_costs = costs
         self.switch = SharedMemoryInterconnect(
             self.engine,
             metrics=self.metrics,

@@ -74,7 +74,7 @@ class ChrysalisRuntime(LynxRuntimeBase):
         self._premapped: Dict[EndRef, tuple] = {}
 
     def runtime_costs(self) -> RuntimeCosts:
-        return self.cluster.chrysalis_costs.runtime
+        return self.cluster.costmodel.chrysalis.runtime
 
     # ------------------------------------------------------------------
     def rt_startup(self):

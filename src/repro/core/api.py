@@ -100,10 +100,11 @@ def make_cluster(
 
     ``kind`` is any backend registered in `repro.core.ports`.  Extra
     keyword arguments are forwarded to the cluster constructor (e.g.
-    ``broadcast_loss=`` for SODA, ``tuned=True`` for Chrysalis,
-    ``reply_acks=True`` for Charlotte's E7 ablation, and
-    ``sim_backend=``/``shards=`` to run the cluster on an engine from
-    `repro.sim.backends`).
+    ``broadcast_loss=`` for SODA, ``reply_acks=True`` for Charlotte's
+    E7 ablation, and ``sim_backend=``/``shards=`` to run the cluster on
+    an engine from `repro.sim.backends`).  ``costmodel`` is the one way
+    to change a calibrated constant, e.g. the §5.3 tuned Chrysalis
+    profile ``CostModel(chrysalis=ChrysalisCosts().tuned())``.
     """
     cluster_cls = kernel_profile(kind).load_cluster()
     return cluster_cls(seed=seed, costmodel=costmodel, **kwargs)

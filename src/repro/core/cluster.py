@@ -82,12 +82,14 @@ class ClusterBase:
     """Common machinery for the three kernel clusters."""
 
     KIND = "abstract"
+    #: processors in the simulated machine; `spawn` places processes on
+    #: them round-robin
+    NODES = 16
 
     def __init__(
         self,
         seed: int = 0,
         costmodel: Optional[CostModel] = None,
-        nodes: int = 16,
         sim_backend: str = "global",
         shards: int = 1,
         lookahead_ms: Optional[float] = None,
@@ -108,8 +110,9 @@ class ClusterBase:
         #: (created before `_setup_hardware` so kernels can take it)
         self.spans = SpanTracker(self.trace, metrics=self.metrics)
         self.rng = SimRandom(seed, f"cluster/{self.KIND}")
-        self.costmodel = costmodel if costmodel is not None else CostModel.default()
-        self.nodes = nodes
+        #: the calibrated constants every kernel and runtime of this
+        #: cluster reads (``costmodel.<KIND>``)
+        self.costmodel = costmodel if costmodel is not None else CostModel()
         self.processes: Dict[str, ProcessHandle] = {}
         #: network-fault plane (`repro.sim.faults`); None = the network
         #: is perfectly reliable, and every pre-existing code path is
@@ -171,7 +174,7 @@ class ClusterBase:
         if name in self.processes:
             raise ValueError(f"duplicate process name {name!r}")
         if node is None:
-            node = self._next_node % self.nodes
+            node = self._next_node % self.NODES
             self._next_node += 1
         handle = ProcessHandle(name, program, node)
         handle.runtime = self.make_runtime(handle)

@@ -55,10 +55,9 @@ _E13_LAYERS = ("runtime", "kernel", "network", "app")
 
 
 def _e13_measure(seed, quick):
-    count = 5
     out = {}
     for kind in registered_kernels():
-        r = run_rpc_workload(kind, 0, count=count, seed=seed)
+        r = run_rpc_workload(kind, 0, count=5, seed=seed)
         graph = CausalGraph.from_trace(r.trace)
         tids = graph.traces()[1:]  # drop the workload's warm-up trip
         layers = graph.by_layer(tids)
@@ -308,8 +307,7 @@ def _e15_measure(seed, quick):
     def exact_pct(p):
         rank = (p / 100.0) * (len(exact) - 1)
         lo, hi = int(math.floor(rank)), int(math.ceil(rank))
-        if lo == hi:
-            return exact[lo]
+        # at an exact rank (lo == hi) frac is 0 and this is exact[lo]
         frac = rank - lo
         return exact[lo] * (1 - frac) + exact[hi] * frac
 

@@ -4,7 +4,7 @@ share of it (A4 §3.3 / §4.3)."""
 
 from __future__ import annotations
 
-from repro.analysis.costmodel import PAPER
+from repro.analysis.costmodel import PAPER, ChrysalisCosts, CostModel
 from repro.analysis.plot import ascii_plot
 from repro.analysis.report import Table, paper_vs_measured
 from repro.core.api import KERNEL_KINDS
@@ -168,10 +168,11 @@ def _e5_measure(seed, quick):
     count = 5
     c0 = run_rpc_workload("chrysalis", 0, count=count, seed=seed).mean_ms
     c1000 = run_rpc_workload("chrysalis", 1000, count=count, seed=seed).mean_ms
+    tuned = CostModel(chrysalis=ChrysalisCosts().tuned())
     t0 = run_rpc_workload("chrysalis", 0, count=count, seed=seed,
-                          tuned=True).mean_ms
+                          costmodel=tuned).mean_ms
     t1000 = run_rpc_workload("chrysalis", 1000, count=count, seed=seed,
-                             tuned=True).mean_ms
+                             costmodel=tuned).mean_ms
     char0 = run_rpc_workload("charlotte", 0, count=count, seed=seed).mean_ms
     return {
         "lynx_rpc0_ms": c0,

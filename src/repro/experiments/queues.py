@@ -4,6 +4,7 @@ kernel limit leaks through it: SODA's outstanding-request limit (E10,
 
 from __future__ import annotations
 
+from repro.analysis.costmodel import CostModel, SodaCosts
 from repro.analysis.report import Table
 from repro.core.api import INT, KERNEL_KINDS, Operation, Proc, make_cluster
 from repro.experiments import Experiment, register_experiment
@@ -63,8 +64,8 @@ class _EveryLinkClient(Proc):
 def _e10_measure(seed, quick):
     out = {"threshold": None}  # stays None when every limit deadlocks
     for limit in E10_LIMITS:
-        with make_cluster("soda", seed=seed,
-                          pair_request_limit=limit) as cluster:
+        costs = CostModel(soda=SodaCosts(pair_request_limit=limit))
+        with make_cluster("soda", seed=seed, costmodel=costs) as cluster:
             server = _LastQueueServer()
             s = cluster.spawn(server, "server")
             c = cluster.spawn(_EveryLinkClient(), "client")

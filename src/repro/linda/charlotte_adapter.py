@@ -118,14 +118,13 @@ class CharlotteLinda(LindaSystemBase):
             for waiter, served in self.space.out(tup):
                 yield from self._send_tuple(waiter.token, served)
         else:
+            # with no match the server itself must buffer the pattern
+            # and owe the reply — Charlotte gives it nowhere else to park
             pattern = decode_pattern(msg.payload)
-            tup = self.space.try_match(pattern, take=(op == "take"))
+            tup = self.space.match_or_park(pattern, op == "take", ref)
             if tup is not None:
                 yield from self._send_tuple(ref, tup)
             else:
-                # the server itself must buffer the pattern and owe the
-                # reply — Charlotte gives it nowhere else to park
-                self.space.add_waiter(pattern, op == "take", ref)
                 self.metrics.count("linda.blocked_waiters")
 
     def _send_tuple(self, ref: EndRef, tup):

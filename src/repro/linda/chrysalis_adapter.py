@@ -61,13 +61,12 @@ class ChrysalisLindaClient(LindaClientBase):
 
     def _query(self, pattern: Pattern, take: bool):
         yield from self._setup()
+        # match-or-park is one atomic op: an ``out`` racing it either
+        # lands first (and matches) or finds the waiter parked
         tup = yield self.port.atomic(
-            lambda: self._space.try_match(pattern, take)
+            lambda: self._space.match_or_park(pattern, take, self._event)
         )
         if tup is None:
-            yield self.port.atomic(
-                lambda: self._space.add_waiter(pattern, take, self._event)
-            )
             self.system.metrics.count("linda.blocked_waiters")
             tup = yield self.port.event_wait(self._event)
         yield self.port.copy(len(encode_tuple(tup)) + _COPY_HEADER)

@@ -57,13 +57,13 @@ class SodaLinda(LindaSystemBase):
             fut = self.port.accept(intr.rid, nrecv=intr.nsend)
             fut.add_done_callback(self._on_out_received)
         elif op in ("take", "read"):
+            # with no match, THE Linda move: just... don't accept yet
+            # (§4.1) — the unaccepted rid parks as the waiter's token
             pattern = intr.oob["pattern"]
-            tup = self.space.try_match(pattern, take=(op == "take"))
+            tup = self.space.match_or_park(pattern, op == "take", intr.rid)
             if tup is not None:
                 self._serve(intr.rid, tup)
             else:
-                # THE Linda move: just... don't accept yet (§4.1)
-                self.space.add_waiter(pattern, op == "take", intr.rid)
                 self.metrics.count("linda.blocked_waiters")
 
     def _on_out_received(self, fut: Future) -> None:

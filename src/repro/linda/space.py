@@ -12,9 +12,10 @@ A pattern element is an actual value (matches equal values), a Python
 type (matches instances), or `ANY`.  Matching requires equal arity.
 
 `TupleSpace` also manages blocked waiters so the adapters share the
-wake-on-out logic: ``out`` returns the waiters the new tuple satisfies,
-in arrival order, with at most one *taker* (the tuple can only be
-removed once) but any number of readers ahead of it.
+wake-on-out logic: ``match_or_park`` serves a query or parks it, and
+``out`` returns the waiters the new tuple satisfies, in arrival order,
+with at most one *taker* (the tuple can only be removed once) but any
+number of readers ahead of it.
 """
 
 from __future__ import annotations
@@ -82,20 +83,20 @@ class TupleSpace:
         return len(self.tuples)
 
     # ------------------------------------------------------------------
-    def try_match(self, pattern: Pattern, take: bool) -> Optional[tuple]:
-        """Return (and for ``take`` remove) the oldest matching tuple."""
+    def match_or_park(self, pattern: Pattern, take: bool,
+                      token: Any) -> Optional[tuple]:
+        """Return (and for ``take`` remove) the oldest matching tuple;
+        with none, park a waiter carrying ``token`` and return None.
+        One operation, so no ``out`` can land between the failed match
+        and the parking and leave the waiter asleep beside its tuple."""
         for i, tup in enumerate(self.tuples):
             if match(pattern, tup):
                 if take:
                     self.tuples.pop(i)
                 return tup
-        return None
-
-    def add_waiter(self, pattern: Pattern, take: bool, token: Any) -> Waiter:
-        w = Waiter(pattern, take, token, self._next_seq)
+        self.waiters.append(Waiter(pattern, take, token, self._next_seq))
         self._next_seq += 1
-        self.waiters.append(w)
-        return w
+        return None
 
     def remove_waiter(self, waiter: Waiter) -> None:
         if waiter in self.waiters:

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Optional
-
 from repro.core.cluster import ClusterBase, ProcessHandle
 from repro.core.links import EndRef
 from repro.sim.faults import CrashMode
@@ -25,36 +22,24 @@ class SodaCluster(ClusterBase):
         reasonable assumptions about the reliability of SODA
         broadcasts, it is impossible to predict the success rate of
         the heuristics."
-    pair_request_limit : int
-        §4.2.1's outstanding-request limit (E10 sweep parameter).
     cache_size : int
         Entries in each process's moved-link cache (§4.2).
+
+    §4.2.1's outstanding-request limit (the E10 sweep) is a calibrated
+    constant, `SodaCosts.pair_request_limit`, set through ``costmodel=``.
     """
 
     KIND = "soda"
+    NODES = 64
 
-    def __init__(
-        self,
-        seed=0,
-        costmodel=None,
-        nodes: int = 64,
-        broadcast_loss: float = 0.0,
-        pair_request_limit: Optional[int] = None,
-        cache_size: int = 64,
-        **engine_kw,
-    ) -> None:
+    def __init__(self, broadcast_loss: float = 0.0, cache_size: int = 64,
+                 **cluster_kw) -> None:
         self.broadcast_loss = broadcast_loss
-        self.pair_request_limit = pair_request_limit
         self.cache_size = cache_size
-        super().__init__(seed=seed, costmodel=costmodel, nodes=nodes,
-                         **engine_kw)
+        super().__init__(**cluster_kw)
 
     def _setup_hardware(self) -> None:
         costs = self.costmodel.soda
-        if self.pair_request_limit is not None:
-            costs = replace(costs, pair_request_limit=self.pair_request_limit)
-        #: the (possibly overridden) profile kernel and runtimes read
-        self.soda_costs = costs
         self.bus = CSMABus(
             self.engine,
             metrics=self.metrics,

@@ -86,14 +86,14 @@ class SodaRuntime(LynxRuntimeBase):
         self.port: SodaPort = cluster.kernel.register_process(
             self.name, handle.node
         )
-        self.costs = cluster.soda_costs
+        self.costs = cluster.costmodel.soda
         self.sends: Dict[int, _Send] = {}
         self.sref: Dict[EndRef, _SodaEnd] = {}
         self.name_to_ref: Dict[int, EndRef] = {}
         #: moved-away ends: name -> new owner; names stay advertised
         #: until evicted ("keeps the names of those links advertised")
         self.cache: "OrderedDict[int, str]" = OrderedDict()
-        self.cache_size: int = getattr(cluster, "cache_size", 64)
+        self.cache_size: int = cluster.cache_size
         self._intr_q: Deque[Interrupt] = deque()
         #: rids whose hint-probe timer fired (probe to be started)
         self._repairs: Deque[int] = deque()
@@ -104,7 +104,7 @@ class SodaRuntime(LynxRuntimeBase):
         self.port.set_handler(self._on_interrupt)
 
     def runtime_costs(self) -> RuntimeCosts:
-        return self.cluster.soda_costs.runtime
+        return self.cluster.costmodel.soda.runtime
 
     def rt_runnable(self) -> bool:
         return self.frozen_count == 0

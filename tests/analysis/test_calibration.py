@@ -8,7 +8,7 @@ the simulators.
 
 import pytest
 
-from repro.analysis.costmodel import PAPER
+from repro.analysis.costmodel import PAPER, ChrysalisCosts, CostModel
 from repro.workloads.rpc import raw_charlotte_rpc, run_rpc_workload
 
 
@@ -86,6 +86,8 @@ def test_chrysalis_tuned_improvement_in_paper_band():
     checked on the 0-byte figure (the 1000-byte figure is copy-bound
     and improves less; EXPERIMENTS.md discusses)."""
     base = run_rpc_workload("chrysalis", 0, count=5).mean_ms
-    tuned = run_rpc_workload("chrysalis", 0, count=5, tuned=True).mean_ms
+    tuned = run_rpc_workload(
+        "chrysalis", 0, count=5,
+        costmodel=CostModel(chrysalis=ChrysalisCosts().tuned())).mean_ms
     improvement = (base - tuned) / base
     assert 0.30 <= improvement <= 0.40

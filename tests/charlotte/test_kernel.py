@@ -21,7 +21,7 @@ from repro.sim.network import TokenRing
 def kern():
     eng = Engine()
     metrics = MetricSet()
-    costs = CostModel.default().charlotte
+    costs = CostModel().charlotte
     ring = TokenRing(eng, metrics=metrics, access_delay_ms=costs.ring_access_ms)
     kernel = CharlotteKernel(eng, metrics, costs, ring, LinkRegistry())
     return eng, kernel

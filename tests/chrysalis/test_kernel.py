@@ -14,7 +14,7 @@ from repro.sim.network import SharedMemoryInterconnect
 def kern():
     eng = Engine()
     metrics = MetricSet()
-    costs = CostModel.default().chrysalis
+    costs = CostModel().chrysalis
     switch = SharedMemoryInterconnect(eng, metrics=metrics)
     return eng, ChrysalisKernel(eng, metrics, costs, switch)
 

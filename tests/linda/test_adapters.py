@@ -1,6 +1,8 @@
 """The mini-Linda adapters, cross-kernel: identical semantics, very
 different transports."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.linda import ANY, make_linda
@@ -173,3 +175,34 @@ def test_soda_blocking_take_costs_no_extra_messages():
         return system.metrics.total("wire.frames.")
 
     assert run(0.0) == run(5000.0)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("block_ms", [0.0, 1000.0])
+@pytest.mark.parametrize("flag_op_ms", [0.005, 0.01, 0.015, 0.02, 0.03, 0.05])
+def test_chrysalis_take_never_misses_a_racing_out(flag_op_ms, block_ms, seed):
+    """A5's exchange (consumer first, producer after ``block_ms``) off
+    the calibrated atomic-op cost.  With match and park as two atomic
+    ops, one ``flag_op_ms`` apart, an ``out`` landing between them
+    stored the tuple beside no waiter, and the consumer then parked
+    forever (every unblocked exchange from 0.02 ms up).  The single
+    match-or-park op leaves no gap."""
+    system = make_linda("chrysalis", seed=seed)
+    kernel = system.cluster.kernel
+    kernel.costs = replace(kernel.costs, flag_op_ms=flag_op_ms)
+    got = []
+
+    def consumer(c):
+        got.append((yield from c.take(("k", ANY))))
+        yield from c.close()
+
+    def producer(c):
+        if block_ms:
+            yield sleep(system.engine, block_ms)
+        yield from c.out(("k", 1))
+        yield from c.close()
+
+    system.spawn(consumer(system.client("c")))
+    system.spawn(producer(system.client("p")))
+    finish(system, max_ms=1e7)
+    assert got == [("k", 1)]

@@ -32,22 +32,27 @@ def test_try_match_take_removes_oldest():
     s = TupleSpace()
     s.out(("t", 1))
     s.out(("t", 2))
-    assert s.try_match(("t", ANY), take=True) == ("t", 1)
-    assert s.try_match(("t", ANY), take=True) == ("t", 2)
-    assert s.try_match(("t", ANY), take=True) is None
+    assert s.match_or_park(("t", ANY), take=True, token="w") == ("t", 1)
+    assert s.match_or_park(("t", ANY), take=True, token="w") == ("t", 2)
+    assert s.waiters == []
+    # no match left: the query parks instead
+    assert s.match_or_park(("t", ANY), take=True, token="w") is None
+    assert [w.token for w in s.waiters] == ["w"]
 
 
 def test_try_match_read_keeps_tuple():
     s = TupleSpace()
     s.out(("t", 1))
-    assert s.try_match(("t", ANY), take=False) == ("t", 1)
+    assert s.match_or_park(("t", ANY), take=False, token="r") == ("t", 1)
     assert len(s) == 1
+    assert s.waiters == []
 
 
 def test_out_wakes_single_taker_oldest_first():
     s = TupleSpace()
-    w1 = s.add_waiter(("t", ANY), take=True, token="first")
-    w2 = s.add_waiter(("t", ANY), take=True, token="second")
+    s.match_or_park(("t", ANY), take=True, token="first")
+    s.match_or_park(("t", ANY), take=True, token="second")
+    w2 = s.waiters[1]
     satisfied = s.out(("t", 9))
     assert [(w.token, t) for w, t in satisfied] == [("first", ("t", 9))]
     assert w2 in s.waiters  # still blocked
@@ -56,9 +61,9 @@ def test_out_wakes_single_taker_oldest_first():
 
 def test_out_wakes_readers_before_the_taker_and_keeps_order():
     s = TupleSpace()
-    r1 = s.add_waiter(("t", ANY), take=False, token="r1")
-    t1 = s.add_waiter(("t", ANY), take=True, token="t1")
-    r2 = s.add_waiter(("t", ANY), take=False, token="r2")
+    s.match_or_park(("t", ANY), take=False, token="r1")
+    s.match_or_park(("t", ANY), take=True, token="t1")
+    s.match_or_park(("t", ANY), take=False, token="r2")
     satisfied = s.out(("t", 1))
     tokens = [w.token for w, _ in satisfied]
     # readers senior to the taker see it; the taker consumes it; the
@@ -70,7 +75,7 @@ def test_out_wakes_readers_before_the_taker_and_keeps_order():
 
 def test_out_with_only_readers_keeps_the_tuple():
     s = TupleSpace()
-    s.add_waiter((ANY,), take=False, token="r")
+    s.match_or_park((ANY,), take=False, token="r")
     satisfied = s.out((5,))
     assert [w.token for w, _ in satisfied] == ["r"]
     assert len(s) == 1  # read, not consumed
@@ -78,7 +83,7 @@ def test_out_with_only_readers_keeps_the_tuple():
 
 def test_unmatched_out_just_stores():
     s = TupleSpace()
-    s.add_waiter(("x",), take=True, token="w")
+    s.match_or_park(("x",), take=True, token="w")
     assert s.out(("y",)) == []
     assert len(s) == 1
     assert len(s.waiters) == 1
@@ -86,6 +91,6 @@ def test_unmatched_out_just_stores():
 
 def test_remove_waiter():
     s = TupleSpace()
-    w = s.add_waiter((ANY,), take=True, token="w")
-    s.remove_waiter(w)
+    s.match_or_park((ANY,), take=True, token="w")
+    s.remove_waiter(s.waiters[0])
     assert s.out((1,)) == []

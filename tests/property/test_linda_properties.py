@@ -17,27 +17,28 @@ tuples = st.tuples(
                 max_size=30))
 @settings(max_examples=200, deadline=None)
 def test_space_conserves_tuples(script):
-    """Model-level conservation: tuples present = outs - successful
-    takes; reads never change the census; waiters only exist for
-    patterns with no current match."""
+    """Model-level conservation: tuples present = outs - takes, where
+    a take either matches at once or parks and consumes a later out;
+    reads never change the census; a query parks only when nothing
+    present matches it."""
     s = TupleSpace()
     outs = 0
     takes = 0
     for op, tup in script:
         if op == "out":
-            s.out(tup)
             outs += 1
-        elif op == "take":
-            got = s.try_match(tup, take=True)
-            if got is not None:
-                takes += 1
-                assert match(tup, got)
+            takes += sum(w.take for w, _ in s.out(tup))
         else:
             before = len(s)
-            got = s.try_match(tup, take=False)
-            assert len(s) == before
-            if got is not None:
+            parked = len(s.waiters)
+            got = s.match_or_park(tup, take=(op == "take"), token=op)
+            if got is None:
+                assert len(s) == before
+                assert len(s.waiters) == parked + 1
+            else:
                 assert match(tup, got)
+                takes += op == "take"
+                assert len(s) == before - (op == "take")
     assert len(s) == outs - takes
 
 
@@ -49,7 +50,8 @@ def test_waiters_never_coexist_with_matches(script, wait_idx):
     s = TupleSpace()
     pattern = (ANY, script[wait_idx % len(script)][1])
     released = []
-    w = s.add_waiter(pattern, take=True, token="w")
+    s.match_or_park(pattern, take=True, token="w")
+    w = s.waiters[0]
     for tup in script:
         for waiter, served in s.out(tup):
             released.append((waiter.token, served))
@@ -61,7 +63,7 @@ def test_waiters_never_coexist_with_matches(script, wait_idx):
         # nothing matched; the waiter must still be parked and no
         # stored tuple may match its pattern
         assert w in s.waiters
-        assert s.try_match(pattern, take=False) is None
+        assert s.match_or_park(pattern, take=False, token="r") is None
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -18,7 +18,7 @@ from repro.soda.kernel import (
 def make_kernel(broadcast_loss=0.0, pair_limit=None):
     eng = Engine()
     metrics = MetricSet()
-    costs = CostModel.default().soda
+    costs = CostModel().soda
     if pair_limit is not None:
         from dataclasses import replace
 

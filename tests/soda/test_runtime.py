@@ -3,6 +3,7 @@ the freeze fallback (§4.2)."""
 
 import pytest
 
+from repro.analysis.costmodel import CostModel, SodaCosts
 from repro.core.api import (
     BYTES,
     INT,
@@ -440,7 +441,8 @@ def test_pair_limit_deadlock_with_many_links():
             yield from ctx.delay(1.0)
 
     n = 4
-    cluster = make_cluster("soda", pair_request_limit=2)
+    cluster = make_cluster(
+        "soda", costmodel=CostModel(soda=SodaCosts(pair_request_limit=2)))
     server, client = Server(n), Client(n)
     s = cluster.spawn(server, "server")
     c = cluster.spawn(client, "client")
@@ -452,7 +454,8 @@ def test_pair_limit_deadlock_with_many_links():
     assert cluster.metrics.get("soda.pair_limit_queued") >= 1
 
     # with the paper's "half a dozen or so" the same workload completes
-    cluster2 = make_cluster("soda", pair_request_limit=12)
+    cluster2 = make_cluster(
+        "soda", costmodel=CostModel(soda=SodaCosts(pair_request_limit=12)))
     server2, client2 = Server(n), Client(n)
     s2 = cluster2.spawn(server2, "server")
     c2 = cluster2.spawn(client2, "client")
@@ -460,3 +463,38 @@ def test_pair_limit_deadlock_with_many_links():
         cluster2.create_link(c2, s2)
     cluster2.run_until_quiet(max_ms=3000.0)
     assert server2.served == 1
+
+
+@pytest.mark.parametrize("limit", range(1, 7))
+def test_a2_workload_finishes_iff_the_pair_limit_exceeds_its_links(limit):
+    """A2's cache workload meets §4.2.1's deadlock (E10) below a limit
+    of ``A2_LINKS + 1``: the holder opens its ``A2_LINKS`` adopted
+    ends, their status signals fill that many of the holder->observer
+    pair's slots, and the holder's reply to the observer's first
+    request queues behind them.  The run never goes quiet — the
+    observer's hint probe keeps refiring — so it ends at A2's budget
+    with both processes unfinished and a request queued."""
+    from repro.experiments.moves import (
+        A2_LINKS,
+        _CacheDispatcher,
+        _CacheHolder,
+        _CacheObserver,
+    )
+
+    costs = CostModel(soda=SodaCosts(pair_request_limit=limit))
+    with make_cluster("soda", costmodel=costs) as cluster:
+        d = cluster.spawn(_CacheDispatcher(), "dispatcher")
+        h = cluster.spawn(_CacheHolder(), "holder")
+        obs = cluster.spawn(_CacheObserver(), "observer")
+        cluster.create_link(d, h)
+        for _ in range(A2_LINKS):
+            cluster.create_link(d, obs)
+        end = cluster.run_until_quiet(max_ms=1e7)
+        cluster.check()
+        if limit >= A2_LINKS + 1:
+            assert cluster.all_finished
+            assert len(obs.program.latencies) == A2_LINKS
+        else:
+            assert end == 1e7
+            assert {"holder", "observer"} <= set(cluster.unfinished())
+            assert cluster.metrics.get("soda.pair_limit_queued") >= 1
