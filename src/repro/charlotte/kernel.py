@@ -46,7 +46,7 @@ from repro.charlotte import moves
 from repro.core.links import EndRef
 from repro.core.wire import MsgKind, WireMessage
 from repro.sim.engine import Engine
-from repro.sim.futures import Future
+from repro.sim.futures import Future, FutureState
 from repro.sim.metrics import MetricSet
 from repro.sim.network import TokenRing
 
@@ -373,7 +373,7 @@ class CharlotteKernel:
         base_delay = (
             self.costs.kernel_msg_fixed_ms
             + self.costs.kernel_per_byte_ms * nbytes
-            + self.ring.transit_time(nbytes)
+            + (net := self.ring.transit_time(nbytes))
         )
         self.metrics.count("kernel.transfers")
         self.metrics.count("wire.bytes", nbytes)
@@ -386,11 +386,11 @@ class CharlotteKernel:
                 self,
                 enclosure,
                 lambda extra: self._finish_transfer(
-                    klink, sender, receiver, msg, base_delay + extra
+                    klink, sender, receiver, msg, base_delay + extra, net
                 ),
             )
         else:
-            self._finish_transfer(klink, sender, receiver, msg, base_delay)
+            self._finish_transfer(klink, sender, receiver, msg, base_delay, net)
 
     def _finish_transfer(
         self,
@@ -399,13 +399,12 @@ class CharlotteKernel:
         receiver: _KEnd,
         msg: WireMessage,
         delay: float,
+        net: float,
     ) -> None:
         if msg.span is not None and self.spans is not None:
             # split the transfer delay into kernel CPU (fixed +
-            # per-byte + any move-agreement extra) and ring transit;
-            # TokenRing.transit_time is deterministic, so recomputing
-            # it here perturbs nothing
-            net = min(self.ring.transit_time(msg.wire_size), delay)
+            # per-byte + any move-agreement extra) and the ring transit
+            # ``net`` it includes
             now = self.engine.now
             self.spans.emit(
                 msg.span, "kernel", _TRANSFER_SPANS[msg.kind._value_],
@@ -460,7 +459,7 @@ class CharlotteKernel:
             return
         queue.append(completion)
         fut = self._waiters.pop(owner, None)
-        if fut is not None and not fut.is_settled():
+        if fut is not None and fut.state is FutureState.PENDING:
             # the parked Wait returns now, paying its syscall cost
             fut.resolve_later(self.costs.wait_syscall_ms, queue.popleft())
 

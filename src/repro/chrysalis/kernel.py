@@ -38,7 +38,7 @@ from typing import Any, Callable, Deque, Dict, Optional
 from repro.analysis.costmodel import ChrysalisCosts
 from repro.core.exceptions import ProtocolViolation
 from repro.sim.engine import Engine
-from repro.sim.futures import Future
+from repro.sim.futures import Future, FutureState
 from repro.sim.metrics import MetricSet
 from repro.sim.network import SharedMemoryInterconnect
 
@@ -161,7 +161,7 @@ class ChrysalisKernel:
         if ev is None:
             return
         self.metrics.count("chrysalis.ops.post")
-        if ev.waiter is not None and not ev.waiter.is_settled():
+        if ev.waiter is not None and ev.waiter.state is FutureState.PENDING:
             waiter, ev.waiter = ev.waiter, None
             waiter.resolve_later(self.costs.event_wait_ms, datum)
         else:
@@ -178,7 +178,7 @@ class ChrysalisKernel:
         if ev.pending:
             fut.resolve_later(self.costs.event_wait_ms, ev.pending.popleft())
         else:
-            if ev.waiter is not None and not ev.waiter.is_settled():
+            if ev.waiter is not None and ev.waiter.state is FutureState.PENDING:
                 raise ProtocolViolation(f"double wait on event {eid}")
             ev.waiter = fut
         return fut

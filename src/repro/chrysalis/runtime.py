@@ -142,8 +142,8 @@ class ChrysalisRuntime(LynxRuntimeBase):
                 if pre is not None:
                     yield self.port.unmap_object(pre[0])
         # gather: block copy through the switch
-        copy_t0 = self.engine.now
-        yield self.port.copy(msg.wire_size)
+        copy_t0, nbytes = self.engine.now, msg.wire_size
+        yield self.port.copy(nbytes)
         copy_t1 = self.engine.now
 
         def write() -> None:
@@ -152,7 +152,7 @@ class ChrysalisRuntime(LynxRuntimeBase):
 
         yield self.port.atomic(write)
         self.metrics.count(f"wire.messages.{msg.kind._value_}")
-        self.metrics.count("wire.bytes", msg.wire_size)
+        self.metrics.count("wire.bytes", nbytes)
         # notify the far end through its dual-queue name — a hint that
         # may be stale after a move; flags are the ground truth (§5.2)
         target = obj.dq_names[1 - side]

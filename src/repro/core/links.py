@@ -192,7 +192,7 @@ class EndState:
 
     @property
     def reply_queue_open(self) -> bool:
-        return len(self.connect_waiters) > 0
+        return bool(self.connect_waiters)
 
     @property
     def movable(self) -> bool:

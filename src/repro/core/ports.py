@@ -79,7 +79,8 @@ class KernelRuntimePort(Protocol):
         thread only while this is True; the default is always True —
         idle or not — and the one override is SODA's freeze protocol
         (§4.2), False while the process is frozen ("ceases execution
-        of everything but its own searches").  Must not block.
+        of everything but its own searches").  Must not block.  The
+        dispatcher asks only a runtime whose class overrides it.
 
     ``rt_shutdown()``
         Runs after ``main`` returns and cleanup finished.  Post: the

@@ -154,6 +154,11 @@ class LynxRuntimeBase:
         #: future existed (e.g. during a charged kernel call) is
         #: remembered, not lost
         self._wake_signal = False
+        #: what `wakeup_future` returns for a latched wake: one settled
+        #: future, waited on again and again (a settled future keeps no
+        #: listeners)
+        self._woken = Future(self.engine, "wakeup-latched")
+        self._woken.resolve(None)
         self.alive = True
         self.exited = False
         self._crash_mode: Optional[CrashMode] = None
@@ -330,18 +335,33 @@ class LynxRuntimeBase:
     # ==================================================================
     def main_generator(self) -> Generator:
         """The generator driven as this process's simulation Task."""
+        # only a kernel that overrides `rt_runnable` (SODA's freeze) can
+        # stop user threads, so only such a runtime is asked
+        gated = type(self).rt_runnable is not LynxRuntimeBase.rt_runnable
         try:
             yield from self.rt_startup()
             ctx = LynxContext(self)
             self._spawn_thread(self.handle.program.main(ctx), f"{self.name}.main")
             while self.alive:
-                while self.ready and self.alive and self.rt_runnable():
+                while self.ready and self.alive and (
+                    not gated or self.rt_runnable()
+                ):
                     t = self.ready.popleft()
                     if t.live:
                         yield from self._run_thread(t)
                 if not self.alive or not self.live_threads:
                     break
-                yield from self._block_point()
+                # a block point, entered only with live threads; none can
+                # finish in here, since threads run only in `_run_thread`
+                yield sleep(self.engine, self.rc.dispatch_ms)
+                while self.alive:
+                    if not gated or self.rt_runnable():
+                        # (nothing to deliver without a reply or a waiter)
+                        if self._replies_waiting or self._wait_req:
+                            yield from self._deliver_pending()
+                        if self.ready:
+                            break
+                    yield from self.rt_block_wait()
         except GeneratorExit:
             # the simulation ended with this process still suspended
             # (e.g. an undetected Chrysalis processor failure left it
@@ -375,9 +395,9 @@ class LynxRuntimeBase:
         """LYNX semantics: "the termination of a process must destroy
         all the links attached to that process" (§2.2)."""
         self.alive = False
-        for ref in list(self.ends.keys()):
-            es = self.ends.get(ref)
-            if es is None or es.lifecycle is not EndLifecycle.OWNED:
+        # an end that moves away meanwhile is MOVED, and skipped
+        for es in list(self.ends.values()):
+            if es.lifecycle is not EndLifecycle.OWNED:
                 continue
             reason = f"process {self.name} terminated"
             self._mark_destroyed(es, reason, crash=self._crash_mode is not None)
@@ -385,7 +405,7 @@ class LynxRuntimeBase:
                 yield from self.rt_destroy(es, reason)
             except LynxError:
                 self.metrics.count("runtime.cleanup_errors")
-            self.registry.record_destroyed(ref.link, reason)
+            self.registry.record_destroyed(es.ref.link, reason)
         yield from self.rt_shutdown()
 
     # ------------------------------------------------------------------
@@ -687,20 +707,15 @@ class LynxRuntimeBase:
     # ==================================================================
     # block points
     # ==================================================================
-    def _block_point(self) -> Generator:
-        # entered only with live threads, and none can finish in here:
-        # threads run only in `_run_thread`
-        yield sleep(self.engine, self.rc.dispatch_ms)
-        while self.alive:
-            if self.rt_runnable():
-                yield from self._deliver_pending()
-                if self.ready:
-                    return
-            yield from self.rt_block_wait()
-
     def _deliver_pending(self) -> Generator:
         """Consume deliverable replies, then match available requests to
-        waiting threads, fairly."""
+        waiting threads, fairly, until a pass delivers nothing.  A pass
+        over the threads in ``wait_request`` takes them oldest first:
+        each takes a request from its fair queue, or goes back to the
+        end of the line — in place, so a pass that delivers nothing
+        builds nothing.  A destroy while a request is taken may drop
+        waiters (`_mark_destroyed`); the pass still takes at most one
+        turn per thread that was waiting when it began."""
         progressed = True
         while progressed and self.alive:
             progressed = False
@@ -713,54 +728,39 @@ class LynxRuntimeBase:
                         yield from self._consume_reply(es, msg)
                         progressed = True
             # requests: fair round-robin over open, available queues
-            if self._wait_req:
-                delivered = yield from self._match_requests()
-                progressed = progressed or delivered
-
-    def _match_requests(self) -> Generator:
-        delivered = False
-        still_waiting: deque = deque()
-        while self._wait_req:
-            t, filt = self._wait_req.popleft()
-            if t.state is not ThreadState.BLOCKED:
-                continue
-            es = self._pick_queue(filt)
-            if es is None:
-                still_waiting.append((t, filt))
-                continue
-            msg = yield from self.rt_take_request(es)
-            if msg is None:
-                still_waiting.append((t, filt))
-                continue
-            ok = yield from self._consume_request(es, msg, t)
-            if ok:
-                delivered = True
-            else:
-                still_waiting.append((t, filt))
-        self._wait_req = still_waiting
-        return delivered
+            for _ in range(len(self._wait_req)):
+                if not self._wait_req:
+                    break
+                t, filt = waiter = self._wait_req.popleft()
+                if t.state is not ThreadState.BLOCKED:
+                    continue
+                es = self._pick_queue(filt)
+                if es is not None:
+                    msg = yield from self.rt_take_request(es)
+                    if msg is not None and (
+                        yield from self._consume_request(es, msg, t)
+                    ):
+                        progressed = True
+                        continue
+                self._wait_req.append(waiter)
 
     def _pick_queue(self, filt: Optional[Tuple[EndRef, ...]]) -> Optional[EndState]:
         """Fair choice among non-empty open queues: rotate a global
         round-robin so "no queue is ignored forever" (§2.1)."""
-        chosen = next(
-            (
-                ref
-                for ref in self._rr
-                if ref in self.ends
-                and self.ends[ref].queue_open
-                and self.ends[ref].lifecycle is EndLifecycle.OWNED
+        ends = self.ends
+        for ref in self._rr:
+            if (
+                ref in ends
+                and (es := ends[ref]).queue_open
+                and es.lifecycle is EndLifecycle.OWNED
                 and (filt is None or ref in filt)
-                and self.rt_request_available(self.ends[ref])
-            ),
-            None,
-        )
-        if chosen is None:
-            return None
-        # rotate: move chosen to the back of the global order
-        self._rr.remove(chosen)
-        self._rr.append(chosen)
-        return self.ends[chosen]
+                and self.rt_request_available(es)
+            ):
+                # rotate: move chosen to the back of the global order
+                self._rr.remove(ref)
+                self._rr.append(ref)
+                return es
+        return None
 
     def _consume_reply(self, es: EndState, msg: WireMessage) -> Generator:
         waiter = es.find_waiter(msg.reply_to)
@@ -893,21 +893,26 @@ class LynxRuntimeBase:
     # ==================================================================
     def _transmit_request(self, es: EndState, msg: WireMessage) -> Generator:
         """``rt_send_request`` behind the network-fault plane."""
-        yield from self._transmit(es, msg, self.rt_send_request)
+        return self._transmit(es, msg, self.rt_send_request)
 
     def _transmit_reply(self, es: EndState, msg: WireMessage) -> Generator:
         """``rt_send_reply`` behind the network-fault plane."""
-        yield from self._transmit(es, msg, self.rt_send_reply)
+        return self._transmit(es, msg, self.rt_send_reply)
 
     def _transmit(self, es: EndState, msg: WireMessage, send) -> Generator:
-        """Consult the cluster's `FaultInjector` (when one is installed)
-        before handing ``msg`` to the kernel glue.  A dropped message
-        never reaches ``send`` at all, so no kernel bookkeeping leaks;
-        what the drop *means* depends on this backend's
-        ``recovery_placement`` capability (§2.2 vs §4.1)."""
+        """(plain, like the two above, so a send runs no frame of
+        theirs) The generator that sends ``msg``: the kernel glue's own
+        when no fault plane is installed, else `_judged_transmit`."""
         if self.cluster.faults is None:
-            yield from send(es, msg)
-            return
+            return send(es, msg)
+        return self._judged_transmit(es, msg, send)
+
+    def _judged_transmit(self, es: EndState, msg: WireMessage, send) -> Generator:
+        """Consult the cluster's `FaultInjector` before handing ``msg``
+        to the kernel glue.  A dropped message never reaches ``send`` at
+        all, so no kernel bookkeeping leaks; what the drop *means*
+        depends on this backend's ``recovery_placement`` capability
+        (§2.2 vs §4.1)."""
         verdict = self._judge(es, msg)
         if verdict.drop:
             if self._recovery_placement == "kernel":
@@ -1195,8 +1200,7 @@ class LynxRuntimeBase:
             es = self.ends.pop(ref, None)
             if es is not None:
                 es.lifecycle = EndLifecycle.MOVED
-                if ref in self._rr:
-                    self._rr.remove(ref)
+                self._rr.remove(ref)
 
     def _adopt_enclosures(self, msg: WireMessage) -> Generator:
         metas = msg.enclosure_meta or [{}] * len(msg.enclosures)
@@ -1214,10 +1218,10 @@ class LynxRuntimeBase:
     # shared plumbing
     # ==================================================================
     def _new_end_state(self, ref: EndRef) -> EndState:
-        es = EndState(ref)
-        if ref not in self._rr:
-            self._rr.append(ref)
-        return es
+        """A fresh state for an end that is not in ``ends``; ``_rr``
+        holds exactly the refs of ``ends``, so ``ref`` joins it here."""
+        self._rr.append(ref)
+        return EndState(ref)
 
     def preload_end(self, ref: EndRef) -> EndState:
         """Cluster-side installation of an initial link end (before the
@@ -1343,9 +1347,7 @@ class LynxRuntimeBase:
         spurious wakeups are harmless)."""
         if self._wake_signal:
             self._wake_signal = False
-            fut = Future(self.engine, "wakeup-latched")
-            fut.resolve(None)
-            return fut
+            return self._woken
         if self._wakeup is None:
             self._wakeup = Future(self.engine, "wakeup")
         return self._wakeup

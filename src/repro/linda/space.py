@@ -98,10 +98,6 @@ class TupleSpace:
         self._next_seq += 1
         return None
 
-    def remove_waiter(self, waiter: Waiter) -> None:
-        if waiter in self.waiters:
-            self.waiters.remove(waiter)
-
     def out(self, tup: Tuple[Any, ...]) -> List[Tuple[Waiter, tuple]]:
         """Add a tuple; return the waiters it satisfies, oldest first:
         every matching reader that arrived before the first matching

@@ -109,8 +109,7 @@ class PartitionWindow:
             return False
         if self.a is None or self.b is None:
             return True
-        if dst is None:
-            return False
+        # a ``dst`` of None (no far process) is in neither group
         return (src in self.a and dst in self.b) or (
             src in self.b and dst in self.a
         )

@@ -49,7 +49,8 @@ class Future:
         self.state = _PENDING
         self.value: Any = None
         self.error: Optional[BaseException] = None
-        #: listeners in registration order; ``()`` once settled (a later
+        #: listeners in registration order (a `Task` wait appends its
+        #: own here directly); ``()`` once settled (a later
         #: `add_done_callback` runs its listener at once instead)
         self._callbacks: Sequence[Callable[["Future"], None]] = []
         #: free-form tag for tracing and error messages

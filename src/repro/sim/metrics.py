@@ -179,7 +179,7 @@ class MetricSet:
     def latency(self, name: str) -> LatencyRecorder:
         rec = self._latencies.get(name)
         if rec is None:
-            sink = self._ts.record_latency if self._ts is not None else None
+            sink = getattr(self._ts, "record_latency", None)
             rec = self._latencies[name] = LatencyRecorder(name, sink=sink)
         return rec
 
@@ -256,9 +256,7 @@ class MetricSet:
         """Counter deltas relative to an earlier `snapshot` (either the
         nested form or a bare ``{name: value}`` counter dict)."""
         base = before.get("counters", before)
-        out = {}
-        for k, v in self._counters.items():
-            d = v - base.get(k, 0.0)
-            if d:
-                out[k] = d
-        return out
+        return {
+            k: d for k, v in self._counters.items()
+            if (d := v - base.get(k, 0.0))
+        }

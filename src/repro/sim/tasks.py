@@ -40,7 +40,7 @@ from __future__ import annotations
 from typing import Any, Generator, Optional, Tuple, Union
 
 from repro.sim.engine import Engine
-from repro.sim.futures import Future, FutureState
+from repro.sim.futures import _PENDING, Future
 
 
 class TaskKilled(BaseException):
@@ -78,7 +78,7 @@ class Task:
     # ------------------------------------------------------------------
     @property
     def finished(self) -> bool:
-        return self.done.state is not FutureState.PENDING
+        return self.done.state is not _PENDING
 
     def kill(self, reason: str = "killed") -> None:
         """Deliver `TaskKilled` at the task's current (or next) yield
@@ -94,15 +94,14 @@ class Task:
 
     # ------------------------------------------------------------------
     def _step(self, value: Any, error: Optional[BaseException]) -> None:
-        if self.done.state is not FutureState.PENDING:
+        if self.done.state is not _PENDING:
             return
         if self._kill_pending is not None and error is None:
             error, self._kill_pending = self._kill_pending, None
         try:
-            if error is not None:
-                yielded = self.gen.throw(error)
-            else:
-                yielded = self.gen.send(value)
+            yielded = (
+                self.gen.send(value) if error is None else self.gen.throw(error)
+            )
         except StopIteration as stop:
             self.done.resolve(stop.value)
             return
@@ -118,45 +117,53 @@ class Task:
 
         if yielded is None:
             self.engine.defer(0.0, self._step, None, None)
-        elif isinstance(yielded, Future):
-            # one listener per wait, in the future's registration order;
-            # an already-settled future still resumes us through a
-            # deferred event, behind everything queued for this instant
-            self._waiting_on = yielded
-            yielded.add_done_callback(self._on_settle)
-        elif type(yielded) is tuple and set(map(type, yielded)) == {Future}:
-            # every member is checked (each exactly a `Future`, at least
-            # one) before the first listener goes on, since a settled one
-            # resumes us as it is registered; the first to settle answers
-            # the wait, and the listeners left on the others are ignored
-            self._waiting_on = yielded
+            return
+        if type(yielded) is Future:
+            # one listener per wait, in the future's registration order
+            # (put on directly: this is every wait's path); an
+            # already-settled future still resumes us through a deferred
+            # event, behind everything queued for this instant
+            if yielded.state is _PENDING:
+                self._waiting_on = yielded
+                yielded._callbacks.append(self._on_settle)
+            else:
+                self.engine.defer(0.0, self._step, yielded.value, yielded.error)
+            return
+        if type(yielded) is tuple and yielded:
+            # every member is checked (each exactly a `Future`) before
+            # the first listener goes on, since a settled one answers
+            # the wait as it is met; the first to settle answers it, and
+            # the listeners left on the others are ignored
             for fut in yielded:
-                fut.add_done_callback(self._on_first)
-        else:
-            err = TypeError(
-                f"task {self.name!r} yielded {type(yielded).__name__}; "
-                "only a Future, a non-empty tuple of Futures, or None may "
-                "be yielded"
-            )
-            self.engine.defer(0.0, self._step, None, err)
+                if type(fut) is not Future:
+                    break
+            else:
+                self._waiting_on = yielded
+                for fut in yielded:
+                    if fut.state is _PENDING:
+                        fut._callbacks.append(self._on_settle)
+                    else:
+                        self._on_settle(fut)
+                return
+        err = TypeError(
+            f"task {self.name!r} yielded {type(yielded).__name__}; "
+            "only a Future, a non-empty tuple of Futures, or None may "
+            "be yielded"
+        )
+        self.engine.defer(0.0, self._step, None, err)
 
     def _on_settle(self, fut: Future) -> None:
-        """The future's listener.  A settle we no longer wait for — the
-        task was killed meanwhile, or this wait was already answered —
-        is ignored; a settled future has its value or its error, so one
-        `defer` carries both."""
-        if self._waiting_on is fut:
+        """The listener of every wait.  A settled future has its value
+        or its error, so one `defer` carries both (`_step` ignores the
+        value of an error); a tuple member resumes the task with its
+        index and value.  A settle we no longer wait for — the task was
+        killed meanwhile, this wait was already answered, or an earlier
+        wait left the listener on a long-lived future — is ignored."""
+        waiting = self._waiting_on
+        if waiting is fut:
             self._waiting_on = None
             self.engine.defer(0.0, self._step, fut.value, fut.error)
-
-    def _on_first(self, fut: Future) -> None:
-        """A tuple member's listener: the first member to settle while
-        the tuple is still waited on resumes the task with its index
-        and value, or with its error (`_step` then ignores the value).
-        Listeners left on a long-lived future by earlier waits find the
-        wait answered and do nothing."""
-        waiting = self._waiting_on
-        if type(waiting) is tuple and fut in waiting:
+        elif type(waiting) is tuple and fut in waiting:
             self._waiting_on = None
             self.engine.defer(
                 0.0, self._step, (waiting.index(fut), fut.value), fut.error

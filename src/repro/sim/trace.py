@@ -184,10 +184,8 @@ class TraceLog:
             raise ValueError("cannot emit into a detached (replayed) TraceLog")
         row = (build, self.engine.now, *args)
         self._rows.append(row)
-        if self._sinks:
-            ev = _event_of(row)
-            for sink in self._sinks:
-                sink(ev)
+        for sink in self._sinks:
+            sink(_event_of(row))
 
     # ------------------------------------------------------------------
     # streaming subscription

@@ -163,9 +163,7 @@ class SodaKernel:
         for req in list(self._requests.values()):
             if name not in (req.to, req.frm):
                 continue
-            del self._requests[req.rid]
-            if req.state is _ReqState.PENDING:
-                self._release_pair(req)
+            self._forget(req)
             if req.to == name:
                 # "the requester feels an interrupt that informs it of
                 # the crash" (§4.1)
@@ -218,13 +216,8 @@ class SodaKernel:
         )
 
         def conclude() -> None:
-            if fut.is_settled():
-                return
-            if responders:
-                # response unicast arrives within the window
-                fut.resolve(responders[0])
-            else:
-                fut.resolve(None)
+            # a response unicast arrives within the window
+            fut.resolve(responders[0] if responders else None)
 
         self.engine.defer(
             self.costs.discover_cost_ms + self.costs.discover_timeout_ms, conclude
@@ -308,11 +301,23 @@ class SodaKernel:
         self._pair_load[pair] -= 1
         queue = self._pair_queue.get(pair)
         while queue:
-            nxt = self._requests.get(queue.popleft())
+            nxt = self._requests[queue.popleft()]
             # a dead requester's queued requests are never delivered
-            if nxt is not None and not self._procs[nxt.frm].dead:
+            # (`process_died` may free a slot before it reaches them)
+            if not self._procs[nxt.frm].dead:
                 self._admit(nxt)
                 break
+
+    def _forget(self, req: _Request) -> None:
+        """``req`` leaves the request table: a PENDING one frees its
+        pair slot, a QUEUED one leaves its pair's deque at once (unless
+        `_release_pair` already took it out), so a deque holds only
+        requests in flight."""
+        del self._requests[req.rid]
+        if req.state is _ReqState.PENDING:
+            self._release_pair(req)
+        elif req.rid in (queue := self._pair_queue[(req.frm, req.to)]):
+            queue.remove(req.rid)
 
     def accept(
         self,
@@ -384,9 +389,7 @@ class SodaKernel:
         req = self._requests.get(rid)
         if req is None or req.frm != caller:
             return False
-        del self._requests[rid]
-        if req.state is _ReqState.PENDING:
-            self._release_pair(req)
+        self._forget(req)
         self.metrics.count("soda.withdrawals")
         return True
 
@@ -412,7 +415,7 @@ class SodaKernel:
         if proc is None or proc.dead or proc.handler is None:
             self.metrics.count("soda.interrupts_dropped")
             return
-        self.metrics.count(f"soda.interrupts.{intr.kind.value}")
+        self.metrics.count(f"soda.interrupts.{intr.kind._value_}")
         proc.handler(intr)
 
 

@@ -8,11 +8,13 @@ interpreter, so unlike a wall clock it can be held in tier-1, on every
 interpreter of the CI matrix.
 
 The ceilings are about 1.12 x what the tree measures on CPython 3.11.7
-(958 / 968 / 1,008 / 554 calls per null RPC since a trace record became
-a row built on read; 989 / 1,003 / 1,044 / 577 before, and 1,135 /
-1,080 / 1,148 / 641 before the block point stopped building a future
-per two-way wait), leaving about 12 % for the other interpreters, which
-count frames a little differently (within 0.5 % of these on 3.10.13,
+(829 / 856 / 882 / 493 calls per null RPC since a wait puts its listener
+on the future itself and the block point runs in the dispatcher's own
+frame; 957 / 961 / 1,007 / 553 before, 958 / 968 / 1,008 / 554 once a
+trace record became a row built on read, 989 / 1,003 / 1,044 / 577
+before that, and 1,135 / 1,080 / 1,148 / 641 before the block point
+stopped building a future per two-way wait), leaving about 12 % for the
+other interpreters, which count frames a little differently (within 0.5 % of these on 3.10.13,
 3.12.1 and 3.13.0 when the same profile is taken by script).  A change
 that lowers a count lowers its ceiling; none raises one.  The guard
 exists because this cost is paid a convenience property at a time: no
@@ -96,19 +98,19 @@ HOPS = 20
 
 #: calls per null RPC: only ever lowered
 CALL_CEILINGS = {
-    "charlotte": 1075,
-    "soda": 1075,
-    "chrysalis": 1130,
-    "ideal": 620,
+    "charlotte": 930,
+    "soda": 960,
+    "chrysalis": 990,
+    "ideal": 550,
 }
 
-#: calls per migration hop (measured 3,004 / 3,743 / 3,548 / 1,777):
-#: only ever lowered
+#: calls per migration hop (measured 2,629 / 3,322 / 3,109 / 1,593;
+#: 3,006 / 3,745 / 3,551 / 1,780 before): only ever lowered
 HOP_CALL_CEILINGS = {
-    "charlotte": 3360,
-    "soda": 4190,
-    "chrysalis": 3970,
-    "ideal": 1990,
+    "charlotte": 2945,
+    "soda": 3720,
+    "chrysalis": 3480,
+    "ideal": 1785,
 }
 
 #: bytes kept per null RPC (measured 2,728 / 3,256 / 3,112 / 2,000):

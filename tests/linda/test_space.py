@@ -87,10 +87,3 @@ def test_unmatched_out_just_stores():
     assert s.out(("y",)) == []
     assert len(s) == 1
     assert len(s.waiters) == 1
-
-
-def test_remove_waiter():
-    s = TupleSpace()
-    s.match_or_park((ANY,), take=True, token="w")
-    s.remove_waiter(s.waiters[0])
-    assert s.out((1,)) == []

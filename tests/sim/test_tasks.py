@@ -352,7 +352,7 @@ def test_a_failed_future_raises_the_original_exception_object(eng):
 
 # ----------------------------------------------------------------------
 # the tuple wait: ``yield (a, b)`` resumes with the first to settle.
-# Each test names the mutation of `Task._step` / `Task._on_first` it
+# Each test names the mutation of `Task._step` / `Task._on_settle` it
 # catches.
 # ----------------------------------------------------------------------
 def test_a_tuple_wait_resumes_with_index_and_value(eng):
@@ -415,7 +415,7 @@ def test_an_already_settled_member_resumes_through_a_deferred_event(eng):
 
 
 def test_a_later_settle_of_another_member_is_ignored(eng):
-    """Catches: `_on_first` resuming on every member's settle — the
+    """Catches: `_on_settle` resuming on every member's settle — the
     loser's value would be fed to the generator's next yield."""
     a, b = Future(eng, "a"), Future(eng, "b")
     got = []
@@ -461,7 +461,7 @@ def test_a_kill_during_a_tuple_wait_resumes_once_with_taskkilled(eng):
 def test_an_old_listener_on_a_future_waited_on_again_resumes_once(eng):
     """Charlotte's shape: the kernel Wait outlives an internal wakeup,
     so the next block point waits on it again and it carries two of
-    our listeners.  Catches: `_on_first` not clearing the wait it
+    our listeners.  Catches: `_on_settle` not clearing the wait it
     answers — both listeners would resume the task."""
     kwait = Future(eng, "Wait")
     wake1, wake2 = Future(eng, "wakeup"), Future(eng, "wakeup")

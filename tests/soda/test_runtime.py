@@ -491,6 +491,12 @@ def test_a2_workload_finishes_iff_the_pair_limit_exceeds_its_links(limit):
             cluster.create_link(d, obs)
         end = cluster.run_until_quiet(max_ms=1e7)
         cluster.check()
+        # a pair's deque holds only requests still in flight: one that
+        # left the table while queued left its deque too (at a limit of
+        # 1 the observer->holder deque once kept ~55k withdrawn rids)
+        kernel = cluster.kernel
+        for queue in kernel._pair_queue.values():
+            assert set(queue) <= set(kernel._requests)
         if limit >= A2_LINKS + 1:
             assert cluster.all_finished
             assert len(obs.program.latencies) == A2_LINKS

@@ -11,6 +11,7 @@ from repro.workloads import (
     run_rpc_workload,
     run_skewed_load,
 )
+from repro.workloads.chaos import chaos_policy, lossy_plan, run_chaos_workload
 from repro.workloads.rpc import raw_charlotte_rpc
 
 
@@ -97,3 +98,28 @@ def test_raw_baselines_scale_with_payload(kind):
     small = raw_rpc(kind, 0, count=3).mean_ms
     big = raw_rpc(kind, 2000, count=3).mean_ms
     assert big > small
+
+
+#: engine events fired at seed 0: (rpc count=50, migration members=4
+#: hops=8, lossy chaos count=50).  A host-side change to the wait path,
+#: the runtimes or the kernels leaves these exactly as they are; one that
+#: adds or drops a single event (an extra wake, a missing defer) moves one
+EVENTS_FIRED = {
+    "charlotte": (2042, 999, 2053),
+    "soda": (2112, 1341, 2683),
+    "chrysalis": (2623, 1533, 2950),
+    "ideal": (1021, 509, 1211),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EVENTS_FIRED))
+def test_the_event_stream_is_pinned(kind):
+    fired = (
+        run_rpc_workload(kind, 0, count=50).trace.engine.events_fired,
+        run_migration_churn(kind, members=4, hops=8)["trace"].engine.events_fired,
+        run_chaos_workload(
+            kind, count=50, plan=lossy_plan(0.1, 0.05), policy=chaos_policy(),
+            pace_ms=0.0,
+        ).trace.engine.events_fired,
+    )
+    assert fired == EVENTS_FIRED[kind]
