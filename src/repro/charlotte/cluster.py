@@ -68,9 +68,7 @@ class CharlotteCluster(ClusterBase):
             ],
         )
         a.runtime.preload_end(ref_a)
-        a.runtime._ce(ref_a)
         b.runtime.preload_end(ref_b)
-        b.runtime._ce(ref_b)
 
     def on_crash(self, handle: ProcessHandle, mode: CrashMode) -> None:
         # Charlotte's kernel survives its processes and detects death in

@@ -16,10 +16,11 @@ in each direction on a given end of a link."
 
 Simulation notes
 ----------------
-* Each simulated process gets a `KernelPort`; every call returns a
-  `Future` that resolves after the syscall CPU cost with a
-  `CallStatus` (plus results).  `wait()` resolves when a completion
-  descriptor is available.
+* Each simulated process gets a `KernelPort`; every bounded call
+  returns a `repro.sim.tasks.Delay` that resumes the caller after the
+  syscall CPU cost with a `CallStatus` (plus results).  `wait()`
+  returns a Future that resolves when a completion descriptor is
+  available.
 * Messages between nodes ride the `TokenRing` model; the kernel adds a
   per-message fixed cost and per-byte copy cost from the cost model.
 * At most **one enclosure per message** (the §3.2.2 constraint that
@@ -49,6 +50,7 @@ from repro.sim.engine import Engine
 from repro.sim.futures import Future, FutureState
 from repro.sim.metrics import MetricSet
 from repro.sim.network import TokenRing
+from repro.sim.tasks import Delay
 
 
 #: the kernel span of a transfer, by message kind: built once, shared
@@ -476,46 +478,41 @@ class CharlotteKernel:
 
 
 class KernelPort:
-    """A process's syscall interface: every call returns a Future that
-    resolves after the syscall's CPU cost."""
+    """A process's syscall interface: every bounded call returns a
+    `Delay` that resumes its caller with the call's result after the
+    syscall's CPU cost; only `wait` returns a Future."""
 
     def __init__(self, kernel: CharlotteKernel, name: str) -> None:
         self.kernel = kernel
         self.name = name
 
-    def _bounded(self, result, cost: float) -> Future:
-        fut = Future(self.kernel.engine, "syscall")
-        # `Future.resolve_later`'s one event, without its frame
-        fut.engine.defer(cost, fut._safe_resolve, result)
-        return fut
-
-    def make_link(self) -> Future:
-        return self._bounded(
-            self.kernel._make_link(self.name), self.kernel.costs.makelink_ms
+    def make_link(self) -> Delay:
+        return Delay(
+            self.kernel.costs.makelink_ms, self.kernel._make_link(self.name)
         )
 
-    def destroy(self, ref: EndRef) -> Future:
-        return self._bounded(
-            self.kernel._destroy(self.name, ref), self.kernel.costs.destroy_ms
+    def destroy(self, ref: EndRef) -> Delay:
+        return Delay(
+            self.kernel.costs.destroy_ms, self.kernel._destroy(self.name, ref)
         )
 
     def send(
         self, ref: EndRef, msg: WireMessage, enclosure: Optional[EndRef] = None
-    ) -> Future:
-        return self._bounded(
+    ) -> Delay:
+        return Delay(
+            self.kernel.costs.syscall_ms,
             self.kernel._send(self.name, ref, msg, enclosure),
+        )
+
+    def receive(self, ref: EndRef) -> Delay:
+        return Delay(
+            self.kernel.costs.syscall_ms, self.kernel._receive(self.name, ref)
+        )
+
+    def cancel(self, ref: EndRef, direction: Direction) -> Delay:
+        return Delay(
             self.kernel.costs.syscall_ms,
-        )
-
-    def receive(self, ref: EndRef) -> Future:
-        return self._bounded(
-            self.kernel._receive(self.name, ref), self.kernel.costs.syscall_ms
-        )
-
-    def cancel(self, ref: EndRef, direction: Direction) -> Future:
-        return self._bounded(
             self.kernel._cancel(self.name, ref, direction),
-            self.kernel.costs.syscall_ms,
         )
 
     def wait(self) -> Future:

@@ -50,6 +50,7 @@ from repro.core.exceptions import ProtocolViolation
 from repro.core.links import EndLifecycle, EndRef, EndState
 from repro.core.runtime import LynxRuntimeBase
 from repro.core.wire import ExceptionCode, MsgKind, WireMessage
+from repro.sim.futures import FutureState
 
 
 @dataclass
@@ -102,13 +103,22 @@ class _CharEnd:
     sent_log: Dict[int, WireMessage] = field(default_factory=dict)
 
 
+class _CharEnds(dict):
+    """`_CharEnd`s by ref, each made the first time its end is looked
+    up: ``cends[ref]`` never misses, ``cends.get(ref)`` never makes one."""
+
+    def __missing__(self, ref: EndRef) -> _CharEnd:
+        ce = self[ref] = _CharEnd(ref)
+        return ce
+
+
 class CharlotteRuntime(LynxRuntimeBase):
     def __init__(self, handle, cluster) -> None:
         super().__init__(handle, cluster)
         self.kport: KernelPort = cluster.kernel.register_process(
             self.name, handle.node
         )
-        self.cends: Dict[EndRef, _CharEnd] = {}
+        self.cends = _CharEnds()
         #: E7 ablation: top-level acknowledgments for replies
         self.reply_acks: bool = cluster.reply_acks
         #: A1 ablation: bounce every unwanted request with RETRY, even
@@ -125,12 +135,6 @@ class CharlotteRuntime(LynxRuntimeBase):
     # ------------------------------------------------------------------
     # small helpers
     # ------------------------------------------------------------------
-    def _ce(self, ref: EndRef) -> _CharEnd:
-        ce = self.cends.get(ref)
-        if ce is None:
-            ce = self.cends[ref] = _CharEnd(ref)
-        return ce
-
     def _control(self, es: EndState, kind: MsgKind, reply_to: int,
                  enclosures: Optional[List[EndRef]] = None,
                  metas: Optional[List[dict]] = None,
@@ -179,7 +183,7 @@ class CharlotteRuntime(LynxRuntimeBase):
         return _OutTransfer(logical, packets, needs_goahead)
 
     def _enqueue(self, es: EndState, logical: WireMessage, control: bool = False):
-        ce = self._ce(es.ref)
+        ce = self.cends[es.ref]
         tr = self._packetise(logical)
         if control:
             ce.outq.appendleft(tr)
@@ -193,7 +197,7 @@ class CharlotteRuntime(LynxRuntimeBase):
     # the send pump: one kernel send outstanding per end
     # ------------------------------------------------------------------
     def _pump(self, es: EndState) -> Generator:
-        ce = self._ce(es.ref)
+        ce = self.cends[es.ref]
         while not ce.kernel_send_busy:
             if ce.current is None or ce.current.done:
                 ce.current = None
@@ -228,7 +232,7 @@ class CharlotteRuntime(LynxRuntimeBase):
             )
 
     def _on_send_done(self, es: EndState) -> Generator:
-        ce = self._ce(es.ref)
+        ce = self.cends[es.ref]
         ce.kernel_send_busy = False
         tr = ce.current
         if tr is not None and tr.packets:
@@ -268,8 +272,6 @@ class CharlotteRuntime(LynxRuntimeBase):
         status, ref_a, ref_b = yield self.kport.make_link()
         if status is not CallStatus.SUCCESS:  # pragma: no cover
             raise ProtocolViolation(f"MakeLink failed: {status}")
-        self._ce(ref_a)
-        self._ce(ref_b)
         return ref_a, ref_b
 
     def rt_send_request(self, es: EndState, msg: WireMessage):
@@ -281,7 +283,7 @@ class CharlotteRuntime(LynxRuntimeBase):
         yield from self._pump(es)
 
     def rt_sync_interest(self, es: EndState):
-        ce = self._ce(es.ref)
+        ce = self.cends[es.ref]
         if es.lifecycle is not EndLifecycle.OWNED:
             return
         want = (
@@ -319,12 +321,12 @@ class CharlotteRuntime(LynxRuntimeBase):
         # wait for a kernel completion OR an internal wakeup (a timer
         # resumed a coroutine, a hook ran).  The kernel Wait persists
         # across internal wakeups.
-        if self._kwait is not None and self._kwait.is_settled():
-            desc, self._kwait = self._kwait.result(), None
-            yield from self._handle_completion(desc)
-            return
         if self._kwait is None:
             self._kwait = self.kport.wait()
+        elif self._kwait.state is not FutureState.PENDING:
+            desc, self._kwait = self._kwait.value, None
+            yield from self._handle_completion(desc)
+            return
         idx, value = yield self._kwait, self.wakeup_future()
         if idx == 0:
             self._kwait = None
@@ -335,7 +337,7 @@ class CharlotteRuntime(LynxRuntimeBase):
         return bool(ce and ce.held)
 
     def rt_take_request(self, es: EndState):
-        ce = self._ce(es.ref)
+        ce = self.cends[es.ref]
         if not ce.held:
             return None
         return ce.held.popleft()
@@ -346,7 +348,7 @@ class CharlotteRuntime(LynxRuntimeBase):
         self.cends.pop(es.ref, None)
 
     def rt_abort_connect(self, es: EndState, waiter):
-        ce = self._ce(es.ref)
+        ce = self.cends[es.ref]
         # still queued and unsent?
         for tr in list(ce.outq):
             if tr.logical.seq == waiter.seq:
@@ -378,7 +380,6 @@ class CharlotteRuntime(LynxRuntimeBase):
         return False
 
     def rt_adopt_end(self, ref: EndRef, meta: dict):
-        self._ce(ref)
         return
         yield  # pragma: no cover
 
@@ -433,7 +434,7 @@ class CharlotteRuntime(LynxRuntimeBase):
 
     def _on_recv_done(self, ref: EndRef, msg: WireMessage) -> Generator:
         es = self.ends.get(ref)
-        ce = self._ce(ref)
+        ce = self.cends[ref]
         ce.recv_posted = False
         if es is None or es.lifecycle is not EndLifecycle.OWNED:
             self.metrics.count("charlotte.stray_recv")
@@ -600,7 +601,6 @@ class CharlotteRuntime(LynxRuntimeBase):
             existing = self.ends.get(ref)
             if existing is None:
                 self.ends[ref] = self._new_end_state(ref)
-                self.cends.setdefault(ref, _CharEnd(ref))
                 self.registry.record_bounced(ref, self.name)
             elif existing.lifecycle is EndLifecycle.IN_TRANSIT:
                 existing.lifecycle = EndLifecycle.OWNED

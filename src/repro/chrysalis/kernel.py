@@ -41,6 +41,7 @@ from repro.sim.engine import Engine
 from repro.sim.futures import Future, FutureState
 from repro.sim.metrics import MetricSet
 from repro.sim.network import SharedMemoryInterconnect
+from repro.sim.tasks import Delay
 
 #: sentinel returned by dequeue when the queue was empty and the caller's
 #: event block name was parked instead
@@ -221,76 +222,71 @@ class ChrysalisKernel:
 
 
 class ChrysalisPort:
-    """Per-process syscall surface; calls resolve after their cost."""
+    """Per-process syscall surface: a call returns a `Delay` that
+    resumes its caller with the result after the call's cost;
+    `event_wait` returns a Future."""
 
     def __init__(self, kernel: ChrysalisKernel, name: str) -> None:
         self.kernel = kernel
         self.name = name
 
-    def _charged(self, value: Any, cost: float) -> Future:
-        fut = Future(self.kernel.engine, "chrys")
-        # `Future.resolve_later`'s one event, without its frame
-        fut.engine.defer(cost, fut._safe_resolve, value)
-        return fut
-
     # memory objects ------------------------------------------------------
-    def make_object(self, content: Any) -> Future:
-        return self._charged(
-            self.kernel.make_object(content), self.kernel.costs.make_object_ms
+    def make_object(self, content: Any) -> Delay:
+        return Delay(
+            self.kernel.costs.make_object_ms, self.kernel.make_object(content)
         )
 
-    def map_object(self, oid: int) -> Future:
-        return self._charged(
-            self.kernel.map_object(oid), self.kernel.costs.map_ms
-        )
+    def map_object(self, oid: int) -> Delay:
+        return Delay(self.kernel.costs.map_ms, self.kernel.map_object(oid))
 
-    def unmap_object(self, oid: int) -> Future:
+    def unmap_object(self, oid: int) -> Delay:
         self.kernel.unmap_object(oid)
-        return self._charged(None, self.kernel.costs.unmap_ms)
+        return Delay(self.kernel.costs.unmap_ms)
 
-    def mark_reclaimable(self, oid: int) -> Future:
+    def mark_reclaimable(self, oid: int) -> Delay:
         self.kernel.mark_reclaimable(oid)
-        return self._charged(None, self.kernel.costs.flag_op_ms)
+        return Delay(self.kernel.costs.flag_op_ms)
 
     # events / queues -------------------------------------------------------
-    def make_event(self) -> Future:
-        return self._charged(
-            self.kernel.make_event(self.name), self.kernel.costs.make_event_ms
+    def make_event(self) -> Delay:
+        return Delay(
+            self.kernel.costs.make_event_ms, self.kernel.make_event(self.name)
         )
 
-    def make_queue(self, capacity: int = 512) -> Future:
-        return self._charged(
-            self.kernel.make_queue(capacity), self.kernel.costs.make_queue_ms
+    def make_queue(self, capacity: int = 512) -> Delay:
+        return Delay(
+            self.kernel.costs.make_queue_ms, self.kernel.make_queue(capacity)
         )
 
-    def post(self, eid: int, datum: Any) -> Future:
+    def post(self, eid: int, datum: Any) -> Delay:
         self.kernel.post(eid, datum)
-        return self._charged(None, self.kernel.costs.event_post_ms)
+        return Delay(self.kernel.costs.event_post_ms)
 
     def event_wait(self, eid: int) -> Future:
         return self.kernel.event_wait(self.name, eid)
 
-    def enqueue(self, qid: int, datum: Any) -> Future:
+    def enqueue(self, qid: int, datum: Any) -> Delay:
         self.kernel.enqueue(qid, datum)
-        return self._charged(None, self.kernel.costs.dq_enqueue_ms)
+        return Delay(self.kernel.costs.dq_enqueue_ms)
 
-    def dequeue(self, qid: int, event_name: int) -> Future:
-        return self._charged(
-            self.kernel.dequeue(qid, event_name), self.kernel.costs.dq_dequeue_ms
+    def dequeue(self, qid: int, event_name: int) -> Delay:
+        return Delay(
+            self.kernel.costs.dq_dequeue_ms,
+            self.kernel.dequeue(qid, event_name),
         )
 
     # atomic / wide memory operations ----------------------------------------
-    def atomic(self, fn: Callable[[], Any]) -> Future:
+    def atomic(self, fn: Callable[[], Any]) -> Delay:
         """A 16-bit atomic flag operation: "extremely inexpensive"."""
         self.kernel.metrics.count("chrysalis.ops.atomic")
-        return self._charged(fn(), self.kernel.costs.flag_op_ms)
+        return Delay(self.kernel.costs.flag_op_ms, fn())
 
-    def wide_write(self, fn: Callable[[], Any]) -> Future:
+    def wide_write(self, fn: Callable[[], Any]) -> Delay:
         """A >16-bit non-atomic write (dual-queue names, §5.2)."""
         self.kernel.metrics.count("chrysalis.ops.wide_write")
-        return self._charged(fn(), self.kernel.costs.wide_write_ms)
+        return Delay(self.kernel.costs.wide_write_ms, fn())
 
-    def copy(self, nbytes: int) -> Future:
+    def copy(self, nbytes: int) -> Delay:
         """A block copy through the switch (gather into / scatter out
         of a link buffer)."""
-        return self._charged(None, self.kernel.switch.transit_time(nbytes))
+        return Delay(self.kernel.switch.transit_time(nbytes))

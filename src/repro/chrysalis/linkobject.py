@@ -9,9 +9,9 @@ dual queues for the processes at each end of the link."
 Layout notes:
 
 * A buffer slot exists per (kind, sending side): four in all.
-* Flag bits mirror the slots (FULL) plus DESTROYED; they are only ever
-  changed through `ChrysalisPort.atomic` (the cheap 16-bit microcoded
-  op).
+* Flag bits mirror the slots (`FULL`) plus `DESTROYED`; they are only
+  ever changed through `ChrysalisPort.atomic` (the cheap 16-bit
+  microcoded op).
 * ``dq_names[side]`` is the dual queue of the process at that end —
   *a hint*, updated non-atomically on adoption (§5.2's wide-write
   discussion); stale values send notices to the wrong queue, whose
@@ -53,14 +53,11 @@ class Notice:
     seq: int = 0
 
 
-#: flag indices: (kind, sender_side) -> bit
-_FLAG_BITS = {
-    ("req", 0): 0,
-    ("req", 1): 1,
-    ("rep", 0): 2,
-    ("rep", 1): 3,
-}
-DESTROYED_BIT = 4
+#: flag masks: a FULL bit per (kind, sender side), and DESTROYED.  A
+#: reader tests ``obj.flags & FULL[kind, side]`` or ``obj.flags &
+#: DESTROYED``: reads of shared memory are free at this grain
+FULL = {("req", 0): 1, ("req", 1): 2, ("rep", 0): 4, ("rep", 1): 8}
+DESTROYED = 16
 
 
 class LinkObject:
@@ -84,20 +81,13 @@ class LinkObject:
         self.aborted: Tuple[Set[int], Set[int]] = (set(), set())
         self.destroy_reason: str = ""
 
-    # flag helpers (call inside port.atomic) ------------------------------
+    # flag writers (call inside port.atomic) ------------------------------
     def set_full(self, kind: str, side: int) -> None:
-        self.flags |= 1 << _FLAG_BITS[(kind, side)]
+        self.flags |= FULL[kind, side]
 
     def clear_full(self, kind: str, side: int) -> None:
-        self.flags &= ~(1 << _FLAG_BITS[(kind, side)])
-
-    def is_full(self, kind: str, side: int) -> bool:
-        return bool(self.flags & (1 << _FLAG_BITS[(kind, side)]))
+        self.flags &= ~FULL[kind, side]
 
     def set_destroyed(self, reason: str = "") -> None:
-        self.flags |= 1 << DESTROYED_BIT
+        self.flags |= DESTROYED
         self.destroy_reason = reason
-
-    @property
-    def destroyed(self) -> bool:
-        return bool(self.flags & (1 << DESTROYED_BIT))

@@ -33,7 +33,13 @@ from typing import Deque, Dict, Generator, Optional
 
 from repro.analysis.costmodel import RuntimeCosts
 from repro.chrysalis.kernel import ChrysalisPort, DQ_BLOCKED
-from repro.chrysalis.linkobject import LinkObject, Notice, NoticeCode
+from repro.chrysalis.linkobject import (
+    DESTROYED,
+    FULL,
+    LinkObject,
+    Notice,
+    NoticeCode,
+)
 from repro.core.exceptions import (
     LinkDestroyed,
     ProtocolViolation,
@@ -42,6 +48,7 @@ from repro.core.exceptions import (
 from repro.core.links import EndLifecycle, EndRef, EndState
 from repro.core.runtime import LynxRuntimeBase
 from repro.core.wire import MsgKind, WireMessage
+from repro.sim.futures import FutureState
 
 
 @dataclass
@@ -59,11 +66,19 @@ def _kind_of(msg: WireMessage) -> str:
     return "req" if msg.kind is MsgKind.REQUEST else "rep"
 
 
+class _ChrysEnds(dict):
+    """`_ChrysEnd`s by ref: ``cends[ref]`` of an end without a mapped
+    link object is a protocol violation, ``cends.get(ref)`` a test."""
+
+    def __missing__(self, ref: EndRef) -> _ChrysEnd:
+        raise ProtocolViolation(f"no link object for {ref}")
+
+
 class ChrysalisRuntime(LynxRuntimeBase):
     def __init__(self, handle, cluster) -> None:
         super().__init__(handle, cluster)
         self.port: ChrysalisPort = ChrysalisPort(cluster.kernel, self.name)
-        self.cends: Dict[EndRef, _ChrysEnd] = {}
+        self.cends = _ChrysEnds()
         self.my_queue: int = -1
         self.my_event: int = -1
         #: persistent parked event wait (survives internal wakeups)
@@ -85,12 +100,6 @@ class ChrysalisRuntime(LynxRuntimeBase):
         for ce in self.cends.values():
             ce.obj.dq_names[ce.ref.side] = self.my_queue
 
-    def _ce(self, ref: EndRef) -> _ChrysEnd:
-        ce = self.cends.get(ref)
-        if ce is None:
-            raise ProtocolViolation(f"{self.name} has no link object for {ref}")
-        return ce
-
     def preload_link_object(self, ref: EndRef, oid: int, obj: LinkObject) -> None:
         """Cluster-side installation of an initial link (the object is
         already mapped on our behalf)."""
@@ -106,12 +115,12 @@ class ChrysalisRuntime(LynxRuntimeBase):
         yield from self._send(es, msg)
 
     def _send(self, es: EndState, msg: WireMessage):
-        ce = self._ce(es.ref)
+        ce = self.cends[es.ref]
         kind = _kind_of(msg)
-        if ce.obj.destroyed:
+        if ce.obj.flags & DESTROYED:
             raise self.destroyed_error(ce.obj.destroy_reason)
         side = es.ref.side
-        if ce.obj.is_full(kind, side):
+        if ce.obj.flags & FULL[kind, side]:
             # the single buffer per direction is busy: park the message;
             # the CONSUMED notice will pump it (kernel-level flow
             # control, "no actual buffering of messages in transit")
@@ -132,7 +141,7 @@ class ChrysalisRuntime(LynxRuntimeBase):
                 raise RequestAborted(
                     f"request {msg.reply_to} on {es.ref} was aborted"
                 )
-        if obj.destroyed:
+        if obj.flags & DESTROYED:
             raise self.destroyed_error(obj.destroy_reason)
         if msg.kind is MsgKind.EXCEPTION and msg.enclosures:
             # bounced enclosures we pre-mapped but never adopted go
@@ -177,14 +186,14 @@ class ChrysalisRuntime(LynxRuntimeBase):
     # ------------------------------------------------------------------
     def rt_request_available(self, es: EndState) -> bool:
         ce = self.cends.get(es.ref)
-        if ce is None or ce.obj.destroyed:
+        if ce is None or ce.obj.flags & DESTROYED:
             return False
-        return ce.obj.is_full("req", 1 - es.ref.side)
+        return ce.obj.flags & FULL["req", 1 - es.ref.side] != 0
 
     def rt_take_request(self, es: EndState):
-        ce = self._ce(es.ref)
+        ce = self.cends[es.ref]
         obj, nside = ce.obj, 1 - es.ref.side
-        if not obj.is_full("req", nside):
+        if not obj.flags & FULL["req", nside]:
             return None
         msg = obj.buffers[("req", nside)]
         # scatter: block copy out of the shared buffer
@@ -229,25 +238,20 @@ class ChrysalisRuntime(LynxRuntimeBase):
     # the block point: dequeue the process's own dual queue
     # ------------------------------------------------------------------
     def rt_block_wait(self):
-        if self._ewait is not None:
-            if self._ewait.is_settled():
-                notice, self._ewait = self._ewait.result(), None
-                yield from self._on_notice(notice)
+        if self._ewait is None:
+            item = yield self.port.dequeue(self.my_queue, self.my_event)
+            if item is not DQ_BLOCKED:
+                yield from self._on_notice(item)
                 return
-            idx, value = yield self._ewait, self.wakeup_future()
-            if idx == 0:
-                self._ewait = None
-                yield from self._on_notice(value)
-            return
-        item = yield self.port.dequeue(self.my_queue, self.my_event)
-        if item is DQ_BLOCKED:
             self._ewait = self.port.event_wait(self.my_event)
-            idx, value = yield self._ewait, self.wakeup_future()
-            if idx == 0:
-                self._ewait = None
-                yield from self._on_notice(value)
-        else:
-            yield from self._on_notice(item)
+        elif self._ewait.state is not FutureState.PENDING:
+            notice, self._ewait = self._ewait.value, None
+            yield from self._on_notice(notice)
+            return
+        idx, value = yield self._ewait, self.wakeup_future()
+        if idx == 0:
+            self._ewait = None
+            yield from self._on_notice(value)
 
     def _on_notice(self, notice: Notice):
         """Validate-then-act: "Whenever a process dequeues a notice from
@@ -261,7 +265,8 @@ class ChrysalisRuntime(LynxRuntimeBase):
             my_ref = EndRef(notice.link, 1 - notice.side)
             es = self.ends.get(my_ref)
             ce = self.cends.get(my_ref)
-            if es is None or ce is None or not ce.obj.is_full("req", notice.side):
+            if (es is None or ce is None
+                    or not ce.obj.flags & FULL["req", notice.side]):
                 self.metrics.count("chrysalis.stale_notices")
             # a valid NEW_REQ is just a wakeup: the flag is the truth
             # and the request is taken lazily at consumption time
@@ -282,7 +287,8 @@ class ChrysalisRuntime(LynxRuntimeBase):
         my_ref = EndRef(notice.link, 1 - notice.side)
         es = self.ends.get(my_ref)
         ce = self.cends.get(my_ref)
-        if es is None or ce is None or not ce.obj.is_full("rep", notice.side):
+        if (es is None or ce is None
+                or not ce.obj.flags & FULL["rep", notice.side]):
             self.metrics.count("chrysalis.stale_notices")
             return
         obj, nside = ce.obj, notice.side
@@ -329,7 +335,7 @@ class ChrysalisRuntime(LynxRuntimeBase):
                     yield self.port.unmap_object(ece.oid)
         self.notify_receipt(my_ref, notice.seq)
         # the buffer slot is free: pump a parked message
-        if ce.pending_out[kind] and not ce.obj.is_full(kind, my_ref.side):
+        if ce.pending_out[kind] and not ce.obj.flags & FULL[kind, my_ref.side]:
             nxt = ce.pending_out[kind].popleft()
             try:
                 yield from self._write_buffer(es, ce, nxt, kind)
@@ -341,7 +347,7 @@ class ChrysalisRuntime(LynxRuntimeBase):
     def _on_destroyed_notice(self, notice: Notice):
         my_ref = EndRef(notice.link, 1 - notice.side)
         ce = self.cends.get(my_ref)
-        if ce is None or not ce.obj.destroyed:
+        if ce is None or not ce.obj.flags & DESTROYED:
             self.metrics.count("chrysalis.stale_notices")
             return
         # messages of ours still sitting unconsumed in the buffers were
@@ -351,7 +357,7 @@ class ChrysalisRuntime(LynxRuntimeBase):
             side = my_ref.side
             for kind in ("req", "rep"):
                 parked = ce.obj.buffers.get((kind, side))
-                if parked is not None and ce.obj.is_full(kind, side):
+                if parked is not None and ce.obj.flags & FULL[kind, side]:
                     self._restore_enclosures(parked)
                 for queued in ce.pending_out[kind]:
                     self._restore_enclosures(queued)
@@ -381,7 +387,7 @@ class ChrysalisRuntime(LynxRuntimeBase):
         if ce is None:
             return
         obj = ce.obj
-        if not obj.destroyed:
+        if not obj.flags & DESTROYED:
             why = self.crash_tagged(reason)
 
             def mark() -> None:
@@ -397,7 +403,7 @@ class ChrysalisRuntime(LynxRuntimeBase):
         yield self.port.mark_reclaimable(ce.oid)
 
     def rt_abort_connect(self, es: EndState, waiter):
-        ce = self._ce(es.ref)
+        ce = self.cends[es.ref]
         obj, side = ce.obj, es.ref.side
         # not yet written?
         for m in list(ce.pending_out["req"]):
@@ -409,7 +415,7 @@ class ChrysalisRuntime(LynxRuntimeBase):
         if (
             cur is not None
             and cur.seq == waiter.seq
-            and obj.is_full("req", side)
+            and obj.flags & FULL["req", side]
         ):
             def clear() -> None:
                 obj.buffers[("req", side)] = None
@@ -428,7 +434,7 @@ class ChrysalisRuntime(LynxRuntimeBase):
     # moves
     # ------------------------------------------------------------------
     def rt_export_end(self, es: EndState) -> dict:
-        return {"obj": self._ce(es.ref).oid}
+        return {"obj": self.cends[es.ref].oid}
 
     def rt_adopt_end(self, ref: EndRef, meta: dict):
         pre = self._premapped.pop(ref, None)
@@ -446,17 +452,17 @@ class ChrysalisRuntime(LynxRuntimeBase):
         nside = 1 - ref.side
         # "It ... then inspects the flags.  It enqueues notices on its
         # own dual queue for any of the flags that are set."
-        if obj.is_full("req", nside):
+        if obj.flags & FULL["req", nside]:
             yield self.port.enqueue(
                 self.my_queue,
                 Notice(oid, ref.link, NoticeCode.NEW_REQ, nside, 0),
             )
-        if obj.is_full("rep", nside):
+        if obj.flags & FULL["rep", nside]:
             yield self.port.enqueue(
                 self.my_queue,
                 Notice(oid, ref.link, NoticeCode.NEW_REP, nside, 0),
             )
-        if obj.destroyed:
+        if obj.flags & DESTROYED:
             yield self.port.enqueue(
                 self.my_queue,
                 Notice(oid, ref.link, NoticeCode.DESTROYED, nside, 0),

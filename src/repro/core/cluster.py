@@ -24,6 +24,7 @@ from repro.analysis.costmodel import CostModel
 from repro.core.program import Proc
 from repro.core.recovery import RecoveryPolicy
 from repro.core.registry import LinkRegistry
+from repro.core.wire import ENCLOSURE_REF_BYTES, HEADER_BYTES
 from repro.obs.causal import SpanTracker
 from repro.obs.flight import FlightRecorder
 from repro.obs.sampling import TraceSampler
@@ -195,11 +196,14 @@ class ClusterBase:
         if span is not None and not span.sampled:
             return  # head-based sampling: the whole trace is dropped
         # ``kind._value_``: the attribute Enum's ``value`` property
-        # reads, without the property's frame; the peer is
+        # reads, and the size is `WireMessage.wire_size`, each without
+        # the property's frame; the peer is
         # `LinkRegistry.owner_of(ref.peer)`, without building the peer ref
         self.trace.defer(
             _msg_event, actor, event, ref.link, op, msg.kind._value_,
-            msg.seq, msg.wire_size,
+            msg.seq,
+            HEADER_BYTES + len(msg.opname) + len(msg.payload)
+            + ENCLOSURE_REF_BYTES * len(msg.enclosures),
             self.registry.links[ref.link].ends[1 - ref.side].owner,
         )
 

@@ -74,14 +74,6 @@ class KernelRuntimePort(Protocol):
         Runs once before the program's ``main``.  Post: kernel-side
         tables for this process exist; initial links are usable.
 
-    ``rt_runnable()`` *(plain)*
-        May user threads run right now?  The dispatcher steps a ready
-        thread only while this is True; the default is always True —
-        idle or not — and the one override is SODA's freeze protocol
-        (§4.2), False while the process is frozen ("ceases execution
-        of everything but its own searches").  Must not block.  The
-        dispatcher asks only a runtime whose class overrides it.
-
     ``rt_shutdown()``
         Runs after ``main`` returns and cleanup finished.  Post: the
         kernel no longer schedules work for this process.
@@ -193,7 +185,6 @@ class KernelRuntimePort(Protocol):
 
     def runtime_costs(self) -> Any: ...
     def rt_startup(self) -> Generator: ...
-    def rt_runnable(self) -> bool: ...
     def rt_shutdown(self) -> Generator: ...
     def rt_new_link(self) -> Generator: ...
     def rt_send_request(self, es: "EndState", msg: "WireMessage") -> Generator: ...

@@ -99,7 +99,7 @@ from repro.core.types import Operation
 from repro.core.wire import ExceptionCode, MsgKind, WireMessage
 from repro.sim.faults import CrashMode
 from repro.sim.futures import Future
-from repro.sim.tasks import Task, TaskKilled, sleep
+from repro.sim.tasks import Task, TaskKilled
 
 #: retransmit period (ms) of a kernel-placement backend's silent loss
 #: recovery: Charlotte's kernel, not a property of the network
@@ -134,6 +134,10 @@ class LynxRuntimeBase:
         #: a server forks one per request and must not remember them
         self.live_threads = 0
         self.ready: deque[LynxThread] = deque()
+        #: user threads run only while this is 0: SODA's freeze
+        #: protocol (§4.2) raises it while the process is frozen —
+        #: "ceases execution of everything but its own searches"
+        self.frozen_count = 0
         self.ends: Dict[EndRef, EndState] = {}
         self.op_registry: Dict[str, Operation] = {}
         self.initial_links: List[LinkEnd] = []
@@ -184,12 +188,6 @@ class LynxRuntimeBase:
         """Per-process kernel setup (allocate queues, register names)."""
         return
         yield
-
-    def rt_runnable(self) -> bool:
-        """(plain) May user threads run right now?  SODA's freeze
-        protocol (§4.2) returns False while the process is frozen —
-        "ceases execution of everything but its own searches"."""
-        return True
 
     def rt_shutdown(self) -> Generator:
         """Orderly teardown after all links have been destroyed.  The
@@ -335,17 +333,12 @@ class LynxRuntimeBase:
     # ==================================================================
     def main_generator(self) -> Generator:
         """The generator driven as this process's simulation Task."""
-        # only a kernel that overrides `rt_runnable` (SODA's freeze) can
-        # stop user threads, so only such a runtime is asked
-        gated = type(self).rt_runnable is not LynxRuntimeBase.rt_runnable
         try:
             yield from self.rt_startup()
             ctx = LynxContext(self)
             self._spawn_thread(self.handle.program.main(ctx), f"{self.name}.main")
             while self.alive:
-                while self.ready and self.alive and (
-                    not gated or self.rt_runnable()
-                ):
+                while self.ready and self.alive and not self.frozen_count:
                     t = self.ready.popleft()
                     if t.live:
                         yield from self._run_thread(t)
@@ -353,9 +346,9 @@ class LynxRuntimeBase:
                     break
                 # a block point, entered only with live threads; none can
                 # finish in here, since threads run only in `_run_thread`
-                yield sleep(self.engine, self.rc.dispatch_ms)
+                yield self.rc.dispatch_ms
                 while self.alive:
-                    if not gated or self.rt_runnable():
+                    if not self.frozen_count:
                         # (nothing to deliver without a reply or a waiter)
                         if self._replies_waiting or self._wait_req:
                             yield from self._deliver_pending()
@@ -678,7 +671,7 @@ class LynxRuntimeBase:
         self.engine.defer(op.ms, self._resume, t, None)
 
     def _op_compute(self, t: LynxThread, op: _ops.ComputeOp) -> Generator:
-        yield sleep(self.engine, op.ms)
+        yield op.ms
 
     def _op_now(self, t: LynxThread, op: _ops.NowOp) -> None:
         t.pending_value = self.engine.now
@@ -957,7 +950,7 @@ class LynxRuntimeBase:
 
         def driver() -> Generator:
             if delay_ms > 0.0:
-                yield sleep(self.engine, delay_ms)
+                yield delay_ms
             if not self.alive or es.lifecycle is not EndLifecycle.OWNED:
                 return
             try:
@@ -978,7 +971,7 @@ class LynxRuntimeBase:
 
         def driver() -> Generator:
             while True:
-                yield sleep(self.engine, KERNEL_RETRANSMIT_MS)
+                yield KERNEL_RETRANSMIT_MS
                 if not self.alive or es.lifecycle is not EndLifecycle.OWNED:
                     return
                 if msg.seq not in es.outgoing:
@@ -1353,12 +1346,12 @@ class LynxRuntimeBase:
         return self._wakeup
 
     def _charge(self, fixed_ms: float, payload: bytes, encs: List[EndRef],
-                counter: str):
-        """The gather or scatter of one message, as a sleep to yield."""
+                counter: str) -> float:
+        """The gather or scatter of one message, as a delay to yield."""
         cost = (
             fixed_ms
             + self.rc.per_byte_ms * len(payload)
             + self.rc.per_enclosure_ms * len(encs)
         )
         self.metrics.count(counter)
-        return sleep(self.engine, cost)
+        return cost

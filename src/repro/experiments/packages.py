@@ -15,7 +15,6 @@ from repro.analysis.report import Table
 from repro.core.api import KERNEL_KINDS
 from repro.experiments import Experiment, register_experiment
 from repro.linda import ANY, make_linda
-from repro.sim.tasks import sleep
 
 
 # ----------------------------------------------------------------------
@@ -132,7 +131,7 @@ def _linda_exchange(kind, block_ms, seed):
 
     def producer(c):
         if block_ms:
-            yield sleep(system.engine, block_ms)
+            yield block_ms
         yield from c.out(("k", 1))
         yield from c.close()
 

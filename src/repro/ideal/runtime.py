@@ -25,7 +25,6 @@ from repro.core.exceptions import RequestAborted
 from repro.core.links import ConnectWaiter, EndRef, EndState
 from repro.core.runtime import LynxRuntimeBase
 from repro.core.wire import WireMessage
-from repro.sim.tasks import sleep
 
 
 class IdealRuntime(LynxRuntimeBase):
@@ -53,7 +52,7 @@ class IdealRuntime(LynxRuntimeBase):
     def _handoff(self, msg: WireMessage) -> Generator:
         """Charge the one cost of the ideal transport and span it."""
         t0 = self.engine.now
-        yield sleep(self.engine, self.costs.delivery_ms)
+        yield self.costs.delivery_ms
         if msg.span is not None:
             self.cluster.spans.emit(
                 msg.span, "kernel", "handoff", self.name, t0, self.engine.now

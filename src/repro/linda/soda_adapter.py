@@ -24,7 +24,7 @@ from repro.linda.api import (
     encode_tuple,
 )
 from repro.linda.space import Pattern, TupleSpace
-from repro.sim.futures import Future
+from repro.sim.futures import Future, FutureState
 from repro.soda.cluster import SodaCluster
 from repro.soda.kernel import AcceptStatus, Interrupt, InterruptKind
 
@@ -97,7 +97,7 @@ class SodaLindaClient(LindaClientBase):
 
     def _on_interrupt(self, intr: Interrupt) -> None:
         fut = self._completions.pop(intr.rid, None)
-        if fut is not None and not fut.is_settled():
+        if fut is not None and fut.state is FutureState.PENDING:
             if intr.kind is InterruptKind.COMPLETION:
                 fut.resolve(intr.data)
             else:

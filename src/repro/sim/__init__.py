@@ -10,7 +10,8 @@ Modules
 engine   : the event loop (`Engine`) and simulated clock.
 futures  : `Future`, the completion primitive kernels hand to tasks.
 tasks    : `Task`, which drives generator coroutines over futures (one
-           future, or the first of a tuple of them).
+           future, or the first of a tuple of them) and delays (the
+           task's own timer: ``yield ms`` or a `Delay`).
 network  : latency/bandwidth models for the three interconnects.
 metrics  : counters and latency recorders shared by kernels and benches.
 faults   : crash modes and the seeded network-fault plane.
@@ -19,7 +20,7 @@ rng      : seeded randomness helpers (all randomness flows through here).
 
 from repro.sim.engine import Engine, Event
 from repro.sim.futures import Future, FutureState
-from repro.sim.tasks import Task, TaskKilled, sleep
+from repro.sim.tasks import Delay, Task, TaskKilled, sleep
 from repro.sim.metrics import MetricSet, LatencyRecorder
 from repro.sim.network import (
     NetworkModel,
@@ -35,6 +36,7 @@ __all__ = [
     "Event",
     "Future",
     "FutureState",
+    "Delay",
     "Task",
     "TaskKilled",
     "sleep",

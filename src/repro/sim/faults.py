@@ -105,13 +105,11 @@ class PartitionWindow:
     b: Optional[FrozenSet[str]] = None
 
     def severs(self, src: str, dst: Optional[str], now: float) -> bool:
-        if not (self.t0 <= now < self.t1):
-            return False
-        if self.a is None or self.b is None:
-            return True
         # a ``dst`` of None (no far process) is in neither group
-        return (src in self.a and dst in self.b) or (
-            src in self.b and dst in self.a
+        return self.t0 <= now < self.t1 and (
+            self.a is None or self.b is None
+            or (src in self.a and dst in self.b)
+            or (src in self.b and dst in self.a)
         )
 
 

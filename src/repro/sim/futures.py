@@ -57,9 +57,6 @@ class Future:
         self.label = label
 
     # ------------------------------------------------------------------
-    def is_settled(self) -> bool:
-        return self.state is not _PENDING
-
     def resolve(self, value: Any = None) -> None:
         """Settle successfully with ``value``."""
         if self.state is not _PENDING:

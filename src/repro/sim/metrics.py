@@ -191,7 +191,7 @@ class MetricSet:
         """Forward every counter increment and latency sample to ``ts``
         (windowed on simulated time) from now on; ``None`` detaches."""
         self._ts = ts
-        sink = ts.record_latency if ts is not None else None
+        sink = getattr(ts, "record_latency", None)
         for rec in self._latencies.values():
             rec.sink = sink
 

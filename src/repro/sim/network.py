@@ -42,11 +42,11 @@ _BITS = 8.0
 
 
 class NetworkModel:
-    """Base class: latency model plus delivery scheduling and accounting.
+    """Base class: the latency model a kernel prices its frames with.
 
-    Subclasses implement `transit_time`.  `deliver` schedules a callback
-    after the computed transit time and counts the frame into metrics
-    under ``wire.frames`` / ``wire.bytes``.
+    Subclasses implement `transit_time` and `min_latency_ms`; a kernel
+    schedules each frame's arrival itself, after the transit time, and
+    counts it under ``wire.frames`` / ``wire.bytes``.
     """
 
     #: human-readable name used in reports
@@ -61,7 +61,6 @@ class NetworkModel:
         self.engine = engine
         self.metrics = metrics if metrics is not None else MetricSet()
         self.rng = rng if rng is not None else SimRandom(0, f"net/{self.name}")
-        self._inflight = 0
 
     # ------------------------------------------------------------------
     def transit_time(self, nbytes: int) -> float:
@@ -78,34 +77,6 @@ class NetworkModel:
         """Report the latency floor to the engine (subclasses call this
         once their rate parameters are set)."""
         self.engine.note_link_floor(self.min_latency_ms)
-
-    def deliver(
-        self,
-        nbytes: int,
-        callback: Callable[[], None],
-        kind: str = "frame",
-    ) -> float:
-        """Schedule ``callback`` after the frame's transit time.
-
-        Returns the transit time charged (useful to kernels composing
-        totals).  ``kind`` tags the frame in metrics
-        (``wire.frames.<kind>``).
-        """
-        dt = self.transit_time(nbytes)
-        self.metrics.count(f"wire.frames.{kind}")
-        self.metrics.count("wire.bytes", nbytes)
-        self._inflight += 1
-
-        def arrive() -> None:
-            self._inflight -= 1
-            callback()
-
-        self.engine.defer(dt, arrive)
-        return dt
-
-    @property
-    def inflight(self) -> int:
-        return self._inflight
 
 
 class TokenRing(NetworkModel):

@@ -246,13 +246,11 @@ class TraceLog:
     # ------------------------------------------------------------------
     def dump(self, limit: int = 200) -> str:
         events = list(self.events)[-limit:]
-        if not events:
-            return ""
         # columns grow with the data so long actor names or 6+ digit
-        # timestamps never shear the layout
-        time_width = max(10, *(len(f"{ev.time:.3f}") for ev in events))
-        actor_width = max(12, *(len(ev.actor) for ev in events))
-        event_width = max(16, *(len(ev.event) for ev in events))
+        # timestamps never shear the layout (an empty log joins to "")
+        time_width = max([10, *(len(f"{ev.time:.3f}") for ev in events)])
+        actor_width = max([12, *(len(ev.actor) for ev in events)])
+        event_width = max([16, *(len(ev.event) for ev in events)])
         lines = [
             ev.describe(time_width, actor_width, event_width)
             for ev in events
@@ -279,8 +277,7 @@ class TraceLog:
 
         def lifelines() -> List[str]:
             row = [" "] * total
-            for i in range(len(actors)):
-                row[i * width] = "|"
+            row[::width] = "|" * len(actors)
             return row
 
         lines = ["".join(a.ljust(width) for a in actors),

@@ -41,6 +41,7 @@ from repro.sim.engine import Engine
 from repro.sim.futures import Future
 from repro.sim.metrics import MetricSet
 from repro.sim.network import CSMABus
+from repro.sim.tasks import Delay
 
 #: bytes charged for a request/interrupt control frame (id, name, oob,
 #: sizes — the small-OOB regime of §4.2.1)
@@ -420,32 +421,28 @@ class SodaKernel:
 
 
 class SodaPort:
-    """Per-process kernel interface; bounded calls charge their cost."""
+    """Per-process kernel interface: a bounded call returns a `Delay`
+    charging its cost; `accept` and `discover`, whose answer comes
+    later, return Futures."""
 
     def __init__(self, kernel: SodaKernel, name: str) -> None:
         self.kernel = kernel
         self.name = name
 
-    def _charged(self, value: Any, cost: float) -> Future:
-        fut = Future(self.kernel.engine, "soda")
-        # `Future.resolve_later`'s one event, without its frame
-        fut.engine.defer(cost, fut._safe_resolve, value)
-        return fut
-
     def set_handler(self, fn: Callable[[Interrupt], None]) -> None:
         """"Each process establishes a single handler" (§4.1)."""
         self.kernel._procs[self.name].handler = fn
 
-    def new_name(self) -> Future:
-        return self._charged(self.kernel.new_name(), self.kernel.costs.new_name_ms)
+    def new_name(self) -> Delay:
+        return Delay(self.kernel.costs.new_name_ms, self.kernel.new_name())
 
-    def advertise(self, name: int) -> Future:
+    def advertise(self, name: int) -> Delay:
         self.kernel.advertise(self.name, name)
-        return self._charged(None, self.kernel.costs.advertise_ms)
+        return Delay(self.kernel.costs.advertise_ms)
 
-    def unadvertise(self, name: int) -> Future:
+    def unadvertise(self, name: int) -> Delay:
         self.kernel.unadvertise(self.name, name)
-        return self._charged(None, self.kernel.costs.advertise_ms)
+        return Delay(self.kernel.costs.advertise_ms)
 
     def discover(self, name: int) -> Future:
         return self.kernel.discover(self.name, name)
@@ -458,9 +455,9 @@ class SodaPort:
         nsend: int = 0,
         nrecv: int = 0,
         data: Any = None,
-    ) -> Future:
+    ) -> Delay:
         rid = self.kernel.request(self.name, to, name, oob, nsend, nrecv, data)
-        return self._charged(rid, self.kernel.costs.request_syscall_ms)
+        return Delay(self.kernel.costs.request_syscall_ms, rid)
 
     def accept(
         self,
@@ -472,6 +469,6 @@ class SodaPort:
     ) -> Future:
         return self.kernel.accept(self.name, rid, oob or {}, nsend, nrecv, data)
 
-    def withdraw(self, rid: int) -> Future:
+    def withdraw(self, rid: int) -> Delay:
         ok = self.kernel.withdraw(self.name, rid)
-        return self._charged(ok, self.kernel.costs.request_syscall_ms)
+        return Delay(self.kernel.costs.request_syscall_ms, ok)

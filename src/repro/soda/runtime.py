@@ -100,14 +100,10 @@ class SodaRuntime(LynxRuntimeBase):
         #: (rid, discover result) pairs awaiting conclusion
         self._probe_results: Deque[tuple] = deque()
         self.freezer = FreezeManager(self)
-        self.frozen_count = 0
         self.port.set_handler(self._on_interrupt)
 
     def runtime_costs(self) -> RuntimeCosts:
         return self.cluster.costmodel.soda.runtime
-
-    def rt_runnable(self) -> bool:
-        return self.frozen_count == 0
 
     # ------------------------------------------------------------------
     # interrupt plumbing

@@ -56,7 +56,6 @@ def raw_soda_rpc(payload_bytes: int = 0, count: int = 10,
     def wait_for(queue, kind):
         """Poll-free wait: spin on a tiny timer until an interrupt of
         ``kind`` is queued (the raw program's idle loop)."""
-        from repro.sim.tasks import sleep
 
         def gen():
             while True:
@@ -64,7 +63,7 @@ def raw_soda_rpc(payload_bytes: int = 0, count: int = 10,
                     if intr.kind is kind:
                         queue.pop(i)
                         return intr
-                yield sleep(eng, 0.05)
+                yield 0.05
 
         return gen()
 

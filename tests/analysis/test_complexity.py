@@ -112,7 +112,9 @@ SIZE_BUDGETS = {
     # finished client's window (+6 / +1) are paid by `NodeProcess` as a
     # `NamedTuple`, the spawn environment in one expression, the
     # `query_stats` drain and the entry's `node` local
-    "net+ideal": (602, 107),
+    # ideal's handoff yields its delay, importing no `sleep`
+    # (before: 602 / 107)
+    "net+ideal": (601, 107),
     # PR 16: bench owns only exact values, compare is equality
     # (before: 1,182 / 352)
     # PR 18: the eight bench bodies left for the experiment registry;
@@ -138,7 +140,8 @@ SIZE_BUDGETS = {
     # one-use `count` and by E15's `exact_pct` special case for an
     # exact rank, which its interpolation already returns
     # (before: 944 / 162)
-    "experiments": (944, 161),
+    # the Linda exchange's producer yields its delay (before: 944 / 161)
+    "experiments": (943, 161),
     # PR 19: core/runtime.py's op dispatch, staging and scatter get one
     # table and one owner each (802 / 229 -> 736 / 201); three one-value
     # options and an unused exception go (before: 1,808 / 358)
@@ -175,7 +178,10 @@ SIZE_BUDGETS = {
     # of `_transmit`; the branches these add are paid by `_rr` holding
     # exactly the refs of `ends` (two membership tests go) and by
     # `_cleanup` walking end states (before: 1,711 / 324)
-    "core": (1698, 324),
+    # the freeze is the runtime's `frozen_count` attribute: the
+    # `rt_runnable` hook, its default and the dispatcher's override
+    # test go (before: 1,698 / 324)
+    "core": (1696, 322),
     # PR 19: the version-1 trace reader goes (before: 674 / 128)
     # PR 20: a wait is one bound listener — `Task._wait_on`, `_fire`,
     # `fail_later` / `_safe_fail` go, `TraceLog.record` comes
@@ -199,7 +205,16 @@ SIZE_BUDGETS = {
     # `TraceLog.defer` without its guard, `PartitionWindow.severs`
     # without a `dst is None` test its set lookups make, and
     # `MetricSet.diff` / `latency` without a branch (before: 595 / 113)
-    "sim": (593, 113),
+    # a delay is the task's own timer (`Delay`, `_Timer`, the timed
+    # wait in `_step`) and an answered tuple wait takes its listener
+    # off the members left pending: tasks.py +20 / +5, with the
+    # cooperative yield folded into `_step`'s last `defer`; paid by
+    # `Future.is_settled`, which lost its callers, the uncalled
+    # `NetworkModel.deliver` / `inflight`, `PartitionWindow.severs`
+    # as one expression, `bind_timeseries` reading its sink as
+    # `latency` does, `TraceLog.dump` without its empty-log test and
+    # the lifelines drawn by one slice (before: 593 / 113)
+    "sim": (591, 113),
     # PR 19: first budgeted at its size then — 1,710 / 672 less the
     # unused `PackageStats.total_branches`, plus `area_sizes`, the
     # function this test and `repro sizes` share
@@ -245,7 +260,11 @@ SIZE_BUDGETS = {
     # the node count is the class constant `NODES` (+1), paid by
     # `process_died`'s do-nothing `if ...: pass` (before: 727 / 189)
     # a transfer's ring time is computed once (before: 726 / 187)
-    "charlotte": (725, 187),
+    # a bounded syscall returns a `Delay` (`KernelPort._bounded` goes),
+    # `cends` makes an end's state on first lookup (`_ce` and its eager
+    # calls go) and `rt_block_wait` reads the Wait's state
+    # (before: 725 / 187)
+    "charlotte": (716, 185),
     # soda: the uncalled `SodaKernel.request_state` goes (before:
     # 759 / 157)
     # `_release_pair` admits only a live requester's queued request and
@@ -260,13 +279,22 @@ SIZE_BUDGETS = {
     # deque (`_forget`, +2), paid by `discover`'s `conclude`, which
     # tested a future only it settles, and by `_release_pair`, whose
     # deques now hold only requests in the table (before: 739 / 153)
-    "soda": (737, 151),
-    "chrysalis": (512, 84),
+    # a bounded call returns a `Delay` (`SodaPort._charged` goes) and
+    # the freeze is read as `frozen_count` (`rt_runnable` goes)
+    # (before: 737 / 151)
+    "soda": (731, 151),
+    # a call returns a `Delay` (`ChrysalisPort._charged` goes), the
+    # link object's flags are read through masks (`is_full` /
+    # `destroyed` go), `cends` raises for a missing end (`_ce` goes)
+    # and `rt_block_wait` asks the event wait's state once
+    # (before: 512 / 84)
+    "chrysalis": (500, 82),
     # one `TupleSpace.match_or_park` replaces `try_match` + `add_waiter`
     # (before: 392 / 60)
     # the uncalled `TupleSpace.remove_waiter` goes (before: 386 / 60)
     "linda": (383, 59),
-    "workloads": (815, 116),
+    # the raw program's idle loop yields its delay (before: 815 / 116)
+    "workloads": (814, 116),
 }
 
 

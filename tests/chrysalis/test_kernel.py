@@ -8,6 +8,7 @@ from repro.core.exceptions import ProtocolViolation
 from repro.sim.engine import Engine
 from repro.sim.metrics import MetricSet
 from repro.sim.network import SharedMemoryInterconnect
+from repro.sim.tasks import Task
 
 
 @pytest.fixture
@@ -136,9 +137,16 @@ def test_map_of_reclaimed_object_fails(kern):
 
 
 def test_port_charges_costs(kern):
+    """A port call is a `Delay`: the task that yields it resumes with
+    the call's result once the call's cost has passed."""
     eng, k = kern
     port = ChrysalisPort(k, "p")
     done = []
-    port.make_queue().add_done_callback(lambda f: done.append(eng.now))
+
+    def proc():
+        qid = yield port.make_queue()
+        done.append((eng.now, qid in k._queues))
+
+    Task(eng, proc(), "p")
     eng.run()
-    assert done == [pytest.approx(k.costs.make_queue_ms)]
+    assert done == [(pytest.approx(k.costs.make_queue_ms), True)]

@@ -8,9 +8,12 @@ interpreter, so unlike a wall clock it can be held in tier-1, on every
 interpreter of the CI matrix.
 
 The ceilings are about 1.12 x what the tree measures on CPython 3.11.7
-(829 / 856 / 882 / 493 calls per null RPC since a wait puts its listener
-on the future itself and the block point runs in the dispatcher's own
-frame; 957 / 961 / 1,007 / 553 before, 958 / 968 / 1,008 / 554 once a
+(728 / 798 / 770 / 453 calls per null RPC since a delay is the task's
+own timer — no future per charge or bounded kernel call — and the
+kernels' per-end lookups, flag reads and freeze test are plain reads;
+829 / 856 / 882 / 493 before, once a wait put its listener on the
+future itself and the block point ran in the dispatcher's own frame;
+957 / 961 / 1,007 / 553 before that, 958 / 968 / 1,008 / 554 once a
 trace record became a row built on read, 989 / 1,003 / 1,044 / 577
 before that, and 1,135 / 1,080 / 1,148 / 641 before the block point
 stopped building a future per two-way wait), leaving about 12 % for the
@@ -98,19 +101,20 @@ HOPS = 20
 
 #: calls per null RPC: only ever lowered
 CALL_CEILINGS = {
-    "charlotte": 930,
-    "soda": 960,
-    "chrysalis": 990,
-    "ideal": 550,
+    "charlotte": 815,
+    "soda": 895,
+    "chrysalis": 865,
+    "ideal": 510,
 }
 
-#: calls per migration hop (measured 2,629 / 3,322 / 3,109 / 1,593;
-#: 3,006 / 3,745 / 3,551 / 1,780 before): only ever lowered
+#: calls per migration hop (measured 2,319 / 3,119 / 2,712 / 1,473;
+#: 2,629 / 3,322 / 3,109 / 1,593 before, 3,006 / 3,745 / 3,551 / 1,780
+#: before that): only ever lowered
 HOP_CALL_CEILINGS = {
-    "charlotte": 2945,
-    "soda": 3720,
-    "chrysalis": 3480,
-    "ideal": 1785,
+    "charlotte": 2600,
+    "soda": 3495,
+    "chrysalis": 3040,
+    "ideal": 1650,
 }
 
 #: bytes kept per null RPC (measured 2,728 / 3,256 / 3,112 / 2,000):

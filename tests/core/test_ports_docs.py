@@ -75,13 +75,14 @@ def test_doc_is_linked_from_readme_and_api():
     assert "PORTS.md" in (ROOT / "docs" / "API.md").read_text()
 
 
-#: `inspect.signature` of the 20 port names on `LynxRuntimeBase`, taken
+#: `inspect.signature` of the port names on `LynxRuntimeBase`, taken
 #: at 9522e3e (PR 18).  The shared half may be rewritten behind the
 #: port; a kernel package must never have to change because it was.
+#: `rt_runnable` left the port when the freeze became the runtime's
+#: `frozen_count` attribute, which SODA's freeze protocol raises.
 PORT_SIGNATURES = {
     "runtime_costs": "(self)",
     "rt_startup": "(self) -> 'Generator'",
-    "rt_runnable": "(self) -> 'bool'",
     "rt_shutdown": "(self) -> 'Generator'",
     "rt_new_link": "(self) -> 'Generator'",
     "rt_send_request":

@@ -25,19 +25,6 @@ def test_token_ring_access_delay_added(eng):
     assert ring.transit_time(0) == pytest.approx(0.05)
 
 
-def test_deliver_schedules_callback_and_counts(eng):
-    m = MetricSet()
-    ring = TokenRing(eng, metrics=m, access_delay_ms=0.1)
-    arrived = []
-    dt = ring.deliver(100, lambda: arrived.append(eng.now), kind="request")
-    assert ring.inflight == 1
-    eng.run()
-    assert ring.inflight == 0
-    assert arrived == [pytest.approx(dt)]
-    assert m.get("wire.frames.request") == 1
-    assert m.get("wire.bytes") == 100
-
-
 def test_csma_slower_per_byte_than_ring(eng):
     ring = TokenRing(eng, access_delay_ms=0.0)
     bus = CSMABus(eng, base_access_ms=0.0, max_backoff_ms=0.0)

@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.core.api import Proc, make_cluster
 from repro.sim.engine import Engine
 from repro.sim.futures import Future, FutureState
-from repro.sim.tasks import Task, TaskKilled, sleep
+from repro.sim.tasks import Delay, Task, TaskKilled, sleep
 
 
 @pytest.fixture
@@ -77,7 +78,7 @@ def test_uncaught_exception_fails_done_future(eng):
 
 def test_yielding_garbage_fails_task(eng):
     def body():
-        yield 42
+        yield "42"
 
     t = Task(eng, body(), "t")
     eng.run()
@@ -512,3 +513,151 @@ def test_an_empty_tuple_fails_the_task(eng):
     t = Task(eng, body(), "t")
     eng.run()
     assert isinstance(t.done.error, TypeError)
+
+
+def test_a_tuple_wait_takes_its_listener_off_the_members_it_left(eng):
+    """Charlotte's shape again, counted: the kernel Wait re-yielded
+    across internal wakeups keeps one listener of the task, not one per
+    wakeup, and the members a wait left keep none.  Catches an answered
+    tuple wait that leaves its listener on the members still pending
+    (at the parent every one of them ran `_on_settle` for nothing)."""
+    kwait, lost = Future(eng, "Wait"), Future(eng, "lost")
+    wakes = [Future(eng, "wakeup") for _ in range(3)]
+    got = []
+
+    def body():
+        for wake in wakes:
+            got.append((yield kwait, wake))
+            got.append(len(kwait._callbacks))
+        got.append((yield kwait, lost))
+
+    Task(eng, body(), "t")
+    for i, wake in enumerate(wakes):
+        eng.schedule(1.0 + i, wake.resolve, i)
+    eng.run()
+    assert got == [(1, 0), 0, (1, 1), 0, (1, 2), 0]
+    assert len(kwait._callbacks) == 1
+    kwait.resolve("completion")
+    eng.run()
+    assert got[-1] == (0, "completion")
+    assert lost._callbacks == []
+
+
+def test_the_loser_of_a_tuple_wait_keeps_no_listener(eng):
+    """Catches: the first member to settle answering the wait but
+    leaving the task's listener on the other, which then calls it for
+    nothing when it settles."""
+    a, b = Future(eng, "a"), Future(eng, "b")
+    got = []
+
+    def body():
+        got.append((yield a, b))
+
+    Task(eng, body(), "t")
+    eng.schedule(1.0, a.resolve, "winner")
+    eng.run()
+    assert got == [(0, "winner")]
+    assert b._callbacks == []
+
+
+# ----------------------------------------------------------------------
+# the timed wait: ``yield ms`` or ``yield Delay(ms, value)`` is the
+# task's own timer — the two events of a sleep future's wait, and no
+# future
+# ----------------------------------------------------------------------
+def test_a_delay_resumes_after_its_time_with_its_value(eng):
+    got = []
+
+    def body():
+        got.append((yield 1.5))
+        got.append(eng.now)
+        got.append((yield Delay(2.0, "result")))
+        got.append(eng.now)
+
+    t = Task(eng, body(), "t")
+    eng.run()
+    assert got == [None, 1.5, "result", 3.5]
+    assert t.finished
+    # the first step, then per wait its timer and its deferred resume
+    assert eng.events_fired == 1 + 2 + 2
+
+
+@pytest.mark.parametrize("delay", (100.0, Delay(100.0, "stale")))
+def test_a_task_killed_during_a_timed_wait_ignores_its_timer(eng, delay):
+    """Catches: a timer that outlives its wait resuming the task — at
+    100 ms it would answer the clean-up's own wait with its value, and
+    the kill would not be the only thing that landed."""
+    got = []
+
+    def body():
+        try:
+            yield delay
+        except TaskKilled:
+            got.append(("killed", eng.now))
+        got.append((yield 200.0))
+        got.append(eng.now)
+
+    t = Task(eng, body(), "t")
+    eng.schedule(10.0, t.kill)
+    eng.run()
+    assert got == [("killed", 10.0), None, 210.0]
+    assert t.done.result() is None
+    # first step, kill, kill's step, the stale timer (no resume), the
+    # clean-up's timer and its resume
+    assert eng.events_fired == 6
+
+
+@pytest.mark.parametrize("timed", (False, True))
+def test_a_delay_fires_the_events_a_sleep_future_fires(timed):
+    """Three tasks whose waits collide in time step in the same
+    ``(time, events fired)`` order whether they yield the delay or a
+    sleep future.  Catches a timed wait that is not exactly the sleep's
+    two events — the timer at now + ms, then the deferred resume."""
+    def script(timed):
+        eng = Engine()
+        log = []
+
+        def proc(tag, delays):
+            for ms in delays:
+                yield ms if timed else sleep(eng, ms)
+                log.append((tag, eng.now, eng.events_fired))
+
+        Task(eng, proc("a", (1.0, 1.0, 0.5, 0.0)), "a")
+        Task(eng, proc("b", (2.0, 0.0, 0.5)), "b")
+        Task(eng, proc("c", (0.0, 2.0, 0.5, 0.5)), "c")
+        eng.run()
+        return log
+
+    assert script(timed) == script(False)
+    assert len(script(timed)) == 11
+
+
+def test_an_int_delay_is_a_delay_and_a_bool_is_not(eng):
+    """`ComputeOp(5)` from user code reaches its process's task as
+    ``yield 5``; ``True`` is no delay."""
+    got = []
+
+    def body():
+        got.append((yield 5))
+        got.append(eng.now)
+        yield True
+
+    t = Task(eng, body(), "t")
+    eng.run()
+    assert got == [None, 5]
+    assert isinstance(t.done.error, TypeError)
+
+
+def test_an_int_compute_charges_its_process_five_ms():
+    cluster = make_cluster("ideal")
+    stamps = []
+
+    class Busy(Proc):
+        def main(self, ctx):
+            t0 = yield from ctx.now()
+            yield from ctx.compute(5)
+            stamps.append((yield from ctx.now()) - t0)
+
+    cluster.spawn(Busy(), "busy")
+    cluster.run_until_quiet(max_ms=1e3)
+    assert stamps == [5]

@@ -471,9 +471,16 @@ def test_a2_workload_finishes_iff_the_pair_limit_exceeds_its_links(limit):
     of ``A2_LINKS + 1``: the holder opens its ``A2_LINKS`` adopted
     ends, their status signals fill that many of the holder->observer
     pair's slots, and the holder's reply to the observer's first
-    request queues behind them.  The run never goes quiet — the
-    observer's hint probe keeps refiring — so it ends at A2's budget
-    with both processes unfinished and a request queued."""
+    request queues behind them.  The run never goes quiet, so it ends
+    at A2's budget with both processes unfinished and a request queued.
+    At limits 2-4 the observer's hint probe confirms the hint and
+    refires at its capped backoff (120 ms x 2**6 = 7.68 s: 1,298
+    discovers by 10**7 ms).  At limit 1 every probe's discover names
+    another process than the hint, which `_conclude_probe` takes for a
+    repair: a withdraw, then a repost that is redirected back and
+    queues again under a fresh probe timer, so the probe never backs
+    off — one cycle every ~176 ms (56,714 discovers, 55,416 repairs,
+    55,418 redirects followed, 110,833 reposts, 1,229,615 events)."""
     from repro.experiments.moves import (
         A2_LINKS,
         _CacheDispatcher,
