@@ -6,10 +6,6 @@ MetricSet`); this package makes it *machine
 readable* so the perf trajectory of the repository can be tracked
 across PRs:
 
-* `JsonlTraceWriter` / `load_trace` — stream or round-trip traces as
-  JSON Lines (`TraceLog.to_jsonl` / `TraceLog.from_jsonl`);
-* `prometheus_text` — render a `MetricSet` in the Prometheus text
-  exposition format;
 * `repro.obs.bench` / `repro.obs.compare` — the unified benchmark
   runner behind ``python -m repro bench`` and its equality diff,
   producing and gating the ``BENCH_*.json`` baseline (imported by
@@ -31,7 +27,8 @@ across PRs:
 * `TimeSeries` — per-window goodput/latency/fault aggregates on
   simulated time (``python -m repro top``);
 * `json_safe` — NaN/Infinity-free JSON value sanitising shared by all
-  exporters.
+  exporters (traces themselves round-trip through `TraceLog.to_jsonl`
+  / `TraceLog.from_jsonl`, what ``python -m repro trace --from`` reads).
 
 Formats and vocabularies are documented in docs/OBSERVABILITY.md.
 """
@@ -59,8 +56,7 @@ from repro.obs.causal import (
     chrome_trace_json,
     waterfall,
 )
-from repro.obs.jsonl import JsonlTraceWriter, json_safe, load_trace
-from repro.obs.prom import prometheus_text
+from repro.obs.jsonl import json_safe
 
 __all__ = [
     "CausalGraph",
@@ -68,7 +64,6 @@ __all__ = [
     "FLIGHT_SCHEMA_VERSION",
     "FlightRecorder",
     "GAP_LAYER",
-    "JsonlTraceWriter",
     "LAYERS",
     "PathSegment",
     "Span",
@@ -84,7 +79,5 @@ __all__ = [
     "describe_flight_dump",
     "json_safe",
     "load_flight_dump",
-    "load_trace",
-    "prometheus_text",
     "waterfall",
 ]

@@ -49,7 +49,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.core.wire import SpanContext
 from repro.sim.trace import TraceEvent, TraceLog
@@ -288,22 +288,6 @@ class CausalGraph:
             cur = by_id.get(cur.parent_id)
             d += 1
         return d
-
-    def happens_before(self, trace_id: int) -> List[Tuple[int, int]]:
-        """The happens-before edges of one trace: every parent→child
-        tree edge plus every temporal edge (a span that ends no later
-        than another starts precedes it)."""
-        spans = self.by_trace.get(trace_id, ())
-        edges = [
-            (s.parent_id, s.span_id) for s in spans
-            if s.parent_id is not None
-        ]
-        ordered = sorted(spans, key=lambda s: (s.t0, s.t1))
-        for i, a in enumerate(ordered):
-            for b in ordered[i + 1:]:
-                if a.t1 <= b.t0 and a.span_id != b.parent_id:
-                    edges.append((a.span_id, b.span_id))
-        return edges
 
     # -- critical path -------------------------------------------------
     def critical_path(self, trace_id: int) -> List[PathSegment]:

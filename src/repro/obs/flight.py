@@ -4,9 +4,9 @@ Long chaos runs mostly end in one of two ways: fine, or wrecked by
 an event (a partition window opening, a kernel crash, a
 `RecoveryExhausted`) whose *lead-up* is exactly what the full trace
 log has already rotated past by the time anyone looks.  The
-`FlightRecorder` subscribes to the cluster's `TraceLog` (the same
-sink interface `JsonlTraceWriter` uses), keeps the most recent
-``capacity`` events in a ring buffer, and on a trigger event dumps a
+`FlightRecorder` subscribes to the cluster's `TraceLog`
+(`TraceLog.attach`), keeps the most recent ``capacity`` events in a
+ring buffer, and on a trigger event dumps a
 bounded JSONL "black box" — stream header, a full metric snapshot,
 then the ring — to disk.  Dumps are capped (``max_dumps``) so a
 crash storm cannot fill the disk.

@@ -28,7 +28,7 @@ between min and max is quantised.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 #: geometric bucket growth factor; the percentile error bound is
 #: ``sqrt(GROWTH) - 1`` (~0.995% — the "≤1% by construction" contract)
@@ -156,9 +156,6 @@ class StreamingHistogram:
                 return self._representative(idx)
         return self._representative(items[-1][0])
 
-    def percentiles(self, ps: Iterable[float]) -> Dict[float, float]:
-        return {p: self.percentile(p) for p in ps}
-
     # aggregation -------------------------------------------------------
     def merge(self, other: "StreamingHistogram") -> "StreamingHistogram":
         """Fold ``other`` into this histogram (cross-shard aggregation).
@@ -181,32 +178,6 @@ class StreamingHistogram:
         if other._max > self._max:
             self._max = other._max
         return self
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready form (flight-recorder snapshots, exposition)."""
-        return {
-            "growth": self.growth,
-            "base": self.base,
-            "count": self.count,
-            "total": self.total,
-            "min": self._min if self.count else None,
-            "max": self._max if self.count else None,
-            "buckets": {str(k): v for k, v in sorted(self.buckets.items())},
-        }
-
-    def bucket_bounds(self) -> List[Tuple[float, int]]:
-        """``(upper_bound, count)`` per occupied bucket in value order —
-        the cumulative-``le`` series the Prometheus exposition renders."""
-        out = []
-        for idx, n in sorted(self.buckets.items()):
-            if idx == 0:
-                upper = self.base
-            elif idx > 0:
-                upper = self.base * self.growth ** idx
-            else:
-                upper = -(self.base * self.growth ** (-idx - 1))
-            out.append((upper, n))
-        return out
 
     def __len__(self) -> int:
         return self.count

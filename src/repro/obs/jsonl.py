@@ -1,20 +1,13 @@
-"""JSONL trace streaming and shared JSON hygiene.
+"""Shared JSON hygiene for the exporters.
 
-`TraceLog.to_jsonl` snapshots the (bounded) in-memory log;
-`JsonlTraceWriter` instead subscribes to the log and appends each
-event to a file as it is emitted, so arbitrarily long runs can be
-exported without raising the log capacity.  Both produce the same
-line format (docs/OBSERVABILITY.md, "Trace export").
+Traces export to JSON Lines through `TraceLog.to_jsonl` and reload
+through `TraceLog.from_jsonl` (docs/OBSERVABILITY.md, "Trace export");
+this module keeps the value sanitising the other JSON writers share.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
-from typing import IO, Optional, Union
-
-from repro.sim.trace import TraceEvent, TraceLog, trace_header
 
 
 def json_safe(value: object) -> object:
@@ -28,67 +21,3 @@ def json_safe(value: object) -> object:
     if isinstance(value, (list, tuple)):
         return [json_safe(v) for v in value]
     return value
-
-
-class JsonlTraceWriter:
-    """Streams `TraceEvent`s to a JSONL file as they happen.
-
-    Usage::
-
-        with JsonlTraceWriter("run.jsonl", cluster.trace):
-            cluster.run_until_quiet()
-
-    or, without the context manager, ``w = JsonlTraceWriter(path,
-    trace)`` ... ``w.close()``.  The header line is written on open;
-    `TraceLog.from_jsonl` / `load_trace` read the result back.
-    """
-
-    def __init__(
-        self,
-        destination: Union[str, os.PathLike, IO[str]],
-        trace: Optional[TraceLog] = None,
-        header: bool = True,
-    ) -> None:
-        if hasattr(destination, "write"):
-            self._fh: IO[str] = destination  # type: ignore[assignment]
-            self._owns_fh = False
-        else:
-            self._fh = open(destination, "w")
-            self._owns_fh = True
-        self.lines_written = 0
-        self._trace: Optional[TraceLog] = None
-        if header:
-            cap = trace.capacity if trace is not None else None
-            self._fh.write(json.dumps(trace_header(cap), sort_keys=True) + "\n")
-        if trace is not None:
-            self.attach(trace)
-
-    def attach(self, trace: TraceLog) -> None:
-        if self._trace is not None:
-            raise ValueError("writer is already attached to a TraceLog")
-        self._trace = trace
-        trace.attach(self.write)
-
-    def write(self, event: TraceEvent) -> None:
-        self._fh.write(event.to_json() + "\n")
-        self.lines_written += 1
-
-    def close(self) -> None:
-        if self._trace is not None:
-            self._trace.detach(self.write)
-            self._trace = None
-        if self._owns_fh and not self._fh.closed:
-            self._fh.close()
-
-    def __enter__(self) -> "JsonlTraceWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def load_trace(path: Union[str, os.PathLike]) -> TraceLog:
-    """Read a JSONL trace file back into a detached `TraceLog` (query
-    and chart it; `emit` is disabled)."""
-    with open(path) as fh:
-        return TraceLog.from_jsonl(fh)

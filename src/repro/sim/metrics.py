@@ -21,9 +21,8 @@ samples are never retained: a recorder that kept them would grow with
 every op, which the table census (`tests/core/test_table_census.py`)
 and the alive-bytes ceilings (`tests/core/test_host_cost.py`) fail.
 
-The full vocabulary and the export formats (JSONL traces, Prometheus
-text) are documented in docs/OBSERVABILITY.md; `repro.obs` holds the
-exporters.
+The full vocabulary is documented in docs/OBSERVABILITY.md;
+`MetricSet.snapshot` is the one export of a set.
 """
 
 from __future__ import annotations
@@ -44,27 +43,21 @@ class LatencyRecorder:
     Means, minima and maxima are exact (running scalars accumulated in
     recording order, so values are bit-identical to summing a raw list);
     percentiles come from the embedded `StreamingHistogram` and carry
-    its ≤1% quantisation bound; the spread comes from Welford's online
-    variance.  `merge` folds another recorder in for cross-shard
-    aggregation.
+    its ≤1% quantisation bound.  `merge` folds another recorder in for
+    cross-shard aggregation.
     """
 
-    __slots__ = ("name", "hist", "_mean", "_m2", "sink")
+    __slots__ = ("name", "hist", "sink")
 
     def __init__(self, name: str = "",
                  sink: Optional[Callable[[str, float], None]] = None) -> None:
         self.name = name
         self.hist = StreamingHistogram()
-        self._mean = 0.0  # Welford running mean (stddev only; see mean)
-        self._m2 = 0.0
         #: optional per-sample forward (the windowed TimeSeries hook)
         self.sink = sink
 
     def record(self, value: float) -> None:
         self.hist.record(value)
-        delta = value - self._mean
-        self._mean += delta / self.hist.count
-        self._m2 += delta * (value - self._mean)
         if self.sink is not None:
             self.sink(self.name, value)
 
@@ -76,13 +69,9 @@ class LatencyRecorder:
         return self.hist.count
 
     @property
-    def total(self) -> float:
-        return self.hist.total
-
-    @property
     def mean(self) -> float:
-        """Exact ``total / count`` (not the Welford estimate), so bench
-        tables match raw-sample summation bit-for-bit."""
+        """Exact ``total / count``, so bench tables match raw-sample
+        summation bit-for-bit."""
         n = self.hist.count
         return self.hist.total / n if n else math.nan
 
@@ -98,26 +87,9 @@ class LatencyRecorder:
         """Interpolated percentile, p in [0, 100]; ≤1% relative error."""
         return self.hist.percentile(p)
 
-    @property
-    def stddev(self) -> float:
-        n = self.hist.count
-        if n < 2:
-            return 0.0
-        return math.sqrt(self._m2 / (n - 1))
-
     def merge(self, other: "LatencyRecorder") -> "LatencyRecorder":
-        """Fold ``other`` in (Chan's parallel variance + bucket sums)."""
-        na, nb = self.hist.count, other.hist.count
-        if nb:
-            if na:
-                delta = other._mean - self._mean
-                n = na + nb
-                self._mean += delta * nb / n
-                self._m2 += other._m2 + delta * delta * na * nb / n
-            else:
-                self._mean = other._mean
-                self._m2 = other._m2
-            self.hist.merge(other.hist)
+        """Fold ``other`` in (bucket sums)."""
+        self.hist.merge(other.hist)
         return self
 
     def summary(self) -> Dict[str, float]:
@@ -196,10 +168,6 @@ class MetricSet:
             rec.sink = sink
 
     # utilities -----------------------------------------------------------
-    def reset(self) -> None:
-        self._counters.clear()
-        self._latencies.clear()
-
     def merge(self, other: "MetricSet") -> "MetricSet":
         """Fold another set in: counters sum, recorders `merge` — the
         cross-shard aggregation path for the sharded-engine roadmap."""
@@ -225,38 +193,4 @@ class MetricSet:
                 name: rec.summary()
                 for name, rec in sorted(self._latencies.items())
             },
-        }
-
-    def tree(self) -> Dict[str, object]:
-        """Counters expanded along their dots into a nested dict::
-
-            kernel.calls.Send = 5  ->  {"kernel": {"calls": {"Send": 5}}}
-
-        When a name is both a leaf and a prefix (``a`` and ``a.b``),
-        the leaf value moves under the empty key: ``{"a": {"": v, "b": w}}``.
-        """
-        root: Dict[str, object] = {}
-        for name, value in sorted(self._counters.items()):
-            parts = name.split(".")
-            node = root
-            for part in parts[:-1]:
-                child = node.get(part)
-                if not isinstance(child, dict):
-                    child = {} if child is None else {"": child}
-                    node[part] = child
-                node = child
-            leaf = parts[-1]
-            if isinstance(node.get(leaf), dict):
-                node[leaf][""] = value
-            else:
-                node[leaf] = value
-        return root
-
-    def diff(self, before: Dict[str, object]) -> Dict[str, float]:
-        """Counter deltas relative to an earlier `snapshot` (either the
-        nested form or a bare ``{name: value}`` counter dict)."""
-        base = before.get("counters", before)
-        return {
-            k: d for k, v in self._counters.items()
-            if (d := v - base.get(k, 0.0))
         }

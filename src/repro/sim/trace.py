@@ -20,8 +20,7 @@ read.  An attached sink still receives each event, built, at once.
 
 For offline analysis the log exports to JSON Lines (`to_jsonl`) and
 reloads (`from_jsonl`) into a detached log that renders the same
-charts; `repro.obs.JsonlTraceWriter` streams events to disk as they
-are emitted, escaping the capacity bound.  The record schema is
+charts.  The record schema is
 documented in docs/OBSERVABILITY.md and versioned by
 `TRACE_SCHEMA_VERSION`.
 """
@@ -151,7 +150,7 @@ class TraceLog:
         self.events: Sequence[TraceEvent] = _Events(self._rows)
         self.enabled = True
         #: streaming subscribers, called with each TraceEvent as it is
-        #: recorded (see `repro.obs.JsonlTraceWriter`)
+        #: recorded (see `repro.obs.FlightRecorder`)
         self._sinks: List[Callable[[TraceEvent], None]] = []
 
     def emit(

@@ -2,25 +2,29 @@
 
 How many Python-visible calls one null RPC costs, per kernel, counted
 by ``cProfile``: profile ``run_rpc_workload(kind, 0, count=200)`` after
-a 20-op warm-up (imports, lazily built tables) and divide
-``pstats.Stats.total_calls`` by 200.  The count repeats exactly on one
-interpreter, so unlike a wall clock it can be held in tier-1, on every
-interpreter of the CI matrix.
+a 20-op warm-up (imports, lazily built tables), sum the call count of
+every profiled code object (``Profile.getstats()``) and divide by 200.
+``pstats.Stats.total_calls`` is not that sum: it keys a function by
+``(file, line, name)``, so generated ``__init__``s (every dataclass's
+is ``<string>`` at one line) collide and all but one drop out.  The
+count repeats exactly on one interpreter, so unlike a wall clock it can
+be held in tier-1, on every interpreter of the CI matrix.
 
-The ceilings are about 1.12 x what the tree measures on CPython 3.11.7
-(728 / 798 / 770 / 453 calls per null RPC since a delay is the task's
-own timer — no future per charge or bounded kernel call — and the
-kernels' per-end lookups, flag reads and freeze test are plain reads;
-829 / 856 / 882 / 493 before, once a wait put its listener on the
-future itself and the block point ran in the dispatcher's own frame;
-957 / 961 / 1,007 / 553 before that, 958 / 968 / 1,008 / 554 once a
-trace record became a row built on read, 989 / 1,003 / 1,044 / 577
-before that, and 1,135 / 1,080 / 1,148 / 641 before the block point
-stopped building a future per two-way wait), leaving about 12 % for the
-other interpreters, which count frames a little differently (within 0.5 % of these on 3.10.13,
-3.12.1 and 3.13.0 when the same profile is taken by script).  A change
-that lowers a count lowers its ceiling; none raises one.  The guard
-exists because this cost is paid a convenience property at a time: no
+The ceilings are about 1.09 x what the tree measures on CPython 3.11.7
+(750 / 818 / 787 / 466 calls per null RPC, 2,390 / 3,199 / 2,774 /
+1,516 per migration hop; 3.10.13 reads the same, 3.12.1 and 3.13.0
+about 4 calls per RPC and 14 per hop fewer).  The history below was
+read through ``pstats`` and misses the colliding ``__init__``s: 728 /
+798 / 770 / 453 since a delay is the task's own timer — no future per
+charge or bounded kernel call — and the kernels' per-end lookups, flag
+reads and freeze test are plain reads; 829 / 856 / 882 / 493 before,
+once a wait put its listener on the future itself and the block point
+ran in the dispatcher's own frame; 957 / 961 / 1,007 / 553 before that,
+958 / 968 / 1,008 / 554 once a trace record became a row built on read,
+989 / 1,003 / 1,044 / 577 before that, and 1,135 / 1,080 / 1,148 / 641
+before the block point stopped building a future per two-way wait.
+A change that lowers a count lowers its ceiling; none raises one.  The
+guard exists because this cost is paid a convenience property at a time: no
 single ``is_settled()`` or per-wait closure shows in a benchmark run,
 and a hundred of them are a third of `rpc_null`'s ``cpu_us_per_op``
 (docs/PERFORMANCE.md §2.6–§2.8).
@@ -82,9 +86,9 @@ collector off, each LYNX pass held all four kernels' conversations.
 
 import cProfile
 import gc
-import pstats
 import tracemalloc
 import weakref
+from dataclasses import dataclass
 
 import pytest
 
@@ -107,9 +111,10 @@ CALL_CEILINGS = {
     "ideal": 510,
 }
 
-#: calls per migration hop (measured 2,319 / 3,119 / 2,712 / 1,473;
-#: 2,629 / 3,322 / 3,109 / 1,593 before, 3,006 / 3,745 / 3,551 / 1,780
-#: before that): only ever lowered
+#: calls per migration hop (measured 2,390 / 3,199 / 2,774 / 1,516;
+#: through ``pstats`` 2,319 / 3,119 / 2,712 / 1,473, 2,629 / 3,322 /
+#: 3,109 / 1,593 before, 3,006 / 3,745 / 3,551 / 1,780 before that):
+#: only ever lowered
 HOP_CALL_CEILINGS = {
     "charlotte": 2600,
     "soda": 3495,
@@ -135,7 +140,30 @@ def _calls(run):
         result = run()
     finally:
         profile.disable()
-    return result, pstats.Stats(profile).total_calls
+    return result, sum(entry.callcount for entry in profile.getstats())
+
+
+@dataclass
+class _First:
+    x: int = 0
+
+
+@dataclass
+class _Second:
+    x: int = 0
+
+
+def test_the_probe_counts_every_generated_init():
+    """Both generated ``__init__``s are ``<string>`` code at one line:
+    a count keyed by ``(file, line, name)`` keeps only one of them."""
+    def build():
+        for _ in range(10):
+            _First()
+            _Second()
+
+    _, calls = _calls(build)
+    _, baseline = _calls(lambda: None)
+    assert calls - baseline == 20
 
 
 @pytest.mark.parametrize("kind", sorted(CALL_CEILINGS))

@@ -3,20 +3,13 @@
 The point of `repro.core.ports` is that every layer above the kernel
 packages — `core.api`, the CLI, workloads, benches, observability,
 analysis — reaches a backend only through the registry.  The check is
-LAY001 in `tests/analysis/lint_checks.py`; this test pins the tree to
-it and keeps its contract on `if TYPE_CHECKING:` honest.
+LAY001 in `tests/analysis/lint_checks.py`; the shipped tree is held to
+it with the other checks (`tests/analysis/test_lint_core.py::
+test_shipped_tree_is_clean`), and this test keeps its contract on
+`if TYPE_CHECKING:` honest.
 """
 
-from tests.analysis.lint_checks import lay001, parse, shipped_modules
-
-
-def test_no_module_level_kernel_imports_outside_kernel_packages():
-    found = [f"{m.path}:{node.lineno}" for m in shipped_modules()
-             for node, _ in lay001(m)]
-    assert not found, (
-        "modules must reach kernels via repro.core.ports, not direct "
-        "module-level imports:\n" + "\n".join(found)
-    )
+from tests.analysis.lint_checks import lay001, parse
 
 
 def test_type_checking_guard_is_not_an_escape_hatch(tmp_path):

@@ -153,16 +153,6 @@ def test_hand_built_critical_path_tiles_root():
     assert g.by_layer([tid])[GAP_LAYER] >= 2.0
 
 
-def test_happens_before_includes_tree_and_temporal_edges():
-    g = _hand_built_graph()
-    (tid,) = g.traces()
-    edges = set(g.happens_before(tid))
-    by_name = {s.name: s.span_id for s in g.by_trace[tid]}
-    assert (by_name["connect:op"], by_name["marshal"]) in edges
-    assert (by_name["transfer"], by_name["ring"]) in edges
-    assert (by_name["marshal"], by_name["transfer"]) in edges  # temporal
-
-
 def test_orphans_and_non_trees_detected():
     g = CausalGraph([
         Span(1, 1, None, "rpc", "r", "a", 0.0, 1.0),

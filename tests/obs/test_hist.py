@@ -107,20 +107,6 @@ def test_bad_geometry_rejected():
         StreamingHistogram(base=0.0)
 
 
-def test_bucket_bounds_cover_every_sample():
-    h = StreamingHistogram()
-    xs = [0.5, 1.0, 2.5, 100.0]
-    for v in xs:
-        h.record(v)
-    bounds = h.bucket_bounds()
-    assert sum(n for _, n in bounds) == len(xs)
-    # upper bounds are strictly increasing (the cumulative-le order)
-    uppers = [u for u, _ in bounds]
-    assert uppers == sorted(uppers)
-    for v in xs:
-        assert any(v < u for u in uppers)
-
-
 def test_weighted_record():
     h = StreamingHistogram()
     h.record(2.0, n=10)

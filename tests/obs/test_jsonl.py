@@ -1,11 +1,10 @@
-"""JSONL trace export: round-trips, streaming, schema stability."""
+"""JSONL trace export: round-trips and schema stability."""
 
 import json
 
 import pytest
 
 from repro.core.api import BYTES, Operation, Proc, make_cluster
-from repro.obs import JsonlTraceWriter, load_trace
 from repro.sim.engine import Engine
 from repro.sim.trace import TRACE_SCHEMA_VERSION, TraceEvent, TraceLog
 
@@ -113,39 +112,6 @@ def test_detached_log_refuses_emit():
     replayed = TraceLog.from_jsonl("")
     with pytest.raises(ValueError):
         replayed.emit("a", "e")
-
-
-def test_streaming_writer_matches_snapshot_export(tmp_path):
-    path = tmp_path / "trace.jsonl"
-    cluster = make_cluster("chrysalis")
-    with JsonlTraceWriter(path, cluster.trace) as w:
-        s = cluster.spawn(_Server(), "server")
-        c = cluster.spawn(_Client(), "client")
-        cluster.create_link(s, c)
-        cluster.run_until_quiet(max_ms=1e6)
-    assert w.lines_written == len(cluster.trace.events) > 0
-    streamed = load_trace(path)
-    assert [e.to_record() for e in streamed.events] \
-        == [e.to_record() for e in cluster.trace.events]
-    # detached after close: further events are not written
-    before = path.read_text()
-    cluster.trace.emit("x", "late")
-    assert path.read_text() == before
-
-
-def test_streaming_writer_sees_past_capacity(tmp_path):
-    """The writer's purpose: events evicted from the bounded deque are
-    still on disk."""
-    eng = Engine()
-    log = TraceLog(eng, capacity=5)
-    path = tmp_path / "t.jsonl"
-    with JsonlTraceWriter(path, log):
-        for i in range(20):
-            log.emit("a", "e", i=i)
-    streamed = load_trace(path)
-    assert len(log.events) == 5
-    assert len(streamed.events) == 20
-    assert streamed.events[0].detail["i"] == 0
 
 
 def test_non_json_detail_degrades_to_repr():

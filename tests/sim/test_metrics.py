@@ -54,7 +54,6 @@ def test_latency_merge_matches_single_stream():
     assert a.maximum == whole.maximum
     for p in (0, 25, 50, 75, 99, 100):
         assert a.percentile(p) == whole.percentile(p)
-    assert a.stddev == pytest.approx(whole.stddev)
 
 
 def test_latency_empty_is_nan():
@@ -80,14 +79,6 @@ def test_latency_single_sample():
     rec = LatencyRecorder()
     rec.record(7.0)
     assert rec.percentile(50) == 7.0
-    assert rec.stddev == 0.0
-
-
-def test_latency_stddev():
-    rec = LatencyRecorder()
-    for v in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]:
-        rec.record(v)
-    assert rec.stddev == pytest.approx(2.138, abs=1e-3)
 
 
 def test_metricset_latency_is_memoised():
@@ -103,14 +94,8 @@ def test_snapshot_and_diff():
     before = dict(m.snapshot())
     m.count("a", 3)
     m.count("b")
-    d = m.diff(before)
-    assert d == {"a": 3, "b": 1}
-
-
-def test_diff_accepts_bare_counter_dict():
-    m = MetricSet()
-    m.count("a", 5)
-    assert m.diff({"a": 2}) == {"a": 3}
+    assert before["counters"] == {"a": 2}
+    assert m.snapshot()["counters"] == {"a": 5, "b": 1}
 
 
 def test_snapshot_is_nested_and_matches_live_reads():
@@ -133,34 +118,3 @@ def test_snapshot_is_nested_and_matches_live_reads():
     # a snapshot is a copy: later counts do not leak into it
     m.count("kernel.calls.Send")
     assert snap["counters"]["kernel.calls.Send"] == 3
-
-
-def test_tree_expands_dotted_names():
-    m = MetricSet()
-    m.count("kernel.calls.Send", 2)
-    m.count("kernel.calls.Wait", 4)
-    m.count("wire.bytes", 100)
-    assert m.tree() == {
-        "kernel": {"calls": {"Send": 2.0, "Wait": 4.0}},
-        "wire": {"bytes": 100.0},
-    }
-
-
-def test_tree_handles_leaf_prefix_collision():
-    m = MetricSet()
-    m.count("a", 1)
-    m.count("a.b", 2)
-    assert m.tree() == {"a": {"": 1.0, "b": 2.0}}
-    m2 = MetricSet()
-    m2.count("a.b", 2)
-    m2.count("a", 1)
-    assert m2.tree() == {"a": {"": 1.0, "b": 2.0}}
-
-
-def test_reset():
-    m = MetricSet()
-    m.count("a")
-    m.latency("l").record(1.0)
-    m.reset()
-    assert m.get("a") == 0
-    assert m.latencies() == {}
