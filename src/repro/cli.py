@@ -533,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="flight dump JSONL files to inspect")
     p.add_argument("--demo", action="store_true",
                    help="run a quick partitioned chaos workload with a "
-                        "flight recorder attached and inspect its dumps")
+                        "flight recorder installed and inspect its dumps")
     p.add_argument("--kernel", choices=registered_kernels(),
                    default="charlotte",
                    help="backend for --demo")

@@ -122,9 +122,6 @@ class ClusterBase:
         #: runtime-side recovery policy (`repro.core.recovery`); None =
         #: connects wait forever, as the paper's runtimes did
         self.recovery: Optional[RecoveryPolicy] = None
-        #: black-box dump plane (`repro.obs.flight`); None until
-        #: `install_flight_recorder`
-        self.flight: Optional[FlightRecorder] = None
         #: windowed metric series (`repro.obs.timeseries`); None until
         #: `install_timeseries`
         self.timeseries: Optional[TimeSeries] = None
@@ -241,18 +238,17 @@ class ClusterBase:
         out_dir,
         capacity: int = 256,
         max_dumps: int = 4,
-        **kw,
     ) -> FlightRecorder:
-        """Attach a `repro.obs.flight.FlightRecorder` black box to this
-        cluster's trace log: it keeps the last ``capacity`` events and
-        dumps bounded JSONL on recovery exhaustion, partition entry or
-        a crash (at most ``max_dumps`` files under ``out_dir``)."""
-        self.flight = FlightRecorder(
+        """Install a `repro.obs.flight.FlightRecorder` black box on this
+        cluster's trace log: on recovery exhaustion, partition entry or
+        a crash it dumps the log's last ``capacity`` events as bounded
+        JSONL (at most ``max_dumps`` files under ``out_dir``).  The
+        recorder is ``self.trace.flight``."""
+        return FlightRecorder(
             self.trace, out_dir, metrics=self.metrics, engine=self.engine,
             capacity=capacity, max_dumps=max_dumps, kind=self.KIND,
-            seed=self.seed, **kw,
+            seed=self.seed,
         )
-        return self.flight
 
     def install_timeseries(self, window_ms: float = 100.0,
                            retain: int = 512) -> TimeSeries:
@@ -283,7 +279,7 @@ class ClusterBase:
         handle.task.kill(f"{mode.value} crash of {name}")
         self.metrics.count(f"cluster.crashes.{mode.value}")
         # black-box trigger (repro.obs.flight): record the death itself
-        self.trace.emit(name, "crash", mode=mode.value, node=handle.node)
+        self.trace.alarm(name, "crash", mode=mode.value, node=handle.node)
 
     def close(self) -> None:
         """Let a finished cluster go by reference counting.

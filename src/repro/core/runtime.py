@@ -1053,7 +1053,7 @@ class LynxRuntimeBase:
             self.metrics.count("recovery.exhausted")
             # black-box trigger (repro.obs.flight): the run is about to
             # surface RecoveryExhausted to the program
-            self.cluster.trace.emit(
+            self.cluster.trace.alarm(
                 self.name, "recovery-exhausted",
                 op=waiter.op.name, link=es.ref.link, retries=waiter.retries,
             )

@@ -21,9 +21,9 @@ across PRs:
 * `TraceSampler` — seeded head-based trace sampling
   (``cluster.install_trace_sampling``), same-seed runs sample
   identical trace ids;
-* `FlightRecorder` — a ring buffer of recent trace events that dumps
-  a bounded JSONL black box on recovery exhaustion, partition entry
-  or crash (``python -m repro flight``);
+* `FlightRecorder` — dumps the trace log's tail as a bounded JSONL
+  black box when recovery is exhausted, a partition opens or a
+  process crashes (`TraceLog.alarm`; ``python -m repro flight``);
 * `TimeSeries` — per-window goodput/latency/fault aggregates on
   simulated time (``python -m repro top``);
 * `json_safe` — NaN/Infinity-free JSON value sanitising shared by all
@@ -36,7 +36,6 @@ Formats and vocabularies are documented in docs/OBSERVABILITY.md.
 from repro.obs.flight import (
     FLIGHT_SCHEMA,
     FLIGHT_SCHEMA_VERSION,
-    TRIGGER_EVENTS,
     FlightRecorder,
     describe_flight_dump,
     load_flight_dump,
@@ -70,7 +69,6 @@ __all__ = [
     "SpanContext",
     "SpanTracker",
     "StreamingHistogram",
-    "TRIGGER_EVENTS",
     "TimeSeries",
     "TraceSampler",
     "WindowStat",

@@ -4,19 +4,28 @@ Long chaos runs mostly end in one of two ways: fine, or wrecked by
 an event (a partition window opening, a kernel crash, a
 `RecoveryExhausted`) whose *lead-up* is exactly what the full trace
 log has already rotated past by the time anyone looks.  The
-`FlightRecorder` subscribes to the cluster's `TraceLog`
-(`TraceLog.attach`), keeps the most recent ``capacity`` events in a
-ring buffer, and on a trigger event dumps a
-bounded JSONL "black box" — stream header, a full metric snapshot,
-then the ring — to disk.  Dumps are capped (``max_dumps``) so a
+`FlightRecorder` keeps no events of its own: installed as the
+cluster's ``TraceLog.flight``, it is tripped by `TraceLog.alarm` and
+dumps a bounded JSONL "black box" — stream header, a full metric
+snapshot, then the log's newest ``capacity`` events
+(`TraceLog.tail`) — to disk.  Dumps are capped (``max_dumps``) so a
 crash storm cannot fill the disk.
 
-Trigger events (`TRIGGER_EVENTS`) are emitted by the recovery layer
+Three sites raise an alarm: the recovery layer
 (``recovery-exhausted`` in `LynxRuntimeBase._recovery_fire`), the
 fault plane (``partition-entered`` when a `FaultPlan` window opens)
-and the cluster (``crash`` in `crash_process`).  Everything in a
-dump is simulated-time data, so same-seed runs produce identical
-black boxes — they are diffable artifacts, not wall-clock logs.
+and the cluster (``crash`` in `crash_process`).  A dump is the log's
+tail, so
+- a `TraceLog` whose ``capacity`` is below the recorder's dumps only
+  what the log holds;
+- events recorded before the recorder was installed can appear in a
+  dump (every caller installs it before any process spawns);
+- a log switched off with ``enabled = False`` records no trigger but
+  still dumps its last tail on one.
+
+Everything in a dump is simulated-time data, so same-seed runs
+produce identical black boxes — they are diffable artifacts, not
+wall-clock logs.
 
 ``python -m repro flight DUMP...`` pretty-prints dumps;
 ``python -m repro flight --demo`` produces one from a quick chaos
@@ -27,9 +36,8 @@ and documented in docs/OBSERVABILITY.md.
 from __future__ import annotations
 
 import json
-from collections import deque
 from pathlib import Path
-from typing import Deque, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.obs.jsonl import json_safe
 from repro.sim.trace import TraceEvent, TraceLog
@@ -38,16 +46,15 @@ from repro.sim.trace import TraceEvent, TraceLog
 FLIGHT_SCHEMA = "repro.flight"
 FLIGHT_SCHEMA_VERSION = 1
 
-#: the trace events that trip an automatic dump
-TRIGGER_EVENTS = ("recovery-exhausted", "partition-entered", "crash")
-
 
 class FlightRecorder:
-    """Ring buffer of recent trace events that dumps on trigger events.
+    """Black box over a `TraceLog`: dumps the log's newest ``capacity``
+    events when `TraceLog.alarm` trips it.
 
     Construct via ``cluster.install_flight_recorder(out_dir)`` — that
     wires the cluster's trace log, metrics, engine, kernel kind and
-    seed through — or standalone against any `TraceLog`.
+    seed through — or standalone against any `TraceLog`.  Either way
+    it becomes ``trace.flight``, replacing any earlier recorder.
     """
 
     def __init__(
@@ -60,8 +67,6 @@ class FlightRecorder:
         max_dumps: int = 4,
         kind: str = "",
         seed: Optional[int] = None,
-        trigger_events: Tuple[str, ...] = TRIGGER_EVENTS,
-        prefix: str = "flight",
     ) -> None:
         self.trace = trace
         self.out_dir = Path(out_dir)
@@ -71,56 +76,44 @@ class FlightRecorder:
         self.max_dumps = max_dumps
         self.kind = kind
         self.seed = seed
-        self.trigger_events = frozenset(trigger_events)
-        self.prefix = prefix
-        self.ring: Deque[TraceEvent] = deque(maxlen=capacity)
         #: paths written so far, oldest first
         self.dumps: List[Path] = []
-        trace.attach(self._on_event)
+        trace.flight = self
 
-    def close(self) -> None:
-        """Unsubscribe from the trace log (idempotent)."""
-        try:
-            self.trace.detach(self._on_event)
-        except ValueError:
-            pass
-
-    # ------------------------------------------------------------------
-    def _on_event(self, ev: TraceEvent) -> None:
-        self.ring.append(ev)
-        if ev.event in self.trigger_events and len(self.dumps) < self.max_dumps:
-            self.dump(reason=ev.event)
-
-    def header(self, reason: str) -> Dict[str, object]:
-        head: Dict[str, object] = {
-            "schema": FLIGHT_SCHEMA,
-            "version": FLIGHT_SCHEMA_VERSION,
-            "reason": reason,
-            "t": self.engine.now if self.engine is not None
-                 else (self.ring[-1].time if self.ring else 0.0),
-            "kind": self.kind,
-            "seed": self.seed,
-            "capacity": self.capacity,
-            "events": len(self.ring),
-        }
-        return head
+    def trigger(self, reason: str) -> None:
+        """Dump, unless ``max_dumps`` dumps are already written."""
+        if len(self.dumps) < self.max_dumps:
+            self.dump(reason)
 
     def dump(self, reason: str = "manual") -> Path:
         """Write one bounded black box and return its path.
 
         Layout: line 1 the header, line 2 a ``{"metrics": snapshot}``
-        record (when a `MetricSet` is wired), then the ring buffer's
-        events oldest-first in `TraceEvent.to_record` form.
+        record (when a `MetricSet` is wired), then the trace log's
+        newest ``capacity`` events oldest-first in
+        `TraceEvent.to_record` form.
         """
+        events = self.trace.tail(self.capacity)
+        header = {
+            "schema": FLIGHT_SCHEMA,
+            "version": FLIGHT_SCHEMA_VERSION,
+            "reason": reason,
+            "t": self.engine.now if self.engine is not None
+                 else (events[-1].time if events else 0.0),
+            "kind": self.kind,
+            "seed": self.seed,
+            "capacity": self.capacity,
+            "events": len(events),
+        }
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        path = self.out_dir / f"{self.prefix}-{len(self.dumps):03d}-{reason}.jsonl"
-        lines = [json.dumps(json_safe(self.header(reason)), sort_keys=True)]
+        path = self.out_dir / f"flight-{len(self.dumps):03d}-{reason}.jsonl"
+        lines = [json.dumps(json_safe(header), sort_keys=True)]
         if self.metrics is not None:
             lines.append(json.dumps(
                 {"metrics": json_safe(self.metrics.snapshot())},
                 sort_keys=True,
             ))
-        lines.extend(ev.to_json() for ev in self.ring)
+        lines.extend(ev.to_json() for ev in events)
         path.write_text("\n".join(lines) + "\n")
         self.dumps.append(path)
         if self.metrics is not None:
@@ -128,7 +121,7 @@ class FlightRecorder:
         return path
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<FlightRecorder ring={len(self.ring)}/{self.capacity} "
+        return (f"<FlightRecorder capacity={self.capacity} "
                 f"dumps={len(self.dumps)}>")
 
 

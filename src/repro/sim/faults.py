@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
 from repro.sim.engine import Engine
 from repro.sim.metrics import MetricSet
@@ -169,7 +169,9 @@ class FaultInjector:
     message transmission and returns a `Verdict`.  Counters land under
     ``faults.*``; partition windows are announced on the trace log
     (and counted) when they open and when they heal, so a sequence
-    chart shows when the network went and came back.
+    chart shows when the network went and came back.  An opening is
+    a flight-recorder trigger (`TraceLog.alarm`, repro.obs.flight):
+    the black box snapshots the healthy lead-up as the window opens.
     """
 
     def __init__(
@@ -178,7 +180,7 @@ class FaultInjector:
         plan: FaultPlan,
         rng: SimRandom,
         metrics: MetricSet,
-        trace=None,
+        trace,
     ) -> None:
         self.engine = engine
         self.plan = plan
@@ -188,23 +190,20 @@ class FaultInjector:
         self._streams: Dict[Tuple[int, str], SimRandom] = {}
         for i, win in enumerate(plan.partitions):
             engine.schedule_at(
-                max(win.t0, engine.now), self._announce,
+                max(win.t0, engine.now), self._announce, trace.alarm,
                 "faults.partitions_entered", "partition-entered", i, win,
             )
             engine.schedule_at(
-                max(win.t1, engine.now), self._announce,
+                max(win.t1, engine.now), self._announce, trace.emit,
                 "faults.partitions_healed", "partition-healed", i, win,
             )
 
     def _announce(
-        self, counter: str, event: str, idx: int, win: PartitionWindow
+        self, say: Callable[..., None], counter: str, event: str, idx: int,
+        win: PartitionWindow,
     ) -> None:
-        # "partition-entered" is a flight-recorder trigger
-        # (repro.obs.flight): the black box snapshots the healthy
-        # lead-up as the window opens
         self.metrics.count(counter)
-        if self.trace is not None:
-            self.trace.emit("faults", event, window=idx, t0=win.t0, t1=win.t1)
+        say("faults", event, window=idx, t0=win.t0, t1=win.t1)
 
     def _stream(self, link: int, kind: str) -> SimRandom:
         key = (link, kind)

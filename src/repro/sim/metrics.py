@@ -61,9 +61,6 @@ class LatencyRecorder:
         if self.sink is not None:
             self.sink(self.name, value)
 
-    def __len__(self) -> int:
-        return self.hist.count
-
     @property
     def count(self) -> int:
         return self.hist.count
@@ -154,9 +151,6 @@ class MetricSet:
             sink = getattr(self._ts, "record_latency", None)
             rec = self._latencies[name] = LatencyRecorder(name, sink=sink)
         return rec
-
-    def latencies(self) -> Dict[str, LatencyRecorder]:
-        return dict(self._latencies)
 
     # windowed time-series ------------------------------------------------
     def bind_timeseries(self, ts: Optional["TimeSeries"]) -> None:

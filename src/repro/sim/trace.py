@@ -16,7 +16,12 @@ record time (a later link move cannot change a row), and the eager
 detail, span)``, whose mappings are stored as given, not copied.
 ``TraceLog.events`` is a read-only sequence over the rows: ``len``
 builds nothing, and iteration and indexing build a fresh event per
-read.  An attached sink still receives each event, built, at once.
+read.  `TraceLog.tail` builds only the newest rows; it is what `dump`
+renders and what a flight dump (`repro.obs.flight`) writes.
+
+A trigger for the flight recorder is a call, not a subscription: the
+sites that emit one use `TraceLog.alarm`, which records the event and
+then trips the recorder installed as ``TraceLog.flight``, if any.
 
 For offline analysis the log exports to JSON Lines (`to_jsonl`) and
 reloads (`from_jsonl`) into a detached log that renders the same
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from itertools import islice
 from typing import (
     Callable, Deque, Dict, Iterable, Iterator, List, Mapping, NamedTuple,
     Optional, Sequence, Union,
@@ -149,9 +155,9 @@ class TraceLog:
         #: the recorded events, built on read (see the module docstring)
         self.events: Sequence[TraceEvent] = _Events(self._rows)
         self.enabled = True
-        #: streaming subscribers, called with each TraceEvent as it is
-        #: recorded (see `repro.obs.FlightRecorder`)
-        self._sinks: List[Callable[[TraceEvent], None]] = []
+        #: the `repro.obs.FlightRecorder` that `alarm` trips; None = no
+        #: black box is installed
+        self.flight = None
 
     def emit(
         self,
@@ -161,6 +167,14 @@ class TraceLog:
         **detail: object,
     ) -> None:
         self.defer(TraceEvent, actor, event, detail, span)
+
+    def alarm(self, actor: str, event: str, **detail: object) -> None:
+        """`emit` a flight-recorder trigger, then let the installed
+        recorder dump the log's tail, the trigger its last event.  A
+        disabled log records nothing but still trips the recorder."""
+        self.emit(actor, event, **detail)
+        if self.flight is not None:
+            self.flight.trigger(event)
 
     def record(
         self,
@@ -181,20 +195,14 @@ class TraceLog:
             return
         if self.engine is None:
             raise ValueError("cannot emit into a detached (replayed) TraceLog")
-        row = (build, self.engine.now, *args)
-        self._rows.append(row)
-        for sink in self._sinks:
-            sink(_event_of(row))
+        self._rows.append((build, self.engine.now, *args))
 
-    # ------------------------------------------------------------------
-    # streaming subscription
-    # ------------------------------------------------------------------
-    def attach(self, sink: Callable[[TraceEvent], None]) -> None:
-        """Subscribe ``sink`` to every future event."""
-        self._sinks.append(sink)
-
-    def detach(self, sink: Callable[[TraceEvent], None]) -> None:
-        self._sinks.remove(sink)
+    def tail(self, n: int) -> List[TraceEvent]:
+        """The newest ``n`` events (fewer if the log holds fewer),
+        oldest first; only those rows are built."""
+        newest = list(map(_event_of, islice(reversed(self._rows), n)))
+        newest.reverse()
+        return newest
 
     # ------------------------------------------------------------------
     # JSONL export / import
@@ -244,7 +252,7 @@ class TraceLog:
     # rendering
     # ------------------------------------------------------------------
     def dump(self, limit: int = 200) -> str:
-        events = list(self.events)[-limit:]
+        events = self.tail(limit)
         # columns grow with the data so long actor names or 6+ digit
         # timestamps never shear the layout (an empty log joins to "")
         time_width = max([10, *(len(f"{ev.time:.3f}") for ev in events)])

@@ -254,12 +254,16 @@ class SodaRuntime(LynxRuntimeBase):
     # hint repair: probe timers, discover, freeze
     # ------------------------------------------------------------------
     def _arm_timer(self, rid: int, snd: _Send) -> None:
+        # a repost keeps its probe count, so a repair that goes round in
+        # a circle backs off as a confirmed hint does
         def fire() -> None:
             if rid in self.sends:
                 self._repairs.append(rid)
                 self._wake()
 
-        snd.timer = self.engine.schedule(self.costs.hint_timeout_ms, fire)
+        snd.timer = self.engine.schedule(
+            self.costs.hint_timeout_ms * (2 ** min(snd.probes, 6)), fire
+        )
 
     def _start_probe(self, rid: int) -> None:
         """A request has been outstanding suspiciously long: check the
@@ -370,7 +374,7 @@ class SodaRuntime(LynxRuntimeBase):
             nsend=snd.msg.wire_size,
             data=snd.msg,
         )
-        new = _Send(se.ref, snd.msg, snd.kind)
+        new = _Send(se.ref, snd.msg, snd.kind, probes=snd.probes)
         self.sends[rid] = new
         self._arm_timer(rid, new)
         self.metrics.count("soda.reposts")

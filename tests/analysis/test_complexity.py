@@ -131,7 +131,11 @@ SIZE_BUDGETS = {
     # the streaming JSONL writer and `load_trace`, `happens_before` and
     # the histogram's `bucket_bounds` / `to_dict` / `percentiles` go
     # (before: 769 / 225)
-    "obs": (631, 181),
+    # a flight dump is the trace log's tail and a trigger is
+    # `TraceLog.alarm`: the recorder's own ring, its trace subscription,
+    # `close`, `header` and the uncalled `trigger_events` / `prefix`
+    # options go (before: 631 / 181)
+    "obs": (620, 178),
     # PR 18: every paper experiment declared once.  Not growth: these
     # lines came from the 21 `benchmarks/bench_*.py` modules (which no
     # budget row counted) and the eight bodies the `obs` row lost — and
@@ -185,7 +189,10 @@ SIZE_BUDGETS = {
     # the freeze is the runtime's `frozen_count` attribute: the
     # `rt_runnable` hook, its default and the dispatcher's override
     # test go (before: 1,698 / 324)
-    "core": (1696, 322),
+    # the recorder lives on the trace log (`TraceLog.flight`), so the
+    # cluster's unread `flight` copy and `install_flight_recorder`'s
+    # pass-through `**kw` go (before: 1,696 / 322)
+    "core": (1694, 322),
     # PR 19: the version-1 trace reader goes (before: 674 / 128)
     # PR 20: a wait is one bound listener — `Task._wait_on`, `_fire`,
     # `fail_later` / `_safe_fail` go, `TraceLog.record` comes
@@ -221,7 +228,12 @@ SIZE_BUDGETS = {
     # `MetricSet.tree` / `diff` / `reset`, `LatencyRecorder.stddev` with
     # the Welford state it kept, and `LatencyRecorder.total`, which only
     # the Prometheus exporter read, go (before: 591 / 113)
-    "sim": (548, 104),
+    # one trace ring: `TraceLog`'s sinks, `attach` / `detach` and the
+    # loop in `defer` go, `tail` and `alarm` come; the fault plane's
+    # trace is required, so `_announce` tests nothing; the unread
+    # `LatencyRecorder.__len__` and `MetricSet.latencies` go
+    # (before: 548 / 104)
+    "sim": (545, 103),
     # PR 19: first budgeted at its size then — 1,710 / 672 less the
     # unused `PackageStats.total_branches`, plus `area_sizes`, the
     # function this test and `repro sizes` share

@@ -18,11 +18,11 @@ from repro.sim.rng import SimRandom
 from repro.sim.trace import TraceLog
 
 
-def make_injector(plan, seed=0, with_trace=False):
+def make_injector(plan, seed=0):
     engine = Engine()
     metrics = MetricSet()
-    trace = TraceLog(engine) if with_trace else None
-    inj = FaultInjector(engine, plan, SimRandom(seed), metrics, trace)
+    inj = FaultInjector(engine, plan, SimRandom(seed), metrics,
+                        TraceLog(engine))
     return engine, metrics, inj
 
 
@@ -166,7 +166,7 @@ def test_links_draw_from_independent_streams():
 
 def test_healing_is_counted_and_traced():
     plan = FaultPlan().partition(5.0, 30.0, a=("a",), b=("b",))
-    engine, metrics, inj = make_injector(plan, with_trace=True)
+    engine, metrics, inj = make_injector(plan)
     engine.run(until=100.0)
     assert metrics.get("faults.partitions_healed") == 1
     healed = [ev for ev in inj.trace.events if ev.event == "partition-healed"]

@@ -85,7 +85,7 @@ def test_metricset_latency_is_memoised():
     m = MetricSet()
     assert m.latency("x") is m.latency("x")
     m.latency("x").record(1.0)
-    assert m.latencies()["x"].count == 1
+    assert m.latency("x").count == 1
 
 
 def test_snapshot_and_diff():

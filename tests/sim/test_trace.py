@@ -7,7 +7,7 @@ import pytest
 from repro.core.api import BYTES, LINK, Operation, Proc, make_cluster
 from repro.core.links import EndRef
 from repro.core.wire import MsgKind, WireMessage
-from repro.obs.causal import SpanContext, SpanTracker
+from repro.obs.causal import SpanContext
 from repro.sim.engine import Engine
 from repro.sim.trace import TraceEvent, TraceLog
 
@@ -49,14 +49,36 @@ def test_capacity_bound():
 
 def test_disabled_log_records_nothing():
     """Catches: the ``enabled`` test moved after the row is stored or
-    after the sinks are served."""
-    calls, got = [], []
+    the event is built."""
+    calls = []
     log = TraceLog(Engine())
-    log.attach(got.append)
     log.enabled = False
     log.emit("a", "e")
+    log.alarm("a", "crash")
     log.defer(_counting_build(calls), "a", "e")
-    assert (len(log.events), calls, got) == (0, [], [])
+    assert (len(log.events), calls) == (0, [])
+
+
+def test_tail_builds_only_the_newest_rows():
+    """Catches: `tail` (and so `dump` and a flight dump) building every
+    row to keep a few, or returning them newest first."""
+    calls = []
+    log = TraceLog(Engine(), capacity=4)
+    for i in range(6):
+        log.defer(_counting_build(calls), "a", f"e{i}")
+    assert [ev.event for ev in log.tail(2)] == ["e4", "e5"]
+    assert sorted(calls) == ["e4", "e5"]
+    assert [ev.event for ev in log.tail(10)] == ["e2", "e3", "e4", "e5"]
+    assert log.tail(0) == []
+    assert log.dump(limit=1).split()[-2:] == ["a", "e5"]
+
+
+def test_an_alarm_without_a_recorder_is_an_emit():
+    log = TraceLog(Engine())
+    log.alarm("victim", "crash", mode="kill")
+    assert list(log.events) == [
+        TraceEvent(0.0, "victim", "crash", {"mode": "kill"})
+    ]
 
 
 def test_dump_is_readable():
@@ -341,26 +363,6 @@ def test_an_unsampled_message_leaves_no_row():
                       span=SpanContext(1, 1, None, sampled=False))
     cluster.trace_msg("client", "send", near, msg, "ping")
     assert len(cluster.trace.events) == 0
-
-
-def test_a_sink_gets_each_event_built_at_once_in_record_order():
-    """Catches: a sink handed the raw row, served only for eager
-    records, served late (when the log is read) or out of order."""
-    eng = Engine()
-    log = TraceLog(eng)
-    got = []
-    log.attach(got.append)
-    log.emit("a", "first", k=1)
-    assert got == [TraceEvent(0.0, "a", "first", {"k": 1})]
-    eng.now = 2.0
-    spans = SpanTracker(log)
-    root = spans.new_trace()
-    spans.emit(root, "kernel", "k", "a", 1.0, 2.0)
-    assert len(got) == 2 and got[1].span["layer"] == "kernel"
-    log.record("b", "last", {})
-    assert all(type(ev) is TraceEvent for ev in got)
-    assert [ev.event for ev in got] == ["first", "span", "last"]
-    assert got == list(log.events)
 
 
 def test_a_detached_log_refuses_records_and_still_round_trips():

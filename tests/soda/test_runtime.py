@@ -475,12 +475,16 @@ def test_a2_workload_finishes_iff_the_pair_limit_exceeds_its_links(limit):
     at A2's budget with both processes unfinished and a request queued.
     At limits 2-4 the observer's hint probe confirms the hint and
     refires at its capped backoff (120 ms x 2**6 = 7.68 s: 1,298
-    discovers by 10**7 ms).  At limit 1 every probe's discover names
-    another process than the hint, which `_conclude_probe` takes for a
-    repair: a withdraw, then a repost that is redirected back and
-    queues again under a fresh probe timer, so the probe never backs
-    off — one cycle every ~176 ms (56,714 discovers, 55,416 repairs,
-    55,418 redirects followed, 110,833 reposts, 1,229,615 events)."""
+    discovers by 10**7 ms, 10,636 / 10,639 / 10,642 events).  At limit
+    1 every probe's discover names another process than the hint,
+    which `_conclude_probe` takes for a repair: a withdraw, then a
+    repost that is redirected back and queues again.  The repost keeps
+    its probe count and its timer the same capped backoff, so the
+    circle slows to the confirmed hint's pace (2,594 discovers, 1,296
+    repairs, 1,298 redirects followed, 2,593 reposts, 38,975 events).
+    When each repost started over at the base timeout, the circle ran
+    every ~176 ms for the whole budget: 56,714 discovers, 110,833
+    reposts and 1,229,615 events."""
     from repro.experiments.moves import (
         A2_LINKS,
         _CacheDispatcher,
@@ -498,6 +502,8 @@ def test_a2_workload_finishes_iff_the_pair_limit_exceeds_its_links(limit):
             cluster.create_link(d, obs)
         end = cluster.run_until_quiet(max_ms=1e7)
         cluster.check()
+        # a stall backs off rather than spins, at every limit
+        assert cluster.engine.events_fired <= 40_000
         # a pair's deque holds only requests still in flight: one that
         # left the table while queued left its deque too (at a limit of
         # 1 the observer->holder deque once kept ~55k withdrawn rids)
