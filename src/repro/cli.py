@@ -40,6 +40,7 @@ from repro.core.api import (
     registered_kernels,
     registered_sim_backends,
 )
+from repro.core.ports import load
 
 
 def _cmd_rpc(args) -> int:
@@ -83,12 +84,13 @@ def _cmd_migrate(args) -> int:
              for flag, kwarg in _MIGRATE_KNOBS.items()
              if getattr(args, flag) is not None}
     # a kernel has a knob when its cluster constructor names it
-    named = signature(kernel_profile(args.kernel).load_cluster()).parameters
-    lacking = [f"--{flag}" for flag, kwarg in _MIGRATE_KNOBS.items()
-               if kwarg in knobs and kwarg not in named]
+    named = signature(load(kernel_profile(args.kernel).factory)).parameters
+    lacking = knobs.keys() - named
     if lacking:
+        flags = [f"--{flag}" for flag, kwarg in _MIGRATE_KNOBS.items()
+                 if kwarg in lacking]
         print(f"repro migrate: {args.kernel} has no cluster knob for "
-              f"{' / '.join(lacking)}", file=sys.stderr)
+              f"{' / '.join(flags)}", file=sys.stderr)
         return 2
     d = run_dormant_migration(
         args.kernel, members=args.members, hops=args.hops, seed=args.seed,
@@ -224,16 +226,25 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_chaos(args) -> int:
-    from repro.experiments.contracts import chaos_metrics, chaos_table
+def _fault_plan(scenario: str, quick: bool, **lossy):
+    """The `FaultPlan` of a ``chaos`` / ``top`` scenario (None when
+    clean) and the label their tables print; ``lossy`` overrides
+    `lossy_plan`'s drop and duplication defaults."""
     from repro.workloads.chaos import lossy_plan, partitioned_plan
 
-    if args.scenario == "lossy":
-        plan = lossy_plan(drop=args.drop, dup=args.dup)
-        label = f"lossy drop={args.drop} dup={args.dup}"
-    else:
-        plan = partitioned_plan(quick=args.quick)
-        label = "partition client<->primary"
+    if scenario == "lossy":
+        plan = lossy_plan(**lossy)
+        return plan, f"lossy drop={plan.spec.drop} dup={plan.spec.dup}"
+    if scenario == "clean":
+        return None, "clean"
+    return partitioned_plan(quick=quick), "partition client<->primary"
+
+
+def _cmd_chaos(args) -> int:
+    from repro.experiments.contracts import chaos_metrics, chaos_table
+
+    plan, label = _fault_plan(args.scenario, args.quick,
+                              drop=args.drop, dup=args.dup)
     kinds = [args.kernel] if args.kernel else registered_kernels()
     chaos_table(
         f"fault recovery under {label} "
@@ -297,11 +308,7 @@ def _top_scale(args) -> int:
         args.sim_backend, args.shards, clients=args.clients,
         requests=2, seed=args.seed, window_ms=args.window,
     )
-    ts = r.timeseries
-    if ts is None:  # pragma: no cover - run_scale always builds series
-        print("repro top: scale run produced no time-series",
-              file=sys.stderr)
-        return 2
+    ts = r.timeseries  # a run given ``window_ms`` always has one
     t = Table(
         f"per-window scale telemetry on {args.sim_backend} "
         f"(shards={args.shards}, clients={args.clients}, "
@@ -330,24 +337,11 @@ def _top_scale(args) -> int:
 
 
 def _cmd_top(args) -> int:
-    from repro.workloads.chaos import (
-        chaos_policy,
-        lossy_plan,
-        partitioned_plan,
-        run_chaos_workload,
-    )
+    from repro.workloads.chaos import chaos_policy, run_chaos_workload
 
     if args.scenario == "scale":
         return _top_scale(args)
-    if args.scenario == "lossy":
-        plan = lossy_plan()
-        label = "lossy"
-    elif args.scenario == "clean":
-        plan = None
-        label = "clean"
-    else:
-        plan = partitioned_plan(quick=args.quick)
-        label = "partition client<->primary"
+    plan, label = _fault_plan(args.scenario, args.quick)
     series = []
     run_chaos_workload(
         args.kernel, count=args.count, seed=args.seed,
@@ -444,195 +438,176 @@ def _cmd_sizes(args) -> int:
     return 0
 
 
+def _add_commands(sub, commands: dict) -> None:
+    """One subparser per row of ``commands``: name -> (handler,
+    `add_parser` keywords, its arguments as ``(flag, spec)`` pairs)."""
+    for name, (fn, kw, arguments) in commands.items():
+        p = sub.add_parser(name, **kw)
+        for flag, spec in arguments:
+            p.add_argument(flag, **spec)
+        p.set_defaults(fn=fn)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="LYNX / Charlotte / SODA / Chrysalis reproduction "
         "(Scott, ICPP 1986)",
     )
+
+    # the flags several subcommands share, each declared once
+    def kernel(default, **kw):
+        return "--kernel", dict(choices=registered_kernels(),
+                                default=default, **kw)
+
+    def sim_backend(help):
+        return "--sim-backend", dict(choices=registered_sim_backends(),
+                                     default="global", help=help)
+
+    def count(default):
+        return "--count", dict(type=int, default=default)
+
+    def quick(help="the short partition window / smoke counts"):
+        return "--quick", dict(action="store_true", help=help)
+
+    seed = "--seed", dict(type=int, default=0)
+
+    def payload(help):
+        return "--payload", dict(type=int, default=0, help=help)
+
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("rpc", help="run the simple-remote-operation workload")
-    p.add_argument("--kernel", choices=registered_kernels(),
-                   default="chrysalis")
-    p.add_argument("--payload", type=int, default=0,
-                   help="bytes each way (paper used 0 and 1000)")
-    p.add_argument("--count", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_rpc)
-
-    p = sub.add_parser("sweep", help="Charlotte-vs-SODA payload sweep (E4)")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_sweep)
-
-    p = sub.add_parser("migrate", help="dormant-link migration + repair")
-    p.add_argument("--kernel", choices=registered_kernels(),
-                   default="soda")
-    p.add_argument("--members", type=int, default=3)
-    p.add_argument("--hops", type=int, default=5)
-    p.add_argument("--loss", type=float, default=None,
-                   help="SODA broadcast loss probability (SODA only)")
-    p.add_argument("--cache", type=int, default=None,
-                   help="SODA moved-link cache size (SODA only)")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_migrate)
-
-    p = sub.add_parser(
-        "chaos",
-        help="fault injection + recovery: clean vs faulted goodput (E14)",
-    )
-    p.add_argument("--kernel", choices=registered_kernels(), default=None,
-                   help="one backend (default: all registered kernels)")
-    p.add_argument("--scenario", choices=("partition", "lossy"),
-                   default="partition")
-    p.add_argument("--drop", type=float, default=0.2,
-                   help="per-message drop probability (lossy scenario)")
-    p.add_argument("--dup", type=float, default=0.1,
-                   help="per-message duplication probability (lossy)")
-    p.add_argument("--count", type=int, default=30)
-    p.add_argument("--quick", action="store_true",
-                   help="the short partition window / smoke counts")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_chaos)
-
-    p = sub.add_parser("sizes", help="runtime package complexity (E2) "
-                       "and the size of every area of the tree")
-    p.set_defaults(fn=_cmd_sizes)
-
-    p = sub.add_parser(
-        "bench",
-        help="run every registered experiment (E1..E17, A1..A5), hold "
-             "each to the paper's claims and write BENCH_*.json",
-    )
-    p.add_argument("--quick", action="store_true",
-                   help="smoke-size the E16/E17 populations (same "
-                        "schema; every other bench has one size)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None,
-                   help="output path (default: the committed baseline's "
-                        "name at the repo root; '-' writes the JSON to "
-                        "stdout)")
-    p.add_argument("--only", nargs="+", metavar="BENCH", type=str.upper,
-                   help="subset of the bench ids (unknown names exit 2 "
-                        "and list the valid ones)")
-    p.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
-                   default=None,
-                   help="diff two BENCH_*.json documents instead of "
-                        "running benchmarks; exits 1 when any value "
-                        "changed (docs/PERFORMANCE.md)")
-    p.add_argument("--json", default=None, metavar="OUT",
-                   help="with --compare: write the repro.bench-compare "
-                        "report JSON ('-' for stdout)")
-    p.set_defaults(fn=_cmd_bench)
-
-    p = sub.add_parser(
-        "flight",
-        help="inspect flight-recorder black-box dumps (repro.obs.flight)",
-    )
-    p.add_argument("dumps", nargs="*", metavar="DUMP",
-                   help="flight dump JSONL files to inspect")
-    p.add_argument("--demo", action="store_true",
-                   help="run a quick partitioned chaos workload with a "
-                        "flight recorder installed and inspect its dumps")
-    p.add_argument("--kernel", choices=registered_kernels(),
-                   default="charlotte",
-                   help="backend for --demo")
-    p.add_argument("--sim-backend", choices=registered_sim_backends(),
-                   default="global",
-                   help="simulation engine for --demo (default: global)")
-    p.add_argument("--out", default="flight", metavar="DIR",
-                   help="--demo dump directory (default: ./flight)")
-    p.add_argument("--tail", type=int, default=20,
-                   help="trailing events to show per dump")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_flight)
-
-    p = sub.add_parser(
-        "top",
-        help="per-window goodput/latency/fault report over simulated "
-             "time (repro.obs.timeseries)",
-    )
-    p.add_argument("--kernel", choices=registered_kernels(),
-                   default="charlotte")
-    p.add_argument("--scenario",
-                   choices=("partition", "lossy", "clean", "scale"),
-                   default="partition")
-    p.add_argument("--sim-backend", choices=registered_sim_backends(),
-                   default="global",
-                   help="simulation engine (default: global); with "
-                        "--scenario scale the per-shard series are "
-                        "merged before rendering")
-    p.add_argument("--shards", type=int, default=4,
-                   help="shard count for --scenario scale")
-    p.add_argument("--clients", type=int, default=2000,
-                   help="client population for --scenario scale")
-    p.add_argument("--window", type=float, default=100.0,
-                   help="window width in simulated ms")
-    p.add_argument("--count", type=int, default=30)
-    p.add_argument("--quick", action="store_true",
-                   help="the short partition window / smoke counts")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_top)
-
-    p = sub.add_parser(
-        "net",
-        help="real-transport processes: node server + wall-clock load "
-             "generator (repro.net)",
-    )
-    netsub = p.add_subparsers(dest="net_command", required=True)
-
-    # everything after ``serve`` goes verbatim to the node's own parser
-    # (`repro.net.__main__`): with no prefix char, nothing here is an
-    # option, ``--help`` included
-    s = netsub.add_parser(
-        "serve", prefix_chars="\0", add_help=False,
-        help="run one node server process, as python -m repro.net "
-             "(serve --help lists its options)",
-    )
-    s.add_argument("argv", nargs=argparse.REMAINDER)
-    s.set_defaults(fn=_cmd_net_serve)
-
-    ld = netsub.add_parser(
-        "load", help="drive concurrent client coroutines at node "
-                     "servers with wall-clock timeout/retry/failover",
-    )
-    ld.add_argument("endpoints", nargs="+", metavar="ENDPOINT",
-                    help="server addresses (UDS path or host:port), "
-                         "in failover order")
-    ld.add_argument("--clients", type=int, default=8)
-    ld.add_argument("--requests", type=int, default=4,
-                    help="requests per client")
-    ld.add_argument("--payload", type=int, default=32)
-    ld.add_argument("--timeout-ms", type=float, default=1000.0,
-                    help="recovery-policy first-attempt timeout")
-    ld.add_argument("--retries", type=int, default=3,
-                    help="recovery-policy retransmissions per address")
-    ld.set_defaults(fn=_cmd_net_load)
-
-    p = sub.add_parser(
-        "trace",
-        help="causal span tracing: critical-path latency attribution",
-    )
-    p.add_argument("--kernel", choices=registered_kernels(),
-                   default="charlotte")
-    p.add_argument("--payload", type=int, default=0,
-                   help="bytes each way for the traced RPC workload")
-    p.add_argument("--count", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jsonl", default=None, metavar="FILE",
-                   help="analyse a saved TraceLog JSONL instead of "
-                        "running the RPC workload")
-    p.add_argument("--chrome", default=None, metavar="OUT",
-                   help="write Chrome trace-event JSON (Perfetto / "
-                        "chrome://tracing; '-' for stdout)")
-    p.add_argument("--critical-path", action="store_true",
-                   help="print the waterfall + critical path of the "
-                        "last trace")
-    p.add_argument("--by-layer", action="store_true",
-                   help="print the per-layer attribution table "
-                        "(default when no other output is selected)")
-    p.set_defaults(fn=_cmd_trace)
-
+    _add_commands(sub, {
+        "rpc": (_cmd_rpc, dict(
+            help="run the simple-remote-operation workload"), [
+            kernel("chrysalis"),
+            payload("bytes each way (paper used 0 and 1000)"),
+            count(10), seed]),
+        "sweep": (_cmd_sweep, dict(
+            help="Charlotte-vs-SODA payload sweep (E4)"), [seed]),
+        "migrate": (_cmd_migrate, dict(
+            help="dormant-link migration + repair"), [
+            kernel("soda"),
+            ("--members", dict(type=int, default=3)),
+            ("--hops", dict(type=int, default=5)),
+            ("--loss", dict(type=float, default=None, help="SODA broadcast "
+                            "loss probability (SODA only)")),
+            ("--cache", dict(type=int, default=None, help="SODA moved-link "
+                             "cache size (SODA only)")),
+            seed]),
+        "chaos": (_cmd_chaos, dict(
+            help="fault injection + recovery: clean vs faulted goodput "
+                 "(E14)"), [
+            kernel(None, help="one backend (default: all registered "
+                              "kernels)"),
+            ("--scenario", dict(choices=("partition", "lossy"),
+                                default="partition")),
+            ("--drop", dict(type=float, default=0.2, help="per-message "
+                            "drop probability (lossy scenario)")),
+            ("--dup", dict(type=float, default=0.1, help="per-message "
+                           "duplication probability (lossy)")),
+            count(30), quick(), seed]),
+        "sizes": (_cmd_sizes, dict(
+            help="runtime package complexity (E2) and the size of every "
+                 "area of the tree"), []),
+        "bench": (_cmd_bench, dict(
+            help="run every registered experiment (E1..E17, A1..A5), "
+                 "hold each to the paper's claims and write "
+                 "BENCH_*.json"), [
+            quick("smoke-size the E16/E17 populations (same schema; "
+                  "every other bench has one size)"),
+            seed,
+            ("--out", dict(default=None, help="output path (default: the "
+                           "committed baseline's name at the repo root; "
+                           "'-' writes the JSON to stdout)")),
+            ("--only", dict(nargs="+", metavar="BENCH", type=str.upper,
+                            help="subset of the bench ids (unknown names "
+                                 "exit 2 and list the valid ones)")),
+            ("--compare", dict(nargs=2, metavar=("OLD", "NEW"), default=None,
+                               help="diff two BENCH_*.json documents "
+                                    "instead of running benchmarks; exits 1 "
+                                    "when any value changed "
+                                    "(docs/PERFORMANCE.md)")),
+            ("--json", dict(default=None, metavar="OUT", help="with "
+                            "--compare: write the repro.bench-compare "
+                            "report JSON ('-' for stdout)"))]),
+        "flight": (_cmd_flight, dict(
+            help="inspect flight-recorder black-box dumps "
+                 "(repro.obs.flight)"), [
+            ("dumps", dict(nargs="*", metavar="DUMP",
+                           help="flight dump JSONL files to inspect")),
+            ("--demo", dict(action="store_true", help="run a quick "
+                            "partitioned chaos workload with a flight "
+                            "recorder installed and inspect its dumps")),
+            kernel("charlotte", help="backend for --demo"),
+            sim_backend("simulation engine for --demo (default: global)"),
+            ("--out", dict(default="flight", metavar="DIR",
+                           help="--demo dump directory (default: ./flight)")),
+            ("--tail", dict(type=int, default=20,
+                            help="trailing events to show per dump")),
+            seed]),
+        "top": (_cmd_top, dict(
+            help="per-window goodput/latency/fault report over simulated "
+                 "time (repro.obs.timeseries)"), [
+            kernel("charlotte"),
+            ("--scenario", dict(choices=("partition", "lossy", "clean",
+                                         "scale"), default="partition")),
+            sim_backend("simulation engine (default: global); with "
+                        "--scenario scale the per-shard series are merged "
+                        "before rendering"),
+            ("--shards", dict(type=int, default=4,
+                              help="shard count for --scenario scale")),
+            ("--clients", dict(type=int, default=2000, help="client "
+                               "population for --scenario scale")),
+            ("--window", dict(type=float, default=100.0,
+                              help="window width in simulated ms")),
+            count(30), quick(), seed]),
+        # a group: `net serve` and `net load` follow
+        "net": (None, dict(
+            help="real-transport processes: node server + wall-clock load "
+                 "generator (repro.net)"), []),
+        "trace": (_cmd_trace, dict(
+            help="causal span tracing: critical-path latency attribution"), [
+            kernel("charlotte"),
+            payload("bytes each way for the traced RPC workload"),
+            count(5), seed,
+            ("--jsonl", dict(default=None, metavar="FILE", help="analyse a "
+                             "saved TraceLog JSONL instead of running the "
+                             "RPC workload")),
+            ("--chrome", dict(default=None, metavar="OUT", help="write Chrome "
+                              "trace-event JSON (Perfetto / "
+                              "chrome://tracing; '-' for stdout)")),
+            ("--critical-path", dict(action="store_true", help="print the "
+                                     "waterfall + critical path of the "
+                                     "last trace")),
+            ("--by-layer", dict(action="store_true", help="print the "
+                                "per-layer attribution table (default when "
+                                "no other output is selected)"))]),
+    })
+    net = sub.choices["net"].add_subparsers(dest="net_command", required=True)
+    _add_commands(net, {
+        # everything after ``serve`` goes verbatim to the node's own
+        # parser (`repro.net.__main__`): with no prefix char, nothing
+        # here is an option, ``--help`` included
+        "serve": (_cmd_net_serve, dict(
+            prefix_chars="\0", add_help=False,
+            help="run one node server process, as python -m repro.net "
+                 "(serve --help lists its options)"), [
+            ("argv", dict(nargs=argparse.REMAINDER))]),
+        "load": (_cmd_net_load, dict(
+            help="drive concurrent client coroutines at node servers with "
+                 "wall-clock timeout/retry/failover"), [
+            ("endpoints", dict(nargs="+", metavar="ENDPOINT",
+                               help="server addresses (UDS path or "
+                                    "host:port), in failover order")),
+            ("--clients", dict(type=int, default=8)),
+            ("--requests", dict(type=int, default=4,
+                                help="requests per client")),
+            ("--payload", dict(type=int, default=32)),
+            ("--timeout-ms", dict(type=float, default=1000.0, help="recovery-"
+                                  "policy first-attempt timeout")),
+            ("--retries", dict(type=int, default=3, help="recovery-policy "
+                               "retransmissions per address"))]),
+    })
     return parser
 
 

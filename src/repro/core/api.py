@@ -58,7 +58,7 @@ from repro.core.ports import (
     KernelProfile,
     KernelRuntimePort,
     kernel_profile,
-    kernel_profiles,
+    load,
     paper_kernels,
     register_kernel,
     registered_kernels,
@@ -76,12 +76,7 @@ from repro.core.types import (
     Operation,
     RecordType,
 )
-from repro.sim.backends import (
-    SimBackendProfile,
-    make_engine,
-    registered_sim_backends,
-    sim_backend_profile,
-)
+from repro.sim.backends import make_engine, registered_sim_backends
 from repro.sim.faults import CrashMode, FaultPlan, FaultSpec
 
 #: the paper's kernel substrates (the experimental setup's three
@@ -106,7 +101,7 @@ def make_cluster(
     to change a calibrated constant, e.g. the §5.3 tuned Chrysalis
     profile ``CostModel(chrysalis=ChrysalisCosts().tuned())``.
     """
-    cluster_cls = kernel_profile(kind).load_cluster()
+    cluster_cls = load(kernel_profile(kind).factory)
     return cluster_cls(seed=seed, costmodel=costmodel, **kwargs)
 
 
@@ -120,11 +115,8 @@ __all__ = [
     "registered_kernels",
     "paper_kernels",
     "kernel_profile",
-    "kernel_profiles",
-    "SimBackendProfile",
     "make_engine",
     "registered_sim_backends",
-    "sim_backend_profile",
     "CostModel",
     "ClusterBase",
     "ProcessHandle",

@@ -295,12 +295,15 @@ class ClusterBase:
         and each handle with its task, so ``all_finished`` and ``check``
         still answer.  No simulated code runs; a generator still
         suspended runs only its ``GeneratorExit`` branch when it is
-        freed.  A second call does nothing; a closed cluster cannot run
-        again.  Events still pending hold what they reference until the
-        engine goes."""
+        freed.  An installed flight recorder is let go: it and the trace
+        log point at each other, and the caller that installed it keeps
+        it if it wants its dumps.  A second call does nothing; a closed
+        cluster cannot run again.  Events still pending hold what they
+        reference until the engine goes."""
         for handle in self.processes.values():
             vars(handle.runtime).clear()
             handle.task._waiting_on = None
+        self.trace.flight = None
 
     def __enter__(self) -> "ClusterBase":
         return self

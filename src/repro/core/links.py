@@ -104,9 +104,8 @@ class ConnectWaiter:
     request: Optional["WireMessage"] = None
     #: retransmissions performed so far under the recovery policy
     retries: int = 0
-    #: the pending recovery timer (a `repro.core.recovery.TimerHandle`;
-    #: a raw `repro.sim.engine.Event` under ``TimerWheel(passthrough=
-    #: True)``), cancelled whenever the connect ends
+    #: the pending recovery timer (a `repro.core.recovery.TimerHandle`),
+    #: cancelled whenever the connect ends
     recovery_timer: Optional[Any] = None
 
 

@@ -13,9 +13,10 @@ Two things live here:
     runtime files.
 
 `KernelProfile` + the registry
-    one entry per backend: a lazy cluster factory, capability /
-    divergence flags and everything the workloads / benches previously
-    derived from ``if kind == "charlotte"`` string comparisons.  New backends
+    one entry per backend: its cluster class as a ``"module:Name"``
+    string that `load` resolves on first use, capability / divergence
+    flags and everything the workloads / benches previously derived
+    from ``if kind == "charlotte"`` string comparisons.  New backends
     register here and every layer above — `make_cluster`, the CLI,
     the conformance suite, the benches, the E2 complexity table —
     picks them up without modification.
@@ -31,9 +32,9 @@ walkthrough.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from importlib import import_module
 from typing import (
     Any,
-    Callable,
     Dict,
     Generator,
     Mapping,
@@ -239,10 +240,8 @@ class KernelProfile:
 
     #: the ``kind`` string accepted by `make_cluster`
     name: str
-    #: one-line description for help text and docs
-    title: str
-    #: zero-arg lazy loader returning the ClusterBase subclass
-    factory: Callable[[], type]
+    #: the ClusterBase subclass, as a ``"module:Name"`` for `load`
+    factory: str
     #: True for the paper's three kernels (drives paper-shaped tables
     #: and anchors); False for reference baselines like ``ideal``
     paper: bool
@@ -257,15 +256,20 @@ class KernelProfile:
     #: multiplier for conformance-scenario timings (fast kernels use
     #: small scales so scenario races land in the same regime)
     time_scale: float = 1.0
-    #: zero-arg lazy loader returning this backend's Linda adapter
-    #: class, or None when no second-language port exists
-    linda_adapter: Optional[Callable[[], type]] = None
-    #: zero-arg lazy loader returning the hand-coded raw-RPC baseline
-    #: function (E1's "no LYNX runtime" floor), or None
-    raw_rpc: Optional[Callable[[], Callable]] = None
+    #: this backend's Linda adapter class as a ``"module:Name"``, or
+    #: None when no second-language port exists
+    linda_adapter: Optional[str] = None
+    #: the hand-coded raw-RPC baseline function (E1's "no LYNX runtime"
+    #: floor) as a ``"module:Name"``, or None
+    raw_rpc: Optional[str] = None
 
-    def load_cluster(self) -> type:
-        return self.factory()
+
+def load(name: str) -> Any:
+    """Import what a ``"module:Name"`` string names.  The module is
+    imported only now, so no kernel package loads before a profile
+    lookup chose it."""
+    module, _, attr = name.partition(":")
+    return getattr(import_module(module), attr)
 
 
 _REGISTRY: Dict[str, KernelProfile] = {}
@@ -300,11 +304,6 @@ def kernel_profile(kind: str) -> KernelProfile:
         ) from None
 
 
-def kernel_profiles() -> Tuple[KernelProfile, ...]:
-    """Every registered profile, in registration order."""
-    return tuple(_REGISTRY.values())
-
-
 def kernel_metric_digest(kind, metrics, keys: Mapping) -> dict:
     """Capability-driven slice of a metrics digest.
 
@@ -322,76 +321,9 @@ def kernel_metric_digest(kind, metrics, keys: Mapping) -> dict:
     return out
 
 
-def _charlotte_cluster() -> type:
-    from repro.charlotte.cluster import CharlotteCluster
-
-    return CharlotteCluster
-
-
-def _charlotte_linda() -> type:
-    from repro.linda.charlotte_adapter import CharlotteLinda
-
-    return CharlotteLinda
-
-
-def _charlotte_raw() -> Callable:
-    from repro.workloads.raw import raw_charlotte_rpc
-
-    return raw_charlotte_rpc
-
-
-def _soda_cluster() -> type:
-    from repro.soda.cluster import SodaCluster
-
-    return SodaCluster
-
-
-def _soda_linda() -> type:
-    from repro.linda.soda_adapter import SodaLinda
-
-    return SodaLinda
-
-
-def _soda_raw() -> Callable:
-    from repro.workloads.raw import raw_soda_rpc
-
-    return raw_soda_rpc
-
-
-def _chrysalis_cluster() -> type:
-    from repro.chrysalis.cluster import ChrysalisCluster
-
-    return ChrysalisCluster
-
-
-def _chrysalis_linda() -> type:
-    from repro.linda.chrysalis_adapter import ChrysalisLinda
-
-    return ChrysalisLinda
-
-
-def _chrysalis_raw() -> Callable:
-    from repro.workloads.raw import raw_chrysalis_rpc
-
-    return raw_chrysalis_rpc
-
-
-def _ideal_cluster() -> type:
-    from repro.ideal.cluster import IdealCluster
-
-    return IdealCluster
-
-
-def _real_asyncio_cluster() -> type:
-    from repro.net.ideal_framed import NetCluster
-
-    return NetCluster
-
-
 register_kernel(KernelProfile(
     name="charlotte",
-    title="Charlotte: asynchronous packet-switched kernel (§3)",
-    factory=_charlotte_cluster,
+    factory="repro.charlotte.cluster:CharlotteCluster",
     paper=True,
     capabilities=KernelCapabilities(
         bounces_unwanted=True,
@@ -402,14 +334,13 @@ register_kernel(KernelProfile(
     ),
     runtime_modules=("repro.charlotte.runtime",),
     metric_namespaces=frozenset({"charlotte"}),
-    raw_rpc=_charlotte_raw,
-    linda_adapter=_charlotte_linda,
+    raw_rpc="repro.workloads.raw:raw_charlotte_rpc",
+    linda_adapter="repro.linda.charlotte_adapter:CharlotteLinda",
 ))
 
 register_kernel(KernelProfile(
     name="soda",
-    title="SODA: request/reply kernel with broadcast naming (§4)",
-    factory=_soda_cluster,
+    factory="repro.soda.cluster:SodaCluster",
     paper=True,
     capabilities=KernelCapabilities(
         bounces_unwanted=False,
@@ -419,14 +350,13 @@ register_kernel(KernelProfile(
     ),
     runtime_modules=("repro.soda.runtime", "repro.soda.freeze"),
     metric_namespaces=frozenset({"soda", "freeze"}),
-    raw_rpc=_soda_raw,
-    linda_adapter=_soda_linda,
+    raw_rpc="repro.workloads.raw:raw_soda_rpc",
+    linda_adapter="repro.linda.soda_adapter:SodaLinda",
 ))
 
 register_kernel(KernelProfile(
     name="chrysalis",
-    title="Chrysalis: shared-memory multiprocessor kernel (§5)",
-    factory=_chrysalis_cluster,
+    factory="repro.chrysalis.cluster:ChrysalisCluster",
     paper=True,
     capabilities=KernelCapabilities(
         bounces_unwanted=False,
@@ -437,14 +367,13 @@ register_kernel(KernelProfile(
     runtime_modules=("repro.chrysalis.runtime", "repro.chrysalis.linkobject"),
     metric_namespaces=frozenset({"chrysalis"}),
     time_scale=0.05,
-    raw_rpc=_chrysalis_raw,
-    linda_adapter=_chrysalis_linda,
+    raw_rpc="repro.workloads.raw:raw_chrysalis_rpc",
+    linda_adapter="repro.linda.chrysalis_adapter:ChrysalisLinda",
 ))
 
 register_kernel(KernelProfile(
     name="ideal",
-    title="ideal: zero-protocol-overhead in-memory reference kernel",
-    factory=_ideal_cluster,
+    factory="repro.ideal.cluster:IdealCluster",
     paper=False,
     capabilities=KernelCapabilities(
         bounces_unwanted=False,
@@ -459,8 +388,7 @@ register_kernel(KernelProfile(
 
 register_kernel(KernelProfile(
     name="real-asyncio",
-    title="real-asyncio: ideal kernel + the node wire-frame codec, no socket",
-    factory=_real_asyncio_cluster,
+    factory="repro.net.ideal_framed:NetCluster",
     paper=False,
     capabilities=KernelCapabilities(
         bounces_unwanted=False,
@@ -482,6 +410,6 @@ __all__ = [
     "registered_kernels",
     "paper_kernels",
     "kernel_profile",
-    "kernel_profiles",
+    "load",
     "kernel_metric_digest",
 ]

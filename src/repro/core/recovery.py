@@ -149,29 +149,23 @@ class TimerWheel:
     among wheel timers is identical to the engine's (time, insertion)
     order and simulated timings are bit-for-bit unchanged (the
     equivalence test in ``tests/core/test_timer_wheel.py`` holds a
-    seeded chaos run to that).  A bucket that has fired or been
-    released is acyclic (see `_Bucket`), so a finished timer's objects
-    never wait for the garbage collector.
-
-    ``passthrough=True`` forwards every ``schedule`` straight to the
-    engine (the pre-wheel behavior) — the reference arm of the
-    equivalence test, and a chicken switch.
+    seeded chaos run to that, with the engine itself in the wheel's
+    place: ``schedule`` and the handle's ``cancel`` are the engine's
+    own surface).  A bucket that has fired or been released is acyclic
+    (see `_Bucket`), so a finished timer's objects never wait for the
+    garbage collector.
     """
 
-    __slots__ = ("engine", "passthrough", "_buckets")
+    __slots__ = ("engine", "_buckets")
 
-    def __init__(self, engine: Any, passthrough: bool = False) -> None:
+    def __init__(self, engine: Any) -> None:
         self.engine = engine
-        self.passthrough = passthrough
         self._buckets: Dict[float, _Bucket] = {}
 
     def schedule(self, delay_ms: float, fn: Callable[..., Any],
                  *args: Any) -> Any:
         """Arm ``fn(*args)`` to fire ``delay_ms`` from now; returns a
-        handle with ``.cancel()`` (a `TimerHandle`, or a raw engine
-        `Event` in passthrough mode)."""
-        if self.passthrough:
-            return self.engine.schedule(delay_ms, fn, *args)
+        `TimerHandle`, whose ``.cancel()`` disarms it."""
         if delay_ms < 0:
             # surface the same error the engine would
             return self.engine.schedule(delay_ms, fn, *args)
@@ -195,8 +189,3 @@ class TimerWheel:
                 handle.cancelled = True  # fired == spent
                 handle.fn(*handle.args)
         bucket.event = bucket.handles = None  # spent: no cycle left
-
-    @property
-    def pending(self) -> int:
-        """Armed, not-yet-fired, not-cancelled timers (introspection)."""
-        return sum(b.live for b in self._buckets.values())

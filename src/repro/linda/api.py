@@ -136,9 +136,9 @@ class LindaSystemBase:
 
 
 def make_linda(kind: str, seed: int = 0) -> LindaSystemBase:
-    from repro.core.ports import kernel_profile
+    from repro.core.ports import kernel_profile, load
 
     profile = kernel_profile(kind)  # raises with the registered list
     if profile.linda_adapter is None:
         raise ValueError(f"kernel {kind!r} has no Linda adapter registered")
-    return profile.linda_adapter()(seed)
+    return load(profile.linda_adapter)(seed)

@@ -1,4 +1,4 @@
-"""The `SimBackend` port: engines behind a registry.
+"""The `SimBackend` port: a backend is a row of one table.
 
 PR 3 reified the kernel/runtime interface behind `repro.core.ports`;
 this package does the same for the simulation core.  A *backend* is a
@@ -7,7 +7,9 @@ engine class, `repro.sim.engine.Engine`, holding every scheduling
 method and one ``(time, seq, fn, args, handle)`` entry layout; a
 backend name selects only how many queues it has and how `Engine.run`
 drains them — the distributed forms are conservative extensions of the
-one-queue machine, not siblings of it:
+one-queue machine, not siblings of it.  `BACKENDS` maps each name to
+the `Engine` keywords of its drain policy, and `make_engine` is the
+one constructor:
 
 * ``global`` — one queue, exact ``(time, seq)`` order.  The reference
   semantics; everything else is measured against it.
@@ -40,7 +42,10 @@ shard-tagged `Engine` surface (``schedule_on`` / ``defer_on`` /
 workload runs on any engine but the one its ``sim_backend`` names.
 
 Determinism contract (machine-checked by `tests/sim/test_backends.py`
-and the E16 bench):
+and the E16 bench).  ``global`` and ``sharded-serial`` are the
+*oracles*: bit-identical to the reference at any shard count.
+``sharded-parallel`` is the one *parallel* backend, whose shards
+advance concurrently in windows, so it promises less:
 
 * ``sharded-serial`` is bit-identical to ``global`` at any shard count;
 * ``sharded-parallel`` is bit-identical to ``global`` at ``shards=1``,
@@ -53,15 +58,14 @@ and the E16 bench):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Tuple
+from typing import Optional, Tuple
+
+from repro.sim.backends.sharded import run_windows
+from repro.sim.engine import Engine
 
 __all__ = [
-    "SimBackendProfile",
-    "register_sim_backend",
+    "BACKENDS",
     "registered_sim_backends",
-    "sim_backend_profile",
-    "sim_backend_profiles",
     "make_engine",
     "DEFAULT_LOOKAHEAD_MS",
 ]
@@ -71,54 +75,20 @@ __all__ = [
 #: among the paper's three interconnects)
 DEFAULT_LOOKAHEAD_MS = 0.05
 
-
-@dataclass(frozen=True)
-class SimBackendProfile:
-    """A registered way of executing the simulation.
-
-    ``factory(shards, lookahead_ms, workers)`` returns a
-    `repro.sim.engine.Engine` with this backend's queues and policy.
-    ``parallel`` declares whether shards advance concurrently (windowed
-    execution); ``oracle`` declares the bit-identical-to-``global``
-    guarantee at any shard count.
-    """
-
-    name: str
-    title: str
-    parallel: bool
-    oracle: bool
-    factory: Callable[..., Any] = field(repr=False)
-    summary: str = ""
-
-
-_REGISTRY: dict[str, SimBackendProfile] = {}
-
-
-def register_sim_backend(profile: SimBackendProfile) -> SimBackendProfile:
-    """Register a backend; duplicate names are a programming error."""
-    if profile.name in _REGISTRY:
-        raise ValueError(f"sim backend {profile.name!r} already registered")
-    _REGISTRY[profile.name] = profile
-    return profile
+#: backend name -> the `Engine` keywords of its drain policy: one queue
+#: in exact global ``(time, seq)`` order (shard-tagged calls are
+#: accepted, the reference the others are digest-checked against), a
+#: k-way min-head merge over per-shard queues, or lookahead windows
+BACKENDS = {
+    "global": {},
+    "sharded-serial": {"sharded": True},
+    "sharded-parallel": {"windows": run_windows},
+}
 
 
 def registered_sim_backends() -> Tuple[str, ...]:
-    """Backend names, in registration order."""
-    return tuple(_REGISTRY)
-
-
-def sim_backend_profile(name: str) -> SimBackendProfile:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown sim backend {name!r}; registered backends: "
-            f"{', '.join(registered_sim_backends())}"
-        ) from None
-
-
-def sim_backend_profiles() -> Tuple[SimBackendProfile, ...]:
-    return tuple(_REGISTRY.values())
+    """Backend names, in table order."""
+    return tuple(BACKENDS)
 
 
 def make_engine(
@@ -127,81 +97,27 @@ def make_engine(
     shards: int = 1,
     lookahead_ms: Optional[float] = None,
     workers: Optional[int] = None,
-):
-    """Build an engine through the registry.
+) -> Engine:
+    """Build an engine of the named backend.
 
     ``lookahead_ms=None`` means *auto*: start from
     `DEFAULT_LOOKAHEAD_MS` and adopt the smallest latency floor any
     `repro.sim.network` model subsequently registers via
-    ``note_link_floor``.  ``workers`` only matters to parallel
-    backends (``None`` → in-process execution).
+    ``note_link_floor`` — every backend starts from the same lookahead,
+    so a ``post()`` that passes on one cannot fail on another.
+    ``workers`` only matters to the windowed backend (``None`` →
+    in-process execution).
     """
-    return sim_backend_profile(backend).factory(
-        shards=shards, lookahead_ms=lookahead_ms, workers=workers,
-    )
-
-
-# ----------------------------------------------------------------------
-# the three shipped backends: one engine class, three ways to drain it
-# ----------------------------------------------------------------------
-def _engine(shards, lookahead_ms, **policy):
-    from repro.sim.engine import Engine
-
-    eng = Engine(shards=shards, **policy)
-    # None is *auto*: every backend starts from the same lookahead, so
-    # a post() that passes on one cannot fail on another, and adopts
-    # the link floor from there
+    try:
+        policy = BACKENDS[backend]
+    except KeyError:
+        raise ValueError(
+            f"unknown sim backend {backend!r}; registered backends: "
+            f"{', '.join(BACKENDS)}"
+        ) from None
+    eng = Engine(shards=shards, workers=workers, **policy)
     eng._lookahead_auto = lookahead_ms is None
     eng.lookahead_ms = (
         DEFAULT_LOOKAHEAD_MS if lookahead_ms is None else lookahead_ms
     )
     return eng
-
-
-def _global_factory(shards=1, lookahead_ms=None, workers=None):
-    # logical shards on one queue: shard-tagged calls are accepted and
-    # executed in exact global (time, seq) order — the reference
-    # semantics the sharded backends are digest-checked against
-    return _engine(shards, lookahead_ms)
-
-
-def _serial_factory(shards=1, lookahead_ms=None, workers=None):
-    return _engine(shards, lookahead_ms, sharded=True)
-
-
-def _parallel_factory(shards=1, lookahead_ms=None, workers=None):
-    from repro.sim.backends.sharded import run_windows
-
-    return _engine(
-        shards, lookahead_ms, windows=run_windows, workers=workers
-    )
-
-
-register_sim_backend(SimBackendProfile(
-    name="global",
-    title="single global event heap",
-    parallel=False,
-    oracle=True,
-    factory=_global_factory,
-    summary="the reference engine: one heap, exact (time, seq) order",
-))
-
-register_sim_backend(SimBackendProfile(
-    name="sharded-serial",
-    title="per-shard queues, serial global-order merge",
-    parallel=False,
-    oracle=True,
-    factory=_serial_factory,
-    summary="k-way min-head merge over per-shard queues; the "
-            "determinism oracle, bit-identical to global",
-))
-
-register_sim_backend(SimBackendProfile(
-    name="sharded-parallel",
-    title="per-shard queues, conservative lookahead windows",
-    parallel=True,
-    oracle=False,
-    factory=_parallel_factory,
-    summary="shards drain lookahead windows independently; optional "
-            "forked workers exchange cross-shard posts at barriers",
-))

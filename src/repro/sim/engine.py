@@ -99,10 +99,10 @@ class Engine:
     run entirely on shard 0, in exact global order, on every backend.
 
     Construction note: layers above ``repro.sim`` obtain engines through
-    the `repro.sim.backends` registry (``make_engine``), never by
+    the `repro.sim.backends` table (``make_engine``), never by
     calling ``Engine(...)`` directly, so every workload can run on
     every backend unchanged.  The keyword arguments below are set by
-    the three registry entries and nowhere else.
+    ``make_engine`` from a row of ``BACKENDS`` and nowhere else.
     """
 
     def __init__(
@@ -121,7 +121,7 @@ class Engine:
         self.shards = shards
         #: conservative-synchronization lookahead (ms); adopted from the
         #: interconnect's latency floor (`note_link_floor`) unless the
-        #: backend registry pinned one
+        #: caller of ``make_engine`` pinned one
         self.lookahead_ms = 0.0
         #: smallest guaranteed per-link transit time any network model
         #: has registered; 0.0 until a model reports one
@@ -336,7 +336,7 @@ class Engine:
         """A `repro.sim.network` model reports its guaranteed minimum
         transit time.  The smallest reported floor becomes the
         conservative-synchronization lookahead (unless one was pinned
-        explicitly through the backend registry): no frame can arrive
+        explicitly through ``make_engine``): no frame can arrive
         sooner, so windows of that width are safe on every backend."""
         if floor_ms <= 0.0:
             return

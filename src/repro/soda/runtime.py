@@ -298,14 +298,7 @@ class SodaRuntime(LynxRuntimeBase):
         if found == se.hint:
             # hint fine; the far end is just not accepting (closed
             # queue).  Back off exponentially.
-            backoff = self.costs.hint_timeout_ms * (2 ** min(snd.probes, 6))
-
-            def refire() -> None:
-                if rid in self.sends:
-                    self._repairs.append(rid)
-                    self._wake()
-
-            snd.timer = self.engine.schedule(backoff, refire)
+            self._arm_timer(rid, snd)
             return
         if found is not None:
             se.hint = found

@@ -208,9 +208,9 @@ def raw_chrysalis_rpc(payload_bytes: int = 0, count: int = 10,
 def raw_rpc(kind: str, payload_bytes: int = 0, count: int = 10,
             seed: int = 0) -> RPCResult:
     """Dispatch to the per-kernel raw baseline via the registry."""
-    from repro.core.ports import kernel_profile
+    from repro.core.ports import kernel_profile, load
 
     profile = kernel_profile(kind)  # raises with the registered list
     if profile.raw_rpc is None:
         raise ValueError(f"kernel {kind!r} has no raw-RPC baseline")
-    return profile.raw_rpc()(payload_bytes, count, seed)
+    return load(profile.raw_rpc)(payload_bytes, count, seed)

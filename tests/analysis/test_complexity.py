@@ -90,7 +90,10 @@ SIZE_BUDGETS = {
     # the dispatch profile, the trace hook, their stepped loop and the
     # uncalled `call_soon` go: `run` is `_drain`, `_merge` or the
     # window policy (before: 498 / 160)
-    "engine": (446, 142),
+    # a backend is a row: `BACKENDS` maps a name to its drain policy
+    # beside `make_engine`; `SimBackendProfile`, its registration and
+    # lookups and the three factories go (before: 446 / 142)
+    "engine": (419, 141),
     # PR 15: real-asyncio is ideal plus a codec hook (before: 917 / 170)
     # PR 17: a layout codec, one server loop per wake-up, node stderr
     # kept (before: 621 / 116)
@@ -192,7 +195,13 @@ SIZE_BUDGETS = {
     # the recorder lives on the trace log (`TraceLog.flight`), so the
     # cluster's unread `flight` copy and `install_flight_recorder`'s
     # pass-through `**kw` go (before: 1,696 / 322)
-    "core": (1694, 322),
+    # a kernel profile names its cluster class, Linda adapter and raw
+    # baseline as ``"module:Name"`` strings that `load` resolves: the
+    # eleven loader functions, `load_cluster`, the unread `title` and
+    # the uncalled `kernel_profiles` go; `TimerWheel` loses its
+    # `passthrough` switch and `pending` count; `close` lets an
+    # installed flight recorder go (+1) (before: 1,694 / 322)
+    "core": (1656, 320),
     # PR 19: the version-1 trace reader goes (before: 674 / 128)
     # PR 20: a wait is one bound listener — `Task._wait_on`, `_fire`,
     # `fail_later` / `_safe_fail` go, `TraceLog.record` comes
@@ -261,7 +270,13 @@ SIZE_BUDGETS = {
     # (before: 464 / 88)
     # `chaos` prints `chaos_table(chaos_metrics(...))` (before: 337 / 65)
     # `repro lint` goes with the lint package (before: 331 / 63)
-    "cli": (311, 58),
+    # the parser is one subcommand table with `--seed`, `--kernel`,
+    # `--sim-backend`, `--count` and `--quick` declared once; `chaos`
+    # and `top` share one scenario -> `FaultPlan` mapping; `migrate`
+    # finds the knobs a cluster lacks by set difference; `top
+    # --scenario scale` loses a time-series test no run can fail
+    # (before: 311 / 58)
+    "cli": (247, 57),
     # PR 19: set at their size then, not yet lowered
     # charlotte and chrysalis: the `first_of` imports, Charlotte's
     # `if ...: pass` and its second unreceived-count write go
@@ -301,7 +316,9 @@ SIZE_BUDGETS = {
     # a bounded call returns a `Delay` (`SodaPort._charged` goes) and
     # the freeze is read as `frozen_count` (`rt_runnable` goes)
     # (before: 737 / 151)
-    "soda": (731, 151),
+    # the probe's confirm branch arms its backoff through `_arm_timer`
+    # instead of a copy of it (before: 731 / 151)
+    "soda": (726, 150),
     # a call returns a `Delay` (`ChrysalisPort._charged` goes), the
     # link object's flags are read through masks (`is_full` /
     # `destroyed` go), `cends` raises for a missing end (`_ce` goes)

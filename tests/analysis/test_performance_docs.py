@@ -138,7 +138,7 @@ def test_doc_names_the_baselines_and_the_gate_tests():
     assert "BENCH_PR1.json" in text        # the old trajectory point
     assert "repro.bench-compare" in text
     assert "test_ci_perf_gate_fails_a_deliberately_slowed_codec" in text
-    assert "passthrough=True" in text      # the chicken switch is documented
+    assert "substitute the engine itself" in text  # the wheel's reference
     assert "ProtocolViolation" in text     # lazy decode's error timing
 
 

@@ -86,6 +86,7 @@ collector off, each LYNX pass held all four kernels' conversations.
 
 import cProfile
 import gc
+import tempfile
 import tracemalloc
 import weakref
 from dataclasses import dataclass
@@ -96,7 +97,12 @@ from repro.core.cluster import ClusterBase
 from repro.experiments import experiment
 from repro.workloads import adversarial, chaos, migration, rpc, skew
 from repro.workloads.raw import raw_rpc
-from repro.workloads.chaos import chaos_policy, lossy_plan, run_chaos_workload
+from repro.workloads.chaos import (
+    chaos_policy,
+    lossy_plan,
+    partitioned_plan,
+    run_chaos_workload,
+)
 from repro.workloads.migration import run_migration_churn
 from repro.workloads.rpc import run_rpc_workload
 
@@ -379,9 +385,22 @@ def test_a_finished_run_frees_its_cluster_by_reference_counting(
     )
 
 
+def _flight_recorded_chaos() -> None:
+    """`flight --demo`'s run: a partitioned chaos run on SODA with a
+    flight recorder installed, which dumps on partition entry."""
+    with tempfile.TemporaryDirectory() as out:
+        run_chaos_workload(
+            "soda", count=12, seed=0, plan=partitioned_plan(quick=True),
+            policy=chaos_policy(),
+            instrument=lambda cluster: cluster.install_flight_recorder(out),
+        )
+
+
 #: entry points that build a cluster and return only values, each
-#: with a small size: a `repro bench` sweep runs all of them
+#: with a small size: a `repro bench` sweep runs all of them, and
+#: `flight --demo` the recorded chaos run
 THROWAWAY_RUNS = {
+    "flight_recorded_chaos": _flight_recorded_chaos,
     "dormant_migration": lambda: migration.run_dormant_migration("soda"),
     "reverse_scenario": lambda: adversarial.run_reverse_scenario("charlotte"),
     "open_close_scenario": lambda: adversarial.run_open_close_scenario(
@@ -401,7 +420,9 @@ def test_a_throwaway_cluster_leaves_nothing_for_the_collector(name):
     """Every other entry point that builds its own cluster closes it
     too, whatever state its run ended in: processes crashed (A3),
     blocked for good or stopped at a time budget (E10).  The parent
-    left 38–4,228 objects per entry point for the collector."""
+    left 38–4,228 objects per entry point for the collector.  A flight
+    recorder and its trace log point at each other, so a recorded run
+    left 250 until `ClusterBase.close` let the recorder go."""
     run = THROWAWAY_RUNS[name]
     run()
     gc.collect()

@@ -1,8 +1,9 @@
 """`repro.core.recovery.TimerWheel`: unit semantics of the batched
 timer buckets, and — the load-bearing guarantee — end-to-end
-equivalence with the old one-engine-event-per-timer scheme under
-seeded fault plans.  The wheel is a pure scheduling-cost optimization;
-if any simulated outcome shifts, it stopped being one."""
+equivalence with one engine event per timer under seeded fault plans,
+the engine itself standing in for the wheel.  The wheel is a pure
+scheduling-cost optimization; if any simulated outcome shifts, it
+stopped being one."""
 
 import gc
 
@@ -29,11 +30,10 @@ def test_same_deadline_timers_share_one_engine_event():
     fired = []
     for i in range(5):
         wheel.schedule(10.0, fired.append, i)
-    assert wheel.pending == 5
     assert eng.pending == 1  # the batch, not five heap entries
     eng.run()
     assert fired == [0, 1, 2, 3, 4]  # insertion order == (time, seq)
-    assert wheel.pending == 0
+    assert eng.pending == 0
 
 
 def test_distinct_deadlines_fire_in_time_order():
@@ -55,7 +55,7 @@ def test_cancel_is_o1_and_idempotent():
     drop = wheel.schedule(5.0, fired.append, "drop")
     drop.cancel()
     drop.cancel()
-    assert wheel.pending == 1
+    assert eng.pending == 1  # the bucket lives on for ``keep``
     eng.run()
     assert fired == ["keep"]
     assert keep.cancelled  # spent after firing
@@ -67,7 +67,6 @@ def test_cancelling_whole_bucket_releases_the_engine_event():
     handles = [wheel.schedule(5.0, lambda: None) for _ in range(3)]
     for h in handles:
         h.cancel()
-    assert wheel.pending == 0
     assert eng.pending == 0  # the shared event was tombstoned
     assert eng.run() == 0
 
@@ -132,32 +131,18 @@ def test_negative_delay_raises_like_the_engine():
     wheel = TimerWheel(Engine())
     with pytest.raises(EngineError):
         wheel.schedule(-1.0, lambda: None)
-    with pytest.raises(EngineError):
-        TimerWheel(Engine(), passthrough=True).schedule(-1.0, lambda: None)
-
-
-def test_passthrough_mode_returns_raw_engine_events():
-    eng = Engine()
-    wheel = TimerWheel(eng, passthrough=True)
-    fired = []
-    for i in range(3):
-        wheel.schedule(10.0, fired.append, i)
-    assert eng.pending == 3  # one heap entry per timer: old behavior
-    eng.run()
-    assert fired == [0, 1, 2]
 
 
 # ----------------------------------------------------------------------
 # equivalence: wheel vs per-timer heap pushes under seeded fault plans
 # ----------------------------------------------------------------------
-def _passthrough_wheels(monkeypatch):
-    """Make every runtime arm its recovery timers the pre-wheel way."""
+def _engine_timers(monkeypatch):
+    """Make every runtime arm each recovery timer as its own engine
+    event: the engine's ``schedule`` / ``Event.cancel`` are the surface
+    the runtime asks of its wheel."""
     import repro.core.runtime as runtime_mod
 
-    monkeypatch.setattr(
-        runtime_mod, "TimerWheel",
-        lambda engine: TimerWheel(engine, passthrough=True),
-    )
+    monkeypatch.setattr(runtime_mod, "TimerWheel", lambda engine: engine)
 
 
 def _outcome(result):
@@ -178,7 +163,7 @@ def test_partition_outcome_identical_with_and_without_wheel(
     kw = dict(count=12, seed=7, plan=partitioned_plan(quick=True),
               policy=chaos_policy())
     wheel = run_chaos_workload(kind, **kw)
-    _passthrough_wheels(monkeypatch)
+    _engine_timers(monkeypatch)
     heap = run_chaos_workload(kind, **kw)
     assert _outcome(wheel) == _outcome(heap)
 
@@ -191,6 +176,6 @@ def test_lossy_outcome_identical_with_and_without_wheel(
               policy=RecoveryPolicy(timeout_ms=25.0, max_retries=4,
                                     backoff_factor=2.0, jitter_frac=0.1))
     wheel = run_chaos_workload("soda", **kw)
-    _passthrough_wheels(monkeypatch)
+    _engine_timers(monkeypatch)
     heap = run_chaos_workload("soda", **kw)
     assert _outcome(wheel) == _outcome(heap)

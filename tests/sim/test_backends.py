@@ -2,8 +2,8 @@
 
 Three families of checks:
 
-* **registry** — names resolve, unknown names fail with the registered
-  list in the message, duplicates are programming errors;
+* **table** — names resolve, unknown names fail with the table's
+  names in the message;
 * **determinism** — the oracle chain: `sharded-serial` is bit-identical
   to `global` for every workload at any shard count, `sharded-parallel`
   matches at one shard, repeats and worker counts never change a
@@ -17,12 +17,8 @@ import pytest
 
 from repro.sim.backends import (
     DEFAULT_LOOKAHEAD_MS,
-    SimBackendProfile,
     make_engine,
-    register_sim_backend,
     registered_sim_backends,
-    sim_backend_profile,
-    sim_backend_profiles,
 )
 from repro.sim.engine import EngineError
 
@@ -31,38 +27,19 @@ SHARDED = ("sharded-serial", "sharded-parallel")
 
 
 # ----------------------------------------------------------------------
-# registry
+# table
 # ----------------------------------------------------------------------
 def test_registry_lists_the_three_backends_in_order():
     assert registered_sim_backends() == ALL
-    assert tuple(p.name for p in sim_backend_profiles()) == ALL
-
-
-def test_profiles_declare_oracle_and_parallel_flags():
-    assert sim_backend_profile("global").oracle
-    assert sim_backend_profile("sharded-serial").oracle
-    assert not sim_backend_profile("sharded-parallel").oracle
-    assert sim_backend_profile("sharded-parallel").parallel
-    assert not sim_backend_profile("sharded-serial").parallel
 
 
 def test_unknown_backend_error_names_the_registered_ones():
     with pytest.raises(ValueError) as exc:
-        sim_backend_profile("turbo")
+        make_engine("turbo")
     msg = str(exc.value)
     assert "turbo" in msg
     for name in ALL:
         assert name in msg
-    with pytest.raises(ValueError):
-        make_engine("turbo")
-
-
-def test_duplicate_registration_is_an_error():
-    with pytest.raises(ValueError):
-        register_sim_backend(SimBackendProfile(
-            name="global", title="imposter", parallel=False, oracle=False,
-            factory=lambda **kw: None,
-        ))
 
 
 @pytest.mark.parametrize("backend", ALL)
