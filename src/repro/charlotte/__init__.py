@@ -21,25 +21,3 @@ lost messages invisibly and forever (``faults.kernel_retransmits``).
 The runtime never learns of loss, which is exactly why a connect
 issued into a partition blocks until the window heals (E14).
 """
-
-from repro.charlotte.kernel import (
-    CharlotteKernel,
-    KernelPort,
-    CallStatus,
-    Direction,
-    Completion,
-    CompletionKind,
-)
-from repro.charlotte.runtime import CharlotteRuntime
-from repro.charlotte.cluster import CharlotteCluster
-
-__all__ = [
-    "CharlotteKernel",
-    "KernelPort",
-    "CallStatus",
-    "Direction",
-    "Completion",
-    "CompletionKind",
-    "CharlotteRuntime",
-    "CharlotteCluster",
-]

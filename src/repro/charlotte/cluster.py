@@ -27,6 +27,7 @@ class CharlotteCluster(ClusterBase):
 
     KIND = "charlotte"
     NODES = 20
+    RUNTIME = CharlotteRuntime
 
     def __init__(self, reply_acks: bool = False, no_forbid: bool = False,
                  **cluster_kw) -> None:
@@ -35,7 +36,7 @@ class CharlotteCluster(ClusterBase):
         super().__init__(**cluster_kw)
 
     def _setup_hardware(self) -> None:
-        costs = self.costmodel.charlotte
+        costs = self.costs = self.costmodel.charlotte
         self.ring = TokenRing(
             self.engine,
             metrics=self.metrics,
@@ -48,9 +49,6 @@ class CharlotteCluster(ClusterBase):
             self.engine, self.metrics, costs, self.ring, self.registry,
             spans=self.spans,
         )
-
-    def make_runtime(self, handle: ProcessHandle) -> CharlotteRuntime:
-        return CharlotteRuntime(handle, self)
 
     def runtime_exited(self, runtime) -> None:
         self.kernel.process_died(runtime.name)

@@ -38,7 +38,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Generator, List, Optional
 
-from repro.analysis.costmodel import RuntimeCosts
 from repro.charlotte.kernel import (
     CallStatus,
     Completion,
@@ -128,9 +127,6 @@ class CharlotteRuntime(LynxRuntimeBase):
         #: outstanding kernel Wait (kept across internal wakeups so a
         #: single completion is never lost)
         self._kwait = None
-
-    def runtime_costs(self) -> RuntimeCosts:
-        return self.cluster.costmodel.charlotte.runtime
 
     # ------------------------------------------------------------------
     # small helpers
@@ -378,10 +374,6 @@ class CharlotteRuntime(LynxRuntimeBase):
         # too late: kernel already matched it — the §3.2.2 limbo
         self.metrics.count("charlotte.aborts_too_late")
         return False
-
-    def rt_adopt_end(self, ref: EndRef, meta: dict):
-        return
-        yield  # pragma: no cover
 
     # base hook override: forget bounce state when a reply lands
     def deliver_reply(self, ref: EndRef, msg: WireMessage) -> None:

@@ -20,19 +20,3 @@ The profile declares ``recovery_placement="runtime"``: only an
 installed `RecoveryPolicy` bounds that hang, with a typed
 `RecoveryExhausted` once the retry budget is spent.
 """
-
-from repro.chrysalis.kernel import ChrysalisKernel, ChrysalisPort, DQ_BLOCKED
-from repro.chrysalis.linkobject import LinkObject, NoticeCode, Notice
-from repro.chrysalis.runtime import ChrysalisRuntime
-from repro.chrysalis.cluster import ChrysalisCluster
-
-__all__ = [
-    "ChrysalisKernel",
-    "ChrysalisPort",
-    "DQ_BLOCKED",
-    "LinkObject",
-    "NoticeCode",
-    "Notice",
-    "ChrysalisRuntime",
-    "ChrysalisCluster",
-]

@@ -20,9 +20,10 @@ class ChrysalisCluster(ClusterBase):
 
     KIND = "chrysalis"
     NODES = 128
+    RUNTIME = ChrysalisRuntime
 
     def _setup_hardware(self) -> None:
-        costs = self.costmodel.chrysalis
+        costs = self.costs = self.costmodel.chrysalis
         self.switch = SharedMemoryInterconnect(
             self.engine,
             metrics=self.metrics,
@@ -33,9 +34,6 @@ class ChrysalisCluster(ClusterBase):
         self.kernel = ChrysalisKernel(
             self.engine, self.metrics, costs, self.switch
         )
-
-    def make_runtime(self, handle: ProcessHandle) -> ChrysalisRuntime:
-        return ChrysalisRuntime(handle, self)
 
     def create_link(self, a: ProcessHandle, b: ProcessHandle) -> None:
         link = self.registry.alloc_link(a.name, b.name)

@@ -31,7 +31,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, Generator, Optional
 
-from repro.analysis.costmodel import RuntimeCosts
 from repro.chrysalis.kernel import ChrysalisPort, DQ_BLOCKED
 from repro.chrysalis.linkobject import (
     DESTROYED,
@@ -87,9 +86,6 @@ class ChrysalisRuntime(LynxRuntimeBase):
         #: is told to unmap (§5.2's ordering; prevents a reclaim race
         #: when the far end has already unmapped)
         self._premapped: Dict[EndRef, tuple] = {}
-
-    def runtime_costs(self) -> RuntimeCosts:
-        return self.cluster.costmodel.chrysalis.runtime
 
     # ------------------------------------------------------------------
     def rt_startup(self):

@@ -86,6 +86,9 @@ class ClusterBase:
     #: processors in the simulated machine; `spawn` places processes on
     #: them round-robin
     NODES = 16
+    #: this kernel family's LYNX runtime, a `LynxRuntimeBase` subclass
+    #: that `spawn` instantiates per process as ``RUNTIME(handle, self)``
+    RUNTIME: type
 
     def __init__(
         self,
@@ -93,7 +96,6 @@ class ClusterBase:
         costmodel: Optional[CostModel] = None,
         sim_backend: str = "global",
         shards: int = 1,
-        lookahead_ms: Optional[float] = None,
     ) -> None:
         self.seed = seed
         #: which `repro.sim.backends` engine executes this cluster.
@@ -101,9 +103,7 @@ class ClusterBase:
         #: backends they run in exact global order (the oracle path)
         #: and stay bit-identical to the global engine.
         self.sim_backend = sim_backend
-        self.engine = make_engine(
-            sim_backend, shards=shards, lookahead_ms=lookahead_ms,
-        )
+        self.engine = make_engine(sim_backend, shards=shards)
         self.metrics = MetricSet()
         self.registry = LinkRegistry()
         self.trace = TraceLog(self.engine)
@@ -111,8 +111,8 @@ class ClusterBase:
         #: (created before `_setup_hardware` so kernels can take it)
         self.spans = SpanTracker(self.trace, metrics=self.metrics)
         self.rng = SimRandom(seed, f"cluster/{self.KIND}")
-        #: the calibrated constants every kernel and runtime of this
-        #: cluster reads (``costmodel.<KIND>``)
+        #: the calibrated profiles; `_setup_hardware` picks this
+        #: cluster's own as ``costs``
         self.costmodel = costmodel if costmodel is not None else CostModel()
         self.processes: Dict[str, ProcessHandle] = {}
         #: network-fault plane (`repro.sim.faults`); None = the network
@@ -133,15 +133,10 @@ class ClusterBase:
     # kernel-specific hooks
     # ------------------------------------------------------------------
     def _setup_hardware(self) -> None:
-        """Instantiate the interconnect and kernel objects."""
+        """Instantiate the interconnect and kernel objects, and name
+        this cluster's calibrated profile (``costmodel.<KIND>``) as
+        ``costs``: the one every kernel and runtime of it reads."""
         raise NotImplementedError
-
-    def make_runtime(self, handle: ProcessHandle):
-        """Instantiate this kernel family's LYNX runtime for a process."""
-        raise NotImplementedError
-
-    def _install_process(self, handle: ProcessHandle) -> None:
-        """Register the new process with the kernel(s)."""
 
     def create_link(self, a: ProcessHandle, b: ProcessHandle) -> None:
         """Give ``a`` and ``b`` each one end of a fresh link, visible to
@@ -153,8 +148,8 @@ class ClusterBase:
         """Kernel-side consequences of a process/node death."""
 
     def runtime_exited(self, runtime) -> None:
-        """A runtime finished its orderly shutdown (the base
-        ``rt_shutdown`` calls this).  Clusters whose kernels track
+        """A runtime finished its orderly shutdown: its clean-up
+        destroyed every link it held.  Clusters whose kernels track
         per-process liveness deregister the process here."""
 
     # ------------------------------------------------------------------
@@ -175,8 +170,7 @@ class ClusterBase:
             node = self._next_node % self.NODES
             self._next_node += 1
         handle = ProcessHandle(name, program, node)
-        handle.runtime = self.make_runtime(handle)
-        self._install_process(handle)
+        handle.runtime = self.RUNTIME(handle, self)
         handle.task = Task(
             self.engine, handle.runtime.main_generator(), f"proc:{name}"
         )

@@ -67,17 +67,9 @@ class KernelRuntimePort(Protocol):
 
     Downcalls (runtime → kernel glue):
 
-    ``runtime_costs()`` *(plain)*
-        Return this backend's `RuntimeCosts` (marshalling charges the
-        shared core applies).  Pure; called once per runtime.
-
     ``rt_startup()``
         Runs once before the program's ``main``.  Post: kernel-side
         tables for this process exist; initial links are usable.
-
-    ``rt_shutdown()``
-        Runs after ``main`` returns and cleanup finished.  Post: the
-        kernel no longer schedules work for this process.
 
     ``rt_new_link()``
         Allocate a fresh link; return ``(my_ref, peer_ref)``.  Post:
@@ -184,9 +176,7 @@ class KernelRuntimePort(Protocol):
         `LynxRuntimeBase.destroyed_error` — raises `RemoteCrash`).
     """
 
-    def runtime_costs(self) -> Any: ...
     def rt_startup(self) -> Generator: ...
-    def rt_shutdown(self) -> Generator: ...
     def rt_new_link(self) -> Generator: ...
     def rt_send_request(self, es: "EndState", msg: "WireMessage") -> Generator: ...
     def rt_send_reply(self, es: "EndState", msg: "WireMessage") -> Generator: ...

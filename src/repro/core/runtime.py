@@ -127,8 +127,9 @@ class LynxRuntimeBase:
         self.metrics = cluster.metrics
         self.registry = cluster.registry
         self.name: str = handle.name
-        #: costs of the run-time package itself (RuntimeCosts)
-        self.rc = self.runtime_costs()
+        #: costs of the run-time package itself (`RuntimeCosts`), from
+        #: the profile the cluster calibrated
+        self.rc = cluster.costs.runtime
 
         #: coroutines born and not yet finished — a count, not a list:
         #: a server forks one per request and must not remember them
@@ -180,20 +181,8 @@ class LynxRuntimeBase:
     # kernel-specific transport hooks (overridden by kernel runtimes);
     # all are generator functions unless noted
     # ==================================================================
-    def runtime_costs(self):
-        """(plain) The `RuntimeCosts` profile for this kernel family."""
-        raise NotImplementedError
-
     def rt_startup(self) -> Generator:
         """Per-process kernel setup (allocate queues, register names)."""
-        return
-        yield
-
-    def rt_shutdown(self) -> Generator:
-        """Orderly teardown after all links have been destroyed.  The
-        default tells the cluster, which informs kernels that track
-        per-process liveness (crash interrupts, name tables)."""
-        self.cluster.runtime_exited(self)
         return
         yield
 
@@ -399,7 +388,9 @@ class LynxRuntimeBase:
             except LynxError:
                 self.metrics.count("runtime.cleanup_errors")
             self.registry.record_destroyed(es.ref.link, reason)
-        yield from self.rt_shutdown()
+        # every link is gone: kernels that track per-process liveness
+        # (crash interrupts, name tables) forget the process
+        self.cluster.runtime_exited(self)
 
     # ------------------------------------------------------------------
     # thread machinery

@@ -9,8 +9,8 @@ from repro.analysis.plot import ascii_plot
 from repro.analysis.report import Table, paper_vs_measured
 from repro.core.api import KERNEL_KINDS
 from repro.experiments import Experiment, near, register_experiment
-from repro.workloads.raw import raw_rpc
-from repro.workloads.rpc import raw_charlotte_rpc, run_rpc_workload
+from repro.workloads.raw import raw_charlotte_rpc, raw_rpc
+from repro.workloads.rpc import run_rpc_workload
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,3 @@ recovery.  This keeps the backend honest as a lower bound: its speed
 comes from zero protocol overhead, not from a free reliability
 absolute the others must pay for.
 """
-
-from repro.ideal.cluster import IdealCluster
-
-__all__ = ["IdealCluster"]

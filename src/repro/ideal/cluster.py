@@ -21,12 +21,13 @@ class IdealCluster(ClusterBase):
     """
 
     KIND = "ideal"
+    RUNTIME = IdealRuntime
+    #: the kernel class `_setup_hardware` builds
+    KERNEL = IdealKernel
 
     def _setup_hardware(self) -> None:
-        self.kernel = IdealKernel(self.registry, self.metrics)
-
-    def make_runtime(self, handle: ProcessHandle) -> IdealRuntime:
-        return IdealRuntime(handle, self)
+        self.costs = self.costmodel.ideal
+        self.kernel = self.KERNEL(self.registry, self.metrics)
 
     def create_link(self, a: ProcessHandle, b: ProcessHandle) -> None:
         link = self.registry.alloc_link(a.name, b.name)

@@ -32,11 +32,8 @@ class IdealRuntime(LynxRuntimeBase):
 
     def __init__(self, handle, cluster) -> None:
         super().__init__(handle, cluster)
-        self.costs = cluster.costmodel.ideal
+        self.costs = cluster.costs
         self.kernel = cluster.kernel
-
-    def runtime_costs(self):
-        return self.cluster.costmodel.ideal.runtime
 
     # ------------------------------------------------------------------
     # transport hooks

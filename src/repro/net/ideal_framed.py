@@ -51,6 +51,4 @@ class NetCluster(IdealCluster):
     """An ideal cluster whose kernel frames every message."""
 
     KIND = "real-asyncio"
-
-    def _setup_hardware(self) -> None:
-        self.kernel = NetKernel(self.registry, self.metrics)
+    KERNEL = NetKernel

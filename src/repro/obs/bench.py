@@ -59,7 +59,7 @@ from repro.experiments import experiment, registered_experiments
 from repro.obs.jsonl import json_safe
 
 BENCH_SCHEMA_VERSION = 9
-DEFAULT_BENCH_FILENAME = "BENCH_PR47.json"
+DEFAULT_BENCH_FILENAME = "BENCH_PR48.json"
 
 BENCH_IDS: Tuple[str, ...] = registered_experiments()
 

@@ -27,23 +27,3 @@ the runtime's `RecoveryPolicy` (timeout, bounded retry, typed
 `RecoveryExhausted`) owns the damage.  E14 shows this hints stance
 riding out a partition that stalls Charlotte's absolutes.
 """
-
-from repro.soda.kernel import (
-    SodaKernel,
-    SodaPort,
-    Interrupt,
-    InterruptKind,
-    AcceptStatus,
-)
-from repro.soda.runtime import SodaRuntime
-from repro.soda.cluster import SodaCluster
-
-__all__ = [
-    "SodaKernel",
-    "SodaPort",
-    "Interrupt",
-    "InterruptKind",
-    "AcceptStatus",
-    "SodaRuntime",
-    "SodaCluster",
-]

@@ -31,6 +31,7 @@ class SodaCluster(ClusterBase):
 
     KIND = "soda"
     NODES = 64
+    RUNTIME = SodaRuntime
 
     def __init__(self, broadcast_loss: float = 0.0, cache_size: int = 64,
                  **cluster_kw) -> None:
@@ -39,7 +40,7 @@ class SodaCluster(ClusterBase):
         super().__init__(**cluster_kw)
 
     def _setup_hardware(self) -> None:
-        costs = self.costmodel.soda
+        costs = self.costs = self.costmodel.soda
         self.bus = CSMABus(
             self.engine,
             metrics=self.metrics,
@@ -53,9 +54,6 @@ class SodaCluster(ClusterBase):
             self.engine, self.metrics, costs, self.bus, self.registry,
             spans=self.spans,
         )
-
-    def make_runtime(self, handle: ProcessHandle) -> SodaRuntime:
-        return SodaRuntime(handle, self)
 
     def runtime_exited(self, runtime) -> None:
         self.kernel.process_died(runtime.name)
@@ -76,4 +74,4 @@ class SodaCluster(ClusterBase):
         if mode is CrashMode.PROCESSOR:
             self.kernel.process_died(handle.name)
         # TERMINATE/FAULT: the runtime clean-up destroys links itself
-        # and then reports the death in rt_shutdown
+        # and then reports the death through `runtime_exited`

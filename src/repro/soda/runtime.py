@@ -36,7 +36,6 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Generator, List, Optional
 
-from repro.analysis.costmodel import RuntimeCosts
 from repro.core.exceptions import ProtocolViolation
 from repro.core.links import EndLifecycle, EndRef, EndState
 from repro.core.runtime import LynxRuntimeBase
@@ -86,7 +85,7 @@ class SodaRuntime(LynxRuntimeBase):
         self.port: SodaPort = cluster.kernel.register_process(
             self.name, handle.node
         )
-        self.costs = cluster.costmodel.soda
+        self.costs = cluster.costs
         self.sends: Dict[int, _Send] = {}
         self.sref: Dict[EndRef, _SodaEnd] = {}
         self.name_to_ref: Dict[int, EndRef] = {}
@@ -101,9 +100,6 @@ class SodaRuntime(LynxRuntimeBase):
         self._probe_results: Deque[tuple] = deque()
         self.freezer = FreezeManager(self)
         self.port.set_handler(self._on_interrupt)
-
-    def runtime_costs(self) -> RuntimeCosts:
-        return self.cluster.costmodel.soda.runtime
 
     # ------------------------------------------------------------------
     # interrupt plumbing

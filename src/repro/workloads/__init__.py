@@ -11,8 +11,8 @@ from repro.workloads.rpc import (
     PingClient,
     run_rpc_workload,
     RPCResult,
-    raw_charlotte_rpc,
 )
+from repro.workloads.raw import raw_charlotte_rpc
 from repro.workloads.migration import (
     Observer,
     Dispatcher,

@@ -1,14 +1,14 @@
 """Raw kernel-call baselines for all three kernels.
 
 §3.3 measures LYNX against "C programs that make the same series of
-kernel calls"; `repro.workloads.rpc.raw_charlotte_rpc` is that program
-for Charlotte.  This module supplies the equivalents for SODA and
-Chrysalis, so the *runtime package overhead* (LYNX minus raw) can be
-measured on every kernel — which is exactly the quantity §4.3 reasons
-about: "run-time routines under SODA would need to perform most of the
-same functions as their counterparts for Charlotte ... relatively
-major differences in run-time package overhead appear to be unlikely."
-Bench A4 tests that prediction.
+kernel calls"; `raw_charlotte_rpc` is that program for Charlotte (E1's
+baseline), and `raw_soda_rpc` / `raw_chrysalis_rpc` are its
+equivalents for SODA and Chrysalis, so the *runtime package overhead*
+(LYNX minus raw) can be measured on every kernel — which is exactly
+the quantity §4.3 reasons about: "run-time routines under SODA would
+need to perform most of the same functions as their counterparts for
+Charlotte ... relatively major differences in run-time package
+overhead appear to be unlikely."  Bench A4 tests that prediction.
 
 These baselines run as plain simulation tasks against the kernel
 ports, with none of the LYNX machinery (no coroutine scheduler, no
@@ -21,10 +21,87 @@ from typing import List
 
 from repro.core.wire import MsgKind, WireMessage
 from repro.sim.tasks import Task
-from repro.workloads.rpc import RPCResult, raw_charlotte_rpc
+from repro.workloads.rpc import RPCResult
 
 __all__ = ["raw_charlotte_rpc", "raw_soda_rpc", "raw_chrysalis_rpc",
            "raw_rpc"]
+
+
+def raw_charlotte_rpc(
+    payload_bytes: int = 0, count: int = 10, seed: int = 0
+) -> RPCResult:
+    """§3.3's baseline: "C programs that make the same series of kernel
+    calls" — the RPC pattern driven directly against the Charlotte
+    kernel ports, bypassing the LYNX runtime entirely."""
+    from repro.charlotte.kernel import CompletionKind
+    from repro.charlotte.cluster import CharlotteCluster
+
+    cluster = CharlotteCluster(seed=seed)
+    kernel = cluster.kernel
+    ka = kernel.register_process("raw-client", 0)
+    kb = kernel.register_process("raw-server", 1)
+    status, ra, rb = kernel._make_link("raw-client")
+    kernel.links[ra.link].ends[1].owner = "raw-server"
+    kernel.links[ra.link].ends[1].node = 1
+
+    rtts: List[float] = []
+    eng = cluster.engine
+    total = count + 1  # one warm-up
+
+    def client():
+        body = b"q" * payload_bytes
+        for i in range(total):
+            t0 = eng.now
+            # post the receive for the reply, then send the request
+            yield ka.receive(ra)
+            msg = WireMessage(kind=MsgKind.REQUEST, seq=i + 1, payload=body)
+            yield ka.send(ra, msg)
+            # wait for send completion, then for the reply
+            got_reply = False
+            while not got_reply:
+                desc = yield ka.wait()
+                if desc.kind is CompletionKind.RECV_DONE:
+                    got_reply = True
+            if i > 0:
+                rtts.append(eng.now - t0)
+
+    def server():
+        body = b"r" * payload_bytes
+        yield kb.receive(rb)
+        for i in range(total):
+            # wait for a request
+            while True:
+                desc = yield kb.wait()
+                if desc.kind is CompletionKind.RECV_DONE:
+                    req = desc.msg
+                    break
+            # repost receive for the next request, then send the reply
+            if i + 1 < total:
+                yield kb.receive(rb)
+            reply = WireMessage(
+                kind=MsgKind.REPLY, seq=1000 + i, reply_to=req.seq, payload=body
+            )
+            yield kb.send(rb, reply)
+            while True:
+                desc = yield kb.wait()
+                if desc.kind is CompletionKind.SEND_DONE:
+                    break
+
+    tc = Task(eng, client(), "raw-client")
+    ts = Task(eng, server(), "raw-server")
+    cluster.run_until_quiet(max_ms=1e7)
+    if not (tc.finished and ts.finished):
+        raise RuntimeError("raw Charlotte RPC workload hung")
+    tc.done.result()
+    ts.done.result()
+    return RPCResult(
+        kind="charlotte-raw",
+        payload_bytes=payload_bytes,
+        rtts=rtts,
+        messages=cluster.metrics.total("wire.messages."),
+        wire_bytes=cluster.metrics.get("wire.bytes"),
+        trace=cluster.trace,
+    )
 
 
 def raw_soda_rpc(payload_bytes: int = 0, count: int = 10,

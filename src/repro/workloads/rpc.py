@@ -2,9 +2,9 @@
 
 Two processes, one link, N round trips of a typed ``ping`` operation
 with a configurable payload in each direction — the measurement behind
-every latency number in the paper — plus the *raw kernel-call* variant
-for Charlotte ("C programs that make the same series of kernel calls",
-§3.3) used as E1's baseline.
+every latency number in the paper.  The *raw kernel-call* variants
+("C programs that make the same series of kernel calls", §3.3) are in
+`repro.workloads.raw`.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core.api import BYTES, Operation, Proc, make_cluster
-from repro.core.links import EndRef
-from repro.core.wire import MsgKind, WireMessage
 from repro.sim.metrics import ordered_mean
 from repro.sim.trace import TraceLog
 
@@ -103,81 +101,3 @@ def run_rpc_workload(
             wire_bytes=cluster.metrics.get("wire.bytes"),
             trace=cluster.trace,
         )
-
-
-def raw_charlotte_rpc(
-    payload_bytes: int = 0, count: int = 10, seed: int = 0
-) -> RPCResult:
-    """§3.3's baseline: "C programs that make the same series of kernel
-    calls" — the RPC pattern driven directly against the Charlotte
-    kernel ports, bypassing the LYNX runtime entirely."""
-    from repro.charlotte.kernel import CompletionKind
-    from repro.charlotte.cluster import CharlotteCluster
-    from repro.sim.tasks import Task
-
-    cluster = CharlotteCluster(seed=seed)
-    kernel = cluster.kernel
-    ka = kernel.register_process("raw-client", 0)
-    kb = kernel.register_process("raw-server", 1)
-    status, ra, rb = kernel._make_link("raw-client")
-    kernel.links[ra.link].ends[1].owner = "raw-server"
-    kernel.links[ra.link].ends[1].node = 1
-
-    rtts: List[float] = []
-    eng = cluster.engine
-    total = count + 1  # one warm-up
-
-    def client():
-        body = b"q" * payload_bytes
-        for i in range(total):
-            t0 = eng.now
-            # post the receive for the reply, then send the request
-            yield ka.receive(ra)
-            msg = WireMessage(kind=MsgKind.REQUEST, seq=i + 1, payload=body)
-            yield ka.send(ra, msg)
-            # wait for send completion, then for the reply
-            got_reply = False
-            while not got_reply:
-                desc = yield ka.wait()
-                if desc.kind is CompletionKind.RECV_DONE:
-                    got_reply = True
-            if i > 0:
-                rtts.append(eng.now - t0)
-
-    def server():
-        body = b"r" * payload_bytes
-        yield kb.receive(rb)
-        for i in range(total):
-            # wait for a request
-            while True:
-                desc = yield kb.wait()
-                if desc.kind is CompletionKind.RECV_DONE:
-                    req = desc.msg
-                    break
-            # repost receive for the next request, then send the reply
-            if i + 1 < total:
-                yield kb.receive(rb)
-            reply = WireMessage(
-                kind=MsgKind.REPLY, seq=1000 + i, reply_to=req.seq, payload=body
-            )
-            yield kb.send(rb, reply)
-            while True:
-                desc = yield kb.wait()
-                if desc.kind is CompletionKind.SEND_DONE:
-                    break
-
-    tc = Task(eng, client(), "raw-client")
-    ts = Task(eng, server(), "raw-server")
-    cluster.run_until_quiet(max_ms=1e7)
-    if not (tc.finished and ts.finished):
-        raise RuntimeError("raw Charlotte RPC workload hung")
-    tc.done.result()
-    ts.done.result()
-    return RPCResult(
-        kind="charlotte-raw",
-        payload_bytes=payload_bytes,
-        rtts=rtts,
-        messages=cluster.metrics.total("wire.messages."),
-        wire_bytes=cluster.metrics.get("wire.bytes"),
-        trace=cluster.trace,
-    )

@@ -9,7 +9,8 @@ the simulators.
 import pytest
 
 from repro.analysis.costmodel import PAPER, ChrysalisCosts, CostModel
-from repro.workloads.rpc import raw_charlotte_rpc, run_rpc_workload
+from repro.workloads.raw import raw_charlotte_rpc
+from repro.workloads.rpc import run_rpc_workload
 
 
 def test_charlotte_raw_rpc_0_bytes():

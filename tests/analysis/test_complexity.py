@@ -117,7 +117,10 @@ SIZE_BUDGETS = {
     # `query_stats` drain and the entry's `node` local
     # ideal's handoff yields its delay, importing no `sleep`
     # (before: 602 / 107)
-    "net+ideal": (601, 107),
+    # the runtime class is `RUNTIME` and the kernel class `KERNEL`:
+    # `make_runtime`, `runtime_costs` and `NetCluster._setup_hardware`
+    # go, and the package re-exports nothing (before: 601 / 107)
+    "net+ideal": (597, 107),
     # PR 16: bench owns only exact values, compare is equality
     # (before: 1,182 / 352)
     # PR 18: the eight bench bodies left for the experiment registry;
@@ -201,7 +204,12 @@ SIZE_BUDGETS = {
     # the uncalled `kernel_profiles` go; `TimerWheel` loses its
     # `passthrough` switch and `pending` count; `close` lets an
     # installed flight recorder go (+1) (before: 1,694 / 322)
-    "core": (1656, 320),
+    # the port keeps only what a backend varies: `rt_shutdown` (the
+    # clean-up calls `runtime_exited`) and `runtime_costs` (the
+    # cluster's `costs`) leave it, `make_runtime` becomes `RUNTIME`,
+    # and `_install_process` and the one-value `lookahead_ms` option
+    # go (before: 1,656 / 320)
+    "core": (1645, 320),
     # PR 19: the version-1 trace reader goes (before: 674 / 128)
     # PR 20: a wait is one bound listener — `Task._wait_on`, `_fire`,
     # `fail_later` / `_safe_fail` go, `TraceLog.record` comes
@@ -298,7 +306,11 @@ SIZE_BUDGETS = {
     # `cends` makes an end's state on first lookup (`_ce` and its eager
     # calls go) and `rt_block_wait` reads the Wait's state
     # (before: 725 / 187)
-    "charlotte": (716, 185),
+    # charlotte, soda and chrysalis: `make_runtime` becomes `RUNTIME`,
+    # `runtime_costs` reads the cluster's `costs`, Charlotte's copy of
+    # the default `rt_adopt_end` goes and the package re-exports
+    # nothing (before: 716 / 185, 726 / 150 and 500 / 82)
+    "charlotte": (705, 185),
     # soda: the uncalled `SodaKernel.request_state` goes (before:
     # 759 / 157)
     # `_release_pair` admits only a live requester's queued request and
@@ -318,19 +330,21 @@ SIZE_BUDGETS = {
     # (before: 737 / 151)
     # the probe's confirm branch arms its backoff through `_arm_timer`
     # instead of a copy of it (before: 731 / 151)
-    "soda": (726, 150),
+    "soda": (718, 150),
     # a call returns a `Delay` (`ChrysalisPort._charged` goes), the
     # link object's flags are read through masks (`is_full` /
     # `destroyed` go), `cends` raises for a missing end (`_ce` goes)
     # and `rt_block_wait` asks the event wait's state once
     # (before: 512 / 84)
-    "chrysalis": (500, 82),
+    "chrysalis": (491, 82),
     # one `TupleSpace.match_or_park` replaces `try_match` + `add_waiter`
     # (before: 392 / 60)
     # the uncalled `TupleSpace.remove_waiter` goes (before: 386 / 60)
     "linda": (383, 59),
     # the raw program's idle loop yields its delay (before: 815 / 116)
-    "workloads": (814, 116),
+    # `raw_charlotte_rpc` moves beside the other raw baselines and
+    # `rpc.py` drops imports nothing there uses (before: 814 / 116)
+    "workloads": (812, 116),
 }
 
 

@@ -12,6 +12,7 @@ runtime must satisfy.
 from __future__ import annotations
 
 from collections import deque
+from types import SimpleNamespace
 from typing import Dict, Optional
 
 from repro.analysis.costmodel import RuntimeCosts
@@ -38,9 +39,6 @@ class FakeRuntime(LynxRuntimeBase):
         super().__init__(handle, cluster)
         #: transport-side request staging, per local end
         self.inbox: Dict[EndRef, deque] = {}
-
-    def runtime_costs(self) -> RuntimeCosts:
-        return ZERO_COSTS
 
     # -- helpers ---------------------------------------------------------
     def _peer_runtime(self, ref: EndRef) -> Optional["FakeRuntime"]:
@@ -151,14 +149,14 @@ class FakeRuntime(LynxRuntimeBase):
 
 class FakeCluster(ClusterBase):
     KIND = "fake"
+    RUNTIME = FakeRuntime
 
     def _setup_hardware(self) -> None:
+        #: the one profile field the shared runtime reads
+        self.costs = SimpleNamespace(runtime=ZERO_COSTS)
         #: global end -> owning runtime routing table (the fake kernel's
         #: omniscient name service)
         self.end_owner: Dict[EndRef, FakeRuntime] = {}
-
-    def make_runtime(self, handle: ProcessHandle) -> FakeRuntime:
-        return FakeRuntime(handle, self)
 
     def create_link(self, a: ProcessHandle, b: ProcessHandle) -> None:
         link = self.registry.alloc_link(a.name, b.name)

@@ -80,10 +80,11 @@ def test_doc_is_linked_from_readme_and_api():
 #: port; a kernel package must never have to change because it was.
 #: `rt_runnable` left the port when the freeze became the runtime's
 #: `frozen_count` attribute, which SODA's freeze protocol raises.
+#: `rt_shutdown` left when the runtime's clean-up called
+#: `runtime_exited` itself (no backend overrode it), and
+#: `runtime_costs` when the cluster named its profile as ``costs``.
 PORT_SIGNATURES = {
-    "runtime_costs": "(self)",
     "rt_startup": "(self) -> 'Generator'",
-    "rt_shutdown": "(self) -> 'Generator'",
     "rt_new_link": "(self) -> 'Generator'",
     "rt_send_request":
         "(self, es: 'EndState', msg: 'WireMessage') -> 'Generator'",

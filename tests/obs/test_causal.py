@@ -232,7 +232,7 @@ def test_migration_workload_spans_are_trees():
 def test_raw_kernel_workload_is_unspanned():
     """E1's raw-kernel baseline bypasses the runtime, so nothing mints
     a trace — the causal layer must not invent spans for it."""
-    from repro.workloads.rpc import raw_charlotte_rpc
+    from repro.workloads.raw import raw_charlotte_rpc
 
     r = raw_charlotte_rpc(0, count=2, seed=0)
     assert CausalGraph.from_trace(r.trace).traces() == []

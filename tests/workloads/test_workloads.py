@@ -12,7 +12,7 @@ from repro.workloads import (
     run_skewed_load,
 )
 from repro.workloads.chaos import chaos_policy, lossy_plan, run_chaos_workload
-from repro.workloads.rpc import raw_charlotte_rpc
+from repro.workloads.raw import raw_charlotte_rpc
 
 
 @pytest.mark.parametrize("kind", KERNEL_KINDS)
