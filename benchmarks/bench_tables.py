@@ -3,7 +3,7 @@
 One case per experiment registered in `repro.experiments`:
 `repro.obs.bench.run_benches` measures it at the committed baseline's
 seed and holds it to its claims, then ``table(metrics)`` is written to
-``benchmarks/out/<table_name>.{txt,json}``.  On an unchanged tree this
+``benchmarks/out/<table_name>.txt``.  On an unchanged tree this
 rewrites every file byte for byte (``git diff benchmarks/out`` stays
 empty) — the tables are views of the same values
 ``python -m repro bench`` writes, and tier-1 holds each committed table

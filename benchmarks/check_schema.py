@@ -1,5 +1,5 @@
-"""Schema drift gate for the committed artifacts, where tier-1 does
-not already hold them:
+"""Baseline and flight-dump gate: the committed artifacts tier-1 does
+not already hold.
 
     PYTHONPATH=src python benchmarks/check_schema.py
 
@@ -21,7 +21,7 @@ Validates
     with a complete header and an event count matching the header's.
 
 What tier-1 already holds is not repeated here: the experiment tables
-under ``benchmarks/out/`` (tests/obs/test_experiments.py compares each
+``benchmarks/out/*.txt`` (tests/obs/test_experiments.py compares each
 byte for byte with its render from the baseline) and the ``bench
 --compare`` report (tests/obs/test_compare.py holds it to
 ``tests/obs/golden_compare_schema.json``).  Exits non-zero on the

@@ -13,7 +13,7 @@ Run:
 
 from repro.analysis.complexity import runtime_package_stats
 from repro.core.api import KERNEL_KINDS
-from repro.analysis.report import Table
+from repro.obs.report import Table
 from repro.workloads.adversarial import run_reverse_scenario
 from repro.workloads.rpc import run_rpc_workload
 

@@ -1,17 +1,3 @@
-"""Measurement: cost models, code-complexity accounting, report tables."""
-
-from repro.analysis.costmodel import (
-    CostModel,
-    RuntimeCosts,
-    CharlotteCosts,
-    SodaCosts,
-    ChrysalisCosts,
-)
-
-__all__ = [
-    "CostModel",
-    "RuntimeCosts",
-    "CharlotteCosts",
-    "SodaCosts",
-    "ChrysalisCosts",
-]
+"""Guards on the tree's own code: complexity accounting
+(`repro.analysis.complexity`), read by E2 and ``python -m repro sizes``
+and by nothing a simulation or a node process runs."""

@@ -42,8 +42,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.analysis.costmodel import CharlotteCosts
 from repro.charlotte import moves
+from repro.core.costs import CharlotteCosts
 from repro.core.links import EndRef
 from repro.core.wire import MsgKind, WireMessage
 from repro.sim.engine import Engine

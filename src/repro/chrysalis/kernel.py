@@ -35,7 +35,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, Optional
 
-from repro.analysis.costmodel import ChrysalisCosts
+from repro.core.costs import ChrysalisCosts
 from repro.core.exceptions import ProtocolViolation
 from repro.sim.engine import Engine
 from repro.sim.futures import Future, FutureState

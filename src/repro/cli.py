@@ -34,13 +34,13 @@ from repro.analysis.complexity import (
     charlotte_special_case_stats,
     runtime_package_stats,
 )
-from repro.analysis.report import Table
 from repro.core.api import (
     kernel_profile,
     registered_kernels,
     registered_sim_backends,
 )
 from repro.core.ports import load
+from repro.obs.report import Table
 
 
 def _cmd_rpc(args) -> int:

@@ -38,9 +38,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.analysis.costmodel import CostModel
 from repro.core.cluster import ClusterBase, ProcessHandle
 from repro.core.context import LynxContext
+from repro.core.costs import CostModel
 from repro.core.exceptions import (
     LinkDestroyed,
     LinkMoved,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.analysis.costmodel import CostModel
+from repro.core.costs import CostModel
 from repro.core.program import Proc
 from repro.core.recovery import RecoveryPolicy
 from repro.core.registry import LinkRegistry
@@ -227,29 +227,23 @@ class ClusterBase:
         self.spans.sampler = sampler
         return sampler
 
-    def install_flight_recorder(
-        self,
-        out_dir,
-        capacity: int = 256,
-        max_dumps: int = 4,
-    ) -> FlightRecorder:
+    def install_flight_recorder(self, out_dir) -> FlightRecorder:
         """Install a `repro.obs.flight.FlightRecorder` black box on this
         cluster's trace log: on recovery exhaustion, partition entry or
-        a crash it dumps the log's last ``capacity`` events as bounded
-        JSONL (at most ``max_dumps`` files under ``out_dir``).  The
-        recorder is ``self.trace.flight``."""
+        a crash it dumps the log's last events as bounded JSONL under
+        ``out_dir``, with the recorder's default ``capacity`` and
+        ``max_dumps``.  The recorder is ``self.trace.flight``."""
         return FlightRecorder(
             self.trace, out_dir, metrics=self.metrics, engine=self.engine,
-            capacity=capacity, max_dumps=max_dumps, kind=self.KIND,
-            seed=self.seed,
+            kind=self.KIND, seed=self.seed,
         )
 
-    def install_timeseries(self, window_ms: float = 100.0,
-                           retain: int = 512) -> TimeSeries:
+    def install_timeseries(self, window_ms: float = 100.0) -> TimeSeries:
         """Bucket every counter increment and latency sample into
-        ``window_ms`` windows of simulated time (`repro.obs.timeseries`)
-        — the data behind ``python -m repro top``."""
-        self.timeseries = TimeSeries(self.engine, window_ms, retain=retain)
+        ``window_ms`` windows of simulated time (`repro.obs.timeseries`,
+        which keeps its default ``retain`` windows) — the data behind
+        ``python -m repro top``."""
+        self.timeseries = TimeSeries(self.engine, window_ms)
         self.metrics.bind_timeseries(self.timeseries)
         return self.timeseries
 

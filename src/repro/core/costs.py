@@ -38,14 +38,13 @@ Derivations (kept here so the numbers are auditable):
   give the 2.2 ms slope for 1000 B both directions.
 
 The exact end-to-end figures are asserted (with tolerance) by
-``tests/analysis/test_calibration.py`` and printed alongside the paper
-values by benches E1/E4/E5.
+``tests/analysis/test_calibration.py`` and by experiments E1/E4/E5,
+which print them beside the paper's own (`repro.experiments.PAPER`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -232,22 +231,3 @@ class CostModel:
     chrysalis: ChrysalisCosts = field(default_factory=ChrysalisCosts)
     ideal: IdealCosts = field(default_factory=IdealCosts)
 
-
-#: Paper-reported figures, for calibration tests and bench tables.
-PAPER = {
-    "charlotte.raw.rpc0": 55.0,
-    "charlotte.raw.rpc1000": 60.0,
-    "charlotte.lynx.rpc0": 57.0,
-    "charlotte.lynx.rpc1000": 65.0,
-    "chrysalis.lynx.rpc0": 2.4,
-    "chrysalis.lynx.rpc1000": 4.6,
-    "soda.small_msg_speedup_vs_charlotte": 3.0,
-    "soda.breakeven_bytes.low": 1024.0,
-    "soda.breakeven_bytes.high": 2048.0,
-    "charlotte.runtime.loc": 4200.0,  # 4000 C + 200 asm
-    "charlotte.runtime.comm_share": 0.45,
-    "chrysalis.runtime.loc": 3800.0,  # 3600 C + 200 asm
-    "reply_ack_traffic_increase": 0.5,
-    "chrysalis.tuning_improvement.low": 0.30,
-    "chrysalis.tuning_improvement.high": 0.40,
-}

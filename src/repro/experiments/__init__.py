@@ -19,6 +19,9 @@ registry — the style of `repro.core.ports` and `repro.sim.backends`:
 * ``table(metrics)`` is a pure view of the same dict — the
   paper-vs-measured table saved under ``benchmarks/out/``.
 
+A figure the paper reports is stated once, in `PAPER`, and every claim
+and table that compares against it reads it there.
+
 Three consumers, no other: `repro.obs.bench.run_benches` (measure,
 then claims, so a document that breaks a claim is never written),
 ``benchmarks/bench_tables.py`` (writes every table from a full-size
@@ -30,13 +33,13 @@ one size.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Mapping, Optional, Tuple, Union
 
-from repro.analysis.report import Table
+from repro.obs.report import Table
 
 __all__ = [
+    "PAPER",
     "Experiment",
     "Metrics",
     "register_experiment",
@@ -44,10 +47,31 @@ __all__ = [
     "experiment",
     "near",
     "metric_table",
-    "table_files",
+    "table_text",
 ]
 
 Metrics = Mapping[str, Optional[float]]
+
+#: The paper's own figures, each stated once: the claims and tables of
+#: E1, E2, E4, E5 and E7 read them here, as does
+#: tests/analysis/test_calibration.py.  The two package sizes are
+#: ``int``s, which a `Table` prints as ``4200``, not ``4.2e+03``.
+PAPER = {
+    "charlotte.raw.rpc0": 55.0,
+    "charlotte.raw.rpc1000": 60.0,
+    "charlotte.lynx.rpc0": 57.0,
+    "charlotte.lynx.rpc1000": 65.0,
+    "chrysalis.lynx.rpc0": 2.4,
+    "chrysalis.lynx.rpc1000": 4.6,
+    "soda.small_msg_speedup_vs_charlotte": 3.0,
+    "soda.breakeven_bytes.low": 1024,
+    "soda.breakeven_bytes.high": 2048,
+    "charlotte.runtime.loc": 4200,  # 4000 C + 200 asm
+    "chrysalis.runtime.loc": 3800,  # 3600 C + 200 asm
+    "reply_ack_traffic_increase": 0.5,
+    "chrysalis.tuning_improvement.low": 0.30,
+    "chrysalis.tuning_improvement.high": 0.40,
+}
 
 
 @dataclass(frozen=True)
@@ -105,22 +129,11 @@ def metric_table(title: str, metrics: Metrics) -> Table:
     return t
 
 
-def table_files(name: str, table: Union[Table, str]) -> Dict[str, str]:
-    """``{file name: content}`` of one saved table: the human-readable
-    ``<name>.txt`` and the machine-readable ``<name>.json`` (schema
-    "repro.table", docs/OBSERVABILITY.md).  The one rendering both the
-    writer (``benchmarks/conftest.py``) and the drift test use."""
-    doc = {"schema": "repro.table", "schema_version": 1, "name": name}
-    if isinstance(table, str):
-        text = table
-        doc["text"] = text + "\n"
-    else:
-        text = table.render()
-        doc.update(table.to_dict())
-    return {
-        f"{name}.txt": text + "\n",
-        f"{name}.json": json.dumps(doc, indent=2, allow_nan=False) + "\n",
-    }
+def table_text(table: Union[Table, str]) -> str:
+    """The content of one saved ``benchmarks/out/<table_name>.txt``:
+    the one rendering both the writer (``benchmarks/conftest.py``) and
+    the drift test use."""
+    return (table if isinstance(table, str) else table.render()) + "\n"
 
 
 # registration happens on import; the order here is only the order in

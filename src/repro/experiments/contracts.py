@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 
-from repro.analysis.report import Table
 from repro.core.api import (
     BYTES,
     KERNEL_KINDS,
@@ -27,6 +26,7 @@ from repro.net.load import query_stats, run_load
 from repro.net.supervisor import NodeSupervisor
 from repro.obs.causal import CausalGraph
 from repro.obs.hist import StreamingHistogram
+from repro.obs.report import Table
 from repro.sim.backends import registered_sim_backends
 from repro.sim.rng import SimRandom
 from repro.workloads.chaos import (

@@ -5,7 +5,6 @@ big its cache must be: A2) and the per-move cost on each kernel
 
 from __future__ import annotations
 
-from repro.analysis.report import Table
 from repro.core.api import (
     INT,
     KERNEL_KINDS,
@@ -16,6 +15,7 @@ from repro.core.api import (
 )
 from repro.core.ports import kernel_metric_digest
 from repro.experiments import Experiment, register_experiment
+from repro.obs.report import Table
 from repro.sim.metrics import ordered_mean
 from repro.workloads.migration import (
     run_dormant_migration,

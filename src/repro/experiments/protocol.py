@@ -5,7 +5,6 @@ acknowledgment (E7) and the enclosure-loss window (A3)."""
 
 from __future__ import annotations
 
-from repro.analysis.report import Table, paper_vs_measured
 from repro.core.api import (
     BYTES,
     INT,
@@ -18,7 +17,8 @@ from repro.core.api import (
     make_cluster,
 )
 from repro.core.registry import EndDisposition
-from repro.experiments import Experiment, near, register_experiment
+from repro.experiments import PAPER, Experiment, near, register_experiment
+from repro.obs.report import Table, paper_vs_measured
 from repro.sim.faults import CrashMode
 from repro.workloads.adversarial import (
     run_open_close_scenario,
@@ -245,7 +245,8 @@ def _e7_measure(seed, quick):
 def _e7_claims(m):
     assert m["base_messages"] == 2 * E7_OPS
     assert m["acked_messages"] == 3 * E7_OPS
-    assert near(m["traffic_increase"], 0.5, 1e-6)
+    assert near(m["traffic_increase"], PAPER["reply_ack_traffic_increase"],
+                1e-6)
 
 
 def _e7_table(m):
@@ -253,7 +254,8 @@ def _e7_table(m):
         f"E7: reply acknowledgments over {E7_OPS} remote operations", [
             ("messages without acks", 2 * E7_OPS, m["base_messages"]),
             ("messages with reply acks", 3 * E7_OPS, m["acked_messages"]),
-            ("traffic increase", 0.50, m["traffic_increase"]),
+            ("traffic increase", PAPER["reply_ack_traffic_increase"],
+             m["traffic_increase"]),
         ])
 
 

@@ -4,10 +4,10 @@ kernel limit leaks through it: SODA's outstanding-request limit (E10,
 
 from __future__ import annotations
 
-from repro.analysis.costmodel import CostModel, SodaCosts
-from repro.analysis.report import Table
 from repro.core.api import INT, KERNEL_KINDS, Operation, Proc, make_cluster
+from repro.core.costs import CostModel, SodaCosts
 from repro.experiments import Experiment, register_experiment
+from repro.obs.report import Table
 from repro.sim.metrics import ordered_mean
 from repro.workloads.skew import run_skewed_load
 

@@ -29,6 +29,8 @@ across PRs:
 * `json_safe` — NaN/Infinity-free JSON value sanitising shared by all
   exporters (traces themselves round-trip through `TraceLog.to_jsonl`
   / `TraceLog.from_jsonl`, what ``python -m repro trace --from`` reads).
+* `repro.obs.report` — the text `Table` the CLI prints and each
+  experiment saves (imported by name, like `bench`).
 
 Formats and vocabularies are documented in docs/OBSERVABILITY.md.
 """

@@ -1,13 +1,13 @@
-"""Table formatting for the benchmark harness.
+"""Text tables: what the CLI prints and each experiment saves.
 
-Every bench prints a table with the paper's figure next to the
-measured one so the shape comparison is inspectable in the bench
-output; EXPERIMENTS.md records the same rows.
+Every experiment prints a table with the paper's figure next to the
+measured one so the shape comparison is inspectable in its saved
+``benchmarks/out/<name>.txt``; EXPERIMENTS.md records the same rows.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Sequence, Union
 
 Cell = Union[str, int, float, None]
 
@@ -34,27 +34,13 @@ class Table:
         self.title = title
         self.columns = list(columns)
         self.rows: List[List[str]] = []
-        #: unformatted cells, kept so tables export losslessly to JSON
-        self.raw_rows: List[List[Cell]] = []
 
     def add(self, *cells: Cell) -> None:
         if len(cells) != len(self.columns):
             raise ValueError(
                 f"row has {len(cells)} cells for {len(self.columns)} columns"
             )
-        self.raw_rows.append(list(cells))
         self.rows.append([_fmt(c) for c in cells])
-
-    def to_dict(self) -> dict:
-        """The table as a JSON-safe dict: ``{"title", "columns",
-        "rows"}`` with raw (unformatted) cells; NaN becomes null."""
-        from repro.obs.jsonl import json_safe
-
-        return {
-            "title": self.title,
-            "columns": list(self.columns),
-            "rows": [json_safe(row) for row in self.raw_rows],
-        }
 
     def render(self) -> str:
         widths = [len(c) for c in self.columns]

@@ -19,7 +19,7 @@ network exacted a heavy toll"):
 
 A network model answers one question: *how long after the send
 instant does a frame of n bytes arrive?* Kernels add their own CPU
-costs on top (see `repro.analysis.costmodel`).
+costs on top (see `repro.core.costs`).
 
 Each model also exposes `min_latency_ms`, a guaranteed lower bound on
 any frame's transit time (the zero-byte, zero-backoff case).  Models

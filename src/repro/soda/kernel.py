@@ -36,7 +36,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.analysis.costmodel import SodaCosts
+from repro.core.costs import SodaCosts
 from repro.sim.engine import Engine
 from repro.sim.futures import Future
 from repro.sim.metrics import MetricSet

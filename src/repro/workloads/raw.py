@@ -188,14 +188,11 @@ def raw_chrysalis_rpc(payload_bytes: int = 0, count: int = 10,
     """Two tasks sharing one memory object with a buffer per direction,
     a dual queue and event block each — §5.2's skeleton without LYNX."""
     from repro.chrysalis.cluster import ChrysalisCluster
-    from repro.chrysalis.kernel import DQ_BLOCKED
+    from repro.chrysalis.kernel import DQ_BLOCKED, ChrysalisPort
 
     cluster = ChrysalisCluster(seed=seed)
     kernel = cluster.kernel
     eng = cluster.engine
-    pa = kernel  # ports:
-    from repro.chrysalis.kernel import ChrysalisPort
-
     ca = ChrysalisPort(kernel, "raw-client")
     cb = ChrysalisPort(kernel, "raw-server")
 

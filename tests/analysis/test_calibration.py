@@ -8,7 +8,8 @@ the simulators.
 
 import pytest
 
-from repro.analysis.costmodel import PAPER, ChrysalisCosts, CostModel
+from repro.core.costs import ChrysalisCosts, CostModel
+from repro.experiments import PAPER
 from repro.workloads.raw import raw_charlotte_rpc
 from repro.workloads.rpc import run_rpc_workload
 
@@ -91,4 +92,5 @@ def test_chrysalis_tuned_improvement_in_paper_band():
         "chrysalis", 0, count=5,
         costmodel=CostModel(chrysalis=ChrysalisCosts().tuned())).mean_ms
     improvement = (base - tuned) / base
-    assert 0.30 <= improvement <= 0.40
+    assert (PAPER["chrysalis.tuning_improvement.low"] <= improvement
+            <= PAPER["chrysalis.tuning_improvement.high"])

@@ -66,3 +66,18 @@ def test_an_entry_imports_alone_and_the_registries_are_whole(module):
         "('charlotte', 'soda', 'chrysalis', 'ideal', 'real-asyncio') "
         "('global', 'sharded-serial', 'sharded-parallel')"
     )
+
+
+def test_a_cluster_run_imports_no_guard():
+    """The simulator carries its calibrated hardware itself
+    (`repro.core.costs`): a cluster of every registered kind, built by
+    `make_cluster` and run through one null RPC, loads nothing of
+    `repro.analysis`, the guards that measure the tree."""
+    out = _fresh("import sys\n"
+                 "from repro.core.ports import registered_kernels\n"
+                 "from repro.workloads.rpc import run_rpc_workload\n"
+                 "for kind in registered_kernels():\n"
+                 "    assert len(run_rpc_workload(kind, 0, count=1).rtts) == 1\n"
+                 "print(*sorted(m for m in sys.modules\n"
+                 "              if m.startswith('repro.analysis')))")
+    assert out.split() == []

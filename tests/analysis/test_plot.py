@@ -1,6 +1,6 @@
 """Unit tests for the ASCII plotter."""
 
-from repro.analysis.plot import ascii_plot
+from repro.experiments.latency import ascii_plot
 
 
 def test_empty_series():

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.analysis.report import Table, _fmt, paper_vs_measured
+from repro.obs.report import Table, _fmt, paper_vs_measured
 
 
 def test_fmt_scalars():

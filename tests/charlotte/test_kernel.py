@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.analysis.costmodel import CostModel
 from repro.charlotte.kernel import (
     CallStatus,
     CharlotteKernel,
     CompletionKind,
     Direction,
 )
+from repro.core.costs import CostModel
 from repro.core.links import EndRef
 from repro.core.registry import LinkRegistry
 from repro.core.wire import MsgKind, WireMessage

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.analysis.costmodel import CostModel
 from repro.chrysalis.kernel import ChrysalisKernel, ChrysalisPort, DQ_BLOCKED
+from repro.core.costs import CostModel
 from repro.core.exceptions import ProtocolViolation
 from repro.sim.engine import Engine
 from repro.sim.metrics import MetricSet

@@ -15,8 +15,8 @@ from collections import deque
 from types import SimpleNamespace
 from typing import Dict, Optional
 
-from repro.analysis.costmodel import RuntimeCosts
 from repro.core.cluster import ClusterBase, ProcessHandle
+from repro.core.costs import RuntimeCosts
 from repro.core.links import EndRef, EndState
 from repro.core.runtime import LynxRuntimeBase
 from repro.core.wire import MsgKind, WireMessage

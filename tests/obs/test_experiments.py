@@ -16,7 +16,7 @@ from repro.experiments import (
     experiment,
     register_experiment,
     registered_experiments,
-    table_files,
+    table_text,
 )
 from repro.obs.bench import DEFAULT_BENCH_FILENAME
 
@@ -38,9 +38,10 @@ def test_the_registry_is_the_only_list():
         register_experiment(experiment("E1"))
     with pytest.raises(ValueError, match="E1, E2, .*A5"):
         experiment("E99")
-    # the saved tables are exactly the registered ones, two files each
-    saved = {f for f in os.listdir(OUT_DIR) if f.endswith((".txt", ".json"))}
-    assert saved == {name + ext for name in names for ext in (".txt", ".json")}
+    # the saved tables are exactly the registered ones, one file each
+    saved = {f for f in os.listdir(OUT_DIR)
+             if os.path.isfile(os.path.join(OUT_DIR, f))}
+    assert saved == {name + ".txt" for name in names}
 
 
 @pytest.mark.parametrize("bench_id", IDS)
@@ -61,13 +62,11 @@ def test_no_experiment_registers_an_empty_contract(bench_id, baseline):
 def test_committed_table_is_a_view_of_the_committed_baseline(bench_id,
                                                              baseline):
     """Drift gate: ``table(<baseline block>)`` through the one
-    `table_files` rendering is the committed ``.txt`` and ``.json``,
-    byte for byte (regenerate: ``pytest benchmarks -q``)."""
+    `table_text` rendering is the committed ``.txt``, byte for byte
+    (regenerate: ``pytest benchmarks -q``)."""
     exp = experiment(bench_id)
-    for filename, content in table_files(
-            exp.table_name, exp.table(baseline[bench_id])).items():
-        with open(os.path.join(OUT_DIR, filename)) as fh:
-            assert fh.read() == content, filename
+    with open(os.path.join(OUT_DIR, exp.table_name + ".txt")) as fh:
+        assert fh.read() == table_text(exp.table(baseline[bench_id]))
 
 
 def test_a_broken_claim_writes_no_document(monkeypatch, tmp_path):

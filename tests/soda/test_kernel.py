@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.costmodel import CostModel
+from repro.core.costs import CostModel
 from repro.core.registry import LinkRegistry
 from repro.sim.engine import Engine
 from repro.sim.metrics import MetricSet

@@ -3,7 +3,6 @@ the freeze fallback (§4.2)."""
 
 import pytest
 
-from repro.analysis.costmodel import CostModel, SodaCosts
 from repro.core.api import (
     BYTES,
     INT,
@@ -16,6 +15,7 @@ from repro.core.api import (
     ThreadAborted,
     make_cluster,
 )
+from repro.core.costs import CostModel, SodaCosts
 from repro.sim.faults import CrashMode
 
 ECHO = Operation("echo", (BYTES,), (BYTES,))
