@@ -14,7 +14,6 @@ would import it twice, and runpy warns about that on stderr.
 """
 
 import argparse
-import asyncio
 from contextlib import suppress
 from typing import List, Optional
 
@@ -42,8 +41,8 @@ def main(argv: Optional[List[str]] = None,
                              "the retransmit must hit the dedup cache)")
     args = parser.parse_args(argv)
     with suppress(KeyboardInterrupt):  # interactive teardown
-        asyncio.run(NodeServer(args.name, drop_first=args.drop_first)
-                    .serve(socket_path=args.socket, port=args.tcp))
+        NodeServer(args.name, drop_first=args.drop_first).serve(
+            socket_path=args.socket, port=args.tcp)
     return 0
 
 

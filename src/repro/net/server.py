@@ -1,4 +1,4 @@
-"""A real node process: the asyncio server behind ``python -m repro.net``
+"""A real node process: the `selectors` loop behind ``python -m repro.net``
 (`repro.net.__main__`, which ``repro net serve`` forwards to).
 
 Speaks the frame protocol of `repro.net.frames` over a Unix-domain or
@@ -33,19 +33,28 @@ the E17 measurements need:
 * the ``__stats__`` operation returns the counters as JSON, so the
   harness can interrogate a server before crashing it.
 
-The unit of work on a connection is a **wake-up, not a frame**: one
-``read`` is de-framed by a `FrameReader`, every complete frame it
-delivered is handled in request order, and the replies leave in one
-``write`` followed by one ``drain()`` (a pipelining client hands the
-server a dozen frames per wake-up; three awaits and a ``send(2)`` per
-frame were a quarter of the node's CPU — docs/PERFORMANCE.md §2.4).
-``drain()``
-is also the backpressure: a peer that stops reading its replies stops
-being read from.  A protocol violation anywhere in a read drops the
-connection without writing that read's replies; requests ahead of it
-in the same read have executed and are cached, so the client's retry on
-a fresh connection is a replay.  EOF, with or without a partial frame
-buffered, closes the connection.
+The unit of work on a connection is a **wake-up, not a frame**:
+`NodeServer.answer` feeds one ``recv`` to the connection's
+`FrameReader`, handles every complete frame it delivered in request
+order, and returns the replies packed and joined, which leave in one
+``send`` (a pipelining client hands the server a dozen frames per
+wake-up; three awaits and a ``send(2)`` per frame were a quarter of the
+node's CPU — docs/PERFORMANCE.md §2.4).  ``answer`` is sans-IO: the
+loop around it is one `selectors.DefaultSelector` over a non-blocking
+listener and its connections, and no event loop is imported (asyncio,
+with the ``ssl`` it loads, was 8 MB of a node's 23 MB peak).
+
+Backpressure is parking: replies that do not all fit in the socket are
+kept, and the connection is registered for ``EVENT_WRITE`` only until
+they drain, so a peer that stops reading its replies stops being read
+from, and stalls no other connection.  A protocol violation anywhere in
+a read drops the connection without sending that read's replies;
+requests ahead of it in the same read have executed and are cached, so
+the client's retry on a fresh connection is a replay.  EOF, with or
+without a partial frame buffered, closes the connection, and so does
+any `OSError` on it.  Any other exception is a bug (`decode_frame`
+raises only `FrameError`), and it ends the node process: its traceback
+lands in the node's stderr file and the supervisor sees the exit code.
 
 On startup the process prints ``REPRO-NET READY <endpoint>`` on stdout
 — the supervisor's spawn handshake.
@@ -53,8 +62,9 @@ On startup the process prints ``REPRO-NET READY <endpoint>`` on stdout
 
 from __future__ import annotations
 
-import asyncio
 import json
+import selectors
+import socket
 from collections import defaultdict
 from typing import DefaultDict, Optional
 
@@ -150,43 +160,76 @@ class NodeServer:
             "dropped_replies": self.dropped_replies,
         }
 
-    # -- the asyncio half ----------------------------------------------
-    async def _connection(self, reader: asyncio.StreamReader,
-                          writer: asyncio.StreamWriter) -> None:
-        deframe = FrameReader()
-        try:
-            # the unit of work is a wake-up, not a frame: answer every
-            # complete frame a read delivered, in order, with one write;
-            # `drain()` is the backpressure — a peer that does not read
-            # its replies stops being read from
-            while data := await reader.read(1 << 16):
-                writer.write(b"".join(
-                    pack_frame(reply) for body in deframe.feed(data)
-                    if (reply := self.handle(decode_frame(body))) is not None
-                ))
-                await writer.drain()
-        except (FrameError, ConnectionError, OSError):
-            pass  # protocol violation or peer gone: drop the connection
-        finally:
-            writer.close()
+    # -- the unit of work ----------------------------------------------
+    def answer(self, deframe: FrameReader, data: bytes) -> bytes:
+        """One wake-up: feed one read to the connection's reader, handle
+        every complete frame it delivered in order, and return the
+        replies packed and joined.  A `FrameError` raises before any of
+        the read's replies is returned."""
+        return b"".join(
+            pack_frame(reply) for body in deframe.feed(data)
+            if (reply := self.handle(decode_frame(body))) is not None
+        )
 
-    async def serve(self, socket_path: Optional[str] = None,
-                    port: Optional[int] = None) -> None:
-        """Bind, announce readiness on stdout, and serve forever."""
+    # -- the select loop -----------------------------------------------
+    def serve(self, socket_path: Optional[str] = None,
+              port: Optional[int] = None) -> None:
+        """Bind, announce readiness on stdout, and serve until killed."""
         # backlog: E17's full mode opens 1000 connections at once, and
-        # asyncio's default of 100 resets the overflow — which a client
+        # a listen queue of 100 resets the overflow — which a client
         # reads as a crashed server and fails over off a live node
         if socket_path is not None:
-            server = await asyncio.start_unix_server(
-                self._connection, path=socket_path, backlog=1024
-            )
+            listener = socket.create_server(
+                socket_path, family=socket.AF_UNIX, backlog=1024)
             endpoint = socket_path
         else:
-            server = await asyncio.start_server(
-                self._connection, host="127.0.0.1", port=port or 0,
-                backlog=1024,
-            )
-            endpoint = "127.0.0.1:%d" % server.sockets[0].getsockname()[1]
+            listener = socket.create_server(("127.0.0.1", port or 0),
+                                            backlog=1024)
+            endpoint = "127.0.0.1:%d" % listener.getsockname()[1]
+        listener.setblocking(False)
+        sel = selectors.DefaultSelector()
+        sel.register(listener, selectors.EVENT_READ)
         print(f"{READY_PREFIX} {endpoint}", flush=True)
-        async with server:
-            await server.serve_forever()
+        while True:
+            for key, _ in sel.select():
+                if key.fileobj is listener:
+                    _accept(sel, listener)
+                else:
+                    self._wake(sel, key)
+
+    def _wake(self, sel: selectors.BaseSelector,
+              key: selectors.SelectorKey) -> None:
+        """A connection is ready.  With nothing parked on it, read and
+        answer it; then send what fits of its replies and park the rest.
+        EOF, a protocol violation or a dead peer drops it, and a read's
+        replies are sent only if all of it decoded."""
+        conn, (deframe, out) = key.fileobj, key.data
+        try:
+            if not out:
+                data = conn.recv(1 << 16)
+                if not data:  # EOF, with or without a partial frame
+                    raise EOFError
+                out = self.answer(deframe, data)
+            out = out[conn.send(out):]
+        except BlockingIOError:  # the socket's send buffer is full
+            pass
+        except (FrameError, EOFError, OSError):
+            sel.unregister(conn)
+            conn.close()
+            return
+        # backpressure: a connection whose replies did not all fit is
+        # parked for writing only, so a peer that does not read its
+        # replies stops being read from — and stalls no one else
+        sel.modify(conn, selectors.EVENT_WRITE if out
+                   else selectors.EVENT_READ, (deframe, out))
+
+
+def _accept(sel: selectors.BaseSelector, listener: socket.socket) -> None:
+    """Register one queued connection, with its reader and nothing
+    parked."""
+    try:
+        conn = listener.accept()[0]
+    except OSError:  # a queued peer that left, or no descriptor free
+        return
+    conn.setblocking(False)
+    sel.register(conn, selectors.EVENT_READ, (FrameReader(), b""))

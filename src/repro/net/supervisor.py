@@ -1,15 +1,15 @@
 """Process supervision for real node processes.
 
 `NodeSupervisor` spawns each node as ``python -m repro.net``
-(`repro.net.__main__`: its own interpreter, its own asyncio loop, its
-own socket, and only the wire's modules imported), confirms
+(`repro.net.__main__`: its own interpreter, its own `selectors` loop,
+its own socket, and only the wire's modules imported), confirms
 liveness through the ``REPRO-NET READY <endpoint>`` stdout handshake,
 and detects crashes two ways — the supervisor side sees the exit code,
 the client side sees ``ECONNREFUSED``/EOF — both of which feed the
 load generator's failover path.  A node's stderr goes to
 ``<socket dir>/<name>.stderr`` (`NodeProcess.stderr_path`): its tail is
-what a `SpawnFailed` reports, and anything there from a live node is an
-exception that escaped a connection handler.  ``crash()`` is
+what a `SpawnFailed` reports, and anything there is a node's last
+words: an exception that escaped its loop ends it.  ``crash()`` is
 deliberate failure injection (SIGKILL: the node runs no cleanup, like
 the simulator's PROCESSOR crash mode); ``stop_all()`` is orderly
 teardown and is safe to call twice.
@@ -22,7 +22,6 @@ import selectors
 import subprocess
 import sys
 import tempfile
-from time import monotonic  # wall-clock spawn deadlines for real OS processes
 from typing import Dict, NamedTuple, Optional
 
 from repro.net.server import READY_PREFIX
@@ -52,36 +51,18 @@ class NodeProcess(NamedTuple):
 
 
 def _await_ready(proc: subprocess.Popen, deadline_s: float) -> str:
-    """Block until the child prints its READY line; return the endpoint."""
-    fd = proc.stdout.fileno()
-    os.set_blocking(fd, False)
-    sel = selectors.DefaultSelector()
-    sel.register(fd, selectors.EVENT_READ)
-    buf = b""
-    deadline = monotonic() + deadline_s
-    try:
-        while True:
-            while b"\n" in buf:
-                line, _, buf = buf.partition(b"\n")
-                text = line.decode("utf-8", "replace").strip()
-                if text.startswith(READY_PREFIX):
-                    return text[len(READY_PREFIX):].strip()
-            remaining = deadline - monotonic()
-            if remaining <= 0:
-                raise SpawnFailed(
-                    f"node did not become ready within {deadline_s:.0f}s"
-                )
-            if proc.poll() is not None:
-                raise SpawnFailed(
-                    f"node exited with {proc.returncode} before READY"
-                )
-            if sel.select(timeout=min(remaining, 0.2)):
-                chunk = os.read(fd, 4096)
-                if not chunk:
-                    raise SpawnFailed("node closed stdout before READY")
-                buf += chunk
-    finally:
-        sel.close()
+    """Block until the child prints its READY line; return the endpoint.
+    It is the first line a node prints, and it arrives in one write."""
+    with selectors.DefaultSelector() as sel:
+        sel.register(proc.stdout, selectors.EVENT_READ)
+        if not sel.select(timeout=deadline_s):
+            raise SpawnFailed(
+                f"node did not become ready within {deadline_s:.0f}s"
+            )
+    line = proc.stdout.readline().decode("utf-8", "replace").strip()
+    if not line.startswith(READY_PREFIX):
+        raise SpawnFailed(f"node printed {line!r} before READY")
+    return line[len(READY_PREFIX):].strip()
 
 
 class NodeSupervisor:
@@ -144,11 +125,7 @@ class NodeSupervisor:
         for node in self.nodes.values():
             node.proc.terminate()  # a no-op on a node that already exited
         for node in self.nodes.values():
-            try:
-                node.proc.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:  # pragma: no cover
-                node.proc.kill()
-                node.proc.wait()
+            node.proc.wait()  # a node runs no SIGTERM handler: it ends
             node.proc.stdout.close()
         self.nodes.clear()
         if self._tmpdir is not None:

@@ -12,7 +12,7 @@ from typing import Iterable, List, Sequence, Union
 Cell = Union[str, int, float, None]
 
 
-def _fmt(cell: Cell, width: int = 0) -> str:
+def _fmt(cell: Cell) -> str:
     if cell is None:
         s = "—"
     elif isinstance(cell, float):
@@ -24,7 +24,7 @@ def _fmt(cell: Cell, width: int = 0) -> str:
             s = f"{cell:.2f}".rstrip("0").rstrip(".")
     else:
         s = str(cell)
-    return s.rjust(width) if width else s
+    return s
 
 
 class Table:
@@ -61,14 +61,9 @@ class Table:
         print()
 
 
-def paper_vs_measured(
-    title: str,
-    rows: Iterable[Sequence[Cell]],
-    extra_columns: Sequence[str] = (),
-) -> Table:
-    """A table whose first three columns are (quantity, paper,
-    measured); benches append match commentary in extra columns."""
-    t = Table(title, ["quantity", "paper", "measured", *extra_columns])
+def paper_vs_measured(title: str, rows: Iterable[Sequence[Cell]]) -> Table:
+    """A table of (quantity, paper, measured) rows."""
+    t = Table(title, ["quantity", "paper", "measured"])
     for row in rows:
         t.add(*row)
     return t

@@ -36,8 +36,6 @@ HOST_CLOCK_EXEMPTIONS: Dict[Tuple[str, str], str] = {
     ("repro.net.load", "os.urandom"):
         "a real node outlives a load run, so a run's identity on the "
         "wire comes from entropy",
-    ("repro.net.supervisor", "time"):
-        "wall-clock spawn deadlines for real OS processes",
     ("repro.obs.bench", "datetime"):
         "the bench export is stamped with real UTC time",
     ("repro.obs.bench", "datetime.now"):

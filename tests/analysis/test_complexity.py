@@ -120,6 +120,13 @@ SIZE_BUDGETS = {
     # the runtime class is `RUNTIME` and the kernel class `KERNEL`:
     # `make_runtime`, `runtime_costs` and `NetCluster._setup_hardware`
     # go, and the package re-exports nothing (before: 601 / 107)
+    # unchanged: the node's `selectors` loop (`serve`, `_wake`,
+    # `_accept` and the `answer` unit of work: +21 / +8 over the asyncio
+    # half, -1 / 0 in the entry) is paid by the supervisor's READY wait
+    # reading one line after one `select` instead of a polling buffer
+    # loop with its own deadline clock, and by `stop_all` waiting
+    # without a kill fallback, since a node runs no SIGTERM handler
+    # (supervisor 93 / 18 -> 73 / 10)
     "net+ideal": (597, 107),
     # PR 16: bench owns only exact values, compare is equality
     # (before: 1,182 / 352)
@@ -145,7 +152,9 @@ SIZE_BUDGETS = {
     # from `repro.analysis.report` (49 / 18 there), less the JSON export
     # (`raw_rows`, `to_dict`) that only the deleted `.json` table twins
     # read (before: 620 / 178)
-    "obs": (664, 195),
+    # `_fmt(width=)` and `paper_vs_measured(extra_columns=)`, which no
+    # caller set, go (before: 664 / 195)
+    "obs": (664, 194),
     # PR 18: every paper experiment declared once.  Not growth: these
     # lines came from the 21 `benchmarks/bench_*.py` modules (which no
     # budget row counted) and the eight bodies the `obs` row lost — and

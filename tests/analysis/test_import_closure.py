@@ -49,6 +49,16 @@ def test_a_node_imports_the_wire_and_nothing_else():
     assert out.split() == NODE_CLOSURE
 
 
+
+def test_a_node_loads_no_event_loop():
+    """A node serves from a `selectors` loop: its entry loads neither
+    `asyncio` nor the `ssl` that comes with it, 8 MB of a node's peak
+    resident memory (docs/PERFORMANCE.md)."""
+    out = _fresh("import sys, repro.net.__main__\n"
+                 "print(sorted({'asyncio', 'ssl'} & set(sys.modules)))")
+    assert out.strip() == "[]"
+
+
 @pytest.mark.parametrize("module", [
     "repro.core.wire",
     "repro.obs.causal",

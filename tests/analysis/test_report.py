@@ -39,12 +39,12 @@ def test_table_renders_aligned_columns():
 
 
 def test_paper_vs_measured_columns():
-    t = paper_vs_measured("x", [("latency", 57, 56.77, "ok")], ["note"])
-    assert t.columns == ["quantity", "paper", "measured", "note"]
+    t = paper_vs_measured("x", [("latency", 57, 56.77)])
+    assert t.columns == ["quantity", "paper", "measured"]
     assert "56.77" in t.render()
     # a row shorter than the column set is rejected
     with pytest.raises(ValueError):
-        paper_vs_measured("x", [("latency", 57)], ["note"])
+        paper_vs_measured("x", [("latency", 57)])
 
 
 def test_paper_vs_measured_basic():

@@ -50,6 +50,7 @@ from repro.core.runtime import LynxRuntimeBase
 from repro.net.load import LoadReport, _run_load
 from repro.net.server import NodeServer
 from tests.core.test_host_cost import GARBAGE_RUNS, _keep_every_cluster
+from tests.net.node_protocol import serve_unix
 
 #: a path grows with ops when it gains this many entries per op or more
 GROWTH_PER_OP = 0.1
@@ -193,8 +194,7 @@ def test_no_table_of_a_node_grows_with_its_clients(tmp_path, small_windows):
     taken = {}
 
     async def drive():
-        server = await asyncio.start_unix_server(node._connection,
-                                                 path=endpoint)
+        server = await serve_unix(node, endpoint)
         async with server:
             while node.executed_unique < 300:
                 await _run_load([endpoint], NODE_CLIENTS, NODE_REQUESTS,

@@ -1,7 +1,11 @@
 """The real path's blocking-call guard: one process-wide audit hook.
 
 A blocking call inside a coroutine stalls every coroutine on its loop,
-and on the real path that silently serializes what E17 measures.
+and a blocking call in a node's unit of work stalls every connection
+of its select loop; on the real path either one silently serializes
+what E17 measures.  In process, the node's unit of work
+(`NodeServer.answer`) runs on the test's loop (`node_protocol.py`), so
+one guard covers both halves.
 CPython raises an audit event for the calls that block (`open`,
 `time.sleep`, `subprocess.Popen`, `socket.connect` / `socket.bind`), so
 the guard watches them while a test drives a node, and records each one
@@ -12,7 +16,7 @@ An audit hook cannot be removed, so the hook is installed once per
 process and the `blocking_guard` fixture arms and disarms it.  The
 socket events count only on a blocking socket: asyncio's own sockets
 are non-blocking.  The guard is armed only once the server listens,
-because `start_unix_server` binds its socket before making it
+because `create_unix_server` binds its socket before making it
 non-blocking.  Work handed to a thread (`run_in_executor`,
 `asyncio.to_thread`) has no running loop and is not recorded.
 
@@ -28,6 +32,8 @@ import sys
 import time
 
 import pytest
+
+from tests.net.node_protocol import serve_unix
 
 #: the audit events that block the calling thread
 BLOCKING_EVENTS = frozenset({
@@ -78,8 +84,7 @@ def blocking_guard(tmp_path, monkeypatch):
     @contextlib.asynccontextmanager
     async def serve(node):
         endpoint = str(tmp_path / "node.sock")
-        server = await asyncio.start_unix_server(node._connection,
-                                                 path=endpoint)
+        server = await serve_unix(node, endpoint)
         _Guard.events = events
         try:
             async with server:

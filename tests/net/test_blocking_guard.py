@@ -4,7 +4,8 @@ node, the first with withheld replies that force retries.
 
 Catches: a blocking call anywhere on the path a request takes — in
 `NodeServer.handle` or a sync helper it calls, in
-`NodeServer._connection`, in the client's connect — and a second run
+`NodeServer.answer` (the node's unit of work, served from the test's
+loop by `node_protocol.py`), in the client's connect — and a second run
 served from the first run's dedup windows (a client id that does not
 name its run), or windows a finished client leaves behind.
 """
