@@ -387,8 +387,7 @@ def _cmd_net_load(args) -> int:
     from repro.net.load import run_load
 
     policy = RecoveryPolicy(
-        timeout_ms=args.timeout_ms, max_retries=args.retries,
-        backoff_factor=2.0, jitter_frac=0.0,
+        timeout_ms=args.timeout_ms, max_retries=args.retries, jitter_frac=0.0,
     )
     r = run_load(args.endpoints, clients=args.clients,
                  requests=args.requests, payload_bytes=args.payload,

@@ -202,7 +202,10 @@ class ClusterBase:
         """Bind a network-fault schedule to this cluster (see
         `repro.sim.faults`).  Verdicts draw from the cluster rng's
         ``faults`` child stream, so the schedule replays exactly from
-        the cluster seed and does not perturb other consumers."""
+        the cluster seed and does not perturb other consumers.  Refused
+        once a process has spawned: each runtime reads the fault stance
+        at spawn."""
+        self._before_any_spawn("install_faults")
         self.faults = FaultInjector(
             self.engine, plan, self.rng.child("faults"), self.metrics,
             trace=self.trace,
@@ -213,9 +216,19 @@ class ClusterBase:
         """Install the runtime-side timeout/retry policy (see
         `repro.core.recovery`).  Applies to backends whose
         capabilities place recovery in the runtime; kernel-placement
-        backends (Charlotte) ignore it by design."""
+        backends (Charlotte) ignore it by design.  Refused once a
+        process has spawned: each runtime reads the policy once."""
+        self._before_any_spawn("install_recovery")
         self.recovery = policy
         return policy
+
+    def _before_any_spawn(self, method: str) -> None:
+        """A runtime reads the cluster's fault stance once, at spawn, so
+        a plan or policy installed after one would half apply."""
+        if self.processes:
+            raise RuntimeError(f"{method} after a spawn: install the fault "
+                               "plan and the recovery policy before any "
+                               "process spawns (docs/FAULTS.md)")
 
     def install_trace_sampling(self, rate: float) -> TraceSampler:
         """Head-based deterministic trace sampling (`repro.obs.sampling`):

@@ -30,7 +30,8 @@ import enum
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
-    Any, Deque, Dict, NamedTuple, Optional, Set, Tuple, TYPE_CHECKING,
+    Any, Deque, Dict, Iterator, NamedTuple, Optional, Set, Tuple,
+    TYPE_CHECKING,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -104,6 +105,9 @@ class ConnectWaiter:
     request: Optional["WireMessage"] = None
     #: retransmissions performed so far under the recovery policy
     retries: int = 0
+    #: the rest of this connect's `RecoveryPolicy.waits` schedule
+    #: (None while no policy applies); running dry is exhaustion
+    waits: Optional[Iterator[float]] = None
     #: the pending recovery timer (a `repro.core.recovery.TimerHandle`),
     #: cancelled whenever the connect ends
     recovery_timer: Optional[Any] = None

@@ -7,15 +7,21 @@ can tolerate — decide how long to wait, how often to retry, and what
 to surface when retrying stops being worth it.  This module is that
 runtime-side decision, made concrete:
 
-* `RecoveryPolicy` — the knobs: initial ``timeout_ms``, ``max_retries``,
-  exponential ``backoff_factor`` and ``jitter_frac`` (jitter draws come
-  from the cluster's seeded rng, so runs replay exactly).
+* `RecoveryPolicy` — the knobs: initial ``timeout_ms``, ``max_retries``
+  and ``jitter_frac``, and `RecoveryPolicy.waits`, the one statement of
+  the schedule they make (the first wait, then one doubled wait per
+  resend; jitter draws come from the cluster's seeded rng, so runs
+  replay exactly).  The engine-timed runtime and the wall-clock load
+  client (`repro.net.load`) walk that one iterator.
 * `RecoveryExhausted` (re-exported from `repro.core.exceptions`) — the
   typed exception a connect raises once the retry budget is spent.
-  With a policy installed, every RPC on a runtime-placement backend
-  either completes exactly once (duplicates are suppressed by
+  With a policy installed, every connect on a runtime-placement
+  backend either completes exactly once (duplicates are suppressed by
   `WireMessage` sequence numbers) or raises this; it never hangs and
-  never silently duplicates.
+  never silently duplicates.  The scope is one connect to one server:
+  a `RecoveryExhausted` does not say the request never ran, so a
+  client that fails over and re-issues the operation on a backup can
+  run it on both servers — at most once per server, not once overall.
 * `TimerWheel` — how the runtime *arms* those timeouts cheaply: all
   timers due at the same simulated instant share one engine event
   (one heap push per distinct deadline instead of one per timer).
@@ -29,13 +35,14 @@ Where the policy *applies* is a per-backend capability
 `repro.core.runtime.LynxRuntimeBase`; the ``"kernel"`` backend
 (Charlotte) never sees them — its kernel retransmits invisibly and
 unboundedly instead (see `repro.sim.faults`).  Install a policy with
-``cluster.install_recovery(RecoveryPolicy(...))``; see docs/FAULTS.md.
+``cluster.install_recovery(RecoveryPolicy(...))`` before any process
+spawns; see docs/FAULTS.md.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.core.exceptions import RecoveryExhausted
 
@@ -51,40 +58,40 @@ __all__ = [
 class RecoveryPolicy:
     """Timeout/retry knobs for runtime-placement recovery.
 
-    The retry budget of one connect is
-    ``timeout_ms * (1 + backoff_factor + ... + backoff_factor**max_retries)``
-    (plus jitter): after the initial timeout each retry waits
-    ``backoff_factor`` times longer than the last, and after
-    ``max_retries`` unacknowledged retransmissions the connect raises
-    `RecoveryExhausted`.
+    `waits` is the schedule: the initial timeout, then each retry waits
+    twice as long as the last, and after ``max_retries``
+    unacknowledged retransmissions the connect raises
+    `RecoveryExhausted` — a budget of
+    ``timeout_ms * (1 + 2 + ... + 2**max_retries)`` (plus jitter).
+    Install it before any process spawns: each runtime reads it once,
+    and `ClusterBase.install_recovery` refuses it after a spawn.
     """
 
     #: ms to wait for receipt/reply before the first retransmission
     timeout_ms: float = 50.0
     #: retransmissions before giving up (0 = timeout only, no retry)
     max_retries: int = 3
-    #: multiplier applied to the timeout after every retry
-    backoff_factor: float = 2.0
-    #: uniform ±fraction applied to each backoff interval (decorrelates
+    #: uniform ±fraction applied to each retry's wait (decorrelates
     #: retry storms; 0 disables)
     jitter_frac: float = 0.1
 
-    def backoff_ms(self, attempt: int, rng=None) -> float:
-        """The wait before retry ``attempt`` (1-based), jittered when an
-        rng is supplied."""
-        base = self.timeout_ms * (self.backoff_factor ** attempt)
-        if rng is None or self.jitter_frac <= 0.0:
-            return base
-        return rng.jitter(base, self.jitter_frac)
+    def waits(self, rng=None) -> Iterator[float]:
+        """The waits of one exchange, in order: ``timeout_ms`` (never
+        jittered), then ``timeout_ms * 2**attempt`` before each of the
+        ``max_retries`` resends, jittered when an rng is supplied — each
+        drawn only when ``next()`` asks for it.  Running dry is
+        exhaustion."""
+        yield self.timeout_ms
+        for attempt in range(1, self.max_retries + 1):
+            wait = self.timeout_ms * 2.0 ** attempt
+            yield (wait if rng is None or self.jitter_frac <= 0.0
+                   else rng.jitter(wait, self.jitter_frac))
 
     def budget_ms(self) -> float:
         """Worst-case ms a connect can spend before `RecoveryExhausted`
         (jitter excluded — callers sizing partitions want the nominal
         figure)."""
-        total = self.timeout_ms
-        for attempt in range(1, self.max_retries + 1):
-            total += self.timeout_ms * (self.backoff_factor ** attempt)
-        return total
+        return sum(self.waits())
 
 
 class TimerHandle:

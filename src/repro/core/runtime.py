@@ -67,7 +67,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, Iterator, List, Optional, Tuple
 
 from repro.core import codec
 from repro.core import ops as _ops
@@ -172,7 +172,8 @@ class LynxRuntimeBase:
         self.timers = TimerWheel(self.engine)
         #: a copy of a message can arrive (a fault plane duplicates, a
         #: recovery policy retransmits): suppress it by sequence number.
-        #: Both are installed before any process spawns (docs/FAULTS.md)
+        #: Both are installed before any process spawns: `install_faults`
+        #: and `install_recovery` refuse after one (docs/FAULTS.md)
         self._suppress_copies = (
             cluster.faults is not None or cluster.recovery is not None
         )
@@ -574,7 +575,7 @@ class LynxRuntimeBase:
             # moves link ends, which a replay would move twice
             if inc.seq in es.served and not msg.enclosures:
                 es.served[inc.seq] = msg
-            self._arm_reply_recovery(es, msg, 0)
+            self._arm_reply_recovery(es, msg)
 
     # -- queue control ------------------------------------------------------
     def _op_set_queue(self, t: LynxThread, op) -> Generator:
@@ -992,29 +993,29 @@ class LynxRuntimeBase:
 
     @cached_property
     def _recovery_rng(self):
-        """Jitter stream for recovery backoff — derived on first use,
-        so fault-free runs draw nothing."""
+        """Jitter stream for the policy's retry waits — derived on first
+        use, and drawn from only when a retry's wait is asked for, so
+        fault-free runs draw nothing."""
         return self.cluster.rng.child(f"recovery/{self.name}")
 
-    def _recovery_policy(self):
+    @cached_property
+    def _policy(self):
         """The cluster's `RecoveryPolicy`, or None when no policy is
-        installed or this backend places recovery in the kernel."""
-        if self._recovery_placement != "runtime":
-            return None
-        return self.cluster.recovery
+        installed or this backend places recovery in the kernel.  Read
+        once: `ClusterBase.install_recovery` refuses after a spawn."""
+        return (self.cluster.recovery
+                if self._recovery_placement == "runtime" else None)
 
     def _arm_recovery(self, es: EndState, waiter: ConnectWaiter) -> None:
         """Start the connect's recovery timer, if a policy applies.
         Enclosure-bearing requests are never retried — a retransmitted
         copy would try to move its link ends twice — so those connects
         keep the paper's wait-forever semantics."""
-        policy = self._recovery_policy()
-        if policy is None:
+        if self._policy is None or waiter.request.enclosures:
             return
-        if waiter.request.enclosures:
-            return
+        waiter.waits = self._policy.waits(self._recovery_rng)
         waiter.recovery_timer = self.timers.schedule(
-            policy.timeout_ms, self._recovery_fire, es, waiter
+            next(waiter.waits), self._recovery_fire, es, waiter
         )
 
     def _cancel_recovery(self, waiter: ConnectWaiter) -> None:
@@ -1027,10 +1028,8 @@ class LynxRuntimeBase:
         reply: retransmit with exponential backoff, or give up with
         `RecoveryExhausted` once the bounded budget is spent."""
         waiter.recovery_timer = None
-        policy = self._recovery_policy()
         if (
-            policy is None
-            or not self.alive
+            not self.alive
             or waiter.aborted
             or waiter not in es.connect_waiters
             or es.lifecycle is not EndLifecycle.OWNED
@@ -1040,7 +1039,7 @@ class LynxRuntimeBase:
         self._emit_fault_span(
             waiter.request, "runtime", f"timeout-{waiter.retries + 1}"
         )
-        if waiter.retries >= policy.max_retries:
+        if (wait := next(waiter.waits, None)) is None:
             self.metrics.count("recovery.exhausted")
             # black-box trigger (repro.obs.flight): the run is about to
             # surface RecoveryExhausted to the program
@@ -1054,7 +1053,7 @@ class LynxRuntimeBase:
                 RecoveryExhausted(
                     f"connect {waiter.op.name} on {es.ref}: no reply after "
                     f"{waiter.retries} retries "
-                    f"(~{policy.budget_ms():.0f} ms budget)"
+                    f"(~{self._policy.budget_ms():.0f} ms budget)"
                 ),
             )
             return
@@ -1068,15 +1067,10 @@ class LynxRuntimeBase:
         # the retransmission passes through the fault plane again
         self._spawn_send(es, clone, self._transmit_request, 0.0)
         waiter.recovery_timer = self.timers.schedule(
-            policy.backoff_ms(waiter.retries, self._recovery_rng),
-            self._recovery_fire,
-            es,
-            waiter,
+            wait, self._recovery_fire, es, waiter
         )
 
-    def _arm_reply_recovery(
-        self, es: EndState, msg: WireMessage, attempt: int
-    ) -> None:
+    def _arm_reply_recovery(self, es: EndState, msg: WireMessage) -> None:
         """Stop-and-wait ARQ for the reply leg: a replier blocked on a
         reply whose receipt never comes would wedge the whole process
         (it could never return to ``wait_request``, so it could never
@@ -1085,31 +1079,25 @@ class LynxRuntimeBase:
         schedule as requests; when the budget is spent the replier is
         *released* — the client's own recovery governs from there, and
         the reply kept in ``served`` still answers any later duplicate."""
-        policy = self._recovery_policy()
-        if self.cluster.faults is None or policy is None or msg.enclosures:
+        if self.cluster.faults is None or self._policy is None or msg.enclosures:
             return
-        delay = (
-            policy.timeout_ms
-            if attempt == 0
-            else policy.backoff_ms(attempt, self._recovery_rng)
-        )
-        self.timers.schedule(delay, self._reply_recovery_fire, es, msg, attempt)
+        waits = self._policy.waits(self._recovery_rng)
+        self.timers.schedule(next(waits), self._reply_recovery_fire,
+                             es, msg, enumerate(waits, 1))
 
     def _reply_recovery_fire(
-        self, es: EndState, msg: WireMessage, attempt: int
+        self, es: EndState, msg: WireMessage, waits: Iterator[Tuple[int, float]]
     ) -> None:
         """(plain engine callback) No receipt for our reply yet:
         retransmit, or release the blocked replier once the budget is
-        spent."""
-        policy = self._recovery_policy()
+        spent.  ``waits`` numbers the schedule's remaining resends."""
         if (
-            policy is None
-            or not self.alive
+            not self.alive
             or es.lifecycle is not EndLifecycle.OWNED
             or msg.seq not in es.outgoing
         ):
             return
-        if attempt >= policy.max_retries:
+        if (step := next(waits, None)) is None:
             self.metrics.count("recovery.reply_gave_up")
             self._emit_fault_span(msg, "runtime", "reply-gave-up")
             self._retract_outgoing(es, msg.seq)
@@ -1117,10 +1105,11 @@ class LynxRuntimeBase:
             if t is not None:
                 self._resume(t, None)
             return
+        attempt, wait = step
         self.metrics.count("recovery.reply_retries")
-        self._emit_fault_span(msg, "runtime", f"reply-retry-{attempt + 1}")
+        self._emit_fault_span(msg, "runtime", f"reply-retry-{attempt}")
         self._spawn_send(es, msg.clone_for_resend(), self._transmit_reply, 0.0)
-        self._arm_reply_recovery(es, msg, attempt + 1)
+        self.timers.schedule(wait, self._reply_recovery_fire, es, msg, waits)
 
     # ==================================================================
     # enclosure (link-moving) machinery

@@ -453,8 +453,7 @@ def _e17_measure(seed, quick):
     requests = 2 if quick else 3
     drop_first = 4 if quick else 8
     policy = RecoveryPolicy(
-        timeout_ms=250.0 if quick else 1000.0, max_retries=3,
-        backoff_factor=2.0, jitter_frac=0.0,
+        timeout_ms=250.0 if quick else 1000.0, max_retries=3, jitter_frac=0.0,
     )
 
     sim = run_rpc_workload("real-asyncio", 0, count=5, seed=seed)

@@ -7,11 +7,12 @@ paper's *runtime-placement* recovery discipline — the same
 driven by wall-clock timers (``asyncio.wait_for``) instead of engine
 events:
 
-* attempt ``k`` waits ``policy.backoff_ms(k)`` for the reply, so the
-  policy's exponential backoff *is* the widening wait window;
-* after ``max_retries`` unanswered retransmissions on an address the
-  client fails over to the next address (sticky, like the chaos
-  workload) — or, with no addresses left, records the request as
+* each attempt waits the next of ``policy.waits()`` for the reply (no
+  jitter), so the schedule the simulated runtime walks *is* the
+  widening wait window;
+* once that schedule runs dry on an address the client fails over to
+  the next address (sticky, like the chaos workload) — or, with no
+  addresses left, records the request as
   **exhausted**: the wall-clock analogue of `RecoveryExhausted`,
   reported as a count rather than raised so a million-request run
   aggregates instead of dying;
@@ -55,7 +56,7 @@ from repro.obs.hist import StreamingHistogram
 #: chaos policy times out in 25 ms — realistic for simulated links,
 #: flappy for a thousand coroutines sharing one real event loop)
 DEFAULT_LOAD_POLICY = RecoveryPolicy(
-    timeout_ms=1000.0, max_retries=3, backoff_factor=2.0, jitter_frac=0.0
+    timeout_ms=1000.0, max_retries=3, jitter_frac=0.0
 )
 
 
@@ -145,7 +146,7 @@ class _Client:
                         policy: RecoveryPolicy, report: LoadReport) -> bool:
         """Spend one address's retry budget on a request: True once its
         reply arrived, False when the address is out of budget or dead."""
-        for attempt in range(policy.max_retries + 1):
+        for wait in policy.waits():
             if self.writer is None:
                 try:
                     self.reader, self.writer = await _open(
@@ -155,8 +156,7 @@ class _Client:
                     report.connect_errors += 1
                     return False  # crash detection: fail over at once
             try:
-                msg = await self._attempt(frame, seq,
-                                          policy.backoff_ms(attempt))
+                msg = await self._attempt(frame, seq, wait)
             except (ConnectionError, OSError):
                 self._drop_connection()
                 return False  # reset mid-flight: fail over at once

@@ -47,7 +47,7 @@ def chaos_policy() -> RecoveryPolicy:
     fault-free round trip (SODA's is the slowest at ~20 ms), so a
     healthy network never triggers a spurious retry."""
     return RecoveryPolicy(
-        timeout_ms=25.0, max_retries=2, backoff_factor=2.0, jitter_frac=0.1
+        timeout_ms=25.0, max_retries=2, jitter_frac=0.1
     )
 
 

@@ -21,8 +21,7 @@ from repro.sim.faults import CrashMode
 
 ECHO = Operation("echo", (BYTES,), (BYTES,))
 
-POLICY = RecoveryPolicy(timeout_ms=50.0, max_retries=3,
-                        backoff_factor=2.0, jitter_frac=0.1)
+POLICY = RecoveryPolicy(timeout_ms=50.0, max_retries=3, jitter_frac=0.1)
 
 
 class StuckServer(Proc):

@@ -3,6 +3,8 @@
 runtime-placement backend, duplicate suppression, and the
 kernel-placement contrast on Charlotte (docs/FAULTS.md)."""
 
+from itertools import accumulate
+
 import pytest
 
 from repro.core.api import (
@@ -18,6 +20,7 @@ from repro.core.api import (
 )
 from repro.core.exceptions import LynxError
 from repro.core.links import REPLY_CACHE_LIMIT
+from repro.net.load import DEFAULT_LOAD_POLICY
 from repro.sim.faults import FaultPlan
 from repro.sim.rng import SimRandom
 from repro.workloads.chaos import (
@@ -33,27 +36,61 @@ ECHO = Operation("echo", (BYTES,), (BYTES,))
 
 
 def test_backoff_doubles_from_the_timeout():
-    p = RecoveryPolicy(timeout_ms=50.0, max_retries=3, backoff_factor=2.0)
-    assert p.backoff_ms(1) == 100.0
-    assert p.backoff_ms(2) == 200.0
-    assert p.backoff_ms(3) == 400.0
+    p = RecoveryPolicy(timeout_ms=50.0, max_retries=3)
+    assert list(p.waits()) == [50.0, 100.0, 200.0, 400.0]
 
 
 def test_budget_is_timeout_plus_every_backoff_leg():
-    p = RecoveryPolicy(timeout_ms=50.0, max_retries=3, backoff_factor=2.0)
+    p = RecoveryPolicy(timeout_ms=50.0, max_retries=3)
     assert p.budget_ms() == 50.0 + 100.0 + 200.0 + 400.0
     assert RecoveryPolicy(timeout_ms=30.0, max_retries=0).budget_ms() == 30.0
 
 
 def test_jitter_is_bounded_and_seeded():
-    p = RecoveryPolicy(timeout_ms=50.0, max_retries=2,
-                       backoff_factor=2.0, jitter_frac=0.1)
+    p = RecoveryPolicy(timeout_ms=50.0, max_retries=2, jitter_frac=0.1)
     rng = SimRandom(3)
-    draws = [p.backoff_ms(1, rng) for _ in range(50)]
+    schedules = [list(p.waits(rng)) for _ in range(50)]
+    assert all(first == 50.0 for first, _, _ in schedules)  # never jittered
+    draws = [retry for _, retry, _ in schedules]
     assert all(90.0 <= d <= 110.0 for d in draws)
     assert len(set(draws)) > 1  # actually jittered
-    assert [p.backoff_ms(1, SimRandom(3)) for _ in range(5)] == \
-           [p.backoff_ms(1, SimRandom(3)) for _ in range(5)]
+    assert list(p.waits(SimRandom(3))) == list(p.waits(SimRandom(3)))
+
+
+def _jittered(seed, timeout_ms, retries, frac):
+    """What a policy's schedule must read under ``SimRandom(seed)``:
+    the timeout as is, then one draw per resend, in resend order."""
+    rng = SimRandom(seed)
+    return [timeout_ms] + [rng.jitter(timeout_ms * 2.0 ** k, frac)
+                           for k in range(1, retries + 1)]
+
+
+@pytest.mark.parametrize("policy, rng, expected", [
+    (chaos_policy(), SimRandom(7), _jittered(7, 25.0, 2, 0.1)),
+    (DEFAULT_LOAD_POLICY, None, [1000.0, 2000.0, 4000.0, 8000.0]),
+    # E17's quick-mode client (`repro.experiments.contracts._e17_measure`)
+    (RecoveryPolicy(timeout_ms=250.0, max_retries=3, jitter_frac=0.0), None,
+     [250.0, 500.0, 1000.0, 2000.0]),
+    # jitter without an rng is no jitter: the wall-clock client's case
+    (chaos_policy(), None, [25.0, 50.0, 100.0]),
+    (RecoveryPolicy(timeout_ms=30.0, max_retries=0), SimRandom(7), [30.0]),
+], ids=["chaos", "load", "e17-quick", "chaos-no-rng", "no-retry"])
+def test_the_schedule_is_one_table(policy, rng, expected):
+    """`RecoveryPolicy.waits` alone: the first wait, one doubled wait
+    per resend, then dry; the budget is the same schedule summed."""
+    assert list(policy.waits(rng)) == expected
+    assert policy.budget_ms() == sum(policy.waits())
+
+
+def test_a_wait_is_drawn_only_when_asked_for():
+    """The runtime shares one jitter stream across every connect and
+    reply of a process, so a schedule must draw at `next()`, not when
+    it is made: making one and taking its timeout draws nothing."""
+    rng, fresh = SimRandom(5), SimRandom(5)
+    waits = chaos_policy().waits(rng)
+    assert next(waits) == 25.0
+    assert rng.jitter(1.0) == fresh.jitter(1.0)
+    assert next(waits) == fresh.jitter(50.0, 0.1)
 
 
 def test_policy_is_frozen():
@@ -65,8 +102,7 @@ def test_policy_is_frozen():
 # runtime behaviour -----------------------------------------------------
 
 
-POLICY = RecoveryPolicy(timeout_ms=40.0, max_retries=2,
-                        backoff_factor=2.0, jitter_frac=0.0)
+POLICY = RecoveryPolicy(timeout_ms=40.0, max_retries=2, jitter_frac=0.0)
 
 
 class Server(Proc):
@@ -151,6 +187,38 @@ def test_unreachable_peer_exhausts_the_budget():
     assert client.elapsed == pytest.approx(POLICY.budget_ms(), abs=1.0)
     # the typed error says what ran out
     assert "retries" in str(client.error)
+
+
+def test_an_unreachable_peer_times_out_at_the_cumulative_waits():
+    """Each ``timeout-N`` span of a connect into a partition that never
+    heals lands where the schedule says: the request's send instant
+    plus the running sum of `RecoveryPolicy.waits`."""
+    cluster, _, _ = _run("ideal", FaultPlan().partition(0.0, 1e6))
+    events = cluster.trace.events
+    (sent,) = [e.time for e in events
+               if e.event == "send" and e.actor == "client"]
+    timeouts = [e for e in events
+                if e.event == "span" and e.span["name"].startswith("timeout-")]
+    due = list(accumulate(POLICY.waits(), initial=sent))[1:]
+    assert [e.span["name"] for e in timeouts] == \
+           [f"timeout-{n}" for n in range(1, len(due) + 1)]
+    assert [e.time for e in timeouts] == pytest.approx(due)
+
+
+@pytest.mark.parametrize("kind", registered_kernels())
+@pytest.mark.parametrize("method, stance", [
+    ("install_faults", FaultPlan().duplicate(0.5)),
+    ("install_recovery", chaos_policy()),
+], ids=["plan", "policy"])
+def test_a_fault_stance_installed_after_a_spawn_is_refused(kind, method, stance):
+    """A runtime fixes its copy suppression and its policy at spawn, so
+    a plan or policy installed later would half apply (a duplicate
+    executed, a SODA client gone quiet): it is refused, by name."""
+    with make_cluster(kind, seed=0) as cluster:
+        cluster.spawn(Server(), "server")
+        with pytest.raises(RuntimeError, match=method):
+            getattr(cluster, method)(stance)
+        assert cluster.faults is None and cluster.recovery is None
 
 
 def test_duplicates_are_suppressed_not_reexecuted():

@@ -182,8 +182,7 @@ def test_no_table_of_a_kept_cluster_grows_with_ops(
 #: requests, then say ``__bye__``; the first replies are withheld, so
 #: retries are replayed
 NODE_CLIENTS, NODE_REQUESTS = 20, 5
-NODE_POLICY = RecoveryPolicy(timeout_ms=50.0, max_retries=3,
-                             backoff_factor=2.0, jitter_frac=0.0)
+NODE_POLICY = RecoveryPolicy(timeout_ms=50.0, max_retries=3, jitter_frac=0.0)
 
 
 def test_no_table_of_a_node_grows_with_its_clients(tmp_path, small_windows):

@@ -174,7 +174,7 @@ def test_lossy_outcome_identical_with_and_without_wheel(
 ):
     kw = dict(count=10, seed=seed, plan=lossy_plan(),
               policy=RecoveryPolicy(timeout_ms=25.0, max_retries=4,
-                                    backoff_factor=2.0, jitter_frac=0.1))
+                                    jitter_frac=0.1))
     wheel = run_chaos_workload("soda", **kw)
     _engine_timers(monkeypatch)
     heap = run_chaos_workload("soda", **kw)

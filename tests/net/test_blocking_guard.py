@@ -19,8 +19,7 @@ from repro.net.server import NodeServer
 CLIENTS, REQUESTS = 4, 8
 
 #: short waits, so the withheld replies cost milliseconds
-POLICY = RecoveryPolicy(timeout_ms=50.0, max_retries=3,
-                        backoff_factor=2.0, jitter_frac=0.0)
+POLICY = RecoveryPolicy(timeout_ms=50.0, max_retries=3, jitter_frac=0.0)
 
 
 async def _all_left(node):

@@ -32,8 +32,7 @@ from repro.sim.faults import FaultPlan
 
 PROP = Operation("prop", (INT,), (INT,))
 
-POLICY = RecoveryPolicy(timeout_ms=40.0, max_retries=2,
-                        backoff_factor=2.0, jitter_frac=0.1)
+POLICY = RecoveryPolicy(timeout_ms=40.0, max_retries=2, jitter_frac=0.1)
 
 
 class EchoServer(Proc):
