@@ -95,13 +95,11 @@ E4_SWEEP = (0, 256, 512, 1024, 1536, 2048, 3072, 4096)
 
 
 def _e4_measure(seed, quick):
-    count = 3
     out = {}
-    crossover = None
-    prev_winner = None
+    crossover = prev_winner = None
     for nbytes in E4_SWEEP:
-        c = run_rpc_workload("charlotte", nbytes, count=count, seed=seed)
-        s = run_rpc_workload("soda", nbytes, count=count, seed=seed)
+        c = run_rpc_workload("charlotte", nbytes, count=3, seed=seed)
+        s = run_rpc_workload("soda", nbytes, count=3, seed=seed)
         out[f"charlotte_rpc{nbytes}_ms"] = c.mean_ms
         out[f"soda_rpc{nbytes}_ms"] = s.mean_ms
         winner = "soda" if s.mean_ms < c.mean_ms else "charlotte"
@@ -113,8 +111,15 @@ def _e4_measure(seed, quick):
     return out
 
 
+#: how far E4's small-message speedup may sit from the paper's "three
+#: times as fast" (tests/analysis/test_calibration.py reads it too)
+SMALL_MSG_SPEEDUP_REL = 0.13
+
+
 def _e4_claims(m):
-    assert 2.6 < m["small_msg_speedup"] < 3.4, "~3x for small messages"
+    assert near(m["small_msg_speedup"],
+                PAPER["soda.small_msg_speedup_vs_charlotte"],
+                SMALL_MSG_SPEEDUP_REL), "~3x for small messages"
     crossover = m["crossover_bytes"]
     assert crossover is not None and (
         PAPER["soda.breakeven_bytes.low"] < crossover
@@ -216,7 +221,9 @@ def _e4_table(m):
     for nbytes in E4_SWEEP:
         c, s = m[f"charlotte_rpc{nbytes}_ms"], m[f"soda_rpc{nbytes}_ms"]
         t.add(nbytes, c, s, "soda" if s < c else "charlotte")
-    t.add("crossover", "1K-2K", m["crossover_bytes"], "")
+    t.add("crossover", "%dK-%dK" % (PAPER["soda.breakeven_bytes.low"] // 1024,
+                                    PAPER["soda.breakeven_bytes.high"] // 1024),
+          m["crossover_bytes"], "")
     t.add("small-msg speedup", PAPER["soda.small_msg_speedup_vs_charlotte"],
           m["small_msg_speedup"], "")
     figure = ascii_plot(
@@ -280,12 +287,16 @@ def _e5_claims(m):
 def _e5_table(m):
     impr1000 = ((m["lynx_rpc1000_ms"] - m["tuned_rpc1000_ms"])
                 / m["lynx_rpc1000_ms"])
+    low, high = (PAPER["chrysalis.tuning_improvement.low"],
+                 PAPER["chrysalis.tuning_improvement.high"])
     return paper_vs_measured("E5: Chrysalis simple remote operation", [
         ("LYNX, 0 B (ms)", PAPER["chrysalis.lynx.rpc0"], m["lynx_rpc0_ms"]),
         ("LYNX, 1000 B each way (ms)", PAPER["chrysalis.lynx.rpc1000"],
          m["lynx_rpc1000_ms"]),
-        ("tuned, 0 B (ms)", "30-40% better", m["tuned_rpc0_ms"]),
-        ("tuned improvement, 0 B", "0.30-0.40", m["tuned_improvement_rpc0"]),
+        ("tuned, 0 B (ms)", f"{low * 100:.0f}-{high:.0%} better",
+         m["tuned_rpc0_ms"]),
+        ("tuned improvement, 0 B", f"{low:.2f}-{high:.2f}",
+         m["tuned_improvement_rpc0"]),
         ("tuned improvement, 1000 B", "copy-bound", impr1000),
         ("Charlotte/Chrysalis ratio, 0 B", ">10", m["charlotte_ratio_rpc0"]),
     ])

@@ -21,17 +21,22 @@ bodies, no stream.
 Both directions work from a precompiled layout — a handful of
 multi-field `struct.Struct`s around the four variable-length fields —
 because a remote operation's cost on this path is fixed per-message
-work, not bytes (docs/PERFORMANCE.md §2.4).  `decode_frame` answers any
-input with a `WireMessage` or a `FrameError`, nothing else: a live node
-maps `FrameError` to "drop the connection".  The bytes are pinned by
-golden bodies in `tests/net/test_frames.py`; a change to them is a
-`FRAME_VERSION` bump.
+work, not bytes (docs/PERFORMANCE.md §2.4).  Every check a body gets
+is made in one place, `walk_frame`, which answers any input with the
+message's fields or a `FrameError`, nothing else; `decode_frame` builds
+its `WireMessage` from them.  The node's path never builds one: it
+walks each request (`NodeServer` maps `FrameError` to "drop the
+connection") and answers with `reply_body`, the reply `encode_frame`
+would give, spliced from the request's own bytes.  The bytes are
+pinned by golden bodies in `tests/net/test_frames.py`; a change to
+them is a `FRAME_VERSION` bump.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from itertools import starmap
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.core.links import EndRef
@@ -59,7 +64,7 @@ _ENCS = struct.Struct(">IH")      # enc_total, enclosure count
 _ENC = struct.Struct(">qB")       # one enclosure: link, side
 _TAIL = struct.Struct(">Bd")      # error, sent_at (exact float round-trip)
 _SPAN = struct.Struct(">BQQQB")   # flags, trace_id, span_id, parent_id, pad
-# `decode_frame` advances by one of these per field: as plain globals,
+# `walk_frame` advances by one of these per field: as plain globals,
 # because nine `.size` attribute loads are a tenth of a 2 us decode
 _HEAD_SIZE, _U32_SIZE, _ENCS_SIZE = _HEAD.size, _U32.size, _ENCS.size
 _ENC_SIZE, _TAIL_SIZE, _SPAN_SIZE = _ENC.size, _TAIL.size, _SPAN.size
@@ -74,6 +79,13 @@ _ERROR_CODE = {err: i for i, err in enumerate(_ERRORS)}
 _NO_META = b"[]"
 #: the span run of a message outside any trace: the flags byte alone
 _NO_SPAN = b"\x00"
+#: a reply's head up to the opname length, which it copies from the
+#: request, and its run between the payload and the span: no
+#: enclosures, no metadata, no error, ``sent_at`` 0.0
+_REPLY_HEAD = struct.Struct(_HEAD.format[:-1])
+_REPLY_HEAD_SIZE, _REPLY = _REPLY_HEAD.size, _KIND_CODE[MsgKind.REPLY]
+_REPLY_TAIL = b"".join((_ENCS.pack(0, 0), _U32.pack(len(_NO_META)), _NO_META,
+                        _TAIL.pack(_ERROR_CODE[None], 0.0)))
 
 _SPAN_PRESENT = 0x01
 _SPAN_HAS_PARENT = 0x02
@@ -97,16 +109,6 @@ def encode_frame(msg: WireMessage) -> bytes:
         # stream deterministic for identical content
         meta = json.dumps(msg.enclosure_meta, sort_keys=True,
                           separators=(",", ":")).encode("utf-8")
-    refs = bytearray()
-    for ref in msg.enclosures:
-        refs += _ENC.pack(ref.link, ref.side)
-    span = msg.span
-    span_run = _NO_SPAN if span is None else _SPAN.pack(
-        _SPAN_PRESENT
-        | _SPAN_HAS_PARENT * (span.parent_id is not None)
-        | _SPAN_SAMPLED * bool(span.sampled),
-        span.trace_id & _U64, span.span_id & _U64,
-        (span.parent_id or 0) & _U64, 0)
     return b"".join((
         _HEAD.pack(FRAME_VERSION, _KIND_CODE[msg.kind], msg.seq,
                    msg.reply_to, msg.sighash, len(opname)),
@@ -114,16 +116,31 @@ def encode_frame(msg: WireMessage) -> bytes:
         _U32.pack(len(payload)),
         payload,
         _ENCS.pack(msg.enc_total, len(msg.enclosures)),
-        refs,
+        *starmap(_ENC.pack, msg.enclosures),
         _U32.pack(len(meta)),
         meta,
         _TAIL.pack(_ERROR_CODE[msg.error], msg.sent_at),
-        span_run,
+        _span_run(msg.span),
     ))
 
 
-def decode_frame(body: bytes) -> WireMessage:
-    """Rebuild the `WireMessage` a frame body carries."""
+def _span_run(span: Optional[SpanContext]) -> bytes:
+    """The last run of a body: the span flags byte, and the span's ids
+    when it has one."""
+    return _NO_SPAN if span is None else _SPAN.pack(
+        _SPAN_PRESENT
+        | _SPAN_HAS_PARENT * (span.parent_id is not None)
+        | _SPAN_SAMPLED * bool(span.sampled),
+        span.trace_id & _U64, span.span_id & _U64,
+        (span.parent_id or 0) & _U64, 0)
+
+
+def walk_frame(body: bytes) -> Tuple[tuple, int]:
+    """Check a frame body field by field: return the 12 fields of the
+    `WireMessage` it carries, in declaration order, and the offset at
+    which its payload ends — or raise `FrameError`.  Every check a body
+    gets is made here, once: `decode_frame` and the node's replies
+    (`reply_body`) both read through it."""
     try:
         version, kind, seq, reply_to, sighash, n = _HEAD.unpack_from(body, 0)
     except struct.error as exc:
@@ -137,7 +154,7 @@ def decode_frame(body: bytes) -> WireMessage:
         opname = body[_HEAD_SIZE:off].decode("utf-8")
         (n,) = _U32.unpack_from(body, off)
         off += _U32_SIZE + n
-        payload = body[off - n:off]
+        payload, end = body[off - n:off], off
         enc_total, n_enc = _ENCS.unpack_from(body, off)
         off += _ENCS_SIZE
         enclosures: List[EndRef] = []
@@ -164,9 +181,9 @@ def decode_frame(body: bytes) -> WireMessage:
                 bool(flags & _SPAN_SAMPLED))
         else:
             off += len(_NO_SPAN)
-        msg = WireMessage(_KINDS[kind], seq, reply_to, opname, sighash,
-                          payload, enclosures, enclosure_meta, enc_total,
-                          _ERRORS[error], sent_at, span)
+        fields = (_KINDS[kind], seq, reply_to, opname, sighash, payload,
+                  enclosures, enclosure_meta, enc_total, _ERRORS[error],
+                  sent_at, span)
     except (struct.error, IndexError, UnicodeDecodeError,
             json.JSONDecodeError) as exc:
         raise FrameError(f"malformed frame: {exc}") from None
@@ -174,7 +191,26 @@ def decode_frame(body: bytes) -> WireMessage:
         raise FrameError(
             f"frame carries {len(body) - off} trailing byte(s)"
         )
-    return msg
+    return fields, end
+
+
+def decode_frame(body: bytes) -> WireMessage:
+    """Rebuild the `WireMessage` a frame body carries."""
+    return WireMessage(*walk_frame(body)[0])
+
+
+def reply_body(body: bytes, fields: tuple, end: int, seq: int) -> bytes:
+    """The body of the REPLY, numbered ``seq``, that echoes the request
+    `walk_frame` read from ``body`` as ``(fields, end)``: byte for byte
+    what `encode_frame` gives for ``WireMessage(REPLY, seq, <its seq>,
+    <its opname>, <its sighash>, <its payload>, sent_at=0.0, span=<its
+    span>)``.  The request's opname and payload runs are copied as they
+    are, length fields included: a checked body's UTF-8 re-encodes to
+    the same bytes."""
+    return b"".join((
+        _REPLY_HEAD.pack(FRAME_VERSION, _REPLY, seq, fields[1], fields[4]),
+        body[_REPLY_HEAD_SIZE:end], _REPLY_TAIL, _span_run(fields[11]),
+    ))
 
 
 def pack_frame(body: bytes) -> bytes:

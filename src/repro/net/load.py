@@ -125,10 +125,7 @@ class _Client:
         self.writer.write(frame)
         await self.writer.drain()
         deadline = perf_counter() + wait_ms / 1000.0
-        while True:
-            remaining = deadline - perf_counter()
-            if remaining <= 0:
-                return None
+        while (remaining := deadline - perf_counter()) > 0:
             try:
                 msg = decode_frame(await asyncio.wait_for(
                     read_frame(self.reader), timeout=remaining
@@ -141,6 +138,7 @@ class _Client:
                 return msg
             # a stale reply to an attempt we already timed out on:
             # ignore it and keep waiting inside the same window
+        return None  # the window closed: time out
 
     async def _exchange(self, frame: bytes, seq: int,
                         policy: RecoveryPolicy, report: LoadReport) -> bool:

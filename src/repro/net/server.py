@@ -11,10 +11,10 @@ the E17 measurements need:
   one run), and it keys one dedup window per client: a
   `repro.core.links.SeqWindow`, the table the simulated runtime keeps
   per end, holding the replies to that client's last
-  `REPLY_CACHE_LIMIT` seqs.  A retransmission inside the
-  window replays the cached reply bytes instead of re-executing (the
-  `duplicates` stat is the proof that retransmissions happened and
-  were absorbed).  One *left* of the window — at or below its
+  `REPLY_CACHE_LIMIT` seqs, as the frame bodies that were sent.  A
+  retransmission inside the window replays those bytes instead of
+  re-executing (the `duplicates` stat is the proof that
+  retransmissions happened and were absorbed).  One *left* of the window — at or below its
   ``floor``, the highest seq it evicted — is absorbed without a reply
   and also counted `expired`: its reply is gone, and running it again
   would break at-most-once, so the client's bounded retry reports it
@@ -33,9 +33,17 @@ the E17 measurements need:
 * the ``__stats__`` operation returns the counters as JSON, so the
   harness can interrogate a server before crashing it.
 
+A node **answers from the frame**: each request body is walked once
+(`repro.net.frames.walk_frame`, which makes every check a body gets),
+the at-most-once logic above runs on the walked fields, and a fresh
+reply is built from the request's own opname and payload bytes
+(`reply_body`), so an ordinary request builds no `WireMessage` and
+encodes none — only ``__stats__`` does.  `NodeServer.handle` takes a
+`WireMessage` and encodes it first, for callers that hold one.
+
 The unit of work on a connection is a **wake-up, not a frame**:
 `NodeServer.answer` feeds one ``recv`` to the connection's
-`FrameReader`, handles every complete frame it delivered in request
+`FrameReader`, serves every complete frame it delivered in request
 order, and returns the replies packed and joined, which leave in one
 ``send`` (a pipelining client hands the server a dozen frames per
 wake-up; three awaits and a ``send(2)`` per frame were a quarter of the
@@ -52,8 +60,9 @@ a read drops the connection without sending that read's replies;
 requests ahead of it in the same read have executed and are cached, so
 the client's retry on a fresh connection is a replay.  EOF, with or
 without a partial frame buffered, closes the connection, and so does
-any `OSError` on it.  Any other exception is a bug (`decode_frame`
-raises only `FrameError`), and it ends the node process: its traceback
+any `OSError` on it.  Any other exception is a bug (`walk_frame`
+raises only `FrameError`, and raises it before the frame moves any
+counter), and it ends the node process: its traceback
 lands in the node's stderr file and the supervisor sees the exit code.
 
 On startup the process prints ``REPRO-NET READY <endpoint>`` on stdout
@@ -66,6 +75,7 @@ import json
 import selectors
 import socket
 from collections import defaultdict
+from itertools import count
 from typing import DefaultDict, Optional
 
 from repro.core.links import SeqWindow
@@ -73,9 +83,10 @@ from repro.core.wire import MsgKind, WireMessage
 from repro.net.frames import (
     FrameError,
     FrameReader,
-    decode_frame,
     encode_frame,
     pack_frame,
+    reply_body,
+    walk_frame,
 )
 
 #: the control operation answered with the server's counters
@@ -97,40 +108,34 @@ class NodeServer:
         #: client id (the frame's ``sighash``) -> its dedup window of
         #: reply frame bodies
         self.windows: DefaultDict[int, SeqWindow] = defaultdict(SeqWindow)
-        self.requests_seen = 0
-        self.executed_unique = 0
-        self.duplicates = 0
-        self.expired = 0
-        self.dropped_replies = 0
-        self._reply_seq = 0
+        self.requests_seen = self.executed_unique = self.duplicates = \
+            self.expired = self.dropped_replies = 0
+        self._reply_seqs = count(1)
 
     # -- request handling ----------------------------------------------
-    def _reply_to(self, req: WireMessage, payload: bytes) -> bytes:
-        self._reply_seq += 1
-        return encode_frame(WireMessage(
-            kind=MsgKind.REPLY,
-            seq=self._reply_seq,
-            reply_to=req.seq,
-            opname=req.opname,
-            sighash=req.sighash,
-            payload=payload,
-            sent_at=0.0,
-            span=req.span,
-        ))
-
     def handle(self, req: WireMessage) -> Optional[bytes]:
         """Process one request; return the reply frame body to send,
         or None when the reply is deliberately withheld or has expired."""
-        if req.opname == STATS_OP:
-            return self._reply_to(req, json.dumps(self.stats()).encode())
-        if req.opname == BYE_OP:
+        return self._serve(encode_frame(req))
+
+    def _serve(self, body: bytes) -> Optional[bytes]:
+        """`handle` on the request's frame body: walked once, and a
+        fresh reply built from its own bytes (`reply_body`).  Raises
+        `FrameError` before any counter moves."""
+        fields, end = walk_frame(body)
+        seq, opname, client = fields[1], fields[3], fields[4]
+        if opname == STATS_OP:
+            return encode_frame(WireMessage(
+                kind=MsgKind.REPLY, seq=next(self._reply_seqs), reply_to=seq,
+                opname=opname, sighash=client,
+                payload=json.dumps(self.stats()).encode(), span=fields[11]))
+        if opname == BYE_OP:
             # no frame of the client's run can follow its bye on this
             # connection, so no retransmission can need the window
-            self.windows.pop(req.sighash, None)
+            self.windows.pop(client, None)
             return None
         self.requests_seen += 1
-        seq = req.seq
-        window = self.windows[req.sighash]
+        window = self.windows[client]
         cached = window.get(seq)
         if cached is not None or seq <= window.floor:
             # a retransmission: exactly-once means replay, not
@@ -140,7 +145,7 @@ class NodeServer:
             self.expired += cached is None
             return cached
         self.executed_unique += 1
-        reply = self._reply_to(req, req.payload)
+        reply = reply_body(body, fields, end, next(self._reply_seqs))
         window.add(seq, reply)
         if self.drop_first > 0:
             # execute, cache, but stay silent: the client must time out
@@ -168,7 +173,7 @@ class NodeServer:
         the read's replies is returned."""
         return b"".join(
             pack_frame(reply) for body in deframe.feed(data)
-            if (reply := self.handle(decode_frame(body))) is not None
+            if (reply := self._serve(body)) is not None
         )
 
     # -- the select loop -----------------------------------------------

@@ -83,11 +83,10 @@ class NodeSupervisor:
         """Start one node and wait for its READY handshake."""
         if name in self.nodes:
             raise ValueError(f"duplicate node name {name!r}")
-        import repro
-
-        src_dir = os.path.dirname(os.path.dirname(
-            os.path.abspath(repro.__file__)
-        ))
+        # the directory that holds the `repro` package this module is in
+        src_dir = os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__)
+        )))
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, (src_dir, os.environ.get("PYTHONPATH"))))}
         bind = (["--tcp", "0"] if tcp else

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.costs import ChrysalisCosts, CostModel
 from repro.experiments import PAPER
+from repro.experiments.latency import SMALL_MSG_SPEEDUP_REL
 from repro.workloads.raw import raw_charlotte_rpc
 from repro.workloads.rpc import run_rpc_workload
 
@@ -65,8 +66,8 @@ def test_soda_three_times_faster_small_messages():
     Charlotte"."""
     char = run_rpc_workload("charlotte", 0, count=5).mean_ms
     soda = run_rpc_workload("soda", 0, count=5).mean_ms
-    ratio = char / soda
-    assert 2.6 < ratio < 3.4
+    assert char / soda == pytest.approx(
+        PAPER["soda.small_msg_speedup_vs_charlotte"], rel=SMALL_MSG_SPEEDUP_REL)
 
 
 def test_soda_charlotte_breakeven_between_1k_and_2k():

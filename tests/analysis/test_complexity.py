@@ -127,7 +127,13 @@ SIZE_BUDGETS = {
     # loop with its own deadline clock, and by `stop_all` waiting
     # without a kill fallback, since a node runs no SIGTERM handler
     # (supervisor 93 / 18 -> 73 / 10)
-    "net+ideal": (597, 107),
+    # a node answers from the frame: `walk_frame`, `reply_body` and the
+    # span helper (+10 in frames) are paid by `_reply_to` going, the
+    # node's counters set in one statement, its reply seqs drawn from a
+    # `count`, the enclosure refs packed by `starmap`, the load
+    # client's wait loop on its deadline and the supervisor's path to
+    # `src` from its own file (before: 597 / 107)
+    "net+ideal": (596, 105),
     # PR 16: bench owns only exact values, compare is equality
     # (before: 1,182 / 352)
     # PR 18: the eight bench bodies left for the experiment registry;

@@ -20,6 +20,8 @@ from repro.net.frames import (
     decode_frame,
     encode_frame,
     pack_frame,
+    reply_body,
+    walk_frame,
 )
 from repro.obs.causal import SpanContext
 
@@ -162,6 +164,9 @@ def test_reader_refuses_absurd_length_prefix():
 # -- the wire format itself --------------------------------------------
 _PING = WireMessage(kind=MsgKind.REQUEST, seq=1, opname="ping", sighash=100,
                     payload=b"x" * 32, sent_at=0.0)
+_PING_REPLY = WireMessage(kind=MsgKind.REPLY, seq=1, reply_to=1,
+                          opname="ping", sighash=100, payload=b"x" * 32,
+                          sent_at=0.0)
 _EVERYTHING = WireMessage(
     kind=MsgKind.EXCEPTION, seq=12345, reply_to=-7, opname="réponse_λ",
     sighash=(1 << 63) + 99, payload=b"\x00\xffbinary\x01",
@@ -185,6 +190,12 @@ GOLDEN_BODIES = [
      "0100000000000000000100000000000000000000000000000064000470696e67"
      "0000002078787878787878787878787878787878787878787878787878787878"
      "78787878000000000000000000025b5d00000000000000000000"),
+    # the node's reply to that ping (its first reply: seq 1), as
+    # `NodeServer` built it before it answered from the request's bytes
+    (_PING_REPLY,
+     "0101000000000000000100000000000000010000000000000064000470696e67"
+     "0000002078787878787878787878787878787878787878787878787878787878"
+     "78787878000000000000000000025b5d00000000000000000000"),
     (_EVERYTHING,
      "01020000000000003039fffffffffffffff98000000000000063000b72c3a970"
      "6f6e73655fcebb0000000900ff62696e61727901000000020002000000000000"
@@ -195,11 +206,27 @@ GOLDEN_BODIES = [
 
 
 @pytest.mark.parametrize("msg, golden", GOLDEN_BODIES,
-                         ids=["minimal", "ping", "everything"])
+                         ids=["minimal", "ping", "ping-reply", "everything"])
 def test_golden_bodies_are_byte_equal(msg, golden):
     assert FRAME_VERSION == 1
     assert encode_frame(msg).hex() == golden
     assert decode_frame(bytes.fromhex(golden)) == msg
+
+
+def test_walk_frame_reads_the_fields_and_where_the_payload_ends():
+    body = encode_frame(_EVERYTHING)
+    fields, end = walk_frame(body)
+    assert WireMessage(*fields) == _EVERYTHING
+    assert body[end - len(_EVERYTHING.payload):end] == _EVERYTHING.payload
+
+
+def test_the_reply_to_the_ping_is_the_golden_body():
+    """`reply_body` builds the node's reply from the request's bytes:
+    the golden ping-reply body, not a re-encoding."""
+    body = encode_frame(_PING)
+    msg, golden = GOLDEN_BODIES[2]
+    assert msg is _PING_REPLY
+    assert reply_body(body, *walk_frame(body), 1).hex() == golden
 
 
 _u64 = st.integers(min_value=0, max_value=2**64 - 1)
